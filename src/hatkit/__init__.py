@@ -25,7 +25,6 @@ from .perms import (
     identity,
     induced_action,
     inverse,
-    membership_test,
     schreier_sims,
 )
 from .autgroup import (

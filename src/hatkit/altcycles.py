@@ -26,8 +26,8 @@ from .errors import (
     StructureViolation,
     TightlyAttached,
 )
-from .graphs import Graph, from_edge_list, is_connected, is_regular
-from .autgroup import arc_orbits, transitivity_report
+from .graphs import Graph, from_edge_list, is_connected, is_regular, maps_edges
+from .autgroup import transitivity_report
 from .perms import PermGroup, centralizes, schreier_sims
 
 
@@ -115,14 +115,8 @@ def induced_orientation(group: PermGroup, g: Graph):
         raise NotHalfArcTransitive(
             "the action is not vertex- and edge- but not arc-transitive "
             f"(flags: {report.to_json_dict()})")
-    orbits = arc_orbits(group, g)
-    assert len(orbits) == 2
-    first = orbits[0] if min(orbits[0]) < min(orbits[1]) else orbits[1]
-    d = Orientation(g, first)
-    d_rev = d.reverse()
-    other = orbits[1] if first is orbits[0] else orbits[0]
-    assert set(other) == set(d_rev.arcs)
-    return d, d_rev
+    d = Orientation(g, report.arc_orbits[0])
+    return d, d.reverse()
 
 
 def _canonical_cycle(seq):
@@ -325,7 +319,7 @@ def antipodal_involution(g: Graph, dec: AltDecomposition, group: PermGroup):
     assert all(x is not None for x in tau)
     assert all(tau[tau[v]] == v for v in range(g.n)), "not an involution"
     assert all(tau[v] != v for v in range(g.n)), "has a fixed point"
-    if not all(tau[b] in g.nbrs[tau[a]] for a, b in g.edges):
+    if not maps_edges(tau, g, g):
         raise StructureViolation("antipodal map is not an automorphism")
     if not centralizes(tau, group):
         raise StructureViolation(

@@ -14,13 +14,21 @@ minimizes the encoding over the leaves of the search tree.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import NotAutomorphisms, TooLarge
-from .graphs import Graph, is_regular, relabel
+from .graphs import Graph, is_regular, maps_edges, relabel
 from .graph6 import write_graph6
-from .perms import PermGroup, compose, identity, inverse, is_identity, schreier_sims
+from .perms import (
+    PermGroup,
+    compose,
+    identity,
+    inverse,
+    is_identity,
+    orbits,
+    schreier_sims,
+)
 
 _MAX_VERTICES = 10_000
 
@@ -124,6 +132,8 @@ class _Search:
             explored.append(v)
 
     def _in_explored_orbit(self, v, explored, prefix):
+        # Not perms.orbits: this sweep stops at the first hit and runs in
+        # the inner loop of the search, where refinement already dominates.
         gens = [a for a in self.aut_gens if all(a[q] == q for q in prefix)]
         if not gens:
             return False
@@ -152,16 +162,13 @@ class _Search:
         else:
             aut = compose(pi, inverse(other))
             if not is_identity(aut) and aut not in self._gen_set:
-                assert _is_automorphism(self.g, aut), "leaf pair gave a non-automorphism"
+                assert maps_edges(aut, self.g, self.g), \
+                    "leaf pair gave a non-automorphism"
                 self._gen_set.add(aut)
                 self.aut_gens.append(aut)
         if self.best_enc is None or enc < self.best_enc:
             self.best_enc = enc
             self.best_pi = pi
-
-
-def _is_automorphism(g, p):
-    return all(p[v] in g.nbrs[p[u]] for u, v in g.edges)
 
 
 @lru_cache(maxsize=512)
@@ -171,7 +178,7 @@ def _analysis(g: Graph):
     search = _Search(g).run()
     group = schreier_sims(search.aut_gens, degree=g.n)
     for gen in group.generators:
-        assert _is_automorphism(g, gen)
+        assert maps_edges(gen, g, g)
     return group, search.best_pi, search.best_enc
 
 
@@ -206,7 +213,7 @@ def is_isomorphic(g: Graph, h: Graph):
     if enc_g != enc_h:
         return None
     mapping = compose(pi_g, inverse(pi_h))
-    assert all(mapping[v] in h.nbrs[mapping[u]] for u, v in g.edges)
+    assert maps_edges(mapping, g, h)
     return mapping
 
 
@@ -215,7 +222,8 @@ class TransitivityReport:
     """How a supplied group acts on a graph.
 
     half_arc_transitive means vertex- and edge- but not arc-transitive;
-    the flags always satisfy two_arc => arc => edge.
+    the flags always satisfy two_arc => arc => edge.  arc_orbits is the
+    orbit partition of the arcs, ordered by smallest arc.
     """
 
     vertex_transitive: bool
@@ -224,6 +232,7 @@ class TransitivityReport:
     two_arc_transitive: bool
     half_arc_transitive: bool
     arc_orbit_count: int
+    arc_orbits: tuple = field(repr=False)
 
     def to_json_dict(self):
         return {
@@ -241,30 +250,8 @@ def _require_automorphisms(group, g):
         raise NotAutomorphisms(
             f"group degree {group.degree} != vertex count {g.n}")
     for gen in group.generators:
-        if not _is_automorphism(g, gen):
+        if not maps_edges(gen, g, g):
             raise NotAutomorphisms("generator does not preserve adjacency")
-
-
-def _orbit_reps(items, gens, act):
-    """Orbit partition of hashable items under permutation generators."""
-    items = sorted(items)
-    seen = set()
-    orbits = []
-    for item in items:
-        if item in seen:
-            continue
-        orbit = {item}
-        queue = [item]
-        while queue:
-            x = queue.pop()
-            for s in gens:
-                y = act(s, x)
-                if y not in orbit:
-                    orbit.add(y)
-                    queue.append(y)
-        seen |= orbit
-        orbits.append(tuple(sorted(orbit)))
-    return orbits
 
 
 def _all_arcs(g):
@@ -287,7 +274,8 @@ def transitivity_report(group: PermGroup, g: Graph) -> TransitivityReport:
     The group must consist of automorphisms of g.  Transitivity on each
     structure means at most one orbit; two-arc-transitivity additionally
     requires arc-transitivity so the implication chain holds even on
-    degenerate graphs.
+    degenerate graphs.  For a half-arc-transitive action the two arc
+    orbits are verified to be each other's reverse.
     """
     _require_automorphisms(group, g)
     gens = group.generators
@@ -303,9 +291,9 @@ def transitivity_report(group: PermGroup, g: Graph) -> TransitivityReport:
     def act_two_arc(s, t):
         return (s[t[0]], s[t[1]], s[t[2]])
 
-    edge_orbits = _orbit_reps(g.edges, gens, act_edge)
-    arc_orbit_list = _orbit_reps(_all_arcs(g), gens, act_arc)
-    two_arc_orbits = _orbit_reps(_all_two_arcs(g), gens, act_two_arc)
+    edge_orbits = orbits(g.edges, gens, act_edge)
+    arc_orbit_list = tuple(orbits(_all_arcs(g), gens, act_arc))
+    two_arc_orbits = orbits(_all_two_arcs(g), gens, act_two_arc)
 
     edge_t = len(edge_orbits) <= 1
     arc_t = len(arc_orbit_list) <= 1
@@ -317,6 +305,10 @@ def transitivity_report(group: PermGroup, g: Graph) -> TransitivityReport:
         if k % 2 == 1 and is_regular(g, k):
             # vertex- and edge-transitive on odd valence forces arc-transitive
             assert arc_t, "odd-valence sanity check failed"
+    if half_arc_t:
+        first, second = arc_orbit_list
+        assert {(b, a) for a, b in first} == set(second), \
+            "half-arc-transitive arc orbits are not mutual reverses"
 
     return TransitivityReport(
         vertex_transitive=vertex_t,
@@ -325,26 +317,15 @@ def transitivity_report(group: PermGroup, g: Graph) -> TransitivityReport:
         two_arc_transitive=two_arc_t,
         half_arc_transitive=half_arc_t,
         arc_orbit_count=len(arc_orbit_list),
+        arc_orbits=arc_orbit_list,
     )
 
 
 def arc_orbits(group: PermGroup, g: Graph):
-    """Orbit partition of the 2|E| arcs under the group.
+    """Orbit partition of the 2|E| arcs under the group, ordered by
+    smallest arc.
 
     For a half-arc-transitive action there are exactly two orbits and each
-    is the reverse of the other; when two mutually transitive orbit checks
-    apply this is verified.
+    is verified to be the reverse of the other.
     """
-    _require_automorphisms(group, g)
-
-    def act_arc(s, a):
-        return (s[a[0]], s[a[1]])
-
-    orbits = _orbit_reps(_all_arcs(g), group.generators, act_arc)
-    if len(orbits) == 2:
-        report = transitivity_report(group, g)
-        if report.half_arc_transitive:
-            reversed_first = {(b, a) for a, b in orbits[0]}
-            assert reversed_first == set(orbits[1]), \
-                "half-arc-transitive arc orbits are not mutual reverses"
-    return orbits
+    return transitivity_report(group, g).arc_orbits

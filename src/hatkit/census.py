@@ -15,9 +15,8 @@ from dataclasses import dataclass
 from importlib.resources import files
 from itertools import combinations
 
-from .errors import MalformedGraph6
 from .graphs import Graph, from_edge_list
-from .graph6 import parse_graph6, write_graph6
+from .graph6 import load_graph6_file, parse_graph6, write_graph6
 
 
 def complete_graph(n) -> Graph:
@@ -153,23 +152,13 @@ def load_census(source) -> list:
     """Entries from 'builtin', a census JSON file, or a graph6 line file."""
     if source == "builtin":
         return builtin_entries()
-    with open(source, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    stripped = text.lstrip()
-    if stripped.startswith("{") or stripped.startswith("["):
-        data = json.loads(text)
+    with open(source, "rb") as fh:
+        data = fh.read()
+    if data.lstrip()[:1] in (b"{", b"["):
+        data = json.loads(data.decode("utf-8"))
         items = data["entries"] if isinstance(data, dict) else data
         return [CensusEntry(name=e["name"], graph6=e["graph6"],
                             expected=e.get("expected"))
                 for e in items]
-    entries = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            parse_graph6(line)
-        except MalformedGraph6 as exc:
-            raise MalformedGraph6(f"{source}:{lineno}: {exc}") from exc
-        entries.append(CensusEntry(name=f"line{lineno}", graph6=line))
-    return entries
+    return [CensusEntry(name=f"line{lineno}", graph6=write_graph6(g))
+            for lineno, g in load_graph6_file(source)]

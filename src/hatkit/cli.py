@@ -12,6 +12,7 @@ import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from functools import cached_property
 
 from . import __version__
 from .errors import (
@@ -23,7 +24,7 @@ from .errors import (
     OrderTooSmall,
 )
 from .graphs import girth, is_bipartite, is_connected, line_graph
-from .graph6 import parse_graph6, write_graph6
+from .graph6 import load_graph6_file, write_graph6
 from .perms import schreier_sims
 from .autgroup import automorphism_group, transitivity_report
 from .altcycles import (
@@ -36,7 +37,6 @@ from .altcycles import (
 from .dartgraph import (
     dart_graph,
     dart_reversal,
-    lift_automorphisms,
     psi_isomorphism,
     verify_dart_forward,
 )
@@ -46,9 +46,39 @@ from .census import CensusEntry, load_census
 SUITES = ("dart-theorem", "cover-theorem", "divisibility")
 
 
-def _regular_valence(g):
-    degs = set(g.degrees())
-    return degs.pop() if len(degs) == 1 else None
+class _EntryAnalysis:
+    """The artefacts of one graph, each built on first use and at most
+    once; analyze and the suites read them instead of rebuilding them.
+    An analysis lives for one entry: only the automorphism search
+    (autgroup._analysis) is cached across entries."""
+
+    def __init__(self, g):
+        self.g = g
+        degs = set(g.degrees())
+        self.valence = degs.pop() if len(degs) == 1 else None
+
+    @cached_property
+    def group(self):
+        return automorphism_group(self.g)
+
+    @cached_property
+    def report(self):
+        return transitivity_report(self.group, self.g)
+
+    @property
+    def dart_applicable(self):
+        return self.valence == 3 and self.report.two_arc_transitive
+
+    @cached_property
+    def forward(self):
+        """The certified dart chain of a 2-arc-transitive cubic graph."""
+        return verify_dart_forward(self.g, self.group)
+
+    @cached_property
+    def half_arc_cycles(self):
+        """Alternating cycles of a half-arc-transitive tetravalent graph."""
+        d, _ = induced_orientation(self.group, self.g)
+        return alternating_cycles(self.g, d)
 
 
 def _open_question_notes(dec):
@@ -69,27 +99,26 @@ def _open_question_notes(dec):
 def analyze_graph(name, g):
     """Structure, symmetry and (when applicable) alternating-cycle report
     for one graph."""
+    analysis = _EntryAnalysis(g)
     record = {
         "name": name,
         "graph6": write_graph6(g),
         "order": g.n,
         "size": g.m,
         "connected": is_connected(g),
-        "regular_valence": _regular_valence(g),
+        "regular_valence": analysis.valence,
         "bipartite": is_bipartite(g) is not None,
         "girth": girth(g),
     }
-    group = automorphism_group(g)
-    report = transitivity_report(group, g)
-    record["aut_order"] = str(group.order)
+    report = analysis.report
+    record["aut_order"] = str(analysis.group.order)
     record["transitivity"] = report.to_json_dict()
-    if record["regular_valence"] == 3:
+    if analysis.valence == 3:
         record["cubic_two_arc_transitive"] = report.two_arc_transitive
     record["alternating"] = None
-    if (record["connected"] and record["regular_valence"] == 4
+    if (record["connected"] and analysis.valence == 4
             and report.half_arc_transitive):
-        d, _ = induced_orientation(group, g)
-        dec = alternating_cycles(g, d)
+        dec = analysis.half_arc_cycles
         divis = divisibility_report(dec, is_full_group=True,
                                     genuinely_hat=True)
         alt = {
@@ -104,7 +133,7 @@ def analyze_graph(name, g):
         }
         if len(dec.cycles) >= 3:
             altg = alt_graph(g, dec)
-            _, arc_t = induced_alt_action(group, dec, altg)
+            _, arc_t = induced_alt_action(analysis.group, dec, altg)
             alt["alt_action_arc_transitive"] = arc_t
         record["alternating"] = alt
     return record
@@ -115,19 +144,18 @@ def _check(checks, name, ok, detail=""):
     return ok
 
 
-def _expected_checks(g, expected, checks):
+def _expected_checks(analysis, expected, checks):
     if not expected:
         return
-    group = automorphism_group(g)
-    report = transitivity_report(group, g)
+    g, group = analysis.g, analysis.group
     derived = {
         "vertices": g.n,
-        "valence": _regular_valence(g),
+        "valence": analysis.valence,
         "bipartite": is_bipartite(g) is not None,
         "girth": girth(g),
         "aut_order": group.order,
-        "two_arc_transitive": report.two_arc_transitive,
-        "half_arc_transitive": report.half_arc_transitive,
+        "two_arc_transitive": analysis.report.two_arc_transitive,
+        "half_arc_transitive": analysis.report.half_arc_transitive,
     }
     for key, want in sorted(expected.items()):
         got = derived.get(key, "<unknown property>")
@@ -139,14 +167,12 @@ def _expected_checks(g, expected, checks):
            f"|Aut| = {group.order}")
 
 
-def _dart_suite(g, checks, strict):
-    group = automorphism_group(g)
-    report = transitivity_report(group, g)
-    if _regular_valence(g) != 3 or not report.two_arc_transitive:
+def _dart_suite(analysis, checks, strict):
+    if not analysis.dart_applicable:
         _check(checks, "dart:applicable", True,
                "skipped: not a 2-arc-transitive cubic graph")
         return
-    forward = verify_dart_forward(g, group)
+    forward = analysis.forward
     _check(checks, "dart:half_arc_transitive", forward.half_arc_transitive)
     _check(checks, "dart:radius_3", forward.radius == 3,
            f"radius {forward.radius}")
@@ -155,29 +181,27 @@ def _dart_suite(g, checks, strict):
     _check(checks, "dart:alt_reconstructs_base", forward.alt_isomorphic_to_base)
     _check(checks, "dart:natural_orientation_induced",
            forward.natural_orientation_induced)
-    dart, _, labeling = dart_graph(g)
-    lifted = lift_automorphisms(g, group, labeling)
-    _, psi_report = psi_isomorphism(dart, lifted)
+    _, psi_report = psi_isomorphism(forward.labeling.graph,
+                                    forward.lifted_group)
     _check(checks, "dart:psi_isomorphism",
            psi_report.bijective and psi_report.preserves_adjacency
            and psi_report.orientation_compatible)
     if strict:
-        d, _ = induced_orientation(lifted, dart)
-        notes = _open_question_notes(alternating_cycles(dart, d))
+        # reversing the orientation keeps the alternating cycles, so the
+        # natural orientation's decomposition is the induced one's
+        notes = _open_question_notes(forward.decomposition)
         _check(checks, "dart:open_questions", not notes, "; ".join(notes))
 
 
-def _cover_suite(g, checks, strict):
-    group = automorphism_group(g)
-    report = transitivity_report(group, g)
-    if _regular_valence(g) != 3 or not report.two_arc_transitive:
+def _cover_suite(analysis, checks, strict):
+    if not analysis.dart_applicable:
         _check(checks, "cover:applicable", True,
                "skipped: not a 2-arc-transitive cubic graph")
         return
-    dart, _, labeling = dart_graph(g)
-    lifted = lift_automorphisms(g, group, labeling)
+    labeling = analysis.forward.labeling
+    dart, lifted = labeling.graph, analysis.forward.lifted_group
 
-    line, line_edges = line_graph(g)
+    line, line_edges = line_graph(analysis.g)
     fibre_map = tuple(line_edges.index((min(u, v), max(u, v)))
                       for u, v in labeling.darts)
     _check(checks, "cover:dart_covers_line_graph",
@@ -205,31 +229,23 @@ def _cover_suite(g, checks, strict):
            2 * rep.projected_order == rep.lifted_order)
 
 
-def _divisibility_suite(g, checks, strict):
-    valence = _regular_valence(g)
-    group = automorphism_group(g)
-    report = transitivity_report(group, g)
-    if valence == 3 and report.two_arc_transitive:
-        dart, natural, labeling = dart_graph(g)
-        lifted = lift_automorphisms(g, group, labeling)
-        dec = alternating_cycles(dart, natural)
+def _divisibility_suite(analysis, checks, strict):
+    if analysis.dart_applicable:
+        forward = analysis.forward
+        dec = forward.decomposition
         rec = divisibility_report(dec, is_full_group=False,
                                   genuinely_hat=False)
         _check(checks, "div:a_divides_2r", rec.a_divides_2r,
                f"(r, a) = ({rec.radius}, {rec.attachment})")
-        tau = dart_reversal(labeling)
-        extended = schreier_sims(list(lifted.generators) + [tau],
-                                 degree=dart.n)
+        dart = forward.labeling.graph
+        tau = dart_reversal(forward.labeling)
+        extended = schreier_sims(
+            list(forward.lifted_group.generators) + [tau], degree=dart.n)
         ext_report = transitivity_report(extended, dart)
         _check(checks, "div:full_group_not_hat", ext_report.arc_transitive,
                "dart reversal extends the lift to an arc-transitive group")
-        if strict:
-            _check(checks, "div:open_questions",
-                   not _open_question_notes(dec),
-                   "; ".join(_open_question_notes(dec)))
-    elif valence == 4 and report.half_arc_transitive:
-        d, _ = induced_orientation(group, g)
-        dec = alternating_cycles(g, d)
+    elif analysis.valence == 4 and analysis.report.half_arc_transitive:
+        dec = analysis.half_arc_cycles
         rec = divisibility_report(dec, is_full_group=True, genuinely_hat=True)
         _check(checks, "div:a_divides_2r", rec.a_divides_2r,
                f"(r, a) = ({rec.radius}, {rec.attachment})")
@@ -237,13 +253,13 @@ def _divisibility_suite(g, checks, strict):
                not rec.odd_radius_rule_applicable or rec.a_divides_r,
                f"applicable={rec.odd_radius_rule_applicable}, "
                f"a|r={rec.a_divides_r}")
-        if strict:
-            _check(checks, "div:open_questions",
-                   not _open_question_notes(dec),
-                   "; ".join(_open_question_notes(dec)))
     else:
         _check(checks, "div:applicable", True,
                "skipped: no analyzed half-arc-transitive structure")
+        return
+    if strict:
+        notes = _open_question_notes(dec)
+        _check(checks, "div:open_questions", not notes, "; ".join(notes))
 
 
 def _verify_entry(payload):
@@ -252,14 +268,14 @@ def _verify_entry(payload):
     checks = []
     t0 = time.perf_counter()
     try:
-        g = entry.graph()
-        _expected_checks(g, entry.expected, checks)
+        analysis = _EntryAnalysis(entry.graph())
+        _expected_checks(analysis, entry.expected, checks)
         if "dart-theorem" in suites:
-            _dart_suite(g, checks, strict)
+            _dart_suite(analysis, checks, strict)
         if "cover-theorem" in suites:
-            _cover_suite(g, checks, strict)
+            _cover_suite(analysis, checks, strict)
         if "divisibility" in suites:
-            _divisibility_suite(g, checks, strict)
+            _divisibility_suite(analysis, checks, strict)
         error = None
     except HatError as exc:
         error = f"{type(exc).__name__}: {exc}"
@@ -284,8 +300,8 @@ def _emit(report, out_path, as_json):
 
 
 def _cmd_analyze(args):
-    entries = _input_entries(args.input, args.census)
-    records = [analyze_graph(e.name, e.graph()) for e in entries]
+    records = [analyze_graph(name, g)
+               for name, g in _input_graphs(args.input, args.census)]
     report = {
         "tool": "hatkit",
         "version": __version__,
@@ -297,19 +313,20 @@ def _cmd_analyze(args):
 
 
 def _cmd_dart(args):
-    entries = _input_entries(args.input, args.census)
     records = []
-    for entry in entries:
-        g = entry.graph()
-        dart, _, _ = dart_graph(g)  # NotCubic/NotConnected abort with code 2
-        record = {"name": entry.name, "dart_graph6": write_graph6(dart),
-                  "dart_order": dart.n}
+    for name, g in _input_graphs(args.input, args.census):
+        record = {"name": name}
         try:
-            record["report"] = verify_dart_forward(
-                g, automorphism_group(g)).to_json_dict()
+            forward = _EntryAnalysis(g).forward
+            dart = forward.labeling.graph
+            record["report"] = forward.to_json_dict()
         except Not2ArcTransitive as exc:
+            # NotCubic/NotConnected abort with code 2
+            dart, _, _ = dart_graph(g)
             record["report"] = None
             record["note"] = str(exc)
+        record["dart_graph6"] = write_graph6(dart)
+        record["dart_order"] = dart.n
         records.append(record)
         print(record["dart_graph6"])
     report = {
@@ -360,31 +377,21 @@ def _cmd_verify(args):
     return 0 if passed else 1
 
 
-def _input_entries(source, census):
-    """Resolve a positional input: census entry name or graph6 file path."""
+def _input_graphs(source, census):
+    """Resolve a positional input, census entry name or graph6 file path,
+    to (name, graph) pairs."""
     named = {e.name: e for e in load_census(census)}
     if source in named:
-        return [named[source]]
+        return [(source, named[source].graph())]
     try:
-        with open(source, "r", encoding="ascii") as fh:
-            lines = fh.read().splitlines()
+        loaded = load_graph6_file(source)
     except OSError as exc:
         raise MalformedGraph6(
             f"{source!r} is neither a census entry "
             f"({', '.join(sorted(named))}) nor a readable file: {exc}")
-    entries = []
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            parse_graph6(line)
-        except MalformedGraph6 as exc:
-            raise MalformedGraph6(f"{source}:{lineno}: {exc}") from exc
-        entries.append(CensusEntry(name=f"{source}:{lineno}", graph6=line))
-    if not entries:
+    if not loaded:
         raise MalformedGraph6(f"{source} contains no graphs")
-    return entries
+    return [(f"{source}:{lineno}", g) for lineno, g in loaded]
 
 
 def _build_parser():

@@ -31,6 +31,7 @@ from .graphs import (
     girth,
     is_bipartite,
     line_graph,
+    maps_edges,
     odd_closed_walk,
 )
 from .graph6 import write_graph6
@@ -110,7 +111,7 @@ def quotient_by_tau(total: Graph, tau) -> CoveringMap:
         raise FixedPoint(f"tau fixes {fixed[:4]}")
     if any(tau[tau[v]] != v for v in range(n)):
         raise ValueError("tau is not an involution")
-    if not all(tau[b] in total.nbrs[tau[a]] for a, b in total.edges):
+    if not maps_edges(tau, total, total):
         raise NotAutomorphisms("tau is not an automorphism")
 
     orbit_of = [-1] * n

@@ -13,7 +13,7 @@ the dart graph of the reconstruction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import (
     DegreeMismatch,
@@ -24,9 +24,10 @@ from .errors import (
     TooSmall,
     WrongParameters,
 )
-from .graphs import Graph, from_edge_list, is_connected, is_regular
+from .graphs import Graph, from_edge_list, is_connected, is_regular, maps_edges
 from .autgroup import is_isomorphic, transitivity_report
 from .altcycles import (
+    AltDecomposition,
     Orientation,
     alt_graph,
     alternating_cycles,
@@ -79,7 +80,7 @@ def dart_reversal(labeling: DartLabeling):
     g = labeling.graph
     assert all(tau[i] != i for i in range(g.n))
     assert all(tau[tau[i]] == i for i in range(g.n))
-    assert all(tau[b] in g.nbrs[tau[a]] for a, b in g.edges)
+    assert maps_edges(tau, g, g)
     reversed_arcs = {(h, t) for t, h in labeling.orientation.arcs}
     assert all((tau[t], tau[h]) in reversed_arcs
                for t, h in labeling.orientation.arcs)
@@ -95,7 +96,7 @@ def lift_automorphisms(base: Graph, group: PermGroup,
         raise DegreeMismatch(
             f"group degree {group.degree} != base order {base.n}")
     for gen in group.generators:
-        if not all(gen[v] in base.nbrs[gen[u]] for u, v in base.edges):
+        if not maps_edges(gen, base, base):
             raise NotAutomorphisms("generator does not preserve adjacency")
     lifted_gens = [
         tuple(labeling.index[(gen[u], gen[v])] for (u, v) in labeling.darts)
@@ -113,7 +114,9 @@ def lift_automorphisms(base: Graph, group: PermGroup,
 @dataclass
 class DartForwardReport:
     """Everything verified when pushing a 2-arc-transitive cubic graph
-    through the dart construction."""
+    through the dart construction, with the artefacts it was verified on:
+    the labeling (dart graph and natural orientation), the lifted group
+    and the alternating-cycle decomposition of the natural orientation."""
 
     base_order: int
     dart_order: int
@@ -126,6 +129,9 @@ class DartForwardReport:
     ell: int
     alt_isomorphic_to_base: bool
     natural_orientation_induced: bool
+    labeling: DartLabeling = field(repr=False)
+    lifted_group: PermGroup = field(repr=False)
+    decomposition: AltDecomposition = field(repr=False)
 
     def to_json_dict(self):
         return {
@@ -155,9 +161,7 @@ def verify_dart_forward(base: Graph, group: PermGroup) -> DartForwardReport:
             "the supplied action on the base graph is not 2-arc-transitive")
     g, natural, labeling = dart_graph(base)
     lifted = lift_automorphisms(base, group, labeling)
-    dart_report = transitivity_report(lifted, g)
-    assert dart_report.half_arc_transitive, \
-        "lifted action must be half-arc-transitive"
+    # induced_orientation checks that the lifted action is half-arc-transitive
     d, d_rev = induced_orientation(lifted, g)
     natural_matches = natural in (d, d_rev)
     assert natural_matches, \
@@ -181,6 +185,9 @@ def verify_dart_forward(base: Graph, group: PermGroup) -> DartForwardReport:
         ell=dec.ell,
         alt_isomorphic_to_base=True,
         natural_orientation_induced=True,
+        labeling=labeling,
+        lifted_group=lifted,
+        decomposition=dec,
     )
 
 
@@ -249,7 +256,7 @@ def psi_isomorphism(g: Graph, group: PermGroup):
     psi = tuple(psi)
 
     bijective = sorted(psi) == list(range(g.n))
-    preserves = all(psi[b] in g.nbrs[psi[a]] for a, b in dart.edges)
+    preserves = maps_edges(psi, dart, g)
     oriented = all(d.head_of(psi[t], psi[h]) == psi[h]
                    for t, h in natural.arcs)
     assert bijective and preserves and oriented, \

@@ -90,16 +90,20 @@ def load_graph6_file(path):
     """Parse a one-graph-per-line graph6 file.
 
     Returns a list of (line_number, Graph); blank lines are skipped.
-    MalformedGraph6 errors are re-raised with the line number attached.
+    MalformedGraph6 errors, including those for bytes outside the graph6
+    range, are re-raised with the path and line number attached.
     """
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()
     out = []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                out.append((lineno, parse_graph6(line)))
-            except MalformedGraph6 as exc:
-                raise MalformedGraph6(f"{path}:{lineno}: {exc}") from exc
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            # latin-1 maps each byte to one character, so parse_graph6
+            # reports any byte outside 63..126 instead of a decode error
+            out.append((lineno, parse_graph6(line.decode("latin-1"))))
+        except MalformedGraph6 as exc:
+            raise MalformedGraph6(f"{path}:{lineno}: {exc}") from exc
     return out

@@ -108,6 +108,11 @@ def relabel(g, perm):
     return from_edge_list(g.n, ((perm[u], perm[v]) for u, v in g.edges))
 
 
+def maps_edges(p, g, h):
+    """True when every edge uv of g maps to an edge p[u]p[v] of h."""
+    return all(p[v] in h.nbrs[p[u]] for u, v in g.edges)
+
+
 def is_connected(g):
     if g.n == 0:
         return True

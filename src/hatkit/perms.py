@@ -7,6 +7,8 @@ means "apply p, then q".
 
 from __future__ import annotations
 
+from operator import getitem
+
 from .errors import DegreeMismatch, NotInvariant, VertexOutOfRange
 
 Perm = tuple
@@ -118,33 +120,11 @@ class PermGroup:
         """Sorted orbit of a point under the group."""
         if not 0 <= point < self.degree:
             raise VertexOutOfRange(f"point {point} outside 0..{self.degree - 1}")
-        seen = {point}
-        queue = [point]
-        while queue:
-            x = queue.pop()
-            for s in self.generators:
-                y = s[x]
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        return tuple(sorted(seen))
+        return orbits([point], self.generators, getitem)[0]
 
     def orbit_partition(self):
         """Orbits of 0..degree-1, each sorted, ordered by minimum point."""
-        seen = [False] * self.degree
-        parts = []
-        for v in range(self.degree):
-            if seen[v]:
-                continue
-            orb = self.orbit(v)
-            for x in orb:
-                seen[x] = True
-            parts.append(orb)
-        return tuple(parts)
-
-    def coset_representative(self, level, point):
-        """Transversal element mapping base[level] to point, or None."""
-        return self._transversals[level].get(point)
+        return tuple(orbits(range(self.degree), self.generators, getitem))
 
     def elements(self, limit=1_000_000):
         """All group elements by breadth-first closure (small groups only)."""
@@ -282,8 +262,30 @@ def schreier_sims(generators, degree=None) -> PermGroup:
     return PermGroup(degree, gens, base, strong, transversals)
 
 
-def membership_test(group: PermGroup, p) -> bool:
-    return group.contains(p)
+def orbits(items, generators, act):
+    """Orbit partition of hashable items under permutation generators.
+
+    act(s, x) is the image of item x under generator s; points use
+    operator.getitem.  Each orbit is sorted and the orbits are ordered by
+    their minimum item.
+    """
+    seen = set()
+    parts = []
+    for item in sorted(items):
+        if item in seen:
+            continue
+        orbit = {item}
+        queue = [item]
+        while queue:
+            x = queue.pop()
+            for s in generators:
+                y = act(s, x)
+                if y not in orbit:
+                    orbit.add(y)
+                    queue.append(y)
+        seen |= orbit
+        parts.append(tuple(sorted(orbit)))
+    return parts
 
 
 def centralizes(p, group: PermGroup) -> bool:

@@ -1,4 +1,6 @@
+import hashlib
 import json
+from collections import Counter
 
 import pytest
 
@@ -8,6 +10,7 @@ from hatkit.census import (
     census_json_text,
     load_census,
 )
+from hatkit import altcycles, autgroup, cli, covers, dartgraph, perms
 from hatkit.cli import main, analyze_graph
 from hatkit.graphs import is_connected, is_regular
 from hatkit.graph6 import parse_graph6
@@ -180,6 +183,61 @@ def test_cli_verify_malformed_census(tmp_path, capsys):
     path.write_text("C~\nC\n", encoding="ascii")
     assert main(["verify", "all", "--census", str(path)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command",
+                         [["analyze"], ["verify", "all", "--census"]])
+def test_cli_non_ascii_graph6_is_input_error(tmp_path, capsys, command):
+    path = tmp_path / "latin1.g6"
+    path.write_bytes(b"C~\n\xe9C~\n")
+    assert main(command + [str(path)]) == 2
+    assert f"{path}:2: " in capsys.readouterr().err
+
+
+# sha256 of the builtin `verify all --strict` report with its
+# elapsed_seconds fields removed: a change to any check, detail or verdict
+# of any entry changes it.
+BUILTIN_STRICT_REPORT_SHA256 = (
+    "1f0a23732f2efaab906bad295568a75a56cd0af52675e53639a1deb03919dcee")
+
+
+def test_cli_verify_builtin_report_pinned(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main(["verify", "all", "--census", "builtin", "--strict",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    text = json.dumps(_strip_timing(json.loads(out.read_text())),
+                      indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        BUILTIN_STRICT_REPORT_SHA256
+
+
+def test_verify_entry_builds_each_artefact_once(monkeypatch):
+    """One analysis per entry: the dart chain is built once for all three
+    suites (psi builds the second dart graph, of the reconstruction)."""
+    calls = Counter()
+    layers = (altcycles, autgroup, cli, covers, dartgraph, perms)
+    for module, name in ((dartgraph, "dart_graph"),
+                         (dartgraph, "lift_automorphisms"),
+                         (perms, "schreier_sims"),
+                         (autgroup, "transitivity_report")):
+        fn = getattr(module, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for layer in layers:
+            if getattr(layer, name, None) is fn:
+                monkeypatch.setattr(layer, name, counted)
+    autgroup._analysis.cache_clear()
+    petersen = next(e for e in builtin_entries() if e.name == "petersen")
+    result = cli._verify_entry((petersen.to_json_dict(), cli.SUITES, True))
+    assert result["passed"]
+    assert calls["dart_graph"] <= 2
+    assert calls["lift_automorphisms"] == 1
+    assert calls["schreier_sims"] <= 11
+    assert calls["transitivity_report"] <= 8
 
 
 def test_cli_verify_deterministic_report(mini_census, capsys):

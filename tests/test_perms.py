@@ -16,7 +16,6 @@ from hatkit.perms import (
     induced_action,
     inverse,
     is_identity,
-    membership_test,
     schreier_sims,
 )
 
@@ -111,10 +110,10 @@ def test_order_matches_closure_random():
 
 def test_membership():
     g3 = schreier_sims([from_cycles(3, [(0, 1, 2)])])
-    assert membership_test(g3, identity(3))
-    assert not membership_test(g3, from_cycles(3, [(0, 1)]))
+    assert g3.contains(identity(3))
+    assert not g3.contains(from_cycles(3, [(0, 1)]))
     with pytest.raises(DegreeMismatch):
-        membership_test(g3, identity(4))
+        g3.contains(identity(4))
 
 
 def test_membership_random_products():
