@@ -29,6 +29,7 @@ from .errors import (
 from .graphs import Graph, from_edge_list, is_connected, is_regular, maps_edges
 from .autgroup import transitivity_report
 from .perms import PermGroup, centralizes, schreier_sims
+from .records import JsonRecord
 
 
 def _edge_key(u, v):
@@ -328,7 +329,7 @@ def antipodal_involution(g: Graph, dec: AltDecomposition, group: PermGroup):
 
 
 @dataclass
-class DivisibilityRecord:
+class DivisibilityRecord(JsonRecord):
     """Divisibility facts relating the radius and the attachment number.
 
     The odd-radius rule: for a graph whose full automorphism group is
@@ -347,18 +348,6 @@ class DivisibilityRecord:
     a_mod_4: int
     odd_radius_rule_applicable: bool
     odd_radius_rule_satisfied: bool
-
-    def to_json_dict(self):
-        return {
-            "radius": self.radius,
-            "attachment": self.attachment,
-            "a_divides_2r": self.a_divides_2r,
-            "a_divides_r": self.a_divides_r,
-            "r_odd": self.r_odd,
-            "a_mod_4": self.a_mod_4,
-            "odd_radius_rule_applicable": self.odd_radius_rule_applicable,
-            "odd_radius_rule_satisfied": self.odd_radius_rule_satisfied,
-        }
 
 
 def divisibility_report(dec: AltDecomposition, is_full_group: bool,

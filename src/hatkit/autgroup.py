@@ -20,6 +20,7 @@ from functools import lru_cache
 from .errors import NotAutomorphisms, TooLarge
 from .graphs import Graph, is_regular, maps_edges, relabel
 from .graph6 import write_graph6
+from .records import JsonRecord
 from .perms import (
     PermGroup,
     compose,
@@ -171,20 +172,41 @@ class _Search:
             self.best_pi = pi
 
 
+class _SearchResult:
+    """What one IR search leaves behind: the automorphism generators, the
+    canonical labeling and certificate, and the Aut(g) chain once
+    automorphism_group has built it.  The leaf table is not kept."""
+
+    __slots__ = ("generators", "labeling", "certificate", "group")
+
+    def __init__(self, search):
+        self.generators = tuple(search.aut_gens)
+        self.labeling = search.best_pi
+        self.certificate = search.best_enc
+        self.group = None
+
+
 @lru_cache(maxsize=512)
-def _analysis(g: Graph):
+def _analysis(g: Graph) -> _SearchResult:
     if g.n > _MAX_VERTICES:
         raise TooLarge(f"{g.n} vertices exceeds the {_MAX_VERTICES} vertex bound")
-    search = _Search(g).run()
-    group = schreier_sims(search.aut_gens, degree=g.n)
-    for gen in group.generators:
-        assert maps_edges(gen, g, g)
-    return group, search.best_pi, search.best_enc
+    return _SearchResult(_Search(g).run())
 
 
 def automorphism_group(g: Graph) -> PermGroup:
-    """The full automorphism group, with exact BSGS-certified order."""
-    return _analysis(g)[0]
+    """The full automorphism group, with exact BSGS-certified order.
+
+    The stabiliser chain is built from the search's generators on the
+    first call and kept with the search result; isomorphism tests and
+    canonical forms read the search alone.
+    """
+    result = _analysis(g)
+    if result.group is None:
+        group = schreier_sims(result.generators, degree=g.n)
+        for gen in group.generators:
+            assert maps_edges(gen, g, g)
+        result.group = group
+    return result.group
 
 
 def canonical_form(g: Graph):
@@ -194,8 +216,8 @@ def canonical_form(g: Graph):
     isomorphic; the certificate is the graph6 encoding of the relabeled
     graph.
     """
-    _, pi, enc = _analysis(g)
-    return relabel(g, pi), enc
+    result = _analysis(g)
+    return relabel(g, result.labeling), result.certificate
 
 
 def is_isomorphic(g: Graph, h: Graph):
@@ -208,17 +230,16 @@ def is_isomorphic(g: Graph, h: Graph):
         return None
     if g == h:
         return identity(g.n)
-    _, pi_g, enc_g = _analysis(g)
-    _, pi_h, enc_h = _analysis(h)
-    if enc_g != enc_h:
+    search_g, search_h = _analysis(g), _analysis(h)
+    if search_g.certificate != search_h.certificate:
         return None
-    mapping = compose(pi_g, inverse(pi_h))
+    mapping = compose(search_g.labeling, inverse(search_h.labeling))
     assert maps_edges(mapping, g, h)
     return mapping
 
 
 @dataclass
-class TransitivityReport:
+class TransitivityReport(JsonRecord):
     """How a supplied group acts on a graph.
 
     half_arc_transitive means vertex- and edge- but not arc-transitive;
@@ -234,29 +255,6 @@ class TransitivityReport:
     arc_orbit_count: int
     arc_orbits: tuple = field(repr=False)
 
-    def to_json_dict(self):
-        return {
-            "vertex_transitive": self.vertex_transitive,
-            "edge_transitive": self.edge_transitive,
-            "arc_transitive": self.arc_transitive,
-            "two_arc_transitive": self.two_arc_transitive,
-            "half_arc_transitive": self.half_arc_transitive,
-            "arc_orbit_count": self.arc_orbit_count,
-        }
-
-
-def _require_automorphisms(group, g):
-    if group.degree != g.n:
-        raise NotAutomorphisms(
-            f"group degree {group.degree} != vertex count {g.n}")
-    for gen in group.generators:
-        if not maps_edges(gen, g, g):
-            raise NotAutomorphisms("generator does not preserve adjacency")
-
-
-def _all_arcs(g):
-    return [(u, v) for u in range(g.n) for v in g.adj[u]]
-
 
 def _all_two_arcs(g):
     out = []
@@ -268,6 +266,20 @@ def _all_two_arcs(g):
     return out
 
 
+def arc_orbits(generators, g: Graph):
+    """Orbit partition of the 2|E| arcs under the group the generators
+    generate, ordered by smallest arc.
+
+    Orbits need generators only, so no stabiliser chain is built; each
+    generator must be an automorphism of g.
+    """
+    for gen in generators:
+        if len(gen) != g.n or not maps_edges(gen, g, g):
+            raise NotAutomorphisms("generator does not preserve adjacency")
+    arcs = [(u, v) for u in range(g.n) for v in g.adj[u]]
+    return tuple(orbits(arcs, generators, lambda s, a: (s[a[0]], s[a[1]])))
+
+
 def transitivity_report(group: PermGroup, g: Graph) -> TransitivityReport:
     """Orbit-count classification of the action of a group on a graph.
 
@@ -277,22 +289,21 @@ def transitivity_report(group: PermGroup, g: Graph) -> TransitivityReport:
     degenerate graphs.  For a half-arc-transitive action the two arc
     orbits are verified to be each other's reverse.
     """
-    _require_automorphisms(group, g)
+    if group.degree != g.n:
+        raise NotAutomorphisms(
+            f"group degree {group.degree} != vertex count {g.n}")
     gens = group.generators
+    arc_orbit_list = arc_orbits(gens, g)
     vertex_t = g.n <= 1 or len(group.orbit(0)) == g.n
 
     def act_edge(s, e):
         a, b = s[e[0]], s[e[1]]
         return (a, b) if a < b else (b, a)
 
-    def act_arc(s, a):
-        return (s[a[0]], s[a[1]])
-
     def act_two_arc(s, t):
         return (s[t[0]], s[t[1]], s[t[2]])
 
     edge_orbits = orbits(g.edges, gens, act_edge)
-    arc_orbit_list = tuple(orbits(_all_arcs(g), gens, act_arc))
     two_arc_orbits = orbits(_all_two_arcs(g), gens, act_two_arc)
 
     edge_t = len(edge_orbits) <= 1
@@ -319,13 +330,3 @@ def transitivity_report(group: PermGroup, g: Graph) -> TransitivityReport:
         arc_orbit_count=len(arc_orbit_list),
         arc_orbits=arc_orbit_list,
     )
-
-
-def arc_orbits(group: PermGroup, g: Graph):
-    """Orbit partition of the 2|E| arcs under the group, ordered by
-    smallest arc.
-
-    For a half-arc-transitive action there are exactly two orbits and each
-    is verified to be the reverse of the other.
-    """
-    return transitivity_report(group, g).arc_orbits

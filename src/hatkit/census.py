@@ -15,8 +15,10 @@ from dataclasses import dataclass
 from importlib.resources import files
 from itertools import combinations
 
+from .errors import MalformedCensus
 from .graphs import Graph, from_edge_list
 from .graph6 import load_graph6_file, parse_graph6, write_graph6
+from .records import JsonRecord
 
 
 def complete_graph(n) -> Graph:
@@ -79,17 +81,13 @@ def holt_graph() -> Graph:
 
 
 @dataclass
-class CensusEntry:
+class CensusEntry(JsonRecord):
     name: str
     graph6: str
     expected: dict | None = None
 
     def graph(self) -> Graph:
         return parse_graph6(self.graph6)
-
-    def to_json_dict(self):
-        return {"name": self.name, "graph6": self.graph6,
-                "expected": self.expected}
 
 
 def build_builtin_entries():
@@ -133,13 +131,35 @@ def build_builtin_entries():
     return entries
 
 
+def _json_entries(source, data):
+    """Entries of a census JSON document: an object whose "entries" is a
+    list, or the list itself, of objects with string name and graph6 and
+    an optional expected object."""
+    try:
+        data = json.loads(data)
+    except ValueError as exc:       # also a bad UTF-8 byte
+        raise MalformedCensus(f"{source}: {exc}") from exc
+    items = data.get("entries") if isinstance(data, dict) else data
+    if not isinstance(items, list):
+        raise MalformedCensus(f"{source}: 'entries' is not a list")
+    entries = []
+    for i, item in enumerate(items):
+        if not (isinstance(item, dict)
+                and isinstance(item.get("name"), str)
+                and isinstance(item.get("graph6"), str)
+                and isinstance(item.get("expected"), (dict, type(None)))):
+            raise MalformedCensus(
+                f"{source}: entry {i} is not an object with string 'name' "
+                "and 'graph6' and an optional 'expected' object")
+        entries.append(CensusEntry(name=item["name"], graph6=item["graph6"],
+                                   expected=item.get("expected")))
+    return entries
+
+
 def builtin_entries():
     """The committed census data file, parsed."""
-    text = files("hatkit").joinpath("data/census.json").read_text("utf-8")
-    data = json.loads(text)
-    return [CensusEntry(name=e["name"], graph6=e["graph6"],
-                        expected=e.get("expected"))
-            for e in data["entries"]]
+    path = files("hatkit").joinpath("data/census.json")
+    return _json_entries(str(path), path.read_bytes())
 
 
 def census_json_text():
@@ -155,10 +175,6 @@ def load_census(source) -> list:
     with open(source, "rb") as fh:
         data = fh.read()
     if data.lstrip()[:1] in (b"{", b"["):
-        data = json.loads(data.decode("utf-8"))
-        items = data["entries"] if isinstance(data, dict) else data
-        return [CensusEntry(name=e["name"], graph6=e["graph6"],
-                            expected=e.get("expected"))
-                for e in items]
+        return _json_entries(source, data)
     return [CensusEntry(name=f"line{lineno}", graph6=write_graph6(g))
             for lineno, g in load_graph6_file(source)]

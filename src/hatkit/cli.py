@@ -17,6 +17,7 @@ from functools import cached_property
 from . import __version__
 from .errors import (
     HatError,
+    MalformedCensus,
     MalformedGraph6,
     Not2ArcTransitive,
     NotConnected,
@@ -25,8 +26,7 @@ from .errors import (
 )
 from .graphs import girth, is_bipartite, is_connected, line_graph
 from .graph6 import load_graph6_file, write_graph6
-from .perms import schreier_sims
-from .autgroup import automorphism_group, transitivity_report
+from .autgroup import arc_orbits, automorphism_group, transitivity_report
 from .altcycles import (
     alt_graph,
     alternating_cycles,
@@ -239,10 +239,9 @@ def _divisibility_suite(analysis, checks, strict):
                f"(r, a) = ({rec.radius}, {rec.attachment})")
         dart = forward.labeling.graph
         tau = dart_reversal(forward.labeling)
-        extended = schreier_sims(
-            list(forward.lifted_group.generators) + [tau], degree=dart.n)
-        ext_report = transitivity_report(extended, dart)
-        _check(checks, "div:full_group_not_hat", ext_report.arc_transitive,
+        orbits = arc_orbits(list(forward.lifted_group.generators) + [tau],
+                            dart)
+        _check(checks, "div:full_group_not_hat", len(orbits) <= 1,
                "dart reversal extends the lift to an arc-transitive group")
     elif analysis.valence == 4 and analysis.report.half_arc_transitive:
         dec = analysis.half_arc_cycles
@@ -315,18 +314,15 @@ def _cmd_analyze(args):
 def _cmd_dart(args):
     records = []
     for name, g in _input_graphs(args.input, args.census):
-        record = {"name": name}
+        # NotCubic and NotConnected abort with code 2 before any search
+        dart, _, _ = dart_graph(g)
+        record = {"name": name, "dart_graph6": write_graph6(dart),
+                  "dart_order": dart.n}
         try:
-            forward = _EntryAnalysis(g).forward
-            dart = forward.labeling.graph
-            record["report"] = forward.to_json_dict()
+            record["report"] = _EntryAnalysis(g).forward.to_json_dict()
         except Not2ArcTransitive as exc:
-            # NotCubic/NotConnected abort with code 2
-            dart, _, _ = dart_graph(g)
             record["report"] = None
             record["note"] = str(exc)
-        record["dart_graph6"] = write_graph6(dart)
-        record["dart_order"] = dart.n
         records.append(record)
         print(record["dart_graph6"])
     report = {
@@ -437,8 +433,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (MalformedGraph6, NotCubic, NotConnected, OSError,
-            json.JSONDecodeError, KeyError) as exc:
+    except (MalformedCensus, MalformedGraph6, NotCubic, NotConnected,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

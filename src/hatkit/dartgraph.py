@@ -34,6 +34,7 @@ from .altcycles import (
     induced_orientation,
 )
 from .perms import PermGroup, schreier_sims
+from .records import GROUP_ORDER, JsonRecord
 
 
 @dataclass
@@ -112,7 +113,7 @@ def lift_automorphisms(base: Graph, group: PermGroup,
 
 
 @dataclass
-class DartForwardReport:
+class DartForwardReport(JsonRecord):
     """Everything verified when pushing a 2-arc-transitive cubic graph
     through the dart construction, with the artefacts it was verified on:
     the labeling (dart graph and natural orientation), the lifted group
@@ -120,8 +121,8 @@ class DartForwardReport:
 
     base_order: int
     dart_order: int
-    group_order: int
-    lifted_order: int
+    group_order: int = field(metadata=GROUP_ORDER)
+    lifted_order: int = field(metadata=GROUP_ORDER)
     two_arc_transitive: bool
     half_arc_transitive: bool
     radius: int
@@ -132,21 +133,6 @@ class DartForwardReport:
     labeling: DartLabeling = field(repr=False)
     lifted_group: PermGroup = field(repr=False)
     decomposition: AltDecomposition = field(repr=False)
-
-    def to_json_dict(self):
-        return {
-            "base_order": self.base_order,
-            "dart_order": self.dart_order,
-            "group_order": str(self.group_order),
-            "lifted_order": str(self.lifted_order),
-            "two_arc_transitive": self.two_arc_transitive,
-            "half_arc_transitive": self.half_arc_transitive,
-            "radius": self.radius,
-            "attachment": self.attachment,
-            "ell": self.ell,
-            "alt_isomorphic_to_base": self.alt_isomorphic_to_base,
-            "natural_orientation_induced": self.natural_orientation_induced,
-        }
 
 
 def verify_dart_forward(base: Graph, group: PermGroup) -> DartForwardReport:
@@ -192,23 +178,13 @@ def verify_dart_forward(base: Graph, group: PermGroup) -> DartForwardReport:
 
 
 @dataclass
-class PsiReport:
+class PsiReport(JsonRecord):
     radius: int
     attachment: int
     alt_order: int
     bijective: bool
     preserves_adjacency: bool
     orientation_compatible: bool
-
-    def to_json_dict(self):
-        return {
-            "radius": self.radius,
-            "attachment": self.attachment,
-            "alt_order": self.alt_order,
-            "bijective": self.bijective,
-            "preserves_adjacency": self.preserves_adjacency,
-            "orientation_compatible": self.orientation_compatible,
-        }
 
 
 def psi_isomorphism(g: Graph, group: PermGroup):

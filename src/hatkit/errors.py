@@ -27,6 +27,11 @@ class EmptyEdgeSet(HatError):
     pass
 
 
+class MalformedCensus(HatError):
+    """A census JSON file is not a list of entry objects with string
+    name and graph6 and an optional expected object."""
+
+
 # permutations and groups
 
 class DegreeMismatch(HatError):

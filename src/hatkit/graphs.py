@@ -135,41 +135,10 @@ def is_regular(g, k):
 
 
 def _two_color(g):
-    """BFS 2-coloring; returns the color array or None if an odd cycle exists."""
-    color = [-1] * g.n
-    for start in range(g.n):
-        if color[start] != -1:
-            continue
-        color[start] = 0
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v in g.adj[u]:
-                if color[v] == -1:
-                    color[v] = 1 - color[u]
-                    queue.append(v)
-                elif color[v] == color[u]:
-                    return None
-    return color
-
-
-def is_bipartite(g):
-    """A bipartition (part0, part1) with part0 containing vertex 0 of each
-    component, or None when the graph has an odd cycle."""
-    color = _two_color(g)
-    if color is None:
-        return None
-    part0 = tuple(v for v in range(g.n) if color[v] == 0)
-    part1 = tuple(v for v in range(g.n) if color[v] == 1)
-    return part0, part1
-
-
-def odd_closed_walk(g):
-    """A closed walk of odd length witnessing non-bipartiteness, or None.
-
-    The walk is returned as a vertex list whose first and last entries
-    coincide; consecutive entries are adjacent.
-    """
+    """BFS 2-coloring of every component: (color, parent, clash), where
+    parent[v] is the BFS tree parent of v (a root is its own parent) and
+    clash is the first edge found joining two vertices of one color, or
+    None when g is bipartite."""
     color = [-1] * g.n
     parent = [-1] * g.n
     for start in range(g.n):
@@ -186,17 +155,39 @@ def odd_closed_walk(g):
                     parent[v] = u
                     queue.append(v)
                 elif color[v] == color[u]:
-                    up, vp = [u], [v]
-                    while up[-1] != start:
-                        up.append(parent[up[-1]])
-                    while vp[-1] != start:
-                        vp.append(parent[vp[-1]])
-                    walk = up[::-1] + vp
-                    # trim shared tree prefix; parity is preserved
-                    while len(walk) >= 4 and walk[0] == walk[-1] and walk[1] == walk[-2]:
-                        walk = walk[1:-1]
-                    return walk
-    return None
+                    return color, parent, (u, v)
+    return color, parent, None
+
+
+def is_bipartite(g):
+    """A bipartition (part0, part1) with part0 containing vertex 0 of each
+    component, or None when the graph has an odd cycle."""
+    color, _, clash = _two_color(g)
+    if clash is not None:
+        return None
+    part0 = tuple(v for v in range(g.n) if color[v] == 0)
+    part1 = tuple(v for v in range(g.n) if color[v] == 1)
+    return part0, part1
+
+
+def odd_closed_walk(g):
+    """A closed walk of odd length witnessing non-bipartiteness, or None.
+
+    The walk is returned as a vertex list whose first and last entries
+    coincide; consecutive entries are adjacent.
+    """
+    _, parent, clash = _two_color(g)
+    if clash is None:
+        return None
+    up, vp = [clash[0]], [clash[1]]
+    for path in (up, vp):
+        while parent[path[-1]] != path[-1]:
+            path.append(parent[path[-1]])
+    walk = up[::-1] + vp
+    # trim shared tree prefix; parity is preserved
+    while len(walk) >= 4 and walk[0] == walk[-1] and walk[1] == walk[-2]:
+        walk = walk[1:-1]
+    return walk
 
 
 def girth(g):

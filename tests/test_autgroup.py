@@ -6,6 +6,7 @@ import pytest
 from hatkit.errors import NotAutomorphisms, TooLarge
 from hatkit.graphs import Graph, bipartite_double, from_edge_list, line_graph, relabel
 from hatkit.perms import schreier_sims, from_cycles
+from hatkit import autgroup
 from hatkit.autgroup import (
     arc_orbits,
     automorphism_group,
@@ -15,7 +16,7 @@ from hatkit.autgroup import (
     transitivity_report,
     unit_partition,
 )
-from hatkit.dartgraph import dart_graph, lift_automorphisms
+from hatkit.dartgraph import dart_graph, dart_reversal, lift_automorphisms
 
 from conftest import cycle_graph, path_graph
 
@@ -247,13 +248,46 @@ def test_transitivity_rejects_non_automorphisms(k4):
 
 def test_arc_orbits_cases(k4, k33):
     at = automorphism_group(k4)
-    assert len(arc_orbits(at, k4)) == 1
+    assert len(arc_orbits(at.generators, k4)) == 1
     trivial = schreier_sims([], degree=4)
-    assert len(arc_orbits(trivial, k4)) == 12
+    assert len(arc_orbits(trivial.generators, k4)) == 12
     group = automorphism_group(k33)
     dart, _, labeling = dart_graph(k33)
     lifted = lift_automorphisms(k33, group, labeling)
-    orbits = arc_orbits(lifted, dart)
+    orbits = arc_orbits(lifted.generators, dart)
     assert len(orbits) == 2
     assert sorted(map(len, orbits)) == [36, 36]
     assert {(b, a) for a, b in orbits[0]} == set(orbits[1])
+
+
+def test_arc_orbits_rejects_non_automorphisms(k33):
+    dart, _, labeling = dart_graph(k33)
+    tau = dart_reversal(labeling)
+    assert len(arc_orbits([tau], dart)) == 36
+    bad = from_cycles(dart.n, [(0, 1)])
+    with pytest.raises(NotAutomorphisms):
+        arc_orbits([tau, bad], dart)
+    with pytest.raises(NotAutomorphisms):
+        arc_orbits([tau[:-1]], dart)
+
+
+def test_chain_built_only_for_automorphism_group(monkeypatch, petersen):
+    """Isomorphism tests and canonical forms read the search alone; the
+    Aut(g) chain is built on the first automorphism_group call only."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return schreier_sims(*args, **kwargs)
+
+    monkeypatch.setattr(autgroup, "schreier_sims", counted)
+    autgroup._analysis.cache_clear()
+    p = tuple((3 * v + 1) % petersen.n for v in range(petersen.n))
+    relabeled = relabel(petersen, p)
+    assert relabeled != petersen
+    assert is_isomorphic(petersen, relabeled) is not None
+    canonical_form(petersen)
+    assert calls == []
+    assert automorphism_group(petersen).order == 120
+    assert automorphism_group(petersen).order == 120
+    assert len(calls) == 1

@@ -194,6 +194,39 @@ def test_cli_non_ascii_graph6_is_input_error(tmp_path, capsys, command):
     assert f"{path}:2: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("census", [
+    {"entries": [{"name": "x", "graph6": "C~", "expected": [1]}]},
+    {"entries": {"a": 1}},
+    [1],
+    {"entries": [{"name": "x"}]},
+])
+@pytest.mark.parametrize("command", [["analyze", "k4"], ["verify", "all"]])
+def test_cli_malformed_census_json_is_input_error(tmp_path, capsys, census,
+                                                   command):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(census), encoding="utf-8")
+    assert main(command + ["--census", str(path)]) == 2
+    assert f"error: {path}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("graph6, message", [
+    (None, "cubic graphs only"),            # holt, tetravalent
+    ("G~?GW[", "base graph is not connected"),  # two disjoint K4s
+])
+def test_cli_dart_rejects_input_before_search(tmp_path, capsys, monkeypatch,
+                                              graph6, message):
+    calls = []
+    monkeypatch.setattr(cli, "automorphism_group",
+                        lambda g: calls.append(g) or automorphism_group(g))
+    source = "holt"
+    if graph6 is not None:
+        source = str(tmp_path / "input.g6")
+        (tmp_path / "input.g6").write_text(graph6 + "\n", encoding="ascii")
+    assert main(["dart", source]) == 2
+    assert message in capsys.readouterr().err
+    assert calls == []
+
+
 # sha256 of the builtin `verify all --strict` report with its
 # elapsed_seconds fields removed: a change to any check, detail or verdict
 # of any entry changes it.
@@ -201,10 +234,11 @@ BUILTIN_STRICT_REPORT_SHA256 = (
     "1f0a23732f2efaab906bad295568a75a56cd0af52675e53639a1deb03919dcee")
 
 
-def test_cli_verify_builtin_report_pinned(tmp_path, capsys):
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_cli_verify_builtin_report_pinned(tmp_path, capsys, jobs):
     out = tmp_path / "report.json"
     assert main(["verify", "all", "--census", "builtin", "--strict",
-                 "--out", str(out)]) == 0
+                 "--jobs", jobs, "--out", str(out)]) == 0
     capsys.readouterr()
     text = json.dumps(_strip_timing(json.loads(out.read_text())),
                       indent=2, sort_keys=True) + "\n"
@@ -236,8 +270,8 @@ def test_verify_entry_builds_each_artefact_once(monkeypatch):
     assert result["passed"]
     assert calls["dart_graph"] <= 2
     assert calls["lift_automorphisms"] == 1
-    assert calls["schreier_sims"] <= 11
-    assert calls["transitivity_report"] <= 8
+    assert calls["schreier_sims"] <= 5
+    assert calls["transitivity_report"] <= 6
 
 
 def test_cli_verify_deterministic_report(mini_census, capsys):
