@@ -133,8 +133,8 @@ def build_builtin_entries():
 
 def _json_entries(source, data):
     """Entries of a census JSON document: an object whose "entries" is a
-    list, or the list itself, of objects with string name and graph6 and
-    an optional expected object."""
+    list, or the list itself, of objects with distinct string names, a
+    string graph6 and an optional expected object."""
     try:
         data = json.loads(data)
     except ValueError as exc:       # also a bad UTF-8 byte
@@ -143,6 +143,7 @@ def _json_entries(source, data):
     if not isinstance(items, list):
         raise MalformedCensus(f"{source}: 'entries' is not a list")
     entries = []
+    first_index = {}
     for i, item in enumerate(items):
         if not (isinstance(item, dict)
                 and isinstance(item.get("name"), str)
@@ -151,6 +152,11 @@ def _json_entries(source, data):
             raise MalformedCensus(
                 f"{source}: entry {i} is not an object with string 'name' "
                 "and 'graph6' and an optional 'expected' object")
+        j = first_index.setdefault(item["name"], i)
+        if j != i:
+            raise MalformedCensus(
+                f"{source}: entries {j} and {i} are both named "
+                f"{item['name']!r}")
         entries.append(CensusEntry(name=item["name"], graph6=item["graph6"],
                                    expected=item.get("expected")))
     return entries

@@ -339,6 +339,14 @@ def _cmd_dart(args):
 def _cmd_verify(args):
     suites = SUITES if args.suite == "all" else (args.suite,)
     entries = load_census(args.census)
+    # a census string that is not graph6 is an input error, not a failed
+    # verification of its entry
+    for i, entry in enumerate(entries):
+        try:
+            entry.graph()
+        except MalformedGraph6 as exc:
+            raise MalformedCensus(
+                f"{args.census}: entry {i} ({entry.name!r}): {exc}") from exc
     payloads = [(e.to_json_dict(), suites, args.strict) for e in entries]
     t0 = time.perf_counter()
     if args.jobs > 1:

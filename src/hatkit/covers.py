@@ -19,6 +19,8 @@ from .errors import (
     FixedPoint,
     NotAutomorphisms,
     NotCentralizing,
+    NotInvariant,
+    NotInvolution,
     OrbitNotIndependent,
     OrderTooSmall,
     TauInG,
@@ -42,7 +44,14 @@ from .altcycles import (
     antipodal_involution,
     induced_orientation,
 )
-from .perms import PermGroup, centralizes, induced_action, schreier_sims
+from .perms import (
+    PermGroup,
+    centralizes,
+    compose,
+    induced_action,
+    is_identity,
+    schreier_sims,
+)
 
 
 @dataclass
@@ -110,7 +119,7 @@ def quotient_by_tau(total: Graph, tau) -> CoveringMap:
     if fixed:
         raise FixedPoint(f"tau fixes {fixed[:4]}")
     if any(tau[tau[v]] != v for v in range(n)):
-        raise ValueError("tau is not an involution")
+        raise NotInvolution("tau is not an involution")
     if not maps_edges(tau, total, total):
         raise NotAutomorphisms("tau is not an automorphism")
 
@@ -181,17 +190,21 @@ def split_certificate(total: Graph, group: PermGroup, tau,
     """Certify that <group, tau> = group x <tau> splits over <tau> and
     decide sectionality.
 
-    Requires tau to centralize the group and not belong to it.  The
-    lifted group is built and its order checked to be exactly twice the
-    group order, so the group is a complement of the covering
-    transformations.
+    Requires tau to be an involution that centralizes the group and does
+    not belong to it.  The lifted group is built and its order checked to
+    be exactly twice the group order, so the group is a complement of the
+    covering transformations.  A centralizing involution gives
+    <group, tau> = group <tau> of order at most 2 |group|, so the chain
+    is built under that bound.
     """
     if not centralizes(tau, group):
         raise NotCentralizing("tau does not centralize the supplied group")
+    if not is_identity(compose(tau, tau)):
+        raise NotInvolution("tau is not an involution")
     if group.contains(tau):
         raise TauInG("tau lies in the supplied group; no splitting complement")
     lifted = schreier_sims(list(group.generators) + [tuple(tau)],
-                           degree=total.n)
+                           degree=total.n, order_bound=2 * group.order)
     assert lifted.order == 2 * group.order, \
         "adjoining a centralizing involution outside the group must double " \
         "the order"
@@ -278,7 +291,16 @@ def cover_pipeline(total: Graph, group: PermGroup) -> CoverReport:
     assert cert.is_sectional == bipartite, \
         "sectional exactly when the total graph is bipartite"
 
-    projected, faithful = induced_action(cert.lifted_group, cover.fibres())
+    # the fibres are tau-orbits, so tau (adjoined to the lifted group by
+    # split_certificate) lies in the kernel of the fibre action and the
+    # projected group has order at most half the lifted order
+    fibres = cover.fibres()
+    moved = next(((v, w) for v, w in fibres if tau[v] != w), None)
+    if moved is not None:
+        raise NotInvariant(f"tau moves the fibre {moved}")
+    projected, faithful = induced_action(
+        cert.lifted_group, fibres,
+        order_bound=cert.lifted_group.order // 2)
     # kernel of the fibre action must be exactly <tau>, so the projected
     # quotient group acts faithfully with half the lifted order
     assert not faithful and 2 * projected.order == cert.lifted_group.order, \

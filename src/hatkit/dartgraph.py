@@ -92,7 +92,12 @@ def lift_automorphisms(base: Graph, group: PermGroup,
                        labeling: DartLabeling) -> PermGroup:
     """View base-graph automorphisms as dart-graph automorphisms via
     g.(u,v) = (g(u), g(v)).  The lift is faithful (same order) and
-    preserves the natural orientation; both facts are verified."""
+    preserves the natural orientation; both facts are verified.
+
+    Once every generator is checked to be an automorphism, the lift is a
+    homomorphic image of the group, so |group| bounds its order; the
+    chain is built under that bound, and reaching it is the faithfulness
+    certificate."""
     if group.degree != base.n:
         raise DegreeMismatch(
             f"group degree {group.degree} != base order {base.n}")
@@ -103,7 +108,8 @@ def lift_automorphisms(base: Graph, group: PermGroup,
         tuple(labeling.index[(gen[u], gen[v])] for (u, v) in labeling.darts)
         for gen in group.generators
     ]
-    lifted = schreier_sims(lifted_gens, degree=len(labeling.darts))
+    lifted = schreier_sims(lifted_gens, degree=len(labeling.darts),
+                           order_bound=group.order)
     assert lifted.order == group.order, "lift must be faithful"
     natural = set(labeling.orientation.arcs)
     for gen in lifted.generators:

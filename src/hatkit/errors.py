@@ -28,8 +28,9 @@ class EmptyEdgeSet(HatError):
 
 
 class MalformedCensus(HatError):
-    """A census JSON file is not a list of entry objects with string
-    name and graph6 and an optional expected object."""
+    """A census JSON file is not a list of entry objects with distinct
+    string names, a string graph6 and an optional expected object, or an
+    entry's graph6 string does not parse."""
 
 
 # permutations and groups
@@ -39,7 +40,22 @@ class DegreeMismatch(HatError):
 
 
 class NotInvariant(HatError):
-    """A block list is not permuted by the group."""
+    """A block list is not permuted by the group, or a block is moved by
+    an element that must fix it."""
+
+
+class OrderBoundExceeded(HatError):
+    """A stabiliser chain built under a proven order bound grew past it:
+    the bound, or the proof behind it, is wrong.  Carries both numbers."""
+
+    def __init__(self, bound, product):
+        super().__init__(bound, product)
+        self.bound = bound
+        self.product = product
+
+    def __str__(self):
+        return (f"product of basic orbit lengths {self.product} exceeds "
+                f"the proven order bound {self.bound}")
 
 
 # automorphism engine
@@ -134,6 +150,12 @@ class DegenerateWreath(HatError):
 
 class NotCentralizing(HatError):
     pass
+
+
+class NotInvolution(HatError, ValueError):
+    """A permutation that must be an involution squares to something other
+    than the identity.  Also a ValueError, so callers that catch
+    ValueError from quotient_by_tau keep working."""
 
 
 class TauInG(HatError):

@@ -7,9 +7,15 @@ means "apply p, then q".
 
 from __future__ import annotations
 
+from math import prod
 from operator import getitem
 
-from .errors import DegreeMismatch, NotInvariant, VertexOutOfRange
+from .errors import (
+    DegreeMismatch,
+    NotInvariant,
+    OrderBoundExceeded,
+    VertexOutOfRange,
+)
 
 Perm = tuple
 
@@ -159,12 +165,24 @@ class PermGroup:
         return group
 
 
-def schreier_sims(generators, degree=None) -> PermGroup:
+def schreier_sims(generators, degree=None, order_bound=None) -> PermGroup:
     """Deterministic Schreier-Sims: build a PermGroup with verified BSGS.
 
     The closure loop checks every Schreier generator of every level; a
     nontrivial sift residue becomes a new strong generator at the level it
     got stuck, extending the base when it fixes all current base points.
+
+    order_bound, when given, must be a proven upper bound on the order of
+    the generated group.  Every basic orbit of a partial chain is the
+    orbit of its base point under a subgroup of the true point
+    stabiliser, so the product of the basic orbit lengths never exceeds
+    the group order (Seress, Permutation Group Algorithms, 2003, ch. 4).
+    The closure loop computes that product after each transversal
+    rebuild: once it equals the bound, every basic orbit is complete and
+    the last stabiliser is trivial, so the partial chain is already a
+    BSGS and the build stops with exact order, sift and contains.  A
+    product above the bound raises OrderBoundExceeded.  A bound that is
+    never reached costs nothing: the build runs to full closure.
     """
     gens = [tuple(g) for g in generators]
     if degree is None:
@@ -238,6 +256,12 @@ def schreier_sims(generators, degree=None) -> PermGroup:
     i = len(base) - 1
     while i >= 0:
         rebuild_transversal(i)
+        if order_bound is not None:
+            product = prod(len(t) for t in transversals)
+            if product == order_bound:
+                break
+            if product > order_bound:
+                raise OrderBoundExceeded(order_bound, product)
         stuck = None
         t = transversals[i]
         gl = level_gens(i)
@@ -296,13 +320,19 @@ def centralizes(p, group: PermGroup) -> bool:
     return all(compose(p, s) == compose(s, p) for s in group.generators)
 
 
-def induced_action(group: PermGroup, blocks):
+def induced_action(group: PermGroup, blocks, order_bound=None):
     """Action of the group on a list of disjoint point sets.
 
     Every generator must permute the blocks (NotInvariant otherwise).
     Returns (induced PermGroup on block indices, faithful flag); the
     action is faithful exactly when the induced order equals the order of
     the group.
+
+    order_bound is passed to schreier_sims for the induced group and must
+    be proven by the caller, typically |group| / |K| for a subgroup K known
+    to fix every block: the induced group is group / kernel, so reaching
+    that bound certifies both the induced order and that K is the whole
+    kernel.
     """
     blocks = [frozenset(b) for b in blocks]
     covered = set()
@@ -321,5 +351,6 @@ def induced_action(group: PermGroup, blocks):
                     f"generator {cycle_string(s)} does not permute the blocks")
             images.append(index[image])
         induced.append(tuple(images))
-    quotient = schreier_sims(induced, degree=len(blocks))
+    quotient = schreier_sims(induced, degree=len(blocks),
+                             order_bound=order_bound)
     return quotient, quotient.order == group.order

@@ -209,6 +209,36 @@ def test_cli_malformed_census_json_is_input_error(tmp_path, capsys, census,
     assert f"error: {path}: " in capsys.readouterr().err
 
 
+def test_cli_verify_census_bad_graph6_is_input_error(tmp_path, capsys,
+                                                    monkeypatch):
+    census = {"entries": [{"name": "k4", "graph6": "C~"},
+                          {"name": "x", "graph6": "C"}]}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(census), encoding="utf-8")
+    ran = []
+    verify_entry = cli._verify_entry
+    monkeypatch.setattr(cli, "_verify_entry",
+                        lambda payload: ran.append(payload)
+                        or verify_entry(payload))
+    assert main(["verify", "all", "--census", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert f"error: {path}: entry 1 " in captured.err
+    assert "MalformedGraph6" not in captured.out and ran == []
+
+
+@pytest.mark.parametrize("command", [["analyze", "x"], ["verify", "all"]])
+def test_cli_duplicate_census_names_are_input_error(tmp_path, capsys,
+                                                    command):
+    census = {"entries": [{"name": "x", "graph6": "C~"},
+                          {"name": "y", "graph6": "C~"},
+                          {"name": "x", "graph6": "EFz_"}]}
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps(census), encoding="utf-8")
+    assert main(command + ["--census", str(path)]) == 2
+    assert f"error: {path}: entries 0 and 2 are both named 'x'" in \
+        capsys.readouterr().err
+
+
 @pytest.mark.parametrize("graph6, message", [
     (None, "cubic graphs only"),            # holt, tetravalent
     ("G~?GW[", "base graph is not connected"),  # two disjoint K4s
@@ -272,6 +302,29 @@ def test_verify_entry_builds_each_artefact_once(monkeypatch):
     assert calls["lift_automorphisms"] == 1
     assert calls["schreier_sims"] <= 5
     assert calls["transitivity_report"] <= 6
+
+
+def test_verify_entry_bounds_only_proven_builds(monkeypatch):
+    """Exactly the lift, <lift, tau> and the fibre action are built under
+    an order bound; Aut(g) and the covering group <tau> are not."""
+    builds = []
+    fn = perms.schreier_sims
+
+    def recorded(generators, degree=None, order_bound=None):
+        builds.append((degree, order_bound))
+        return fn(generators, degree=degree, order_bound=order_bound)
+
+    for layer in (altcycles, autgroup, cli, covers, dartgraph, perms):
+        if getattr(layer, "schreier_sims", None) is fn:
+            monkeypatch.setattr(layer, "schreier_sims", recorded)
+    autgroup._analysis.cache_clear()
+    petersen = next(e for e in builtin_entries() if e.name == "petersen")
+    result = cli._verify_entry((petersen.to_json_dict(), cli.SUITES, True))
+    assert result["passed"]
+    # Aut(Petersen) on 10 points, <tau> on the 30 darts, the lift (|G|),
+    # <lift, tau> (2|G|) and the action on the 15 fibres (|G|)
+    assert Counter(builds) == Counter(
+        [(10, None), (30, None), (30, 120), (30, 240), (15, 120)])
 
 
 def test_cli_verify_deterministic_report(mini_census, capsys):

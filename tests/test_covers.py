@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from hatkit.errors import (
@@ -5,6 +7,7 @@ from hatkit.errors import (
     FixedPoint,
     NotAutomorphisms,
     NotCentralizing,
+    NotInvolution,
     OrbitNotIndependent,
     OrderTooSmall,
     TauInG,
@@ -17,7 +20,7 @@ from hatkit.graphs import (
     is_regular,
     line_graph,
 )
-from hatkit.perms import from_cycles, schreier_sims
+from hatkit.perms import compose, from_cycles, identity, schreier_sims
 from hatkit.autgroup import automorphism_group, is_isomorphic
 from hatkit.altcycles import alternating_cycles, antipodal_involution
 from hatkit.dartgraph import dart_graph, lift_automorphisms, wreath_graph
@@ -138,6 +141,41 @@ def test_split_certificate_not_centralizing():
     cover = quotient_by_tau(c6, rot3)
     with pytest.raises(NotCentralizing):
         split_certificate(c6, group, edge_reflection, cover)
+
+
+def test_split_certificate_not_involution():
+    c6 = cycle_graph(6)
+    rot1 = from_cycles(6, [(0, 1, 2, 3, 4, 5)])
+    rot2 = compose(rot1, rot1)
+    rot3 = from_cycles(6, [(0, 3), (1, 4), (2, 5)])
+    group = schreier_sims([rot2])
+    cover = quotient_by_tau(c6, rot3)
+    # rot1 centralizes <rot2> and lies outside it, but has order 6
+    with pytest.raises(NotInvolution):
+        split_certificate(c6, group, rot1, cover)
+
+
+@pytest.mark.parametrize("name", ["petersen", "coxeter"])
+def test_bounded_chains_match_unbounded_rebuild(request, name):
+    """The lift and <lift, tau> are built under their proven order
+    bounds; both answer membership exactly like a full closure."""
+    g, lifted, tau = antipodal_of(request.getfixturevalue(name))
+    cert = split_certificate(g, lifted, tau, quotient_by_tau(g, tau))
+    rng = random.Random(5)
+    gens = list(cert.lifted_group.generators)
+    probes = [tau] + gens
+    for _ in range(30):
+        word = identity(g.n)
+        for _ in range(rng.randint(1, 10)):
+            word = compose(word, rng.choice(gens))
+        probes.append(word)
+        probes.append(compose(word, from_cycles(g.n, [(0, 1)])))
+    for bounded in (lifted, cert.lifted_group):
+        full = schreier_sims(bounded.generators, degree=g.n)
+        assert bounded.order == full.order
+        for p in probes:
+            assert bounded.contains(p) == full.contains(p)
+    assert not lifted.contains(tau) and cert.lifted_group.contains(tau)
 
 
 def test_cover_pipeline_dodecahedron():

@@ -1,11 +1,21 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hatkit.errors import DegreeMismatch, NotInvariant, VertexOutOfRange
+import hatkit
+from hatkit.errors import (
+    DegreeMismatch,
+    NotInvariant,
+    OrderBoundExceeded,
+    VertexOutOfRange,
+)
 from hatkit.perms import (
     PermGroup,
     centralizes,
@@ -81,21 +91,21 @@ def test_schreier_sims_trivial():
         schreier_sims([])
 
 
-@pytest.mark.parametrize("gens", [
+CYCLE_GENERATORS = [
     [[(0, 1)], [(0, 1, 2)]],                      # S3
     [[(0, 1, 2)], [(1, 2, 3)]],                   # A4
     [[(0, 1, 2, 3, 4, 5)], [(1, 5), (2, 4)]],     # D6
     [[(0, 1, 2, 3, 4, 5, 6)]],                    # C7
     [[(0, 1), (2, 3)], [(4, 5)]],                 # Klein-ish
-])
-def test_order_matches_closure(gens):
+]
+
+
+def cycle_generators(gens):
     degree = 1 + max(x for cyc in gens for c in cyc for x in c)
-    perms = [from_cycles(degree, cyc) for cyc in gens]
-    group = schreier_sims(perms)
-    assert group.order == len(closure(perms))
+    return [from_cycles(degree, cyc) for cyc in gens]
 
 
-def test_order_matches_closure_random():
+def random_generator_sets():
     rng = random.Random(41)
     for _ in range(15):
         n = rng.randint(3, 6)
@@ -104,8 +114,82 @@ def test_order_matches_closure_random():
             images = list(range(n))
             rng.shuffle(images)
             perms.append(tuple(images))
+        yield perms
+
+
+def oracle_generator_sets():
+    """The generating sets of the two closure-oracle tests below."""
+    return ([cycle_generators(gens) for gens in CYCLE_GENERATORS]
+            + list(random_generator_sets()))
+
+
+@pytest.mark.parametrize("gens", CYCLE_GENERATORS)
+def test_order_matches_closure(gens):
+    perms = cycle_generators(gens)
+    group = schreier_sims(perms)
+    assert group.order == len(closure(perms))
+
+
+def test_order_matches_closure_random():
+    for perms in random_generator_sets():
         group = schreier_sims(perms)
         assert group.order == len(closure(perms))
+
+
+def test_order_bound_at_true_order_keeps_order_and_membership():
+    rng = random.Random(17)
+    for perms in oracle_generator_sets():
+        n = len(perms[0])
+        full = schreier_sims(perms)
+        bounded = schreier_sims(perms, order_bound=full.order)
+        assert bounded.order == full.order == len(closure(perms))
+        probes = list(perms)
+        for _ in range(20):
+            word = identity(n)
+            for _ in range(rng.randint(1, 8)):
+                word = compose(word, rng.choice(perms))
+            probes.append(word)
+            images = list(range(n))
+            rng.shuffle(images)
+            probes.append(tuple(images))
+        for p in probes:
+            assert bounded.contains(p) == full.contains(p)
+
+
+def test_order_bound_above_order_runs_full_build():
+    for perms in oracle_generator_sets():
+        full = schreier_sims(perms)
+        bounded = schreier_sims(perms, order_bound=full.order + 1)
+        assert bounded.order == full.order
+        assert bounded.base == full.base
+        assert bounded._strong == full._strong
+
+
+def test_order_bound_exceeded():
+    s4 = [from_cycles(4, [(0, 1)]), from_cycles(4, [(0, 1, 2, 3)])]
+    with pytest.raises(OrderBoundExceeded) as info:
+        schreier_sims(s4, order_bound=5)
+    assert info.value.bound == 5 and info.value.product > 5
+
+
+def test_order_bound_exceeded_under_optimize():
+    """The bound is a raise, not an assert: it holds under python -O."""
+    code = (
+        "import sys\n"
+        "from hatkit.errors import OrderBoundExceeded\n"
+        "from hatkit.perms import from_cycles, schreier_sims\n"
+        "try:\n"
+        "    schreier_sims([from_cycles(4, [(0, 1)]),\n"
+        "                   from_cycles(4, [(0, 1, 2, 3)])], order_bound=5)\n"
+        "except OrderBoundExceeded as exc:\n"
+        "    print(sys.flags.optimize, exc.bound)\n"
+    )
+    src = str(Path(hatkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["1", "5"]
 
 
 def test_membership():
@@ -174,6 +258,21 @@ def test_induced_action_kernel():
     group = schreier_sims([from_cycles(4, [(0, 1), (2, 3)])])
     induced, faithful = induced_action(group, [{0, 1}, {2, 3}])
     assert induced.order == 1 and not faithful
+
+
+def test_induced_action_order_bound():
+    # S3 x C2 on three blocks; the central (0 1)(2 3)(4 5) fixes every
+    # block, so half the order bounds the induced group
+    group = schreier_sims([from_cycles(6, [(0, 2, 4), (1, 3, 5)]),
+                           from_cycles(6, [(0, 2), (1, 3)]),
+                           from_cycles(6, [(0, 1), (2, 3), (4, 5)])])
+    blocks = [{0, 1}, {2, 3}, {4, 5}]
+    full, faithful = induced_action(group, blocks)
+    bounded, bounded_faithful = induced_action(
+        group, blocks, order_bound=group.order // 2)
+    assert group.order == 12
+    assert bounded.order == full.order == 6
+    assert not faithful and not bounded_faithful
 
 
 def test_induced_action_not_invariant():
