@@ -19,10 +19,12 @@ from .errors import (
     FixedPoint,
     NotAutomorphisms,
     NotCentralizing,
+    NotConnected,
     NotInvariant,
     NotInvolution,
     OrbitNotIndependent,
     OrderTooSmall,
+    StructureViolation,
     TauInG,
     WrongParameters,
 )
@@ -32,12 +34,14 @@ from .graphs import (
     from_edge_list,
     girth,
     is_bipartite,
+    is_connected,
+    is_isomorphism,
     line_graph,
     maps_edges,
     odd_closed_walk,
 )
 from .graph6 import write_graph6
-from .autgroup import canonical_form, is_isomorphic, transitivity_report
+from .autgroup import canonical_form, transitivity_report
 from .altcycles import (
     alt_graph,
     alternating_cycles,
@@ -61,7 +65,6 @@ class CoveringMap:
     total: Graph
     base: Graph
     fibre_map: tuple
-    fold: int
     ct_group: PermGroup
 
     def fibres(self):
@@ -69,15 +72,6 @@ class CoveringMap:
         for v, b in enumerate(self.fibre_map):
             out[b].append(v)
         return [tuple(f) for f in out]
-
-    def to_json_dict(self):
-        return {
-            "total_order": self.total.n,
-            "base_order": self.base.n,
-            "fold": self.fold,
-            "fibre_map": list(self.fibre_map),
-            "ct_order": str(self.ct_group.order),
-        }
 
 
 def is_covering(total: Graph, base: Graph, fibre_map) -> bool:
@@ -151,7 +145,7 @@ def quotient_by_tau(total: Graph, tau) -> CoveringMap:
     fibre_map = tuple(orbit_of)
     ct = schreier_sims([tau], degree=n)
     cover = CoveringMap(total=total, base=base, fibre_map=fibre_map,
-                        fold=2, ct_group=ct)
+                        ct_group=ct)
     assert is_covering(total, base, fibre_map), \
         "quotient failed the covering-projection check"
     assert all(len(f) == 2 for f in cover.fibres())
@@ -170,19 +164,9 @@ class SplitCertificate:
     """
 
     lifted_group: PermGroup
-    complement: PermGroup
     is_split: bool
     is_sectional: bool
     non_bipartite_witness: list | None
-
-    def to_json_dict(self):
-        return {
-            "lifted_order": str(self.lifted_group.order),
-            "complement_order": str(self.complement.order),
-            "is_split": self.is_split,
-            "is_sectional": self.is_sectional,
-            "non_bipartite_witness": self.non_bipartite_witness,
-        }
 
 
 def split_certificate(total: Graph, group: PermGroup, tau,
@@ -190,34 +174,46 @@ def split_certificate(total: Graph, group: PermGroup, tau,
     """Certify that <group, tau> = group x <tau> splits over <tau> and
     decide sectionality.
 
-    Requires tau to be an involution that centralizes the group and does
-    not belong to it.  The lifted group is built and its order checked to
-    be exactly twice the group order, so the group is a complement of the
-    covering transformations.  A centralizing involution gives
-    <group, tau> = group <tau> of order at most 2 |group|, so the chain
-    is built under that bound.
+    Requires a connected total graph (NotConnected) and an involution tau
+    that centralizes the group, lies outside it and swaps each fibre
+    (NotInvariant); <group, tau> is built under the bound 2 |group| and
+    is_split records that it reaches it.  A non-bipartite total graph is
+    no bipartite double (the odd closed walk is the witness).  A bipartite
+    one is sectional exactly when tau swaps its colours; then
+    fibre(v) + |base| colour(v) must be an isomorphism onto the double
+    (StructureViolation otherwise).  If tau keeps the colours, the base
+    is bipartite and its double disconnected.
     """
+    if not is_connected(total):
+        raise NotConnected("the total graph is not connected")
     if not centralizes(tau, group):
         raise NotCentralizing("tau does not centralize the supplied group")
     if not is_identity(compose(tau, tau)):
         raise NotInvolution("tau is not an involution")
     if group.contains(tau):
         raise TauInG("tau lies in the supplied group; no splitting complement")
+    moved = next(((v, w) for v, w in cover.fibres() if tau[v] != w), None)
+    if moved is not None:
+        raise NotInvariant(f"tau moves the fibre {moved}")
     lifted = schreier_sims(list(group.generators) + [tuple(tau)],
                            degree=total.n, order_bound=2 * group.order)
-    assert lifted.order == 2 * group.order, \
-        "adjoining a centralizing involution outside the group must double " \
-        "the order"
-    double = bipartite_double(cover.base)
-    sectional = is_isomorphic(total, double) is not None
     witness = odd_closed_walk(total)
     if witness is not None:
         assert len(witness) % 2 == 0 and witness[0] == witness[-1]
         assert all(total.has_edge(a, b) for a, b in zip(witness, witness[1:]))
+        sectional = False
+    else:
+        odd = set(is_bipartite(total)[1])
+        sectional = (tau[0] in odd) != (0 in odd)
+        phi = [b + cover.base.n * (v in odd)
+               for v, b in enumerate(cover.fibre_map)]
+        if sectional and not is_isomorphism(
+                phi, total, bipartite_double(cover.base)):
+            raise StructureViolation(f"fibre + |base| x colour {phi} is no "
+                                     "isomorphism onto the double")
     return SplitCertificate(
         lifted_group=lifted,
-        complement=group,
-        is_split=True,
+        is_split=lifted.order == 2 * group.order,
         is_sectional=sectional,
         non_bipartite_witness=witness,
     )
@@ -268,8 +264,8 @@ def cover_pipeline(total: Graph, group: PermGroup) -> CoverReport:
 
     - the projected group acts faithfully and arc-transitively on it,
     - it has girth 3 (alternating 6-cycles project to triangles),
-    - it is isomorphic to the line graph of the graph of alternating
-      cycles, which is cubic with a 2-arc-transitive induced action.
+    - it is the line graph of the graph of alternating cycles: the fibre
+      {v, tau v} maps to the edge of the two cycles that meet at v.
 
     Bipartite inputs run through the same pipeline and certify sectional;
     non-bipartite inputs certify non-sectional.
@@ -287,17 +283,13 @@ def cover_pipeline(total: Graph, group: PermGroup) -> CoverReport:
     cover = quotient_by_tau(total, tau)
     cert = split_certificate(total, group, tau, cover)
 
-    bipartite = is_bipartite(total) is not None
+    bipartite = cert.non_bipartite_witness is None
     assert cert.is_sectional == bipartite, \
         "sectional exactly when the total graph is bipartite"
 
-    # the fibres are tau-orbits, so tau (adjoined to the lifted group by
-    # split_certificate) lies in the kernel of the fibre action and the
-    # projected group has order at most half the lifted order
+    # split_certificate checked that the fibres are tau-orbits, so tau is in
+    # the kernel of the fibre action: the projected order is at most |G~|/2
     fibres = cover.fibres()
-    moved = next(((v, w) for v, w in fibres if tau[v] != w), None)
-    if moved is not None:
-        raise NotInvariant(f"tau moves the fibre {moved}")
     projected, faithful = induced_action(
         cert.lifted_group, fibres,
         order_bound=cert.lifted_group.order // 2)
@@ -313,9 +305,13 @@ def cover_pipeline(total: Graph, group: PermGroup) -> CoverReport:
     assert base_girth == 3, f"base girth {base_girth} != 3"
 
     lam = alt_graph(total, dec)
-    lam_line, _ = line_graph(lam)
-    assert is_isomorphic(cover.base, lam_line) is not None, \
-        "base must be the line graph of the graph of alternating cycles"
+    lam_line, lam_edges = line_graph(lam)
+    index = {e: i for i, e in enumerate(lam_edges)}
+    fibre_to_edge = [index.get(dec.cycles_at_vertex[v], -1) for v, _ in fibres]
+    if not is_isomorphism(fibre_to_edge, cover.base, lam_line):
+        raise StructureViolation(
+            f"fibre -> cycle pair {fibre_to_edge} is no isomorphism onto "
+            "the line graph of the graph of alternating cycles")
 
     return CoverReport(
         graph6=write_graph6(total),

@@ -21,11 +21,13 @@ from .errors import (
     NotAutomorphisms,
     NotConnected,
     NotCubic,
+    StructureViolation,
     TooSmall,
     WrongParameters,
 )
-from .graphs import Graph, from_edge_list, is_connected, is_regular, maps_edges
-from .autgroup import is_isomorphic, transitivity_report
+from .graphs import (Graph, from_edge_list, is_connected, is_isomorphism,
+                     is_regular, maps_edges)
+from .autgroup import transitivity_report
 from .altcycles import (
     AltDecomposition,
     Orientation,
@@ -146,7 +148,9 @@ def verify_dart_forward(base: Graph, group: PermGroup) -> DartForwardReport:
     group, and certify: the lifted action is half-arc-transitive with
     radius 3 and attachment 2, the graph of alternating cycles is
     isomorphic to the base, and the natural orientation is one of the two
-    induced orientations."""
+    induced orientations.  The alternating cycle of base vertex x is the
+    six darts at x, so the isomorphism maps each cycle to the vertex its
+    darts share (StructureViolation if that is not an isomorphism)."""
     base_report = transitivity_report(group, base)
     if not base_report.two_arc_transitive:
         raise Not2ArcTransitive(
@@ -162,9 +166,12 @@ def verify_dart_forward(base: Graph, group: PermGroup) -> DartForwardReport:
     assert dec.radius == 3, f"radius {dec.radius} != 3"
     assert dec.attachment == 2, f"attachment {dec.attachment} != 2"
     recovered = alt_graph(g, dec)
-    iso = is_isomorphic(recovered, base)
-    assert iso is not None, \
-        "graph of alternating cycles must reconstruct the base"
+    cycle_to_vertex = [
+        min(set.intersection(*(set(labeling.darts[i]) for i in cyc)),
+            default=-1) for cyc in dec.cycles]
+    if not is_isomorphism(cycle_to_vertex, recovered, base):
+        raise StructureViolation(f"cycle -> shared vertex {cycle_to_vertex} "
+                                 "is no isomorphism onto the base")
     return DartForwardReport(
         base_order=base.n,
         dart_order=g.n,

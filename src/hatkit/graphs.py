@@ -113,6 +113,12 @@ def maps_edges(p, g, h):
     return all(p[v] in h.nbrs[p[u]] for u, v in g.edges)
 
 
+def is_isomorphism(p, g, h):
+    """True when p is a vertex bijection g -> h that maps edges onto edges."""
+    return (g.m == h.m and len(p) == g.n and sorted(p) == list(range(h.n))
+            and maps_edges(p, g, h))
+
+
 def is_connected(g):
     if g.n == 0:
         return True

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import hatkit
 from hatkit.census import (
     complete_bipartite,
     complete_graph,
@@ -17,6 +23,17 @@ def cycle_graph(n):
 
 def path_graph(n):
     return from_edge_list(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def run_optimized(code):
+    """Run code under python -O with this hatkit importable; return the
+    words it printed."""
+    src = str(Path(hatkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()
 
 
 @pytest.fixture(scope="session")

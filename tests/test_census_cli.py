@@ -278,13 +278,16 @@ def test_cli_verify_builtin_report_pinned(tmp_path, capsys, jobs):
 
 def test_verify_entry_builds_each_artefact_once(monkeypatch):
     """One analysis per entry: the dart chain is built once for all three
-    suites (psi builds the second dart graph, of the reconstruction)."""
+    suites (psi builds the second dart graph, of the reconstruction), and
+    the dart and cover identifications are certified by the maps their
+    constructions define, without an isomorphism search."""
     calls = Counter()
     layers = (altcycles, autgroup, cli, covers, dartgraph, perms)
     for module, name in ((dartgraph, "dart_graph"),
                          (dartgraph, "lift_automorphisms"),
                          (perms, "schreier_sims"),
-                         (autgroup, "transitivity_report")):
+                         (autgroup, "transitivity_report"),
+                         (autgroup, "is_isomorphic")):
         fn = getattr(module, name)
 
         def counted(*args, _fn=fn, _name=name, **kwargs):
@@ -302,6 +305,7 @@ def test_verify_entry_builds_each_artefact_once(monkeypatch):
     assert calls["lift_automorphisms"] == 1
     assert calls["schreier_sims"] <= 5
     assert calls["transitivity_report"] <= 6
+    assert calls["is_isomorphic"] == 0
 
 
 def test_verify_entry_bounds_only_proven_builds(monkeypatch):

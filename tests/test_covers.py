@@ -7,6 +7,8 @@ from hatkit.errors import (
     FixedPoint,
     NotAutomorphisms,
     NotCentralizing,
+    NotConnected,
+    NotInvariant,
     NotInvolution,
     OrbitNotIndependent,
     OrderTooSmall,
@@ -31,7 +33,7 @@ from hatkit.covers import (
     split_certificate,
 )
 
-from conftest import cycle_graph
+from conftest import cycle_graph, run_optimized
 
 
 def dart_with_lift(base):
@@ -155,6 +157,50 @@ def test_split_certificate_not_involution():
         split_certificate(c6, group, rot1, cover)
 
 
+def half_turn(n):
+    return tuple((i + n // 2) % n for i in range(n))
+
+
+def reflection_group(n):
+    """<i -> -i> on the n-cycle: centralizes the half turn, lacks it."""
+    return schreier_sims([tuple(-i % n for i in range(n))])
+
+
+@pytest.mark.parametrize("n, sectional", [(6, True), (10, True), (8, False)])
+def test_split_certificate_sectionality_of_cycle_covers(n, sectional):
+    """C6 and C10 over the half turn are the doubles of C3 and C5; C8 is
+    bipartite over C4, whose double is 2C4, so it is not sectional.  The
+    verdict agrees with an isomorphism search."""
+    c = cycle_graph(n)
+    cover = quotient_by_tau(c, half_turn(n))
+    cert = split_certificate(c, reflection_group(n), half_turn(n), cover)
+    oracle = is_isomorphic(c, bipartite_double(cover.base)) is not None
+    assert cert.is_sectional == oracle == sectional
+    assert cert.is_split and cert.non_bipartite_witness is None
+    assert cert.lifted_group.order == 4
+
+
+def test_split_certificate_needs_connected_total():
+    two_c4 = from_edge_list(
+        8, [(i + k, (i + 1) % 4 + k) for k in (0, 4) for i in range(4)])
+    swap = half_turn(8)
+    # i -> -i on each copy of C4
+    reflect = tuple(-i % 4 + i // 4 * 4 for i in range(8))
+    cover = quotient_by_tau(two_c4, swap)
+    with pytest.raises(NotConnected):
+        split_certificate(two_c4, schreier_sims([reflect]), swap, cover)
+
+
+def test_split_certificate_tau_must_swap_each_fibre():
+    """i -> 4 - i centralizes <i -> -i> on C8, lies outside it and is an
+    involution, but moves the fibre {1, 5} of the half-turn cover."""
+    c8 = cycle_graph(8)
+    cover = quotient_by_tau(c8, half_turn(8))
+    other = tuple((4 - i) % 8 for i in range(8))
+    with pytest.raises(NotInvariant):
+        split_certificate(c8, reflection_group(8), other, cover)
+
+
 @pytest.mark.parametrize("name", ["petersen", "coxeter"])
 def test_bounded_chains_match_unbounded_rebuild(request, name):
     """The lift and <lift, tau> are built under their proven order
@@ -188,6 +234,31 @@ def test_cover_pipeline_dodecahedron():
     assert report.base_girth == 3
     data = report.to_json_dict()
     assert data["group_orders"]["G_tilde"] == str(2 * lifted.order)
+
+
+def test_cover_pipeline_rejects_wrong_line_graph_under_optimize():
+    """The fibre -> cycle pair map is checked by a raise, not an assert:
+    with the prism GP(5,1) as the graph of alternating cycles of
+    Dart(Petersen), some cycle pairs are no edge of it, and the check
+    fails under python -O instead of raising KeyError."""
+    code = (
+        "import sys\n"
+        "from hatkit import covers\n"
+        "from hatkit.autgroup import automorphism_group\n"
+        "from hatkit.census import generalized_petersen\n"
+        "from hatkit.dartgraph import dart_graph, lift_automorphisms\n"
+        "from hatkit.errors import StructureViolation\n"
+        "petersen = generalized_petersen(5, 2)\n"
+        "g, _, labeling = dart_graph(petersen)\n"
+        "lifted = lift_automorphisms(\n"
+        "    petersen, automorphism_group(petersen), labeling)\n"
+        "covers.alt_graph = lambda g, dec: generalized_petersen(5, 1)\n"
+        "try:\n"
+        "    covers.cover_pipeline(g, lifted)\n"
+        "except StructureViolation as exc:\n"
+        "    print(sys.flags.optimize, type(exc).__name__)\n"
+    )
+    assert run_optimized(code) == ["1", "StructureViolation"]
 
 
 def test_cover_pipeline_order_guard(k4):

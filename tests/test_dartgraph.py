@@ -30,7 +30,7 @@ from hatkit.dartgraph import (
 )
 from hatkit.covers import is_covering
 
-from conftest import cycle_graph
+from conftest import cycle_graph, run_optimized
 
 
 def test_dart_counts_k4(k4):
@@ -133,6 +133,27 @@ def test_verify_dart_forward_heawood(heawood):
     report = verify_dart_forward(heawood, automorphism_group(heawood))
     assert report.dart_order == 42
     assert report.radius == 3 and report.attachment == 2
+
+
+def test_verify_dart_forward_rejects_wrong_reconstruction_under_optimize():
+    """The cycle -> shared vertex map is checked by a raise, not an
+    assert: a graph of alternating cycles that is not the base (the prism
+    GP(5,1) in place of the Petersen graph) fails under python -O."""
+    code = (
+        "import sys\n"
+        "from hatkit import dartgraph\n"
+        "from hatkit.autgroup import automorphism_group\n"
+        "from hatkit.census import generalized_petersen\n"
+        "from hatkit.errors import StructureViolation\n"
+        "petersen = generalized_petersen(5, 2)\n"
+        "dartgraph.alt_graph = lambda g, dec: generalized_petersen(5, 1)\n"
+        "try:\n"
+        "    dartgraph.verify_dart_forward(\n"
+        "        petersen, automorphism_group(petersen))\n"
+        "except StructureViolation as exc:\n"
+        "    print(sys.flags.optimize, type(exc).__name__)\n"
+    )
+    assert run_optimized(code) == ["1", "StructureViolation"]
 
 
 def test_verify_dart_forward_needs_two_arc_transitivity(k33):

@@ -12,6 +12,7 @@ from hatkit.graphs import (
     girth,
     is_bipartite,
     is_connected,
+    is_isomorphism,
     is_regular,
     line_graph,
     odd_closed_walk,
@@ -192,6 +193,21 @@ def test_odd_closed_walk_witness(g):
         assert walk[0] == walk[-1]
         assert (len(walk) - 1) % 2 == 1
         assert all(g.has_edge(a, b) for a, b in zip(walk, walk[1:]))
+
+
+def test_is_isomorphism(petersen):
+    perm = tuple((3 * v + 1) % 10 for v in range(10))
+    image = relabel(petersen, perm)
+    assert is_isomorphism(perm, petersen, image)
+    assert not is_isomorphism(tuple(range(10)), petersen, image)
+    # not a bijection, wrong length, or a graph with fewer edges
+    assert not is_isomorphism((0,) * 10, petersen, petersen)
+    assert not is_isomorphism(tuple(range(9)), petersen, petersen)
+    assert not is_isomorphism(tuple(range(10)), petersen, cycle_graph(10))
+    # an edge-preserving bijection onto a graph with more edges
+    c5 = cycle_graph(5)
+    k5 = from_edge_list(5, combinations(range(5), 2))
+    assert not is_isomorphism(tuple(range(5)), c5, k5)
 
 
 def test_relabel_checks_bijection(k4):

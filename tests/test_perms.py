@@ -1,15 +1,10 @@
 import json
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import hatkit
 from hatkit.errors import (
     DegreeMismatch,
     NotInvariant,
@@ -28,6 +23,8 @@ from hatkit.perms import (
     is_identity,
     schreier_sims,
 )
+
+from conftest import run_optimized
 
 
 def closure(gens):
@@ -184,12 +181,7 @@ def test_order_bound_exceeded_under_optimize():
         "except OrderBoundExceeded as exc:\n"
         "    print(sys.flags.optimize, exc.bound)\n"
     )
-    src = str(Path(hatkit.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["1", "5"]
+    assert run_optimized(code) == ["1", "5"]
 
 
 def test_membership():
