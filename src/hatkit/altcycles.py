@@ -149,16 +149,6 @@ class AltDecomposition:
     def tightly_attached(self):
         return self.attachment == 2 * self.radius
 
-    def to_json_dict(self):
-        return {
-            "radius": self.radius,
-            "attachment": self.attachment,
-            "ell": self.ell,
-            "cycle_count": len(self.cycles),
-            "cycles": [list(c) for c in self.cycles],
-            "attachment_sets": [list(b) for b in self.attachment_sets],
-        }
-
 
 def alternating_cycles(g: Graph, orientation: Orientation) -> AltDecomposition:
     """Decompose the edge set into alternating cycles and verify every
@@ -373,6 +363,35 @@ def divisibility_report(dec: AltDecomposition, is_full_group: bool,
     return record
 
 
+def cycle_images(group: PermGroup, dec: AltDecomposition):
+    """Per generator, the permutation it induces on dec's alternating
+    cycles, as a tuple of cycle indices.  NotInvariant, naming the
+    generator and the cycle, unless each cycle maps onto a cycle of dec.
+    Costs O(|generators| |E|)."""
+    k = len(dec.cycles)
+    if group.degree != len(dec.cycles_at_vertex):
+        raise NotInvariant("group degree differs from the vertex count")
+    images = []
+    for i, s in enumerate(group.generators):
+        img = []
+        for c, cyc in enumerate(dec.cycles):
+            target = None
+            for a in range(len(cyc)):
+                key = _edge_key(s[cyc[a]], s[cyc[(a + 1) % len(cyc)]])
+                t = dec.cycle_of_edge.get(key)
+                if t is None or (target is not None and t != target):
+                    raise NotInvariant(
+                        f"generator {i} does not map alternating cycle {c} "
+                        "onto an alternating cycle")
+                target = t
+            img.append(target)
+        if sorted(img) != list(range(k)):
+            raise NotInvariant(
+                f"generator {i} does not act bijectively on the cycles")
+        images.append(tuple(img))
+    return images
+
+
 def induced_alt_action(group: PermGroup, dec: AltDecomposition,
                        altg: Graph):
     """Action of the group on the alternating cycles.
@@ -385,25 +404,7 @@ def induced_alt_action(group: PermGroup, dec: AltDecomposition,
     k = len(dec.cycles)
     if altg.n != k:
         raise ValueError("graph of alternating cycles has the wrong order")
-    if group.degree != len(dec.cycles_at_vertex):
-        raise NotInvariant("group degree differs from the vertex count")
-    induced = []
-    for s in group.generators:
-        img = []
-        for cyc in dec.cycles:
-            target = None
-            for a in range(len(cyc)):
-                key = _edge_key(s[cyc[a]], s[cyc[(a + 1) % len(cyc)]])
-                c = dec.cycle_of_edge.get(key)
-                if c is None or (target is not None and c != target):
-                    raise NotInvariant(
-                        "a generator does not permute the alternating cycles")
-                target = c
-            img.append(target)
-        if sorted(img) != list(range(k)):
-            raise NotInvariant(
-                "a generator does not act bijectively on the cycles")
-        induced.append(tuple(img))
+    induced = cycle_images(group, dec)
     action = schreier_sims(induced, degree=k)
     report = transitivity_report(action, altg)
     assert report.vertex_transitive and report.edge_transitive, \
@@ -413,16 +414,3 @@ def induced_alt_action(group: PermGroup, dec: AltDecomposition,
         "arc-transitivity of the induced action must match the parity of ell"
     return action, report.arc_transitive
 
-
-def _cycle_restriction_order(dec: AltDecomposition, group: PermGroup,
-                             index: int, limit=200_000):
-    """Diagnostic: order of the restriction to one alternating cycle of its
-    setwise stabilizer (enumerates the group, so small groups only).
-    Expected to be dihedral of order 2r (Klein four when r = 2)."""
-    cyc = dec.cycles[index]
-    target = set(cyc)
-    restriction = set()
-    for p in group.elements(limit):
-        if {p[v] for v in cyc} == target:
-            restriction.add(tuple(p[v] for v in cyc))
-    return len(restriction)

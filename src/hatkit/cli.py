@@ -181,8 +181,10 @@ def _dart_suite(analysis, checks, strict):
     _check(checks, "dart:alt_reconstructs_base", forward.alt_isomorphic_to_base)
     _check(checks, "dart:natural_orientation_induced",
            forward.natural_orientation_induced)
+    # verify_dart_forward certified the natural orientation as induced
     _, psi_report = psi_isomorphism(forward.labeling.graph,
-                                    forward.lifted_group)
+                                    forward.labeling.orientation,
+                                    forward.decomposition)
     _check(checks, "dart:psi_isomorphism",
            psi_report.bijective and psi_report.preserves_adjacency
            and psi_report.orientation_compatible)
@@ -200,6 +202,7 @@ def _cover_suite(analysis, checks, strict):
         return
     labeling = analysis.forward.labeling
     dart, lifted = labeling.graph, analysis.forward.lifted_group
+    dec = analysis.forward.decomposition
 
     line, line_edges = line_graph(analysis.g)
     fibre_map = tuple(line_edges.index((min(u, v), max(u, v)))
@@ -209,14 +212,14 @@ def _cover_suite(analysis, checks, strict):
 
     if dart.n <= 12:
         try:
-            cover_pipeline(dart, lifted)
+            cover_pipeline(dart, dec, lifted)
             _check(checks, "cover:order_guard", False,
                    f"order {dart.n} <= 12 must be rejected")
         except OrderTooSmall:
             _check(checks, "cover:order_guard", True,
                    f"order {dart.n} <= 12 rejected")
         return
-    rep = cover_pipeline(dart, lifted)
+    rep = cover_pipeline(dart, dec, lifted)
     _check(checks, "cover:split", rep.split,
            f"|G~| = {rep.lifted_order} = 2 x {rep.group_order}")
     _check(checks, "cover:sectional_iff_bipartite",

@@ -43,10 +43,10 @@ from .graphs import (
 from .graph6 import write_graph6
 from .autgroup import canonical_form, transitivity_report
 from .altcycles import (
+    AltDecomposition,
     alt_graph,
-    alternating_cycles,
     antipodal_involution,
-    induced_orientation,
+    cycle_images,
 )
 from .perms import (
     PermGroup,
@@ -65,7 +65,6 @@ class CoveringMap:
     total: Graph
     base: Graph
     fibre_map: tuple
-    ct_group: PermGroup
 
     def fibres(self):
         out = [[] for _ in range(self.base.n)]
@@ -104,7 +103,7 @@ def quotient_by_tau(total: Graph, tau) -> CoveringMap:
     adjacent orbit pair must induce a perfect matching (2K2); a K_{2,2}
     pair raises DegenerateWreath since the graph is then a wreath of a
     cycle over two vertices.  The result is a verified 2-fold covering
-    projection with <tau> as its covering transformation group.
+    projection whose fibres are the tau-orbits.
     """
     n = total.n
     if len(tau) != n:
@@ -143,9 +142,7 @@ def quotient_by_tau(total: Graph, tau) -> CoveringMap:
 
     base = from_edge_list(len(orbits), between.keys())
     fibre_map = tuple(orbit_of)
-    ct = schreier_sims([tau], degree=n)
-    cover = CoveringMap(total=total, base=base, fibre_map=fibre_map,
-                        ct_group=ct)
+    cover = CoveringMap(total=total, base=base, fibre_map=fibre_map)
     assert is_covering(total, base, fibre_map), \
         "quotient failed the covering-projection check"
     assert all(len(f) == 2 for f in cover.fibres())
@@ -257,21 +254,25 @@ class CoverReport:
         }
 
 
-def cover_pipeline(total: Graph, group: PermGroup) -> CoverReport:
+def cover_pipeline(total: Graph, dec: AltDecomposition,
+                   group: PermGroup) -> CoverReport:
     """Run antipodal involution -> quotient -> split certificate for a
     half-arc-transitive action with radius 3 and attachment 2 on a graph
     of order greater than 12, then verify the base graph:
 
-    - the projected group acts faithfully and arc-transitively on it,
+    - the projected group acts faithfully and arc-transitively on it
+      (StructureViolation naming projected_arc_transitive otherwise),
     - it has girth 3 (alternating 6-cycles project to triangles),
     - it is the line graph of the graph of alternating cycles: the fibre
       {v, tau v} maps to the edge of the two cycles that meet at v.
 
+    dec must be the alternating cycles of an orientation of total that
+    the group induces, as verify_dart_forward certifies them; the group
+    must permute them (NotInvariant otherwise).
     Bipartite inputs run through the same pipeline and certify sectional;
     non-bipartite inputs certify non-sectional.
     """
-    d, _ = induced_orientation(group, total)
-    dec = alternating_cycles(total, d)
+    cycle_images(group, dec)
     if dec.radius != 3 or dec.attachment != 2:
         raise WrongParameters(
             f"(radius, attachment) = ({dec.radius}, {dec.attachment}), "
@@ -298,8 +299,10 @@ def cover_pipeline(total: Graph, group: PermGroup) -> CoverReport:
     assert not faithful and 2 * projected.order == cert.lifted_group.order, \
         "kernel of the fibre action must be exactly the covering group"
     base_report = transitivity_report(projected, cover.base)
-    assert base_report.arc_transitive, \
-        "projected action must be arc-transitive on the base"
+    if not base_report.arc_transitive:
+        raise StructureViolation(
+            "projected_arc_transitive: the projected group has "
+            f"{base_report.arc_orbit_count} arc orbits on the base")
 
     base_girth = girth(cover.base)
     assert base_girth == 3, f"base girth {base_girth} != 3"

@@ -21,6 +21,7 @@ from .errors import (
     NotAutomorphisms,
     NotConnected,
     NotCubic,
+    OrientationInvalid,
     StructureViolation,
     TooSmall,
     WrongParameters,
@@ -49,9 +50,6 @@ class DartLabeling:
     orientation: Orientation
     darts: tuple
     index: dict
-
-    def to_json_list(self):
-        return [[i, u, v] for i, (u, v) in enumerate(self.darts)]
 
 
 def dart_graph(base: Graph):
@@ -148,9 +146,12 @@ def verify_dart_forward(base: Graph, group: PermGroup) -> DartForwardReport:
     group, and certify: the lifted action is half-arc-transitive with
     radius 3 and attachment 2, the graph of alternating cycles is
     isomorphic to the base, and the natural orientation is one of the two
-    induced orientations.  The alternating cycle of base vertex x is the
-    six darts at x, so the isomorphism maps each cycle to the vertex its
-    darts share (StructureViolation if that is not an isomorphism)."""
+    induced orientations (StructureViolation naming
+    natural_orientation_induced otherwise, with a natural arc outside
+    each induced orientation as witness).  The
+    alternating cycle of base vertex x is the six darts at x, so the
+    isomorphism maps each cycle to the vertex its darts share
+    (StructureViolation if that is not an isomorphism)."""
     base_report = transitivity_report(group, base)
     if not base_report.two_arc_transitive:
         raise Not2ArcTransitive(
@@ -159,9 +160,13 @@ def verify_dart_forward(base: Graph, group: PermGroup) -> DartForwardReport:
     lifted = lift_automorphisms(base, group, labeling)
     # induced_orientation checks that the lifted action is half-arc-transitive
     d, d_rev = induced_orientation(lifted, g)
-    natural_matches = natural in (d, d_rev)
-    assert natural_matches, \
-        "natural orientation must be one of the two induced orientations"
+    if natural not in (d, d_rev):
+        outside = [next((a for a in natural.arcs if a not in arcs), None)
+                   for arcs in (set(d.arcs), set(d_rev.arcs))]
+        raise StructureViolation(
+            f"natural_orientation_induced: natural arc {outside[0]} is not "
+            f"in the first induced orientation, {outside[1]} not in the "
+            "second")
     dec = alternating_cycles(g, natural)
     assert dec.radius == 3, f"radius {dec.radius} != 3"
     assert dec.attachment == 2, f"attachment {dec.attachment} != 2"
@@ -200,19 +205,22 @@ class PsiReport(JsonRecord):
     orientation_compatible: bool
 
 
-def psi_isomorphism(g: Graph, group: PermGroup):
+def psi_isomorphism(g: Graph, d: Orientation, dec: AltDecomposition):
     """The explicit isomorphism from the dart graph of the graph of
     alternating cycles back onto g, for a half-arc-transitive action with
     radius 3 and attachment 2.
 
-    The dart (C, C') maps to the unique vertex of the two-point
-    intersection of C and C' that heads both of its edges on C, in one of
-    the induced orientations.  Returns (mapping, report); the mapping is
-    indexed by dart-graph vertices and verified to be an isomorphism that
-    carries the natural orientation onto the chosen induced orientation.
+    d must be an orientation of g (OrientationInvalid otherwise) induced
+    by that action and dec its alternating cycles, as verify_dart_forward
+    certifies them.  The dart (C, C') maps to the unique vertex of the
+    two-point intersection of C and C' that heads both of its edges on C
+    in d.  Returns (mapping, report); the mapping is indexed by dart-graph
+    vertices and verified to be an isomorphism that carries the natural
+    orientation onto d.  With d.reverse() the mapping is
+    compose(rev, mapping) for the dart reversal rev of the dart graph.
     """
-    d, _ = induced_orientation(group, g)
-    dec = alternating_cycles(g, d)
+    if d.graph != g:
+        raise OrientationInvalid("orientation belongs to a different graph")
     if dec.radius != 3 or dec.attachment != 2:
         raise WrongParameters(
             f"(radius, attachment) = ({dec.radius}, {dec.attachment}), "

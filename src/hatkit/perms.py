@@ -132,38 +132,6 @@ class PermGroup:
         """Orbits of 0..degree-1, each sorted, ordered by minimum point."""
         return tuple(orbits(range(self.degree), self.generators, getitem))
 
-    def elements(self, limit=1_000_000):
-        """All group elements by breadth-first closure (small groups only)."""
-        if self.order > limit:
-            raise ValueError(f"group order {self.order} exceeds limit {limit}")
-        ident = identity(self.degree)
-        seen = {ident}
-        queue = [ident]
-        while queue:
-            g = queue.pop()
-            for s in self.generators:
-                h = compose(g, s)
-                if h not in seen:
-                    seen.add(h)
-                    queue.append(h)
-        return seen
-
-    def to_json_dict(self):
-        return {
-            "degree": self.degree,
-            "generators": [list(g) for g in self.generators],
-            "order": str(self.order),
-        }
-
-    @classmethod
-    def from_json_dict(cls, data):
-        group = schreier_sims(
-            [tuple(g) for g in data["generators"]], degree=data["degree"])
-        if str(group.order) != data["order"]:
-            raise ValueError(
-                f"stored order {data['order']} != recomputed {group.order}")
-        return group
-
 
 def schreier_sims(generators, degree=None, order_bound=None) -> PermGroup:
     """Deterministic Schreier-Sims: build a PermGroup with verified BSGS.

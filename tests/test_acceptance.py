@@ -106,7 +106,8 @@ def test_criterion_2_inverse_isomorphism(pipeline):
     each dart graph is a verified orientation-compatible isomorphism."""
     for name in REQUIRED_CUBIC:
         item = pipeline.items[name]
-        psi, report = psi_isomorphism(item.dart.graph, item.dart.lifted)
+        psi, report = psi_isomorphism(item.dart.graph, item.dart.natural,
+                                      item.dart.dec)
         assert report.bijective and report.preserves_adjacency, name
         assert report.orientation_compatible, name
         assert sorted(psi) == list(range(item.dart.graph.n)), name
@@ -158,7 +159,7 @@ def test_criterion_4_cover_theorem(pipeline):
         item = pipeline.items[name]
         g, lifted = item.dart.graph, item.dart.lifted
         assert g.n == order, name
-        report = cover_pipeline(g, lifted)
+        report = cover_pipeline(g, item.dart.dec, lifted)
         assert report.split, name
         assert report.sectional == sectional, name
         assert report.bipartite == sectional, name
@@ -184,7 +185,8 @@ def test_criterion_5_boundary_cases(pipeline):
     k4_item = pipeline.items["k4"]
     assert k4_item.dart.graph.n == 12
     with pytest.raises(OrderTooSmall):
-        cover_pipeline(k4_item.dart.graph, k4_item.dart.lifted)
+        cover_pipeline(k4_item.dart.graph, k4_item.dart.dec,
+                       k4_item.dart.lifted)
     w3 = wreath_graph(3)
     fibre_swap = tuple(i ^ 1 for i in range(6))
     with pytest.raises(DegenerateWreath):

@@ -277,17 +277,20 @@ def test_cli_verify_builtin_report_pinned(tmp_path, capsys, jobs):
 
 
 def test_verify_entry_builds_each_artefact_once(monkeypatch):
-    """One analysis per entry: the dart chain is built once for all three
-    suites (psi builds the second dart graph, of the reconstruction), and
-    the dart and cover identifications are certified by the maps their
-    constructions define, without an isomorphism search."""
+    """One analysis per entry: the dart chain, its induced orientation and
+    its alternating cycles are built once for all three suites (psi builds
+    the second dart graph, of the reconstruction), and the dart and cover
+    identifications are certified by the maps their constructions define,
+    without an isomorphism search."""
     calls = Counter()
     layers = (altcycles, autgroup, cli, covers, dartgraph, perms)
     for module, name in ((dartgraph, "dart_graph"),
                          (dartgraph, "lift_automorphisms"),
                          (perms, "schreier_sims"),
                          (autgroup, "transitivity_report"),
-                         (autgroup, "is_isomorphic")):
+                         (autgroup, "is_isomorphic"),
+                         (altcycles, "induced_orientation"),
+                         (altcycles, "alternating_cycles")):
         fn = getattr(module, name)
 
         def counted(*args, _fn=fn, _name=name, **kwargs):
@@ -303,14 +306,17 @@ def test_verify_entry_builds_each_artefact_once(monkeypatch):
     assert result["passed"]
     assert calls["dart_graph"] <= 2
     assert calls["lift_automorphisms"] == 1
-    assert calls["schreier_sims"] <= 5
-    assert calls["transitivity_report"] <= 6
+    assert calls["schreier_sims"] <= 4
+    assert calls["transitivity_report"] <= 4
     assert calls["is_isomorphic"] == 0
+    assert calls["induced_orientation"] == 1
+    assert calls["alternating_cycles"] == 1
 
 
 def test_verify_entry_bounds_only_proven_builds(monkeypatch):
     """Exactly the lift, <lift, tau> and the fibre action are built under
-    an order bound; Aut(g) and the covering group <tau> are not."""
+    an order bound; Aut(g) is not, and no chain is built for the covering
+    group <tau>."""
     builds = []
     fn = perms.schreier_sims
 
@@ -325,10 +331,10 @@ def test_verify_entry_bounds_only_proven_builds(monkeypatch):
     petersen = next(e for e in builtin_entries() if e.name == "petersen")
     result = cli._verify_entry((petersen.to_json_dict(), cli.SUITES, True))
     assert result["passed"]
-    # Aut(Petersen) on 10 points, <tau> on the 30 darts, the lift (|G|),
-    # <lift, tau> (2|G|) and the action on the 15 fibres (|G|)
+    # Aut(Petersen) on 10 points, the lift (|G|), <lift, tau> (2|G|) and
+    # the action on the 15 fibres (|G|)
     assert Counter(builds) == Counter(
-        [(10, None), (30, None), (30, 120), (30, 240), (15, 120)])
+        [(10, None), (30, 120), (30, 240), (15, 120)])
 
 
 def test_cli_verify_deterministic_report(mini_census, capsys):

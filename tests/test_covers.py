@@ -24,7 +24,11 @@ from hatkit.graphs import (
 )
 from hatkit.perms import compose, from_cycles, identity, schreier_sims
 from hatkit.autgroup import automorphism_group, is_isomorphic
-from hatkit.altcycles import alternating_cycles, antipodal_involution
+from hatkit.altcycles import (
+    alternating_cycles,
+    antipodal_involution,
+    induced_orientation,
+)
 from hatkit.dartgraph import dart_graph, lift_automorphisms, wreath_graph
 from hatkit.covers import (
     cover_pipeline,
@@ -43,9 +47,15 @@ def dart_with_lift(base):
     return g, natural, labeling, lifted
 
 
+def dart_with_cycles(base):
+    """Dart graph, alternating cycles of its natural orientation (an
+    induced one) and the lifted group."""
+    g, natural, _, lifted = dart_with_lift(base)
+    return g, alternating_cycles(g, natural), lifted
+
+
 def antipodal_of(base):
-    g, natural, labeling, lifted = dart_with_lift(base)
-    dec = alternating_cycles(g, natural)
+    g, dec, lifted = dart_with_cycles(base)
     return g, lifted, antipodal_involution(g, dec, lifted)
 
 
@@ -66,7 +76,6 @@ def test_quotient_dart_petersen(petersen):
     cover = quotient_by_tau(g, tau)
     assert cover.base.n == 15 and is_regular(cover.base, 4)
     assert girth(cover.base) == 3
-    assert cover.ct_group.order == 2
     assert is_covering(g, cover.base, cover.fibre_map)
     assert is_isomorphic(cover.base, line_graph(petersen)[0]) is not None
 
@@ -227,8 +236,8 @@ def test_bounded_chains_match_unbounded_rebuild(request, name):
 def test_cover_pipeline_dodecahedron():
     from hatkit.census import generalized_petersen
     dodec = generalized_petersen(10, 2)
-    g, _, _, lifted = dart_with_lift(dodec)
-    report = cover_pipeline(g, lifted)
+    g, dec, lifted = dart_with_cycles(dodec)
+    report = cover_pipeline(g, dec, lifted)
     assert report.order == 60 and report.base_order == 30
     assert report.split and not report.sectional and not report.bipartite
     assert report.base_girth == 3
@@ -244,37 +253,81 @@ def test_cover_pipeline_rejects_wrong_line_graph_under_optimize():
     code = (
         "import sys\n"
         "from hatkit import covers\n"
+        "from hatkit.altcycles import alternating_cycles\n"
         "from hatkit.autgroup import automorphism_group\n"
         "from hatkit.census import generalized_petersen\n"
         "from hatkit.dartgraph import dart_graph, lift_automorphisms\n"
         "from hatkit.errors import StructureViolation\n"
         "petersen = generalized_petersen(5, 2)\n"
-        "g, _, labeling = dart_graph(petersen)\n"
+        "g, natural, labeling = dart_graph(petersen)\n"
         "lifted = lift_automorphisms(\n"
         "    petersen, automorphism_group(petersen), labeling)\n"
+        "dec = alternating_cycles(g, natural)\n"
         "covers.alt_graph = lambda g, dec: generalized_petersen(5, 1)\n"
         "try:\n"
-        "    covers.cover_pipeline(g, lifted)\n"
+        "    covers.cover_pipeline(g, dec, lifted)\n"
         "except StructureViolation as exc:\n"
         "    print(sys.flags.optimize, type(exc).__name__)\n"
     )
     assert run_optimized(code) == ["1", "StructureViolation"]
 
 
+def test_cover_pipeline_rejects_arc_intransitive_base_under_optimize():
+    """Arc-transitivity of the projected action is checked by a raise
+    that names it, not an assert: with transitivity_report made to see
+    two arc orbits on the base, the check fails under python -O."""
+    code = (
+        "import dataclasses, sys\n"
+        "from hatkit import covers\n"
+        "from hatkit.altcycles import alternating_cycles\n"
+        "from hatkit.autgroup import automorphism_group\n"
+        "from hatkit.census import generalized_petersen\n"
+        "from hatkit.dartgraph import dart_graph, lift_automorphisms\n"
+        "from hatkit.errors import StructureViolation\n"
+        "petersen = generalized_petersen(5, 2)\n"
+        "g, natural, labeling = dart_graph(petersen)\n"
+        "lifted = lift_automorphisms(\n"
+        "    petersen, automorphism_group(petersen), labeling)\n"
+        "dec = alternating_cycles(g, natural)\n"
+        "real = covers.transitivity_report\n"
+        "covers.transitivity_report = lambda group, x: dataclasses.replace(\n"
+        "    real(group, x), arc_transitive=False, arc_orbit_count=2)\n"
+        "try:\n"
+        "    covers.cover_pipeline(g, dec, lifted)\n"
+        "except StructureViolation as exc:\n"
+        "    print(sys.flags.optimize, type(exc).__name__,\n"
+        "          str(exc).split(':')[0])\n"
+    )
+    assert run_optimized(code) == ["1", "StructureViolation",
+                                   "projected_arc_transitive"]
+
+
 def test_cover_pipeline_order_guard(k4):
-    g, _, _, lifted = dart_with_lift(k4)
+    g, dec, lifted = dart_with_cycles(k4)
     with pytest.raises(OrderTooSmall):
-        cover_pipeline(g, lifted)
+        cover_pipeline(g, dec, lifted)
 
 
 def test_cover_pipeline_wrong_parameters(holt):
     group = automorphism_group(holt)
+    d, _ = induced_orientation(group, holt)
     with pytest.raises(WrongParameters):
-        cover_pipeline(holt, group)
+        cover_pipeline(holt, alternating_cycles(holt, d), group)
+
+
+def test_cover_pipeline_rejects_group_moving_cycles():
+    """Aut(Dart(cube)) (order 768) has generators that move alternating
+    cycles of the natural orientation off the decomposition."""
+    from hatkit.census import generalized_petersen
+    g, dec, lifted = dart_with_cycles(generalized_petersen(4, 1))
+    full = automorphism_group(g)
+    assert full.order == 768 and lifted.order == 48
+    with pytest.raises(NotInvariant):
+        cover_pipeline(g, dec, full)
 
 
 def test_cover_pipeline_bipartite_control(heawood):
-    g, _, _, lifted = dart_with_lift(heawood)
-    report = cover_pipeline(g, lifted)
+    g, dec, lifted = dart_with_cycles(heawood)
+    report = cover_pipeline(g, dec, lifted)
     assert report.bipartite and report.sectional and report.split
     assert report.base_order == 21

@@ -7,6 +7,7 @@ from hatkit.errors import (
     NotAutomorphisms,
     NotConnected,
     NotCubic,
+    OrientationInvalid,
     TooSmall,
     WrongParameters,
 )
@@ -18,8 +19,10 @@ from hatkit.graphs import (
     is_regular,
     line_graph,
 )
-from hatkit.perms import from_cycles, schreier_sims
+from hatkit.perms import compose, from_cycles, schreier_sims
 from hatkit.autgroup import automorphism_group, is_isomorphic, transitivity_report
+from hatkit.altcycles import alt_graph, alternating_cycles, induced_orientation
+from hatkit.census import builtin_entries
 from hatkit.dartgraph import (
     dart_graph,
     dart_reversal,
@@ -38,7 +41,6 @@ def test_dart_counts_k4(k4):
     assert g.n == 12 and g.m == 24
     assert is_regular(g, 4) and girth(g) == 3
     assert len(labeling.darts) == 12
-    assert labeling.to_json_list()[0] == [0, 0, 1]
 
 
 def test_dart_bipartite_iff_base(k33, petersen):
@@ -156,6 +158,37 @@ def test_verify_dart_forward_rejects_wrong_reconstruction_under_optimize():
     assert run_optimized(code) == ["1", "StructureViolation"]
 
 
+def test_verify_dart_forward_rejects_uninduced_natural_under_optimize():
+    """natural_orientation_induced is checked by a raise, not an assert:
+    with induced_orientation made to return the natural orientation of
+    Dart(Petersen) with the darts of the outer 5-cycle reversed, and its
+    reverse, the check fails under python -O and names itself."""
+    code = (
+        "import sys\n"
+        "from hatkit import dartgraph\n"
+        "from hatkit.altcycles import Orientation\n"
+        "from hatkit.autgroup import automorphism_group\n"
+        "from hatkit.census import generalized_petersen\n"
+        "from hatkit.errors import StructureViolation\n"
+        "petersen = generalized_petersen(5, 2)\n"
+        "g, natural, labeling = dartgraph.dart_graph(petersen)\n"
+        "step = [labeling.index[(i, (i + 1) % 5)] for i in range(5)]\n"
+        "flip = {(step[i], step[(i + 1) % 5]) for i in range(5)}\n"
+        "mixed = Orientation(g, [(h, t) if (t, h) in flip else (t, h)\n"
+        "                        for t, h in natural.arcs])\n"
+        "dartgraph.induced_orientation = (\n"
+        "    lambda group, x: (mixed, mixed.reverse()))\n"
+        "try:\n"
+        "    dartgraph.verify_dart_forward(\n"
+        "        petersen, automorphism_group(petersen))\n"
+        "except StructureViolation as exc:\n"
+        "    print(sys.flags.optimize, type(exc).__name__,\n"
+        "          str(exc).split(':')[0])\n"
+    )
+    assert run_optimized(code) == ["1", "StructureViolation",
+                                   "natural_orientation_induced"]
+
+
 def test_verify_dart_forward_needs_two_arc_transitivity(k33):
     # a vertex-regular cyclic subgroup of Aut(K3,3): rotate the hexagon
     # 0,3,1,4,2,5 whose consecutive vertices alternate sides
@@ -168,20 +201,42 @@ def test_verify_dart_forward_needs_two_arc_transitivity(k33):
 
 
 def test_psi_round_trip_pappus(pappus):
-    group = automorphism_group(pappus)
-    g, _, labeling = dart_graph(pappus)
-    lifted = lift_automorphisms(pappus, group, labeling)
-    psi, report = psi_isomorphism(g, lifted)
+    g, natural, _ = dart_graph(pappus)
+    dec = alternating_cycles(g, natural)
+    psi, report = psi_isomorphism(g, natural, dec)
     assert report.bijective and report.preserves_adjacency
     assert report.orientation_compatible
     assert report.alt_order == pappus.n
     assert sorted(psi) == list(range(g.n))
 
 
+@pytest.mark.parametrize("name", [e.name for e in builtin_entries()
+                                  if is_regular(e.graph(), 3)])
+def test_psi_of_reversed_orientation_follows_dart_reversal(name):
+    """Both induced orientations have the same alternating cycles; psi
+    built from the reverse is psi after the dart reversal of the dart
+    graph of the reconstruction, with an equal report."""
+    base = next(e for e in builtin_entries() if e.name == name).graph()
+    g, natural, _ = dart_graph(base)
+    dec = alternating_cycles(g, natural)
+    psi, report = psi_isomorphism(g, natural, dec)
+    psi_rev, report_rev = psi_isomorphism(g, natural.reverse(), dec)
+    assert report_rev == report
+    _, _, rec_labeling = dart_graph(alt_graph(g, dec))
+    assert psi_rev == compose(dart_reversal(rec_labeling), psi)
+
+
 def test_psi_wrong_parameters(holt):
-    group = automorphism_group(holt)
+    d, _ = induced_orientation(automorphism_group(holt), holt)
     with pytest.raises(WrongParameters):
-        psi_isomorphism(holt, group)
+        psi_isomorphism(holt, d, alternating_cycles(holt, d))
+
+
+def test_psi_rejects_orientation_of_another_graph(k4, petersen):
+    g, natural, _ = dart_graph(petersen)
+    _, k4_natural, _ = dart_graph(k4)
+    with pytest.raises(OrientationInvalid):
+        psi_isomorphism(g, k4_natural, alternating_cycles(g, natural))
 
 
 def test_wreath_octahedron():

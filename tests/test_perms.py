@@ -1,4 +1,3 @@
-import json
 import random
 
 import pytest
@@ -12,7 +11,6 @@ from hatkit.errors import (
     VertexOutOfRange,
 )
 from hatkit.perms import (
-    PermGroup,
     centralizes,
     compose,
     cycle_string,
@@ -273,13 +271,6 @@ def test_induced_action_not_invariant():
         induced_action(group, [{0, 1}, {2, 3}])
     with pytest.raises(ValueError):
         induced_action(group, [{0, 1}, {1, 2}])
-
-
-def test_json_round_trip():
-    group = schreier_sims([from_cycles(4, [(0, 1)]), from_cycles(4, [(0, 1, 2, 3)])])
-    data = json.loads(json.dumps(group.to_json_dict()))
-    back = PermGroup.from_json_dict(data)
-    assert back.order == 24 and back.degree == 4
 
 
 def test_every_generator_sifts():

@@ -19,7 +19,7 @@ def test_readme_quickstart():
     lifted = lift_automorphisms(base, group, labeling)
     dec = alternating_cycles(dart, natural)
     assert (dec.radius, dec.attachment) == (3, 2)
-    report = cover_pipeline(dart, lifted)
+    report = cover_pipeline(dart, dec, lifted)
     assert report.split and not report.sectional
     data = report.to_json_dict()
     assert set(data) == {"graph", "order", "bipartite", "radius",
