@@ -256,16 +256,6 @@ class TransitivityReport(JsonRecord):
     arc_orbits: tuple = field(repr=False)
 
 
-def _all_two_arcs(g):
-    out = []
-    for v in range(g.n):
-        for u in g.adj[v]:
-            for w in g.adj[v]:
-                if u != w:
-                    out.append((u, v, w))
-    return out
-
-
 def arc_orbits(generators, g: Graph):
     """Orbit partition of the 2|E| arcs under the group the generators
     generate, ordered by smallest arc.
@@ -281,13 +271,12 @@ def arc_orbits(generators, g: Graph):
 
 
 def transitivity_report(group: PermGroup, g: Graph) -> TransitivityReport:
-    """Orbit-count classification of the action of a group on a graph.
-
-    The group must consist of automorphisms of g.  Transitivity on each
-    structure means at most one orbit; two-arc-transitivity additionally
-    requires arc-transitivity so the implication chain holds even on
-    degenerate graphs.  For a half-arc-transitive action the two arc
-    orbits are verified to be each other's reverse.
+    """Orbit-count classification of the action of a group of
+    automorphisms of g.  Transitivity means at most one orbit.  An edge
+    orbit is an arc orbit together with its reverse, so the action is
+    edge-transitive exactly when there is at most one arc orbit, or two
+    that are each other's reverse.  The 2-arc orbits are swept only for
+    an arc-transitive action, so two_arc => arc => edge always holds.
     """
     if group.degree != g.n:
         raise NotAutomorphisms(
@@ -295,38 +284,27 @@ def transitivity_report(group: PermGroup, g: Graph) -> TransitivityReport:
     gens = group.generators
     arc_orbit_list = arc_orbits(gens, g)
     vertex_t = g.n <= 1 or len(group.orbit(0)) == g.n
-
-    def act_edge(s, e):
-        a, b = s[e[0]], s[e[1]]
-        return (a, b) if a < b else (b, a)
-
-    def act_two_arc(s, t):
-        return (s[t[0]], s[t[1]], s[t[2]])
-
-    edge_orbits = orbits(g.edges, gens, act_edge)
-    two_arc_orbits = orbits(_all_two_arcs(g), gens, act_two_arc)
-
-    edge_t = len(edge_orbits) <= 1
     arc_t = len(arc_orbit_list) <= 1
-    two_arc_t = arc_t and len(two_arc_orbits) <= 1
-    half_arc_t = vertex_t and edge_t and not arc_t
+    edge_t = arc_t or (
+        len(arc_orbit_list) == 2
+        and {(b, a) for a, b in arc_orbit_list[0]} == set(arc_orbit_list[1]))
+    two_arcs = ((u, v, w) for v in range(g.n) for u in g.adj[v]
+                for w in g.adj[v] if u != w)  # swept only when arc_t
+    two_arc_t = arc_t and len(orbits(
+        two_arcs, gens, lambda s, t: (s[t[0]], s[t[1]], s[t[2]]))) <= 1
 
     if g.m and vertex_t and edge_t:
         k = g.degree(0)
         if k % 2 == 1 and is_regular(g, k):
             # vertex- and edge-transitive on odd valence forces arc-transitive
             assert arc_t, "odd-valence sanity check failed"
-    if half_arc_t:
-        first, second = arc_orbit_list
-        assert {(b, a) for a, b in first} == set(second), \
-            "half-arc-transitive arc orbits are not mutual reverses"
 
     return TransitivityReport(
         vertex_transitive=vertex_t,
         edge_transitive=edge_t,
         arc_transitive=arc_t,
         two_arc_transitive=two_arc_t,
-        half_arc_transitive=half_arc_t,
+        half_arc_transitive=vertex_t and edge_t and not arc_t,
         arc_orbit_count=len(arc_orbit_list),
         arc_orbits=arc_orbit_list,
     )

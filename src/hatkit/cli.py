@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from functools import cached_property
 
@@ -283,6 +284,10 @@ def _verify_entry(payload):
         error = f"{type(exc).__name__}: {exc}"
     except AssertionError as exc:
         error = f"engine invariant failed: {exc}"
+    except Exception as exc:
+        # an engine bug fails its own entry, not the whole run or pool
+        traceback.print_exc(file=sys.stderr)
+        error = f"engine error: {type(exc).__name__}: {exc}"
     return {
         "name": entry.name,
         "checks": checks,

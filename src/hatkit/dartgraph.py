@@ -216,7 +216,10 @@ def psi_isomorphism(g: Graph, d: Orientation, dec: AltDecomposition):
     two-point intersection of C and C' that heads both of its edges on C
     in d.  Returns (mapping, report); the mapping is indexed by dart-graph
     vertices and verified to be an isomorphism that carries the natural
-    orientation onto d.  With d.reverse() the mapping is
+    orientation onto d.  A failed check raises StructureViolation naming
+    it (psi_unique_head, psi_bijective, psi_preserves_adjacency or
+    psi_orientation_compatible) with the dart or arc that fails it, also
+    under python -O.  With d.reverse() the mapping is
     compose(rev, mapping) for the dart reversal rev of the dart graph.
     """
     if d.graph != g:
@@ -246,25 +249,36 @@ def psi_isomorphism(g: Graph, d: Orientation, dec: AltDecomposition):
         pair = (c1, c2) if c1 < c2 else (c2, c1)
         u, w = by_pair[pair]
         u_heads = heads_both_on(c1, u)
-        w_heads = heads_both_on(c1, w)
-        assert u_heads != w_heads, \
-            "exactly one intersection vertex heads both edges of the cycle"
+        if u_heads == heads_both_on(c1, w):
+            raise StructureViolation(
+                f"psi_unique_head: dart {i} = ({c1}, {c2}): {2 * u_heads} of "
+                f"its pair ({u}, {w}) head both edges on cycle {c1}, not 1")
         psi[i] = u if u_heads else w
     psi = tuple(psi)
 
-    bijective = sorted(psi) == list(range(g.n))
-    preserves = maps_edges(psi, dart, g)
-    oriented = all(d.head_of(psi[t], psi[h]) == psi[h]
-                   for t, h in natural.arcs)
-    assert bijective and preserves and oriented, \
-        "dart correspondence failed verification"
+    # |V(g)| / 3 cycles give |V(g)| darts, so an injective psi is bijective
+    taken = {}
+    checks = (
+        ("psi_bijective", "darts {} map to the same vertex",
+         ((taken[v], i) for i, v in enumerate(psi)
+          if taken.setdefault(v, i) != i)),
+        ("psi_preserves_adjacency", "dart-graph edge {} maps to a non-edge",
+         (e for e in dart.edges if psi[e[1]] not in g.nbrs[psi[e[0]]])),
+        ("psi_orientation_compatible", "natural arc {} maps against d",
+         (a for a in natural.arcs if not d.is_head(psi[a[1]], psi[a[0]]))),
+    )
+    for name, text, failures in checks:
+        witness = next(failures, None)
+        if witness is not None:
+            raise StructureViolation(f"{name}: " + text.format(witness))
+    # each check above raises on failure
     report = PsiReport(
         radius=dec.radius,
         attachment=dec.attachment,
         alt_order=lam.n,
-        bijective=bijective,
-        preserves_adjacency=preserves,
-        orientation_compatible=oriented,
+        bijective=True,
+        preserves_adjacency=True,
+        orientation_compatible=True,
     )
     return psi, report
 

@@ -16,6 +16,7 @@ from hatkit.autgroup import (
     transitivity_report,
     unit_partition,
 )
+from hatkit.census import builtin_entries
 from hatkit.dartgraph import dart_graph, dart_reversal, lift_automorphisms
 
 from conftest import cycle_graph, path_graph
@@ -235,6 +236,98 @@ def test_transitivity_implications_random():
         assert report.half_arc_transitive == (
             report.vertex_transitive and report.edge_transitive
             and not report.arc_transitive)
+
+
+def _reference_orbit_count(items, gens, act):
+    """Orbits of items under the generators, by a closure of its own."""
+    left = set(items)
+    count = 0
+    while left:
+        count += 1
+        queue = [left.pop()]
+        while queue:
+            x = queue.pop()
+            for s in gens:
+                y = act(s, x)
+                if y in left:
+                    left.remove(y)
+                    queue.append(y)
+    return count
+
+
+def _reference_transitivity(gens, g):
+    """The five flags and the arc orbit count from separate vertex, edge,
+    arc and 2-arc sweeps."""
+    def act(s, t):
+        return tuple(s[x] for x in t)
+
+    def act_edge(s, e):
+        return tuple(sorted(act(s, e)))
+
+    arcs = [(u, v) for u in range(g.n) for v in g.adj[u]]
+    two_arcs = [(u, v, w) for u, v in arcs for w in g.adj[v] if w != u]
+    vertex_t = _reference_orbit_count(range(g.n), gens,
+                                      lambda s, v: s[v]) <= 1
+    edge_t = _reference_orbit_count(g.edges, gens, act_edge) <= 1
+    arc_count = _reference_orbit_count(arcs, gens, act)
+    arc_t = arc_count <= 1
+    two_arc_t = arc_t and _reference_orbit_count(two_arcs, gens, act) <= 1
+    return {
+        "vertex_transitive": vertex_t,
+        "edge_transitive": edge_t,
+        "arc_transitive": arc_t,
+        "two_arc_transitive": two_arc_t,
+        "half_arc_transitive": vertex_t and edge_t and not arc_t,
+        "arc_orbit_count": arc_count,
+    }
+
+
+_EXTRA_REFERENCE_CASES = {
+    # edgeless: edge, arc and 2-arc transitivity hold vacuously
+    "edgeless-3-s3": (from_edge_list(3, []), [(1, 0, 2), (1, 2, 0)]),
+    # two arc orbits that are each other's reverse, not vertex-transitive
+    "path-plus-isolated": (from_edge_list(4, [(0, 1), (1, 2)]),
+                           [(2, 1, 0, 3)]),
+    # two arc orbits, each its own reverse: not edge-transitive
+    "two-edges-flipped": (from_edge_list(4, [(0, 1), (2, 3)]),
+                          [(1, 0, 2, 3), (0, 1, 3, 2)]),
+}
+_REFERENCE_CASES = (
+    [f"{entry.name}-{kind}" for entry in builtin_entries()
+     for kind in ("aut", "trivial", "one-generator")]
+    + ["dart-k4-lift", "dart-petersen-lift"] + list(_EXTRA_REFERENCE_CASES))
+
+
+def _reference_case(case):
+    """(group, graph) for a case name of _REFERENCE_CASES."""
+    if case in _EXTRA_REFERENCE_CASES:
+        g, gens = _EXTRA_REFERENCE_CASES[case]
+        return schreier_sims(gens, degree=g.n), g
+    if case.startswith("dart-"):
+        base = next(e for e in builtin_entries()
+                    if e.name == case.split("-")[1]).graph()
+        dart, _, labeling = dart_graph(base)
+        return lift_automorphisms(base, automorphism_group(base),
+                                  labeling), dart
+    name, kind = case.split("-", 1)
+    g = next(e for e in builtin_entries() if e.name == name).graph()
+    aut = automorphism_group(g)
+    gens = {"aut": aut.generators, "trivial": [],
+            "one-generator": aut.generators[:1]}[kind]
+    return (aut if kind == "aut" else schreier_sims(gens, degree=g.n)), g
+
+
+@pytest.mark.parametrize("case", _REFERENCE_CASES)
+def test_transitivity_matches_reference_sweeps(case):
+    """Every flag read from the one arc sweep agrees with separate
+    vertex, edge, arc and 2-arc orbit sweeps: each builtin graph (Holt
+    included) under Aut(g), the trivial group and one generator of
+    Aut(g), the lifted dart actions of K4 and Petersen, and small
+    degenerate actions."""
+    group, g = _reference_case(case)
+    expected = _reference_transitivity(group.generators, g)
+    report = transitivity_report(group, g)
+    assert {key: getattr(report, key) for key in expected} == expected
 
 
 def test_transitivity_rejects_non_automorphisms(k4):

@@ -281,7 +281,8 @@ def test_verify_entry_builds_each_artefact_once(monkeypatch):
     its alternating cycles are built once for all three suites (psi builds
     the second dart graph, of the reconstruction), and the dart and cover
     identifications are certified by the maps their constructions define,
-    without an isomorphism search."""
+    without an isomorphism search: the one automorphism search is
+    Petersen's own."""
     calls = Counter()
     layers = (altcycles, autgroup, cli, covers, dartgraph, perms)
     for module, name in ((dartgraph, "dart_graph"),
@@ -307,10 +308,40 @@ def test_verify_entry_builds_each_artefact_once(monkeypatch):
     assert calls["dart_graph"] <= 2
     assert calls["lift_automorphisms"] == 1
     assert calls["schreier_sims"] <= 4
-    assert calls["transitivity_report"] <= 4
+    assert calls["transitivity_report"] <= 3
     assert calls["is_isomorphic"] == 0
+    assert autgroup._analysis.cache_info().misses == 1
     assert calls["induced_orientation"] == 1
     assert calls["alternating_cycles"] == 1
+
+
+def test_cli_verify_isolates_engine_errors_per_entry(monkeypatch, tmp_path,
+                                                    capsys):
+    """An unexpected exception fails its own entry, named with its type,
+    and every other entry is still verified and reported."""
+    real = cli.cover_pipeline
+
+    def broken_for_petersen(total, dec, group):
+        if total.n == 30:  # Dart(Petersen); no other builtin has 30 darts
+            raise RuntimeError("injected for petersen")
+        return real(total, dec, group)
+
+    monkeypatch.setattr(cli, "cover_pipeline", broken_for_petersen)
+    out = tmp_path / "report.json"
+    assert main(["verify", "all", "--census", "builtin",
+                 "--out", str(out)]) == 1
+    printed = capsys.readouterr()
+    assert ("[FAIL] petersen: error: engine error: RuntimeError: "
+            "injected for petersen") in printed.out
+    assert "Traceback" in printed.err and "broken_for_petersen" in printed.err
+    report = json.loads(out.read_text())
+    by_name = {e["name"]: e for e in report["entries"]}
+    assert sorted(by_name) == sorted(e.name for e in builtin_entries())
+    assert report["failures"] == ["petersen"]
+    assert by_name["petersen"]["error"] == \
+        "engine error: RuntimeError: injected for petersen"
+    assert all(e["passed"] and e["error"] is None
+               for name, e in by_name.items() if name != "petersen")
 
 
 def test_verify_entry_bounds_only_proven_builds(monkeypatch):

@@ -23,13 +23,16 @@ from hatkit.graphs import (
     line_graph,
 )
 from hatkit.perms import compose, from_cycles, identity, schreier_sims
-from hatkit.autgroup import automorphism_group, is_isomorphic
+from hatkit.autgroup import automorphism_group, canonical_form, is_isomorphic
 from hatkit.altcycles import (
+    alt_graph,
     alternating_cycles,
     antipodal_involution,
     induced_orientation,
 )
+from hatkit.census import builtin_entries
 from hatkit.dartgraph import dart_graph, lift_automorphisms, wreath_graph
+from hatkit.graph6 import parse_graph6, write_graph6
 from hatkit.covers import (
     cover_pipeline,
     is_covering,
@@ -274,10 +277,10 @@ def test_cover_pipeline_rejects_wrong_line_graph_under_optimize():
 
 def test_cover_pipeline_rejects_arc_intransitive_base_under_optimize():
     """Arc-transitivity of the projected action is checked by a raise
-    that names it, not an assert: with transitivity_report made to see
-    two arc orbits on the base, the check fails under python -O."""
+    that names it, not an assert: with arc_orbits made to split the
+    base's arcs into two orbits, the check fails under python -O."""
     code = (
-        "import dataclasses, sys\n"
+        "import sys\n"
         "from hatkit import covers\n"
         "from hatkit.altcycles import alternating_cycles\n"
         "from hatkit.autgroup import automorphism_group\n"
@@ -289,9 +292,11 @@ def test_cover_pipeline_rejects_arc_intransitive_base_under_optimize():
         "lifted = lift_automorphisms(\n"
         "    petersen, automorphism_group(petersen), labeling)\n"
         "dec = alternating_cycles(g, natural)\n"
-        "real = covers.transitivity_report\n"
-        "covers.transitivity_report = lambda group, x: dataclasses.replace(\n"
-        "    real(group, x), arc_transitive=False, arc_orbit_count=2)\n"
+        "real = covers.arc_orbits\n"
+        "def split(generators, x):\n"
+        "    (orbit,) = real(generators, x)\n"
+        "    return orbit[:1], orbit[1:]\n"
+        "covers.arc_orbits = split\n"
         "try:\n"
         "    covers.cover_pipeline(g, dec, lifted)\n"
         "except StructureViolation as exc:\n"
@@ -300,6 +305,18 @@ def test_cover_pipeline_rejects_arc_intransitive_base_under_optimize():
     )
     assert run_optimized(code) == ["1", "StructureViolation",
                                    "projected_arc_transitive"]
+
+
+@pytest.mark.parametrize("name", ["petersen", "heawood", "dodecahedron"])
+def test_cover_pipeline_base_is_line_graph_of_value(name):
+    """base_is_line_graph_of is the graph of alternating cycles labelled
+    by the decomposition, and that graph is the cubic base itself."""
+    base = next(e for e in builtin_entries() if e.name == name).graph()
+    g, dec, lifted = dart_with_cycles(base)
+    report = cover_pipeline(g, dec, lifted)
+    assert report.base_is_line_graph_of == write_graph6(alt_graph(g, dec))
+    lam = parse_graph6(report.base_is_line_graph_of)
+    assert canonical_form(lam)[1] == canonical_form(base)[1]
 
 
 def test_cover_pipeline_order_guard(k4):

@@ -189,6 +189,35 @@ def test_verify_dart_forward_rejects_uninduced_natural_under_optimize():
                                    "natural_orientation_induced"]
 
 
+def test_psi_rejects_uninduced_orientation_under_optimize():
+    """psi's checks are raises that name themselves, not asserts: the
+    natural orientation of Dart(Petersen) with the darts of the outer
+    5-cycle reversed is a 2-in/2-out orientation that no group induces,
+    and with the natural decomposition psi fails under python -O with the
+    dart whose intersection pair has no unique head."""
+    code = (
+        "import sys\n"
+        "from hatkit.altcycles import Orientation, alternating_cycles\n"
+        "from hatkit.census import generalized_petersen\n"
+        "from hatkit.dartgraph import dart_graph, psi_isomorphism\n"
+        "from hatkit.errors import StructureViolation\n"
+        "petersen = generalized_petersen(5, 2)\n"
+        "g, natural, labeling = dart_graph(petersen)\n"
+        "step = [labeling.index[(i, (i + 1) % 5)] for i in range(5)]\n"
+        "flip = {(step[i], step[(i + 1) % 5]) for i in range(5)}\n"
+        "mixed = Orientation(g, [(h, t) if (t, h) in flip else (t, h)\n"
+        "                        for t, h in natural.arcs])\n"
+        "try:\n"
+        "    psi_isomorphism(g, mixed, alternating_cycles(g, natural))\n"
+        "except StructureViolation as exc:\n"
+        "    name, detail = str(exc).split(':', 1)\n"
+        "    print(sys.flags.optimize, type(exc).__name__, name,\n"
+        "          'dart' in detail)\n"
+    )
+    assert run_optimized(code) == ["1", "StructureViolation",
+                                   "psi_unique_head", "True"]
+
+
 def test_verify_dart_forward_needs_two_arc_transitivity(k33):
     # a vertex-regular cyclic subgroup of Aut(K3,3): rotate the hexagon
     # 0,3,1,4,2,5 whose consecutive vertices alternate sides
