@@ -6,19 +6,28 @@ has the same number of neighbours in every cell); the target cell is the
 first smallest non-singleton cell and its vertices are individualized in
 increasing order.  Discovered automorphisms prune sibling branches whose
 candidate lies in the orbit of an already explored candidate under the
-subgroup fixing the current individualization prefix pointwise.  The
-canonical certificate is the graph6 string of the relabeled graph that
-minimizes the encoding over the leaves of the search tree.
+subgroup fixing the current individualization prefix pointwise.
+
+Each leaf is a discrete partition, read as a relabeling of the graph, and
+is ranked by the integer key of the relabeled upper triangle (`_leaf_key`),
+which orders like the graph6 strings of the relabeled graphs but costs
+O(|E|) and builds no graph.  Two leaves with equal keys differ by an
+automorphism.  The canonical certificate is the graph6 string of the
+relabeled graph at the minimum key, encoded once per search.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .errors import NotAutomorphisms, TooLarge
-from .graphs import Graph, is_regular, maps_edges, relabel
+from .errors import (
+    InvalidPartition,
+    NotAutomorphisms,
+    StructureViolation,
+    TooLarge,
+)
+from .graphs import Graph, is_regular, maps_edges, relabel, unmapped_edge
 from .graph6 import write_graph6
 from .records import JsonRecord
 from .perms import (
@@ -42,11 +51,30 @@ def unit_partition(g: Graph) -> ColoredPartition:
 
 
 def _check_partition(g, partition):
-    seen = []
+    seen = [False] * g.n
     for cell in partition:
-        seen.extend(cell)
-    if sorted(seen) != list(range(g.n)):
-        raise ValueError("cells do not partition the vertex set")
+        for v in cell:
+            if not 0 <= v < g.n:
+                raise InvalidPartition(
+                    f"vertex {v} of a cell is outside 0..{g.n - 1}")
+            if seen[v]:
+                raise InvalidPartition(f"vertex {v} lies in two cells")
+            seen[v] = True
+    if not all(seen):
+        raise InvalidPartition(
+            f"vertex {seen.index(False)} lies in no cell")
+
+
+def _signature(ids):
+    """The sorted (cell index, neighbour count) pairs of a vertex, from
+    the sorted cell indices of its neighbours."""
+    sig = []
+    for c in ids:
+        if sig and sig[-1][0] == c:
+            sig[-1][1] += 1
+        else:
+            sig.append([c, 1])
+    return sig
 
 
 def refine(g: Graph, partition) -> ColoredPartition:
@@ -55,33 +83,44 @@ def refine(g: Graph, partition) -> ColoredPartition:
     Cells split by the multiset of (cell index, neighbour count) pairs of
     their vertices; split parts are ordered by ascending signature, so the
     result depends only on the isomorphism type of (g, partition).
+
+    Each round signs the cells against the partition the round starts
+    from.  The first round signs every cell; a later one signs only the
+    cells that hold a neighbour of a vertex whose cell split in the round
+    before, since every other cell was uniform then and still is.
     """
     _check_partition(g, partition)
+    adj = g.adj
     cells = [tuple(sorted(cell)) for cell in partition]
+    cell_id = [0] * g.n
+    moved = None        # vertices of the cells split in the last round
     while True:
-        cell_id = [0] * g.n
         for i, cell in enumerate(cells):
             for v in cell:
                 cell_id[v] = i
+        dirty = (range(len(cells)) if moved is None
+                 else {cell_id[w] for v in moved for w in adj[v]})
         new_cells = []
-        changed = False
-        for cell in cells:
-            if len(cell) == 1:
+        moved = []
+        for i, cell in enumerate(cells):
+            if len(cell) == 1 or i not in dirty:
                 new_cells.append(cell)
                 continue
+            # Equal sorted neighbour cell ids mean equal signatures; the
+            # signatures themselves are built only to order split parts.
             groups = {}
             for v in cell:
-                sig = tuple(sorted(Counter(cell_id[w] for w in g.adj[v]).items()))
-                groups.setdefault(sig, []).append(v)
+                ids = tuple(sorted([cell_id[w] for w in adj[v]]))
+                groups.setdefault(ids, []).append(v)
             if len(groups) == 1:
                 new_cells.append(cell)
             else:
-                changed = True
-                for sig in sorted(groups):
-                    new_cells.append(tuple(groups[sig]))
-        cells = new_cells
-        if not changed:
+                moved.extend(cell)
+                for ids in sorted(groups, key=_signature):
+                    new_cells.append(tuple(groups[ids]))
+        if not moved:
             return tuple(cells)
+        cells = new_cells
 
 
 def _individualize(partition, cell_index, v):
@@ -98,22 +137,49 @@ def _target_cell(partition):
     return best
 
 
+def _leaf_key(g, pi):
+    """Sum of 2^(L-1-pos(i, j)) over the edges ij, i < j, of g relabeled
+    by pi, where L = n(n-1)/2 and pos(i, j) = j(j-1)/2 + i.
+
+    graph6 writes the same upper-triangle bits in the same order, most
+    significant first, after a header fixed by n and before zero padding,
+    so for graphs of one order the key orders exactly like graph6.
+    """
+    top = g.n * (g.n - 1) // 2 - 1
+    key = 0
+    for u, v in g.edges:
+        i, j = pi[u], pi[v]
+        if i > j:
+            i, j = j, i
+        key |= 1 << (top - j * (j - 1) // 2 - i)
+    return key
+
+
+def _check_edge_map(check, p, g, h):
+    """Raise StructureViolation naming `check` at the first edge of g that
+    p does not carry to an edge of h."""
+    edge = unmapped_edge(p, g, h)
+    if edge is not None:
+        u, v = edge
+        raise StructureViolation(f"{check}: edge ({u}, {v}) maps to the "
+                                 f"non-edge ({p[u]}, {p[v]})")
+
+
 class _Search:
     """One full IR search over a graph: automorphism generators plus the
-    minimum-encoding leaf."""
+    leaf of minimum key."""
 
     def __init__(self, g):
         self.g = g
         self.aut_gens = []
         self._gen_set = set()
-        self.leaves = {}          # encoding -> labeling of first leaf with it
-        self.best_enc = None
+        self.leaves = {}          # leaf key -> labeling of first leaf with it
+        self.best_key = None
         self.best_pi = None
 
     def run(self):
         if self.g.n == 0:
             self.best_pi = ()
-            self.best_enc = write_graph6(self.g).encode("ascii")
             return self
         self._explore(refine(self.g, unit_partition(self.g)), ())
         return self
@@ -156,19 +222,18 @@ class _Search:
         for pos, cell in enumerate(partition):
             pi[cell[0]] = pos
         pi = tuple(pi)
-        enc = write_graph6(relabel(self.g, pi)).encode("ascii")
-        other = self.leaves.get(enc)
+        key = _leaf_key(self.g, pi)
+        other = self.leaves.get(key)
         if other is None:
-            self.leaves[enc] = pi
+            self.leaves[key] = pi
         else:
             aut = compose(pi, inverse(other))
             if not is_identity(aut) and aut not in self._gen_set:
-                assert maps_edges(aut, self.g, self.g), \
-                    "leaf pair gave a non-automorphism"
+                _check_edge_map("leaf_pair_automorphism", aut, self.g, self.g)
                 self._gen_set.add(aut)
                 self.aut_gens.append(aut)
-        if self.best_enc is None or enc < self.best_enc:
-            self.best_enc = enc
+        if self.best_key is None or key < self.best_key:
+            self.best_key = key
             self.best_pi = pi
 
 
@@ -182,7 +247,8 @@ class _SearchResult:
     def __init__(self, search):
         self.generators = tuple(search.aut_gens)
         self.labeling = search.best_pi
-        self.certificate = search.best_enc
+        self.certificate = write_graph6(
+            relabel(search.g, search.best_pi)).encode("ascii")
         self.group = None
 
 
@@ -204,7 +270,7 @@ def automorphism_group(g: Graph) -> PermGroup:
     if result.group is None:
         group = schreier_sims(result.generators, degree=g.n)
         for gen in group.generators:
-            assert maps_edges(gen, g, g)
+            _check_edge_map("aut_generator", gen, g, g)
         result.group = group
     return result.group
 
@@ -234,7 +300,7 @@ def is_isomorphic(g: Graph, h: Graph):
     if search_g.certificate != search_h.certificate:
         return None
     mapping = compose(search_g.labeling, inverse(search_h.labeling))
-    assert maps_edges(mapping, g, h)
+    _check_edge_map("isomorphism_mapping", mapping, g, h)
     return mapping
 
 
@@ -297,7 +363,11 @@ def transitivity_report(group: PermGroup, g: Graph) -> TransitivityReport:
         k = g.degree(0)
         if k % 2 == 1 and is_regular(g, k):
             # vertex- and edge-transitive on odd valence forces arc-transitive
-            assert arc_t, "odd-valence sanity check failed"
+            if not arc_t:
+                raise StructureViolation(
+                    f"odd_valence_arc_transitive: {k}-valent, 1 vertex "
+                    f"orbit, edge-transitive, yet {len(arc_orbit_list)} "
+                    "arc orbits")
 
     return TransitivityReport(
         vertex_transitive=vertex_t,

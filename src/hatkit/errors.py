@@ -68,6 +68,12 @@ class NotAutomorphisms(HatError):
     """A supplied group contains a generator that is not a graph automorphism."""
 
 
+class InvalidPartition(HatError, ValueError):
+    """The cells handed to refine do not partition the vertex set.  Also
+    a ValueError, so callers that catch ValueError from refine keep
+    working."""
+
+
 # alternating-cycle analysis
 
 class NotTetravalent(HatError):
@@ -83,8 +89,11 @@ class OrientationInvalid(HatError):
 
 
 class StructureViolation(HatError):
-    """An alternating-cycle invariant failed; the orientation was not
-    induced by a half-arc-transitive action (or the engine has a bug)."""
+    """An invariant that a construction or the automorphism search
+    guarantees failed: an alternating-cycle invariant of an orientation
+    no half-arc-transitive action induces, a constructed map that is no
+    isomorphism, or (only through an engine bug) a search result that is
+    no automorphism."""
 
 
 class TightlyAttached(HatError):

@@ -108,9 +108,15 @@ def relabel(g, perm):
     return from_edge_list(g.n, ((perm[u], perm[v]) for u, v in g.edges))
 
 
+def unmapped_edge(p, g, h):
+    """The first edge uv of g whose image p[u]p[v] is no edge of h, or None."""
+    return next(((u, v) for u, v in g.edges if p[v] not in h.nbrs[p[u]]),
+                None)
+
+
 def maps_edges(p, g, h):
     """True when every edge uv of g maps to an edge p[u]p[v] of h."""
-    return all(p[v] in h.nbrs[p[u]] for u, v in g.edges)
+    return unmapped_edge(p, g, h) is None
 
 
 def is_isomorphism(p, g, h):

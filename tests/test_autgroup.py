@@ -1,9 +1,12 @@
+import hashlib
 import random
+from collections import Counter
 from itertools import combinations, permutations
 
 import pytest
 
-from hatkit.errors import NotAutomorphisms, TooLarge
+from hatkit.errors import InvalidPartition, NotAutomorphisms, TooLarge
+from hatkit.graph6 import write_graph6
 from hatkit.graphs import Graph, bipartite_double, from_edge_list, line_graph, relabel
 from hatkit.perms import schreier_sims, from_cycles
 from hatkit import autgroup
@@ -16,10 +19,28 @@ from hatkit.autgroup import (
     transitivity_report,
     unit_partition,
 )
-from hatkit.census import builtin_entries
+from hatkit.census import (
+    builtin_entries,
+    coxeter_graph,
+    generalized_petersen,
+    lcf_graph,
+)
 from hatkit.dartgraph import dart_graph, dart_reversal, lift_automorphisms
 
-from conftest import cycle_graph, path_graph
+from conftest import cycle_graph, path_graph, run_optimized
+
+# The seven cubic symmetric graphs of the benchmark's stress census
+# (bench/inputs.py STRESS_TABLE), up to the Foster graph on 90 vertices.
+STRESS_GRAPHS = (
+    lambda: lcf_graph([-7, 7], 13),
+    lambda: lcf_graph([5, -5, 13, -13], 8),
+    lambda: lcf_graph([-13, -9, 7, -7, 9, 13], 5),
+    lambda: generalized_petersen(24, 5),
+    lambda: bipartite_double(generalized_petersen(10, 2)),
+    lambda: bipartite_double(coxeter_graph()),
+    lambda: lcf_graph([17, -9, 37, -37, 9, -17], 15),
+)
+FRUCHT = ([-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2], 1)   # cubic, |Aut| = 1
 
 
 def brute_force_aut_order(g):
@@ -34,6 +55,55 @@ def brute_force_aut_order(g):
 def random_graph(rng, n, p=0.5):
     edges = [pair for pair in combinations(range(n), 2) if rng.random() < p]
     return from_edge_list(n, edges)
+
+
+def random_cubic(rng, n):
+    """A simple cubic graph on n vertices (configuration model with
+    rejection; not necessarily connected)."""
+    while True:
+        stubs = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(stubs)
+        edges = {(min(a, b), max(a, b)) for a, b in zip(stubs[::2], stubs[1::2])
+                 if a != b}
+        if len(edges) == 3 * n // 2:
+            return from_edge_list(n, sorted(edges))
+
+
+def random_ordered_partition(rng, n):
+    verts = list(range(n))
+    rng.shuffle(verts)
+    cuts = sorted(rng.sample(range(1, n), min(rng.randint(0, 5), n - 1)))
+    return tuple(tuple(verts[a:b]) for a, b in zip([0] + cuts, cuts + [n]))
+
+
+def reference_refine(g, partition):
+    """The coarsest equitable refinement the direct way: every round signs
+    every non-singleton cell with a Counter of neighbour cell ids."""
+    cells = [tuple(sorted(cell)) for cell in partition]
+    while True:
+        cell_id = [0] * g.n
+        for i, cell in enumerate(cells):
+            for v in cell:
+                cell_id[v] = i
+        new_cells = []
+        changed = False
+        for cell in cells:
+            if len(cell) == 1:
+                new_cells.append(cell)
+                continue
+            groups = {}
+            for v in cell:
+                sig = tuple(sorted(Counter(cell_id[w] for w in g.adj[v]).items()))
+                groups.setdefault(sig, []).append(v)
+            if len(groups) == 1:
+                new_cells.append(cell)
+            else:
+                changed = True
+                for sig in sorted(groups):
+                    new_cells.append(tuple(groups[sig]))
+        cells = new_cells
+        if not changed:
+            return tuple(cells)
 
 
 def test_refine_regular_unit():
@@ -62,6 +132,107 @@ def test_refine_idempotent():
 def test_refine_validates_partition(k4):
     with pytest.raises(ValueError):
         refine(k4, ((0, 1), (1, 2, 3)))
+
+
+@pytest.mark.parametrize("partition,detail", [
+    (((0, 1), (1, 2, 3)), "vertex 1 lies in two cells"),
+    (((0, 1), (3,)), "vertex 2 lies in no cell"),
+    (((0, 1, 2, 3, 4),), "vertex 4 of a cell is outside 0..3"),
+])
+def test_refine_partition_error_names_vertex(k4, partition, detail):
+    with pytest.raises(InvalidPartition, match=detail):
+        refine(k4, partition)
+
+
+def test_refine_matches_reference():
+    """Re-signing only the cells a split can reach leaves every ordered
+    partition as signing every cell in every round does."""
+    rng = random.Random(8)
+    graphs = [e.graph() for e in builtin_entries()]
+    graphs += [build() for build in STRESS_GRAPHS]
+    graphs += [random_cubic(rng, rng.randrange(20, 61, 2)) for _ in range(4)]
+    graphs += [random_graph(rng, rng.randint(1, 14), rng.random())
+               for _ in range(80)]
+    for g in graphs:
+        for _ in range(5):
+            partition = random_ordered_partition(rng, g.n)
+            assert refine(g, partition) == reference_refine(g, partition)
+
+
+def test_leaf_key_orders_like_graph6():
+    """For graphs of one order the leaf key orders like graph6, through
+    the long header (n >= 63) and with and without padding."""
+    rng = random.Random(6)
+    for n in range(1, 71):
+        g = random_graph(rng, n, rng.random())
+        labelings = [tuple(range(n))] * 2
+        for _ in range(4):
+            pi = list(range(n))
+            rng.shuffle(pi)
+            labelings.append(tuple(pi))
+        leaves = [(autgroup._leaf_key(g, pi),
+                   write_graph6(relabel(g, pi)).encode("ascii"))
+                  for pi in labelings]
+        for (key1, enc1), (key2, enc2) in combinations(leaves, 2):
+            assert (key1 < key2) == (enc1 < enc2)
+            assert (key1 == key2) == (enc1 == enc2)
+
+
+def test_search_results_pinned():
+    """Generators, canonical labelings and certificates of the builtin
+    and stress graphs, pinned by digest."""
+    digest = hashlib.sha256()
+    graphs = [e.graph() for e in builtin_entries()]
+    graphs += [build() for build in STRESS_GRAPHS]
+    for g in graphs:
+        result = autgroup._analysis(g)
+        digest.update(repr((result.generators, result.labeling,
+                            result.certificate)).encode())
+    assert digest.hexdigest() == (
+        "c03f3c731078d5e4d10a878dd51fbc7f93372daa79cb5952958aa56f9d9dfb68")
+
+
+def test_search_encodes_one_leaf(monkeypatch):
+    """The search ranks leaves by key and relabels and encodes only the
+    winning leaf: one write_graph6 and one relabel per search."""
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(autgroup, "write_graph6",
+                        counted("write_graph6", write_graph6))
+    monkeypatch.setattr(autgroup, "relabel", counted("relabel", relabel))
+    autgroup._analysis.cache_clear()
+    foster = STRESS_GRAPHS[-1]()
+    autgroup._analysis(foster)
+    assert counts == {"write_graph6": 1, "relabel": 1}
+
+
+def test_leaf_pair_check_runs_under_optimize():
+    """The leaf-pair automorphism check is a raise, not an assert: with
+    every leaf given one key, the Frucht graph (|Aut| = 1) pairs two
+    leaves that differ by a non-automorphism, and the search fails under
+    python -O, naming the check."""
+    code = (
+        "import sys\n"
+        "from hatkit import autgroup\n"
+        "from hatkit.census import lcf_graph\n"
+        "from hatkit.errors import StructureViolation\n"
+        "autgroup._leaf_key = lambda g, pi: 0\n"
+        f"g = lcf_graph{FRUCHT}\n"
+        "try:\n"
+        "    autgroup.automorphism_group(g)\n"
+        "except StructureViolation as exc:\n"
+        "    name, detail = str(exc).split(':', 1)\n"
+        "    print(sys.flags.optimize, type(exc).__name__, name,\n"
+        "          'non-edge' in detail)\n"
+    )
+    assert run_optimized(code) == ["1", "StructureViolation",
+                                   "leaf_pair_automorphism", "True"]
 
 
 @pytest.mark.parametrize("build,order", [

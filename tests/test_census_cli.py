@@ -3,6 +3,8 @@ import json
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hatkit.census import (
     builtin_entries,
@@ -12,9 +14,9 @@ from hatkit.census import (
 )
 from hatkit import altcycles, autgroup, cli, covers, dartgraph, perms
 from hatkit.cli import main, analyze_graph
-from hatkit.graphs import is_connected, is_regular
+from hatkit.graphs import is_connected, is_regular, relabel
 from hatkit.graph6 import parse_graph6
-from hatkit.autgroup import automorphism_group
+from hatkit.autgroup import automorphism_group, canonical_form
 
 
 MINI = {
@@ -93,6 +95,23 @@ def test_analyze_graph_holt(holt):
     assert alt["divisibility"]["odd_radius_rule_satisfied"]
     assert alt["alt_action_arc_transitive"] is False
     assert alt["open_question_notes"] == []
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(builtin_entries()).flatmap(
+    lambda e: st.tuples(st.just(e), st.permutations(range(e.graph().n)))))
+def test_analyze_invariant_under_relabeling(case):
+    """A census graph and a relabeling of it give the same analyze record,
+    apart from name and graph6, and the same canonical certificate."""
+    entry, perm = case
+    g = entry.graph()
+    h = relabel(g, tuple(perm))
+    record_g = analyze_graph("g", g)
+    record_h = analyze_graph("h", h)
+    for record in (record_g, record_h):
+        del record["name"], record["graph6"]
+    assert record_g == record_h
+    assert canonical_form(g)[1] == canonical_form(h)[1]
 
 
 def test_cli_analyze_census_name(capsys):
