@@ -14,6 +14,22 @@ which orders like the graph6 strings of the relabeled graphs but costs
 O(|E|) and builds no graph.  Two leaves with equal keys differ by an
 automorphism.  The canonical certificate is the graph6 string of the
 relabeled graph at the minimum key, encoded once per search.
+
+When a leaf repeats the key of an earlier leaf, the automorphism between
+the two is recorded and the search leaves the current subtree at once,
+resuming with the next child of the two paths' deepest common ancestor A
+(McKay and Piperno, "Practical graph isomorphism, II", 2014).  Both
+children of A were individualized in A's target cell, so they sit at one
+position in both leaves: the automorphism fixes A's path and maps one
+child onto the other, and every key in the rest of the current child's
+subtree has been seen.  The minimum key and the first leaf reaching it
+do not change.  Below a node of the first path, a child in the orbit of
+the first child under the node's stabiliser is either pruned as lying in
+the orbit of explored children, or its subtree ends in a repeat of a key
+seen below an earlier child.  So the generators that fix a prefix of the
+first path are transitive on that orbit: they are a strong generating set
+on the first path, which is a base because its leaf is discrete.
+automorphism_group builds Aut(g)'s chain on that base.
 """
 
 from __future__ import annotations
@@ -173,30 +189,37 @@ class _Search:
         self.g = g
         self.aut_gens = []
         self._gen_set = set()
-        self.leaves = {}          # leaf key -> labeling of first leaf with it
+        self.leaves = {}          # leaf key -> (labeling, path) of first leaf
+        self.first_path = None
         self.best_key = None
         self.best_pi = None
 
     def run(self):
         if self.g.n == 0:
-            self.best_pi = ()
+            self.first_path = self.best_pi = ()
             return self
         self._explore(refine(self.g, unit_partition(self.g)), ())
         return self
 
-    def _explore(self, partition, prefix):
+    def _explore(self, partition, path):
+        """Search the subtree below path; returns the depth to unwind to,
+        below len(path) when a leaf showed this subtree equivalent to one
+        explored before."""
         cell_index = _target_cell(partition)
         if cell_index is None:
-            self._leaf(partition)
-            return
+            return self._leaf(partition, path)
+        depth = len(path)
         cell = partition[cell_index]
         explored = []
         for v in cell:
-            if explored and self._in_explored_orbit(v, explored, prefix):
+            if explored and self._in_explored_orbit(v, explored, path):
                 continue
             child = refine(self.g, _individualize(partition, cell_index, v))
-            self._explore(child, prefix + (v,))
+            back = self._explore(child, path + (v,))
+            if back < depth:
+                return back
             explored.append(v)
+        return depth
 
     def _in_explored_orbit(self, v, explored, prefix):
         # Not perms.orbits: this sweep stops at the first hit and runs in
@@ -217,35 +240,47 @@ class _Search:
                     queue.append(y)
         return False
 
-    def _leaf(self, partition):
+    def _leaf(self, partition, path):
+        """Record a leaf; returns the depth of the deepest common ancestor
+        with the first leaf of equal key, else len(path)."""
         pi = [0] * self.g.n
         for pos, cell in enumerate(partition):
             pi[cell[0]] = pos
         pi = tuple(pi)
+        if self.first_path is None:
+            self.first_path = path
         key = _leaf_key(self.g, pi)
-        other = self.leaves.get(key)
-        if other is None:
-            self.leaves[key] = pi
-        else:
-            aut = compose(pi, inverse(other))
-            if not is_identity(aut) and aut not in self._gen_set:
-                _check_edge_map("leaf_pair_automorphism", aut, self.g, self.g)
-                self._gen_set.add(aut)
-                self.aut_gens.append(aut)
         if self.best_key is None or key < self.best_key:
             self.best_key = key
             self.best_pi = pi
+        seen = self.leaves.get(key)
+        if seen is None:
+            self.leaves[key] = pi, path
+            return len(path)
+        other, other_path = seen
+        aut = compose(pi, inverse(other))
+        if not is_identity(aut) and aut not in self._gen_set:
+            _check_edge_map("leaf_pair_automorphism", aut, self.g, self.g)
+            self._gen_set.add(aut)
+            self.aut_gens.append(aut)
+        # aut fixes the common prefix and maps this path's next vertex onto
+        # the other's, so the rest of this subtree repeats seen keys.
+        return next(i for i, (v, w) in enumerate(zip(path, other_path))
+                    if v != w)
 
 
 class _SearchResult:
     """What one IR search leaves behind: the automorphism generators, the
-    canonical labeling and certificate, and the Aut(g) chain once
-    automorphism_group has built it.  The leaf table is not kept."""
+    path of the first leaf, the canonical labeling and certificate, and
+    the Aut(g) chain once automorphism_group has built it.  The leaf table
+    is not kept."""
 
-    __slots__ = ("generators", "labeling", "certificate", "group")
+    __slots__ = ("generators", "first_path", "labeling", "certificate",
+                 "group")
 
     def __init__(self, search):
         self.generators = tuple(search.aut_gens)
+        self.first_path = search.first_path
         self.labeling = search.best_pi
         self.certificate = write_graph6(
             relabel(search.g, search.best_pi)).encode("ascii")
@@ -263,12 +298,14 @@ def automorphism_group(g: Graph) -> PermGroup:
     """The full automorphism group, with exact BSGS-certified order.
 
     The stabiliser chain is built from the search's generators on the
-    first call and kept with the search result; isomorphism tests and
-    canonical forms read the search alone.
+    first call, on the base of the search's first path, and kept with the
+    search result; isomorphism tests and canonical forms read the search
+    alone.
     """
     result = _analysis(g)
     if result.group is None:
-        group = schreier_sims(result.generators, degree=g.n)
+        group = schreier_sims(result.generators, degree=g.n,
+                              base=result.first_path)
         for gen in group.generators:
             _check_edge_map("aut_generator", gen, g, g)
         result.group = group

@@ -73,7 +73,7 @@ class _EntryAnalysis:
     @cached_property
     def forward(self):
         """The certified dart chain of a 2-arc-transitive cubic graph."""
-        return verify_dart_forward(self.g, self.group)
+        return verify_dart_forward(self.g, self.group, self.report)
 
     @cached_property
     def half_arc_cycles(self):

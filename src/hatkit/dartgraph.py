@@ -28,7 +28,7 @@ from .errors import (
 )
 from .graphs import (Graph, from_edge_list, is_connected, is_isomorphism,
                      is_regular, maps_edges)
-from .autgroup import transitivity_report
+from .autgroup import TransitivityReport
 from .altcycles import (
     AltDecomposition,
     Orientation,
@@ -92,7 +92,10 @@ def lift_automorphisms(base: Graph, group: PermGroup,
                        labeling: DartLabeling) -> PermGroup:
     """View base-graph automorphisms as dart-graph automorphisms via
     g.(u,v) = (g(u), g(v)).  The lift is faithful (same order) and
-    preserves the natural orientation; both facts are verified.
+    preserves the natural orientation; both facts are verified, and a
+    failure raises StructureViolation naming lift_faithful (with both
+    orders) or lift_preserves_natural_orientation (with the generator
+    index and the arc), also under python -O.
 
     Once every generator is checked to be an automorphism, the lift is a
     homomorphic image of the group, so |group| bounds its order; the
@@ -110,11 +113,17 @@ def lift_automorphisms(base: Graph, group: PermGroup,
     ]
     lifted = schreier_sims(lifted_gens, degree=len(labeling.darts),
                            order_bound=group.order)
-    assert lifted.order == group.order, "lift must be faithful"
+    if lifted.order != group.order:
+        raise StructureViolation(f"lift_faithful: lifted order {lifted.order}"
+                                 f" != group order {group.order}")
     natural = set(labeling.orientation.arcs)
-    for gen in lifted.generators:
-        assert all((gen[t], gen[h]) in natural for t, h in natural), \
-            "lifted generator must preserve the natural orientation"
+    for i, gen in enumerate(lifted.generators):
+        arc = next(((t, h) for t, h in labeling.orientation.arcs
+                    if (gen[t], gen[h]) not in natural), None)
+        if arc is not None:
+            raise StructureViolation(
+                f"lift_preserves_natural_orientation: lifted generator {i} "
+                f"maps natural arc {arc} to {(gen[arc[0]], gen[arc[1]])}")
     return lifted
 
 
@@ -141,7 +150,8 @@ class DartForwardReport(JsonRecord):
     decomposition: AltDecomposition = field(repr=False)
 
 
-def verify_dart_forward(base: Graph, group: PermGroup) -> DartForwardReport:
+def verify_dart_forward(base: Graph, group: PermGroup,
+                        report: TransitivityReport) -> DartForwardReport:
     """Build the dart graph of a 2-arc-transitive cubic graph, lift the
     group, and certify: the lifted action is half-arc-transitive with
     radius 3 and attachment 2, the graph of alternating cycles is
@@ -151,9 +161,11 @@ def verify_dart_forward(base: Graph, group: PermGroup) -> DartForwardReport:
     each induced orientation as witness).  The
     alternating cycle of base vertex x is the six darts at x, so the
     isomorphism maps each cycle to the vertex its darts share
-    (StructureViolation if that is not an isomorphism)."""
-    base_report = transitivity_report(group, base)
-    if not base_report.two_arc_transitive:
+    (StructureViolation if that is not an isomorphism).
+
+    report is transitivity_report(group, base), which the caller already
+    holds; Not2ArcTransitive unless it is 2-arc-transitive."""
+    if not report.two_arc_transitive:
         raise Not2ArcTransitive(
             "the supplied action on the base graph is not 2-arc-transitive")
     g, natural, labeling = dart_graph(base)

@@ -80,10 +80,11 @@ def cycle_string(p) -> str:
 class PermGroup:
     """Permutation group with a base and strong generating set.
 
-    The chain is deterministic: base points are the smallest point moved
-    by the generator that forced them, and transversal representatives are
-    found breadth first.  ``order`` is the exact product of the
-    fundamental orbit lengths.  Built via :func:`schreier_sims`.
+    The chain is deterministic: base points are the ones given to
+    schreier_sims, then the smallest point moved by the generator that
+    forced them, and transversal representatives are found breadth first.
+    ``order`` is the exact product of the fundamental orbit lengths.
+    Built via :func:`schreier_sims`.
     """
 
     def __init__(self, degree, generators, base, strong, transversals):
@@ -133,24 +134,31 @@ class PermGroup:
         return tuple(orbits(range(self.degree), self.generators, getitem))
 
 
-def schreier_sims(generators, degree=None, order_bound=None) -> PermGroup:
+def schreier_sims(generators, degree=None, order_bound=None,
+                  base=()) -> PermGroup:
     """Deterministic Schreier-Sims: build a PermGroup with verified BSGS.
 
-    The closure loop checks every Schreier generator of every level; a
-    nontrivial sift residue becomes a new strong generator at the level it
-    got stuck, extending the base when it fixes all current base points.
+    base, when given, lists initial base points, in order.  The closure
+    loop checks every Schreier generator of every level; a nontrivial sift
+    residue becomes a new strong generator at the level it got stuck,
+    extending the base when it fixes all current base points.  A level's
+    transversal is rebuilt only when a strong generator joined the level
+    since its last build.  An initial base on which the generators are
+    already strong (as the first path of an IR search is for the
+    automorphisms that search found) leaves the closure nothing to add,
+    but every Schreier generator is still sifted.
 
     order_bound, when given, must be a proven upper bound on the order of
     the generated group.  Every basic orbit of a partial chain is the
     orbit of its base point under a subgroup of the true point
     stabiliser, so the product of the basic orbit lengths never exceeds
     the group order (Seress, Permutation Group Algorithms, 2003, ch. 4).
-    The closure loop computes that product after each transversal
-    rebuild: once it equals the bound, every basic orbit is complete and
-    the last stabiliser is trivial, so the partial chain is already a
-    BSGS and the build stops with exact order, sift and contains.  A
-    product above the bound raises OrderBoundExceeded.  A bound that is
-    never reached costs nothing: the build runs to full closure.
+    The closure loop computes that product at each level it visits: once
+    it equals the bound, every basic orbit is complete and the last
+    stabiliser is trivial, so the partial chain is already a BSGS and the
+    build stops with exact order, sift and contains.  A product above the
+    bound raises OrderBoundExceeded.  A bound that is never reached costs
+    nothing: the build runs to full closure.
     """
     gens = [tuple(g) for g in generators]
     if degree is None:
@@ -161,14 +169,20 @@ def schreier_sims(generators, degree=None, order_bound=None) -> PermGroup:
         if len(g) != degree:
             raise DegreeMismatch(f"generator degree {len(g)} != {degree}")
         check_perm(g)
+    base = list(base)
+    for b in base:
+        if not 0 <= b < degree:
+            raise VertexOutOfRange(f"base point {b} outside 0..{degree - 1}")
+    if len(set(base)) != len(base):
+        raise ValueError(f"base {base} repeats a point")
 
     seen = set()
     gens = [g for g in gens
             if not is_identity(g) and not (g in seen or seen.add(g))]
 
-    base: list[int] = []
     strong: list[Perm] = []
-    transversals: list[dict] = []
+    transversals: list[dict] = [{} for _ in base]
+    stale = [True] * len(base)     # a strong generator joined since built
 
     def fixes_prefix(g, k):
         return all(g[b] == b for b in base[:k])
@@ -181,17 +195,17 @@ def schreier_sims(generators, degree=None, order_bound=None) -> PermGroup:
         k = 0
         while k < len(base) and g[base[k]] == base[k]:
             k += 1
-        new_level = k == len(base)
-        if new_level:
-            b = min(p for p in range(degree) if g[p] != p)
-            base.append(b)
+        if k == len(base):
+            base.append(min(p for p in range(degree) if g[p] != p))
             transversals.append({})
+            stale.append(True)
         strong.append(g)
-        if new_level:
-            rebuild_transversal(k)
+        stale[:k + 1] = [True] * (k + 1)
         return k
 
     def rebuild_transversal(i):
+        if not stale[i]:
+            return
         b = base[i]
         t = {b: identity(degree)}
         queue = [b]
@@ -206,6 +220,7 @@ def schreier_sims(generators, degree=None, order_bound=None) -> PermGroup:
                     t[y] = compose(t[x], s)
                     queue.append(y)
         transversals[i] = t
+        stale[i] = False
 
     def strip(g, start):
         for i in range(start, len(base)):

@@ -67,7 +67,7 @@ def pipeline():
         if is_regular(g, 3) and report.two_arc_transitive:
             dart, natural, labeling = dart_graph(g)
             lifted = lift_automorphisms(g, group, labeling)
-            forward = verify_dart_forward(g, group)
+            forward = verify_dart_forward(g, group, report)
             dec = alternating_cycles(dart, natural)
             item.dart = SimpleNamespace(
                 graph=dart, natural=natural, labeling=labeling,

@@ -40,7 +40,16 @@ STRESS_GRAPHS = (
     lambda: bipartite_double(coxeter_graph()),
     lambda: lcf_graph([17, -9, 37, -37, 9, -17], 15),
 )
+STRESS_AUT_ORDERS = (78, 192, 1440, 288, 480, 672, 4320)
 FRUCHT = ([-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2], 1)   # cubic, |Aut| = 1
+
+
+def pinned_graphs():
+    """The builtin and stress graphs, each with its known |Aut|."""
+    pairs = [(e.graph(), e.expected["aut_order"]) for e in builtin_entries()]
+    pairs += [(build(), order)
+              for build, order in zip(STRESS_GRAPHS, STRESS_AUT_ORDERS)]
+    return pairs
 
 
 def brute_force_aut_order(g):
@@ -179,17 +188,58 @@ def test_leaf_key_orders_like_graph6():
 
 
 def test_search_results_pinned():
-    """Generators, canonical labelings and certificates of the builtin
-    and stress graphs, pinned by digest."""
-    digest = hashlib.sha256()
-    graphs = [e.graph() for e in builtin_entries()]
-    graphs += [build() for build in STRESS_GRAPHS]
-    for g in graphs:
+    """Canonical labelings and certificates of the builtin and stress
+    graphs, pinned by digest, and their generator lists, pinned by a
+    separate digest, each generating a group of the known |Aut|."""
+    results, generators = hashlib.sha256(), hashlib.sha256()
+    for g, order in pinned_graphs():
         result = autgroup._analysis(g)
-        digest.update(repr((result.generators, result.labeling,
-                            result.certificate)).encode())
-    assert digest.hexdigest() == (
-        "c03f3c731078d5e4d10a878dd51fbc7f93372daa79cb5952958aa56f9d9dfb68")
+        results.update(repr((result.labeling, result.certificate)).encode())
+        generators.update(repr(result.generators).encode())
+        assert schreier_sims(result.generators, degree=g.n).order == order
+    assert results.hexdigest() == (
+        "397562f7012fadf08c034e41025f7b5724e67e4a3dbb5ab111540b2c0264729c")
+    assert generators.hexdigest() == (
+        "f3737ed1588eded33b7dc40d8e244a72444abe33acac0ba7f8644c183aaa15f7")
+
+
+def test_search_generators_strong_on_first_path():
+    """The first leaf's path is a base on which the search's generators
+    are already strong: the closure adds no strong generator and no base
+    point, under two seeded relabelings of each graph too."""
+    rng = random.Random(12)
+    for g, order in pinned_graphs():
+        for h in [g] + [relabel(g, tuple(rng.sample(range(g.n), g.n)))
+                        for _ in range(2)]:
+            result = autgroup._analysis(h)
+            group = schreier_sims(result.generators, degree=h.n,
+                                  base=result.first_path)
+            assert group.order == order
+            assert group.base == result.first_path
+            assert group._strong == group.generators
+
+
+def test_search_leaves_equivalent_subtrees(monkeypatch):
+    """A search leaves a subtree once one of its leaves repeats a key seen
+    outside it.  On one relabeled Foster graph the search before that
+    early exit made 133 refine calls and kept 54 generators."""
+    foster = STRESS_GRAPHS[-1]()
+    rng = random.Random(2)
+    p = list(range(foster.n))
+    rng.shuffle(p)
+    g = relabel(foster, tuple(p))
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return refine(*args)
+
+    monkeypatch.setattr(autgroup, "refine", counted)
+    autgroup._analysis.cache_clear()
+    result = autgroup._analysis(g)
+    assert len(calls) < 133
+    assert len(result.generators) < 54
+    assert automorphism_group(g).order == 4320
 
 
 def test_search_encodes_one_leaf(monkeypatch):

@@ -327,7 +327,7 @@ def test_verify_entry_builds_each_artefact_once(monkeypatch):
     assert calls["dart_graph"] <= 2
     assert calls["lift_automorphisms"] == 1
     assert calls["schreier_sims"] <= 4
-    assert calls["transitivity_report"] <= 3
+    assert calls["transitivity_report"] <= 2
     assert calls["is_isomorphic"] == 0
     assert autgroup._analysis.cache_info().misses == 1
     assert calls["induced_orientation"] == 1
@@ -365,14 +365,18 @@ def test_cli_verify_isolates_engine_errors_per_entry(monkeypatch, tmp_path,
 
 def test_verify_entry_bounds_only_proven_builds(monkeypatch):
     """Exactly the lift, <lift, tau> and the fibre action are built under
-    an order bound; Aut(g) is not, and no chain is built for the covering
-    group <tau>."""
+    an order bound; Aut(g) is not, but starts from the search's first path
+    as its base, and no chain is built for the covering group <tau>."""
     builds = []
     fn = perms.schreier_sims
 
-    def recorded(generators, degree=None, order_bound=None):
+    bases = {}
+
+    def recorded(generators, degree=None, order_bound=None, base=()):
         builds.append((degree, order_bound))
-        return fn(generators, degree=degree, order_bound=order_bound)
+        bases[degree, order_bound] = base
+        return fn(generators, degree=degree, order_bound=order_bound,
+                  base=base)
 
     for layer in (altcycles, autgroup, cli, covers, dartgraph, perms):
         if getattr(layer, "schreier_sims", None) is fn:
@@ -385,6 +389,8 @@ def test_verify_entry_bounds_only_proven_builds(monkeypatch):
     # the action on the 15 fibres (|G|)
     assert Counter(builds) == Counter(
         [(10, None), (30, 120), (30, 240), (15, 120)])
+    # Aut(Petersen)'s chain starts from the search's first path
+    assert bases[10, None]
 
 
 def test_cli_verify_deterministic_report(mini_census, capsys):

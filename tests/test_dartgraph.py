@@ -123,8 +123,65 @@ def test_lifted_membership_and_orbits(k4):
     assert lifted.orbit(0) == tuple(range(12))
 
 
+def test_lift_faithful_check_runs_under_optimize():
+    """lift_faithful is a raise, not an assert: Aut(Petersen) with its
+    order doubled bounds the lift by 240, the lift reaches 120, and the
+    check fails under python -O with both orders."""
+    code = (
+        "import sys\n"
+        "from hatkit.autgroup import automorphism_group\n"
+        "from hatkit.census import generalized_petersen\n"
+        "from hatkit.dartgraph import dart_graph, lift_automorphisms\n"
+        "from hatkit.errors import StructureViolation\n"
+        "from hatkit.perms import schreier_sims\n"
+        "petersen = generalized_petersen(5, 2)\n"
+        "group = schreier_sims(automorphism_group(petersen).generators)\n"
+        "group.order *= 2\n"
+        "try:\n"
+        "    lift_automorphisms(petersen, group, dart_graph(petersen)[2])\n"
+        "except StructureViolation as exc:\n"
+        "    print(sys.flags.optimize, type(exc).__name__, str(exc))\n"
+    )
+    assert run_optimized(code) == [
+        "1", "StructureViolation", "lift_faithful:", "lifted", "order", "120",
+        "!=", "group", "order", "240"]
+
+
+def test_lift_orientation_check_runs_under_optimize():
+    """lift_preserves_natural_orientation is a raise, not an assert: with
+    the darts of Petersen's outer 5-cycle reversed in the labeling's
+    orientation, a lifted generator moves an arc off it, and the check
+    fails under python -O with the generator and the arc."""
+    code = (
+        "import dataclasses, sys\n"
+        "from hatkit.altcycles import Orientation\n"
+        "from hatkit.autgroup import automorphism_group\n"
+        "from hatkit.census import generalized_petersen\n"
+        "from hatkit.dartgraph import dart_graph, lift_automorphisms\n"
+        "from hatkit.errors import StructureViolation\n"
+        "petersen = generalized_petersen(5, 2)\n"
+        "g, natural, labeling = dart_graph(petersen)\n"
+        "step = [labeling.index[(i, (i + 1) % 5)] for i in range(5)]\n"
+        "flip = {(step[i], step[(i + 1) % 5]) for i in range(5)}\n"
+        "mixed = Orientation(g, [(h, t) if (t, h) in flip else (t, h)\n"
+        "                        for t, h in natural.arcs])\n"
+        "labeling = dataclasses.replace(labeling, orientation=mixed)\n"
+        "try:\n"
+        "    lift_automorphisms(petersen, automorphism_group(petersen),\n"
+        "                       labeling)\n"
+        "except StructureViolation as exc:\n"
+        "    name, detail = str(exc).split(':', 1)\n"
+        "    print(sys.flags.optimize, type(exc).__name__, name,\n"
+        "          'generator' in detail, 'natural arc' in detail)\n"
+    )
+    assert run_optimized(code) == [
+        "1", "StructureViolation", "lift_preserves_natural_orientation",
+        "True", "True"]
+
+
 def test_verify_dart_forward_k4(k4):
-    report = verify_dart_forward(k4, automorphism_group(k4))
+    group = automorphism_group(k4)
+    report = verify_dart_forward(k4, group, transitivity_report(group, k4))
     assert report.radius == 3 and report.attachment == 2 and report.ell == 3
     assert report.half_arc_transitive and report.alt_isomorphic_to_base
     assert report.natural_orientation_induced
@@ -132,7 +189,9 @@ def test_verify_dart_forward_k4(k4):
 
 
 def test_verify_dart_forward_heawood(heawood):
-    report = verify_dart_forward(heawood, automorphism_group(heawood))
+    group = automorphism_group(heawood)
+    report = verify_dart_forward(heawood, group,
+                                 transitivity_report(group, heawood))
     assert report.dart_order == 42
     assert report.radius == 3 and report.attachment == 2
 
@@ -144,14 +203,15 @@ def test_verify_dart_forward_rejects_wrong_reconstruction_under_optimize():
     code = (
         "import sys\n"
         "from hatkit import dartgraph\n"
-        "from hatkit.autgroup import automorphism_group\n"
+        "from hatkit.autgroup import automorphism_group, transitivity_report\n"
         "from hatkit.census import generalized_petersen\n"
         "from hatkit.errors import StructureViolation\n"
         "petersen = generalized_petersen(5, 2)\n"
         "dartgraph.alt_graph = lambda g, dec: generalized_petersen(5, 1)\n"
+        "group = automorphism_group(petersen)\n"
+        "report = transitivity_report(group, petersen)\n"
         "try:\n"
-        "    dartgraph.verify_dart_forward(\n"
-        "        petersen, automorphism_group(petersen))\n"
+        "    dartgraph.verify_dart_forward(petersen, group, report)\n"
         "except StructureViolation as exc:\n"
         "    print(sys.flags.optimize, type(exc).__name__)\n"
     )
@@ -167,7 +227,7 @@ def test_verify_dart_forward_rejects_uninduced_natural_under_optimize():
         "import sys\n"
         "from hatkit import dartgraph\n"
         "from hatkit.altcycles import Orientation\n"
-        "from hatkit.autgroup import automorphism_group\n"
+        "from hatkit.autgroup import automorphism_group, transitivity_report\n"
         "from hatkit.census import generalized_petersen\n"
         "from hatkit.errors import StructureViolation\n"
         "petersen = generalized_petersen(5, 2)\n"
@@ -178,9 +238,10 @@ def test_verify_dart_forward_rejects_uninduced_natural_under_optimize():
         "                        for t, h in natural.arcs])\n"
         "dartgraph.induced_orientation = (\n"
         "    lambda group, x: (mixed, mixed.reverse()))\n"
+        "group = automorphism_group(petersen)\n"
+        "report = transitivity_report(group, petersen)\n"
         "try:\n"
-        "    dartgraph.verify_dart_forward(\n"
-        "        petersen, automorphism_group(petersen))\n"
+        "    dartgraph.verify_dart_forward(petersen, group, report)\n"
         "except StructureViolation as exc:\n"
         "    print(sys.flags.optimize, type(exc).__name__,\n"
         "          str(exc).split(':')[0])\n"
@@ -226,7 +287,7 @@ def test_verify_dart_forward_needs_two_arc_transitivity(k33):
     rep = transitivity_report(group, k33)
     assert rep.vertex_transitive and not rep.two_arc_transitive
     with pytest.raises(Not2ArcTransitive):
-        verify_dart_forward(k33, group)
+        verify_dart_forward(k33, group, rep)
 
 
 def test_psi_round_trip_pappus(pappus):

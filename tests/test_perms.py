@@ -160,6 +160,35 @@ def test_order_bound_above_order_runs_full_build():
         assert bounded._strong == full._strong
 
 
+def test_initial_base_keeps_order_and_membership():
+    """A chain started from given base points keeps them as its first base
+    points and has the order and membership of the chain built without."""
+    rng = random.Random(23)
+    for perms in oracle_generator_sets():
+        n = len(perms[0])
+        base = tuple(rng.sample(range(n), rng.randint(0, min(n, 3))))
+        full = schreier_sims(perms)
+        based = schreier_sims(perms, base=base)
+        assert based.base[:len(base)] == base
+        assert based.order == full.order == len(closure(perms))
+        probes = list(perms)
+        for _ in range(20):
+            images = list(range(n))
+            rng.shuffle(images)
+            probes += [tuple(images),
+                       compose(rng.choice(perms), rng.choice(perms))]
+        for p in probes:
+            assert based.contains(p) == full.contains(p)
+
+
+def test_initial_base_rejects_bad_points():
+    gens = [from_cycles(4, [(0, 1, 2, 3)])]
+    with pytest.raises(VertexOutOfRange):
+        schreier_sims(gens, base=(4,))
+    with pytest.raises(ValueError, match="repeats"):
+        schreier_sims(gens, base=(1, 1))
+
+
 def test_order_bound_exceeded():
     s4 = [from_cycles(4, [(0, 1)]), from_cycles(4, [(0, 1, 2, 3)])]
     with pytest.raises(OrderBoundExceeded) as info:
