@@ -13,8 +13,10 @@ partition the vertices into the attachment sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
+    AltGraphMismatch,
     AntipodeMismatch,
     DivisibilityRuleViolation,
     NotConnected,
@@ -149,6 +151,12 @@ class AltDecomposition:
     def tightly_attached(self):
         return self.attachment == 2 * self.radius
 
+    @cached_property
+    def cycle_graph(self):
+        """alt_graph of this decomposition, built on the first read and
+        kept, so the stages that share a decomposition share it."""
+        return alt_graph(None, self)
+
 
 def alternating_cycles(g: Graph, orientation: Orientation) -> AltDecomposition:
     """Decompose the edge set into alternating cycles and verify every
@@ -263,11 +271,14 @@ def alternating_cycles(g: Graph, orientation: Orientation) -> AltDecomposition:
 
 def alt_graph(g: Graph, dec: AltDecomposition) -> Graph:
     """The graph of alternating cycles: one vertex per cycle, adjacent when
-    the cycles intersect.  Vertex i of the result is dec.cycles[i].
+    the cycles intersect.  Vertex i of the result is dec.cycles[i].  It
+    depends on dec alone; g is the decomposed graph.  dec.cycle_graph
+    keeps the result.
 
     Raises TightlyAttached when there are fewer than three cycles (the
     attachment number is twice the radius and the construction is
-    degenerate).  The result is 2r/a-regular.
+    degenerate).  The result is 2r/a-regular (StructureViolation naming
+    alt_graph_regular, with a cycle of another valence, otherwise).
     """
     k = len(dec.cycles)
     if k < 3:
@@ -277,8 +288,11 @@ def alt_graph(g: Graph, dec: AltDecomposition) -> Graph:
             "degenerate")
     edges = sorted({pair for pair in dec.cycles_at_vertex})
     out = from_edge_list(k, edges)
-    assert is_regular(out, dec.ell), \
-        "graph of alternating cycles is not 2r/a-regular"
+    odd = next((c for c in range(k) if out.degree(c) != dec.ell), None)
+    if odd is not None:
+        raise StructureViolation(
+            f"alt_graph_regular: cycle {odd} meets {out.degree(odd)} "
+            f"cycles, not 2r/a = {dec.ell}")
     return out
 
 
@@ -287,9 +301,11 @@ def antipodal_involution(g: Graph, dec: AltDecomposition, group: PermGroup):
     cycle (attachment number must be even).
 
     Verified before returning: the antipode of a vertex is the same on
-    both of its cycles (AntipodeMismatch otherwise), the map is a
-    fixed-point-free involution, an automorphism of g, and centralizes
-    the supplied group.
+    both of its cycles (AntipodeMismatch otherwise), every vertex has one
+    and the map is a fixed-point-free involution (StructureViolation
+    naming antipodal_total, antipodal_involution or
+    antipodal_fixed_point_free, with the vertex, otherwise), an
+    automorphism of g, and centralizes the supplied group.
     """
     if dec.attachment % 2:
         raise OddAttachment(
@@ -307,9 +323,19 @@ def antipodal_involution(g: Graph, dec: AltDecomposition, group: PermGroup):
                     f"vertex {v}: antipode {images[v]} on one cycle but "
                     f"{cand} on the other")
     tau = tuple(images)
-    assert all(x is not None for x in tau)
-    assert all(tau[tau[v]] == v for v in range(g.n)), "not an involution"
-    assert all(tau[v] != v for v in range(g.n)), "has a fixed point"
+    missing = next((v for v in range(g.n) if tau[v] is None), None)
+    if missing is not None:
+        raise StructureViolation(f"antipodal_total: vertex {missing} lies "
+                                 "on no alternating cycle")
+    moved = next((v for v in range(g.n) if tau[tau[v]] != v), None)
+    if moved is not None:
+        raise StructureViolation(
+            f"antipodal_involution: the antipode of the antipode of {moved} "
+            f"is {tau[tau[moved]]}")
+    fixed = next((v for v in range(g.n) if tau[v] == v), None)
+    if fixed is not None:
+        raise StructureViolation(f"antipodal_fixed_point_free: vertex "
+                                 f"{fixed} is its own antipode")
     if not maps_edges(tau, g, g):
         raise StructureViolation("antipodal map is not an automorphism")
     if not centralizes(tau, group):
@@ -396,21 +422,34 @@ def induced_alt_action(group: PermGroup, dec: AltDecomposition,
                        altg: Graph):
     """Action of the group on the alternating cycles.
 
-    Returns (induced group on cycle indices, arc_transitive flag).  The
-    induced action is always vertex- and edge-transitive; it is
-    arc-transitive exactly when ell = 2r/a is odd (cycle-exchanging
-    elements exist only then), and that equivalence is asserted.
+    Returns (induced group on cycle indices, arc_transitive flag).  Two
+    checks raise StructureViolation, also under python -O:
+    alt_action_transitive when the induced action is not vertex- and
+    edge-transitive (witness: the orbit of cycle 0 and the arc orbit
+    count), and alt_action_arc_transitive_iff_ell_odd when it is
+    arc-transitive but ell = 2r/a is even or the other way round
+    (cycle-exchanging elements exist exactly when ell is odd).  altg is
+    the graph of alternating cycles; AltGraphMismatch unless it has one
+    vertex per cycle.
     """
     k = len(dec.cycles)
     if altg.n != k:
-        raise ValueError("graph of alternating cycles has the wrong order")
+        raise AltGraphMismatch(
+            f"graph of alternating cycles has {altg.n} vertices, "
+            f"the decomposition {k} cycles")
     induced = cycle_images(group, dec)
     action = schreier_sims(induced, degree=k)
     report = transitivity_report(action, altg)
-    assert report.vertex_transitive and report.edge_transitive, \
-        "induced action on the alternating cycles must be vertex- and " \
-        "edge-transitive"
-    assert report.arc_transitive == (dec.ell % 2 == 1), \
-        "arc-transitivity of the induced action must match the parity of ell"
+    if not (report.vertex_transitive and report.edge_transitive):
+        raise StructureViolation(
+            f"alt_action_transitive: the orbit of cycle 0 has "
+            f"{len(action.orbit(0))} of {k} cycles and there are "
+            f"{report.arc_orbit_count} arc orbits")
+    if report.arc_transitive != (dec.ell % 2 == 1):
+        parity = "odd" if dec.ell % 2 else "even"
+        verdict = "" if report.arc_transitive else "not "
+        raise StructureViolation(
+            f"alt_action_arc_transitive_iff_ell_odd: ell = {dec.ell} is "
+            f"{parity} but the action on the cycles is {verdict}"
+            f"arc-transitive ({report.arc_orbit_count} arc orbits)")
     return action, report.arc_transitive
-

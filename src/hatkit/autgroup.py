@@ -8,28 +8,63 @@ increasing order.  Discovered automorphisms prune sibling branches whose
 candidate lies in the orbit of an already explored candidate under the
 subgroup fixing the current individualization prefix pointwise.
 
-Each leaf is a discrete partition, read as a relabeling of the graph, and
-is ranked by the integer key of the relabeled upper triangle (`_leaf_key`),
-which orders like the graph6 strings of the relabeled graphs but costs
-O(|E|) and builds no graph.  Two leaves with equal keys differ by an
-automorphism.  The canonical certificate is the graph6 string of the
-relabeled graph at the minimum key, encoded once per search.
+Every refinement leaves a trace: one event per split, the position of
+the first part in the new partition and the sizes of the parts in order.
+A node's traces are those of the refinements on its path, one per level.
+Refinement commutes with isomorphisms, so an automorphism that maps one
+node onto another gives both the same traces; and nodes whose traces
+agree have equal cell sizes, so they individualize at one position and
+their children's traces compare level by level.
+
+Each leaf is a discrete partition, read as a relabeling of the graph.
+It is ranked by its traces, then by the integer key of the relabeled
+upper triangle (`_leaf_key`), which orders like the graph6 strings of
+the relabeled graphs but costs O(|E|) and builds no graph.  Two leaves
+with equal keys differ by an automorphism, so their traces agree too.
+The canonical leaf is the minimum of (traces, key) over all leaves, and
+the certificate is the graph6 string of the graph relabeled by it,
+encoded once per search.  Isomorphic graphs have isomorphic search trees
+with the same traces and keys, hence the same certificate.
+
+The search keeps the traces of the first leaf and of the best leaf so
+far (McKay and Piperno, "Practical graph isomorphism, II", 2014).  While
+a child is refined, its trace is compared event by event with each of
+the two at the child's level, as long as the parent's traces are that
+leaf's.  The child is dropped as soon as its trace has left the first
+leaf's and is greater than the best leaf's.  A node whose traces follow
+the first leaf's but not the best's lies above the best leaf, which is
+never above the first; a node that follows neither lies below it, since
+one above it that left the first path was dropped.  A dropped child
+counts as explored: the children in its orbit carry its traces.
+
+- The global minimum leaf is never dropped.  Its (traces, key) is never
+  above the best's, so no prefix of its traces exceeds the best path's
+  prefix at that level.
+- Automorphic images of nodes of the first path carry the first path's
+  traces and are never dropped, so the argument below, that the
+  generators are strong on the first path, holds for the pruned search.
+- Orbit pruning and the unwind below skip only a subtree that an
+  automorphism maps onto one explored earlier.  Automorphisms preserve
+  traces and keys, and the best leaf only improves, so the image of each
+  skipped node was reached, or dropped against a best no better than
+  the current one.  The skipped subtree holds no leaf below the best,
+  and the first leaf in search order among the minimal ones is reached.
 
 When a leaf repeats the key of an earlier leaf, the automorphism between
 the two is recorded and the search leaves the current subtree at once,
-resuming with the next child of the two paths' deepest common ancestor A
-(McKay and Piperno, "Practical graph isomorphism, II", 2014).  Both
-children of A were individualized in A's target cell, so they sit at one
-position in both leaves: the automorphism fixes A's path and maps one
-child onto the other, and every key in the rest of the current child's
-subtree has been seen.  The minimum key and the first leaf reaching it
-do not change.  Below a node of the first path, a child in the orbit of
-the first child under the node's stabiliser is either pruned as lying in
-the orbit of explored children, or its subtree ends in a repeat of a key
-seen below an earlier child.  So the generators that fix a prefix of the
-first path are transitive on that orbit: they are a strong generating set
-on the first path, which is a base because its leaf is discrete.
-automorphism_group builds Aut(g)'s chain on that base.
+resuming with the next child of the two paths' deepest common ancestor A.
+Both children of A were individualized in A's target cell, so they sit
+at one position in both leaves: the automorphism fixes A's path and maps
+one child onto the other, and the current child's subtree onto the
+other's, traces and keys included.  The minimum (traces, key) and the
+first leaf reaching it do not change.  Below a node of the first path, a
+child in the orbit of the first child under the node's stabiliser is
+either pruned as lying in the orbit of explored children, or its subtree
+ends in a repeat of a key seen below an earlier child.  So the
+generators that fix a prefix of the first path are transitive on that
+orbit: they are a strong generating set on the first path, which is a
+base because its leaf is discrete.  automorphism_group builds Aut(g)'s
+chain on that base.
 """
 
 from __future__ import annotations
@@ -106,8 +141,41 @@ def refine(g: Graph, partition) -> ColoredPartition:
     before, since every other cell was uniform then and still is.
     """
     _check_partition(g, partition)
+    return _refine(g, [tuple(sorted(cell)) for cell in partition])[0]
+
+
+def _refine(g, cells, first=None, best=None):
+    """refine on sorted cells, returning (partition, trace).
+
+    The trace has one event per split, in the order the splits happen:
+    the position of the first part in the new partition, then the sizes
+    of the parts in order.  It ends with the empty event, which is below
+    every other, so traces compare as tuples.  Like the partition, the
+    trace depends only on the isomorphism type of (g, cells).
+
+    first and best are the traces of the search's first and best leaf at
+    this level, each None once the node's traces differ from that leaf's
+    at an earlier level.  A node with first but no best lies above the
+    best leaf; one with neither lies below it.  The refinement stops and
+    returns None as soon as the trace has left first and is greater than
+    best.
+    """
     adj = g.adj
-    cells = [tuple(sorted(cell)) for cell in partition]
+    trace = []
+    on_first = first is not None
+    # -1, 0, 1: the trace is below, equal to so far, above best's
+    order = 0 if best is not None else 1 if on_first else -1
+
+    def dropped(event):
+        nonlocal on_first, order
+        k = len(trace)
+        trace.append(event)
+        if on_first and event != first[k]:
+            on_first = False
+        if order == 0 and event != best[k]:
+            order = 1 if event > best[k] else -1
+        return order > 0 and not on_first
+
     cell_id = [0] * g.n
     moved = None        # vertices of the cells split in the last round
     while True:
@@ -130,13 +198,18 @@ def refine(g: Graph, partition) -> ColoredPartition:
                 groups.setdefault(ids, []).append(v)
             if len(groups) == 1:
                 new_cells.append(cell)
-            else:
-                moved.extend(cell)
-                for ids in sorted(groups, key=_signature):
-                    new_cells.append(tuple(groups[ids]))
+                continue
+            moved.extend(cell)
+            parts = [groups[ids] for ids in sorted(groups, key=_signature)]
+            if dropped((len(new_cells), *map(len, parts))):
+                return None
+            new_cells.extend(map(tuple, parts))
         if not moved:
-            return tuple(cells)
+            break
         cells = new_cells
+    if dropped(()):
+        return None
+    return tuple(cells), tuple(trace)
 
 
 def _individualize(partition, cell_index, v):
@@ -183,7 +256,7 @@ def _check_edge_map(check, p, g, h):
 
 class _Search:
     """One full IR search over a graph: automorphism generators plus the
-    leaf of minimum key."""
+    leaf of minimum (traces, key)."""
 
     def __init__(self, g):
         self.g = g
@@ -191,35 +264,50 @@ class _Search:
         self._gen_set = set()
         self.leaves = {}          # leaf key -> (labeling, path) of first leaf
         self.first_path = None
-        self.best_key = None
+        self.first_traces = None  # per-level refinement traces of that path
+        self.best = None          # (per-level traces, key) of the best leaf
         self.best_pi = None
 
     def run(self):
         if self.g.n == 0:
             self.first_path = self.best_pi = ()
             return self
-        self._explore(refine(self.g, unit_partition(self.g)), ())
+        root, _ = _refine(self.g, unit_partition(self.g))
+        self._explore(root, (), ())
         return self
 
-    def _explore(self, partition, path):
+    def _explore(self, partition, path, traces):
         """Search the subtree below path; returns the depth to unwind to,
         below len(path) when a leaf showed this subtree equivalent to one
         explored before."""
         cell_index = _target_cell(partition)
         if cell_index is None:
-            return self._leaf(partition, path)
+            return self._leaf(partition, path, traces)
         depth = len(path)
         cell = partition[cell_index]
         explored = []
         for v in cell:
             if explored and self._in_explored_orbit(v, explored, path):
                 continue
-            child = refine(self.g, _individualize(partition, cell_index, v))
-            back = self._explore(child, path + (v,))
-            if back < depth:
-                return back
+            child = _refine(self.g, _individualize(partition, cell_index, v),
+                            *self._references(traces))
+            if child is not None:
+                back = self._explore(child[0], path + (v,),
+                                     traces + (child[1],))
+                if back < depth:
+                    return back
             explored.append(v)
         return depth
+
+    def _references(self, traces):
+        """The first and the best leaf's traces one level below a node
+        with these traces, each None unless the node's traces are that
+        leaf's so far; both None before the first leaf."""
+        if self.first_traces is None:
+            return None, None
+        depth = len(traces)
+        return tuple(ref[depth] if ref[:depth] == traces else None
+                     for ref in (self.first_traces, self.best[0]))
 
     def _in_explored_orbit(self, v, explored, prefix):
         # Not perms.orbits: this sweep stops at the first hit and runs in
@@ -240,7 +328,7 @@ class _Search:
                     queue.append(y)
         return False
 
-    def _leaf(self, partition, path):
+    def _leaf(self, partition, path, traces):
         """Record a leaf; returns the depth of the deepest common ancestor
         with the first leaf of equal key, else len(path)."""
         pi = [0] * self.g.n
@@ -249,9 +337,10 @@ class _Search:
         pi = tuple(pi)
         if self.first_path is None:
             self.first_path = path
+            self.first_traces = traces
         key = _leaf_key(self.g, pi)
-        if self.best_key is None or key < self.best_key:
-            self.best_key = key
+        if self.best is None or (traces, key) < self.best:
+            self.best = traces, key
             self.best_pi = pi
         seen = self.leaves.get(key)
         if seen is None:

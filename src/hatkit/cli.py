@@ -29,7 +29,6 @@ from .graphs import girth, is_bipartite, is_connected, line_graph
 from .graph6 import load_graph6_file, write_graph6
 from .autgroup import arc_orbits, automorphism_group, transitivity_report
 from .altcycles import (
-    alt_graph,
     alternating_cycles,
     divisibility_report,
     induced_alt_action,
@@ -133,8 +132,8 @@ def analyze_graph(name, g):
             "open_question_notes": _open_question_notes(dec),
         }
         if len(dec.cycles) >= 3:
-            altg = alt_graph(g, dec)
-            _, arc_t = induced_alt_action(analysis.group, dec, altg)
+            _, arc_t = induced_alt_action(analysis.group, dec,
+                                          dec.cycle_graph)
             alt["alt_action_arc_transitive"] = arc_t
         record["alternating"] = alt
     return record

@@ -23,6 +23,7 @@ from .errors import (
     NotInvariant,
     NotInvolution,
     OrbitNotIndependent,
+    OrbitPairNotMatching,
     OrderTooSmall,
     StructureViolation,
     TauInG,
@@ -44,7 +45,6 @@ from .graph6 import write_graph6
 from .autgroup import arc_orbits
 from .altcycles import (
     AltDecomposition,
-    alt_graph,
     antipodal_involution,
     cycle_images,
 )
@@ -102,8 +102,10 @@ def quotient_by_tau(total: Graph, tau) -> CoveringMap:
     when joined by an edge.  Each orbit must be independent and each
     adjacent orbit pair must induce a perfect matching (2K2); a K_{2,2}
     pair raises DegenerateWreath since the graph is then a wreath of a
-    cycle over two vertices.  The result is a verified 2-fold covering
-    projection whose fibres are the tau-orbits.
+    cycle over two vertices; any other count (unreachable for an
+    involutory automorphism) raises OrbitPairNotMatching.  The result is
+    a verified 2-fold covering projection whose fibres are the
+    tau-orbits.
     """
     n = total.n
     if len(tau) != n:
@@ -137,8 +139,8 @@ def quotient_by_tau(total: Graph, tau) -> CoveringMap:
                 f"orbits {orbits[a]} and {orbits[b]} induce K_{{2,2}}",
                 pair=(a, b), orbits=(orbits[a], orbits[b]))
         if count != 2:
-            raise ValueError(
-                f"orbits {a} and {b} joined by {count} edges")
+            raise OrbitPairNotMatching(
+                f"orbits {orbits[a]} and {orbits[b]} joined by {count} edges")
 
     base = from_edge_list(len(orbits), between.keys())
     fibre_map = tuple(orbit_of)
@@ -309,7 +311,7 @@ def cover_pipeline(total: Graph, dec: AltDecomposition,
     base_girth = girth(cover.base)
     assert base_girth == 3, f"base girth {base_girth} != 3"
 
-    lam = alt_graph(total, dec)
+    lam = dec.cycle_graph
     lam_line, lam_edges = line_graph(lam)
     index = {e: i for i, e in enumerate(lam_edges)}
     fibre_to_edge = [index.get(dec.cycles_at_vertex[v], -1) for v, _ in fibres]

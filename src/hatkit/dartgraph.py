@@ -32,7 +32,6 @@ from .autgroup import TransitivityReport
 from .altcycles import (
     AltDecomposition,
     Orientation,
-    alt_graph,
     alternating_cycles,
     induced_orientation,
 )
@@ -182,7 +181,7 @@ def verify_dart_forward(base: Graph, group: PermGroup,
     dec = alternating_cycles(g, natural)
     assert dec.radius == 3, f"radius {dec.radius} != 3"
     assert dec.attachment == 2, f"attachment {dec.attachment} != 2"
-    recovered = alt_graph(g, dec)
+    recovered = dec.cycle_graph
     cycle_to_vertex = [
         min(set.intersection(*(set(labeling.darts[i]) for i in cyc)),
             default=-1) for cyc in dec.cycles]
@@ -240,7 +239,7 @@ def psi_isomorphism(g: Graph, d: Orientation, dec: AltDecomposition):
         raise WrongParameters(
             f"(radius, attachment) = ({dec.radius}, {dec.attachment}), "
             "the dart correspondence needs (3, 2)")
-    lam = alt_graph(g, dec)
+    lam = dec.cycle_graph
     dart, natural, labeling = dart_graph(lam)
 
     by_pair = {}

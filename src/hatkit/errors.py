@@ -96,6 +96,13 @@ class StructureViolation(HatError):
     no automorphism."""
 
 
+class AltGraphMismatch(HatError, ValueError):
+    """A graph passed as the graph of alternating cycles of a
+    decomposition does not have one vertex per cycle.  Also a ValueError,
+    so callers that catch ValueError from induced_alt_action keep
+    working."""
+
+
 class TightlyAttached(HatError):
     """Fewer than three alternating cycles: the attachment number equals
     twice the radius and the graph of alternating cycles is degenerate."""
@@ -155,6 +162,13 @@ class DegenerateWreath(HatError):
         super().__init__(message)
         self.pair = pair
         self.orbits = orbits
+
+
+class OrbitPairNotMatching(HatError, ValueError):
+    """Two involution orbits are joined by a number of edges other than
+    the 2 of a perfect matching or the 4 of K_{2,2}; an involutory
+    automorphism joins them by an even number.  Also a ValueError, so
+    callers that catch ValueError from quotient_by_tau keep working."""
 
 
 class NotCentralizing(HatError):

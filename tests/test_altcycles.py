@@ -1,7 +1,9 @@
 import pytest
 
 from hatkit.errors import (
+    AltGraphMismatch,
     DivisibilityRuleViolation,
+    HatError,
     NotConnected,
     NotHalfArcTransitive,
     NotTetravalent,
@@ -24,7 +26,7 @@ from hatkit.altcycles import (
 )
 from hatkit.dartgraph import dart_graph, dart_reversal, lift_automorphisms, wreath_graph
 
-from conftest import cycle_graph
+from conftest import cycle_graph, run_optimized
 
 
 def circulant_k5():
@@ -269,6 +271,75 @@ def test_induced_alt_action_holt(holt):
     assert altg.n == 3
     action, arc_transitive = induced_alt_action(group, dec, altg)
     assert not arc_transitive  # ell = 2 is even
+
+
+def test_induced_alt_action_rejects_wrong_order(k4):
+    """A graph of alternating cycles with the wrong number of vertices is
+    a typed error that is still a ValueError."""
+    g, natural, _, lifted = dart_with_lift(k4)
+    dec = alternating_cycles(g, natural)
+    with pytest.raises(AltGraphMismatch,
+                       match="has 5 vertices, the decomposition 4 cycles"
+                       ) as info:
+        induced_alt_action(lifted, dec, cycle_graph(5))
+    assert isinstance(info.value, HatError)
+    assert isinstance(info.value, ValueError)
+
+
+# Dart(K4) with its lifted group and alternating cycles (4 cycles, radius
+# 3, attachment 2, ell 3), and decompositions made by hand on a triangle.
+_FAULT_SETUP = (
+    "import sys\n"
+    "from dataclasses import replace\n"
+    "from hatkit.altcycles import (AltDecomposition, alt_graph,\n"
+    "    alternating_cycles, antipodal_involution, induced_alt_action)\n"
+    "from hatkit.autgroup import automorphism_group\n"
+    "from hatkit.census import complete_graph\n"
+    "from hatkit.dartgraph import dart_graph, lift_automorphisms\n"
+    "from hatkit.errors import StructureViolation\n"
+    "from hatkit.graphs import from_edge_list\n"
+    "from hatkit.perms import schreier_sims\n"
+    "k4 = complete_graph(4)\n"
+    "g, natural, labeling = dart_graph(k4)\n"
+    "lifted = lift_automorphisms(k4, automorphism_group(k4), labeling)\n"
+    "dec = alternating_cycles(g, natural)\n"
+    "triangle = from_edge_list(3, [(0, 1), (1, 2), (0, 2)])\n"
+    "def by_hand(cycles):\n"
+    "    return AltDecomposition(cycles, 1, 2, 1, (), (), {})\n"
+)
+
+
+@pytest.mark.parametrize("fault,check,witness", [
+    ("alt_graph(g, replace(dec, ell=4))",
+     "alt_graph_regular", "cycle 0 meets 3 cycles, not 2r/a = 4"),
+    ("antipodal_involution(g, replace(dec, cycles=tuple(\n"
+     "    c for c in dec.cycles if 0 not in c)), lifted)",
+     "antipodal_total", "vertex 0 lies on no alternating cycle"),
+    ("antipodal_involution(triangle, by_hand(((0, 1, 2),)),\n"
+     "                     schreier_sims([], degree=3))",
+     "antipodal_involution", "the antipode of the antipode of 0 is 2"),
+    ("antipodal_involution(triangle, by_hand(((0,), (1, 2))),\n"
+     "                     schreier_sims([], degree=3))",
+     "antipodal_fixed_point_free", "vertex 0 is its own antipode"),
+    ("induced_alt_action(schreier_sims([], degree=g.n), dec,\n"
+     "                   alt_graph(g, dec))",
+     "alt_action_transitive", "the orbit of cycle 0 has 1 of 4 cycles"),
+    ("induced_alt_action(lifted, replace(dec, ell=4), alt_graph(g, dec))",
+     "alt_action_arc_transitive_iff_ell_odd",
+     "ell = 4 is even but the action on the cycles is arc-transitive"),
+])
+def test_altcycles_checks_run_under_optimize(fault, check, witness):
+    """Each alternating-cycle invariant is a raise, not an assert: a fault
+    that breaks it fails under python -O with StructureViolation naming
+    the check and giving the witness."""
+    code = _FAULT_SETUP + (
+        "try:\n"
+        f"    {fault}\n"
+        "except StructureViolation as exc:\n"
+        "    name, detail = str(exc).split(': ', 1)\n"
+        f"    print(sys.flags.optimize, name, {witness!r} in detail)\n"
+    )
+    assert run_optimized(code) == ["1", check, "True"]
 
 
 def _cycle_restriction_order(dec, group, index):

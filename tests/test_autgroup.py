@@ -7,7 +7,8 @@ import pytest
 
 from hatkit.errors import InvalidPartition, NotAutomorphisms, TooLarge
 from hatkit.graph6 import write_graph6
-from hatkit.graphs import Graph, bipartite_double, from_edge_list, line_graph, relabel
+from hatkit.graphs import (Graph, bipartite_double, from_edge_list,
+                           is_isomorphism, line_graph, relabel)
 from hatkit.perms import schreier_sims, from_cycles
 from hatkit import autgroup
 from hatkit.autgroup import (
@@ -66,15 +67,15 @@ def random_graph(rng, n, p=0.5):
     return from_edge_list(n, edges)
 
 
-def random_cubic(rng, n):
-    """A simple cubic graph on n vertices (configuration model with
+def random_regular(rng, n, k=3):
+    """A simple k-regular graph on n vertices (configuration model with
     rejection; not necessarily connected)."""
     while True:
-        stubs = [v for v in range(n) for _ in range(3)]
+        stubs = [v for v in range(n) for _ in range(k)]
         rng.shuffle(stubs)
         edges = {(min(a, b), max(a, b)) for a, b in zip(stubs[::2], stubs[1::2])
                  if a != b}
-        if len(edges) == 3 * n // 2:
+        if len(edges) == k * n // 2:
             return from_edge_list(n, sorted(edges))
 
 
@@ -159,7 +160,7 @@ def test_refine_matches_reference():
     rng = random.Random(8)
     graphs = [e.graph() for e in builtin_entries()]
     graphs += [build() for build in STRESS_GRAPHS]
-    graphs += [random_cubic(rng, rng.randrange(20, 61, 2)) for _ in range(4)]
+    graphs += [random_regular(rng, rng.randrange(20, 61, 2)) for _ in range(4)]
     graphs += [random_graph(rng, rng.randint(1, 14), rng.random())
                for _ in range(80)]
     for g in graphs:
@@ -222,24 +223,68 @@ def test_search_generators_strong_on_first_path():
 def test_search_leaves_equivalent_subtrees(monkeypatch):
     """A search leaves a subtree once one of its leaves repeats a key seen
     outside it.  On one relabeled Foster graph the search before that
-    early exit made 133 refine calls and kept 54 generators."""
+    early exit made 133 refinements and kept 54 generators; the counter
+    wraps the refinement core the search calls."""
     foster = STRESS_GRAPHS[-1]()
     rng = random.Random(2)
     p = list(range(foster.n))
     rng.shuffle(p)
     g = relabel(foster, tuple(p))
     calls = []
+    real = autgroup._refine
 
     def counted(*args):
         calls.append(args)
-        return refine(*args)
+        return real(*args)
 
-    monkeypatch.setattr(autgroup, "refine", counted)
+    monkeypatch.setattr(autgroup, "_refine", counted)
     autgroup._analysis.cache_clear()
     result = autgroup._analysis(g)
     assert len(calls) < 133
     assert len(result.generators) < 54
     assert automorphism_group(g).order == 4320
+
+
+def asymmetric_graphs():
+    """The Frucht graph and seeded random cubic and 4-regular graphs of
+    order at least 100, each with |Aut| = 1."""
+    rng = random.Random(13)
+    return [lcf_graph(*FRUCHT)] + [random_regular(rng, n, k) for n, k in
+                                   ((102, 3), (120, 3), (100, 4), (110, 4))]
+
+
+def test_search_prunes_by_refinement_trace(monkeypatch):
+    """With |Aut| = 1 every root child is inequivalent, and a search
+    ranking all leaves by key alone refines each to a leaf: n leaves.
+    Comparing refinement traces with the first and best path's drops
+    most of them before their leaves."""
+    keys = []
+    real = autgroup._leaf_key
+
+    def counted(g, pi):
+        keys.append(pi)
+        return real(g, pi)
+
+    monkeypatch.setattr(autgroup, "_leaf_key", counted)
+    for g in asymmetric_graphs():
+        autgroup._analysis.cache_clear()
+        keys.clear()
+        assert automorphism_group(g).order == 1
+        assert len(keys) < g.n
+
+
+def test_pruned_search_certificates_invariant():
+    """Certificates of the asymmetric graphs do not depend on the
+    labelling, and is_isomorphic finds each relabelling with a verified
+    mapping."""
+    rng = random.Random(14)
+    for g in asymmetric_graphs():
+        _, certificate = canonical_form(g)
+        for _ in range(3):
+            h = relabel(g, tuple(rng.sample(range(g.n), g.n)))
+            assert canonical_form(h)[1] == certificate
+            mapping = is_isomorphic(g, h)
+            assert mapping is not None and is_isomorphism(mapping, g, h)
 
 
 def test_search_encodes_one_leaf(monkeypatch):

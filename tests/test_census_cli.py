@@ -297,11 +297,11 @@ def test_cli_verify_builtin_report_pinned(tmp_path, capsys, jobs):
 
 def test_verify_entry_builds_each_artefact_once(monkeypatch):
     """One analysis per entry: the dart chain, its induced orientation and
-    its alternating cycles are built once for all three suites (psi builds
-    the second dart graph, of the reconstruction), and the dart and cover
-    identifications are certified by the maps their constructions define,
-    without an isomorphism search: the one automorphism search is
-    Petersen's own."""
+    its alternating cycles and their graph are built once for all three
+    suites (psi builds the second dart graph, of the reconstruction), and
+    the dart and cover identifications are certified by the maps their
+    constructions define, without an isomorphism search: the one
+    automorphism search is Petersen's own."""
     calls = Counter()
     layers = (altcycles, autgroup, cli, covers, dartgraph, perms)
     for module, name in ((dartgraph, "dart_graph"),
@@ -310,7 +310,8 @@ def test_verify_entry_builds_each_artefact_once(monkeypatch):
                          (autgroup, "transitivity_report"),
                          (autgroup, "is_isomorphic"),
                          (altcycles, "induced_orientation"),
-                         (altcycles, "alternating_cycles")):
+                         (altcycles, "alternating_cycles"),
+                         (altcycles, "alt_graph")):
         fn = getattr(module, name)
 
         def counted(*args, _fn=fn, _name=name, **kwargs):
@@ -332,6 +333,7 @@ def test_verify_entry_builds_each_artefact_once(monkeypatch):
     assert autgroup._analysis.cache_info().misses == 1
     assert calls["induced_orientation"] == 1
     assert calls["alternating_cycles"] == 1
+    assert calls["alt_graph"] == 1
 
 
 def test_cli_verify_isolates_engine_errors_per_entry(monkeypatch, tmp_path,
@@ -361,6 +363,30 @@ def test_cli_verify_isolates_engine_errors_per_entry(monkeypatch, tmp_path,
         "engine error: RuntimeError: injected for petersen"
     assert all(e["passed"] and e["error"] is None
                for name, e in by_name.items() if name != "petersen")
+
+
+def test_verify_records_typed_quotient_error(monkeypatch):
+    """quotient_by_tau's orbit-pair count is a typed error, so verify
+    records its message as the entry's error, not as an engine error.
+    With the automorphism check bypassed, the antipodal involution of
+    Dart(Petersen) with the partners of 0 and 1 exchanged joins two orbits
+    by a single edge."""
+    real = covers.antipodal_involution
+
+    def exchanged(total, dec, group):
+        tau = list(real(total, dec, group))
+        t0, t1 = tau[0], tau[1]
+        tau[0], tau[1], tau[t0], tau[t1] = 1, 0, t1, t0
+        return tuple(tau)
+
+    monkeypatch.setattr(covers, "antipodal_involution", exchanged)
+    monkeypatch.setattr(covers, "maps_edges", lambda p, g, h: True)
+    autgroup._analysis.cache_clear()
+    petersen = next(e for e in builtin_entries() if e.name == "petersen")
+    result = cli._verify_entry((petersen.to_json_dict(), cli.SUITES, True))
+    assert not result["passed"]
+    assert result["error"].startswith("OrbitPairNotMatching: orbits (0, 1) ")
+    assert result["error"].endswith(" joined by 1 edges")
 
 
 def test_verify_entry_bounds_only_proven_builds(monkeypatch):

@@ -2,15 +2,18 @@ import random
 
 import pytest
 
+from hatkit import covers
 from hatkit.errors import (
     DegenerateWreath,
     FixedPoint,
+    HatError,
     NotAutomorphisms,
     NotCentralizing,
     NotConnected,
     NotInvariant,
     NotInvolution,
     OrbitNotIndependent,
+    OrbitPairNotMatching,
     OrderTooSmall,
     TauInG,
     WrongParameters,
@@ -114,6 +117,21 @@ def test_quotient_degenerate_wreath():
         quotient_by_tau(w3, fibre_swap)
     assert info.value.pair is not None
     assert info.value.orbits is not None
+
+
+def test_quotient_orbit_pair_not_matching(monkeypatch):
+    """An involutory automorphism joins two orbits by an even number of
+    edges, so with the automorphism check bypassed, (0 2)(1 3) on the path
+    0-1-2-3 joins its two orbits by 3 edges: a typed error that is still
+    a ValueError, naming both orbits and the count."""
+    monkeypatch.setattr(covers, "maps_edges", lambda p, g, h: True)
+    path4 = from_edge_list(4, [(0, 1), (1, 2), (2, 3)])
+    with pytest.raises(OrbitPairNotMatching,
+                       match=r"orbits \(0, 2\) and \(1, 3\) joined by 3 edges"
+                       ) as info:
+        quotient_by_tau(path4, from_cycles(4, [(0, 2), (1, 3)]))
+    assert isinstance(info.value, HatError)
+    assert isinstance(info.value, ValueError)
 
 
 def test_split_certificate_dart_petersen(petersen):
@@ -255,7 +273,7 @@ def test_cover_pipeline_rejects_wrong_line_graph_under_optimize():
     fails under python -O instead of raising KeyError."""
     code = (
         "import sys\n"
-        "from hatkit import covers\n"
+        "from hatkit import altcycles, covers\n"
         "from hatkit.altcycles import alternating_cycles\n"
         "from hatkit.autgroup import automorphism_group\n"
         "from hatkit.census import generalized_petersen\n"
@@ -266,7 +284,7 @@ def test_cover_pipeline_rejects_wrong_line_graph_under_optimize():
         "lifted = lift_automorphisms(\n"
         "    petersen, automorphism_group(petersen), labeling)\n"
         "dec = alternating_cycles(g, natural)\n"
-        "covers.alt_graph = lambda g, dec: generalized_petersen(5, 1)\n"
+        "altcycles.alt_graph = lambda g, dec: generalized_petersen(5, 1)\n"
         "try:\n"
         "    covers.cover_pipeline(g, dec, lifted)\n"
         "except StructureViolation as exc:\n"
