@@ -144,8 +144,16 @@ def refine(g: Graph, partition) -> ColoredPartition:
     return _refine(g, [tuple(sorted(cell)) for cell in partition])[0]
 
 
-def _refine(g, cells, first=None, best=None):
+def _refine(g, cells, first=None, best=None, moved=None):
     """refine on sorted cells, returning (partition, trace).
+
+    moved, when given, holds vertices such that every cell without a
+    neighbour among them is already uniform; the first round then signs
+    only the cells that hold one, as a later round does.  A child of a
+    search node passes its individualized vertex v: the parent's
+    partition was equitable, and in a cell with no neighbour of v every
+    vertex has none in {v} and as many as before in the rest of v's old
+    cell.
 
     The trace has one event per split, in the order the splits happen:
     the position of the first part in the new partition, then the sizes
@@ -177,7 +185,6 @@ def _refine(g, cells, first=None, best=None):
         return order > 0 and not on_first
 
     cell_id = [0] * g.n
-    moved = None        # vertices of the cells split in the last round
     while True:
         for i, cell in enumerate(cells):
             for v in cell:
@@ -185,7 +192,7 @@ def _refine(g, cells, first=None, best=None):
         dirty = (range(len(cells)) if moved is None
                  else {cell_id[w] for v in moved for w in adj[v]})
         new_cells = []
-        moved = []
+        moved = []      # vertices of the cells split in this round
         for i, cell in enumerate(cells):
             if len(cell) == 1 or i not in dirty:
                 new_cells.append(cell)
@@ -290,7 +297,7 @@ class _Search:
             if explored and self._in_explored_orbit(v, explored, path):
                 continue
             child = _refine(self.g, _individualize(partition, cell_index, v),
-                            *self._references(traces))
+                            *self._references(traces), (v,))
             if child is not None:
                 back = self._explore(child[0], path + (v,),
                                      traces + (child[1],))

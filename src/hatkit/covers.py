@@ -181,7 +181,16 @@ def split_certificate(total: Graph, group: PermGroup, tau,
     one is sectional exactly when tau swaps its colours; then
     fibre(v) + |base| colour(v) must be an isomorphism onto the double
     (StructureViolation otherwise).  If tau keeps the colours, the base
-    is bipartite and its double disconnected.
+    is bipartite and its double disconnected.  The odd closed walk is
+    checked too, also under python -O: StructureViolation naming
+    odd_walk_closed_odd (with the walk) unless it is closed with an odd
+    number of steps, or odd_walk_edges (with the step) unless each step
+    is an edge.
+
+    <group, tau> is seeded with the group's strong generators and tau, on
+    the group's base.  The bound 2 |group|, not the seed, decides when the
+    build stops: a seed that is not strong on that base only makes the
+    closure add strong generators or base points before the bound is met.
     """
     if not is_connected(total):
         raise NotConnected("the total graph is not connected")
@@ -194,12 +203,20 @@ def split_certificate(total: Graph, group: PermGroup, tau,
     moved = next(((v, w) for v, w in cover.fibres() if tau[v] != w), None)
     if moved is not None:
         raise NotInvariant(f"tau moves the fibre {moved}")
-    lifted = schreier_sims(list(group.generators) + [tuple(tau)],
-                           degree=total.n, order_bound=2 * group.order)
+    lifted = schreier_sims(list(group.strong_generators) + [tuple(tau)],
+                           degree=total.n, order_bound=2 * group.order,
+                           base=group.base)
     witness = odd_closed_walk(total)
     if witness is not None:
-        assert len(witness) % 2 == 0 and witness[0] == witness[-1]
-        assert all(total.has_edge(a, b) for a, b in zip(witness, witness[1:]))
+        if len(witness) % 2 or witness[0] != witness[-1]:
+            raise StructureViolation(
+                f"odd_walk_closed_odd: walk {witness} is not closed or has "
+                "even length")
+        step = next(((a, b) for a, b in zip(witness, witness[1:])
+                     if not total.has_edge(a, b)), None)
+        if step is not None:
+            raise StructureViolation(
+                f"odd_walk_edges: step {step} of walk {witness} is no edge")
         sectional = False
     else:
         odd = set(is_bipartite(total)[1])

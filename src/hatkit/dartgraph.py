@@ -96,22 +96,28 @@ def lift_automorphisms(base: Graph, group: PermGroup,
     orders) or lift_preserves_natural_orientation (with the generator
     index and the arc), also under python -O.
 
-    Once every generator is checked to be an automorphism, the lift is a
+    The chain is seeded from the group's own: its generators are the lifts
+    of the group's strong generators, and its initial base has one dart
+    (b, first neighbour of b) per base point b of the group.  Once every
+    strong generator is checked to be an automorphism, the lift is a
     homomorphic image of the group, so |group| bounds its order; the
     chain is built under that bound, and reaching it is the faithfulness
-    certificate."""
+    certificate.  The bound, not the seed, decides when the build stops:
+    a seed that is not strong on the dart base only makes the closure add
+    strong generators or base points before the bound is met."""
     if group.degree != base.n:
         raise DegreeMismatch(
             f"group degree {group.degree} != base order {base.n}")
-    for gen in group.generators:
+    for gen in group.strong_generators:
         if not maps_edges(gen, base, base):
             raise NotAutomorphisms("generator does not preserve adjacency")
     lifted_gens = [
         tuple(labeling.index[(gen[u], gen[v])] for (u, v) in labeling.darts)
-        for gen in group.generators
+        for gen in group.strong_generators
     ]
+    dart_base = [labeling.index[(b, base.adj[b][0])] for b in group.base]
     lifted = schreier_sims(lifted_gens, degree=len(labeling.darts),
-                           order_bound=group.order)
+                           order_bound=group.order, base=dart_base)
     if lifted.order != group.order:
         raise StructureViolation(f"lift_faithful: lifted order {lifted.order}"
                                  f" != group order {group.order}")

@@ -205,28 +205,34 @@ def odd_closed_walk(g):
 def girth(g):
     """Length of a shortest cycle, or None for a forest.
 
-    Computed as min over edges (u, v) of 1 + dist(u, v) in the graph with
-    that edge removed.
+    One BFS per vertex r: a non-tree edge xy closes a walk of length
+    dist(r, x) + dist(r, y) + 1 through r that contains a cycle, and the
+    BFS from a vertex of a shortest cycle finds one of exactly its length.
+    Seen in BFS order, the edges at x close walks of length at least
+    2 dist(r, x) + 1, apart from edges back to the previous level, which
+    were read from their other end; so a BFS stops once that reaches the
+    best length so far.
     """
     best = None
-    for u, v in g.edges:
+    for r in range(g.n):
         dist = [-1] * g.n
-        dist[u] = 0
-        queue = deque([u])
+        parent = [-1] * g.n
+        dist[r] = 0
+        queue = deque([r])
         while queue:
             x = queue.popleft()
-            if x == v:
+            dx = dist[x]
+            if best is not None and 2 * dx + 1 >= best:
                 break
-            if best is not None and dist[x] + 1 >= best:
-                continue
             for y in g.adj[x]:
-                if (x, y) == (u, v) or (x, y) == (v, u):
-                    continue
                 if dist[y] == -1:
-                    dist[y] = dist[x] + 1
+                    dist[y] = dx + 1
+                    parent[y] = x
                     queue.append(y)
-        if dist[v] != -1 and (best is None or dist[v] + 1 < best):
-            best = dist[v] + 1
+                elif y != parent[x]:
+                    length = dx + dist[y] + 1
+                    if best is None or length < best:
+                        best = length
     return best
 
 

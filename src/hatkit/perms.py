@@ -8,7 +8,7 @@ means "apply p, then q".
 from __future__ import annotations
 
 from math import prod
-from operator import getitem
+from operator import getitem, itemgetter
 
 from .errors import (
     DegreeMismatch,
@@ -25,7 +25,7 @@ def identity(n) -> Perm:
 
 
 def is_identity(p) -> bool:
-    return all(i == x for i, x in enumerate(p))
+    return p == tuple(range(len(p)))
 
 
 def check_perm(p):
@@ -37,7 +37,10 @@ def compose(p, q) -> Perm:
     """Apply p, then q: the image of i is q[p[i]]."""
     if len(p) != len(q):
         raise DegreeMismatch(f"degrees {len(p)} and {len(q)} differ")
-    return tuple(q[x] for x in p)
+    if len(p) < 2:
+        # itemgetter with one index returns a scalar, with none it raises
+        return tuple(q[x] for x in p)
+    return itemgetter(*p)(q)
 
 
 def inverse(p) -> Perm:
@@ -100,6 +103,12 @@ class PermGroup:
 
     def __repr__(self):
         return f"PermGroup(degree={self.degree}, order={self.order})"
+
+    @property
+    def strong_generators(self):
+        """The strong generating set of the chain: the generators first,
+        then those the closure added."""
+        return self._strong
 
     def sift(self, p):
         """Strip p through the chain; returns (residue, level reached)."""
@@ -251,10 +260,11 @@ def schreier_sims(generators, degree=None, order_bound=None,
         for x in sorted(t):
             ux = t[x]
             for s in gl:
-                residue = compose(compose(ux, s), inverse(t[s[x]]))
-                if is_identity(residue):
+                us = compose(ux, s)
+                uy = t[s[x]]
+                if us == uy:        # the Schreier generator is the identity
                     continue
-                h, _ = strip(residue, i + 1)
+                h, _ = strip(compose(us, inverse(uy)), i + 1)
                 if is_identity(h):
                     continue
                 stuck = insert_gen(h)

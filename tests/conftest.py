@@ -14,7 +14,24 @@ from hatkit.census import (
     holt_graph,
     lcf_graph,
 )
-from hatkit.graphs import from_edge_list
+from hatkit.graphs import bipartite_double, from_edge_list
+
+
+# The seven cubic symmetric graphs of the benchmark's stress census
+# (bench/inputs.py STRESS_TABLE), up to the Foster graph on 90 vertices.
+# All but the first, F026, are 2-arc-transitive.
+STRESS_NAMES = ("f026", "dyck", "tutte8cage", "gp24_5", "dodecahedron_double",
+                "coxeter_double", "foster")
+STRESS_GRAPHS = (
+    lambda: lcf_graph([-7, 7], 13),
+    lambda: lcf_graph([5, -5, 13, -13], 8),
+    lambda: lcf_graph([-13, -9, 7, -7, 9, 13], 5),
+    lambda: generalized_petersen(24, 5),
+    lambda: bipartite_double(generalized_petersen(10, 2)),
+    lambda: bipartite_double(coxeter_graph()),
+    lambda: lcf_graph([17, -9, 37, -37, 9, -17], 15),
+)
+STRESS_AUT_ORDERS = (78, 192, 1440, 288, 480, 672, 4320)
 
 
 def cycle_graph(n):

@@ -20,28 +20,12 @@ from hatkit.autgroup import (
     transitivity_report,
     unit_partition,
 )
-from hatkit.census import (
-    builtin_entries,
-    coxeter_graph,
-    generalized_petersen,
-    lcf_graph,
-)
+from hatkit.census import builtin_entries, lcf_graph
 from hatkit.dartgraph import dart_graph, dart_reversal, lift_automorphisms
 
-from conftest import cycle_graph, path_graph, run_optimized
+from conftest import (STRESS_AUT_ORDERS, STRESS_GRAPHS, cycle_graph,
+                      path_graph, run_optimized)
 
-# The seven cubic symmetric graphs of the benchmark's stress census
-# (bench/inputs.py STRESS_TABLE), up to the Foster graph on 90 vertices.
-STRESS_GRAPHS = (
-    lambda: lcf_graph([-7, 7], 13),
-    lambda: lcf_graph([5, -5, 13, -13], 8),
-    lambda: lcf_graph([-13, -9, 7, -7, 9, 13], 5),
-    lambda: generalized_petersen(24, 5),
-    lambda: bipartite_double(generalized_petersen(10, 2)),
-    lambda: bipartite_double(coxeter_graph()),
-    lambda: lcf_graph([17, -9, 37, -37, 9, -17], 15),
-)
-STRESS_AUT_ORDERS = (78, 192, 1440, 288, 480, 672, 4320)
 FRUCHT = ([-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2], 1)   # cubic, |Aut| = 1
 
 

@@ -34,7 +34,8 @@ from hatkit.altcycles import (
     induced_orientation,
 )
 from hatkit.census import builtin_entries
-from hatkit.dartgraph import dart_graph, lift_automorphisms, wreath_graph
+from hatkit.dartgraph import (dart_graph, dart_reversal, lift_automorphisms,
+                              wreath_graph)
 from hatkit.graph6 import parse_graph6, write_graph6
 from hatkit.covers import (
     cover_pipeline,
@@ -43,7 +44,7 @@ from hatkit.covers import (
     split_certificate,
 )
 
-from conftest import cycle_graph, run_optimized
+from conftest import STRESS_GRAPHS, STRESS_NAMES, cycle_graph, run_optimized
 
 
 def dart_with_lift(base):
@@ -63,6 +64,66 @@ def dart_with_cycles(base):
 def antipodal_of(base):
     g, dec, lifted = dart_with_cycles(base)
     return g, lifted, antipodal_involution(g, dec, lifted)
+
+
+# Every builtin and stress cubic 2-arc-transitive graph, by name.
+TWO_ARC_CUBIC = {e.name: e.graph for e in builtin_entries()
+                 if e.expected["valence"] == 3
+                 and e.expected["two_arc_transitive"]}
+TWO_ARC_CUBIC.update(zip(STRESS_NAMES[1:], STRESS_GRAPHS[1:]))
+
+
+def chain_probes(gens, others, rng):
+    """The generators, random words in them, the permutations in others
+    and random permutations, all of one degree."""
+    n = len(gens[0])
+    probes = list(gens) + list(others)
+    for _ in range(15):
+        word = gens[0]
+        for _ in range(rng.randint(1, 6)):
+            word = compose(word, rng.choice(gens))
+        images = list(range(n))
+        rng.shuffle(images)
+        probes += [word, tuple(images)]
+    return probes
+
+
+@pytest.mark.parametrize("name", TWO_ARC_CUBIC)
+def test_seeded_chains_match_unseeded_chains(name):
+    """The lift's chain, seeded from Aut(g)'s strong generators and base,
+    and <lift, tau>'s, seeded from the lift's, have the order and the
+    membership verdicts of chains built from the plain generators with no
+    base and no bound.  The lift's build adds no base point and no strong
+    generator to the seed."""
+    rng = random.Random(name)
+    base = TWO_ARC_CUBIC[name]()
+    group = automorphism_group(base)
+    g, natural, labeling = dart_graph(base)
+    lifted = lift_automorphisms(base, group, labeling)
+
+    def lift(s):
+        return tuple(labeling.index[(s[u], s[v])] for u, v in labeling.darts)
+
+    lift_gens = [lift(s) for s in group.generators]
+    unseeded = schreier_sims(lift_gens, degree=g.n)
+    assert lifted.order == unseeded.order == group.order
+    assert lifted.base == tuple(labeling.index[(b, base.adj[b][0])]
+                                for b in group.base)
+    assert lifted.strong_generators == tuple(
+        lift(s) for s in group.strong_generators)
+    reversal = dart_reversal(labeling)
+    for p in chain_probes(lift_gens, [reversal], rng):
+        assert lifted.contains(p) == unseeded.contains(p)
+    assert not lifted.contains(reversal)
+    if g.n <= 12:
+        return      # the cover stage starts above 12 darts
+    tau = antipodal_involution(g, alternating_cycles(g, natural), lifted)
+    cert = split_certificate(g, lifted, tau, quotient_by_tau(g, tau))
+    split_unseeded = schreier_sims(lift_gens + [tau], degree=g.n)
+    assert cert.lifted_group.order == split_unseeded.order == 2 * group.order
+    for p in chain_probes(lift_gens + [tau], [reversal,
+                                              compose(reversal, tau)], rng):
+        assert cert.lifted_group.contains(p) == split_unseeded.contains(p)
 
 
 def test_is_covering_examples(petersen):
@@ -323,6 +384,38 @@ def test_cover_pipeline_rejects_arc_intransitive_base_under_optimize():
     )
     assert run_optimized(code) == ["1", "StructureViolation",
                                    "projected_arc_transitive"]
+
+
+@pytest.mark.parametrize("walk, check", [
+    ([0, 1, 2], "odd_walk_closed_odd"),
+    ([0, 0, 0, 0], "odd_walk_edges"),
+])
+def test_split_certificate_rejects_bad_odd_walk_under_optimize(walk, check):
+    """The odd closed walk witnessing a non-bipartite total graph is
+    checked by raises that name the check, not by asserts: with
+    odd_closed_walk made to return an open walk, or a closed one whose
+    steps are no edges, the cover pipeline fails under python -O."""
+    code = (
+        "import sys\n"
+        "from hatkit import covers\n"
+        "from hatkit.altcycles import alternating_cycles\n"
+        "from hatkit.autgroup import automorphism_group\n"
+        "from hatkit.census import generalized_petersen\n"
+        "from hatkit.dartgraph import dart_graph, lift_automorphisms\n"
+        "from hatkit.errors import StructureViolation\n"
+        "petersen = generalized_petersen(5, 2)\n"
+        "g, natural, labeling = dart_graph(petersen)\n"
+        "lifted = lift_automorphisms(\n"
+        "    petersen, automorphism_group(petersen), labeling)\n"
+        "dec = alternating_cycles(g, natural)\n"
+        f"covers.odd_closed_walk = lambda total: {walk!r}\n"
+        "try:\n"
+        "    covers.cover_pipeline(g, dec, lifted)\n"
+        "except StructureViolation as exc:\n"
+        "    print(sys.flags.optimize, type(exc).__name__,\n"
+        "          str(exc).split(':')[0])\n"
+    )
+    assert run_optimized(code) == ["1", "StructureViolation", check]
 
 
 @pytest.mark.parametrize("name", ["petersen", "heawood", "dodecahedron"])

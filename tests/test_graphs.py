@@ -1,3 +1,4 @@
+import random
 from collections import deque
 from itertools import combinations
 
@@ -111,6 +112,53 @@ def test_petersen_girth_oracle(petersen):
 def test_girth_forest_none():
     assert girth(path_graph(5)) is None
     assert girth(from_edge_list(3, [])) is None
+
+
+def edge_removal_girth(g):
+    """Shortest cycle as min over edges uv of 1 + dist(u, v) with uv
+    removed, one BFS per edge; None for a forest."""
+    best = None
+    for u, v in g.edges:
+        dist = [-1] * g.n
+        dist[u] = 0
+        queue = deque([u])
+        while queue:
+            x = queue.popleft()
+            if x == v:
+                break
+            if best is not None and dist[x] + 1 >= best:
+                continue
+            for y in g.adj[x]:
+                if (x, y) == (u, v) or (x, y) == (v, u):
+                    continue
+                if dist[y] == -1:
+                    dist[y] = dist[x] + 1
+                    queue.append(y)
+        if dist[v] != -1 and (best is None or dist[v] + 1 < best):
+            best = dist[v] + 1
+    return best
+
+
+def test_girth_matches_edge_removal_reference():
+    """girth (one BFS per vertex) agrees with the one-BFS-per-edge
+    reference on seeded random graphs of order 0 to 14, among them
+    forests and graphs of several components."""
+    rng = random.Random(3)
+    cases = [from_edge_list(0, []), from_edge_list(1, []), path_graph(6),
+             from_edge_list(7, [(0, 1), (0, 2), (2, 3), (4, 5), (5, 6)])]
+    for _ in range(600):
+        n = rng.randint(0, 14)
+        density = rng.choice((0.1, 0.2, 0.35, 0.6))
+        cases.append(from_edge_list(n, [e for e in combinations(range(n), 2)
+                                        if rng.random() < density]))
+        # a random forest: each vertex joins an earlier one or starts a tree
+        cases.append(from_edge_list(n, [(rng.randrange(v), v)
+                                        for v in range(1, n)
+                                        if rng.random() < 0.7]))
+    assert sum(len(components(g)) > 1 for g in cases) > 100
+    assert sum(edge_removal_girth(g) is None for g in cases) > 100
+    for g in cases:
+        assert girth(g) == edge_removal_girth(g), g.edges
 
 
 def test_line_graph_cycle():

@@ -68,6 +68,55 @@ def test_group_laws(p, q):
     assert is_identity(compose(p, inverse(p)))
 
 
+def kernel_cases():
+    """Permutation pairs of degree 0, 1 and 2, and seeded random ones of
+    degree up to 40."""
+    rng = random.Random(5)
+    cases = [((), ()), ((0,), (0,)), ((0, 1), (0, 1)), ((0, 1), (1, 0)),
+             ((1, 0), (0, 1)), ((1, 0), (1, 0))]
+    for _ in range(200):
+        n = rng.randint(0, 40)
+        p, q = list(range(n)), list(range(n))
+        rng.shuffle(p)
+        rng.shuffle(q)
+        cases.append((tuple(p), tuple(q)))
+    return cases
+
+
+def test_kernel_matches_reference_loops():
+    """compose, inverse and is_identity agree with plain loops."""
+    for p, q in kernel_cases():
+        n = len(p)
+        product = [None] * n
+        for i in range(n):
+            product[i] = q[p[i]]
+        inv = [None] * n
+        for i in range(n):
+            inv[p[i]] = i
+        fixes_all = True
+        for i in range(n):
+            fixes_all = fixes_all and p[i] == i
+        assert compose(p, q) == tuple(product)
+        assert type(compose(p, q)) is tuple
+        assert inverse(p) == tuple(inv)
+        assert is_identity(p) == fixes_all
+        assert is_identity(compose(p, inverse(p)))
+
+
+def test_strong_generators_extend_generators():
+    """The strong generating set starts with the generators, and the
+    chain's orbits and order come from it alone."""
+    for perms in oracle_generator_sets():
+        group = schreier_sims(perms)
+        strong = group.strong_generators
+        assert strong[:len(group.generators)] == group.generators
+        again = schreier_sims(strong, degree=group.degree, base=group.base)
+        assert again.order == group.order
+        assert again.base == group.base
+        with pytest.raises(AttributeError):
+            group.strong_generators = ()
+
+
 def test_schreier_sims_s4():
     group = schreier_sims([from_cycles(4, [(0, 1)]), from_cycles(4, [(0, 1, 2, 3)])])
     assert group.order == 24
