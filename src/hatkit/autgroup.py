@@ -2,11 +2,14 @@
 
 The engine is an individualization-refinement backtracking search.  The
 refinement is the coarsest equitable refinement (every vertex of a cell
-has the same number of neighbours in every cell); the target cell is the
-first smallest non-singleton cell and its vertices are individualized in
-increasing order.  Discovered automorphisms prune sibling branches whose
-candidate lies in the orbit of an already explored candidate under the
-subgroup fixing the current individualization prefix pointwise.
+has the same number of neighbours in every cell); after its first round
+it counts neighbours only in the parts the round before created, less
+the largest part of each split cell (nauty's splitter counting, McKay
+and Piperno 2014).  The target cell is the first smallest non-singleton
+cell and its vertices are individualized in increasing order.
+Discovered automorphisms prune sibling branches whose candidate lies in
+the orbit of an already explored candidate under the subgroup fixing the
+current individualization prefix pointwise.
 
 Every refinement leaves a trace: one event per split, the position of
 the first part in the new partition and the sizes of the parts in order.
@@ -69,6 +72,7 @@ chain on that base.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -135,10 +139,15 @@ def refine(g: Graph, partition) -> ColoredPartition:
     their vertices; split parts are ordered by ascending signature, so the
     result depends only on the isomorphism type of (g, partition).
 
-    Each round signs the cells against the partition the round starts
-    from.  The first round signs every cell; a later one signs only the
-    cells that hold a neighbour of a vertex whose cell split in the round
-    before, since every other cell was uniform then and still is.
+    Each round splits the cells by their vertices' neighbour counts in
+    some cells of the partition the round starts from.  The first round
+    counts in every cell, which signs every cell in full.  Every cell of a
+    later round's partition is uniform against the partition before it,
+    so the round splits it exactly by the counts in the parts the round
+    before created; the largest part of each split cell is left out,
+    since a count in it is the old count minus those in the other parts.
+    Only the neighbours of counted parts are looked at.  Split parts are
+    ordered by the signature of one vertex each.
     """
     _check_partition(g, partition)
     return _refine(g, [tuple(sorted(cell)) for cell in partition])[0]
@@ -147,13 +156,18 @@ def refine(g: Graph, partition) -> ColoredPartition:
 def _refine(g, cells, first=None, best=None, moved=None):
     """refine on sorted cells, returning (partition, trace).
 
-    moved, when given, holds vertices such that every cell without a
-    neighbour among them is already uniform; the first round then signs
-    only the cells that hold one, as a later round does.  A child of a
-    search node passes its individualized vertex v: the parent's
-    partition was equitable, and in a cell with no neighbour of v every
-    vertex has none in {v} and as many as before in the rest of v's old
-    cell.
+    moved lists whole cells one after another, such that two vertices of
+    one cell with equal neighbour counts in each of those cells have equal
+    counts in every cell; the first round counts in them, in every cell
+    when moved is None.  A child of a search node passes its
+    individualized vertex v: the parent's partition was equitable, so a
+    vertex's count in the rest of v's old cell is its old count there
+    minus its count in {v}.
+
+    Cells are named by their start positions, which order like their
+    indices, so signatures compare as with indices; a split renames only
+    the vertices of its parts after the first.  A trace event's position
+    is the cell's rank among the starts.
 
     The trace has one event per split, in the order the splits happen:
     the position of the first part in the new partition, then the sizes
@@ -184,39 +198,69 @@ def _refine(g, cells, first=None, best=None, moved=None):
             order = 1 if event > best[k] else -1
         return order > 0 and not on_first
 
-    cell_id = [0] * g.n
+    cell_at, starts, cell_id = {}, [], [0] * g.n
+    start = 0
+    for cell in cells:
+        cell_at[start] = cell = tuple(cell)
+        starts.append(start)
+        for v in cell:
+            cell_id[v] = start
+        start += len(cell)
+    if moved is None:
+        moved = [v for cell in cell_at.values() for v in cell]
     while True:
-        for i, cell in enumerate(cells):
-            for v in cell:
-                cell_id[v] = i
-        dirty = (range(len(cells)) if moved is None
-                 else {cell_id[w] for v in moved for w in adj[v]})
-        new_cells = []
-        moved = []      # vertices of the cells split in this round
-        for i, cell in enumerate(cells):
-            if len(cell) == 1 or i not in dirty:
-                new_cells.append(cell)
+        # moved lists each part whole, so equal counts into the parts give
+        # equal lists of part ids
+        counts = {}
+        for w in moved:
+            part = cell_id[w]
+            for u in adj[w]:
+                ids = counts.get(u)
+                if ids is None:
+                    counts[u] = [part]
+                else:
+                    ids.append(part)
+        touched = {}
+        for u in counts:
+            touched.setdefault(cell_id[u], []).append(u)
+        splits = []
+        for start in sorted(touched):
+            cell = cell_at[start]
+            if len(cell) == 1:
                 continue
-            # Equal sorted neighbour cell ids mean equal signatures; the
-            # signatures themselves are built only to order split parts.
+            hit = sorted(touched[start])    # cells are sorted, parts too
             groups = {}
-            for v in cell:
-                ids = tuple(sorted([cell_id[w] for w in adj[v]]))
-                groups.setdefault(ids, []).append(v)
-            if len(groups) == 1:
-                new_cells.append(cell)
-                continue
-            moved.extend(cell)
-            parts = [groups[ids] for ids in sorted(groups, key=_signature)]
-            if dropped((len(new_cells), *map(len, parts))):
-                return None
-            new_cells.extend(map(tuple, parts))
-        if not moved:
+            for v in hit:
+                groups.setdefault(tuple(counts[v]), []).append(v)
+            if len(hit) < len(cell):
+                groups[()] = [v for v in cell if v not in counts]
+            if len(groups) > 1:
+                splits.append((start, groups.values()))
+        if not splits:
             break
-        cells = new_cells
+        moved, renamed = [], []
+        for start, parts in splits:
+            parts = sorted(parts, key=lambda part: _signature(
+                sorted([cell_id[w] for w in adj[part[0]]])))
+            # starts already holds the parts made earlier in this round
+            event = (bisect_left(starts, start), *map(len, parts))
+            if dropped(event):
+                return None
+            largest = max(range(len(parts)), key=lambda i: len(parts[i]))
+            for i, part in enumerate(parts):
+                cell_at[start] = part = tuple(part)
+                if i:
+                    insort(starts, start)
+                    renamed.append((start, part))
+                if i != largest:
+                    moved.extend(part)
+                start += len(part)
+        for start, part in renamed:
+            for v in part:
+                cell_id[v] = start
     if dropped(()):
         return None
-    return tuple(cells), tuple(trace)
+    return tuple(cell_at[start] for start in starts), tuple(trace)
 
 
 def _individualize(partition, cell_index, v):

@@ -75,15 +75,30 @@ def dart_graph(base: Graph):
 def dart_reversal(labeling: DartLabeling):
     """The permutation exchanging each dart (u,v) with (v,u): a fixed-point
     free involutory automorphism mapping the natural orientation to its
-    reverse (all verified)."""
+    reverse.  Each of the four facts is checked; a failure raises
+    StructureViolation naming it (reversal_fixed_point_free or
+    reversal_involution with the dart, reversal_automorphism with the
+    edge, reversal_reverses_orientation with the natural arc), also under
+    python -O."""
     tau = tuple(labeling.index[(v, u)] for (u, v) in labeling.darts)
     g = labeling.graph
-    assert all(tau[i] != i for i in range(g.n))
-    assert all(tau[tau[i]] == i for i in range(g.n))
-    assert maps_edges(tau, g, g)
     reversed_arcs = {(h, t) for t, h in labeling.orientation.arcs}
-    assert all((tau[t], tau[h]) in reversed_arcs
-               for t, h in labeling.orientation.arcs)
+    checks = (
+        ("reversal_fixed_point_free", "dart {} is fixed",
+         (i for i in range(g.n) if tau[i] == i)),
+        ("reversal_involution", "dart {} is not fixed by its square",
+         (i for i in range(g.n) if tau[tau[i]] != i)),
+        ("reversal_automorphism", "edge {} maps to a non-edge",
+         (e for e in g.edges if tau[e[1]] not in g.nbrs[tau[e[0]]])),
+        ("reversal_reverses_orientation",
+         "natural arc {} does not map to a reversed arc",
+         ((t, h) for t, h in labeling.orientation.arcs
+          if (tau[t], tau[h]) not in reversed_arcs)),
+    )
+    for name, text, failures in checks:
+        witness = next(failures, None)
+        if witness is not None:
+            raise StructureViolation(f"{name}: " + text.format(witness))
     return tau
 
 
@@ -159,7 +174,9 @@ def verify_dart_forward(base: Graph, group: PermGroup,
                         report: TransitivityReport) -> DartForwardReport:
     """Build the dart graph of a 2-arc-transitive cubic graph, lift the
     group, and certify: the lifted action is half-arc-transitive with
-    radius 3 and attachment 2, the graph of alternating cycles is
+    radius 3 and attachment 2 (StructureViolation naming dart_radius_3
+    or dart_attachment_2 otherwise, with (radius, attachment) as
+    witness), the graph of alternating cycles is
     isomorphic to the base, and the natural orientation is one of the two
     induced orientations (StructureViolation naming
     natural_orientation_induced otherwise, with a natural arc outside
@@ -185,8 +202,11 @@ def verify_dart_forward(base: Graph, group: PermGroup,
             f"in the first induced orientation, {outside[1]} not in the "
             "second")
     dec = alternating_cycles(g, natural)
-    assert dec.radius == 3, f"radius {dec.radius} != 3"
-    assert dec.attachment == 2, f"attachment {dec.attachment} != 2"
+    for name, holds in (("dart_radius_3", dec.radius == 3),
+                        ("dart_attachment_2", dec.attachment == 2)):
+        if not holds:
+            raise StructureViolation(f"{name}: (radius, attachment) = "
+                                     f"({dec.radius}, {dec.attachment})")
     recovered = dec.cycle_graph
     cycle_to_vertex = [
         min(set.intersection(*(set(labeling.darts[i]) for i in cyc)),

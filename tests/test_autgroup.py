@@ -153,6 +153,185 @@ def test_refine_matches_reference():
             assert refine(g, partition) == reference_refine(g, partition)
 
 
+def reference_refine_traced(g, cells, first=None, best=None, moved=None,
+                            rounds=None):
+    """autgroup._refine as it was before it counted into the new parts:
+    every round re-sorts the neighbour cell indices of every vertex in
+    every cell next to a vertex whose cell split in the round before.
+    rounds, when given, collects the trace length after each round that
+    split a cell."""
+    adj = g.adj
+    trace = []
+    on_first = first is not None
+    # -1, 0, 1: the trace is below, equal to so far, above best's
+    order = 0 if best is not None else 1 if on_first else -1
+
+    def dropped(event):
+        nonlocal on_first, order
+        k = len(trace)
+        trace.append(event)
+        if on_first and event != first[k]:
+            on_first = False
+        if order == 0 and event != best[k]:
+            order = 1 if event > best[k] else -1
+        return order > 0 and not on_first
+
+    cell_id = [0] * g.n
+    while True:
+        for i, cell in enumerate(cells):
+            for v in cell:
+                cell_id[v] = i
+        dirty = (range(len(cells)) if moved is None
+                 else {cell_id[w] for v in moved for w in adj[v]})
+        new_cells = []
+        moved = []      # vertices of the cells split in this round
+        for i, cell in enumerate(cells):
+            if len(cell) == 1 or i not in dirty:
+                new_cells.append(cell)
+                continue
+            groups = {}
+            for v in cell:
+                ids = tuple(sorted([cell_id[w] for w in adj[v]]))
+                groups.setdefault(ids, []).append(v)
+            if len(groups) == 1:
+                new_cells.append(cell)
+                continue
+            moved.extend(cell)
+            parts = [groups[ids]
+                     for ids in sorted(groups, key=autgroup._signature)]
+            if dropped((len(new_cells), *map(len, parts))):
+                return None
+            new_cells.extend(map(tuple, parts))
+        if not moved:
+            break
+        if rounds is not None:
+            rounds.append(len(trace))
+        cells = new_cells
+    if dropped(()):
+        return None
+    return tuple(cells), tuple(trace)
+
+
+def kernel_graphs(rng):
+    """The builtin and stress graphs, seeded random cubic and 4-regular
+    graphs and seeded random graphs of order up to 14."""
+    graphs = [g for g, _ in pinned_graphs()]
+    graphs += [random_regular(rng, rng.randrange(20, 61, 2), k)
+               for k in (3, 3, 4, 4)]
+    graphs += [random_graph(rng, rng.randint(1, 14), rng.random())
+               for _ in range(60)]
+    return graphs
+
+
+def search_nodes(g, rng, width=6):
+    """(partition, children) along a seeded random path from the root of
+    g's search tree, partitions equitable; children are up to width
+    (vertex, individualized partition) pairs from the target cell."""
+    partition = reference_refine_traced(g, list(unit_partition(g)))[0]
+    while True:
+        index = autgroup._target_cell(partition)
+        if index is None:
+            return
+        cell = partition[index]
+        children = [(v, autgroup._individualize(partition, index, v))
+                    for v in rng.sample(cell, min(width, len(cell)))]
+        yield partition, children
+        v, child = rng.choice(children)
+        partition = reference_refine_traced(g, child, None, None, (v,))[0]
+
+
+def test_refine_kernel_matches_reference_on_partitions():
+    """The counting kernel gives today's partition and trace on seeded
+    random ordered partitions, with no moved vertices."""
+    rng = random.Random(41)
+    for g in kernel_graphs(rng):
+        for _ in range(5):
+            cells = [tuple(sorted(cell))
+                     for cell in random_ordered_partition(rng, g.n)]
+            assert autgroup._refine(g, cells) == reference_refine_traced(
+                g, cells)
+
+
+def test_refine_kernel_matches_reference_on_children():
+    """The kernel gives today's partition and trace on the children
+    (v individualized, moved=(v,)) of equitable partitions, at every
+    level of a seeded random path down each graph's search tree."""
+    rng = random.Random(42)
+    children = 0
+    for g in kernel_graphs(rng) * 3:
+        for _, nodes in search_nodes(g, rng):
+            for v, child in nodes:
+                got = autgroup._refine(g, child, None, None, (v,))
+                assert got == reference_refine_traced(g, child, None, None,
+                                                      (v,))
+                assert got == reference_refine_traced(g, child)
+                children += 1
+    assert children > 1500
+
+
+def drop_index(trace, first, best):
+    """The index of the event at which a refinement with this full trace
+    is dropped against first and best, else None."""
+    on_first, order = first is not None, 0 if best is not None else (
+        1 if first is not None else -1)
+    for k, event in enumerate(trace):
+        if on_first and event != first[k]:
+            on_first = False
+        if order == 0 and event != best[k]:
+            order = 1 if event > best[k] else -1
+        if order > 0 and not on_first:
+            return k
+    return None
+
+
+def test_refine_kernel_matches_reference_when_dropping():
+    """With the traces of sibling nodes as first and best, the kernel
+    returns today's (partition, trace) or None, at the same event: the
+    drop path is taken, at the end of a round and in the middle of one."""
+    rng = random.Random(43)
+    drops = mid_round = 0
+    for g in kernel_graphs(rng):
+        for _, nodes in search_nodes(g, rng):
+            traces = [reference_refine_traced(g, child, None, None, (v,))[1]
+                      for v, child in nodes]
+            for v, child in nodes:
+                rounds = []
+                full = reference_refine_traced(g, child, None, None, (v,),
+                                               rounds)[1]
+                for first in traces + [None]:
+                    for best in traces + [None]:
+                        got = autgroup._refine(g, child, first, best, (v,))
+                        assert got == reference_refine_traced(
+                            g, child, first, best, (v,))
+                        k = drop_index(full, first, best)
+                        assert (got is None) == (k is not None)
+                        if k is not None:
+                            drops += 1
+                            mid_round += full[k] != () and k + 1 not in rounds
+    assert drops > 400 and mid_round > 100
+
+
+def test_search_matches_reference_refine(monkeypatch):
+    """Full searches with the counting kernel and with today's refinement
+    find the same generators, canonical labeling, first path and traces,
+    on 400 seeded random graphs and on 3- and 4-regular graphs up to
+    order 130."""
+    rng = random.Random(44)
+    graphs = [random_graph(rng, rng.randint(1, 24), rng.random())
+              for _ in range(400)]
+    graphs += [random_regular(rng, n, k) for k in (3, 4)
+               for n in (16, 30, 50, 76, 100, 130)]
+
+    def search(g):
+        s = autgroup._Search(g).run()
+        return s.aut_gens, s.best_pi, s.first_path, s.first_traces, s.best
+
+    results = [search(g) for g in graphs]
+    monkeypatch.setattr(autgroup, "_refine", reference_refine_traced)
+    for g, result in zip(graphs, results):
+        assert search(g) == result
+
+
 def test_leaf_key_orders_like_graph6():
     """For graphs of one order the leaf key orders like graph6, through
     the long header (n >= 63) and with and without padding."""

@@ -179,6 +179,79 @@ def test_lift_orientation_check_runs_under_optimize():
         "True", "True"]
 
 
+# Edits of Dart(Petersen)'s labeling that break one fact of dart_reversal
+# each: the dart index patched on the darts (0,1), (1,0), (0,4), (4,0), or
+# the darts of the outer 5-cycle reversed in the orientation.
+_REVERSAL_FAULTS = {
+    "reversal_fixed_point_free": "index={**i, (1, 0): i[(0, 1)]}",
+    "reversal_involution": "index={**i, (1, 0): i[(4, 0)], (4, 0): i[(1, 0)]}",
+    "reversal_automorphism": (
+        "index={**i, (1, 0): i[(4, 0)], (4, 0): i[(1, 0)],\n"
+        "       (0, 1): i[(0, 4)], (0, 4): i[(0, 1)]}"),
+    "reversal_reverses_orientation": "orientation=mixed",
+}
+
+
+@pytest.mark.parametrize("check", _REVERSAL_FAULTS)
+def test_dart_reversal_checks_run_under_optimize(check):
+    """dart_reversal's four checks are raises, not asserts: a labeling
+    edited to break one fact fails under python -O, naming that check
+    and giving a witness."""
+    code = (
+        "import dataclasses, sys\n"
+        "from hatkit.altcycles import Orientation\n"
+        "from hatkit.census import generalized_petersen\n"
+        "from hatkit.dartgraph import dart_graph, dart_reversal\n"
+        "from hatkit.errors import StructureViolation\n"
+        "g, natural, labeling = dart_graph(generalized_petersen(5, 2))\n"
+        "i = labeling.index\n"
+        "step = [i[(k, (k + 1) % 5)] for k in range(5)]\n"
+        "flip = {(step[k], step[(k + 1) % 5]) for k in range(5)}\n"
+        "mixed = Orientation(g, [(h, t) if (t, h) in flip else (t, h)\n"
+        "                        for t, h in natural.arcs])\n"
+        f"labeling = dataclasses.replace(labeling, {_REVERSAL_FAULTS[check]})\n"
+        "try:\n"
+        "    dart_reversal(labeling)\n"
+        "except StructureViolation as exc:\n"
+        "    name, detail = str(exc).split(':', 1)\n"
+        "    print(sys.flags.optimize, type(exc).__name__, name,\n"
+        "          any(c.isdigit() for c in detail))\n"
+    )
+    assert run_optimized(code) == ["1", "StructureViolation", check, "True"]
+
+
+@pytest.mark.parametrize("field,value,check", [
+    ("radius", 4, "dart_radius_3"),
+    ("attachment", 1, "dart_attachment_2"),
+])
+def test_verify_dart_forward_parameter_checks_run_under_optimize(
+        field, value, check):
+    """Radius 3 and attachment 2 are checked by raises, not asserts: with
+    alternating_cycles made to report another value, verify_dart_forward
+    fails under python -O, naming the check with (radius, attachment)."""
+    code = (
+        "import dataclasses, sys\n"
+        "from hatkit import dartgraph\n"
+        "from hatkit.autgroup import automorphism_group, transitivity_report\n"
+        "from hatkit.census import generalized_petersen\n"
+        "from hatkit.errors import StructureViolation\n"
+        "real = dartgraph.alternating_cycles\n"
+        "dartgraph.alternating_cycles = lambda g, d: dataclasses.replace(\n"
+        f"    real(g, d), {field}={value})\n"
+        "petersen = generalized_petersen(5, 2)\n"
+        "group = automorphism_group(petersen)\n"
+        "report = transitivity_report(group, petersen)\n"
+        "try:\n"
+        "    dartgraph.verify_dart_forward(petersen, group, report)\n"
+        "except StructureViolation as exc:\n"
+        "    print(sys.flags.optimize, type(exc).__name__, str(exc))\n"
+    )
+    radius, attachment = {"radius": (value, 2), "attachment": (3, value)}[field]
+    assert run_optimized(code) == [
+        "1", "StructureViolation", f"{check}:", "(radius,", "attachment)",
+        "=", f"({radius},", f"{attachment})"]
+
+
 def test_verify_dart_forward_k4(k4):
     group = automorphism_group(k4)
     report = verify_dart_forward(k4, group, transitivity_report(group, k4))
