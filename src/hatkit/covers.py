@@ -105,7 +105,10 @@ def quotient_by_tau(total: Graph, tau) -> CoveringMap:
     cycle over two vertices; any other count (unreachable for an
     involutory automorphism) raises OrbitPairNotMatching.  The result is
     a verified 2-fold covering projection whose fibres are the
-    tau-orbits.
+    tau-orbits; a failed check raises StructureViolation naming it
+    (quotient_covering_projection with a vertex whose neighbours do not
+    map one to one onto its fibre's, quotient_fibres_of_size_2 with the
+    fibre), also under python -O.
     """
     n = total.n
     if len(tau) != n:
@@ -145,9 +148,17 @@ def quotient_by_tau(total: Graph, tau) -> CoveringMap:
     base = from_edge_list(len(orbits), between.keys())
     fibre_map = tuple(orbit_of)
     cover = CoveringMap(total=total, base=base, fibre_map=fibre_map)
-    assert is_covering(total, base, fibre_map), \
-        "quotient failed the covering-projection check"
-    assert all(len(f) == 2 for f in cover.fibres())
+    if not is_covering(total, base, fibre_map):
+        witness = next(
+            (v for v in range(n) if sorted(fibre_map[w] for w in total.adj[v])
+             != list(base.adj[fibre_map[v]])), None)
+        raise StructureViolation(
+            f"quotient_covering_projection: the neighbours of vertex {witness}"
+            " do not map one to one onto those of its fibre")
+    odd = next((f for f in cover.fibres() if len(f) != 2), None)
+    if odd is not None:
+        raise StructureViolation(
+            f"quotient_fibres_of_size_2: fibre {odd} has {len(odd)} vertices")
     return cover
 
 

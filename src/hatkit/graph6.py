@@ -7,39 +7,67 @@ N(n) is the single byte n+63 for n <= 62, or byte 126 followed by three
 6-bit bytes (most significant first) for 63 <= n <= 258047.  Trailing
 padding bits must be zero.  An optional ">>graph6<<" prefix is accepted
 on input and never produced on output.
+
+The L = n(n-1)/2 bits are laid out once, in a byte buffer (`_bit_layout`):
+the edge {i < j} sets bit j(j-1)/2 + i, most significant bit first, and
+the buffer is zero-padded to whole 24-bit groups.  Base64 cuts such a
+buffer into 6-bit groups in exactly that order, so the data bytes are its
+base64 encoding with the alphabet A..Z a..z 0..9 + / shifted to the
+characters 63..126, cut to ceil(L/6) characters; parsing reverses the
+shift and decodes, and the IR search's leaf key is the buffer read as one
+big-endian integer.
 """
 
 from __future__ import annotations
 
+import re
+from base64 import b64decode, b64encode
+from math import isqrt
+
 from .errors import MalformedGraph6
-from .graphs import Graph, from_edge_list
+from .graphs import Graph
 
 _HEADER = ">>graph6<<"
 _MAX_N = 258047
+_BASE64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_GRAPH6 = bytes(range(63, 127))
+_TO_GRAPH6 = bytes.maketrans(_BASE64, _GRAPH6)
+_FROM_GRAPH6 = bytes.maketrans(_GRAPH6, _BASE64)
+_OUT_OF_RANGE = re.compile("[^?-~]")        # ? is chr(63), ~ is chr(126)
+_NONZERO = re.compile(b"[^\x00]")
+# offsets, most significant first, of the set bits of each byte value
+_SET_BITS = tuple(tuple(k for k in range(8) if b & (128 >> k))
+                  for b in range(256))
+
+
+def _bit_layout(n, edges, pi):
+    """The upper-triangle bits of the graph on 0..n-1 with the given
+    edges relabeled by pi (v becomes pi[v]): a bytearray with bit
+    j(j-1)/2 + i set, most significant first, for each relabeled edge
+    {i < j}, zero-padded to whole 24-bit groups.  Returns (buffer, number
+    of padding bits)."""
+    nbits = n * (n - 1) // 2
+    buf = bytearray(-(-nbits // 24) * 3)
+    for u, v in edges:
+        i, j = pi[u], pi[v]
+        if i > j:
+            i, j = j, i
+        pos = j * (j - 1) // 2 + i
+        buf[pos >> 3] |= 128 >> (pos & 7)
+    return buf, 8 * len(buf) - nbits
 
 
 def write_graph6(g: Graph) -> str:
     n = g.n
     if n <= 62:
-        out = [chr(n + 63)]
+        header = chr(n + 63)
     elif n <= _MAX_N:
-        out = [chr(126), chr(63 + (n >> 12)), chr(63 + ((n >> 6) & 63)), chr(63 + (n & 63))]
+        header = "~" + "".join(chr(63 + ((n >> k) & 63)) for k in (12, 6, 0))
     else:
         raise MalformedGraph6(f"{n} vertices exceeds the supported size {_MAX_N}")
-    acc = 0
-    nbits = 0
-    for j in range(1, n):
-        row = g.nbrs[j]
-        for i in range(j):
-            acc = (acc << 1) | (1 if i in row else 0)
-            nbits += 1
-            if nbits == 6:
-                out.append(chr(acc + 63))
-                acc = 0
-                nbits = 0
-    if nbits:
-        out.append(chr((acc << (6 - nbits)) + 63))
-    return "".join(out)
+    buf, _ = _bit_layout(n, g.edges, range(n))
+    data = b64encode(buf).translate(_TO_GRAPH6)[:(n * (n - 1) // 2 + 5) // 6]
+    return header + data.decode("ascii")
 
 
 def parse_graph6(text: str) -> Graph:
@@ -48,10 +76,10 @@ def parse_graph6(text: str) -> Graph:
         s = s[len(_HEADER):]
     if not s:
         raise MalformedGraph6("empty graph6 string")
-    for pos, ch in enumerate(s):
-        code = ord(ch)
-        if not 63 <= code <= 126:
-            raise MalformedGraph6(f"byte {code!r} at position {pos} outside 63..126")
+    bad = _OUT_OF_RANGE.search(s)
+    if bad is not None:
+        raise MalformedGraph6(
+            f"byte {ord(bad.group())!r} at position {bad.start()} outside 63..126")
     first = ord(s[0]) - 63
     if first == 63:
         if len(s) < 4:
@@ -68,22 +96,20 @@ def parse_graph6(text: str) -> Graph:
     if len(body) != expect:
         raise MalformedGraph6(
             f"expected {expect} data bytes for n={n}, got {len(body)}")
-    bits = 0
-    have = 0
-    edges = []
-    pos = 0
-    for j in range(1, n):
-        for i in range(j):
-            if have == 0:
-                bits = ord(body[pos]) - 63
-                pos += 1
-                have = 6
-            have -= 1
-            if (bits >> have) & 1:
-                edges.append((i, j))
-    if have and bits & ((1 << have) - 1):
+    if body and (ord(body[-1]) - 63) & ((1 << (6 * expect - nbits)) - 1):
         raise MalformedGraph6("nonzero padding bits")
-    return from_edge_list(n, edges)
+    # zero bits ("A") fill the last 24-bit group, which base64 decodes whole
+    data = body.encode("ascii").translate(_FROM_GRAPH6) + b"A" * (-expect % 4)
+    adj = [[] for _ in range(n)]
+    for byte in _NONZERO.finditer(b64decode(data)):
+        start = byte.start() << 3
+        for k in _SET_BITS[byte.group()[0]]:
+            pos = start + k
+            j = (isqrt(8 * pos + 1) + 1) >> 1
+            i = pos - j * (j - 1) // 2
+            adj[i].append(j)
+            adj[j].append(i)
+    return Graph(n, adj)
 
 
 def load_graph6_file(path):

@@ -80,6 +80,38 @@ def cycle_string(p) -> str:
     return "".join(parts) or "()"
 
 
+class _Transversal(dict):
+    """One level of a stabiliser chain: maps each point x of the basic
+    orbit to a representative carrying the base point to x, and inverts
+    each representative at most once, on first use.  A rebuilt level is a
+    new _Transversal, so its inverses are computed afresh."""
+
+    __slots__ = ("_inverses",)
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self._inverses = {}
+
+    def inverse(self, x):
+        """inverse(self[x]), computed at most once per point."""
+        inv = self._inverses.get(x)
+        if inv is None:
+            inv = self._inverses[x] = inverse(self[x])
+        return inv
+
+
+def _strip(g, base, transversals, start):
+    """Strip g through the chain from level start on; returns (residue,
+    level reached)."""
+    for i in range(start, len(base)):
+        x = g[base[i]]
+        t = transversals[i]
+        if x not in t:
+            return g, i
+        g = compose(g, t.inverse(x))
+    return g, len(base)
+
+
 class PermGroup:
     """Permutation group with a base and strong generating set.
 
@@ -112,14 +144,7 @@ class PermGroup:
 
     def sift(self, p):
         """Strip p through the chain; returns (residue, level reached)."""
-        g = tuple(p)
-        for i, b in enumerate(self.base):
-            x = g[b]
-            t = self._transversals[i]
-            if x not in t:
-                return g, i
-            g = compose(g, inverse(t[x]))
-        return g, len(self.base)
+        return _strip(tuple(p), self.base, self._transversals, 0)
 
     def contains(self, p):
         if len(p) != self.degree:
@@ -152,10 +177,12 @@ def schreier_sims(generators, degree=None, order_bound=None,
     residue becomes a new strong generator at the level it got stuck,
     extending the base when it fixes all current base points.  A level's
     transversal is rebuilt only when a strong generator joined the level
-    since its last build.  An initial base on which the generators are
-    already strong (as the first path of an IR search is for the
-    automorphisms that search found) leaves the closure nothing to add,
-    but every Schreier generator is still sifted.
+    since its last build, and a representative is inverted at most once
+    per build of its level, on first use by the closure or a sift.  An
+    initial base on which the generators are already strong (as the
+    first path of an IR search is for the automorphisms that search
+    found) leaves the closure nothing to add, but every Schreier
+    generator is still sifted.
 
     order_bound, when given, must be a proven upper bound on the order of
     the generated group.  Every basic orbit of a partial chain is the
@@ -190,7 +217,7 @@ def schreier_sims(generators, degree=None, order_bound=None,
             if not is_identity(g) and not (g in seen or seen.add(g))]
 
     strong: list[Perm] = []
-    transversals: list[dict] = [{} for _ in base]
+    transversals: list[_Transversal] = [_Transversal() for _ in base]
     stale = [True] * len(base)     # a strong generator joined since built
 
     def fixes_prefix(g, k):
@@ -206,7 +233,7 @@ def schreier_sims(generators, degree=None, order_bound=None,
             k += 1
         if k == len(base):
             base.append(min(p for p in range(degree) if g[p] != p))
-            transversals.append({})
+            transversals.append(_Transversal())
             stale.append(True)
         strong.append(g)
         stale[:k + 1] = [True] * (k + 1)
@@ -216,7 +243,7 @@ def schreier_sims(generators, degree=None, order_bound=None,
         if not stale[i]:
             return
         b = base[i]
-        t = {b: identity(degree)}
+        t = _Transversal({b: identity(degree)})
         queue = [b]
         gl = level_gens(i)
         qi = 0
@@ -230,15 +257,6 @@ def schreier_sims(generators, degree=None, order_bound=None,
                     queue.append(y)
         transversals[i] = t
         stale[i] = False
-
-    def strip(g, start):
-        for i in range(start, len(base)):
-            x = g[base[i]]
-            t = transversals[i]
-            if x not in t:
-                return g, i
-            g = compose(g, inverse(t[x]))
-        return g, len(base)
 
     for g in gens:
         insert_gen(g)
@@ -261,10 +279,11 @@ def schreier_sims(generators, degree=None, order_bound=None,
             ux = t[x]
             for s in gl:
                 us = compose(ux, s)
-                uy = t[s[x]]
-                if us == uy:        # the Schreier generator is the identity
+                y = s[x]
+                if us == t[y]:      # the Schreier generator is the identity
                     continue
-                h, _ = strip(compose(us, inverse(uy)), i + 1)
+                h, _ = _strip(compose(us, t.inverse(y)), base,
+                              transversals, i + 1)
                 if is_identity(h):
                     continue
                 stuck = insert_gen(h)

@@ -195,6 +195,41 @@ def test_quotient_orbit_pair_not_matching(monkeypatch):
     assert isinstance(info.value, ValueError)
 
 
+# The cube Q3 and its antipodal map v -> v ^ 7, whose quotient is K4.
+_CUBE_QUOTIENT = (
+    "import sys\n"
+    "from hatkit import covers\n"
+    "from hatkit.errors import StructureViolation\n"
+    "from hatkit.graphs import from_edge_list\n"
+    "cube = from_edge_list(8, [(v, v ^ b) for v in range(8)\n"
+    "                          for b in (1, 2, 4) if v < v ^ b])\n"
+    "tau = tuple(v ^ 7 for v in range(8))\n"
+)
+
+
+@pytest.mark.parametrize("fault, check, witness", [
+    ("real = covers.from_edge_list\n"
+     "covers.from_edge_list = lambda n, edges: real(n, sorted(edges)[1:])\n",
+     "quotient_covering_projection", "vertex 0 "),
+    ("real = covers.CoveringMap.fibres\n"
+     "covers.CoveringMap.fibres = lambda self: [f[:1] for f in real(self)]\n",
+     "quotient_fibres_of_size_2", "fibre (0,) "),
+])
+def test_quotient_checks_under_optimize(fault, check, witness):
+    """The quotient's covering projection and its fibres of size 2 are
+    checked by raises that name the check and a witness, not by asserts:
+    with the quotient's first edge dropped, or its fibres cut to one
+    vertex, quotient_by_tau fails under python -O."""
+    code = _CUBE_QUOTIENT + fault + (
+        "try:\n"
+        "    covers.quotient_by_tau(cube, tau)\n"
+        "except StructureViolation as exc:\n"
+        "    check, text = str(exc).split(': ', 1)\n"
+        f"    print(sys.flags.optimize, check, {witness!r} in text)\n"
+    )
+    assert run_optimized(code) == ["1", check, "True"]
+
+
 def test_split_certificate_dart_petersen(petersen):
     g, lifted, tau = antipodal_of(petersen)
     cover = quotient_by_tau(g, tau)

@@ -1,9 +1,13 @@
 import random
+from math import prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hatkit import autgroup, covers, dartgraph, perms
+from hatkit.altcycles import alternating_cycles
+from hatkit.census import builtin_entries
 from hatkit.errors import (
     DegreeMismatch,
     NotInvariant,
@@ -22,7 +26,7 @@ from hatkit.perms import (
     schreier_sims,
 )
 
-from conftest import run_optimized
+from conftest import STRESS_GRAPHS, STRESS_NAMES, run_optimized
 
 
 def closure(gens):
@@ -356,3 +360,195 @@ def test_every_generator_sifts():
     group = schreier_sims(gens)
     for gen in group.generators:
         assert group.contains(gen)
+
+
+def reference_schreier_sims(generators, degree, order_bound=None, base=()):
+    """The chain build with no inverse cache, kept as the reference: every
+    sift step and every Schreier generator inverts its transversal
+    representative afresh.  Valid input only; returns (order, base,
+    strong generators, contains)."""
+    gens = [tuple(g) for g in generators]
+    base = list(base)
+    seen = set()
+    gens = [g for g in gens
+            if not is_identity(g) and not (g in seen or seen.add(g))]
+    strong = []
+    transversals = [{} for _ in base]
+    stale = [True] * len(base)
+
+    def level_gens(i):
+        return [s for s in strong if all(s[b] == b for b in base[:i])]
+
+    def insert_gen(g):
+        k = 0
+        while k < len(base) and g[base[k]] == base[k]:
+            k += 1
+        if k == len(base):
+            base.append(min(p for p in range(degree) if g[p] != p))
+            transversals.append({})
+            stale.append(True)
+        strong.append(g)
+        stale[:k + 1] = [True] * (k + 1)
+        return k
+
+    def rebuild_transversal(i):
+        if not stale[i]:
+            return
+        t = {base[i]: identity(degree)}
+        queue = [base[i]]
+        gl = level_gens(i)
+        for x in queue:
+            for s in gl:
+                y = s[x]
+                if y not in t:
+                    t[y] = compose(t[x], s)
+                    queue.append(y)
+        transversals[i] = t
+        stale[i] = False
+
+    def strip(g, start):
+        for i in range(start, len(base)):
+            x = g[base[i]]
+            if x not in transversals[i]:
+                return g, i
+            g = compose(g, inverse(transversals[i][x]))
+        return g, len(base)
+
+    for g in gens:
+        insert_gen(g)
+    for i in range(len(base)):
+        rebuild_transversal(i)
+    i = len(base) - 1
+    while i >= 0:
+        rebuild_transversal(i)
+        if (order_bound is not None
+                and prod(len(t) for t in transversals) == order_bound):
+            break
+        stuck = None
+        t = transversals[i]
+        gl = level_gens(i)
+        for x in sorted(t):
+            for s in gl:
+                us = compose(t[x], s)
+                uy = t[s[x]]
+                if us == uy:
+                    continue
+                h, _ = strip(compose(us, inverse(uy)), i + 1)
+                if not is_identity(h):
+                    stuck = insert_gen(h)
+                    break
+            if stuck is not None:
+                break
+        i = stuck if stuck is not None else i - 1
+
+    def contains(p):
+        return is_identity(strip(tuple(p), 0)[0])
+
+    return (prod(len(t) for t in transversals), tuple(base), tuple(strong),
+            contains)
+
+
+def record_pipeline_chains(monkeypatch):
+    """(arguments, chain) of every schreier_sims call that Aut(g)'s chain,
+    the lift's and <lift, tau>'s (and the cover's fibre action) make over
+    the builtin and stress graphs, with the analysis cache cleared first."""
+    calls = []
+    real = perms.schreier_sims
+
+    def record(generators, degree=None, order_bound=None, base=()):
+        args = ([tuple(s) for s in generators], degree, order_bound,
+                tuple(base))
+        group = real(*args)
+        calls.append((args, group))
+        return group
+
+    for module in (autgroup, covers, dartgraph, perms):
+        monkeypatch.setattr(module, "schreier_sims", record)
+    autgroup._analysis.cache_clear()
+    graphs = [(e.name, e.graph()) for e in builtin_entries()]
+    graphs += [(name, make()) for name, make in zip(STRESS_NAMES, STRESS_GRAPHS)]
+    for name, g in graphs:
+        group = autgroup.automorphism_group(g)
+        if g.degrees()[0] != 3 or name == "f026":
+            continue        # the dart chain needs a 2-arc-transitive cubic g
+        dart, natural, labeling = dartgraph.dart_graph(g)
+        lifted = dartgraph.lift_automorphisms(g, group, labeling)
+        if dart.n > 12:     # the cover stage starts above 12 darts
+            covers.cover_pipeline(
+                dart, alternating_cycles(dart, natural), lifted)
+    autgroup._analysis.cache_clear()
+    return calls
+
+
+def cache_probes(gens, degree, rng):
+    """The generators, random words in them and random permutations."""
+    probes = list(gens)
+    for _ in range(10):
+        word = identity(degree)
+        for _ in range(rng.randint(1, 6)):
+            word = compose(word, rng.choice(gens))
+        images = list(range(degree))
+        rng.shuffle(images)
+        probes += [word, tuple(images)]
+    return probes
+
+
+def random_chain_args():
+    """Seeded random generating sets of degree 5 to 12, some with a base."""
+    rng = random.Random(1313)
+    for _ in range(30):
+        n = rng.randint(5, 12)
+        gens = []
+        for _ in range(rng.randint(1, 3)):
+            images = list(range(n))
+            rng.shuffle(images)
+            gens.append(tuple(images))
+        base = tuple(rng.sample(range(n), rng.randint(0, 2)))
+        yield gens, n, None, base
+
+
+def test_cached_chains_match_uncached_reference(monkeypatch):
+    """Chains that invert each representative at most once have the
+    order, base, strong generators and membership verdicts of the
+    uncached build, on the builtin and stress Aut(g), lift and
+    <lift, tau> chains and on seeded random groups."""
+    calls = record_pipeline_chains(monkeypatch)
+    monkeypatch.undo()
+    degrees = {args[1] for args, _ in calls}
+    assert len(calls) > 3 * len(STRESS_NAMES) and max(degrees) == 270
+    rng = random.Random(13)
+    cases = calls + [(args, schreier_sims(*args))
+                     for args in random_chain_args()]
+    for args, group in cases:
+        order, base, strong, contains = reference_schreier_sims(*args)
+        assert (group.order, group.base, group.strong_generators) == (
+            order, base, strong)
+        if group.generators:
+            for p in cache_probes(group.generators, group.degree, rng):
+                assert group.contains(p) == contains(p)
+
+
+def test_each_representative_inverted_at_most_once(monkeypatch):
+    """Building a chain and sifting through it inverts no transversal
+    representative twice: each inverse is computed on first use and kept
+    until its level is rebuilt, which makes new representatives."""
+    calls = record_pipeline_chains(monkeypatch)
+    monkeypatch.undo()
+    rng = random.Random(7)
+    inverted = {}
+    real = perms.inverse
+
+    def counted(p):
+        assert id(p) not in inverted, "representative inverted twice"
+        inverted[id(p)] = p         # keeps p alive, so its id stays unique
+        return real(p)
+
+    monkeypatch.setattr(perms, "inverse", counted)
+    cases = [args for args, _ in calls] + list(random_chain_args())
+    for args in cases:
+        group = schreier_sims(*args)
+        if group.generators:
+            for p in cache_probes(group.generators, group.degree, rng):
+                group.contains(p)
+                group.contains(p)
+    assert inverted
