@@ -28,7 +28,8 @@ from .errors import (
     StructureViolation,
     TightlyAttached,
 )
-from .graphs import Graph, from_edge_list, is_connected, is_regular, maps_edges
+from .graphs import (Graph, check_edge_map, from_edge_list, is_connected,
+                     is_regular)
 from .autgroup import transitivity_report
 from .perms import PermGroup, centralizes, schreier_sims
 from .records import JsonRecord
@@ -305,7 +306,9 @@ def antipodal_involution(g: Graph, dec: AltDecomposition, group: PermGroup):
     and the map is a fixed-point-free involution (StructureViolation
     naming antipodal_total, antipodal_involution or
     antipodal_fixed_point_free, with the vertex, otherwise), an
-    automorphism of g, and centralizes the supplied group.
+    automorphism of g (StructureViolation naming antipodal_automorphism,
+    with the edge and its image, otherwise), and centralizes the supplied
+    group.
     """
     if dec.attachment % 2:
         raise OddAttachment(
@@ -336,8 +339,7 @@ def antipodal_involution(g: Graph, dec: AltDecomposition, group: PermGroup):
     if fixed is not None:
         raise StructureViolation(f"antipodal_fixed_point_free: vertex "
                                  f"{fixed} is its own antipode")
-    if not maps_edges(tau, g, g):
-        raise StructureViolation("antipodal map is not an automorphism")
+    check_edge_map("antipodal_automorphism", tau, g, g)
     if not centralizes(tau, group):
         raise StructureViolation(
             "antipodal map does not centralize the supplied group")

@@ -76,6 +76,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import getitem
 
 from .errors import (
     InvalidPartition,
@@ -83,7 +84,7 @@ from .errors import (
     StructureViolation,
     TooLarge,
 )
-from .graphs import Graph, is_regular, maps_edges, relabel, unmapped_edge
+from .graphs import Graph, check_edge_map, is_regular, maps_edges, relabel
 from .graph6 import _bit_layout, write_graph6
 from .records import JsonRecord
 from .perms import (
@@ -291,16 +292,6 @@ def _leaf_key(g, pi):
     return int.from_bytes(buf, "big") >> padding
 
 
-def _check_edge_map(check, p, g, h):
-    """Raise StructureViolation naming `check` at the first edge of g that
-    p does not carry to an edge of h."""
-    edge = unmapped_edge(p, g, h)
-    if edge is not None:
-        u, v = edge
-        raise StructureViolation(f"{check}: edge ({u}, {v}) maps to the "
-                                 f"non-edge ({p[u]}, {p[v]})")
-
-
 class _Search:
     """One full IR search over a graph: automorphism generators plus the
     leaf of minimum (traces, key)."""
@@ -332,9 +323,24 @@ class _Search:
             return self._leaf(partition, path, traces)
         depth = len(path)
         cell = partition[cell_index]
-        explored = []
+        # An automorphism fixing the path pointwise maps the node's partition,
+        # hence the target cell, onto itself.  So the cell's orbits under the
+        # generators found so far that fix the path, each named by its least
+        # vertex, lie in orbits of the path's stabiliser.  They are computed
+        # again only when a generator was added; before the first, every
+        # vertex is its own orbit.
+        explored, done, orbit_of, known = [], set(), {}, 0
         for v in cell:
-            if explored and self._in_explored_orbit(v, explored, path):
+            if explored and len(self.aut_gens) > known:
+                known = len(self.aut_gens)
+                gens = [a for a in self.aut_gens
+                        if all(a[q] == q for q in path)]
+                orbit_of = {w: orbit[0]
+                            for orbit in orbits(cell, gens, getitem)
+                            for w in orbit}
+                done = {orbit_of[w] for w in explored}
+            orbit = orbit_of.get(v, v)
+            if orbit in done:
                 continue
             child = _refine(self.g, _individualize(partition, cell_index, v),
                             *self._references(traces), (v,))
@@ -344,6 +350,7 @@ class _Search:
                 if back < depth:
                     return back
             explored.append(v)
+            done.add(orbit)
         return depth
 
     def _references(self, traces):
@@ -355,25 +362,6 @@ class _Search:
         depth = len(traces)
         return tuple(ref[depth] if ref[:depth] == traces else None
                      for ref in (self.first_traces, self.best[0]))
-
-    def _in_explored_orbit(self, v, explored, prefix):
-        # Not perms.orbits: this sweep stops at the first hit and runs in
-        # the inner loop of the search, where refinement already dominates.
-        gens = [a for a in self.aut_gens if all(a[q] == q for q in prefix)]
-        if not gens:
-            return False
-        seen = set(explored)
-        queue = list(explored)
-        while queue:
-            x = queue.pop()
-            for a in gens:
-                y = a[x]
-                if y == v:
-                    return True
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        return False
 
     def _leaf(self, partition, path, traces):
         """Record a leaf; returns the depth of the deepest common ancestor
@@ -396,7 +384,7 @@ class _Search:
         other, other_path = seen
         aut = compose(pi, inverse(other))
         if not is_identity(aut) and aut not in self._gen_set:
-            _check_edge_map("leaf_pair_automorphism", aut, self.g, self.g)
+            check_edge_map("leaf_pair_automorphism", aut, self.g, self.g)
             self._gen_set.add(aut)
             self.aut_gens.append(aut)
         # aut fixes the common prefix and maps this path's next vertex onto
@@ -443,7 +431,7 @@ def automorphism_group(g: Graph) -> PermGroup:
         group = schreier_sims(result.generators, degree=g.n,
                               base=result.first_path)
         for gen in group.generators:
-            _check_edge_map("aut_generator", gen, g, g)
+            check_edge_map("aut_generator", gen, g, g)
         result.group = group
     return result.group
 
@@ -473,7 +461,7 @@ def is_isomorphic(g: Graph, h: Graph):
     if search_g.certificate != search_h.certificate:
         return None
     mapping = compose(search_g.labeling, inverse(search_h.labeling))
-    _check_edge_map("isomorphism_mapping", mapping, g, h)
+    check_edge_map("isomorphism_mapping", mapping, g, h)
     return mapping
 
 

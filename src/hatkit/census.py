@@ -11,11 +11,11 @@ suites, never trusted.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib.resources import files
 from itertools import combinations
 
-from .errors import MalformedCensus
+from .errors import MalformedCensus, MalformedGraph6
 from .graphs import Graph, from_edge_list
 from .graph6 import load_graph6_file, parse_graph6, write_graph6
 from .records import JsonRecord
@@ -82,12 +82,21 @@ def holt_graph() -> Graph:
 
 @dataclass
 class CensusEntry(JsonRecord):
+    """A named graph with its optional expected properties.  The graph6
+    string is parsed once, when the entry is made (MalformedGraph6 unless
+    it is graph6), unless the parsed graph is given."""
+
     name: str
     graph6: str
     expected: dict | None = None
+    parsed: Graph | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.parsed is None:
+            self.parsed = parse_graph6(self.graph6)
 
     def graph(self) -> Graph:
-        return parse_graph6(self.graph6)
+        return self.parsed
 
 
 def build_builtin_entries():
@@ -134,7 +143,7 @@ def build_builtin_entries():
 def _json_entries(source, data):
     """Entries of a census JSON document: an object whose "entries" is a
     list, or the list itself, of objects with distinct string names, a
-    string graph6 and an optional expected object."""
+    graph6 string and an optional expected object."""
     try:
         data = json.loads(data)
     except ValueError as exc:       # also a bad UTF-8 byte
@@ -157,8 +166,13 @@ def _json_entries(source, data):
             raise MalformedCensus(
                 f"{source}: entries {j} and {i} are both named "
                 f"{item['name']!r}")
-        entries.append(CensusEntry(name=item["name"], graph6=item["graph6"],
-                                   expected=item.get("expected")))
+        try:
+            entries.append(CensusEntry(name=item["name"],
+                                       graph6=item["graph6"],
+                                       expected=item.get("expected")))
+        except MalformedGraph6 as exc:
+            raise MalformedCensus(
+                f"{source}: entry {i} ({item['name']!r}): {exc}") from exc
     return entries
 
 
@@ -182,5 +196,5 @@ def load_census(source) -> list:
         data = fh.read()
     if data.lstrip()[:1] in (b"{", b"["):
         return _json_entries(source, data)
-    return [CensusEntry(name=f"line{lineno}", graph6=write_graph6(g))
+    return [CensusEntry(name=f"line{lineno}", graph6=write_graph6(g), parsed=g)
             for lineno, g in load_graph6_file(source)]

@@ -12,7 +12,7 @@ is bipartite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import (
     DegenerateWreath,
@@ -42,6 +42,7 @@ from .graphs import (
     odd_closed_walk,
 )
 from .graph6 import write_graph6
+from .records import GROUP_ORDER, JsonRecord
 from .autgroup import arc_orbits
 from .altcycles import (
     AltDecomposition,
@@ -82,10 +83,8 @@ def is_covering(total: Graph, base: Graph, fibre_map) -> bool:
         return False
     if len(set(fibre_map)) != base.n:
         return False
-    for u, v in total.edges:
-        bu, bv = fibre_map[u], fibre_map[v]
-        if bu == bv or not base.has_edge(bu, bv):
-            return False
+    if not maps_edges(fibre_map, total, base):
+        return False
     for v in range(total.n):
         images = [fibre_map[w] for w in total.adj[v]]
         if len(set(images)) != len(images):
@@ -247,7 +246,7 @@ def split_certificate(total: Graph, group: PermGroup, tau,
 
 
 @dataclass
-class CoverReport:
+class CoverReport(JsonRecord):
     """End-to-end record of one cover-pipeline run.  base_is_line_graph_of
     is the graph6 of the graph of alternating cycles with vertex i =
     dec.cycles[i], the labelling its line graph is checked in."""
@@ -262,41 +261,27 @@ class CoverReport:
     base_order: int
     base_girth: int
     base_is_line_graph_of: str
-    group_order: int
-    lifted_order: int
-    projected_order: int
-
-    def to_json_dict(self):
-        return {
-            "graph": self.graph6,
-            "order": self.order,
-            "bipartite": self.bipartite,
-            "radius": self.radius,
-            "attachment": self.attachment,
-            "split": self.split,
-            "sectional": self.sectional,
-            "base_order": self.base_order,
-            "base_girth": self.base_girth,
-            "base_is_line_graph_of": self.base_is_line_graph_of,
-            "group_orders": {
-                "G": str(self.group_order),
-                "G_tilde": str(self.lifted_order),
-                "H": str(self.projected_order),
-            },
-        }
+    group_order: int = field(metadata=GROUP_ORDER)
+    lifted_order: int = field(metadata=GROUP_ORDER)
+    projected_order: int = field(metadata=GROUP_ORDER)
 
 
 def cover_pipeline(total: Graph, dec: AltDecomposition,
                    group: PermGroup) -> CoverReport:
     """Run antipodal involution -> quotient -> split certificate for a
     half-arc-transitive action with radius 3 and attachment 2 on a graph
-    of order greater than 12, then verify the base graph:
+    of order greater than 12, then verify the cover and its base graph:
 
-    - the projected group acts faithfully and arc-transitively on it
-      (StructureViolation naming projected_arc_transitive otherwise),
-    - it has girth 3 (alternating 6-cycles project to triangles),
-    - it is the line graph of the graph of alternating cycles: the fibre
-      {v, tau v} maps to the edge of the two cycles that meet at v.
+    - the cover is sectional exactly when total is bipartite
+      (StructureViolation naming sectional_iff_bipartite otherwise),
+    - the kernel of the action on the fibres is exactly <tau>
+      (fibre_action_kernel_tau, with both orders),
+    - the projected group acts faithfully and arc-transitively on the
+      base (StructureViolation naming projected_arc_transitive otherwise),
+    - the base has girth 3, as alternating 6-cycles project to triangles
+      (base_girth_3, with the girth),
+    - the base is the line graph of the graph of alternating cycles: the
+      fibre {v, tau v} maps to the edge of the two cycles that meet at v.
 
     dec must be the alternating cycles of an orientation of total that
     the group induces, as verify_dart_forward certifies them; the group
@@ -317,8 +302,11 @@ def cover_pipeline(total: Graph, dec: AltDecomposition,
     cert = split_certificate(total, group, tau, cover)
 
     bipartite = cert.non_bipartite_witness is None
-    assert cert.is_sectional == bipartite, \
-        "sectional exactly when the total graph is bipartite"
+    if cert.is_sectional != bipartite:
+        raise StructureViolation(
+            f"sectional_iff_bipartite: sectional={cert.is_sectional}, "
+            f"bipartite={bipartite}, odd closed walk "
+            f"{cert.non_bipartite_witness}")
 
     # split_certificate checked that the fibres are tau-orbits, so tau is in
     # the kernel of the fibre action: the projected order is at most |G~|/2
@@ -328,8 +316,11 @@ def cover_pipeline(total: Graph, dec: AltDecomposition,
         order_bound=cert.lifted_group.order // 2)
     # kernel of the fibre action must be exactly <tau>, so the projected
     # quotient group acts faithfully with half the lifted order
-    assert not faithful and 2 * projected.order == cert.lifted_group.order, \
-        "kernel of the fibre action must be exactly the covering group"
+    if faithful or 2 * projected.order != cert.lifted_group.order:
+        raise StructureViolation(
+            f"fibre_action_kernel_tau: the action on the fibres has order "
+            f"{projected.order} (faithful={faithful}), the lifted group "
+            f"{cert.lifted_group.order}")
     base_arc_orbits = arc_orbits(projected.generators, cover.base)
     if len(base_arc_orbits) > 1:
         raise StructureViolation(
@@ -337,7 +328,9 @@ def cover_pipeline(total: Graph, dec: AltDecomposition,
             f"{len(base_arc_orbits)} arc orbits on the base")
 
     base_girth = girth(cover.base)
-    assert base_girth == 3, f"base girth {base_girth} != 3"
+    if base_girth != 3:
+        raise StructureViolation(f"base_girth_3: the base has girth "
+                                 f"{base_girth}")
 
     lam = dec.cycle_graph
     lam_line, lam_edges = line_graph(lam)

@@ -26,8 +26,8 @@ from .errors import (
     TooSmall,
     WrongParameters,
 )
-from .graphs import (Graph, from_edge_list, is_connected, is_isomorphism,
-                     is_regular, maps_edges)
+from .graphs import (Graph, check_edge_map, from_edge_list, is_connected,
+                     is_isomorphism, is_regular, maps_edges)
 from .autgroup import TransitivityReport
 from .altcycles import (
     AltDecomposition,
@@ -82,23 +82,23 @@ def dart_reversal(labeling: DartLabeling):
     python -O."""
     tau = tuple(labeling.index[(v, u)] for (u, v) in labeling.darts)
     g = labeling.graph
-    reversed_arcs = {(h, t) for t, h in labeling.orientation.arcs}
     checks = (
-        ("reversal_fixed_point_free", "dart {} is fixed",
+        ("reversal_fixed_point_free", "is fixed",
          (i for i in range(g.n) if tau[i] == i)),
-        ("reversal_involution", "dart {} is not fixed by its square",
+        ("reversal_involution", "is not fixed by its square",
          (i for i in range(g.n) if tau[tau[i]] != i)),
-        ("reversal_automorphism", "edge {} maps to a non-edge",
-         (e for e in g.edges if tau[e[1]] not in g.nbrs[tau[e[0]]])),
-        ("reversal_reverses_orientation",
-         "natural arc {} does not map to a reversed arc",
-         ((t, h) for t, h in labeling.orientation.arcs
-          if (tau[t], tau[h]) not in reversed_arcs)),
     )
     for name, text, failures in checks:
         witness = next(failures, None)
         if witness is not None:
-            raise StructureViolation(f"{name}: " + text.format(witness))
+            raise StructureViolation(f"{name}: dart {witness} {text}")
+    check_edge_map("reversal_automorphism", tau, g, g)
+    reversed_arcs = {(h, t) for t, h in labeling.orientation.arcs}
+    arc = next(((t, h) for t, h in labeling.orientation.arcs
+                if (tau[t], tau[h]) not in reversed_arcs), None)
+    if arc is not None:
+        raise StructureViolation(f"reversal_reverses_orientation: natural "
+                                 f"arc {arc} does not map to a reversed arc")
     return tau
 
 
@@ -255,8 +255,8 @@ def psi_isomorphism(g: Graph, d: Orientation, dec: AltDecomposition):
     vertices and verified to be an isomorphism that carries the natural
     orientation onto d.  A failed check raises StructureViolation naming
     it (psi_unique_head, psi_bijective, psi_preserves_adjacency or
-    psi_orientation_compatible) with the dart or arc that fails it, also
-    under python -O.  With d.reverse() the mapping is
+    psi_orientation_compatible) with the dart, edge or arc that fails it,
+    also under python -O.  With d.reverse() the mapping is
     compose(rev, mapping) for the dart reversal rev of the dart graph.
     """
     if d.graph != g:
@@ -295,19 +295,17 @@ def psi_isomorphism(g: Graph, d: Orientation, dec: AltDecomposition):
 
     # |V(g)| / 3 cycles give |V(g)| darts, so an injective psi is bijective
     taken = {}
-    checks = (
-        ("psi_bijective", "darts {} map to the same vertex",
-         ((taken[v], i) for i, v in enumerate(psi)
-          if taken.setdefault(v, i) != i)),
-        ("psi_preserves_adjacency", "dart-graph edge {} maps to a non-edge",
-         (e for e in dart.edges if psi[e[1]] not in g.nbrs[psi[e[0]]])),
-        ("psi_orientation_compatible", "natural arc {} maps against d",
-         (a for a in natural.arcs if not d.is_head(psi[a[1]], psi[a[0]]))),
-    )
-    for name, text, failures in checks:
-        witness = next(failures, None)
-        if witness is not None:
-            raise StructureViolation(f"{name}: " + text.format(witness))
+    pair = next(((taken[v], i) for i, v in enumerate(psi)
+                 if taken.setdefault(v, i) != i), None)
+    if pair is not None:
+        raise StructureViolation(
+            f"psi_bijective: darts {pair} map to the same vertex")
+    check_edge_map("psi_preserves_adjacency", psi, dart, g)
+    arc = next((a for a in natural.arcs
+                if not d.is_head(psi[a[1]], psi[a[0]])), None)
+    if arc is not None:
+        raise StructureViolation(
+            f"psi_orientation_compatible: natural arc {arc} maps against d")
     # each check above raises on failure
     report = PsiReport(
         radius=dec.radius,

@@ -8,6 +8,7 @@ from .errors import (
     DuplicateEdge,
     EmptyEdgeSet,
     LoopEdge,
+    StructureViolation,
     VertexOutOfRange,
 )
 
@@ -83,19 +84,14 @@ class Graph:
 
 
 def from_edge_list(n, edges):
-    """Build a Graph from a vertex count and an iterable of vertex pairs."""
+    """Build a Graph from a vertex count and an iterable of vertex pairs.
+    Graph rejects a loop (LoopEdge) and a pair listed twice, in either
+    order (DuplicateEdge)."""
     adj = [[] for _ in range(n)]
-    seen = set()
     for pair in edges:
         u, v = tuple(pair)
         if not (0 <= u < n and 0 <= v < n):
             raise VertexOutOfRange(f"edge ({u}, {v}) outside 0..{n - 1}")
-        if u == v:
-            raise LoopEdge(f"loop at vertex {u}")
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            raise DuplicateEdge(f"edge {key} listed twice")
-        seen.add(key)
         adj[u].append(v)
         adj[v].append(u)
     return Graph(n, adj)
@@ -112,6 +108,16 @@ def unmapped_edge(p, g, h):
     """The first edge uv of g whose image p[u]p[v] is no edge of h, or None."""
     return next(((u, v) for u, v in g.edges if p[v] not in h.nbrs[p[u]]),
                 None)
+
+
+def check_edge_map(check, p, g, h):
+    """Raise StructureViolation naming `check` at the first edge of g that
+    p does not carry to an edge of h."""
+    edge = unmapped_edge(p, g, h)
+    if edge is not None:
+        u, v = edge
+        raise StructureViolation(f"{check}: edge ({u}, {v}) maps to the "
+                                 f"non-edge ({p[u]}, {p[v]})")
 
 
 def maps_edges(p, g, h):

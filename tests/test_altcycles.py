@@ -321,6 +321,10 @@ _FAULT_SETUP = (
     ("antipodal_involution(triangle, by_hand(((0,), (1, 2))),\n"
      "                     schreier_sims([], degree=3))",
      "antipodal_fixed_point_free", "vertex 0 is its own antipode"),
+    ("antipodal_involution(from_edge_list(4, [(0, 1), (1, 2), (2, 3)]),\n"
+     "                     by_hand(((0, 2), (1, 3))),\n"
+     "                     schreier_sims([], degree=4))",
+     "antipodal_automorphism", "edge (1, 2) maps to the non-edge (3, 0)"),
     ("induced_alt_action(schreier_sims([], degree=g.n), dec,\n"
      "                   alt_graph(g, dec))",
      "alt_action_transitive", "the orbit of cycle 0 has 1 of 4 cycles"),

@@ -351,6 +351,71 @@ def test_leaf_key_orders_like_graph6():
             assert (key1 == key2) == (enc1 == enc2)
 
 
+class BreadthFirstOrbitSearch(autgroup._Search):
+    """The search with the orbit test it had before the target cell's
+    orbits came from perms.orbits: for each candidate, a breadth-first
+    sweep from the explored candidates under the generators that fix the
+    path."""
+
+    def _explore(self, partition, path, traces):
+        cell_index = autgroup._target_cell(partition)
+        if cell_index is None:
+            return self._leaf(partition, path, traces)
+        depth = len(path)
+        explored = []
+        for v in partition[cell_index]:
+            if explored and self._in_explored_orbit(v, explored, path):
+                continue
+            child = autgroup._refine(
+                self.g, autgroup._individualize(partition, cell_index, v),
+                *self._references(traces), (v,))
+            if child is not None:
+                back = self._explore(child[0], path + (v,),
+                                     traces + (child[1],))
+                if back < depth:
+                    return back
+            explored.append(v)
+        return depth
+
+    def _in_explored_orbit(self, v, explored, prefix):
+        gens = [a for a in self.aut_gens if all(a[q] == q for q in prefix)]
+        if not gens:
+            return False
+        seen = set(explored)
+        queue = list(explored)
+        while queue:
+            x = queue.pop()
+            for a in gens:
+                y = a[x]
+                if y == v:
+                    return True
+                if y not in seen:
+                    seen.add(y)
+                    queue.append(y)
+        return False
+
+
+def test_search_orbit_test_matches_breadth_first_reference():
+    """Pruning by the target cell's orbits gives the generators, first
+    path, canonical labeling and certificate of the per-candidate
+    breadth-first orbit test, on seeded random 3- and 4-regular graphs
+    and on relabeled builtin and stress graphs."""
+    rng = random.Random(46)
+    graphs = [random_regular(rng, n, k) for k in (3, 4)
+              for n in (12, 20, 40, 80)]
+    graphs += [relabel(g, tuple(rng.sample(range(g.n), g.n)))
+               for g, _ in pinned_graphs()]
+
+    def result(search):
+        result = autgroup._SearchResult(search.run())
+        return (result.generators, result.first_path, result.labeling,
+                result.certificate)
+
+    for g in graphs:
+        assert result(autgroup._Search(g)) == \
+            result(BreadthFirstOrbitSearch(g))
+
+
 def test_search_results_pinned():
     """Canonical labelings and certificates of the builtin and stress
     graphs, pinned by digest, and their generator lists, pinned by a

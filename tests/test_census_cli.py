@@ -323,7 +323,7 @@ def test_verify_entry_builds_each_artefact_once(monkeypatch):
                 monkeypatch.setattr(layer, name, counted)
     autgroup._analysis.cache_clear()
     petersen = next(e for e in builtin_entries() if e.name == "petersen")
-    result = cli._verify_entry((petersen.to_json_dict(), cli.SUITES, True))
+    result = cli._verify_entry((petersen, cli.SUITES, True))
     assert result["passed"]
     assert calls["dart_graph"] <= 2
     assert calls["lift_automorphisms"] == 1
@@ -383,7 +383,7 @@ def test_verify_records_typed_quotient_error(monkeypatch):
     monkeypatch.setattr(covers, "maps_edges", lambda p, g, h: True)
     autgroup._analysis.cache_clear()
     petersen = next(e for e in builtin_entries() if e.name == "petersen")
-    result = cli._verify_entry((petersen.to_json_dict(), cli.SUITES, True))
+    result = cli._verify_entry((petersen, cli.SUITES, True))
     assert not result["passed"]
     assert result["error"].startswith("OrbitPairNotMatching: orbits (0, 1) ")
     assert result["error"].endswith(" joined by 1 edges")
@@ -409,7 +409,7 @@ def test_verify_entry_bounds_only_proven_builds(monkeypatch):
             monkeypatch.setattr(layer, "schreier_sims", recorded)
     autgroup._analysis.cache_clear()
     petersen = next(e for e in builtin_entries() if e.name == "petersen")
-    result = cli._verify_entry((petersen.to_json_dict(), cli.SUITES, True))
+    result = cli._verify_entry((petersen, cli.SUITES, True))
     assert result["passed"]
     # Aut(Petersen) on 10 points, the lift (|G|), <lift, tau> (2|G|) and
     # the action on the 15 fibres (|G|)

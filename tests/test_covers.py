@@ -359,7 +359,24 @@ def test_cover_pipeline_dodecahedron():
     assert report.split and not report.sectional and not report.bipartite
     assert report.base_girth == 3
     data = report.to_json_dict()
-    assert data["group_orders"]["G_tilde"] == str(2 * lifted.order)
+    assert data["lifted_order"] == str(2 * lifted.order)
+
+
+# Dart(Petersen), its alternating cycles and the lifted group.
+_DART_PETERSEN = (
+    "import dataclasses, sys\n"
+    "from hatkit import covers\n"
+    "from hatkit.altcycles import alternating_cycles\n"
+    "from hatkit.autgroup import automorphism_group\n"
+    "from hatkit.census import generalized_petersen\n"
+    "from hatkit.dartgraph import dart_graph, lift_automorphisms\n"
+    "from hatkit.errors import StructureViolation\n"
+    "petersen = generalized_petersen(5, 2)\n"
+    "g, natural, labeling = dart_graph(petersen)\n"
+    "lifted = lift_automorphisms(\n"
+    "    petersen, automorphism_group(petersen), labeling)\n"
+    "dec = alternating_cycles(g, natural)\n"
+)
 
 
 def test_cover_pipeline_rejects_wrong_line_graph_under_optimize():
@@ -367,19 +384,8 @@ def test_cover_pipeline_rejects_wrong_line_graph_under_optimize():
     with the prism GP(5,1) as the graph of alternating cycles of
     Dart(Petersen), some cycle pairs are no edge of it, and the check
     fails under python -O instead of raising KeyError."""
-    code = (
-        "import sys\n"
-        "from hatkit import altcycles, covers\n"
-        "from hatkit.altcycles import alternating_cycles\n"
-        "from hatkit.autgroup import automorphism_group\n"
-        "from hatkit.census import generalized_petersen\n"
-        "from hatkit.dartgraph import dart_graph, lift_automorphisms\n"
-        "from hatkit.errors import StructureViolation\n"
-        "petersen = generalized_petersen(5, 2)\n"
-        "g, natural, labeling = dart_graph(petersen)\n"
-        "lifted = lift_automorphisms(\n"
-        "    petersen, automorphism_group(petersen), labeling)\n"
-        "dec = alternating_cycles(g, natural)\n"
+    code = _DART_PETERSEN + (
+        "from hatkit import altcycles\n"
         "altcycles.alt_graph = lambda g, dec: generalized_petersen(5, 1)\n"
         "try:\n"
         "    covers.cover_pipeline(g, dec, lifted)\n"
@@ -393,19 +399,7 @@ def test_cover_pipeline_rejects_arc_intransitive_base_under_optimize():
     """Arc-transitivity of the projected action is checked by a raise
     that names it, not an assert: with arc_orbits made to split the
     base's arcs into two orbits, the check fails under python -O."""
-    code = (
-        "import sys\n"
-        "from hatkit import covers\n"
-        "from hatkit.altcycles import alternating_cycles\n"
-        "from hatkit.autgroup import automorphism_group\n"
-        "from hatkit.census import generalized_petersen\n"
-        "from hatkit.dartgraph import dart_graph, lift_automorphisms\n"
-        "from hatkit.errors import StructureViolation\n"
-        "petersen = generalized_petersen(5, 2)\n"
-        "g, natural, labeling = dart_graph(petersen)\n"
-        "lifted = lift_automorphisms(\n"
-        "    petersen, automorphism_group(petersen), labeling)\n"
-        "dec = alternating_cycles(g, natural)\n"
+    code = _DART_PETERSEN + (
         "real = covers.arc_orbits\n"
         "def split(generators, x):\n"
         "    (orbit,) = real(generators, x)\n"
@@ -419,6 +413,34 @@ def test_cover_pipeline_rejects_arc_intransitive_base_under_optimize():
     )
     assert run_optimized(code) == ["1", "StructureViolation",
                                    "projected_arc_transitive"]
+
+
+@pytest.mark.parametrize("fault, check, witness", [
+    ("real = covers.split_certificate\n"
+     "covers.split_certificate = lambda *args: dataclasses.replace(\n"
+     "    real(*args), is_sectional=True)\n",
+     "sectional_iff_bipartite", "sectional=True, bipartite=False"),
+    ("real = covers.induced_action\n"
+     "covers.induced_action = lambda group, blocks, order_bound: (\n"
+     "    real(group, blocks, order_bound=order_bound)[0], True)\n",
+     "fibre_action_kernel_tau", "order 120 (faithful=True)"),
+    ("covers.girth = lambda x: 4\n",
+     "base_girth_3", "girth 4"),
+])
+def test_cover_pipeline_checks_run_under_optimize(fault, check, witness):
+    """Sectional exactly when bipartite, the fibre action's kernel <tau>
+    and the base girth 3 are checked by raises, not asserts: with the
+    certificate made sectional, the fibre action made faithful, or the
+    base girth read as 4, cover_pipeline on Dart(Petersen) fails under
+    python -O, naming the check and giving the witness."""
+    code = _DART_PETERSEN + fault + (
+        "try:\n"
+        "    covers.cover_pipeline(g, dec, lifted)\n"
+        "except StructureViolation as exc:\n"
+        "    name, detail = str(exc).split(': ', 1)\n"
+        f"    print(sys.flags.optimize, name, {witness!r} in detail)\n"
+    )
+    assert run_optimized(code) == ["1", check, "True"]
 
 
 @pytest.mark.parametrize("walk, check", [

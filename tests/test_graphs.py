@@ -65,12 +65,24 @@ def test_from_edge_list_k4(k4):
 
 
 def test_from_edge_list_errors():
+    """A loop and a pair listed twice, in either order, are rejected by
+    Graph itself; a vertex outside 0..n-1, negative ones included, by
+    from_edge_list before it indexes the adjacency."""
     with pytest.raises(LoopEdge):
         from_edge_list(2, [(0, 0)])
     with pytest.raises(DuplicateEdge):
         from_edge_list(3, [(0, 1), (1, 0)])
     with pytest.raises(VertexOutOfRange):
         from_edge_list(2, [(0, 2)])
+    for n, edges, error in [
+            (3, [(0, 1), (1, 2), (2, 2)], LoopEdge),
+            (3, [(2, 1), (0, 2), (1, 2)], DuplicateEdge),
+            (3, [(0, 1), (0, 1)], DuplicateEdge),
+            (3, [(-1, 0)], VertexOutOfRange),
+            (3, [(1, -3)], VertexOutOfRange),
+            (0, [(0, 0)], VertexOutOfRange)]:
+        with pytest.raises(error):
+            from_edge_list(n, edges)
 
 
 def test_graph_equality_and_hash(k4):

@@ -22,7 +22,7 @@ def test_readme_quickstart():
     report = cover_pipeline(dart, dec, lifted)
     assert report.split and not report.sectional
     data = report.to_json_dict()
-    assert set(data) == {"graph", "order", "bipartite", "radius",
+    assert set(data) == {"graph6", "order", "bipartite", "radius",
                          "attachment", "split", "sectional", "base_order",
                          "base_girth", "base_is_line_graph_of",
-                         "group_orders"}
+                         "group_order", "lifted_order", "projected_order"}
