@@ -166,8 +166,10 @@ def alternating_cycles(g: Graph, orientation: Orientation) -> AltDecomposition:
     From an edge arriving at v, the walk continues along the unique other
     edge at v on which v plays the same role (head or tail).  Violations
     of the invariants (unequal lengths, a vertex repeated on a cycle,
-    unequal or unevenly spaced intersections) raise StructureViolation:
-    the orientation was not induced by a half-arc-transitive action.
+    unequal or unevenly spaced intersections) raise StructureViolation
+    naming the invariant (alt_walk_simple, alt_cycle_lengths_equal, ...)
+    with its witness: the orientation was not induced by a
+    half-arc-transitive action.
     """
     if orientation.graph != g:
         raise OrientationInvalid("orientation belongs to a different graph")
@@ -193,20 +195,24 @@ def alternating_cycles(g: Graph, orientation: Orientation) -> AltDecomposition:
         raw_cycles.append(seq)
 
     cycles = []
-    for seq in raw_cycles:
+    for i, seq in enumerate(raw_cycles):
         if len(set(seq)) != len(seq):
+            twice = next(v for k, v in enumerate(seq) if v in seq[:k])
             raise StructureViolation(
-                "an alternating walk revisits a vertex; the orientation is "
-                "not half-arc-transitively induced")
+                f"alt_walk_simple: alternating walk {i} visits vertex "
+                f"{twice} twice; the orientation is not "
+                "half-arc-transitively induced")
         cycles.append(_canonical_cycle(seq))
     cycles = tuple(cycles)
 
     lengths = {len(c) for c in cycles}
     if len(lengths) != 1:
-        raise StructureViolation(f"cycle lengths differ: {sorted(lengths)}")
+        raise StructureViolation(
+            f"alt_cycle_lengths_equal: cycle lengths {sorted(lengths)}")
     length = lengths.pop()
     if length % 2:
-        raise StructureViolation(f"odd cycle length {length}")
+        raise StructureViolation(
+            f"alt_cycle_length_even: the cycles have odd length {length}")
     radius = length // 2
 
     at_vertex = [[] for _ in range(g.n)]
@@ -216,7 +222,8 @@ def alternating_cycles(g: Graph, orientation: Orientation) -> AltDecomposition:
     for v, pair in enumerate(at_vertex):
         if len(pair) != 2 or pair[0] == pair[1]:
             raise StructureViolation(
-                f"vertex {v} lies on cycles {pair}, expected exactly two")
+                f"alt_two_cycles_per_vertex: vertex {v} lies on cycles "
+                f"{pair}, expected exactly two")
     cycles_at_vertex = tuple(tuple(sorted(pair)) for pair in at_vertex)
 
     # the cycle partition of the edge set, keyed by normalized edge
@@ -224,8 +231,10 @@ def alternating_cycles(g: Graph, orientation: Orientation) -> AltDecomposition:
     for i, cyc in enumerate(cycles):
         for a in range(len(cyc)):
             cycle_of_edge[_edge_key(cyc[a], cyc[(a + 1) % len(cyc)])] = i
-    if len(cycle_of_edge) != g.m:
-        raise StructureViolation("cycles do not partition the edge set")
+    edge = next((e for e in g.edges if e not in cycle_of_edge), None)
+    if edge is not None:
+        raise StructureViolation(
+            f"alt_cycles_partition_edges: edge {edge} lies on no cycle")
 
     by_pair = {}
     for v, pair in enumerate(cycles_at_vertex):
@@ -233,16 +242,17 @@ def alternating_cycles(g: Graph, orientation: Orientation) -> AltDecomposition:
     sizes = {len(vs) for vs in by_pair.values()}
     if len(sizes) != 1:
         raise StructureViolation(
-            f"intersection sizes differ: {sorted(sizes)}")
+            f"alt_attachment_constant: intersection sizes {sorted(sizes)}")
     attachment = sizes.pop()
     if (2 * radius) % attachment:
         raise StructureViolation(
-            f"attachment {attachment} does not divide {2 * radius}")
+            f"alt_attachment_divides_2r: attachment {attachment} does not "
+            f"divide 2r = {2 * radius}")
     ell = 2 * radius // attachment
     if len(cycles) >= 3 and attachment > radius:
         raise StructureViolation(
-            f"attachment {attachment} exceeds radius {radius} "
-            f"with {len(cycles)} cycles")
+            f"alt_attachment_at_most_radius: attachment {attachment} "
+            f"exceeds radius {radius} with {len(cycles)} cycles")
 
     positions = [{v: p for p, v in enumerate(cyc)} for cyc in cycles]
     for (i, j), verts in by_pair.items():
@@ -252,8 +262,9 @@ def alternating_cycles(g: Graph, orientation: Orientation) -> AltDecomposition:
             gaps.append(2 * radius - ps[-1] + ps[0])
             if any(gap != ell for gap in gaps):
                 raise StructureViolation(
-                    f"intersection of cycles {i} and {j} is not spaced "
-                    f"every {ell} steps")
+                    f"alt_intersection_spacing: the intersection of cycles "
+                    f"{i} and {j} is not spaced every {ell} steps on cycle "
+                    f"{c}: gaps {gaps}")
 
     attachment_sets = tuple(
         tuple(sorted(vs))
@@ -308,7 +319,8 @@ def antipodal_involution(g: Graph, dec: AltDecomposition, group: PermGroup):
     antipodal_fixed_point_free, with the vertex, otherwise), an
     automorphism of g (StructureViolation naming antipodal_automorphism,
     with the edge and its image, otherwise), and centralizes the supplied
-    group.
+    group (antipodal_centralizes, with a generator and a vertex at which
+    the two do not commute, otherwise).
     """
     if dec.attachment % 2:
         raise OddAttachment(
@@ -341,8 +353,11 @@ def antipodal_involution(g: Graph, dec: AltDecomposition, group: PermGroup):
                                  f"{fixed} is its own antipode")
     check_edge_map("antipodal_automorphism", tau, g, g)
     if not centralizes(tau, group):
+        i, x = next((i, x) for i, s in enumerate(group.generators)
+                    for x in range(g.n) if tau[s[x]] != s[tau[x]])
         raise StructureViolation(
-            "antipodal map does not centralize the supplied group")
+            f"antipodal_centralizes: generator {i} of the group does not "
+            f"commute with the antipodal map at vertex {x}")
     return tau
 
 

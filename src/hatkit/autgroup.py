@@ -11,6 +11,20 @@ Discovered automorphisms prune sibling branches whose candidate lies in
 the orbit of an already explored candidate under the subgroup fixing the
 current individualization prefix pointwise.
 
+The root is the coarsest equitable refinement of the unit partition, split
+further by a vertex invariant when it is not discrete (McKay and Piperno
+2014 use invariants the same way): each non-singleton cell is split by the
+sizes |S_1(v)|, |S_2(v)|, |S_3(v)| of the distance spheres around its
+vertices, the parts ordered by that value and each kept sorted, and the
+result is refined once more.  Sphere sizes are isomorphism invariant, so
+the root, like the equitable one, is carried onto the root of g's image by
+every isomorphism and mapped onto itself cell by cell by every
+automorphism; these two facts are all that the arguments below ask of
+the root, and they hold unchanged.  On a regular graph with a small group
+the equitable root is one cell, and the split usually makes it discrete.
+On a vertex-transitive graph the value is constant and the root is the
+equitable one.
+
 Every refinement leaves a trace: one event per split, the position of
 the first part in the new partition and the sizes of the parts in order.
 A node's traces are those of the refinements on its path, one per level.
@@ -98,6 +112,7 @@ from .perms import (
 )
 
 _MAX_VERTICES = 10_000
+_SPHERE_DEPTH = 3       # distance spheres measured by the root invariant
 
 # ColoredPartition: ordered tuple of disjoint cells covering 0..n-1.
 ColoredPartition = tuple
@@ -279,6 +294,39 @@ def _target_cell(partition):
     return best
 
 
+def _sphere_sizes(g, v):
+    """(|S_1(v)|, ..., |S_d(v)|) for d = _SPHERE_DEPTH: the numbers of
+    vertices at distance 1, ..., d from v."""
+    adj = g.adj
+    seen, frontier, sizes = {v}, [v], []
+    for _ in range(_SPHERE_DEPTH):
+        sphere = []
+        for u in frontier:
+            for w in adj[u]:
+                if w not in seen:
+                    seen.add(w)
+                    sphere.append(w)
+        sizes.append(len(sphere))
+        frontier = sphere
+    return tuple(sizes)
+
+
+def _split_by_spheres(g, partition):
+    """The cells of partition, each non-singleton cell split by its
+    vertices' sphere sizes into parts in increasing order of them, each
+    part sorted."""
+    cells = []
+    for cell in partition:
+        if len(cell) == 1:
+            cells.append(cell)
+            continue
+        parts = {}
+        for v in cell:
+            parts.setdefault(_sphere_sizes(g, v), []).append(v)
+        cells.extend(tuple(parts[value]) for value in sorted(parts))
+    return cells
+
+
 def _leaf_key(g, pi):
     """Sum of 2^(L-1-pos(i, j)) over the edges ij, i < j, of g relabeled
     by pi, where L = n(n-1)/2 and pos(i, j) = j(j-1)/2 + i.
@@ -311,6 +359,10 @@ class _Search:
             self.first_path = self.best_pi = ()
             return self
         root, _ = _refine(self.g, unit_partition(self.g))
+        if _target_cell(root) is not None:
+            cells = _split_by_spheres(self.g, root)
+            if len(cells) > len(root):
+                root, _ = _refine(self.g, cells)
         self._explore(root, (), ())
         return self
 

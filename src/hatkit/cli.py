@@ -27,7 +27,7 @@ from .errors import (
 )
 from .graphs import girth, is_bipartite, is_connected, line_graph
 from .graph6 import load_graph6_file, write_graph6
-from .autgroup import arc_orbits, automorphism_group, transitivity_report
+from .autgroup import automorphism_group, transitivity_report
 from .altcycles import (
     alternating_cycles,
     divisibility_report,
@@ -42,8 +42,6 @@ from .dartgraph import (
 )
 from .covers import cover_pipeline, is_covering
 from .census import load_census
-
-SUITES = ("dart-theorem", "cover-theorem", "divisibility")
 
 
 class _EntryAnalysis:
@@ -240,11 +238,14 @@ def _divisibility_suite(analysis, checks, strict):
                                   genuinely_hat=False)
         _check(checks, "div:a_divides_2r", rec.a_divides_2r,
                f"(r, a) = ({rec.radius}, {rec.attachment})")
-        dart = forward.labeling.graph
+        # verify_dart_forward certified the lift's arc orbits as the natural
+        # orientation and its reverse, and dart_reversal that tau is an
+        # automorphism; so <lift, tau> joins them into one arc orbit exactly
+        # when tau maps some natural arc to a reversed arc
+        natural = forward.labeling.orientation
         tau = dart_reversal(forward.labeling)
-        orbits = arc_orbits(list(forward.lifted_group.generators) + [tau],
-                            dart)
-        _check(checks, "div:full_group_not_hat", len(orbits) <= 1,
+        _check(checks, "div:full_group_not_hat",
+               any(natural.is_head(tau[t], tau[h]) for t, h in natural.arcs),
                "dart reversal extends the lift to an arc-transitive group")
     elif analysis.valence == 4 and analysis.report.half_arc_transitive:
         dec = analysis.half_arc_cycles
@@ -264,19 +265,27 @@ def _divisibility_suite(analysis, checks, strict):
         _check(checks, "div:open_questions", not notes, "; ".join(notes))
 
 
+_SUITE_RUNNERS = {"dart-theorem": _dart_suite,
+                  "cover-theorem": _cover_suite,
+                  "divisibility": _divisibility_suite}
+SUITES = tuple(_SUITE_RUNNERS)
+
+
 def _verify_entry(payload):
+    """The report of one census entry.  An engine error, an exception that
+    is no HatError, also records where it happened: the suite that ran
+    ("expected" before the first suite) and the last check recorded."""
     entry, suites, strict = payload
     checks = []
+    stage, context = "expected", None
     t0 = time.perf_counter()
     try:
         analysis = _EntryAnalysis(entry.graph())
         _expected_checks(analysis, entry.expected, checks)
-        if "dart-theorem" in suites:
-            _dart_suite(analysis, checks, strict)
-        if "cover-theorem" in suites:
-            _cover_suite(analysis, checks, strict)
-        if "divisibility" in suites:
-            _divisibility_suite(analysis, checks, strict)
+        for suite in SUITES:
+            if suite in suites:
+                stage = suite
+                _SUITE_RUNNERS[suite](analysis, checks, strict)
         error = None
     except HatError as exc:
         error = f"{type(exc).__name__}: {exc}"
@@ -284,13 +293,18 @@ def _verify_entry(payload):
         # an engine bug fails its own entry, not the whole run or pool
         traceback.print_exc(file=sys.stderr)
         error = f"engine error: {type(exc).__name__}: {exc}"
-    return {
+        context = {"suite": stage,
+                   "last_check": checks[-1]["check"] if checks else None}
+    result = {
         "name": entry.name,
         "checks": checks,
         "error": error,
         "passed": error is None and all(c["passed"] for c in checks),
         "elapsed_seconds": round(time.perf_counter() - t0, 3),
     }
+    if context is not None:
+        result["error_context"] = context
+    return result
 
 
 def _emit(report, out_path, as_json):
@@ -356,7 +370,10 @@ def _cmd_verify(args):
             detail = f"  ({check['detail']})" if check["detail"] else ""
             print(f"[{status}] {result['name']}: {check['check']}{detail}")
         if result["error"]:
-            print(f"[FAIL] {result['name']}: error: {result['error']}")
+            context = result.get("error_context")
+            where = (f" (in suite {context['suite']}, after check "
+                     f"{context['last_check']})" if context else "")
+            print(f"[FAIL] {result['name']}: error: {result['error']}{where}")
     passed = all(r["passed"] for r in results)
     report = {
         "tool": "hatkit",

@@ -32,11 +32,11 @@ from .errors import (
 from .graphs import (
     Graph,
     bipartite_double,
+    check_isomorphism,
     from_edge_list,
     girth,
     is_bipartite,
     is_connected,
-    is_isomorphism,
     line_graph,
     maps_edges,
     odd_closed_walk,
@@ -190,8 +190,9 @@ def split_certificate(total: Graph, group: PermGroup, tau,
     no bipartite double (the odd closed walk is the witness).  A bipartite
     one is sectional exactly when tau swaps its colours; then
     fibre(v) + |base| colour(v) must be an isomorphism onto the double
-    (StructureViolation otherwise).  If tau keeps the colours, the base
-    is bipartite and its double disconnected.  The odd closed walk is
+    (StructureViolation naming sectional_onto_double otherwise, with the
+    witness of graphs.check_isomorphism).  If tau keeps the colours, the
+    base is bipartite and its double disconnected.  The odd closed walk is
     checked too, also under python -O: StructureViolation naming
     odd_walk_closed_odd (with the walk) unless it is closed with an odd
     number of steps, or odd_walk_edges (with the step) unless each step
@@ -233,10 +234,9 @@ def split_certificate(total: Graph, group: PermGroup, tau,
         sectional = (tau[0] in odd) != (0 in odd)
         phi = [b + cover.base.n * (v in odd)
                for v, b in enumerate(cover.fibre_map)]
-        if sectional and not is_isomorphism(
-                phi, total, bipartite_double(cover.base)):
-            raise StructureViolation(f"fibre + |base| x colour {phi} is no "
-                                     "isomorphism onto the double")
+        if sectional:
+            check_isomorphism("sectional_onto_double", phi, total,
+                              bipartite_double(cover.base))
     return SplitCertificate(
         lifted_group=lifted,
         is_split=lifted.order == 2 * group.order,
@@ -281,7 +281,8 @@ def cover_pipeline(total: Graph, dec: AltDecomposition,
     - the base has girth 3, as alternating 6-cycles project to triangles
       (base_girth_3, with the girth),
     - the base is the line graph of the graph of alternating cycles: the
-      fibre {v, tau v} maps to the edge of the two cycles that meet at v.
+      fibre {v, tau v} maps to the edge of the two cycles that meet at v
+      (base_is_line_graph, with the witness of graphs.check_isomorphism).
 
     dec must be the alternating cycles of an orientation of total that
     the group induces, as verify_dart_forward certifies them; the group
@@ -336,10 +337,8 @@ def cover_pipeline(total: Graph, dec: AltDecomposition,
     lam_line, lam_edges = line_graph(lam)
     index = {e: i for i, e in enumerate(lam_edges)}
     fibre_to_edge = [index.get(dec.cycles_at_vertex[v], -1) for v, _ in fibres]
-    if not is_isomorphism(fibre_to_edge, cover.base, lam_line):
-        raise StructureViolation(
-            f"fibre -> cycle pair {fibre_to_edge} is no isomorphism onto "
-            "the line graph of the graph of alternating cycles")
+    check_isomorphism("base_is_line_graph", fibre_to_edge, cover.base,
+                      lam_line)
 
     return CoverReport(
         graph6=write_graph6(total),

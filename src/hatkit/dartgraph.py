@@ -26,8 +26,8 @@ from .errors import (
     TooSmall,
     WrongParameters,
 )
-from .graphs import (Graph, check_edge_map, from_edge_list, is_connected,
-                     is_isomorphism, is_regular, maps_edges)
+from .graphs import (Graph, check_edge_map, check_isomorphism,
+                     from_edge_list, is_connected, is_regular, maps_edges)
 from .autgroup import TransitivityReport
 from .altcycles import (
     AltDecomposition,
@@ -183,7 +183,7 @@ def verify_dart_forward(base: Graph, group: PermGroup,
     each induced orientation as witness).  The
     alternating cycle of base vertex x is the six darts at x, so the
     isomorphism maps each cycle to the vertex its darts share
-    (StructureViolation if that is not an isomorphism).
+    (StructureViolation naming alt_reconstructs_base otherwise).
 
     report is transitivity_report(group, base), which the caller already
     holds; Not2ArcTransitive unless it is 2-arc-transitive."""
@@ -211,9 +211,8 @@ def verify_dart_forward(base: Graph, group: PermGroup,
     cycle_to_vertex = [
         min(set.intersection(*(set(labeling.darts[i]) for i in cyc)),
             default=-1) for cyc in dec.cycles]
-    if not is_isomorphism(cycle_to_vertex, recovered, base):
-        raise StructureViolation(f"cycle -> shared vertex {cycle_to_vertex} "
-                                 "is no isomorphism onto the base")
+    check_isomorphism("alt_reconstructs_base", cycle_to_vertex, recovered,
+                      base)
     return DartForwardReport(
         base_order=base.n,
         dart_order=g.n,

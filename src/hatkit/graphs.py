@@ -125,10 +125,34 @@ def maps_edges(p, g, h):
     return unmapped_edge(p, g, h) is None
 
 
+def check_isomorphism(check, p, g, h):
+    """Raise StructureViolation naming `check` unless p is a vertex
+    bijection g -> h that maps edges onto edges, with the orders and sizes
+    when they differ, a vertex whose image lies outside h or is another's,
+    or an edge that maps to a non-edge."""
+    if (len(p), g.n, g.m) != (h.n, h.n, h.m):
+        raise StructureViolation(
+            f"{check}: {len(p)} images between graphs of (order, size) "
+            f"({g.n}, {g.m}) and ({h.n}, {h.m})")
+    preimage = {}
+    for v, w in enumerate(p):
+        if not 0 <= w < h.n:
+            raise StructureViolation(
+                f"{check}: vertex {v} maps to {w}, outside 0..{h.n - 1}")
+        u = preimage.setdefault(w, v)
+        if u != v:
+            raise StructureViolation(
+                f"{check}: vertices {u} and {v} both map to {w}")
+    check_edge_map(check, p, g, h)
+
+
 def is_isomorphism(p, g, h):
     """True when p is a vertex bijection g -> h that maps edges onto edges."""
-    return (g.m == h.m and len(p) == g.n and sorted(p) == list(range(h.n))
-            and maps_edges(p, g, h))
+    try:
+        check_isomorphism("isomorphism", p, g, h)
+    except StructureViolation:
+        return False
+    return True
 
 
 def is_connected(g):

@@ -186,6 +186,29 @@ def test_unequal_cycle_lengths_violate_structure():
         alternating_cycles(g, Orientation(g, arcs))
 
 
+@pytest.mark.parametrize("fault,message", [
+    ("circulant", "alt_walk_simple: alternating walk 0 visits vertex 0 "
+                  "twice; the orientation is not half-arc-transitively "
+                  "induced"),
+    ("two_wreaths", "alt_cycle_lengths_equal: cycle lengths [4, 8]"),
+])
+def test_alternating_cycle_violations_name_the_check(fault, message):
+    """The circulant's walks and the union of two wreaths with cycles of
+    different lengths fail alternating_cycles with the check's name and
+    its witness."""
+    if fault == "circulant":
+        g, arcs = circulant_k5()
+    else:
+        ga, da = forward_wreath_orientation(3)
+        gb, db = spiral_wreath_orientation(4)
+        g = from_edge_list(ga.n + gb.n, list(ga.edges) + [
+            (u + ga.n, v + ga.n) for u, v in gb.edges])
+        arcs = list(da.arcs) + [(t + ga.n, h + ga.n) for t, h in db.arcs]
+    with pytest.raises(StructureViolation) as info:
+        alternating_cycles(g, Orientation(g, arcs))
+    assert str(info.value) == message
+
+
 def test_orientation_mismatched_graph(k4):
     g, natural, _, _ = dart_with_lift(k4)
     other = wreath_graph(6)
@@ -325,6 +348,12 @@ _FAULT_SETUP = (
      "                     by_hand(((0, 2), (1, 3))),\n"
      "                     schreier_sims([], degree=4))",
      "antipodal_automorphism", "edge (1, 2) maps to the non-edge (3, 0)"),
+    ("antipodal_involution(from_edge_list(4, [(0, 1), (2, 3)]),\n"
+     "                     by_hand(((0, 1), (2, 3))),\n"
+     "                     schreier_sims([(2, 1, 0, 3)]))",
+     "antipodal_centralizes",
+     "generator 0 of the group does not commute with the antipodal map "
+     "at vertex 0"),
     ("induced_alt_action(schreier_sims([], degree=g.n), dec,\n"
      "                   alt_graph(g, dec))",
      "alt_action_transitive", "the orbit of cycle 0 has 1 of 4 cycles"),

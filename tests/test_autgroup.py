@@ -416,6 +416,117 @@ def test_search_orbit_test_matches_breadth_first_reference():
             result(BreadthFirstOrbitSearch(g))
 
 
+class UnsplitRootSearch(autgroup._Search):
+    """The search as it was before the root split: it explores from the
+    coarsest equitable refinement of the unit partition."""
+
+    def run(self):
+        if self.g.n == 0:
+            self.first_path = self.best_pi = ()
+            return self
+        root, _ = autgroup._refine(self.g, unit_partition(self.g))
+        self._explore(root, (), ())
+        return self
+
+
+def group_and_orbits(search):
+    """(|G|, orbit partition) of the group the search's generators
+    generate, with the chain built on its first path."""
+    search.run()
+    group = schreier_sims(search.aut_gens, degree=search.g.n,
+                          base=search.first_path)
+    return group.order, group.orbit_partition()
+
+
+def test_root_split_matches_unsplit_reference():
+    """Splitting the root by sphere sizes leaves |Aut| and the orbit
+    partition as exploring from the equitable root does, on seeded random
+    3- and 4-regular graphs of order 12 to 130 and on random graphs that
+    are not regular."""
+    rng = random.Random(47)
+    graphs = [random_regular(rng, n, k) for k in (3, 4)
+              for n in (12, 14, 20, 30, 40, 60, 80, 110, 130)]
+    graphs += [random_graph(rng, rng.randint(2, 24), rng.random())
+               for _ in range(150)]
+    for g in graphs:
+        assert group_and_orbits(autgroup._Search(g)) == \
+            group_and_orbits(UnsplitRootSearch(g))
+
+
+def test_root_split_leaves_vertex_transitive_search_unchanged():
+    """On the builtin and stress graphs, all vertex-transitive, the
+    sphere sizes are constant: the root, generators, first path, labeling
+    and certificate are those of the unsplit search."""
+    for g, _ in pinned_graphs():
+        root = refine(g, unit_partition(g))
+        assert autgroup._split_by_spheres(g, root) == list(root)
+        split, unsplit = autgroup._Search(g).run(), UnsplitRootSearch(g).run()
+        assert (split.aut_gens, split.first_path, split.best_pi) == \
+            (unsplit.aut_gens, unsplit.first_path, unsplit.best_pi)
+
+
+def test_split_by_spheres_orders_parts():
+    """On a path of 7 vertices the equitable root pairs the vertices by
+    distance from the middle, and sphere sizes split no pair.  The
+    Frucht graph's equitable root is one cell; its split parts are sorted,
+    share one value each and follow in increasing order of it, and one
+    more refinement makes the root discrete."""
+    p7 = path_graph(7)
+    root = refine(p7, unit_partition(p7))
+    assert autgroup._split_by_spheres(p7, root) == list(root)
+    assert autgroup._sphere_sizes(p7, 3) == (2, 2, 2)
+    assert autgroup._sphere_sizes(p7, 0) == (1, 1, 1)
+    frucht = lcf_graph(*FRUCHT)
+    root = refine(frucht, unit_partition(frucht))
+    assert root == (tuple(range(12)),)
+    parts = autgroup._split_by_spheres(frucht, root)
+    values = [{autgroup._sphere_sizes(frucht, v) for v in part}
+              for part in parts]
+    assert len(parts) > 1 and all(len(value) == 1 for value in values)
+    assert [min(value) for value in values] == sorted(
+        min(value) for value in values)
+    assert all(list(part) == sorted(part) for part in parts)
+    assert all(len(cell) == 1 for cell in refine(frucht, parts))
+
+
+def test_root_split_certificates_invariant():
+    """Relabelings of seeded random regular and non-regular graphs get the
+    certificate of the graph, and is_isomorphic maps each graph onto its
+    relabeling with a verified isomorphism."""
+    rng = random.Random(48)
+    graphs = [random_regular(rng, rng.randrange(12, 131, 2), k)
+              for k in (3, 3, 4, 4)]
+    graphs += [random_graph(rng, rng.randint(2, 30), rng.random())
+               for _ in range(40)]
+    for g in graphs:
+        _, certificate = canonical_form(g)
+        for _ in range(2):
+            h = relabel(g, tuple(rng.sample(range(g.n), g.n)))
+            assert canonical_form(h)[1] == certificate
+            mapping = is_isomorphic(g, h)
+            assert mapping is not None and is_isomorphism(mapping, g, h)
+
+
+def test_root_split_refines_regular_graphs_at_most_three_times(monkeypatch):
+    """On random regular graphs of order 110 to 130, where the equitable
+    root is one cell, the sphere sizes leave at most two refinements
+    below the root's: the search makes at most 3 _refine calls."""
+    calls = []
+    real = autgroup._refine
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(autgroup, "_refine", counted)
+    rng = random.Random(49)
+    for i in range(20):
+        g = random_regular(rng, rng.randrange(110, 131, 2), 3 + i % 2)
+        calls.clear()
+        autgroup._Search(g).run()
+        assert len(calls) <= 3
+
+
 def test_search_results_pinned():
     """Canonical labelings and certificates of the builtin and stress
     graphs, pinned by digest, and their generator lists, pinned by a
@@ -539,13 +650,15 @@ def test_leaf_pair_check_runs_under_optimize():
     """The leaf-pair automorphism check is a raise, not an assert: with
     every leaf given one key, the Frucht graph (|Aut| = 1) pairs two
     leaves that differ by a non-automorphism, and the search fails under
-    python -O, naming the check."""
+    python -O, naming the check.  The root split is disabled, since it
+    makes the Frucht graph's root discrete: one leaf, no pair."""
     code = (
         "import sys\n"
         "from hatkit import autgroup\n"
         "from hatkit.census import lcf_graph\n"
         "from hatkit.errors import StructureViolation\n"
         "autgroup._leaf_key = lambda g, pi: 0\n"
+        "autgroup._split_by_spheres = lambda g, partition: list(partition)\n"
         f"g = lcf_graph{FRUCHT}\n"
         "try:\n"
         "    autgroup.automorphism_group(g)\n"

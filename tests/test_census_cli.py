@@ -16,6 +16,7 @@ from hatkit import altcycles, autgroup, cli, covers, dartgraph, perms
 from hatkit.cli import main, analyze_graph
 from hatkit.graphs import is_connected, is_regular, relabel
 from hatkit.graph6 import parse_graph6
+from hatkit.perms import identity
 from hatkit.autgroup import automorphism_group, canonical_form
 
 
@@ -445,3 +446,73 @@ def test_cli_verify_strict_mode(mini_census, capsys):
                  "--strict"]) == 0
     out = capsys.readouterr().out
     assert "div:open_questions" in out
+
+
+def test_divisibility_full_group_check_reads_certified_orbits(monkeypatch):
+    """div:full_group_not_hat reads the verdict from tau on the natural
+    arcs and agrees with sweeping every arc under <lift, tau>: it passes
+    with the dart reversal, and an identity tau, which keeps the natural
+    orientation apart from its reverse, still fails it."""
+    petersen = next(e for e in builtin_entries() if e.name == "petersen")
+    analysis = cli._EntryAnalysis(petersen.graph())
+    forward = analysis.forward
+    for tau_of, passed in ((cli.dart_reversal, True),
+                           (lambda labeling: identity(labeling.graph.n),
+                            False)):
+        monkeypatch.setattr(cli, "dart_reversal", tau_of)
+        checks = []
+        cli._divisibility_suite(analysis, checks, False)
+        check = next(c for c in checks
+                     if c["check"] == "div:full_group_not_hat")
+        assert check == {
+            "check": "div:full_group_not_hat", "passed": passed,
+            "detail": "dart reversal extends the lift to an arc-transitive "
+                      "group"}
+        gens = list(forward.lifted_group.generators) + [
+            tau_of(forward.labeling)]
+        swept = autgroup.arc_orbits(gens, forward.labeling.graph)
+        assert (len(swept) <= 1) == passed
+        result = cli._verify_entry((petersen, ("divisibility",), False))
+        assert result["passed"] == passed and result["error"] is None
+
+
+def test_engine_error_names_suite_and_last_check(monkeypatch, tmp_path,
+                                                 capsys):
+    """An engine error records the suite it happened in and the last check
+    recorded before it, in the JSON report and on the FAIL line; the
+    entries without an error carry no such record."""
+    real = cli.cover_pipeline
+
+    def broken_for_petersen(total, dec, group):
+        if total.n == 30:  # Dart(Petersen)
+            raise RuntimeError("injected for petersen")
+        return real(total, dec, group)
+
+    monkeypatch.setattr(cli, "cover_pipeline", broken_for_petersen)
+    out = tmp_path / "report.json"
+    assert main(["verify", "all", "--census", "builtin",
+                 "--out", str(out)]) == 1
+    printed = capsys.readouterr().out
+    assert ("[FAIL] petersen: error: engine error: RuntimeError: injected "
+            "for petersen (in suite cover-theorem, after check "
+            "cover:dart_covers_line_graph)") in printed
+    by_name = {e["name"]: e for e in json.loads(out.read_text())["entries"]}
+    assert by_name["petersen"]["error_context"] == {
+        "suite": "cover-theorem",
+        "last_check": "cover:dart_covers_line_graph"}
+    assert all("error_context" not in e
+               for name, e in by_name.items() if name != "petersen")
+
+
+def test_engine_error_before_any_check(monkeypatch):
+    """An engine error in the automorphism search of an entry with an
+    expected block happens in the "expected" stage, before any check."""
+    def broken(g):
+        raise KeyError("injected")
+
+    monkeypatch.setattr(cli, "automorphism_group", broken)
+    k4 = next(e for e in load_census("builtin") if e.name == "k4")
+    result = cli._verify_entry((k4, cli.SUITES, False))
+    assert result["error"] == "engine error: KeyError: 'injected'"
+    assert result["error_context"] == {"suite": "expected",
+                                       "last_check": None}

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hatkit.errors import DuplicateEdge, EmptyEdgeSet, LoopEdge, VertexOutOfRange
+from hatkit.errors import (DuplicateEdge, EmptyEdgeSet, LoopEdge,
+                           StructureViolation, VertexOutOfRange)
 from hatkit.graphs import (
     bipartite_double,
+    check_isomorphism,
     from_edge_list,
     girth,
     is_bipartite,
@@ -274,3 +276,29 @@ def test_relabel_checks_bijection(k4):
     with pytest.raises(ValueError):
         relabel(k4, (0, 0, 1, 2))
     assert relabel(k4, (3, 2, 1, 0)) == k4
+
+
+@pytest.mark.parametrize("p,h,witness", [
+    ((1, 2, 3, 4, 0), "c5", None),
+    ((0, 1, 2, 3), "c5", "4 images between graphs of (order, size) (5, 5) "
+                         "and (5, 5)"),
+    ((0, 1, 2, 3, 4), "p5", "5 images between graphs of (order, size) "
+                            "(5, 5) and (5, 4)"),
+    ((0, 1, 2, 3, -1), "c5", "vertex 4 maps to -1, outside 0..4"),
+    ((0, 1, 2, 3, 1), "c5", "vertices 1 and 4 both map to 1"),
+    ((0, 2, 1, 3, 4), "c5", "edge (0, 1) maps to the non-edge (0, 2)"),
+])
+def test_check_isomorphism_witnesses(p, h, witness):
+    """check_isomorphism passes an isomorphism and otherwise names the
+    check with the witness: the orders and sizes, a vertex mapped outside
+    the target or onto another's image, or an edge mapped to a non-edge;
+    is_isomorphism agrees."""
+    g = cycle_graph(5)
+    h = {"c5": g, "p5": path_graph(5)}[h]
+    assert is_isomorphism(p, g, h) == (witness is None)
+    if witness is None:
+        check_isomorphism("name", p, g, h)
+        return
+    with pytest.raises(StructureViolation) as info:
+        check_isomorphism("name", p, g, h)
+    assert str(info.value) == f"name: {witness}"

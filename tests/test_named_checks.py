@@ -1,8 +1,11 @@
 """Theorem checks are named raises, which python -O keeps; a bare assert
 is stripped by -O.  The bare asserts left in the package are listed here,
-and the list may only shrink."""
+and the list may only shrink.  Every `raise StructureViolation(...)`
+names its check: the message opens with `name: `, written out or as a
+`{name}: ` placeholder."""
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -49,3 +52,58 @@ def test_bare_asserts_found_by_function(tmp_path):
     assert bare_asserts(source) == Counter({
         ("sample.py", "<module>"): 1, ("sample.py", "outer"): 1,
         ("sample.py", "inner"): 2})
+
+
+CHECK_NAME = re.compile(r"[a-z][a-z0-9_]*: ")
+
+
+def names_check(message):
+    """True when a message expression opens with a check name and ': ',
+    as a literal or as a placeholder followed by ': '."""
+    if isinstance(message, ast.JoinedStr) and message.values:
+        head = message.values[0]
+        if isinstance(head, ast.FormattedValue):
+            rest = message.values[1:2]
+            return (bool(rest) and isinstance(rest[0], ast.Constant)
+                    and rest[0].value.startswith(": "))
+        message = head
+    return (isinstance(message, ast.Constant) and isinstance(message.value, str)
+            and CHECK_NAME.match(message.value) is not None)
+
+
+def unnamed_raises(path):
+    """(file name, line) of each `raise StructureViolation(...)` of one
+    source file whose message names no check."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"),
+                                   str(path))):
+        call = node.exc if isinstance(node, ast.Raise) else None
+        if (isinstance(call, ast.Call)
+                and getattr(call.func, "id", None) == "StructureViolation"
+                and not (call.args and names_check(call.args[0]))):
+            found.append((path.name, node.lineno))
+    return found
+
+
+def test_every_structure_violation_names_its_check():
+    found = []
+    for path in sorted(Path(hatkit.__file__).parent.glob("*.py")):
+        found += unnamed_raises(path)
+    assert found == []
+
+
+def test_unnamed_raises_found(tmp_path):
+    """The walk accepts a literal name and a placeholder name, each
+    followed by ': ', and flags the rest."""
+    source = tmp_path / "sample.py"
+    source.write_text(
+        'raise StructureViolation("odd_cycle: cycle 3 has length 5")\n'
+        'raise StructureViolation(f"{check}: edge (0, 1) is missing")\n'
+        'raise StructureViolation(f"lift_faithful: order {n} != {m}")\n'
+        'raise StructureViolation("cycle lengths differ")\n'
+        'raise StructureViolation(f"{n} cycles: too many")\n'
+        'raise StructureViolation(f"vertex {v} lies on no cycle")\n'
+        'raise StructureViolation()\n'
+        'raise ValueError("not a theorem check")\n')
+    assert unnamed_raises(source) == [("sample.py", line)
+                                      for line in (4, 5, 6, 7)]
