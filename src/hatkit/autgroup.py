@@ -83,6 +83,24 @@ generators that fix a prefix of the first path are transitive on that
 orbit: they are a strong generating set on the first path, which is a
 base because its leaf is discrete.  automorphism_group builds Aut(g)'s
 chain on that base.
+
+The chain is built under a proven order bound U, the product of the
+sizes of the target cells C_0, ..., C_{k-1} along the first path
+b_0, ..., b_{k-1}, whatever generators the search found.  An automorphism
+fixing b_0, ..., b_{i-1} maps the partition of the node at level i onto
+itself cell by cell, so the orbit of b_i under the pointwise stabiliser
+of b_0, ..., b_{i-1} lies in C_i; the first leaf is discrete, so the
+stabiliser of the whole path is trivial, and |Aut(g)| is the product of
+those orbit sizes, at most U.  The chain of the search's generators S,
+each checked to be an automorphism, has a basic-orbit product L with
+L <= |<S>| <= |Aut(g)| <= U.  L = U therefore proves the chain complete
+and <S> = Aut(g), and schreier_sims stops as soon as its basic orbits
+fill the cells, sifting no Schreier generator.  When the generators are
+not strong, or U exceeds |Aut(g)|, L stays below U and the build runs
+the full closure.  Either way the chain's base must be the first path
+and each basic orbit must lie in its level's cell (the named check
+aut_orbit_in_first_cell); a refinement that is not equivariant fails it
+whenever a found automorphism shows it, and so does every L above U.
 """
 
 from __future__ import annotations
@@ -90,11 +108,13 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from functools import lru_cache
+from math import prod
 from operator import getitem
 
 from .errors import (
     InvalidPartition,
     NotAutomorphisms,
+    OrderBoundExceeded,
     StructureViolation,
     TooLarge,
 )
@@ -350,6 +370,7 @@ class _Search:
         self._gen_set = set()
         self.leaves = {}          # leaf key -> (labeling, path) of first leaf
         self.first_path = None
+        self.first_cells = []     # target cells of the nodes of that path
         self.first_traces = None  # per-level refinement traces of that path
         self.best = None          # (per-level traces, key) of the best leaf
         self.best_pi = None
@@ -375,6 +396,9 @@ class _Search:
             return self._leaf(partition, path, traces)
         depth = len(path)
         cell = partition[cell_index]
+        if self.first_path is None:
+            # no leaf yet: every node so far lies on the first path
+            self.first_cells.append(cell)
         # An automorphism fixing the path pointwise maps the node's partition,
         # hence the target cell, onto itself.  So the cell's orbits under the
         # generators found so far that fix the path, each named by its least
@@ -447,16 +471,17 @@ class _Search:
 
 class _SearchResult:
     """What one IR search leaves behind: the automorphism generators, the
-    path of the first leaf, the canonical labeling and certificate, and
-    the Aut(g) chain once automorphism_group has built it.  The leaf table
-    is not kept."""
+    path of the first leaf and the target cells along it, the canonical
+    labeling and certificate, and the Aut(g) chain once
+    automorphism_group has built it.  The leaf table is not kept."""
 
-    __slots__ = ("generators", "first_path", "labeling", "certificate",
-                 "group")
+    __slots__ = ("generators", "first_path", "first_cells", "labeling",
+                 "certificate", "group")
 
     def __init__(self, search):
         self.generators = tuple(search.aut_gens)
         self.first_path = search.first_path
+        self.first_cells = tuple(search.first_cells)
         self.labeling = search.best_pi
         self.certificate = write_graph6(
             relabel(search.g, search.best_pi)).encode("ascii")
@@ -470,18 +495,46 @@ def _analysis(g: Graph) -> _SearchResult:
     return _SearchResult(_Search(g).run())
 
 
+def _check_orbits_in_cells(group, path, cells):
+    """The named check aut_orbit_in_first_cell: the chain's base is the
+    first path and each basic orbit lies in its level's target cell."""
+    if group.base != path:
+        raise StructureViolation(
+            f"aut_orbit_in_first_cell: base {group.base} is not the first "
+            f"path {path}")
+    for level, (orbit, cell) in enumerate(zip(group.basic_orbits, cells)):
+        cell = set(cell)
+        stray = next((x for x in orbit if x not in cell), None)
+        if stray is not None:
+            raise StructureViolation(
+                f"aut_orbit_in_first_cell: level {level} orbit of "
+                f"{path[level]} reaches {stray}, outside its target cell")
+
+
 def automorphism_group(g: Graph) -> PermGroup:
     """The full automorphism group, with exact BSGS-certified order.
 
     The stabiliser chain is built from the search's generators on the
-    first call, on the base of the search's first path, and kept with the
-    search result; isomorphism tests and canonical forms read the search
-    alone.
+    first call, on the base of the search's first path and under the
+    order bound of its target cells (see the module docstring), and kept
+    with the search result; isomorphism tests and canonical forms read
+    the search alone.
     """
     result = _analysis(g)
     if result.group is None:
-        group = schreier_sims(result.generators, degree=g.n,
-                              base=result.first_path)
+        path, cells = result.first_path, result.first_cells
+        try:
+            group = schreier_sims(result.generators, degree=g.n, base=path,
+                                  order_bound=prod(map(len, cells)))
+        except OrderBoundExceeded:
+            # L > U, and orbits inside their cells give L <= U: the
+            # closure's orbits hold the partial chain's, so the check names
+            # the level and the vertex that left its cell
+            _check_orbits_in_cells(
+                schreier_sims(result.generators, degree=g.n, base=path),
+                path, cells)
+            raise
+        _check_orbits_in_cells(group, path, cells)
         for gen in group.generators:
             check_edge_map("aut_generator", gen, g, g)
         result.group = group

@@ -60,6 +60,16 @@ class _EntryAnalysis:
         return automorphism_group(self.g)
 
     @cached_property
+    def orbits(self):
+        """Aut(g)'s vertex orbits, each sorted, by least vertex."""
+        return self.group.orbit_partition()
+
+    @cached_property
+    def girth(self):
+        """girth(g), searched from the least vertex of each Aut(g) orbit."""
+        return girth(self.g, roots=[orbit[0] for orbit in self.orbits])
+
+    @cached_property
     def report(self):
         return transitivity_report(self.group, self.g)
 
@@ -106,10 +116,10 @@ def analyze_graph(name, g):
         "connected": is_connected(g),
         "regular_valence": analysis.valence,
         "bipartite": is_bipartite(g) is not None,
-        "girth": girth(g),
+        "aut_order": str(analysis.group.order),
+        "girth": analysis.girth,
     }
     report = analysis.report
-    record["aut_order"] = str(analysis.group.order)
     record["transitivity"] = report.to_json_dict()
     if analysis.valence == 3:
         record["cubic_two_arc_transitive"] = report.two_arc_transitive
@@ -146,22 +156,22 @@ def _expected_checks(analysis, expected, checks):
     if not expected:
         return
     g, group = analysis.g, analysis.group
-    derived = {
-        "vertices": g.n,
-        "valence": analysis.valence,
-        "bipartite": is_bipartite(g) is not None,
-        "girth": girth(g),
-        "aut_order": group.order,
-        "two_arc_transitive": analysis.report.two_arc_transitive,
-        "half_arc_transitive": analysis.report.half_arc_transitive,
+    # only the keys the entry declares are derived
+    derive = {
+        "vertices": lambda: g.n,
+        "valence": lambda: analysis.valence,
+        "bipartite": lambda: is_bipartite(g) is not None,
+        "girth": lambda: analysis.girth,
+        "aut_order": lambda: group.order,
+        "two_arc_transitive": lambda: analysis.report.two_arc_transitive,
+        "half_arc_transitive": lambda: analysis.report.half_arc_transitive,
     }
     for key, want in sorted(expected.items()):
-        got = derived.get(key, "<unknown property>")
+        got = derive[key]() if key in derive else "<unknown property>"
         _check(checks, f"expected:{key}", got == want,
                f"declared {want}, derived {got}")
     _check(checks, "expected:orbit_sizes_divide_order",
-           all(group.order % len(orbit) == 0
-               for orbit in group.orbit_partition()),
+           all(group.order % len(orbit) == 0 for orbit in analysis.orbits),
            f"|Aut| = {group.order}")
 
 
@@ -272,12 +282,13 @@ SUITES = tuple(_SUITE_RUNNERS)
 
 
 def _verify_entry(payload):
-    """The report of one census entry.  An engine error, an exception that
-    is no HatError, also records where it happened: the suite that ran
-    ("expected" before the first suite) and the last check recorded."""
+    """The report of one census entry.  An error, typed (a HatError) or
+    an engine error (any other exception), also records where it
+    happened: the suite that ran ("expected" before the first suite) and
+    the last check recorded."""
     entry, suites, strict = payload
     checks = []
-    stage, context = "expected", None
+    stage = "expected"
     t0 = time.perf_counter()
     try:
         analysis = _EntryAnalysis(entry.graph())
@@ -293,8 +304,6 @@ def _verify_entry(payload):
         # an engine bug fails its own entry, not the whole run or pool
         traceback.print_exc(file=sys.stderr)
         error = f"engine error: {type(exc).__name__}: {exc}"
-        context = {"suite": stage,
-                   "last_check": checks[-1]["check"] if checks else None}
     result = {
         "name": entry.name,
         "checks": checks,
@@ -302,8 +311,10 @@ def _verify_entry(payload):
         "passed": error is None and all(c["passed"] for c in checks),
         "elapsed_seconds": round(time.perf_counter() - t0, 3),
     }
-    if context is not None:
-        result["error_context"] = context
+    if error is not None:
+        result["error_context"] = {
+            "suite": stage,
+            "last_check": checks[-1]["check"] if checks else None}
     return result
 
 

@@ -146,15 +146,6 @@ def check_isomorphism(check, p, g, h):
     check_edge_map(check, p, g, h)
 
 
-def is_isomorphism(p, g, h):
-    """True when p is a vertex bijection g -> h that maps edges onto edges."""
-    try:
-        check_isomorphism("isomorphism", p, g, h)
-    except StructureViolation:
-        return False
-    return True
-
-
 def is_connected(g):
     if g.n == 0:
         return True
@@ -232,19 +223,24 @@ def odd_closed_walk(g):
     return walk
 
 
-def girth(g):
+def girth(g, roots=None):
     """Length of a shortest cycle, or None for a forest.
 
-    One BFS per vertex r: a non-tree edge xy closes a walk of length
-    dist(r, x) + dist(r, y) + 1 through r that contains a cycle, and the
-    BFS from a vertex of a shortest cycle finds one of exactly its length.
-    Seen in BFS order, the edges at x close walks of length at least
-    2 dist(r, x) + 1, apart from edges back to the previous level, which
-    were read from their other end; so a BFS stops once that reaches the
-    best length so far.
+    One BFS per root r, every vertex when roots is None: a non-tree edge
+    xy closes a walk of length dist(r, x) + dist(r, y) + 1 through r that
+    contains a cycle, and the BFS from a vertex of a shortest cycle finds
+    one of exactly its length.  Seen in BFS order, the edges at x close
+    walks of length at least 2 dist(r, x) + 1, apart from edges back to
+    the previous level, which were read from their other end; so a BFS
+    stops once that reaches the best length so far.
+
+    roots may instead hold one vertex of each orbit of a group of
+    automorphisms of g.  The answer is the same: a shortest cycle C
+    passes through some vertex v, an automorphism a carries v onto the
+    root r of its orbit, and a(C) is a shortest cycle through r.
     """
     best = None
-    for r in range(g.n):
+    for r in range(g.n) if roots is None else roots:
         dist = [-1] * g.n
         parent = [-1] * g.n
         dist[r] = 0

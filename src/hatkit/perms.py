@@ -142,6 +142,12 @@ class PermGroup:
         then those the closure added."""
         return self._strong
 
+    @property
+    def basic_orbits(self):
+        """The basic orbits of the chain, one per base point in base
+        order, each sorted."""
+        return tuple(tuple(sorted(t)) for t in self._transversals)
+
     def sift(self, p):
         """Strip p through the chain; returns (residue, level reached)."""
         return _strip(tuple(p), self.base, self._transversals, 0)
@@ -179,10 +185,12 @@ def schreier_sims(generators, degree=None, order_bound=None,
     transversal is rebuilt only when a strong generator joined the level
     since its last build, and a representative is inverted at most once
     per build of its level, on first use by the closure or a sift.  An
-    initial base on which the generators are already strong (as the
-    first path of an IR search is for the automorphisms that search
-    found) leaves the closure nothing to add, but every Schreier
-    generator is still sifted.
+    initial base on which the generators are already strong leaves the
+    closure nothing to add, but without an order bound every Schreier
+    generator is still sifted; Aut(g) is therefore built on the IR
+    search's first path under the bound its target cells prove
+    (autgroup.automorphism_group), and the closure runs only when the
+    search's generators fall short of it.
 
     order_bound, when given, must be a proven upper bound on the order of
     the generated group.  Every basic orbit of a partial chain is the

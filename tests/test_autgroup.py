@@ -2,15 +2,17 @@ import hashlib
 import random
 from collections import Counter
 from itertools import combinations, permutations
+from math import prod
 
 import pytest
 
-from hatkit.errors import InvalidPartition, NotAutomorphisms, TooLarge
+from hatkit.errors import (InvalidPartition, NotAutomorphisms,
+                           StructureViolation, TooLarge)
 from hatkit.graph6 import write_graph6
-from hatkit.graphs import (Graph, bipartite_double, from_edge_list,
-                           is_isomorphism, line_graph, relabel)
-from hatkit.perms import schreier_sims, from_cycles
-from hatkit import autgroup
+from hatkit.graphs import (Graph, bipartite_double, check_isomorphism,
+                           from_edge_list, is_connected, line_graph, relabel)
+from hatkit.perms import compose, from_cycles, schreier_sims
+from hatkit import autgroup, perms
 from hatkit.autgroup import (
     arc_orbits,
     automorphism_group,
@@ -504,7 +506,8 @@ def test_root_split_certificates_invariant():
             h = relabel(g, tuple(rng.sample(range(g.n), g.n)))
             assert canonical_form(h)[1] == certificate
             mapping = is_isomorphic(g, h)
-            assert mapping is not None and is_isomorphism(mapping, g, h)
+            assert mapping is not None
+            check_isomorphism("iso", mapping, g, h)
 
 
 def test_root_split_refines_regular_graphs_at_most_three_times(monkeypatch):
@@ -623,7 +626,8 @@ def test_pruned_search_certificates_invariant():
             h = relabel(g, tuple(rng.sample(range(g.n), g.n)))
             assert canonical_form(h)[1] == certificate
             mapping = is_isomorphic(g, h)
-            assert mapping is not None and is_isomorphism(mapping, g, h)
+            assert mapping is not None
+            check_isomorphism("iso", mapping, g, h)
 
 
 def test_search_encodes_one_leaf(monkeypatch):
@@ -689,10 +693,13 @@ def test_automorphism_group_petersen(petersen):
         assert all(gen[v] in petersen.nbrs[gen[u]] for u, v in petersen.edges)
 
 
-def test_oracle_equivalence_random():
+def oracle_random_graphs():
     rng = random.Random(2024)
-    for _ in range(60):
-        g = random_graph(rng, rng.randint(1, 7))
+    return [random_graph(rng, rng.randint(1, 7)) for _ in range(60)]
+
+
+def test_oracle_equivalence_random():
+    for g in oracle_random_graphs():
         assert automorphism_group(g).order == brute_force_aut_order(g)
 
 
@@ -751,12 +758,12 @@ def test_too_large():
         automorphism_group(g)
 
 
-def test_oracle_equivalence_regular_graphs():
-    # regular graphs keep the unit partition equitable, exercising the
-    # search rather than the refinement
+def oracle_regular_graphs():
+    """25 seeded regular graphs of order 4, 6 or 8, each a union of up to
+    three random perfect matchings."""
     rng = random.Random(77)
-    built = 0
-    while built < 25:
+    built = []
+    while len(built) < 25:
         n = rng.choice((4, 6, 8))
         k = rng.choice((2, 3))
         perm = list(range(n))
@@ -769,9 +776,15 @@ def test_oracle_equivalence_regular_graphs():
                 a, b = perm[i], perm[i + 1]
                 edges.add((min(a, b), max(a, b)))
         g = from_edge_list(n, sorted(edges))
-        if len({d for d in g.degrees()}) != 1:
-            continue
-        built += 1
+        if len({d for d in g.degrees()}) == 1:
+            built.append(g)
+    return built
+
+
+def test_oracle_equivalence_regular_graphs():
+    # regular graphs keep the unit partition equitable, exercising the
+    # search rather than the refinement
+    for g in oracle_regular_graphs():
         assert automorphism_group(g).order == brute_force_aut_order(g)
 
 
@@ -991,3 +1004,150 @@ def test_chain_built_only_for_automorphism_group(monkeypatch, petersen):
     assert automorphism_group(petersen).order == 120
     assert automorphism_group(petersen).order == 120
     assert len(calls) == 1
+
+
+
+def cell_bound(g):
+    """U: the product of the sizes of the target cells along the first
+    path of g's search."""
+    return prod(len(cell) for cell in autgroup._analysis(g).first_cells)
+
+
+def chain_graphs():
+    """The builtin and stress graphs, one seeded relabeling of each, the
+    dart graphs of the connected cubic ones, and the graphs of
+    test_oracle_equivalence_random."""
+    rng = random.Random(31)
+    pinned = [g for g, _ in pinned_graphs()]
+    graphs = pinned + [relabel(g, tuple(rng.sample(range(g.n), g.n)))
+                       for g in pinned]
+    graphs += [dart_graph(g)[0] for g in pinned
+               if set(g.degrees()) == {3} and is_connected(g)]
+    return graphs + oracle_random_graphs()
+
+
+def test_bounded_chain_matches_closure_reference():
+    """Aut(g)'s chain, built under the cell bound, equals the full
+    closure on the first path in order, base, strong generators and
+    basic orbits, and gives the same contains verdicts on products of
+    generators and on random permutations."""
+    rng = random.Random(32)
+    graphs = chain_graphs()
+    assert sum(g.n == 270 for g in graphs) == 1    # Dart(Foster)
+    for g in graphs:
+        result = autgroup._analysis(g)
+        group = automorphism_group(g)
+        reference = schreier_sims(result.generators, degree=g.n,
+                                  base=result.first_path)
+        assert group.order == reference.order
+        assert group.base == reference.base == result.first_path
+        assert group.strong_generators == reference.strong_generators
+        assert group.basic_orbits == reference.basic_orbits
+        samples = [tuple(rng.sample(range(g.n), g.n)) for _ in range(3)]
+        for _ in range(3):
+            p = tuple(range(g.n))
+            for _ in range(4):
+                if group.generators:
+                    p = compose(p, rng.choice(group.generators))
+            samples.append(p)
+        for p in samples:
+            assert group.contains(p) == reference.contains(p)
+
+
+@pytest.fixture()
+def strip_calls(monkeypatch):
+    """The argument tuples of every perms._strip call the test makes."""
+    calls = []
+    real = perms._strip
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(perms, "_strip", counted)
+    return calls
+
+
+def test_bounded_chain_sifts_nothing(strip_calls):
+    """On the builtin and stress graphs and their relabelings the cell
+    bound equals |Aut(g)|, so the build stops before the closure: no
+    Schreier generator is sifted."""
+    rng = random.Random(33)
+    for g, order in pinned_graphs():
+        for h in (g, relabel(g, tuple(rng.sample(range(g.n), g.n)))):
+            autgroup._analysis.cache_clear()
+            assert automorphism_group(h).order == cell_bound(h) == order
+    assert strip_calls == []
+
+
+# seeded random regular graphs whose cell bound exceeds |Aut(g)|: (seed,
+# order, valence, bound, |Aut(g)|)
+LOOSE_BOUND_GRAPHS = [(0, 8, 5, 96, 60), (1, 8, 4, 32, 16),
+                      (8, 8, 3, 32, 12)]
+
+
+@pytest.mark.parametrize("seed,n,k,bound,order", LOOSE_BOUND_GRAPHS)
+def test_loose_cell_bound_runs_closure(strip_calls, seed, n, k, bound,
+                                       order):
+    """Where the cell bound exceeds |Aut(g)| the build cannot stop at it:
+    the closure sifts Schreier generators and the order matches the
+    brute-force oracle."""
+    g = random_regular(random.Random(seed), n, k)
+    autgroup._analysis.cache_clear()
+    assert cell_bound(g) == bound
+    assert automorphism_group(g).order == brute_force_aut_order(g) == order
+    assert strip_calls
+
+
+def test_cell_bound_never_below_order():
+    """U >= |Aut(g)| on every oracle graph, |Aut(g)| by brute force."""
+    for g in oracle_random_graphs() + oracle_regular_graphs():
+        assert cell_bound(g) >= brute_force_aut_order(g)
+    for g, order in pinned_graphs():
+        assert cell_bound(g) == order
+
+
+def shrunk_cells(cells, level):
+    """cells with the last vertex of the one at level removed."""
+    return cells[:level] + (cells[level][:-1],) + cells[level + 1:]
+
+
+@pytest.mark.parametrize("level", [0, 3])
+def test_orbit_outside_cell_names_check(monkeypatch, petersen, level):
+    """With one recorded target cell of Petersen's first path shrunk, the
+    basic orbit of its level reaches the dropped vertex, and
+    aut_orbit_in_first_cell fails with the level and that vertex."""
+    autgroup._analysis.cache_clear()
+    result = autgroup._analysis(petersen)
+    assert result.first_path == (0, 1, 4, 2)
+    dropped = result.first_cells[level][-1]
+    monkeypatch.setattr(result, "first_cells",
+                        shrunk_cells(result.first_cells, level))
+    with pytest.raises(StructureViolation) as info:
+        automorphism_group(petersen)
+    assert str(info.value) == (
+        f"aut_orbit_in_first_cell: level {level} orbit of "
+        f"{result.first_path[level]} reaches {dropped}, outside its "
+        "target cell")
+    autgroup._analysis.cache_clear()
+
+
+def test_orbit_outside_cell_check_runs_under_optimize():
+    """aut_orbit_in_first_cell is a raise, not an assert."""
+    code = (
+        "import sys\n"
+        "from hatkit import autgroup\n"
+        "from hatkit.census import generalized_petersen\n"
+        "from hatkit.errors import StructureViolation\n"
+        "g = generalized_petersen(5, 2)\n"
+        "result = autgroup._analysis(g)\n"
+        "cells = result.first_cells\n"
+        "result.first_cells = (cells[0][:-1],) + cells[1:]\n"
+        "try:\n"
+        "    autgroup.automorphism_group(g)\n"
+        "except StructureViolation as exc:\n"
+        "    name, detail = str(exc).split(':', 1)\n"
+        "    print(sys.flags.optimize, name, detail.split(',')[0])\n"
+    )
+    assert run_optimized(code) == ["1", "aut_orbit_in_first_cell", "level",
+                                   "0", "orbit", "of", "0", "reaches", "9"]

@@ -368,8 +368,9 @@ def test_cli_verify_isolates_engine_errors_per_entry(monkeypatch, tmp_path,
 
 def test_verify_records_typed_quotient_error(monkeypatch):
     """quotient_by_tau's orbit-pair count is a typed error, so verify
-    records its message as the entry's error, not as an engine error.
-    With the automorphism check bypassed, the antipodal involution of
+    records its message as the entry's error, not as an engine error, and
+    where it happened: in the cover suite, after its first check.  With
+    the automorphism check bypassed, the antipodal involution of
     Dart(Petersen) with the partners of 0 and 1 exchanged joins two orbits
     by a single edge."""
     real = covers.antipodal_involution
@@ -388,12 +389,15 @@ def test_verify_records_typed_quotient_error(monkeypatch):
     assert not result["passed"]
     assert result["error"].startswith("OrbitPairNotMatching: orbits (0, 1) ")
     assert result["error"].endswith(" joined by 1 edges")
+    assert result["error_context"] == {
+        "suite": "cover-theorem", "last_check": "cover:dart_covers_line_graph"}
 
 
 def test_verify_entry_bounds_only_proven_builds(monkeypatch):
-    """Exactly the lift, <lift, tau> and the fibre action are built under
-    an order bound; Aut(g) is not, but starts from the search's first path
-    as its base, and no chain is built for the covering group <tau>."""
+    """Every chain is built under a proven order bound: Aut(g) under the
+    product of the first path's target cell sizes, on that path as its
+    base, then the lift, <lift, tau> and the fibre action; no chain is
+    built for the covering group <tau>."""
     builds = []
     fn = perms.schreier_sims
 
@@ -412,12 +416,12 @@ def test_verify_entry_bounds_only_proven_builds(monkeypatch):
     petersen = next(e for e in builtin_entries() if e.name == "petersen")
     result = cli._verify_entry((petersen, cli.SUITES, True))
     assert result["passed"]
-    # Aut(Petersen) on 10 points, the lift (|G|), <lift, tau> (2|G|) and
-    # the action on the 15 fibres (|G|)
+    # Aut(Petersen) on 10 points (the cell bound equals |G|), the lift
+    # (|G|), <lift, tau> (2|G|) and the action on the 15 fibres (|G|)
     assert Counter(builds) == Counter(
-        [(10, None), (30, 120), (30, 240), (15, 120)])
+        [(10, 120), (30, 120), (30, 240), (15, 120)])
     # Aut(Petersen)'s chain starts from the search's first path
-    assert bases[10, None]
+    assert bases[10, 120]
 
 
 def test_cli_verify_deterministic_report(mini_census, capsys):
@@ -516,3 +520,53 @@ def test_engine_error_before_any_check(monkeypatch):
     assert result["error"] == "engine error: KeyError: 'injected'"
     assert result["error_context"] == {"suite": "expected",
                                        "last_check": None}
+
+
+def test_verify_reports_orbit_outside_cell(monkeypatch, tmp_path, capsys):
+    """A basic orbit of Aut(g) that leaves its recorded target cell fails
+    that entry with the named check and its witness, exit code 1, and
+    every other entry is still verified."""
+    autgroup._analysis.cache_clear()
+    petersen = next(e for e in builtin_entries() if e.name == "petersen")
+    result = autgroup._analysis(petersen.graph())
+    cells = result.first_cells
+    monkeypatch.setattr(result, "first_cells", (cells[0][:-1],) + cells[1:])
+    out = tmp_path / "report.json"
+    assert main(["verify", "all", "--census", "builtin",
+                 "--out", str(out)]) == 1
+    capsys.readouterr()
+    by_name = {e["name"]: e for e in json.loads(out.read_text())["entries"]}
+    assert by_name["petersen"]["error"] == (
+        "StructureViolation: aut_orbit_in_first_cell: level 0 orbit of 0 "
+        "reaches 9, outside its target cell")
+    assert by_name["petersen"]["error_context"] == {"suite": "expected",
+                                                   "last_check": None}
+    assert all(e["passed"] for name, e in by_name.items()
+               if name != "petersen")
+    autgroup._analysis.cache_clear()
+
+
+def test_girth_searched_once_from_orbit_roots(monkeypatch):
+    """An entry derives only the expected keys it declares, and girth,
+    once declared, is searched from one root per Aut(g) orbit, as it is
+    for analyze's record: from vertex 0 alone on a vertex-transitive
+    graph."""
+    calls = []
+    real = cli.girth
+
+    def recorded(g, roots=None):
+        calls.append(roots)
+        return real(g, roots=roots)
+
+    monkeypatch.setattr(cli, "girth", recorded)
+    k4 = next(e for e in load_census("builtin") if e.name == "k4")
+    analysis = cli._EntryAnalysis(k4.graph())
+    checks = []
+    cli._expected_checks(analysis, {"vertices": 4}, checks)
+    assert calls == [] and checks[0]["passed"]
+    cli._expected_checks(analysis, {"girth": 3}, checks)
+    assert calls == [[0]] and checks[-2]["check"] == "expected:girth"
+    assert checks[-2]["passed"]
+    holt = next(e for e in load_census("builtin") if e.name == "holt")
+    record = analyze_graph("holt", holt.graph())
+    assert calls[-1] == [0] and record["girth"] == 5

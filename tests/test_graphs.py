@@ -15,16 +15,15 @@ from hatkit.graphs import (
     girth,
     is_bipartite,
     is_connected,
-    is_isomorphism,
     is_regular,
     line_graph,
     odd_closed_walk,
     relabel,
 )
-from hatkit.autgroup import is_isomorphic
-from hatkit.census import generalized_petersen
+from hatkit.autgroup import automorphism_group, is_isomorphic
+from hatkit.census import builtin_entries, generalized_petersen
 
-from conftest import cycle_graph, path_graph
+from conftest import STRESS_GRAPHS, cycle_graph, path_graph
 
 
 @st.composite
@@ -175,6 +174,28 @@ def test_girth_matches_edge_removal_reference():
         assert girth(g) == edge_removal_girth(g), g.edges
 
 
+def test_girth_from_orbit_roots():
+    """girth from the least vertex of each Aut(g) orbit equals girth from
+    every vertex on the builtin and stress graphs, a seeded relabeling of
+    each, and seeded random graphs with several orbits."""
+    rng = random.Random(4)
+    cases = [e.graph() for e in builtin_entries()]
+    cases += [build() for build in STRESS_GRAPHS]
+    cases += [relabel(g, tuple(rng.sample(range(g.n), g.n))) for g in cases]
+    for _ in range(150):
+        n = rng.randint(0, 12)
+        density = rng.choice((0.15, 0.3, 0.5))
+        cases.append(from_edge_list(n, [e for e in combinations(range(n), 2)
+                                        if rng.random() < density]))
+    several = 0
+    for g in cases:
+        roots = [orbit[0] for orbit
+                 in automorphism_group(g).orbit_partition()]
+        several += 1 < len(roots) < g.n
+        assert girth(g, roots=roots) == girth(g), g.edges
+    assert several > 50
+
+
 def test_line_graph_cycle():
     lg, labels = line_graph(cycle_graph(5))
     assert lg.n == 5 and is_regular(lg, 2) and is_connected(lg)
@@ -257,19 +278,24 @@ def test_odd_closed_walk_witness(g):
         assert all(g.has_edge(a, b) for a, b in zip(walk, walk[1:]))
 
 
-def test_is_isomorphism(petersen):
+def test_check_isomorphism_petersen(petersen):
     perm = tuple((3 * v + 1) % 10 for v in range(10))
     image = relabel(petersen, perm)
-    assert is_isomorphism(perm, petersen, image)
-    assert not is_isomorphism(tuple(range(10)), petersen, image)
+    check_isomorphism("iso", perm, petersen, image)
+    with pytest.raises(StructureViolation):
+        check_isomorphism("iso", tuple(range(10)), petersen, image)
     # not a bijection, wrong length, or a graph with fewer edges
-    assert not is_isomorphism((0,) * 10, petersen, petersen)
-    assert not is_isomorphism(tuple(range(9)), petersen, petersen)
-    assert not is_isomorphism(tuple(range(10)), petersen, cycle_graph(10))
+    with pytest.raises(StructureViolation):
+        check_isomorphism("iso", (0,) * 10, petersen, petersen)
+    with pytest.raises(StructureViolation):
+        check_isomorphism("iso", tuple(range(9)), petersen, petersen)
+    with pytest.raises(StructureViolation):
+        check_isomorphism("iso", tuple(range(10)), petersen, cycle_graph(10))
     # an edge-preserving bijection onto a graph with more edges
     c5 = cycle_graph(5)
     k5 = from_edge_list(5, combinations(range(5), 2))
-    assert not is_isomorphism(tuple(range(5)), c5, k5)
+    with pytest.raises(StructureViolation):
+        check_isomorphism("iso", tuple(range(5)), c5, k5)
 
 
 def test_relabel_checks_bijection(k4):
@@ -291,11 +317,9 @@ def test_relabel_checks_bijection(k4):
 def test_check_isomorphism_witnesses(p, h, witness):
     """check_isomorphism passes an isomorphism and otherwise names the
     check with the witness: the orders and sizes, a vertex mapped outside
-    the target or onto another's image, or an edge mapped to a non-edge;
-    is_isomorphism agrees."""
+    the target or onto another's image, or an edge mapped to a non-edge."""
     g = cycle_graph(5)
     h = {"c5": g, "p5": path_graph(5)}[h]
-    assert is_isomorphism(p, g, h) == (witness is None)
     if witness is None:
         check_isomorphism("name", p, g, h)
         return
