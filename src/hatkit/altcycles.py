@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import (
-    AltGraphMismatch,
     AntipodeMismatch,
     DivisibilityRuleViolation,
     NotConnected,
@@ -156,7 +155,7 @@ class AltDecomposition:
     def cycle_graph(self):
         """alt_graph of this decomposition, built on the first read and
         kept, so the stages that share a decomposition share it."""
-        return alt_graph(None, self)
+        return alt_graph(self)
 
 
 def alternating_cycles(g: Graph, orientation: Orientation) -> AltDecomposition:
@@ -281,11 +280,10 @@ def alternating_cycles(g: Graph, orientation: Orientation) -> AltDecomposition:
     )
 
 
-def alt_graph(g: Graph, dec: AltDecomposition) -> Graph:
+def alt_graph(dec: AltDecomposition) -> Graph:
     """The graph of alternating cycles: one vertex per cycle, adjacent when
-    the cycles intersect.  Vertex i of the result is dec.cycles[i].  It
-    depends on dec alone; g is the decomposed graph.  dec.cycle_graph
-    keeps the result.
+    the cycles intersect.  Vertex i of the result is dec.cycles[i].
+    dec.cycle_graph keeps the result.
 
     Raises TightlyAttached when there are fewer than three cycles (the
     attachment number is twice the radius and the construction is
@@ -368,9 +366,8 @@ class DivisibilityRecord(JsonRecord):
     The odd-radius rule: for a graph whose full automorphism group is
     half-arc-transitive and whose radius is odd, the attachment number
     divides the radius.  odd_radius_rule_applicable records whether the
-    analyzed action is the full group with odd radius; if additionally
-    the graph is genuinely half-arc-transitive, a violation raises
-    DivisibilityRuleViolation (it would mean an engine bug).
+    analyzed action is the full group with odd radius; there a violation
+    raises DivisibilityRuleViolation (it would mean an engine bug).
     """
 
     radius: int
@@ -383,12 +380,14 @@ class DivisibilityRecord(JsonRecord):
     odd_radius_rule_satisfied: bool
 
 
-def divisibility_report(dec: AltDecomposition, is_full_group: bool,
-                        genuinely_hat: bool) -> DivisibilityRecord:
-    """Populate a DivisibilityRecord for one analyzed instance."""
+def divisibility_report(dec: AltDecomposition,
+                        full_group: bool) -> DivisibilityRecord:
+    """Populate a DivisibilityRecord for one analyzed instance; full_group
+    says that the analyzed action is the full automorphism group of a
+    genuinely half-arc-transitive graph."""
     r, a = dec.radius, dec.attachment
-    applicable = is_full_group and r % 2 == 1
-    satisfied = (r % a == 0) if (applicable and genuinely_hat) else True
+    applicable = full_group and r % 2 == 1
+    satisfied = (r % a == 0) if applicable else True
     record = DivisibilityRecord(
         radius=r,
         attachment=a,
@@ -435,8 +434,7 @@ def cycle_images(group: PermGroup, dec: AltDecomposition):
     return images
 
 
-def induced_alt_action(group: PermGroup, dec: AltDecomposition,
-                       altg: Graph):
+def induced_alt_action(group: PermGroup, dec: AltDecomposition):
     """Action of the group on the alternating cycles.
 
     Returns (induced group on cycle indices, arc_transitive flag).  Two
@@ -445,18 +443,13 @@ def induced_alt_action(group: PermGroup, dec: AltDecomposition,
     edge-transitive (witness: the orbit of cycle 0 and the arc orbit
     count), and alt_action_arc_transitive_iff_ell_odd when it is
     arc-transitive but ell = 2r/a is even or the other way round
-    (cycle-exchanging elements exist exactly when ell is odd).  altg is
-    the graph of alternating cycles; AltGraphMismatch unless it has one
-    vertex per cycle.
+    (cycle-exchanging elements exist exactly when ell is odd).  The
+    action is classified on dec.cycle_graph.
     """
     k = len(dec.cycles)
-    if altg.n != k:
-        raise AltGraphMismatch(
-            f"graph of alternating cycles has {altg.n} vertices, "
-            f"the decomposition {k} cycles")
     induced = cycle_images(group, dec)
     action = schreier_sims(induced, degree=k)
-    report = transitivity_report(action, altg)
+    report = transitivity_report(action, dec.cycle_graph)
     if not (report.vertex_transitive and report.edge_transitive):
         raise StructureViolation(
             f"alt_action_transitive: the orbit of cycle 0 has "

@@ -24,6 +24,7 @@ from .errors import (
     NotConnected,
     NotCubic,
     OrderTooSmall,
+    StructureViolation,
 )
 from .graphs import girth, is_bipartite, is_connected, line_graph
 from .graph6 import load_graph6_file, write_graph6
@@ -127,8 +128,7 @@ def analyze_graph(name, g):
     if (record["connected"] and analysis.valence == 4
             and report.half_arc_transitive):
         dec = analysis.half_arc_cycles
-        divis = divisibility_report(dec, is_full_group=True,
-                                    genuinely_hat=True)
+        divis = divisibility_report(dec, full_group=True)
         alt = {
             "radius": dec.radius,
             "attachment": dec.attachment,
@@ -140,8 +140,7 @@ def analyze_graph(name, g):
             "open_question_notes": _open_question_notes(dec),
         }
         if len(dec.cycles) >= 3:
-            _, arc_t = induced_alt_action(analysis.group, dec,
-                                          dec.cycle_graph)
+            _, arc_t = induced_alt_action(analysis.group, dec)
             alt["alt_action_arc_transitive"] = arc_t
         record["alternating"] = alt
     return record
@@ -149,7 +148,12 @@ def analyze_graph(name, g):
 
 def _check(checks, name, ok, detail=""):
     checks.append({"check": name, "passed": bool(ok), "detail": detail})
-    return ok
+
+
+def _engine_checks(checks, record):
+    """The checks an engine record passed, in the order it made them."""
+    checks.extend({"check": name, "passed": True, "detail": detail}
+                  for name, detail in record.checks)
 
 
 def _expected_checks(analysis, expected, checks):
@@ -181,21 +185,12 @@ def _dart_suite(analysis, checks, strict):
                "skipped: not a 2-arc-transitive cubic graph")
         return
     forward = analysis.forward
-    _check(checks, "dart:half_arc_transitive", forward.half_arc_transitive)
-    _check(checks, "dart:radius_3", forward.radius == 3,
-           f"radius {forward.radius}")
-    _check(checks, "dart:attachment_2", forward.attachment == 2,
-           f"attachment {forward.attachment}")
-    _check(checks, "dart:alt_reconstructs_base", forward.alt_isomorphic_to_base)
-    _check(checks, "dart:natural_orientation_induced",
-           forward.natural_orientation_induced)
+    _engine_checks(checks, forward)
     # verify_dart_forward certified the natural orientation as induced
     _, psi_report = psi_isomorphism(forward.labeling.graph,
                                     forward.labeling.orientation,
                                     forward.decomposition)
-    _check(checks, "dart:psi_isomorphism",
-           psi_report.bijective and psi_report.preserves_adjacency
-           and psi_report.orientation_compatible)
+    _engine_checks(checks, psi_report)
     if strict:
         # reversing the orientation keeps the alternating cycles, so the
         # natural orientation's decomposition is the induced one's
@@ -230,22 +225,14 @@ def _cover_suite(analysis, checks, strict):
     rep = cover_pipeline(dart, dec, lifted)
     _check(checks, "cover:split", rep.split,
            f"|G~| = {rep.lifted_order} = 2 x {rep.group_order}")
-    _check(checks, "cover:sectional_iff_bipartite",
-           rep.sectional == rep.bipartite,
-           f"bipartite={rep.bipartite}, sectional={rep.sectional}")
-    _check(checks, "cover:base_girth_3", rep.base_girth == 3)
-    _check(checks, "cover:base_is_line_graph", True,
-           f"base order {rep.base_order}")
-    _check(checks, "cover:projected_group_halved",
-           2 * rep.projected_order == rep.lifted_order)
+    _engine_checks(checks, rep)
 
 
 def _divisibility_suite(analysis, checks, strict):
     if analysis.dart_applicable:
         forward = analysis.forward
         dec = forward.decomposition
-        rec = divisibility_report(dec, is_full_group=False,
-                                  genuinely_hat=False)
+        rec = divisibility_report(dec, full_group=False)
         _check(checks, "div:a_divides_2r", rec.a_divides_2r,
                f"(r, a) = ({rec.radius}, {rec.attachment})")
         # verify_dart_forward certified the lift's arc orbits as the natural
@@ -259,7 +246,7 @@ def _divisibility_suite(analysis, checks, strict):
                "dart reversal extends the lift to an arc-transitive group")
     elif analysis.valence == 4 and analysis.report.half_arc_transitive:
         dec = analysis.half_arc_cycles
-        rec = divisibility_report(dec, is_full_group=True, genuinely_hat=True)
+        rec = divisibility_report(dec, full_group=True)
         _check(checks, "div:a_divides_2r", rec.a_divides_2r,
                f"(r, a) = ({rec.radius}, {rec.attachment})")
         _check(checks, "div:odd_radius_rule",
@@ -282,13 +269,16 @@ SUITES = tuple(_SUITE_RUNNERS)
 
 
 def _verify_entry(payload):
-    """The report of one census entry.  An error, typed (a HatError) or
-    an engine error (any other exception), also records where it
-    happened: the suite that ran ("expected" before the first suite) and
-    the last check recorded."""
+    """The report of one census entry.  A failed theorem check (a
+    StructureViolation) is recorded as that check, failed, with its
+    witness as detail.  Any other error, typed (a HatError) or an engine
+    error (any other exception), also records where it happened: the
+    suite that ran ("expected" before the first suite) and the last check
+    recorded."""
     entry, suites, strict = payload
     checks = []
     stage = "expected"
+    error = None
     t0 = time.perf_counter()
     try:
         analysis = _EntryAnalysis(entry.graph())
@@ -297,7 +287,9 @@ def _verify_entry(payload):
             if suite in suites:
                 stage = suite
                 _SUITE_RUNNERS[suite](analysis, checks, strict)
-        error = None
+    except StructureViolation as exc:
+        checks.append({"check": exc.check, "passed": False,
+                       "detail": exc.witness})
     except HatError as exc:
         error = f"{type(exc).__name__}: {exc}"
     except Exception as exc:

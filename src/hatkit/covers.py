@@ -28,6 +28,7 @@ from .errors import (
     StructureViolation,
     TauInG,
     WrongParameters,
+    check,
 )
 from .graphs import (
     Graph,
@@ -37,11 +38,11 @@ from .graphs import (
     girth,
     is_bipartite,
     is_connected,
+    isomorphism_fault,
     line_graph,
     maps_edges,
     odd_closed_walk,
 )
-from .graph6 import write_graph6
 from .records import GROUP_ORDER, JsonRecord
 from .autgroup import arc_orbits
 from .altcycles import (
@@ -247,11 +248,10 @@ def split_certificate(total: Graph, group: PermGroup, tau,
 
 @dataclass
 class CoverReport(JsonRecord):
-    """End-to-end record of one cover-pipeline run.  base_is_line_graph_of
-    is the graph6 of the graph of alternating cycles with vertex i =
-    dec.cycles[i], the labelling its line graph is checked in."""
+    """End-to-end record of one cover-pipeline run; checks holds the
+    (name, detail) pairs of the checks cover_pipeline made, in the order
+    it made them."""
 
-    graph6: str
     order: int
     bipartite: bool
     radius: int
@@ -260,10 +260,10 @@ class CoverReport(JsonRecord):
     sectional: bool
     base_order: int
     base_girth: int
-    base_is_line_graph_of: str
     group_order: int = field(metadata=GROUP_ORDER)
     lifted_order: int = field(metadata=GROUP_ORDER)
     projected_order: int = field(metadata=GROUP_ORDER)
+    checks: tuple = field(repr=False)
 
 
 def cover_pipeline(total: Graph, dec: AltDecomposition,
@@ -282,7 +282,7 @@ def cover_pipeline(total: Graph, dec: AltDecomposition,
       (base_girth_3, with the girth),
     - the base is the line graph of the graph of alternating cycles: the
       fibre {v, tau v} maps to the edge of the two cycles that meet at v
-      (base_is_line_graph, with the witness of graphs.check_isomorphism).
+      (base_is_line_graph, with the witness of graphs.isomorphism_fault).
 
     dec must be the alternating cycles of an orientation of total that
     the group induces, as verify_dart_forward certifies them; the group
@@ -302,12 +302,12 @@ def cover_pipeline(total: Graph, dec: AltDecomposition,
     cover = quotient_by_tau(total, tau)
     cert = split_certificate(total, group, tau, cover)
 
+    checks = []
     bipartite = cert.non_bipartite_witness is None
-    if cert.is_sectional != bipartite:
-        raise StructureViolation(
-            f"sectional_iff_bipartite: sectional={cert.is_sectional}, "
-            f"bipartite={bipartite}, odd closed walk "
-            f"{cert.non_bipartite_witness}")
+    agree = cert.is_sectional == bipartite
+    verdicts = f"sectional={cert.is_sectional}, bipartite={bipartite}"
+    check(checks, "sectional_iff_bipartite", agree, verdicts if agree else
+          f"{verdicts}, odd closed walk {cert.non_bipartite_witness}")
 
     # split_certificate checked that the fibres are tau-orbits, so tau is in
     # the kernel of the fibre action: the projected order is at most |G~|/2
@@ -317,31 +317,27 @@ def cover_pipeline(total: Graph, dec: AltDecomposition,
         order_bound=cert.lifted_group.order // 2)
     # kernel of the fibre action must be exactly <tau>, so the projected
     # quotient group acts faithfully with half the lifted order
-    if faithful or 2 * projected.order != cert.lifted_group.order:
-        raise StructureViolation(
-            f"fibre_action_kernel_tau: the action on the fibres has order "
-            f"{projected.order} (faithful={faithful}), the lifted group "
-            f"{cert.lifted_group.order}")
+    check(checks, "fibre_action_kernel_tau",
+          not faithful and 2 * projected.order == cert.lifted_group.order,
+          f"the action on the fibres has order {projected.order} "
+          f"(faithful={faithful}), the lifted group "
+          f"{cert.lifted_group.order}")
     base_arc_orbits = arc_orbits(projected.generators, cover.base)
-    if len(base_arc_orbits) > 1:
-        raise StructureViolation(
-            "projected_arc_transitive: the projected group has "
-            f"{len(base_arc_orbits)} arc orbits on the base")
+    check(checks, "projected_arc_transitive", len(base_arc_orbits) <= 1,
+          f"the projected group has {len(base_arc_orbits)} arc orbits on "
+          "the base")
 
     base_girth = girth(cover.base)
-    if base_girth != 3:
-        raise StructureViolation(f"base_girth_3: the base has girth "
-                                 f"{base_girth}")
+    check(checks, "base_girth_3", base_girth == 3,
+          f"the base has girth {base_girth}")
 
-    lam = dec.cycle_graph
-    lam_line, lam_edges = line_graph(lam)
+    lam_line, lam_edges = line_graph(dec.cycle_graph)
     index = {e: i for i, e in enumerate(lam_edges)}
     fibre_to_edge = [index.get(dec.cycles_at_vertex[v], -1) for v, _ in fibres]
-    check_isomorphism("base_is_line_graph", fibre_to_edge, cover.base,
-                      lam_line)
+    fault = isomorphism_fault(fibre_to_edge, cover.base, lam_line)
+    check(checks, "base_is_line_graph", not fault, fault)
 
     return CoverReport(
-        graph6=write_graph6(total),
         order=total.n,
         bipartite=bipartite,
         radius=dec.radius,
@@ -350,8 +346,8 @@ def cover_pipeline(total: Graph, dec: AltDecomposition,
         sectional=cert.is_sectional,
         base_order=cover.base.n,
         base_girth=base_girth,
-        base_is_line_graph_of=write_graph6(lam),
         group_order=group.order,
         lifted_order=cert.lifted_group.order,
         projected_order=projected.order,
+        checks=tuple(checks),
     )

@@ -25,16 +25,12 @@ from .errors import (
     StructureViolation,
     TooSmall,
     WrongParameters,
+    check,
 )
-from .graphs import (Graph, check_edge_map, check_isomorphism,
-                     from_edge_list, is_connected, is_regular, maps_edges)
-from .autgroup import TransitivityReport
-from .altcycles import (
-    AltDecomposition,
-    Orientation,
-    alternating_cycles,
-    induced_orientation,
-)
+from .graphs import (Graph, check_edge_map, edge_map_fault, from_edge_list,
+                     is_connected, is_regular, isomorphism_fault, maps_edges)
+from .autgroup import TransitivityReport, transitivity_report
+from .altcycles import AltDecomposition, Orientation, alternating_cycles
 from .perms import PermGroup, schreier_sims
 from .records import GROUP_ORDER, JsonRecord
 
@@ -152,19 +148,18 @@ class DartForwardReport(JsonRecord):
     """Everything verified when pushing a 2-arc-transitive cubic graph
     through the dart construction, with the artefacts it was verified on:
     the labeling (dart graph and natural orientation), the lifted group
-    and the alternating-cycle decomposition of the natural orientation."""
+    and the alternating-cycle decomposition of the natural orientation.
+    checks holds the (name, detail) pairs of the checks
+    verify_dart_forward made, in the order it made them."""
 
     base_order: int
     dart_order: int
     group_order: int = field(metadata=GROUP_ORDER)
     lifted_order: int = field(metadata=GROUP_ORDER)
-    two_arc_transitive: bool
-    half_arc_transitive: bool
     radius: int
     attachment: int
     ell: int
-    alt_isomorphic_to_base: bool
-    natural_orientation_induced: bool
+    checks: tuple = field(repr=False)
     labeling: DartLabeling = field(repr=False)
     lifted_group: PermGroup = field(repr=False)
     decomposition: AltDecomposition = field(repr=False)
@@ -173,17 +168,18 @@ class DartForwardReport(JsonRecord):
 def verify_dart_forward(base: Graph, group: PermGroup,
                         report: TransitivityReport) -> DartForwardReport:
     """Build the dart graph of a 2-arc-transitive cubic graph, lift the
-    group, and certify: the lifted action is half-arc-transitive with
-    radius 3 and attachment 2 (StructureViolation naming dart_radius_3
-    or dart_attachment_2 otherwise, with (radius, attachment) as
-    witness), the graph of alternating cycles is
-    isomorphic to the base, and the natural orientation is one of the two
-    induced orientations (StructureViolation naming
-    natural_orientation_induced otherwise, with a natural arc outside
-    each induced orientation as witness).  The
-    alternating cycle of base vertex x is the six darts at x, so the
-    isomorphism maps each cycle to the vertex its darts share
-    (StructureViolation naming alt_reconstructs_base otherwise).
+    group, and certify, each check a StructureViolation naming it on
+    failure: the lifted action is half-arc-transitive
+    (dart_half_arc_transitive, with its transitivity flags), the natural
+    orientation is one of the two it induces (natural_orientation_induced,
+    with a natural arc outside each induced orientation), the natural
+    orientation has radius 3 and attachment 2 (dart_radius_3 and
+    dart_attachment_2, with (radius, attachment)), and the graph of
+    alternating cycles is isomorphic to the base (alt_reconstructs_base,
+    with the witness of graphs.isomorphism_fault).  The alternating cycle
+    of base vertex x is the six darts at x, so the isomorphism maps each
+    cycle to the vertex its darts share.  The induced orientations are
+    the lift's first arc orbit and its reverse.
 
     report is transitivity_report(group, base), which the caller already
     holds; Not2ArcTransitive unless it is 2-arc-transitive."""
@@ -192,39 +188,38 @@ def verify_dart_forward(base: Graph, group: PermGroup,
             "the supplied action on the base graph is not 2-arc-transitive")
     g, natural, labeling = dart_graph(base)
     lifted = lift_automorphisms(base, group, labeling)
-    # induced_orientation checks that the lifted action is half-arc-transitive
-    d, d_rev = induced_orientation(lifted, g)
-    if natural not in (d, d_rev):
-        outside = [next((a for a in natural.arcs if a not in arcs), None)
-                   for arcs in (set(d.arcs), set(d_rev.arcs))]
-        raise StructureViolation(
-            f"natural_orientation_induced: natural arc {outside[0]} is not "
-            f"in the first induced orientation, {outside[1]} not in the "
-            "second")
+    checks = []
+    lift_report = transitivity_report(lifted, g)
+    check(checks, "dart_half_arc_transitive", lift_report.half_arc_transitive,
+          "" if lift_report.half_arc_transitive else
+          f"the lifted action has flags {lift_report.to_json_dict()}")
+    d = Orientation(g, lift_report.arc_orbits[0])
+    d_rev = d.reverse()
+    outside = [next((a for a in natural.arcs if a not in arcs), None)
+               for arcs in (set(d.arcs), set(d_rev.arcs))]
+    induced = None in outside
+    check(checks, "natural_orientation_induced", induced,
+          "" if induced else
+          f"natural arc {outside[0]} is not in the first induced "
+          f"orientation, {outside[1]} not in the second")
     dec = alternating_cycles(g, natural)
-    for name, holds in (("dart_radius_3", dec.radius == 3),
-                        ("dart_attachment_2", dec.attachment == 2)):
-        if not holds:
-            raise StructureViolation(f"{name}: (radius, attachment) = "
-                                     f"({dec.radius}, {dec.attachment})")
-    recovered = dec.cycle_graph
+    values = f"(radius, attachment) = ({dec.radius}, {dec.attachment})"
+    check(checks, "dart_radius_3", dec.radius == 3, values)
+    check(checks, "dart_attachment_2", dec.attachment == 2, values)
     cycle_to_vertex = [
         min(set.intersection(*(set(labeling.darts[i]) for i in cyc)),
             default=-1) for cyc in dec.cycles]
-    check_isomorphism("alt_reconstructs_base", cycle_to_vertex, recovered,
-                      base)
+    fault = isomorphism_fault(cycle_to_vertex, dec.cycle_graph, base)
+    check(checks, "alt_reconstructs_base", not fault, fault)
     return DartForwardReport(
         base_order=base.n,
         dart_order=g.n,
         group_order=group.order,
         lifted_order=lifted.order,
-        two_arc_transitive=True,
-        half_arc_transitive=True,
         radius=dec.radius,
         attachment=dec.attachment,
         ell=dec.ell,
-        alt_isomorphic_to_base=True,
-        natural_orientation_induced=True,
+        checks=tuple(checks),
         labeling=labeling,
         lifted_group=lifted,
         decomposition=dec,
@@ -233,12 +228,13 @@ def verify_dart_forward(base: Graph, group: PermGroup,
 
 @dataclass
 class PsiReport(JsonRecord):
+    """What psi_isomorphism certified; checks holds the (name, detail)
+    pairs of its checks in the order it made them."""
+
     radius: int
     attachment: int
     alt_order: int
-    bijective: bool
-    preserves_adjacency: bool
-    orientation_compatible: bool
+    checks: tuple = field(repr=False)
 
 
 def psi_isomorphism(g: Graph, d: Orientation, dec: AltDecomposition):
@@ -280,39 +276,37 @@ def psi_isomorphism(g: Graph, d: Orientation, dec: AltDecomposition):
         after = cyc[(p + 1) % len(cyc)]
         return d.is_head(v, before) and d.is_head(v, after)
 
-    psi = [None] * dart.n
+    psi, fault = [], ""
     for i, (c1, c2) in enumerate(labeling.darts):
         pair = (c1, c2) if c1 < c2 else (c2, c1)
         u, w = by_pair[pair]
         u_heads = heads_both_on(c1, u)
         if u_heads == heads_both_on(c1, w):
-            raise StructureViolation(
-                f"psi_unique_head: dart {i} = ({c1}, {c2}): {2 * u_heads} of "
-                f"its pair ({u}, {w}) head both edges on cycle {c1}, not 1")
-        psi[i] = u if u_heads else w
+            fault = (f"dart {i} = ({c1}, {c2}): {2 * u_heads} of its pair "
+                     f"({u}, {w}) head both edges on cycle {c1}, not 1")
+            break
+        psi.append(u if u_heads else w)
+    checks = []
+    check(checks, "psi_unique_head", not fault, fault)
     psi = tuple(psi)
 
     # |V(g)| / 3 cycles give |V(g)| darts, so an injective psi is bijective
     taken = {}
     pair = next(((taken[v], i) for i, v in enumerate(psi)
                  if taken.setdefault(v, i) != i), None)
-    if pair is not None:
-        raise StructureViolation(
-            f"psi_bijective: darts {pair} map to the same vertex")
-    check_edge_map("psi_preserves_adjacency", psi, dart, g)
+    check(checks, "psi_bijective", pair is None,
+          "" if pair is None else f"darts {pair} map to the same vertex")
+    fault = edge_map_fault(psi, dart, g)
+    check(checks, "psi_preserves_adjacency", not fault, fault)
     arc = next((a for a in natural.arcs
                 if not d.is_head(psi[a[1]], psi[a[0]])), None)
-    if arc is not None:
-        raise StructureViolation(
-            f"psi_orientation_compatible: natural arc {arc} maps against d")
-    # each check above raises on failure
+    check(checks, "psi_orientation_compatible", arc is None,
+          "" if arc is None else f"natural arc {arc} maps against d")
     report = PsiReport(
         radius=dec.radius,
         attachment=dec.attachment,
         alt_order=lam.n,
-        bijective=True,
-        preserves_adjacency=True,
-        orientation_compatible=True,
+        checks=tuple(checks),
     )
     return psi, report
 

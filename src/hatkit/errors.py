@@ -1,4 +1,5 @@
-"""Exception types shared by all hatkit modules."""
+"""Exception types shared by all hatkit modules, and check, which makes
+the named theorem checks."""
 
 
 class HatError(Exception):
@@ -93,14 +94,26 @@ class StructureViolation(HatError):
     guarantees failed: an alternating-cycle invariant of an orientation
     no half-arc-transitive action induces, a constructed map that is no
     isomorphism, or (only through an engine bug) a search result that is
-    no automorphism."""
+    no automorphism.  The message is "check: witness"; check and witness
+    read its two parts."""
+
+    @property
+    def check(self):
+        return str(self).partition(": ")[0]
+
+    @property
+    def witness(self):
+        return str(self).partition(": ")[2]
 
 
-class AltGraphMismatch(HatError, ValueError):
-    """A graph passed as the graph of alternating cycles of a
-    decomposition does not have one vertex per cycle.  Also a ValueError,
-    so callers that catch ValueError from induced_alt_action keep
-    working."""
+def check(passed, name, ok, witness):
+    """One named theorem check: unless ok, raise StructureViolation
+    "name: witness"; otherwise append (name, witness) to the list passed.
+    A check that compares a value passes that value as its witness; one
+    that searches for a counterexample passes "" when it found none."""
+    if not ok:
+        raise StructureViolation(f"{name}: {witness}")
+    passed.append((name, witness))
 
 
 class TightlyAttached(HatError):

@@ -110,14 +110,22 @@ def unmapped_edge(p, g, h):
                 None)
 
 
-def check_edge_map(check, p, g, h):
-    """Raise StructureViolation naming `check` at the first edge of g that
-    p does not carry to an edge of h."""
+def edge_map_fault(p, g, h):
+    """The first edge of g that p does not carry to an edge of h, with
+    its image, as text; "" when p carries every edge to an edge."""
     edge = unmapped_edge(p, g, h)
-    if edge is not None:
-        u, v = edge
-        raise StructureViolation(f"{check}: edge ({u}, {v}) maps to the "
-                                 f"non-edge ({p[u]}, {p[v]})")
+    if edge is None:
+        return ""
+    u, v = edge
+    return f"edge ({u}, {v}) maps to the non-edge ({p[u]}, {p[v]})"
+
+
+def check_edge_map(check, p, g, h):
+    """Raise StructureViolation naming `check` with edge_map_fault(p, g, h)
+    unless that is empty."""
+    fault = edge_map_fault(p, g, h)
+    if fault:
+        raise StructureViolation(f"{check}: {fault}")
 
 
 def maps_edges(p, g, h):
@@ -125,25 +133,30 @@ def maps_edges(p, g, h):
     return unmapped_edge(p, g, h) is None
 
 
-def check_isomorphism(check, p, g, h):
-    """Raise StructureViolation naming `check` unless p is a vertex
-    bijection g -> h that maps edges onto edges, with the orders and sizes
-    when they differ, a vertex whose image lies outside h or is another's,
-    or an edge that maps to a non-edge."""
+def isomorphism_fault(p, g, h):
+    """Why p is no vertex bijection g -> h that maps edges onto edges, as
+    text: the orders and sizes when they differ, a vertex whose image lies
+    outside h or is another's, or an edge that maps to a non-edge; ""
+    when p is an isomorphism."""
     if (len(p), g.n, g.m) != (h.n, h.n, h.m):
-        raise StructureViolation(
-            f"{check}: {len(p)} images between graphs of (order, size) "
-            f"({g.n}, {g.m}) and ({h.n}, {h.m})")
+        return (f"{len(p)} images between graphs of (order, size) "
+                f"({g.n}, {g.m}) and ({h.n}, {h.m})")
     preimage = {}
     for v, w in enumerate(p):
         if not 0 <= w < h.n:
-            raise StructureViolation(
-                f"{check}: vertex {v} maps to {w}, outside 0..{h.n - 1}")
+            return f"vertex {v} maps to {w}, outside 0..{h.n - 1}"
         u = preimage.setdefault(w, v)
         if u != v:
-            raise StructureViolation(
-                f"{check}: vertices {u} and {v} both map to {w}")
-    check_edge_map(check, p, g, h)
+            return f"vertices {u} and {v} both map to {w}"
+    return edge_map_fault(p, g, h)
+
+
+def check_isomorphism(check, p, g, h):
+    """Raise StructureViolation naming `check` with isomorphism_fault(p, g,
+    h) unless p is an isomorphism."""
+    fault = isomorphism_fault(p, g, h)
+    if fault:
+        raise StructureViolation(f"{check}: {fault}")
 
 
 def is_connected(g):

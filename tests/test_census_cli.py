@@ -1,6 +1,7 @@
 import hashlib
 import json
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -12,12 +13,18 @@ from hatkit.census import (
     census_json_text,
     load_census,
 )
-from hatkit import altcycles, autgroup, cli, covers, dartgraph, perms
+from hatkit import altcycles, autgroup, cli, covers, dartgraph, graphs, perms
 from hatkit.cli import main, analyze_graph
 from hatkit.graphs import is_connected, is_regular, relabel
 from hatkit.graph6 import parse_graph6
 from hatkit.perms import identity
 from hatkit.autgroup import automorphism_group, canonical_form
+
+from conftest import run_optimized
+
+REQUIRED_CUBIC = (
+    "k4", "k33", "cube", "petersen", "heawood", "mobius_kantor", "pappus",
+    "desargues", "dodecahedron", "nauru", "coxeter")
 
 
 MINI = {
@@ -281,7 +288,7 @@ def test_cli_dart_rejects_input_before_search(tmp_path, capsys, monkeypatch,
 # elapsed_seconds fields removed: a change to any check, detail or verdict
 # of any entry changes it.
 BUILTIN_STRICT_REPORT_SHA256 = (
-    "1f0a23732f2efaab906bad295568a75a56cd0af52675e53639a1deb03919dcee")
+    "7da0d79f28654c9f476fdba0ed8979b9adbcccd20a827b7871a35bad6e17ea95")
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -297,11 +304,12 @@ def test_cli_verify_builtin_report_pinned(tmp_path, capsys, jobs):
 
 
 def test_verify_entry_builds_each_artefact_once(monkeypatch):
-    """One analysis per entry: the dart chain, its induced orientation and
-    its alternating cycles and their graph are built once for all three
-    suites (psi builds the second dart graph, of the reconstruction), and
-    the dart and cover identifications are certified by the maps their
-    constructions define, without an isomorphism search: the one
+    """One analysis per entry: the dart chain, its alternating cycles and
+    their graph are built once for all three suites (psi builds the second
+    dart graph, of the reconstruction), the induced orientations are read
+    from the lift's transitivity report instead of induced_orientation,
+    and the dart and cover identifications are certified by the maps
+    their constructions define, without an isomorphism search: the one
     automorphism search is Petersen's own."""
     calls = Counter()
     layers = (altcycles, autgroup, cli, covers, dartgraph, perms)
@@ -332,7 +340,7 @@ def test_verify_entry_builds_each_artefact_once(monkeypatch):
     assert calls["transitivity_report"] <= 2
     assert calls["is_isomorphic"] == 0
     assert autgroup._analysis.cache_info().misses == 1
-    assert calls["induced_orientation"] == 1
+    assert calls["induced_orientation"] == 0
     assert calls["alternating_cycles"] == 1
     assert calls["alt_graph"] == 1
 
@@ -534,16 +542,137 @@ def test_verify_reports_orbit_outside_cell(monkeypatch, tmp_path, capsys):
     out = tmp_path / "report.json"
     assert main(["verify", "all", "--census", "builtin",
                  "--out", str(out)]) == 1
-    capsys.readouterr()
+    printed = capsys.readouterr().out
+    assert ("[FAIL] petersen: aut_orbit_in_first_cell  (level 0 orbit of 0 "
+            "reaches 9, outside its target cell)") in printed
     by_name = {e["name"]: e for e in json.loads(out.read_text())["entries"]}
-    assert by_name["petersen"]["error"] == (
-        "StructureViolation: aut_orbit_in_first_cell: level 0 orbit of 0 "
-        "reaches 9, outside its target cell")
-    assert by_name["petersen"]["error_context"] == {"suite": "expected",
-                                                   "last_check": None}
+    assert by_name["petersen"]["checks"] == [{
+        "check": "aut_orbit_in_first_cell", "passed": False,
+        "detail": "level 0 orbit of 0 reaches 9, outside its target cell"}]
+    assert by_name["petersen"]["error"] is None
+    assert "error_context" not in by_name["petersen"]
     assert all(e["passed"] for name, e in by_name.items()
                if name != "petersen")
     autgroup._analysis.cache_clear()
+
+
+def _faulty_alternating_cycles(g, d):
+    """Dart(Petersen)'s alternating cycles reported with radius 4."""
+    dec = altcycles.alternating_cycles(g, d)
+    return replace(dec, radius=4) if g.n == 30 else dec
+
+
+def _reversed_natural(base, _dart_graph=dartgraph.dart_graph):
+    """dart_graph with the natural orientation it returns reversed (the
+    labeling keeps the true one) on a base of order 10, so psi carries
+    every natural arc of Dart(Petersen)'s reconstruction against the
+    orientation it is given."""
+    g, natural, labeling = _dart_graph(base)
+    return g, natural.reverse() if base.n == 10 else natural, labeling
+
+
+def _girth_plus_one(g):
+    return graphs.girth(g) + 1
+
+
+@pytest.mark.parametrize("module, name, fault, entries, check, detail", [
+    (dartgraph, "alternating_cycles", _faulty_alternating_cycles,
+     {"petersen"}, "dart_radius_3", "(radius, attachment) = (4, 2)"),
+    (dartgraph, "dart_graph", _reversed_natural,
+     {"petersen"}, "psi_orientation_compatible",
+     "natural arc (4, 0) maps against d"),
+    (covers, "girth", _girth_plus_one, set(REQUIRED_CUBIC) - {"k4"},
+     "base_girth_3", "the base has girth 4"),
+], ids=["dart_radius_3", "psi_orientation_compatible", "base_girth_3"])
+def test_verify_reports_failed_engine_check(monkeypatch, tmp_path, capsys,
+                                            module, name, fault, entries,
+                                            check, detail):
+    """A theorem check that fails inside a suite ends its entry with that
+    check, failed, with the engine's witness as detail: no error and no
+    error context, exit code 1, and the checks before it still listed."""
+    monkeypatch.setattr(module, name, fault)
+    out = tmp_path / "report.json"
+    assert main(["verify", "all", "--census", "builtin", "--strict",
+                 "--out", str(out)]) == 1
+    printed = capsys.readouterr().out
+    report = json.loads(out.read_text())
+    assert set(report["failures"]) == entries
+    for entry in report["entries"]:
+        if entry["name"] not in entries:
+            assert entry["passed"]
+            continue
+        assert entry["checks"][-1] == {
+            "check": check, "passed": False, "detail": detail}
+        assert all(c["passed"] for c in entry["checks"][:-1])
+        assert entry["error"] is None and "error_context" not in entry
+        assert f"[FAIL] {entry['name']}: {check}  ({detail})" in printed
+
+
+def test_failed_engine_check_reported_under_optimize(tmp_path):
+    """The named FAIL of a cover check reaches the report under python -O
+    too, with exit code 1 and no error."""
+    out = tmp_path / "report.json"
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from hatkit import cli, covers\n"
+        "real = covers.girth\n"
+        "covers.girth = lambda g: real(g) + 1\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['verify', 'all', '--census', 'builtin',\n"
+        f"                     '--out', {str(out)!r}])\n"
+        f"entries = json.load(open({str(out)!r}))['entries']\n"
+        "petersen = next(e for e in entries if e['name'] == 'petersen')\n"
+        "failed = petersen['checks'][-1]\n"
+        "print(sys.flags.optimize, code, failed['check'], failed['passed'],\n"
+        "      petersen['error'], repr(failed['detail']))\n"
+    )
+    assert run_optimized(code) == [
+        "1", "1", "base_girth_3", "False", "None", "'the", "base", "has",
+        "girth", "4'"]
+
+
+# The dart and cover checks of a 2-arc-transitive cubic entry, in report
+# order: each engine check under its engine name, between the checks
+# only the suites make.
+_DART_CHECKS = [
+    "dart_half_arc_transitive", "natural_orientation_induced",
+    "dart_radius_3", "dart_attachment_2", "alt_reconstructs_base",
+    "psi_unique_head", "psi_bijective", "psi_preserves_adjacency",
+    "psi_orientation_compatible", "dart:open_questions",
+    "cover:dart_covers_line_graph"]
+_COVER_CHECKS = [
+    "cover:split", "sectional_iff_bipartite", "fibre_action_kernel_tau",
+    "projected_arc_transitive", "base_girth_3", "base_is_line_graph"]
+_CUBIC_EXPECTED = [
+    "expected:aut_order", "expected:bipartite", "expected:girth",
+    "expected:two_arc_transitive", "expected:valence", "expected:vertices",
+    "expected:orbit_sizes_divide_order"]
+_DIV_DART = ["div:a_divides_2r", "div:full_group_not_hat",
+             "div:open_questions"]
+
+
+def test_builtin_report_check_names_pinned(tmp_path, capsys):
+    """The check names of every builtin entry in the strict report, in
+    order, all passed."""
+    out = tmp_path / "report.json"
+    assert main(["verify", "all", "--census", "builtin", "--strict",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    entries = json.loads(out.read_text())["entries"]
+    assert all(c["passed"] for e in entries for c in e["checks"])
+    names = {e["name"]: [c["check"] for c in e["checks"]] for e in entries}
+    cubic = _CUBIC_EXPECTED + _DART_CHECKS + _COVER_CHECKS + _DIV_DART
+    assert names == {
+        **{name: cubic for name in REQUIRED_CUBIC if name != "k4"},
+        "k4": _CUBIC_EXPECTED + _DART_CHECKS + ["cover:order_guard"]
+        + _DIV_DART,
+        "holt": [
+            "expected:aut_order", "expected:bipartite",
+            "expected:half_arc_transitive", "expected:valence",
+            "expected:vertices", "expected:orbit_sizes_divide_order",
+            "dart:applicable", "cover:applicable", "div:a_divides_2r",
+            "div:odd_radius_rule", "div:open_questions"],
+    }
 
 
 def test_girth_searched_once_from_orbit_roots(monkeypatch):

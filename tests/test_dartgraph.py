@@ -8,6 +8,7 @@ from hatkit.errors import (
     NotConnected,
     NotCubic,
     OrientationInvalid,
+    StructureViolation,
     TooSmall,
     WrongParameters,
 )
@@ -23,6 +24,7 @@ from hatkit.perms import compose, from_cycles, schreier_sims
 from hatkit.autgroup import automorphism_group, is_isomorphic, transitivity_report
 from hatkit.altcycles import alt_graph, alternating_cycles, induced_orientation
 from hatkit.census import builtin_entries
+from hatkit import dartgraph
 from hatkit.dartgraph import (
     dart_graph,
     dart_reversal,
@@ -256,9 +258,27 @@ def test_verify_dart_forward_k4(k4):
     group = automorphism_group(k4)
     report = verify_dart_forward(k4, group, transitivity_report(group, k4))
     assert report.radius == 3 and report.attachment == 2 and report.ell == 3
-    assert report.half_arc_transitive and report.alt_isomorphic_to_base
-    assert report.natural_orientation_induced
+    assert [name for name, _ in report.checks] == [
+        "dart_half_arc_transitive", "natural_orientation_induced",
+        "dart_radius_3", "dart_attachment_2", "alt_reconstructs_base"]
     assert report.dart_order == 12
+
+
+def test_verify_dart_forward_names_lift_not_half_arc_transitive(
+        monkeypatch, petersen):
+    """dart_half_arc_transitive is a named check: with the trivial group on
+    the darts in place of the lift, verify_dart_forward fails it with the
+    lift's transitivity flags as witness."""
+    monkeypatch.setattr(dartgraph, "lift_automorphisms",
+                        lambda base, group, labeling:
+                        schreier_sims([], degree=len(labeling.darts)))
+    group = automorphism_group(petersen)
+    with pytest.raises(StructureViolation) as info:
+        verify_dart_forward(petersen, group,
+                            transitivity_report(group, petersen))
+    assert info.value.check == "dart_half_arc_transitive"
+    assert info.value.witness.startswith(
+        "the lifted action has flags {'vertex_transitive': False")
 
 
 def test_verify_dart_forward_heawood(heawood):
@@ -280,7 +300,7 @@ def test_verify_dart_forward_rejects_wrong_reconstruction_under_optimize():
         "from hatkit.census import generalized_petersen\n"
         "from hatkit.errors import StructureViolation\n"
         "petersen = generalized_petersen(5, 2)\n"
-        "altcycles.alt_graph = lambda g, dec: generalized_petersen(5, 1)\n"
+        "altcycles.alt_graph = lambda dec: generalized_petersen(5, 1)\n"
         "group = automorphism_group(petersen)\n"
         "report = transitivity_report(group, petersen)\n"
         "try:\n"
@@ -293,11 +313,11 @@ def test_verify_dart_forward_rejects_wrong_reconstruction_under_optimize():
 
 def test_verify_dart_forward_rejects_uninduced_natural_under_optimize():
     """natural_orientation_induced is checked by a raise, not an assert:
-    with induced_orientation made to return the natural orientation of
+    with the lift's arc orbits made to be the natural orientation of
     Dart(Petersen) with the darts of the outer 5-cycle reversed, and its
     reverse, the check fails under python -O and names itself."""
     code = (
-        "import sys\n"
+        "import dataclasses, sys\n"
         "from hatkit import dartgraph\n"
         "from hatkit.altcycles import Orientation\n"
         "from hatkit.autgroup import automorphism_group, transitivity_report\n"
@@ -309,8 +329,9 @@ def test_verify_dart_forward_rejects_uninduced_natural_under_optimize():
         "flip = {(step[i], step[(i + 1) % 5]) for i in range(5)}\n"
         "mixed = Orientation(g, [(h, t) if (t, h) in flip else (t, h)\n"
         "                        for t, h in natural.arcs])\n"
-        "dartgraph.induced_orientation = (\n"
-        "    lambda group, x: (mixed, mixed.reverse()))\n"
+        "real = dartgraph.transitivity_report\n"
+        "dartgraph.transitivity_report = lambda group, x: dataclasses.replace(\n"
+        "    real(group, x), arc_orbits=(mixed.arcs, mixed.reverse().arcs))\n"
         "group = automorphism_group(petersen)\n"
         "report = transitivity_report(group, petersen)\n"
         "try:\n"
@@ -367,8 +388,9 @@ def test_psi_round_trip_pappus(pappus):
     g, natural, _ = dart_graph(pappus)
     dec = alternating_cycles(g, natural)
     psi, report = psi_isomorphism(g, natural, dec)
-    assert report.bijective and report.preserves_adjacency
-    assert report.orientation_compatible
+    assert [name for name, _ in report.checks] == [
+        "psi_unique_head", "psi_bijective", "psi_preserves_adjacency",
+        "psi_orientation_compatible"]
     assert report.alt_order == pappus.n
     assert sorted(psi) == list(range(g.n))
 
@@ -385,7 +407,7 @@ def test_psi_of_reversed_orientation_follows_dart_reversal(name):
     psi, report = psi_isomorphism(g, natural, dec)
     psi_rev, report_rev = psi_isomorphism(g, natural.reverse(), dec)
     assert report_rev == report
-    _, _, rec_labeling = dart_graph(alt_graph(g, dec))
+    _, _, rec_labeling = dart_graph(alt_graph(dec))
     assert psi_rev == compose(dart_reversal(rec_labeling), psi)
 
 

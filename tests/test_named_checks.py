@@ -2,14 +2,18 @@
 is stripped by -O.  The bare asserts left in the package are listed here,
 and the list may only shrink.  Every `raise StructureViolation(...)`
 names its check: the message opens with `name: `, written out or as a
-`{name}: ` placeholder."""
+`{name}: ` placeholder.  Every `check(...)` call passes its name as a
+literal snake_case string."""
 
 import ast
 import re
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 import hatkit
+from hatkit.errors import StructureViolation, check
 
 # (module, function) -> number of bare asserts still allowed there
 REMAINING_ASSERTS = Counter()
@@ -107,3 +111,59 @@ def test_unnamed_raises_found(tmp_path):
         'raise ValueError("not a theorem check")\n')
     assert unnamed_raises(source) == [("sample.py", line)
                                       for line in (4, 5, 6, 7)]
+
+
+SNAKE_CASE = re.compile(r"[a-z][a-z0-9_]*")
+
+
+def unnamed_checks(path):
+    """(file name, line) of each `check(...)` call of one source file whose
+    name, the second argument, is not a literal snake_case string."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"),
+                                   str(path))):
+        if (isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "check"):
+            name = node.args[1] if len(node.args) > 1 else None
+            if not (isinstance(name, ast.Constant)
+                    and isinstance(name.value, str)
+                    and SNAKE_CASE.fullmatch(name.value)):
+                found.append((path.name, node.lineno))
+    return found
+
+
+def test_every_check_call_names_its_check():
+    found = []
+    for path in sorted(Path(hatkit.__file__).parent.glob("*.py")):
+        found += unnamed_checks(path)
+    assert found == []
+
+
+def test_unnamed_checks_found(tmp_path):
+    """The walk accepts a literal snake_case name and flags a placeholder,
+    a variable, another spelling and a missing name."""
+    source = tmp_path / "sample.py"
+    source.write_text(
+        'check(log, "base_girth_3", girth == 3, f"girth {girth}")\n'
+        'check(log, f"{name}", ok, "")\n'
+        'check(log, name, ok, "")\n'
+        'check(log, "dart:radius_3", ok, "")\n'
+        'check(log)\n'
+        'other(log, name, ok, "")\n')
+    assert unnamed_checks(source) == [("sample.py", line)
+                                      for line in (2, 3, 4, 5)]
+
+
+def test_check_records_a_pass_and_raises_a_failure():
+    """A passed check is appended with its witness as detail; a failed one
+    raises "name: witness", whose check and witness split at the first
+    ': '."""
+    passed = []
+    check(passed, "base_girth_3", True, "the base has girth 3")
+    assert passed == [("base_girth_3", "the base has girth 3")]
+    with pytest.raises(StructureViolation) as info:
+        check(passed, "psi_unique_head", False, "dart 0 = (1, 2): 0 of it")
+    assert str(info.value) == "psi_unique_head: dart 0 = (1, 2): 0 of it"
+    assert info.value.check == "psi_unique_head"
+    assert info.value.witness == "dart 0 = (1, 2): 0 of it"
+    assert passed == [("base_girth_3", "the base has girth 3")]
