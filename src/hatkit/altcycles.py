@@ -109,11 +109,16 @@ def induced_orientation(group: PermGroup, g: Graph):
     Returns (d, d.reverse()); d is the arc orbit containing the smallest
     arc.  Both orientations are invariant under the group.
     """
+    return half_arc_orientation(g, transitivity_report(group, g))
+
+
+def half_arc_orientation(g: Graph, report):
+    """induced_orientation of the action whose transitivity_report on g
+    the caller already holds."""
     if not is_regular(g, 4):
         raise NotTetravalent("graph is not 4-valent")
     if not is_connected(g):
         raise NotConnected("graph is not connected")
-    report = transitivity_report(group, g)
     if not report.half_arc_transitive:
         raise NotHalfArcTransitive(
             "the action is not vertex- and edge- but not arc-transitive "

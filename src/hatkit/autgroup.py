@@ -5,7 +5,8 @@ refinement is the coarsest equitable refinement (every vertex of a cell
 has the same number of neighbours in every cell); after its first round
 it counts neighbours only in the parts the round before created, less
 the largest part of each split cell (nauty's splitter counting, McKay
-and Piperno 2014).  The target cell is the first smallest non-singleton
+and Piperno 2014), and it ignores neighbours in singleton cells, which
+cannot split.  The target cell is the first smallest non-singleton
 cell and its vertices are individualized in increasing order.
 Discovered automorphisms prune sibling branches whose candidate lies in
 the orbit of an already explored candidate under the subgroup fixing the
@@ -16,13 +17,15 @@ further by a vertex invariant when it is not discrete (McKay and Piperno
 2014 use invariants the same way): each non-singleton cell is split by the
 sizes |S_1(v)|, |S_2(v)|, |S_3(v)| of the distance spheres around its
 vertices, the parts ordered by that value and each kept sorted, and the
-result is refined once more.  Sphere sizes are isomorphism invariant, so
-the root, like the equitable one, is carried onto the root of g's image by
-every isomorphism and mapped onto itself cell by cell by every
-automorphism; these two facts are all that the arguments below ask of
-the root, and they hold unchanged.  On a regular graph with a small group
-the equitable root is one cell, and the split usually makes it discrete.
-On a vertex-transitive graph the value is constant and the root is the
+result is refined once more.  The sizes of all vertices are computed in
+one sweep over int bitsets of the distance balls (`_sphere_sizes`).
+Sphere sizes are isomorphism invariant, so the root, like the equitable
+one, is carried onto the root of g's image by every isomorphism and
+mapped onto itself cell by cell by every automorphism; these two facts
+are all that the arguments below ask of the root, and they hold
+unchanged.  On a regular graph with a small group the equitable root is
+one cell, and the split usually makes it discrete.  On a
+vertex-transitive graph the value is constant and the root is the
 equitable one.
 
 Every refinement leaves a trace: one event per split, the position of
@@ -41,7 +44,8 @@ of its n(n-1)/16 bytes) and builds no graph.  Two leaves
 with equal keys differ by an automorphism, so their traces agree too.
 The canonical leaf is the minimum of (traces, key) over all leaves, and
 the certificate is the graph6 string of the graph relabeled by it,
-encoded once per search.  Isomorphic graphs have isomorphic search trees
+encoded once per search from that leaf's bit layout, with no relabeled
+graph built.  Isomorphic graphs have isomorphic search trees
 with the same traces and keys, hence the same certificate.
 
 The search keeps the traces of the first leaf and of the best leaf so
@@ -107,9 +111,9 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import prod
-from operator import getitem
+from operator import getitem, or_, sub
 
 from .errors import (
     InvalidPartition,
@@ -119,7 +123,7 @@ from .errors import (
     TooLarge,
 )
 from .graphs import Graph, check_edge_map, is_regular, maps_edges, relabel
-from .graph6 import _bit_layout, write_graph6
+from .graph6 import _bit_layout, _encode
 from .records import JsonRecord
 from .perms import (
     PermGroup,
@@ -183,8 +187,9 @@ def refine(g: Graph, partition) -> ColoredPartition:
     so the round splits it exactly by the counts in the parts the round
     before created; the largest part of each split cell is left out,
     since a count in it is the old count minus those in the other parts.
-    Only the neighbours of counted parts are looked at.  Split parts are
-    ordered by the signature of one vertex each.
+    Only the neighbours of counted parts are looked at, and of those only
+    the ones in cells that are not singletons.  Split parts are ordered
+    by the signature of one vertex each.
     """
     _check_partition(g, partition)
     return _refine(g, [tuple(sorted(cell)) for cell in partition])[0]
@@ -235,14 +240,24 @@ def _refine(g, cells, first=None, best=None, moved=None):
             order = 1 if event > best[k] else -1
         return order > 0 and not on_first
 
-    cell_at, starts, cell_id = {}, [], [0] * g.n
+    # free[v] is 1 while v's cell is not a singleton: a singleton cannot
+    # split, so neighbours in singletons are not counted
+    cell_at, starts, cell_id, free = {}, [], [0] * g.n, bytearray(g.n)
     start = 0
     for cell in cells:
         cell_at[start] = cell = tuple(cell)
         starts.append(start)
         for v in cell:
             cell_id[v] = start
+        if len(cell) > 1:
+            for v in cell:
+                free[v] = 1
         start += len(cell)
+    part_id = cell_id.__getitem__
+
+    def signature(part):
+        return _signature(sorted(map(part_id, adj[part[0]])))
+
     if moved is None:
         moved = [v for cell in cell_at.values() for v in cell]
     while True:
@@ -252,20 +267,20 @@ def _refine(g, cells, first=None, best=None, moved=None):
         for w in moved:
             part = cell_id[w]
             for u in adj[w]:
-                ids = counts.get(u)
-                if ids is None:
-                    counts[u] = [part]
-                else:
-                    ids.append(part)
+                if free[u]:
+                    ids = counts.get(u)
+                    if ids is None:
+                        counts[u] = [part]
+                    else:
+                        ids.append(part)
         touched = {}
         for u in counts:
             touched.setdefault(cell_id[u], []).append(u)
         splits = []
         for start in sorted(touched):
             cell = cell_at[start]
-            if len(cell) == 1:
-                continue
-            hit = sorted(touched[start])    # cells are sorted, parts too
+            hit = touched[start]
+            hit.sort()                      # cells are sorted, parts too
             groups = {}
             for v in hit:
                 groups.setdefault(tuple(counts[v]), []).append(v)
@@ -277,13 +292,12 @@ def _refine(g, cells, first=None, best=None, moved=None):
             break
         moved, renamed = [], []
         for start, parts in splits:
-            parts = sorted(parts, key=lambda part: _signature(
-                sorted([cell_id[w] for w in adj[part[0]]])))
+            parts = sorted(parts, key=signature)
+            sizes = [len(part) for part in parts]
             # starts already holds the parts made earlier in this round
-            event = (bisect_left(starts, start), *map(len, parts))
-            if dropped(event):
+            if dropped((bisect_left(starts, start), *sizes)):
                 return None
-            largest = max(range(len(parts)), key=lambda i: len(parts[i]))
+            largest = sizes.index(max(sizes))
             for i, part in enumerate(parts):
                 cell_at[start] = part = tuple(part)
                 if i:
@@ -291,7 +305,9 @@ def _refine(g, cells, first=None, best=None, moved=None):
                     renamed.append((start, part))
                 if i != largest:
                     moved.extend(part)
-                start += len(part)
+                if sizes[i] == 1:
+                    free[part[0]] = 0
+                start += sizes[i]
         for start, part in renamed:
             for v in part:
                 cell_id[v] = start
@@ -314,35 +330,40 @@ def _target_cell(partition):
     return best
 
 
-def _sphere_sizes(g, v):
-    """(|S_1(v)|, ..., |S_d(v)|) for d = _SPHERE_DEPTH: the numbers of
-    vertices at distance 1, ..., d from v."""
+def _sphere_sizes(g):
+    """[(|S_1(v)|, ..., |S_d(v)|) for v = 0..n-1], d = _SPHERE_DEPTH: the
+    numbers of vertices at distance 1, ..., d from each vertex.
+
+    All vertices are swept at once.  ball_r(v), the vertices within
+    distance r of v, is held as an int bitset: ball_r(v) is ball_{r-1}(v)
+    or'ed with ball_{r-1}(u) over the neighbours u of v, and |S_r(v)| is
+    |ball_r(v)| - |ball_{r-1}(v)|, where |ball_1(v)| = 1 + deg v.  The
+    deepest balls are counted and not kept."""
     adj = g.adj
-    seen, frontier, sizes = {v}, [v], []
-    for _ in range(_SPHERE_DEPTH):
-        sphere = []
-        for u in frontier:
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    sphere.append(w)
-        sizes.append(len(sphere))
-        frontier = sphere
-    return tuple(sizes)
+    balls = [1 << v for v in range(g.n)]
+    inner, spheres = [1] * g.n, []
+    for r in range(1, _SPHERE_DEPTH + 1):
+        get = balls.__getitem__
+        grown = (reduce(or_, map(get, nbrs), ball)
+                 for ball, nbrs in zip(balls, adj))
+        if r < _SPHERE_DEPTH:
+            grown = balls = list(grown)
+        outer = ([1 + len(nbrs) for nbrs in adj] if r == 1
+                 else list(map(int.bit_count, grown)))
+        spheres.append(map(sub, outer, inner))
+        inner = outer
+    return list(zip(*spheres))
 
 
 def _split_by_spheres(g, partition):
-    """The cells of partition, each non-singleton cell split by its
-    vertices' sphere sizes into parts in increasing order of them, each
-    part sorted."""
+    """The cells of partition, each split by its vertices' sphere sizes
+    into parts in increasing order of them, each part sorted."""
+    sizes = _sphere_sizes(g)
     cells = []
     for cell in partition:
-        if len(cell) == 1:
-            cells.append(cell)
-            continue
         parts = {}
         for v in cell:
-            parts.setdefault(_sphere_sizes(g, v), []).append(v)
+            parts.setdefault(sizes[v], []).append(v)
         cells.extend(tuple(parts[value]) for value in sorted(parts))
     return cells
 
@@ -483,8 +504,8 @@ class _SearchResult:
         self.first_path = search.first_path
         self.first_cells = tuple(search.first_cells)
         self.labeling = search.best_pi
-        self.certificate = write_graph6(
-            relabel(search.g, search.best_pi)).encode("ascii")
+        g = search.g
+        self.certificate = _encode(g.n, g.edges, search.best_pi)
         self.group = None
 
 

@@ -32,8 +32,8 @@ from .autgroup import automorphism_group, transitivity_report
 from .altcycles import (
     alternating_cycles,
     divisibility_report,
+    half_arc_orientation,
     induced_alt_action,
-    induced_orientation,
 )
 from .dartgraph import (
     dart_graph,
@@ -86,7 +86,7 @@ class _EntryAnalysis:
     @cached_property
     def half_arc_cycles(self):
         """Alternating cycles of a half-arc-transitive tetravalent graph."""
-        d, _ = induced_orientation(self.group, self.g)
+        d, _ = half_arc_orientation(self.g, self.report)
         return alternating_cycles(self.g, d)
 
 

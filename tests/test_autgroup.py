@@ -1,5 +1,6 @@
 import hashlib
 import random
+from bisect import bisect_left, insort
 from collections import Counter
 from itertools import combinations, permutations
 from math import prod
@@ -313,6 +314,145 @@ def test_refine_kernel_matches_reference_when_dropping():
     assert drops > 400 and mid_round > 100
 
 
+def counting_refine_reference(g, cells, first=None, best=None, moved=None):
+    """autgroup._refine as it was before it ignored neighbours in
+    singleton cells: every neighbour of a moved vertex is counted, and
+    the cells of one vertex are skipped only when their splits are
+    looked for."""
+    adj = g.adj
+    trace = []
+    on_first = first is not None
+    # -1, 0, 1: the trace is below, equal to so far, above best's
+    order = 0 if best is not None else 1 if on_first else -1
+
+    def dropped(event):
+        nonlocal on_first, order
+        k = len(trace)
+        trace.append(event)
+        if on_first and event != first[k]:
+            on_first = False
+        if order == 0 and event != best[k]:
+            order = 1 if event > best[k] else -1
+        return order > 0 and not on_first
+
+    cell_at, starts, cell_id = {}, [], [0] * g.n
+    start = 0
+    for cell in cells:
+        cell_at[start] = cell = tuple(cell)
+        starts.append(start)
+        for v in cell:
+            cell_id[v] = start
+        start += len(cell)
+    if moved is None:
+        moved = [v for cell in cell_at.values() for v in cell]
+    while True:
+        counts = {}
+        for w in moved:
+            part = cell_id[w]
+            for u in adj[w]:
+                ids = counts.get(u)
+                if ids is None:
+                    counts[u] = [part]
+                else:
+                    ids.append(part)
+        touched = {}
+        for u in counts:
+            touched.setdefault(cell_id[u], []).append(u)
+        splits = []
+        for start in sorted(touched):
+            cell = cell_at[start]
+            if len(cell) == 1:
+                continue
+            hit = sorted(touched[start])
+            groups = {}
+            for v in hit:
+                groups.setdefault(tuple(counts[v]), []).append(v)
+            if len(hit) < len(cell):
+                groups[()] = [v for v in cell if v not in counts]
+            if len(groups) > 1:
+                splits.append((start, groups.values()))
+        if not splits:
+            break
+        moved, renamed = [], []
+        for start, parts in splits:
+            parts = sorted(parts, key=lambda part: autgroup._signature(
+                sorted([cell_id[w] for w in adj[part[0]]])))
+            event = (bisect_left(starts, start), *map(len, parts))
+            if dropped(event):
+                return None
+            largest = max(range(len(parts)), key=lambda i: len(parts[i]))
+            for i, part in enumerate(parts):
+                cell_at[start] = part = tuple(part)
+                if i:
+                    insort(starts, start)
+                    renamed.append((start, part))
+                if i != largest:
+                    moved.extend(part)
+                start += len(part)
+        for start, part in renamed:
+            for v in part:
+                cell_id[v] = start
+    if dropped(()):
+        return None
+    return tuple(cell_at[start] for start in starts), tuple(trace)
+
+
+def partition_with_singletons(rng, n):
+    """A seeded random ordered partition of 0..n-1, each cell sorted,
+    whose first cells are up to n/2 singletons, the rest cut into at most
+    four cells."""
+    verts = list(range(n))
+    rng.shuffle(verts)
+    k = rng.randint(0, n // 2)
+    rest = verts[k:]
+    cuts = sorted(rng.sample(range(1, len(rest)),
+                             min(rng.randint(0, 3), max(len(rest) - 1, 0))))
+    cells = [(v,) for v in verts[:k]]
+    cells += [tuple(sorted(rest[a:b]))
+              for a, b in zip([0] + cuts, cuts + [len(rest)])]
+    rng.shuffle(cells)
+    return [cell for cell in cells if cell]
+
+
+def test_refine_matches_counting_reference_on_partitions():
+    """Ignoring neighbours in singleton cells leaves the partition and
+    trace of every refinement as counting them did, on seeded random
+    ordered partitions with and without many singletons."""
+    rng = random.Random(51)
+    singletons = 0
+    for g in kernel_graphs(rng):
+        for _ in range(4):
+            for cells in ([tuple(sorted(cell)) for cell in
+                           random_ordered_partition(rng, g.n)],
+                          partition_with_singletons(rng, g.n)):
+                singletons += sum(len(cell) == 1 for cell in cells)
+                assert autgroup._refine(g, cells) == \
+                    counting_refine_reference(g, cells)
+    assert singletons > 1500
+
+
+def test_refine_matches_counting_reference_on_children():
+    """On the children of the nodes along seeded random paths down each
+    graph's search tree, with the traces of sibling children as first and
+    best, the kernel returns the reference's (partition, trace), or drops
+    the child as it does."""
+    rng = random.Random(52)
+    checked = drops = 0
+    for g in kernel_graphs(rng):
+        for _, nodes in search_nodes(g, rng):
+            traces = [counting_refine_reference(g, child, None, None, (v,))[1]
+                      for v, child in nodes]
+            for v, child in nodes:
+                for first in traces[:2] + [None]:
+                    for best in traces[-2:] + [None]:
+                        got = autgroup._refine(g, child, first, best, (v,))
+                        assert got == counting_refine_reference(
+                            g, child, first, best, (v,))
+                        checked += 1
+                        drops += got is None
+    assert checked > 5000 and drops > 100
+
+
 def test_search_matches_reference_refine(monkeypatch):
     """Full searches with the counting kernel and with today's refinement
     find the same generators, canonical labeling, first path and traces,
@@ -476,19 +616,62 @@ def test_split_by_spheres_orders_parts():
     p7 = path_graph(7)
     root = refine(p7, unit_partition(p7))
     assert autgroup._split_by_spheres(p7, root) == list(root)
-    assert autgroup._sphere_sizes(p7, 3) == (2, 2, 2)
-    assert autgroup._sphere_sizes(p7, 0) == (1, 1, 1)
+    sizes = autgroup._sphere_sizes(p7)
+    assert sizes[3] == (2, 2, 2)
+    assert sizes[0] == (1, 1, 1)
     frucht = lcf_graph(*FRUCHT)
     root = refine(frucht, unit_partition(frucht))
     assert root == (tuple(range(12)),)
     parts = autgroup._split_by_spheres(frucht, root)
-    values = [{autgroup._sphere_sizes(frucht, v) for v in part}
-              for part in parts]
+    sizes = autgroup._sphere_sizes(frucht)
+    values = [{sizes[v] for v in part} for part in parts]
     assert len(parts) > 1 and all(len(value) == 1 for value in values)
     assert [min(value) for value in values] == sorted(
         min(value) for value in values)
     assert all(list(part) == sorted(part) for part in parts)
     assert all(len(cell) == 1 for cell in refine(frucht, parts))
+
+
+def bfs_sphere_sizes(g, v):
+    """(|S_1(v)|, ..., |S_d(v)|) by a breadth-first search from v: the
+    root invariant as it was computed before the bitset sweep."""
+    seen, frontier, sizes = {v}, [v], []
+    for _ in range(autgroup._SPHERE_DEPTH):
+        sphere = []
+        for u in frontier:
+            for w in g.adj[u]:
+                if w not in seen:
+                    seen.add(w)
+                    sphere.append(w)
+        sizes.append(len(sphere))
+        frontier = sphere
+    return tuple(sizes)
+
+
+def test_sphere_sizes_match_bfs_reference():
+    """The bitset sweep gives every vertex the sphere sizes of a
+    breadth-first search, on seeded random graphs of order 0 to 130:
+    regular and not, connected and not, and on the builtin and stress
+    graphs."""
+    rng = random.Random(53)
+    graphs = [g for g, _ in pinned_graphs()]
+    graphs += [random_graph(rng, n, rng.choice((0.02, 0.05, 0.2, 0.6)))
+               for n in list(range(12)) + [rng.randint(12, 130)
+                                           for _ in range(40)]]
+    graphs += [random_regular(rng, n, k) for k in (3, 4)
+               for n in (12, 20, 50, 90, 130)]
+    # disjoint unions of two regular graphs: regular and disconnected
+    for k, (a, b) in ((3, (10, 20)), (4, (15, 40)), (3, (60, 70))):
+        g, h = random_regular(rng, a, k), random_regular(rng, b, k)
+        graphs.append(from_edge_list(a + b, list(g.edges) + [
+            (u + a, v + a) for u, v in h.edges]))
+    kinds = set()
+    for g in graphs:
+        sizes = autgroup._sphere_sizes(g)
+        assert sizes == [bfs_sphere_sizes(g, v) for v in range(g.n)]
+        kinds.add((len(set(g.degrees())) <= 1, is_connected(g)))
+    assert kinds == {(True, True), (True, False), (False, True),
+                     (False, False)}
 
 
 def test_root_split_certificates_invariant():
@@ -631,8 +814,8 @@ def test_pruned_search_certificates_invariant():
 
 
 def test_search_encodes_one_leaf(monkeypatch):
-    """The search ranks leaves by key and relabels and encodes only the
-    winning leaf: one write_graph6 and one relabel per search."""
+    """The search ranks leaves by key and encodes only the winning leaf,
+    from its bit layout: one encode and no relabel per search."""
     counts = Counter()
 
     def counted(name, fn):
@@ -641,13 +824,15 @@ def test_search_encodes_one_leaf(monkeypatch):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(autgroup, "write_graph6",
-                        counted("write_graph6", write_graph6))
+    monkeypatch.setattr(autgroup, "_encode",
+                        counted("_encode", autgroup._encode))
     monkeypatch.setattr(autgroup, "relabel", counted("relabel", relabel))
     autgroup._analysis.cache_clear()
     foster = STRESS_GRAPHS[-1]()
-    autgroup._analysis(foster)
-    assert counts == {"write_graph6": 1, "relabel": 1}
+    result = autgroup._analysis(foster)
+    assert counts == {"_encode": 1}
+    assert result.certificate == write_graph6(
+        relabel(foster, result.labeling)).encode("ascii")
 
 
 def test_leaf_pair_check_runs_under_optimize():

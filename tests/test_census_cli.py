@@ -345,6 +345,33 @@ def test_verify_entry_builds_each_artefact_once(monkeypatch):
     assert calls["alt_graph"] == 1
 
 
+def test_holt_transitivity_report_computed_once(monkeypatch, capsys):
+    """The half-arc-transitive orientation of the Holt graph is built from
+    the transitivity report its analysis holds: `analyze holt` and the
+    Holt entry of `verify all --strict` each compute the report of
+    (Holt, Aut(Holt)) once."""
+    entry = next(e for e in builtin_entries() if e.name == "holt")
+    holt = entry.graph()
+    aut = automorphism_group(holt)
+    real = autgroup.transitivity_report
+    calls = Counter()
+
+    def counted(group, g):
+        calls[g == holt and group is aut] += 1
+        return real(group, g)
+
+    for layer in (altcycles, autgroup, cli, dartgraph):
+        if getattr(layer, "transitivity_report", None) is real:
+            monkeypatch.setattr(layer, "transitivity_report", counted)
+    assert main(["analyze", "holt"]) == 0
+    assert json.loads(capsys.readouterr().out)
+    assert calls[True] == 1
+    calls.clear()
+    result = cli._verify_entry((entry, cli.SUITES, True))
+    assert result["passed"]
+    assert calls[True] == 1
+
+
 def test_cli_verify_isolates_engine_errors_per_entry(monkeypatch, tmp_path,
                                                     capsys):
     """An unexpected exception fails its own entry, named with its type,

@@ -1,6 +1,9 @@
 import importlib
 import random
+import re
+from base64 import b64decode
 from itertools import combinations
+from math import isqrt
 from pathlib import Path
 
 import pytest
@@ -286,6 +289,79 @@ def test_wrong_lengths_and_truncated_long_form(bad):
     the reference's messages (~?@? is n = 63, with 326 data bytes)."""
     assert parse_error(parse_graph6, bad) == parse_error(
         reference_parse_graph6, bad)
+
+
+def regex_scan_parse_graph6(text):
+    """parse_graph6 as it was when regular expressions found the bytes
+    outside 63..126 and the nonzero data bytes: the reference for the
+    parser's translate and find scans."""
+    s = text.strip()
+    if s.startswith(">>graph6<<"):
+        s = s[len(">>graph6<<"):]
+    if not s:
+        raise MalformedGraph6("empty graph6 string")
+    bad = re.search("[^?-~]", s)
+    if bad is not None:
+        raise MalformedGraph6(
+            f"byte {ord(bad.group())!r} at position {bad.start()} "
+            "outside 63..126")
+    first = ord(s[0]) - 63
+    if first == 63:
+        if len(s) < 4:
+            raise MalformedGraph6("truncated long-form size")
+        n = (((ord(s[1]) - 63) << 12) | ((ord(s[2]) - 63) << 6)
+             | (ord(s[3]) - 63))
+        if n <= 62:
+            raise MalformedGraph6(f"long-form size used for n={n} <= 62")
+        body = s[4:]
+    else:
+        n = first
+        body = s[1:]
+    nbits = n * (n - 1) // 2
+    expect = (nbits + 5) // 6
+    if len(body) != expect:
+        raise MalformedGraph6(
+            f"expected {expect} data bytes for n={n}, got {len(body)}")
+    if body and (ord(body[-1]) - 63) & ((1 << (6 * expect - nbits)) - 1):
+        raise MalformedGraph6("nonzero padding bits")
+    base64 = (b"ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+              b"abcdefghijklmnopqrstuvwxyz0123456789+/")
+    data = body.encode("ascii").translate(
+        bytes.maketrans(bytes(range(63, 127)), base64)) + b"A" * (-expect % 4)
+    edges = []
+    for byte in re.finditer(b"[^\x00]", b64decode(data)):
+        for k in range(8):
+            if byte.group()[0] & (128 >> k):
+                pos = (byte.start() << 3) + k
+                j = (isqrt(8 * pos + 1) + 1) >> 1
+                edges.append((pos - j * (j - 1) // 2, j))
+    return from_edge_list(n, edges)
+
+
+def test_parse_matches_regex_scan_reference_at_6072_vertices():
+    """A seeded random cubic graph on 6,072 vertices, a long-form string
+    of 3.1 million data bytes, parses to itself and to the regex-scan
+    parser's graph; a bad byte at its start, in its middle or at its end
+    gets the reference's message and position."""
+    rng = random.Random(6072)
+    n = 6072
+    while True:
+        stubs = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(stubs)
+        edges = {(min(a, b), max(a, b))
+                 for a, b in zip(stubs[::2], stubs[1::2]) if a != b}
+        if len(edges) == 3 * n // 2:
+            break
+    g = from_edge_list(n, sorted(edges))
+    s = write_graph6(g)
+    assert s[0] == "~" and len(s) == 4 + (n * (n - 1) // 2 + 5) // 6
+    assert parse_graph6(s) == g == regex_scan_parse_graph6(s)
+    for pos in (0, 1, 4, len(s) // 2, len(s) - 1):
+        for ch in (chr(62), chr(127), "\xe9"):
+            bad = s[:pos] + ch + s[pos + 1:]
+            message = f"byte {ord(ch)!r} at position {pos} outside 63..126"
+            assert parse_error(parse_graph6, bad) == message
+            assert parse_error(regex_scan_parse_graph6, bad) == message
 
 
 def test_leaf_key_matches_reference():
