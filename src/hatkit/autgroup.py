@@ -609,6 +609,16 @@ class TransitivityReport(JsonRecord):
     arc_orbits: tuple = field(repr=False)
 
 
+def _check_automorphisms(generators, g):
+    for gen in generators:
+        if len(gen) != g.n or not maps_edges(gen, g, g):
+            raise NotAutomorphisms("generator does not preserve adjacency")
+
+
+def _pair_act(s, pair):
+    return s[pair[0]], s[pair[1]]
+
+
 def arc_orbits(generators, g: Graph):
     """Orbit partition of the 2|E| arcs under the group the generators
     generate, ordered by smallest arc.
@@ -616,11 +626,66 @@ def arc_orbits(generators, g: Graph):
     Orbits need generators only, so no stabiliser chain is built; each
     generator must be an automorphism of g.
     """
-    for gen in generators:
-        if len(gen) != g.n or not maps_edges(gen, g, g):
-            raise NotAutomorphisms("generator does not preserve adjacency")
+    _check_automorphisms(generators, g)
     arcs = [(u, v) for u in range(g.n) for v in g.adj[u]]
-    return tuple(orbits(arcs, generators, lambda s, a: (s[a[0]], s[a[1]])))
+    return tuple(orbits(arcs, generators, _pair_act))
+
+
+def _arc_action(group: PermGroup, g: Graph):
+    """(vertex_transitive, arc_orbits, two_arc_transitive) of a group of
+    automorphisms of g of degree g.n, with arc_orbits as arc_orbits
+    gives it and two_arc_transitive at most one 2-arc orbit for an action
+    with at most one arc orbit.
+
+    A transitive group is read off its chain, with no sweep.  Let b =
+    base[0], u_x the representative carrying b to x and G_b the
+    stabiliser of b.  The group is transitive exactly when b's basic
+    orbit is every vertex.  Every element g is h u_x (h first) with h in
+    G_b and x = b^g, so the orbit of the arc (b, w) is {(x, u_x[w']) : x in V, w' in
+    w^{G_b}}: the arc orbits are the G_b-orbits on the neighbours of b
+    (the suborbits), each arc produced once.  Every 2-arc orbit meets the
+    2-arcs through b in one G_b-orbit on ordered pairs of distinct
+    neighbours of b, so an arc-transitive action is 2-arc-transitive
+    exactly when those k(k-1) pairs form one G_b-orbit.
+
+    G_b is generated by the strong generators S that fix b.  Write
+    H_i for the group generated by those fixing base[:i], so H_0 = G,
+    and D_i for level i's basic orbit, the orbit of base[i] under H_i
+    or, in a build stopped early, under a subgroup of it.  H_(i+1) fixes
+    base[i], so |H_i| = |base[i]^(H_i)| |(H_i)_base[i]| >= |D_i|
+    |H_(i+1)|, and |G| >= the product of the |D_i|.  After a full
+    closure S is strong and H_1 = G_b.  A build stopped at a proven
+    order_bound has product = bound >= |G|, so every inequality is
+    tight; at level 0 that reads D_0 = b^G and |G_b| = |H_1|, and
+    H_1 <= G_b gives H_1 = G_b.
+
+    The trivial group (empty base) has every arc as its own orbit; any
+    other intransitive group is swept by arc_orbits.
+    """
+    if not group.base:
+        arcs = tuple(((u, v),) for u in range(g.n) for v in g.adj[u])
+        return g.n <= 1, arcs, not arcs     # no arcs, no 2-arcs
+    b, size, representative, stabiliser = group.first_level()
+    if size < g.n:
+        arc_orbit_list = arc_orbits(group.generators, g)
+        two_arcs = ((u, v, w) for v in range(g.n) for u in g.adj[v]
+                    for w in g.adj[v] if u != w)  # swept only when arc_t
+        two_arc_t = len(arc_orbit_list) <= 1 and len(orbits(
+            two_arcs, group.generators,
+            lambda s, t: (s[t[0]], s[t[1]], s[t[2]]))) <= 1
+        return False, arc_orbit_list, two_arc_t
+    _check_automorphisms(group.generators, g)
+    suborbits = orbits(g.adj[b], stabiliser, getitem)
+    if len(suborbits) > 1:
+        reps = [representative(x) for x in range(g.n)]
+        return True, tuple(sorted(
+            tuple(sorted((x, u[w]) for x, u in enumerate(reps) for w in sub))
+            for sub in suborbits)), False
+    arc_orbit_list = (tuple((x, y) for x in range(g.n)
+                            for y in g.adj[x]),) if suborbits else ()
+    pairs = [(u, w) for u in g.adj[b] for w in g.adj[b] if u != w]
+    return True, arc_orbit_list, len(orbits(pairs, stabiliser,
+                                            _pair_act)) <= 1
 
 
 def transitivity_report(group: PermGroup, g: Graph) -> TransitivityReport:
@@ -628,23 +693,23 @@ def transitivity_report(group: PermGroup, g: Graph) -> TransitivityReport:
     automorphisms of g.  Transitivity means at most one orbit.  An edge
     orbit is an arc orbit together with its reverse, so the action is
     edge-transitive exactly when there is at most one arc orbit, or two
-    that are each other's reverse.  The 2-arc orbits are swept only for
-    an arc-transitive action, so two_arc => arc => edge always holds.
+    that are each other's reverse.  A transitive group's arc orbits are
+    the suborbits of its first base point's stabiliser, read off the
+    stabiliser chain, and it is 2-arc-transitive when that stabiliser is
+    transitive on ordered pairs of distinct neighbours of the base point
+    (proof at _arc_action); the trivial group needs no sweep, and only
+    another intransitive group has its arcs swept.  2-arc-transitivity
+    is read only for an action with at most one arc orbit, so
+    two_arc => arc => edge always holds.
     """
     if group.degree != g.n:
         raise NotAutomorphisms(
             f"group degree {group.degree} != vertex count {g.n}")
-    gens = group.generators
-    arc_orbit_list = arc_orbits(gens, g)
-    vertex_t = g.n <= 1 or len(group.orbit(0)) == g.n
+    vertex_t, arc_orbit_list, two_arc_t = _arc_action(group, g)
     arc_t = len(arc_orbit_list) <= 1
     edge_t = arc_t or (
         len(arc_orbit_list) == 2
         and {(b, a) for a, b in arc_orbit_list[0]} == set(arc_orbit_list[1]))
-    two_arcs = ((u, v, w) for v in range(g.n) for u in g.adj[v]
-                for w in g.adj[v] if u != w)  # swept only when arc_t
-    two_arc_t = arc_t and len(orbits(
-        two_arcs, gens, lambda s, t: (s[t[0]], s[t[1]], s[t[2]]))) <= 1
 
     if g.m and vertex_t and edge_t:
         k = g.degree(0)

@@ -361,8 +361,11 @@ def _cmd_verify(args):
     suites = SUITES if args.suite == "all" else (args.suite,)
     payloads = [(e, suites, args.strict) for e in load_census(args.census)]
     t0 = time.perf_counter()
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # a fork-started pool launches every worker at once, so never more
+    # workers than entries
+    workers = min(args.jobs, len(payloads))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_verify_entry, payloads))
     else:
         results = [_verify_entry(p) for p in payloads]

@@ -44,7 +44,7 @@ from .graphs import (
     odd_closed_walk,
 )
 from .records import GROUP_ORDER, JsonRecord
-from .autgroup import arc_orbits
+from .autgroup import _arc_action
 from .altcycles import (
     AltDecomposition,
     antipodal_involution,
@@ -322,7 +322,7 @@ def cover_pipeline(total: Graph, dec: AltDecomposition,
           f"the action on the fibres has order {projected.order} "
           f"(faithful={faithful}), the lifted group "
           f"{cert.lifted_group.order}")
-    base_arc_orbits = arc_orbits(projected.generators, cover.base)
+    _, base_arc_orbits, _ = _arc_action(projected, cover.base)
     check(checks, "projected_arc_transitive", len(base_arc_orbits) <= 1,
           f"the projected group has {len(base_arc_orbits)} arc orbits on "
           "the base")

@@ -163,14 +163,35 @@ class PermGroup:
     def __contains__(self, p):
         return self.contains(p)
 
+    def first_level(self):
+        """The top of the chain of a nontrivial group, read only:
+        (b, size, representative, stabiliser generators).  b is base[0]
+        and size the length of its basic orbit, which is the orbit of b
+        under the group; representative(x), for x in that orbit, is the
+        chain's element carrying b to x.  The stabiliser generators are
+        the strong generators that fix b; they generate the stabiliser of
+        b, also when the build stopped at its order bound (proof at
+        autgroup._arc_action)."""
+        if not self.base:
+            raise ValueError("the trivial group has no base point")
+        b, t = self.base[0], self._transversals[0]
+        return (b, len(t), t.__getitem__,
+                tuple(s for s in self._strong if s[b] == b))
+
     def orbit(self, point):
-        """Sorted orbit of a point under the group."""
+        """Sorted orbit of a point under the group: the first basic orbit
+        when it holds the point, a sweep otherwise."""
         if not 0 <= point < self.degree:
             raise VertexOutOfRange(f"point {point} outside 0..{self.degree - 1}")
+        if self.base and point in self._transversals[0]:
+            return tuple(sorted(self._transversals[0]))
         return orbits([point], self.generators, getitem)[0]
 
     def orbit_partition(self):
-        """Orbits of 0..degree-1, each sorted, ordered by minimum point."""
+        """Orbits of 0..degree-1, each sorted, ordered by minimum point;
+        a single orbit when the first basic orbit is every point."""
+        if self.base and len(self._transversals[0]) == self.degree:
+            return (tuple(range(self.degree)),)
         return tuple(orbits(range(self.degree), self.generators, getitem))
 
 

@@ -4,6 +4,7 @@ from bisect import bisect_left, insort
 from collections import Counter
 from itertools import combinations, permutations
 from math import prod
+from operator import getitem
 
 import pytest
 
@@ -24,6 +25,7 @@ from hatkit.autgroup import (
     unit_partition,
 )
 from hatkit.census import builtin_entries, lcf_graph
+from hatkit.altcycles import alternating_cycles, cycle_images, induced_orientation
 from hatkit.dartgraph import dart_graph, dart_reversal, lift_automorphisms
 
 from conftest import (STRESS_AUT_ORDERS, STRESS_GRAPHS, cycle_graph,
@@ -1133,6 +1135,150 @@ def test_transitivity_matches_reference_sweeps(case):
     expected = _reference_transitivity(group.generators, g)
     report = transitivity_report(group, g)
     assert {key: getattr(report, key) for key in expected} == expected
+
+
+def sweep_transitivity_report(group, g):
+    """transitivity_report by orbit sweeps: a breadth-first vertex orbit
+    of 0, the arc orbits swept under the generators and, for at most one
+    arc orbit, the 2-arc orbits swept too."""
+    if group.degree != g.n:
+        raise NotAutomorphisms(
+            f"group degree {group.degree} != vertex count {g.n}")
+    gens = group.generators
+    arc_orbit_list = arc_orbits(gens, g)
+    vertex_t = g.n <= 1 or len(
+        perms.orbits([0], gens, getitem)[0]) == g.n
+    arc_t = len(arc_orbit_list) <= 1
+    edge_t = arc_t or (
+        len(arc_orbit_list) == 2
+        and {(b, a) for a, b in arc_orbit_list[0]} == set(arc_orbit_list[1]))
+    two_arcs = ((u, v, w) for v in range(g.n) for u in g.adj[v]
+                for w in g.adj[v] if u != w)
+    two_arc_t = arc_t and len(perms.orbits(
+        two_arcs, gens, lambda s, t: (s[t[0]], s[t[1]], s[t[2]]))) <= 1
+    return autgroup.TransitivityReport(
+        vertex_transitive=vertex_t,
+        edge_transitive=edge_t,
+        arc_transitive=arc_t,
+        two_arc_transitive=two_arc_t,
+        half_arc_transitive=vertex_t and edge_t and not arc_t,
+        arc_orbit_count=len(arc_orbit_list),
+        arc_orbits=arc_orbit_list,
+    )
+
+
+def assert_matches_sweep(group, g):
+    """transitivity_report equals the sweep in every field, arc_orbits
+    included; returns the report."""
+    report = transitivity_report(group, g)
+    assert report == sweep_transitivity_report(group, g)
+    return report
+
+
+def rebased(group, rng):
+    """The group's chain rebuilt on a random first base point, once by
+    full closure and once stopped at the group's order."""
+    b = rng.randrange(group.degree)
+    return (schreier_sims(group.generators, degree=group.degree, base=[b]),
+            schreier_sims(group.generators, degree=group.degree, base=[b],
+                          order_bound=group.order))
+
+
+def builtin_and_stress_graphs():
+    return ([(e.name, e.graph()) for e in builtin_entries()]
+            + [(f"stress{i}", build()) for i, build in
+               enumerate(STRESS_GRAPHS)])
+
+
+def test_transitivity_matches_sweep_under_aut():
+    """Every builtin and stress graph under Aut(g), its chain as the
+    search builds it and rebuilt on a random first base point; Holt's
+    point stabiliser has two suborbits on the neighbours of its base
+    point, so its arcs fall into two orbits."""
+    rng = random.Random(19)
+    for name, g in builtin_and_stress_graphs():
+        aut = automorphism_group(g)
+        report = assert_matches_sweep(aut, g)
+        assert report.vertex_transitive
+        assert report.arc_orbit_count == (2 if name == "holt" else 1)
+        for group in rebased(aut, rng):
+            assert group.order == aut.order
+            assert_matches_sweep(group, g)
+
+
+def test_transitivity_matches_sweep_on_lifts_and_cycle_actions():
+    """The lifted action on the dart graph of every cubic builtin and
+    stress graph, also rebuilt on a random first base point, and the
+    action on the alternating cycles of each dart graph and of Holt.
+    The lift is half-arc-transitive exactly when the base is
+    2-arc-transitive, which F026 is not."""
+    rng = random.Random(19)
+    actions = []
+    for name, g in builtin_and_stress_graphs():
+        aut = automorphism_group(g)
+        if name == "holt":
+            d, _ = induced_orientation(aut, g)
+            actions.append((aut, alternating_cycles(g, d)))
+            continue
+        dart, natural, labeling = dart_graph(g)
+        lifted = lift_automorphisms(g, aut, labeling)
+        report = assert_matches_sweep(lifted, dart)
+        assert report.half_arc_transitive == transitivity_report(
+            aut, g).two_arc_transitive
+        for group in rebased(lifted, rng):
+            assert_matches_sweep(group, dart)
+        actions.append((lifted, alternating_cycles(dart, natural)))
+    for group, dec in actions:
+        action = schreier_sims(cycle_images(group, dec),
+                               degree=len(dec.cycles))
+        assert_matches_sweep(action, dec.cycle_graph)
+
+
+def test_transitivity_matches_sweep_on_subgroups():
+    """Groups generated by random subsets of Aut(g)'s strong generators,
+    some rebuilt on a random first base point: they include intransitive
+    groups, transitive groups that are not arc-transitive and transitive
+    groups that are arc- but not 2-arc-transitive."""
+    rng = random.Random(19)
+    kinds = Counter()
+    for _, g in builtin_and_stress_graphs():
+        strong = automorphism_group(g).strong_generators
+        for _ in range(6):
+            gens = rng.sample(strong, rng.randint(1, min(3, len(strong))))
+            base = [rng.randrange(g.n)] if rng.random() < 0.5 else []
+            group = schreier_sims(gens, degree=g.n, base=base)
+            report = assert_matches_sweep(group, g)
+            kinds[(report.vertex_transitive, report.arc_transitive,
+                   report.two_arc_transitive)] += 1
+    assert kinds[(False, False, False)]
+    assert kinds[(True, False, False)]
+    assert kinds[(True, True, False)]
+
+
+def test_transitivity_matches_sweep_on_small_and_trivial_groups():
+    """The trivial group on every builtin graph and on n = 0, 1 and 2;
+    K2 and the edgeless graph on two vertices under the swap; 2K4, a
+    disconnected vertex-transitive graph, under its automorphism group
+    and under Aut(K4) acting on one copy."""
+    cases = [(schreier_sims([], degree=g.n), g)
+             for _, g in builtin_and_stress_graphs()]
+    k2, empty2 = from_edge_list(2, [(0, 1)]), from_edge_list(2, [])
+    for g in (from_edge_list(0, []), from_edge_list(1, []), k2, empty2):
+        cases.append((schreier_sims([], degree=g.n), g))
+    swap = schreier_sims([(1, 0)])
+    cases += [(swap, k2), (swap, empty2)]
+    two_k4 = from_edge_list(8, [e for i in (0, 4) for e in
+                                combinations(range(i, i + 4), 2)])
+    aut = automorphism_group(two_k4)
+    assert aut.order == 2 * 24 * 24
+    one_copy = schreier_sims([g for g in aut.strong_generators
+                              if all(g[v] == v for v in range(4, 8))],
+                             degree=8)
+    cases += [(aut, two_k4), (one_copy, two_k4)]
+    for group, g in cases:
+        assert_matches_sweep(group, g)
+    assert transitivity_report(aut, two_k4).two_arc_transitive
+    assert not transitivity_report(one_copy, two_k4).vertex_transitive
 
 
 def test_transitivity_rejects_non_automorphisms(k4):

@@ -480,6 +480,44 @@ def test_cli_verify_parallel_jobs(mini_census, capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+def test_cli_verify_jobs_capped_at_entry_count(mini_census, tmp_path,
+                                              capsys, monkeypatch):
+    """A fork-started pool launches all of its workers at once, so verify
+    asks for at most one worker per entry, and for no pool when one
+    worker would do.  A fake executor records max_workers and maps
+    serially; the reports equal the --jobs 1 reports."""
+    asked = []
+
+    class SerialExecutor:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialExecutor)
+    single = tmp_path / "single.json"
+    single.write_text(json.dumps({"entries": MINI["entries"][:1]}),
+                      encoding="utf-8")
+    reports = {}
+    for census, jobs in ((mini_census, "1"), (mini_census, "1000"),
+                         (str(single), "1"), (str(single), "8")):
+        assert main(["verify", "divisibility", "--census", census,
+                     "--jobs", jobs, "--json"]) == 0
+        out = capsys.readouterr().out
+        reports[census, jobs] = _strip_timing(json.loads(
+            out[out.index("{"):out.rindex("}") + 1]))
+    assert asked == [2]
+    assert reports[mini_census, "1000"] == reports[mini_census, "1"]
+    assert reports[str(single), "8"] == reports[str(single), "1"]
+
+
 def test_cli_verify_strict_mode(mini_census, capsys):
     assert main(["verify", "divisibility", "--census", mini_census,
                  "--strict"]) == 0

@@ -396,14 +396,15 @@ def test_cover_pipeline_rejects_wrong_line_graph_under_optimize():
 
 def test_cover_pipeline_rejects_arc_intransitive_base_under_optimize():
     """Arc-transitivity of the projected action is checked by a raise
-    that names it, not an assert: with arc_orbits made to split the
-    base's arcs into two orbits, the check fails under python -O."""
+    that names it, not an assert: with the arc classification made to
+    split the base's arcs into two orbits, the check fails under
+    python -O."""
     code = _DART_PETERSEN + (
-        "real = covers.arc_orbits\n"
-        "def split(generators, x):\n"
-        "    (orbit,) = real(generators, x)\n"
-        "    return orbit[:1], orbit[1:]\n"
-        "covers.arc_orbits = split\n"
+        "real = covers._arc_action\n"
+        "def split(group, x):\n"
+        "    vertex_t, (orbit,), two_arc_t = real(group, x)\n"
+        "    return vertex_t, (orbit[:1], orbit[1:]), two_arc_t\n"
+        "covers._arc_action = split\n"
         "try:\n"
         "    covers.cover_pipeline(g, dec, lifted)\n"
         "except StructureViolation as exc:\n"
