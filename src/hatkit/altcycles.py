@@ -17,6 +17,7 @@ from functools import cached_property
 
 from .errors import (
     AntipodeMismatch,
+    DegenerateWreath,
     DivisibilityRuleViolation,
     NotConnected,
     NotHalfArcTransitive,
@@ -25,7 +26,6 @@ from .errors import (
     OddAttachment,
     OrientationInvalid,
     StructureViolation,
-    TightlyAttached,
 )
 from .graphs import (Graph, check_edge_map, from_edge_list, is_connected,
                      is_regular)
@@ -154,7 +154,9 @@ class AltDecomposition:
 
     @property
     def tightly_attached(self):
-        return self.attachment == 2 * self.radius
+        """a = r, in Marušič's terms (loosely attached is a = 1,
+        antipodally attached a = 2)."""
+        return self.attachment == self.radius
 
     @cached_property
     def cycle_graph(self):
@@ -290,14 +292,15 @@ def alt_graph(dec: AltDecomposition) -> Graph:
     the cycles intersect.  Vertex i of the result is dec.cycles[i].
     dec.cycle_graph keeps the result.
 
-    Raises TightlyAttached when there are fewer than three cycles (the
-    attachment number is twice the radius and the construction is
-    degenerate).  The result is 2r/a-regular (StructureViolation naming
-    alt_graph_regular, with a cycle of another valence, otherwise).
+    Raises DegenerateWreath when there are fewer than three cycles (the
+    attachment number is twice the radius, the graph is the wreath
+    C_r[2K1] and the construction is degenerate).  The result is
+    2r/a-regular (StructureViolation naming alt_graph_regular, with a
+    cycle of another valence, otherwise).
     """
     k = len(dec.cycles)
     if k < 3:
-        raise TightlyAttached(
+        raise DegenerateWreath(
             f"only {k} alternating cycles (attachment {dec.attachment} = "
             f"2 x radius {dec.radius}); the graph of alternating cycles is "
             "degenerate")

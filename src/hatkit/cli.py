@@ -25,6 +25,7 @@ from .errors import (
     NotCubic,
     OrderTooSmall,
     StructureViolation,
+    TooLarge,
 )
 from .graphs import girth, is_bipartite, is_connected, line_graph
 from .graph6 import load_graph6_file, write_graph6
@@ -460,7 +461,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (MalformedCensus, MalformedGraph6, NotCubic, NotConnected,
-            OSError) as exc:
+            TooLarge, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -199,10 +199,18 @@ def split_certificate(total: Graph, group: PermGroup, tau,
     number of steps, or odd_walk_edges (with the step) unless each step
     is an edge.
 
-    <group, tau> is seeded with the group's strong generators and tau, on
-    the group's base.  The bound 2 |group|, not the seed, decides when the
-    build stops: a seed that is not strong on that base only makes the
-    closure add strong generators or base points before the bound is met.
+    tau lies in the group exactly when its sift through the group's chain
+    leaves the identity; otherwise the residue r = tau u^-1, for u the
+    product of the representatives the sift divided out, is an element of
+    <group, tau> that fixes the base points the sift passed and, if it
+    stopped early, maps the next one outside its basic orbit.
+    <group, tau> is seeded with the group's strong generators, tau and r,
+    on the group's base: r is the strong generator the closure would
+    otherwise find by sifting Schreier generators.  The bound 2 |group|,
+    not the seed, decides when the build stops: a seed that is not strong
+    on that base only makes the closure add strong generators or base
+    points before the bound is met, and reaching the bound certifies the
+    order whatever the seed.
     """
     if not is_connected(total):
         raise NotConnected("the total graph is not connected")
@@ -210,14 +218,15 @@ def split_certificate(total: Graph, group: PermGroup, tau,
         raise NotCentralizing("tau does not centralize the supplied group")
     if not is_identity(compose(tau, tau)):
         raise NotInvolution("tau is not an involution")
-    if group.contains(tau):
+    residue, _ = group.sift(tau)
+    if is_identity(residue):
         raise TauInG("tau lies in the supplied group; no splitting complement")
     moved = next(((v, w) for v, w in cover.fibres() if tau[v] != w), None)
     if moved is not None:
         raise NotInvariant(f"tau moves the fibre {moved}")
-    lifted = schreier_sims(list(group.strong_generators) + [tuple(tau)],
-                           degree=total.n, order_bound=2 * group.order,
-                           base=group.base)
+    lifted = schreier_sims(
+        list(group.strong_generators) + [tuple(tau), residue],
+        degree=total.n, order_bound=2 * group.order, base=group.base)
     witness = odd_closed_walk(total)
     if witness is not None:
         if len(witness) % 2 or witness[0] != witness[-1]:
@@ -289,6 +298,19 @@ def cover_pipeline(total: Graph, dec: AltDecomposition,
     must permute them (NotInvariant otherwise).
     Bipartite inputs run through the same pipeline and certify sectional;
     non-bipartite inputs certify non-sectional.
+
+    The fibre action is built from <group, tau>'s generators (tau and the
+    residue r of split_certificate among them) under the bound
+    |<group, tau>| / 2, with the fibres of the group's base points as its
+    initial base.  Modulo <tau> the fibre action is the group's own action
+    with each point identified with its tau-image, so the group's base,
+    read as fibres, is where the group's chain already separates its
+    elements: an element that fixes each of those fibres fixes or
+    tau-swaps each base point.  Where that leaves a nontrivial
+    stabiliser, the closure extends the base; on the dart graphs of the
+    builtin and stress censuses it adds nothing.  The base only seeds the build: reaching
+    the bound certifies the projected order, and with it the kernel,
+    whatever the seed.
     """
     cycle_images(group, dec)
     if dec.radius != 3 or dec.attachment != 2:
@@ -314,7 +336,8 @@ def cover_pipeline(total: Graph, dec: AltDecomposition,
     fibres = cover.fibres()
     projected, faithful = induced_action(
         cert.lifted_group, fibres,
-        order_bound=cert.lifted_group.order // 2)
+        order_bound=cert.lifted_group.order // 2,
+        base=dict.fromkeys(cover.fibre_map[d] for d in group.base))
     # kernel of the fibre action must be exactly <tau>, so the projected
     # quotient group acts faithfully with half the lifted order
     check(checks, "fibre_action_kernel_tau",

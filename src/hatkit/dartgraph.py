@@ -193,10 +193,9 @@ def verify_dart_forward(base: Graph, group: PermGroup,
     check(checks, "dart_half_arc_transitive", lift_report.half_arc_transitive,
           "" if lift_report.half_arc_transitive else
           f"the lifted action has flags {lift_report.to_json_dict()}")
-    d = Orientation(g, lift_report.arc_orbits[0])
-    d_rev = d.reverse()
+    first = set(lift_report.arc_orbits[0])
     outside = [next((a for a in natural.arcs if a not in arcs), None)
-               for arcs in (set(d.arcs), set(d_rev.arcs))]
+               for arcs in (first, {(h, t) for t, h in first})]
     induced = None in outside
     check(checks, "natural_orientation_induced", induced,
           "" if induced else

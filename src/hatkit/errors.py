@@ -116,11 +116,6 @@ def check(passed, name, ok, witness):
     passed.append((name, witness))
 
 
-class TightlyAttached(HatError):
-    """Fewer than three alternating cycles: the attachment number equals
-    twice the radius and the graph of alternating cycles is degenerate."""
-
-
 class OddAttachment(HatError):
     pass
 
@@ -168,8 +163,12 @@ class OrbitNotIndependent(HatError):
 
 
 class DegenerateWreath(HatError):
-    """Two adjacent involution orbits induce K_{2,2}; the graph is a wreath
-    of a cycle over two vertices.  Carries the offending orbit pair."""
+    """The graph is the wreath C_r[2K1] of an r-cycle over two vertices,
+    and the construction at hand degenerates: either two adjacent
+    involution orbits induce K_{2,2} (quotient_by_tau; carries the
+    offending orbit pair), or there are fewer than three alternating
+    cycles, the attachment number being twice the radius (alt_graph;
+    pair and orbits are None)."""
 
     def __init__(self, message, pair=None, orbits=None):
         super().__init__(message)

@@ -361,7 +361,7 @@ def centralizes(p, group: PermGroup) -> bool:
     return all(compose(p, s) == compose(s, p) for s in group.generators)
 
 
-def induced_action(group: PermGroup, blocks, order_bound=None):
+def induced_action(group: PermGroup, blocks, order_bound=None, base=()):
     """Action of the group on a list of disjoint point sets.
 
     Every generator must permute the blocks (NotInvariant otherwise).
@@ -374,6 +374,10 @@ def induced_action(group: PermGroup, blocks, order_bound=None):
     to fix every block: the induced group is group / kernel, so reaching
     that bound certifies both the induced order and that K is the whole
     kernel.
+
+    base, block indices without repeats, is passed to schreier_sims as the
+    induced chain's initial base.  It changes what the build costs, not
+    the induced group, its order or the faithful flag.
     """
     blocks = [frozenset(b) for b in blocks]
     covered = set()
@@ -393,5 +397,5 @@ def induced_action(group: PermGroup, blocks, order_bound=None):
             images.append(index[image])
         induced.append(tuple(images))
     quotient = schreier_sims(induced, degree=len(blocks),
-                             order_bound=order_bound)
+                             order_bound=order_bound, base=base)
     return quotient, quotient.order == group.order

@@ -1,6 +1,7 @@
 import pytest
 
 from hatkit.errors import (
+    DegenerateWreath,
     DivisibilityRuleViolation,
     HatError,
     NotConnected,
@@ -9,7 +10,6 @@ from hatkit.errors import (
     OddAttachment,
     OrientationInvalid,
     StructureViolation,
-    TightlyAttached,
 )
 from hatkit.graphs import from_edge_list, is_connected, is_regular, line_graph
 from hatkit.perms import compose, identity, schreier_sims
@@ -142,20 +142,26 @@ def test_forward_wreath_radius_two():
     dec = alternating_cycles(g, orient)
     assert len(dec.cycles) == 5
     assert dec.radius == 2 and dec.attachment == 2 and dec.ell == 2
+    assert dec.tightly_attached     # a = r
     altg = alt_graph(dec)
     assert is_regular(altg, 2) and is_connected(altg)
     assert is_isomorphic(altg, cycle_graph(5)) is not None
 
 
-def test_spiral_wreath_tightly_attached():
+def test_spiral_wreath_attachment_twice_radius():
+    """a = 2r: two alternating cycles through every vertex of the wreath
+    C_4[2K1], so the graph of alternating cycles is degenerate.  This is
+    not tight attachment, which is a = r."""
     g, orient = spiral_wreath_orientation(4)
     dec = alternating_cycles(g, orient)
     assert len(dec.cycles) == 2
     assert dec.radius == 4 and dec.attachment == 8
-    assert dec.tightly_attached and dec.ell == 1
+    assert dec.attachment == 2 * dec.radius and dec.ell == 1
+    assert not dec.tightly_attached
     assert dec.attachment_sets == (tuple(range(8)),)
-    with pytest.raises(TightlyAttached):
+    with pytest.raises(DegenerateWreath) as info:
         alt_graph(dec)
+    assert info.value.pair is None and info.value.orbits is None
 
 
 def test_spiral_wreath_antipodal_is_fibre_swap():
@@ -256,6 +262,7 @@ def test_holt_alternating_parameters(holt):
     d, _ = induced_orientation(group, holt)
     dec = alternating_cycles(holt, d)
     assert (dec.radius, dec.attachment, dec.ell) == (9, 9, 2)
+    assert dec.tightly_attached     # a = r (Marušič 1998)
     assert len(dec.cycles) == 3
     record = divisibility_report(dec, full_group=True)
     assert record.r_odd and record.a_divides_r and record.a_divides_2r

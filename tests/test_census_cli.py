@@ -16,11 +16,11 @@ from hatkit.census import (
 from hatkit import altcycles, autgroup, cli, covers, dartgraph, graphs, perms
 from hatkit.cli import main, analyze_graph
 from hatkit.graphs import is_connected, is_regular, relabel
-from hatkit.graph6 import parse_graph6
+from hatkit.graph6 import parse_graph6, write_graph6
 from hatkit.perms import identity
 from hatkit.autgroup import automorphism_group, canonical_form
 
-from conftest import run_optimized
+from conftest import path_graph, run_optimized
 
 REQUIRED_CUBIC = (
     "k4", "k33", "cube", "petersen", "heawood", "mobius_kantor", "pappus",
@@ -99,6 +99,7 @@ def test_analyze_graph_holt(holt):
     assert record["transitivity"]["half_arc_transitive"]
     alt = record["alternating"]
     assert alt["radius"] == 9 and alt["attachment"] == 9
+    assert alt["tightly_attached"] is True
     assert alt["divisibility"]["odd_radius_rule_applicable"]
     assert alt["divisibility"]["odd_radius_rule_satisfied"]
     assert alt["alt_action_arc_transitive"] is False
@@ -142,6 +143,18 @@ def test_cli_analyze_file_input(tmp_path, capsys):
 def test_cli_analyze_unknown_input(capsys):
     assert main(["analyze", "no_such_entry"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_analyze_too_large_is_input_error(tmp_path, capsys, monkeypatch):
+    """A graph above the search's vertex bound is bad input: exit code 2
+    and an error line naming the bound, not a traceback."""
+    monkeypatch.setattr(autgroup, "_MAX_VERTICES", 10)
+    autgroup._analysis.cache_clear()
+    path = tmp_path / "path.g6"
+    path.write_text(write_graph6(path_graph(11)) + "\n", encoding="ascii")
+    assert main(["analyze", str(path)]) == 2
+    assert ("error: 11 vertices exceeds the 10 vertex bound"
+            in capsys.readouterr().err)
 
 
 def test_cli_dart_k4(capsys, tmp_path):

@@ -25,7 +25,8 @@ from hatkit.graphs import (
     is_regular,
     line_graph,
 )
-from hatkit.perms import compose, from_cycles, identity, schreier_sims
+from hatkit.perms import (compose, from_cycles, identity, induced_action,
+                          schreier_sims)
 from hatkit.autgroup import automorphism_group, canonical_form, is_isomorphic
 from hatkit.altcycles import (
     alt_graph,
@@ -88,12 +89,14 @@ def chain_probes(gens, others, rng):
 
 
 @pytest.mark.parametrize("name", TWO_ARC_CUBIC)
-def test_seeded_chains_match_unseeded_chains(name):
+def test_seeded_chains_match_unseeded_chains(name, monkeypatch):
     """The lift's chain, seeded from Aut(g)'s strong generators and base,
-    and <lift, tau>'s, seeded from the lift's, have the order and the
-    membership verdicts of chains built from the plain generators with no
-    base and no bound.  The lift's build adds no base point and no strong
-    generator to the seed."""
+    <lift, tau>'s, seeded from the lift's plus tau and its sift residue r,
+    and the fibre action's, seeded from <lift, tau>'s generators on the
+    fibres of the lift's base darts, have the order and the membership
+    verdicts of chains built from the plain generators with no base and
+    no bound.  None of the three builds adds a base point or a strong
+    generator to its seed."""
     rng = random.Random(name)
     base = TWO_ARC_CUBIC[name]()
     group = automorphism_group(base)
@@ -116,13 +119,40 @@ def test_seeded_chains_match_unseeded_chains(name):
     assert not lifted.contains(reversal)
     if g.n <= 12:
         return      # the cover stage starts above 12 darts
-    tau = antipodal_involution(g, alternating_cycles(g, natural), lifted)
-    cert = split_certificate(g, lifted, tau, quotient_by_tau(g, tau))
+    built = {}
+
+    def record(stage):
+        real = getattr(covers, stage)
+        monkeypatch.setattr(covers, stage, lambda *args, **kwargs:
+                            built.setdefault(stage, real(*args, **kwargs)))
+
+    record("split_certificate")
+    record("induced_action")
+    dec = alternating_cycles(g, natural)
+    cover_pipeline(g, dec, lifted)
+    cert, (projected, faithful) = (built["split_certificate"],
+                                   built["induced_action"])
+    tau = antipodal_involution(g, dec, lifted)
+    residue, _ = lifted.sift(tau)
+    assert cert.lifted_group.base == lifted.base
+    assert cert.lifted_group.strong_generators == (
+        lifted.strong_generators + (tau, residue))
     split_unseeded = schreier_sims(lift_gens + [tau], degree=g.n)
     assert cert.lifted_group.order == split_unseeded.order == 2 * group.order
     for p in chain_probes(lift_gens + [tau], [reversal,
                                               compose(reversal, tau)], rng):
         assert cert.lifted_group.contains(p) == split_unseeded.contains(p)
+
+    cover = quotient_by_tau(g, tau)
+    assert projected.base == tuple(dict.fromkeys(
+        cover.fibre_map[d] for d in lifted.base))
+    assert projected.strong_generators == projected.generators
+    fibre_unseeded, unseeded_faithful = induced_action(split_unseeded,
+                                                       cover.fibres())
+    assert projected.order == fibre_unseeded.order == group.order
+    assert not faithful and not unseeded_faithful
+    for p in chain_probes(list(fibre_unseeded.generators), [], rng):
+        assert projected.contains(p) == fibre_unseeded.contains(p)
 
 
 def test_is_covering_examples(petersen):
@@ -421,8 +451,8 @@ def test_cover_pipeline_rejects_arc_intransitive_base_under_optimize():
      "    real(*args), is_sectional=True)\n",
      "sectional_iff_bipartite", "sectional=True, bipartite=False"),
     ("real = covers.induced_action\n"
-     "covers.induced_action = lambda group, blocks, order_bound: (\n"
-     "    real(group, blocks, order_bound=order_bound)[0], True)\n",
+     "covers.induced_action = lambda group, blocks, order_bound, base: (\n"
+     "    real(group, blocks, order_bound=order_bound, base=base)[0], True)\n",
      "fibre_action_kernel_tau", "order 120 (faithful=True)"),
     ("covers.girth = lambda x: 4\n",
      "base_girth_3", "girth 4"),
