@@ -148,10 +148,11 @@ def test_forward_wreath_radius_two():
     assert is_isomorphic(altg, cycle_graph(5)) is not None
 
 
-def test_spiral_wreath_attachment_twice_radius():
-    """a = 2r: two alternating cycles through every vertex of the wreath
-    C_4[2K1], so the graph of alternating cycles is degenerate.  This is
-    not tight attachment, which is a = r."""
+def test_spiral_wreath_tightly_attached():
+    """The spiral wreath's tightly_attached reading.  a = 2r: two
+    alternating cycles through every vertex of the wreath C_4[2K1], so the
+    graph of alternating cycles is degenerate.  This is not tight
+    attachment, which is a = r."""
     g, orient = spiral_wreath_orientation(4)
     dec = alternating_cycles(g, orient)
     assert len(dec.cycles) == 2
