@@ -301,14 +301,13 @@ def cover_pipeline(total: Graph, dec: AltDecomposition,
 
     The fibre action is built from <group, tau>'s generators (tau and the
     residue r of split_certificate among them) under the bound
-    |<group, tau>| / 2, with the fibres of the group's base points as its
-    initial base.  Modulo <tau> the fibre action is the group's own action
-    with each point identified with its tau-image, so the group's base,
-    read as fibres, is where the group's chain already separates its
-    elements: an element that fixes each of those fibres fixes or
-    tau-swaps each base point.  Where that leaves a nontrivial
-    stabiliser, the closure extends the base; on the dart graphs of the
-    builtin and stress censuses it adds nothing.  The base only seeds the build: reaching
+    |<group, tau>| / 2; induced_action starts its chain on the fibres of
+    the group's base points.  Modulo <tau> the fibre action is the
+    group's own action with each point identified with its tau-image, so
+    an element that fixes each of those fibres fixes or tau-swaps each
+    base point.  Where that leaves a nontrivial stabiliser, the closure
+    extends the base (test_seeded_chains_match_unseeded_chains pins the
+    entries where it does not).  The base only seeds the build: reaching
     the bound certifies the projected order, and with it the kernel,
     whatever the seed.
     """
@@ -336,8 +335,7 @@ def cover_pipeline(total: Graph, dec: AltDecomposition,
     fibres = cover.fibres()
     projected, faithful = induced_action(
         cert.lifted_group, fibres,
-        order_bound=cert.lifted_group.order // 2,
-        base=dict.fromkeys(cover.fibre_map[d] for d in group.base))
+        order_bound=cert.lifted_group.order // 2)
     # kernel of the fibre action must be exactly <tau>, so the projected
     # quotient group acts faithfully with half the lifted order
     check(checks, "fibre_action_kernel_tau",

@@ -361,7 +361,7 @@ def centralizes(p, group: PermGroup) -> bool:
     return all(compose(p, s) == compose(s, p) for s in group.generators)
 
 
-def induced_action(group: PermGroup, blocks, order_bound=None, base=()):
+def induced_action(group: PermGroup, blocks, order_bound=None):
     """Action of the group on a list of disjoint point sets.
 
     Every generator must permute the blocks (NotInvariant otherwise).
@@ -375,9 +375,10 @@ def induced_action(group: PermGroup, blocks, order_bound=None, base=()):
     that bound certifies both the induced order and that K is the whole
     kernel.
 
-    base, block indices without repeats, is passed to schreier_sims as the
-    induced chain's initial base.  It changes what the build costs, not
-    the induced group, its order or the faithful flag.
+    The induced chain's initial base is the blocks that hold the group's
+    base points, in base order without repeats, where the group's own
+    chain already separates its elements.  The base changes what the
+    build costs, not the induced group, its order or the faithful flag.
     """
     blocks = [frozenset(b) for b in blocks]
     covered = set()
@@ -386,6 +387,7 @@ def induced_action(group: PermGroup, blocks, order_bound=None, base=()):
             raise ValueError("blocks are not disjoint")
         covered |= b
     index = {b: i for i, b in enumerate(blocks)}
+    block_of = {x: i for i, b in enumerate(blocks) for x in b}
     induced = []
     for s in group.generators:
         images = []
@@ -396,6 +398,7 @@ def induced_action(group: PermGroup, blocks, order_bound=None, base=()):
                     f"generator {cycle_string(s)} does not permute the blocks")
             images.append(index[image])
         induced.append(tuple(images))
-    quotient = schreier_sims(induced, degree=len(blocks),
-                             order_bound=order_bound, base=base)
+    quotient = schreier_sims(
+        induced, degree=len(blocks), order_bound=order_bound,
+        base=dict.fromkeys(block_of[x] for x in group.base if x in block_of))
     return quotient, quotient.order == group.order
