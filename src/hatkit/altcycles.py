@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import getitem
 
 from .errors import (
     AntipodeMismatch,
@@ -30,7 +31,7 @@ from .errors import (
 from .graphs import (Graph, check_edge_map, from_edge_list, is_connected,
                      is_regular)
 from .autgroup import transitivity_report
-from .perms import PermGroup, centralizes, schreier_sims
+from .perms import PermGroup, centralizes, orbits, schreier_sims
 from .records import JsonRecord
 
 
@@ -461,8 +462,8 @@ def induced_alt_action(group: PermGroup, dec: AltDecomposition):
     if not (report.vertex_transitive and report.edge_transitive):
         raise StructureViolation(
             f"alt_action_transitive: the orbit of cycle 0 has "
-            f"{len(action.orbit(0))} of {k} cycles and there are "
-            f"{report.arc_orbit_count} arc orbits")
+            f"{len(orbits([0], action.generators, getitem)[0])} of {k} cycles "
+            f"and there are {report.arc_orbit_count} arc orbits")
     if report.arc_transitive != (dec.ell % 2 == 1):
         parity = "odd" if dec.ell % 2 else "even"
         verdict = "" if report.arc_transitive else "not "

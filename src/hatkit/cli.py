@@ -272,10 +272,12 @@ SUITES = tuple(_SUITE_RUNNERS)
 def _verify_entry(payload):
     """The report of one census entry.  A failed theorem check (a
     StructureViolation) is recorded as that check, failed, with its
-    witness as detail.  Any other error, typed (a HatError) or an engine
-    error (any other exception), also records where it happened: the
-    suite that ran ("expected" before the first suite) and the last check
-    recorded."""
+    witness as detail.  A graph above the search's vertex bound is bad
+    input: TooLarge leaves the entry, and cli.main exits 2 on it.  Any
+    other error, typed (a HatError) or an engine error (any other
+    exception), fails only its entry and also records where it happened:
+    the suite that ran ("expected" before the first suite) and the last
+    check recorded."""
     entry, suites, strict = payload
     checks = []
     stage = "expected"
@@ -291,6 +293,8 @@ def _verify_entry(payload):
     except StructureViolation as exc:
         checks.append({"check": exc.check, "passed": False,
                        "detail": exc.witness})
+    except TooLarge:
+        raise
     except HatError as exc:
         error = f"{type(exc).__name__}: {exc}"
     except Exception as exc:
@@ -361,6 +365,8 @@ def _cmd_dart(args):
 def _cmd_verify(args):
     suites = SUITES if args.suite == "all" else (args.suite,)
     payloads = [(e, suites, args.strict) for e in load_census(args.census)]
+    if not payloads:
+        raise MalformedCensus(f"{args.census}: the census has no entries")
     t0 = time.perf_counter()
     # a fork-started pool launches every worker at once, so never more
     # workers than entries
@@ -417,6 +423,13 @@ def _input_graphs(source, census):
     return [(f"{source}:{lineno}", g) for lineno, g in loaded]
 
 
+def _job_count(text):
+    jobs = int(text)
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"{jobs} is below 1")
+    return jobs
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="hatkit",
@@ -447,7 +460,7 @@ def _build_parser():
     p_verify.add_argument("--out", default=None, help="write JSON here")
     p_verify.add_argument("--json", action="store_true",
                           help="print the JSON report to stdout")
-    p_verify.add_argument("--jobs", type=int, default=1,
+    p_verify.add_argument("--jobs", type=_job_count, default=1,
                           help="process entries in parallel")
     p_verify.add_argument("--strict", action="store_true",
                           help="treat open-question discrepancies as failures")

@@ -56,7 +56,6 @@ from .perms import (
     compose,
     induced_action,
     is_identity,
-    schreier_sims,
 )
 
 
@@ -164,8 +163,9 @@ def quotient_by_tau(total: Graph, tau) -> CoveringMap:
 
 @dataclass
 class SplitCertificate:
-    """Certificate that a lifted group splits over the covering
-    transformations, with the sectionality verdict.
+    """Certificate that <group, tau> = group x <tau> splits over the
+    covering transformations <tau>, with its order 2 |group| and the
+    sectionality verdict.
 
     is_sectional is decided by the canonical-double-cover criterion: the
     cover is sectional exactly when the total graph is isomorphic to the
@@ -173,7 +173,7 @@ class SplitCertificate:
     closed walk when the total graph is not bipartite.
     """
 
-    lifted_group: PermGroup
+    lifted_order: int
     is_split: bool
     is_sectional: bool
     non_bipartite_witness: list | None
@@ -185,32 +185,26 @@ def split_certificate(total: Graph, group: PermGroup, tau,
     decide sectionality.
 
     Requires a connected total graph (NotConnected) and an involution tau
-    that centralizes the group, lies outside it and swaps each fibre
-    (NotInvariant); <group, tau> is built under the bound 2 |group| and
-    is_split records that it reaches it.  A non-bipartite total graph is
-    no bipartite double (the odd closed walk is the witness).  A bipartite
-    one is sectional exactly when tau swaps its colours; then
-    fibre(v) + |base| colour(v) must be an isomorphism onto the double
-    (StructureViolation naming sectional_onto_double otherwise, with the
-    witness of graphs.check_isomorphism).  If tau keeps the colours, the
-    base is bipartite and its double disconnected.  The odd closed walk is
+    that centralizes the group (NotCentralizing, NotInvolution), lies
+    outside it (TauInG, decided by group.contains) and swaps each fibre
+    (NotInvariant).  These checks are the proof of the splitting: tau is
+    not the identity, as the identity lies in the group; tau commutes
+    with the group and tau^2 = 1, so <group, tau> = group u group tau;
+    group and <tau> meet in the identity, so |<group, tau>| = 2 |group|
+    and the group is a complement of <tau>.  No chain of <group, tau> is
+    built: lifted_order is 2 |group| and is_split is set by that proof.
+
+    A non-bipartite total graph is no bipartite double (the odd closed
+    walk is the witness).  A bipartite one is sectional exactly when tau
+    swaps its colours; then fibre(v) + |base| colour(v) must be an
+    isomorphism onto the double (StructureViolation naming
+    sectional_onto_double otherwise, with the witness of
+    graphs.check_isomorphism).  If tau keeps the colours, the base is
+    bipartite and its double disconnected.  The odd closed walk is
     checked too, also under python -O: StructureViolation naming
     odd_walk_closed_odd (with the walk) unless it is closed with an odd
     number of steps, or odd_walk_edges (with the step) unless each step
     is an edge.
-
-    tau lies in the group exactly when its sift through the group's chain
-    leaves the identity; otherwise the residue r = tau u^-1, for u the
-    product of the representatives the sift divided out, is an element of
-    <group, tau> that fixes the base points the sift passed and, if it
-    stopped early, maps the next one outside its basic orbit.
-    <group, tau> is seeded with the group's strong generators, tau and r,
-    on the group's base: r is the strong generator the closure would
-    otherwise find by sifting Schreier generators.  The bound 2 |group|,
-    not the seed, decides when the build stops: a seed that is not strong
-    on that base only makes the closure add strong generators or base
-    points before the bound is met, and reaching the bound certifies the
-    order whatever the seed.
     """
     if not is_connected(total):
         raise NotConnected("the total graph is not connected")
@@ -218,15 +212,11 @@ def split_certificate(total: Graph, group: PermGroup, tau,
         raise NotCentralizing("tau does not centralize the supplied group")
     if not is_identity(compose(tau, tau)):
         raise NotInvolution("tau is not an involution")
-    residue, _ = group.sift(tau)
-    if is_identity(residue):
+    if group.contains(tau):
         raise TauInG("tau lies in the supplied group; no splitting complement")
     moved = next(((v, w) for v, w in cover.fibres() if tau[v] != w), None)
     if moved is not None:
         raise NotInvariant(f"tau moves the fibre {moved}")
-    lifted = schreier_sims(
-        list(group.strong_generators) + [tuple(tau), residue],
-        degree=total.n, order_bound=2 * group.order, base=group.base)
     witness = odd_closed_walk(total)
     if witness is not None:
         if len(witness) % 2 or witness[0] != witness[-1]:
@@ -248,8 +238,8 @@ def split_certificate(total: Graph, group: PermGroup, tau,
             check_isomorphism("sectional_onto_double", phi, total,
                               bipartite_double(cover.base))
     return SplitCertificate(
-        lifted_group=lifted,
-        is_split=lifted.order == 2 * group.order,
+        lifted_order=2 * group.order,
+        is_split=True,
         is_sectional=sectional,
         non_bipartite_witness=witness,
     )
@@ -299,17 +289,16 @@ def cover_pipeline(total: Graph, dec: AltDecomposition,
     Bipartite inputs run through the same pipeline and certify sectional;
     non-bipartite inputs certify non-sectional.
 
-    The fibre action is built from <group, tau>'s generators (tau and the
-    residue r of split_certificate among them) under the bound
-    |<group, tau>| / 2; induced_action starts its chain on the fibres of
-    the group's base points.  Modulo <tau> the fibre action is the
-    group's own action with each point identified with its tau-image, so
-    an element that fixes each of those fibres fixes or tau-swaps each
-    base point.  Where that leaves a nontrivial stabiliser, the closure
-    extends the base (test_seeded_chains_match_unseeded_chains pins the
-    entries where it does not).  The base only seeds the build: reaching
-    the bound certifies the projected order, and with it the kernel,
-    whatever the seed.
+    The fibre action is the group's own, built under the bound |group|:
+    tau swaps each fibre, so <group, tau> induces the same group on the
+    fibres, and as <group, tau> = group x <tau> (split_certificate) its
+    kernel there is <tau> exactly when the group acts faithfully, that is
+    when the bound is reached.  induced_action starts the chain on the
+    fibres of the group's base points.  An element that fixes those
+    fibres may still tau-swap a base point, so the closure may add strong
+    generators (test_seeded_chains_match_unseeded_chains pins the entries
+    where it does).  The base only seeds the build: reaching the bound
+    certifies the projected order whatever the seed.
     """
     cycle_images(group, dec)
     if dec.radius != 3 or dec.attachment != 2:
@@ -330,19 +319,16 @@ def cover_pipeline(total: Graph, dec: AltDecomposition,
     check(checks, "sectional_iff_bipartite", agree, verdicts if agree else
           f"{verdicts}, odd closed walk {cert.non_bipartite_witness}")
 
-    # split_certificate checked that the fibres are tau-orbits, so tau is in
-    # the kernel of the fibre action: the projected order is at most |G~|/2
+    # tau fixes every fibre, so the group and <group, tau> induce the same
+    # group on them, and the kernel of <group, tau> = group x <tau> there
+    # is <tau> exactly when the group acts faithfully
     fibres = cover.fibres()
-    projected, faithful = induced_action(
-        cert.lifted_group, fibres,
-        order_bound=cert.lifted_group.order // 2)
-    # kernel of the fibre action must be exactly <tau>, so the projected
-    # quotient group acts faithfully with half the lifted order
-    check(checks, "fibre_action_kernel_tau",
-          not faithful and 2 * projected.order == cert.lifted_group.order,
+    projected, faithful = induced_action(group, fibres,
+                                         order_bound=group.order)
+    check(checks, "fibre_action_kernel_tau", faithful,
           f"the action on the fibres has order {projected.order} "
-          f"(faithful={faithful}), the lifted group "
-          f"{cert.lifted_group.order}")
+          f"(faithful={projected.order == cert.lifted_order}), the lifted "
+          f"group {cert.lifted_order}")
     _, base_arc_orbits, _ = _arc_action(projected, cover.base)
     check(checks, "projected_arc_transitive", len(base_arc_orbits) <= 1,
           f"the projected group has {len(base_arc_orbits)} arc orbits on "
@@ -368,7 +354,7 @@ def cover_pipeline(total: Graph, dec: AltDecomposition,
         base_order=cover.base.n,
         base_girth=base_girth,
         group_order=group.order,
-        lifted_order=cert.lifted_group.order,
+        lifted_order=cert.lifted_order,
         projected_order=projected.order,
         checks=tuple(checks),
     )

@@ -178,15 +178,6 @@ class PermGroup:
         return (b, len(t), t.__getitem__,
                 tuple(s for s in self._strong if s[b] == b))
 
-    def orbit(self, point):
-        """Sorted orbit of a point under the group: the first basic orbit
-        when it holds the point, a sweep otherwise."""
-        if not 0 <= point < self.degree:
-            raise VertexOutOfRange(f"point {point} outside 0..{self.degree - 1}")
-        if self.base and point in self._transversals[0]:
-            return tuple(sorted(self._transversals[0]))
-        return orbits([point], self.generators, getitem)[0]
-
     def orbit_partition(self):
         """Orbits of 0..degree-1, each sorted, ordered by minimum point;
         a single orbit when the first basic orbit is every point."""

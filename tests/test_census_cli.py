@@ -157,6 +157,42 @@ def test_cli_analyze_too_large_is_input_error(tmp_path, capsys, monkeypatch):
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_cli_verify_too_large_is_input_error(tmp_path, capsys, monkeypatch,
+                                             jobs):
+    """verify treats a graph above the search's vertex bound as bad input,
+    like analyze: exit code 2 and an error line naming the bound, not a
+    failed entry, also from a --jobs worker."""
+    monkeypatch.setattr(autgroup, "_MAX_VERTICES", 3)
+    autgroup._analysis.cache_clear()
+    census = {"entries": [{"name": "k4", "graph6": "C~"},
+                          {"name": "k4_again", "graph6": "C~"}]}
+    path = tmp_path / "k4.json"
+    path.write_text(json.dumps(census), encoding="utf-8")
+    assert main(["verify", "all", "--census", str(path),
+                 "--jobs", jobs]) == 2
+    captured = capsys.readouterr()
+    assert "error: 4 vertices exceeds the 3 vertex bound" in captured.err
+    assert "[FAIL]" not in captured.out
+
+
+def test_cli_verify_empty_census_is_input_error(tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"entries": []}), encoding="utf-8")
+    assert main(["verify", "all", "--census", str(path)]) == 2
+    assert (f"error: {path}: the census has no entries"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_cli_verify_jobs_below_one_is_usage_error(capsys, jobs):
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "all", "--jobs", jobs])
+    assert info.value.code == 2
+    assert f"error: argument --jobs: {jobs} is below 1" in \
+        capsys.readouterr().err
+
+
 def test_cli_dart_k4(capsys, tmp_path):
     out = tmp_path / "dart.json"
     assert main(["dart", "k4", "--out", str(out)]) == 0
@@ -444,8 +480,9 @@ def test_verify_records_typed_quotient_error(monkeypatch):
 def test_verify_entry_bounds_only_proven_builds(monkeypatch):
     """Every chain is built under a proven order bound: Aut(g) under the
     product of the first path's target cell sizes, on that path as its
-    base, then the lift, <lift, tau> and the fibre action; no chain is
-    built for the covering group <tau>."""
+    base, then the lift and the fibre action; no chain is built for
+    <lift, tau>, whose order split_certificate proves, or for the
+    covering group <tau>."""
     builds = []
     fn = perms.schreier_sims
 
@@ -465,9 +502,8 @@ def test_verify_entry_bounds_only_proven_builds(monkeypatch):
     result = cli._verify_entry((petersen, cli.SUITES, True))
     assert result["passed"]
     # Aut(Petersen) on 10 points (the cell bound equals |G|), the lift
-    # (|G|), <lift, tau> (2|G|) and the action on the 15 fibres (|G|)
-    assert Counter(builds) == Counter(
-        [(10, 120), (30, 120), (30, 240), (15, 120)])
+    # (|G|) and the action on the 15 fibres (|G|)
+    assert Counter(builds) == Counter([(10, 120), (30, 120), (15, 120)])
     # Aut(Petersen)'s chain starts from the search's first path
     assert bases[10, 120]
 

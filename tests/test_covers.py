@@ -87,15 +87,24 @@ def chain_probes(gens, others, rng):
     return probes
 
 
+# The entries whose fibre action closure adds strong generators to the
+# lift's fibre images: an element fixing the fibres of the lift's base
+# darts may still swap a base dart with its tau-image there.
+FIBRE_CLOSURE_EXTENDS = {"coxeter", "dodecahedron_double", "coxeter_double"}
+
+
 @pytest.mark.parametrize("name", TWO_ARC_CUBIC)
 def test_seeded_chains_match_unseeded_chains(name, monkeypatch):
     """The lift's chain, seeded from Aut(g)'s strong generators and base,
-    <lift, tau>'s, seeded from the lift's plus tau and its sift residue r,
-    and the fibre action's, seeded from <lift, tau>'s generators on the
+    and the fibre action's, seeded from the lift's generators on the
     fibres of the lift's base darts, have the order and the membership
     verdicts of chains built from the plain generators with no base and
-    no bound.  None of the three builds adds a base point or a strong
-    generator to its seed."""
+    no bound.  The lift's build adds no base point or strong generator
+    to its seed; the fibre action's keeps its base and adds strong
+    generators exactly on FIBRE_CLOSURE_EXTENDS.  The unbounded closure
+    of the lift and tau is the reference for split_certificate's proof:
+    it has order 2 |G|, holds tau, which the lift does not, and is the
+    lift together with its coset by tau."""
     rng = random.Random(name)
     base = TWO_ARC_CUBIC[name]()
     group = automorphism_group(base)
@@ -132,25 +141,24 @@ def test_seeded_chains_match_unseeded_chains(name, monkeypatch):
     cert, (projected, faithful) = (built["split_certificate"],
                                    built["induced_action"])
     tau = antipodal_involution(g, dec, lifted)
-    residue, _ = lifted.sift(tau)
-    assert cert.lifted_group.base == lifted.base
-    assert cert.lifted_group.strong_generators == (
-        lifted.strong_generators + (tau, residue))
     split_unseeded = schreier_sims(lift_gens + [tau], degree=g.n)
-    assert cert.lifted_group.order == split_unseeded.order == 2 * group.order
+    assert cert.lifted_order == split_unseeded.order == 2 * group.order
+    assert split_unseeded.contains(tau) and not lifted.contains(tau)
     for p in chain_probes(lift_gens + [tau], [reversal,
                                               compose(reversal, tau)], rng):
-        assert cert.lifted_group.contains(p) == split_unseeded.contains(p)
+        assert split_unseeded.contains(p) == (
+            lifted.contains(p) or lifted.contains(compose(p, tau)))
 
     cover = quotient_by_tau(g, tau)
     assert projected.base == tuple(dict.fromkeys(
         cover.fibre_map[d] for d in lifted.base))
-    assert projected.strong_generators == projected.generators
+    assert (projected.strong_generators != projected.generators) == (
+        name in FIBRE_CLOSURE_EXTENDS)
     fibre_gens = [tuple(cover.fibre_map[s[v]] for v, _ in cover.fibres())
                   for s in split_unseeded.generators]
     fibre_unseeded = schreier_sims(fibre_gens, degree=cover.base.n)
     assert projected.order == fibre_unseeded.order == group.order
-    assert not faithful
+    assert faithful
     for p in chain_probes(list(fibre_unseeded.generators), [], rng):
         assert projected.contains(p) == fibre_unseeded.contains(p)
 
@@ -264,7 +272,8 @@ def test_split_certificate_dart_petersen(petersen):
     cover = quotient_by_tau(g, tau)
     cert = split_certificate(g, lifted, tau, cover)
     assert cert.is_split and not cert.is_sectional
-    assert cert.lifted_group.order == 2 * lifted.order
+    closure = schreier_sims(list(lifted.generators) + [tau], degree=g.n)
+    assert cert.lifted_order == closure.order == 2 * lifted.order
     walk = cert.non_bipartite_witness
     assert walk is not None and (len(walk) - 1) % 2 == 1
     assert all(g.has_edge(a, b) for a, b in zip(walk, walk[1:]))
@@ -328,11 +337,13 @@ def test_split_certificate_sectionality_of_cycle_covers(n, sectional):
     verdict agrees with an isomorphism search."""
     c = cycle_graph(n)
     cover = quotient_by_tau(c, half_turn(n))
-    cert = split_certificate(c, reflection_group(n), half_turn(n), cover)
+    group = reflection_group(n)
+    cert = split_certificate(c, group, half_turn(n), cover)
     oracle = is_isomorphic(c, bipartite_double(cover.base)) is not None
     assert cert.is_sectional == oracle == sectional
     assert cert.is_split and cert.non_bipartite_witness is None
-    assert cert.lifted_group.order == 4
+    closure = schreier_sims(list(group.generators) + [half_turn(n)])
+    assert cert.lifted_order == closure.order == 4
 
 
 def test_split_certificate_needs_connected_total():
@@ -358,12 +369,14 @@ def test_split_certificate_tau_must_swap_each_fibre():
 
 @pytest.mark.parametrize("name", ["petersen", "coxeter"])
 def test_bounded_chains_match_unbounded_rebuild(request, name):
-    """The lift and <lift, tau> are built under their proven order
-    bounds; both answer membership exactly like a full closure."""
+    """The lift is built under its proven order bound and answers
+    membership exactly like a full closure; the full closure of the lift
+    and tau has the order split_certificate proves, 2 |lift|, and holds
+    tau, which the lift does not."""
     g, lifted, tau = antipodal_of(request.getfixturevalue(name))
     cert = split_certificate(g, lifted, tau, quotient_by_tau(g, tau))
     rng = random.Random(5)
-    gens = list(cert.lifted_group.generators)
+    gens = list(lifted.generators) + [tau]
     probes = [tau] + gens
     for _ in range(30):
         word = identity(g.n)
@@ -371,12 +384,13 @@ def test_bounded_chains_match_unbounded_rebuild(request, name):
             word = compose(word, rng.choice(gens))
         probes.append(word)
         probes.append(compose(word, from_cycles(g.n, [(0, 1)])))
-    for bounded in (lifted, cert.lifted_group):
-        full = schreier_sims(bounded.generators, degree=g.n)
-        assert bounded.order == full.order
-        for p in probes:
-            assert bounded.contains(p) == full.contains(p)
-    assert not lifted.contains(tau) and cert.lifted_group.contains(tau)
+    full = schreier_sims(lifted.generators, degree=g.n)
+    assert lifted.order == full.order
+    for p in probes:
+        assert lifted.contains(p) == full.contains(p)
+    split = schreier_sims(gens, degree=g.n)
+    assert cert.lifted_order == split.order == 2 * lifted.order
+    assert not lifted.contains(tau) and split.contains(tau)
 
 
 def test_cover_pipeline_dodecahedron():
@@ -452,15 +466,16 @@ def test_cover_pipeline_rejects_arc_intransitive_base_under_optimize():
      "sectional_iff_bipartite", "sectional=True, bipartite=False"),
     ("real = covers.induced_action\n"
      "covers.induced_action = lambda group, blocks, order_bound: (\n"
-     "    real(group, blocks, order_bound=order_bound)[0], True)\n",
-     "fibre_action_kernel_tau", "order 120 (faithful=True)"),
+     "    real(group, blocks, order_bound=order_bound)[0], False)\n",
+     "fibre_action_kernel_tau",
+     "order 120 (faithful=False), the lifted group 240"),
     ("covers.girth = lambda x: 4\n",
      "base_girth_3", "girth 4"),
 ])
 def test_cover_pipeline_checks_run_under_optimize(fault, check, witness):
     """Sectional exactly when bipartite, the fibre action's kernel <tau>
     and the base girth 3 are checked by raises, not asserts: with the
-    certificate made sectional, the fibre action made faithful, or the
+    certificate made sectional, G's fibre action made unfaithful, or the
     base girth read as 4, cover_pipeline on Dart(Petersen) fails under
     python -O, naming the check and giving the witness."""
     code = _DART_PETERSEN + fault + (

@@ -122,7 +122,7 @@ def test_lifted_membership_and_orbits(k4):
     lifted = lift_automorphisms(k4, group, labeling)
     tau = dart_reversal(labeling)
     assert not lifted.contains(tau)
-    assert lifted.orbit(0) == tuple(range(12))
+    assert lifted.orbit_partition() == (tuple(range(12)),)
 
 
 def test_lift_faithful_check_runs_under_optimize():
