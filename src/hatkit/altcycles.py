@@ -12,7 +12,6 @@ partition the vertices into the attachment sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from operator import getitem
 
@@ -32,7 +31,7 @@ from .graphs import (Graph, check_edge_map, from_edge_list, is_connected,
                      is_regular)
 from .autgroup import transitivity_report
 from .perms import PermGroup, centralizes, orbits, schreier_sims
-from .records import JsonRecord
+from .records import Record
 
 
 def _edge_key(u, v):
@@ -138,8 +137,7 @@ def _canonical_cycle(seq):
     return tuple(rot)
 
 
-@dataclass
-class AltDecomposition:
+class AltDecomposition(Record):
     """Partition of the edges into alternating cycles plus the derived
     parameters.  cycles_at_vertex[v] is the sorted pair of cycle indices
     through v; attachment_sets is the block system of pairwise cycle
@@ -368,8 +366,7 @@ def antipodal_involution(g: Graph, dec: AltDecomposition, group: PermGroup):
     return tau
 
 
-@dataclass
-class DivisibilityRecord(JsonRecord):
+class DivisibilityRecord(Record):
     """Divisibility facts relating the radius and the attachment number.
 
     The odd-radius rule: for a graph whose full automorphism group is

@@ -110,7 +110,6 @@ whenever a found automorphism shows it, and so does every L above U.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from math import prod
 from operator import getitem, or_, sub
@@ -124,7 +123,7 @@ from .errors import (
 )
 from .graphs import Graph, check_edge_map, is_regular, maps_edges, relabel
 from .graph6 import _bit_layout, _encode
-from .records import JsonRecord
+from .records import Record
 from .perms import (
     PermGroup,
     compose,
@@ -509,10 +508,15 @@ class _SearchResult:
         self.group = None
 
 
-@lru_cache(maxsize=512)
-def _analysis(g: Graph) -> _SearchResult:
+def _check_vertex_bound(g: Graph):
+    """TooLarge unless the search may run on g."""
     if g.n > _MAX_VERTICES:
         raise TooLarge(f"{g.n} vertices exceeds the {_MAX_VERTICES} vertex bound")
+
+
+@lru_cache(maxsize=512)
+def _analysis(g: Graph) -> _SearchResult:
+    _check_vertex_bound(g)
     return _SearchResult(_Search(g).run())
 
 
@@ -591,8 +595,7 @@ def is_isomorphic(g: Graph, h: Graph):
     return mapping
 
 
-@dataclass
-class TransitivityReport(JsonRecord):
+class TransitivityReport(Record):
     """How a supplied group acts on a graph.
 
     half_arc_transitive means vertex- and edge- but not arc-transitive;
@@ -606,7 +609,9 @@ class TransitivityReport(JsonRecord):
     two_arc_transitive: bool
     half_arc_transitive: bool
     arc_orbit_count: int
-    arc_orbits: tuple = field(repr=False)
+    arc_orbits: tuple
+
+    _hidden = frozenset({"arc_orbits"})
 
 
 def _check_automorphisms(generators, g):

@@ -11,14 +11,12 @@ suites, never trusted.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from importlib.resources import files
 from itertools import combinations
 
 from .errors import MalformedCensus, MalformedGraph6
 from .graphs import Graph, from_edge_list
 from .graph6 import load_graph6_file, parse_graph6, write_graph6
-from .records import JsonRecord
+from .records import Record
 
 
 def complete_graph(n) -> Graph:
@@ -80,20 +78,19 @@ def holt_graph() -> Graph:
     return from_edge_list(27, sorted(edges))
 
 
-@dataclass
-class CensusEntry(JsonRecord):
+class CensusEntry(Record):
     """A named graph with its optional expected properties.  The graph6
     string is parsed once, when the entry is made (MalformedGraph6 unless
-    it is graph6), unless the parsed graph is given."""
+    it is graph6), unless the parsed graph is given.  The parsed graph is
+    no field: it is left out of ==, the repr and the JSON form."""
 
     name: str
     graph6: str
-    expected: dict | None = None
-    parsed: Graph | None = field(default=None, repr=False, compare=False)
+    expected: dict | None
 
-    def __post_init__(self):
-        if self.parsed is None:
-            self.parsed = parse_graph6(self.graph6)
+    def __init__(self, name, graph6, expected=None, parsed=None):
+        super().__init__(name=name, graph6=graph6, expected=expected)
+        self.parsed = parse_graph6(graph6) if parsed is None else parsed
 
     def graph(self) -> Graph:
         return self.parsed
@@ -178,6 +175,8 @@ def _json_entries(source, data):
 
 def builtin_entries():
     """The committed census data file, parsed."""
+    # imported here, so that only the builtin census pays for the import
+    from importlib.resources import files
     path = files("hatkit").joinpath("data/census.json")
     return _json_entries(str(path), path.read_bytes())
 

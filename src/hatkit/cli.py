@@ -11,8 +11,6 @@ import argparse
 import json
 import sys
 import time
-import traceback
-from concurrent.futures import ProcessPoolExecutor
 from functools import cached_property
 
 from . import __version__
@@ -29,7 +27,8 @@ from .errors import (
 )
 from .graphs import girth, is_bipartite, is_connected, line_graph
 from .graph6 import load_graph6_file, write_graph6
-from .autgroup import automorphism_group, transitivity_report
+from .autgroup import (_check_vertex_bound, automorphism_group,
+                       transitivity_report)
 from .altcycles import (
     alternating_cycles,
     divisibility_report,
@@ -272,12 +271,10 @@ SUITES = tuple(_SUITE_RUNNERS)
 def _verify_entry(payload):
     """The report of one census entry.  A failed theorem check (a
     StructureViolation) is recorded as that check, failed, with its
-    witness as detail.  A graph above the search's vertex bound is bad
-    input: TooLarge leaves the entry, and cli.main exits 2 on it.  Any
-    other error, typed (a HatError) or an engine error (any other
-    exception), fails only its entry and also records where it happened:
-    the suite that ran ("expected" before the first suite) and the last
-    check recorded."""
+    witness as detail.  Any other error, typed (a HatError) or an engine
+    error (any other exception), fails only its entry and also records
+    where it happened: the suite that ran ("expected" before the first
+    suite) and the last check recorded."""
     entry, suites, strict = payload
     checks = []
     stage = "expected"
@@ -293,12 +290,11 @@ def _verify_entry(payload):
     except StructureViolation as exc:
         checks.append({"check": exc.check, "passed": False,
                        "detail": exc.witness})
-    except TooLarge:
-        raise
     except HatError as exc:
         error = f"{type(exc).__name__}: {exc}"
     except Exception as exc:
         # an engine bug fails its own entry, not the whole run or pool
+        import traceback
         traceback.print_exc(file=sys.stderr)
         error = f"engine error: {type(exc).__name__}: {exc}"
     result = {
@@ -367,11 +363,17 @@ def _cmd_verify(args):
     payloads = [(e, suites, args.strict) for e in load_census(args.census)]
     if not payloads:
         raise MalformedCensus(f"{args.census}: the census has no entries")
+    # a graph above the search's vertex bound is bad input, even where no
+    # suite searches it
+    for entry, _, _ in payloads:
+        _check_vertex_bound(entry.graph())
     t0 = time.perf_counter()
     # a fork-started pool launches every worker at once, so never more
     # workers than entries
     workers = min(args.jobs, len(payloads))
     if workers > 1:
+        # the pool's import is a cold-start cost that --jobs 1 never pays
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_verify_entry, payloads))
     else:

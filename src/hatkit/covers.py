@@ -12,8 +12,6 @@ is bipartite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import (
     DegenerateWreath,
     FixedPoint,
@@ -43,7 +41,7 @@ from .graphs import (
     maps_edges,
     odd_closed_walk,
 )
-from .records import GROUP_ORDER, JsonRecord
+from .records import Record
 from .autgroup import _arc_action
 from .altcycles import (
     AltDecomposition,
@@ -59,8 +57,7 @@ from .perms import (
 )
 
 
-@dataclass
-class CoveringMap:
+class CoveringMap(Record):
     """A 2-fold covering projection with its fibre data."""
 
     total: Graph
@@ -161,8 +158,7 @@ def quotient_by_tau(total: Graph, tau) -> CoveringMap:
     return cover
 
 
-@dataclass
-class SplitCertificate:
+class SplitCertificate(Record):
     """Certificate that <group, tau> = group x <tau> splits over the
     covering transformations <tau>, with its order 2 |group| and the
     sectionality verdict.
@@ -245,8 +241,7 @@ def split_certificate(total: Graph, group: PermGroup, tau,
     )
 
 
-@dataclass
-class CoverReport(JsonRecord):
+class CoverReport(Record):
     """End-to-end record of one cover-pipeline run; checks holds the
     (name, detail) pairs of the checks cover_pipeline made, in the order
     it made them."""
@@ -259,10 +254,13 @@ class CoverReport(JsonRecord):
     sectional: bool
     base_order: int
     base_girth: int
-    group_order: int = field(metadata=GROUP_ORDER)
-    lifted_order: int = field(metadata=GROUP_ORDER)
-    projected_order: int = field(metadata=GROUP_ORDER)
-    checks: tuple = field(repr=False)
+    group_order: int
+    lifted_order: int
+    projected_order: int
+    checks: tuple
+
+    _hidden = frozenset({"checks"})
+    _as_string = frozenset({"group_order", "lifted_order", "projected_order"})
 
 
 def cover_pipeline(total: Graph, dec: AltDecomposition,

@@ -13,8 +13,6 @@ the dart graph of the reconstruction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import (
     DegreeMismatch,
     Not2ArcTransitive,
@@ -32,11 +30,10 @@ from .graphs import (Graph, check_edge_map, edge_map_fault, from_edge_list,
 from .autgroup import TransitivityReport, transitivity_report
 from .altcycles import AltDecomposition, Orientation, alternating_cycles
 from .perms import PermGroup, schreier_sims
-from .records import GROUP_ORDER, JsonRecord
+from .records import Record
 
 
-@dataclass
-class DartLabeling:
+class DartLabeling(Record):
     """Bijection between dart-graph vertices and arcs of the base graph,
     with the dart graph and its natural orientation attached."""
 
@@ -143,8 +140,7 @@ def lift_automorphisms(base: Graph, group: PermGroup,
     return lifted
 
 
-@dataclass
-class DartForwardReport(JsonRecord):
+class DartForwardReport(Record):
     """Everything verified when pushing a 2-arc-transitive cubic graph
     through the dart construction, with the artefacts it was verified on:
     the labeling (dart graph and natural orientation), the lifted group
@@ -154,15 +150,19 @@ class DartForwardReport(JsonRecord):
 
     base_order: int
     dart_order: int
-    group_order: int = field(metadata=GROUP_ORDER)
-    lifted_order: int = field(metadata=GROUP_ORDER)
+    group_order: int
+    lifted_order: int
     radius: int
     attachment: int
     ell: int
-    checks: tuple = field(repr=False)
-    labeling: DartLabeling = field(repr=False)
-    lifted_group: PermGroup = field(repr=False)
-    decomposition: AltDecomposition = field(repr=False)
+    checks: tuple
+    labeling: DartLabeling
+    lifted_group: PermGroup
+    decomposition: AltDecomposition
+
+    _hidden = frozenset({"checks", "labeling", "lifted_group",
+                         "decomposition"})
+    _as_string = frozenset({"group_order", "lifted_order"})
 
 
 def verify_dart_forward(base: Graph, group: PermGroup,
@@ -225,15 +225,16 @@ def verify_dart_forward(base: Graph, group: PermGroup,
     )
 
 
-@dataclass
-class PsiReport(JsonRecord):
+class PsiReport(Record):
     """What psi_isomorphism certified; checks holds the (name, detail)
     pairs of its checks in the order it made them."""
 
     radius: int
     attachment: int
     alt_order: int
-    checks: tuple = field(repr=False)
+    checks: tuple
+
+    _hidden = frozenset({"checks"})
 
 
 def psi_isomorphism(g: Graph, d: Orientation, dec: AltDecomposition):

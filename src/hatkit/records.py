@@ -1,25 +1,58 @@
-"""The JSON form of flat report records."""
-
-from __future__ import annotations
-
-from dataclasses import fields
-
-# Field metadata of a group order: written as a string, because orders
-# outgrow the integers that JSON readers keep exact.
-GROUP_ORDER = {"as_string": True}
+"""Flat report records and their JSON form."""
 
 
-class JsonRecord:
-    """Mixin for a flat dataclass report.  to_json_dict writes its fields
-    in declaration order, skips repr=False fields (artefacts attached for
-    later stages) and writes GROUP_ORDER fields as strings."""
+class Record:
+    """Base of a flat report record.  Its fields are the annotations of
+    its classes, in declaration order (a base class's first), each given
+    to the constructor by keyword exactly once (TypeError otherwise).
+    Two records are equal when they are of the same class with equal
+    fields; records are unhashable.
+
+    A subclass names two sets of its fields: _hidden (artefacts attached
+    for later stages), left out of the repr and the JSON form, and
+    _as_string (group orders, which outgrow the integers that JSON
+    readers keep exact), written to JSON as strings."""
+
+    _fields = ()
+    _hidden = frozenset()
+    _as_string = frozenset()
+    __hash__ = None
+
+    def __init_subclass__(cls):
+        cls._fields += tuple(cls.__annotations__)
+        cls._field_set = frozenset(cls._fields)
+
+    def __init__(self, **values):
+        if values.keys() != self._field_set:
+            raise TypeError(f"{type(self).__name__} takes the fields "
+                            f"{self._fields}, not {tuple(values)}")
+        self.__dict__.update(values)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ([getattr(self, f) for f in self._fields]
+                == [getattr(other, f) for f in self._fields])
+
+    def __repr__(self):
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields
+                          if f not in self._hidden)
+        return f"{type(self).__qualname__}({shown})"
 
     def to_json_dict(self):
+        """The fields in declaration order, less the _hidden ones, with the
+        _as_string ones as strings."""
         out = {}
-        for f in fields(self):
-            if f.repr:
-                value = getattr(self, f.name)
-                if f.metadata.get("as_string"):
-                    value = str(value)
-                out[f.name] = value
+        for f in self._fields:
+            if f not in self._hidden:
+                value = getattr(self, f)
+                out[f] = str(value) if f in self._as_string else value
         return out
+
+
+def replace(record, **changes):
+    """A new record of record's class, with its fields and the given
+    changes.  It is built from the fields alone, so nothing record has
+    cached (such as AltDecomposition.cycle_graph) carries over."""
+    values = {f: getattr(record, f) for f in record._fields}
+    return type(record)(**values | changes)

@@ -309,9 +309,10 @@ def test_induced_alt_action_holt(holt):
 # alternating cycles, so that a wrong ell reaches the checks that read
 # the graph instead of failing alt_graph_regular when the graph is built.
 _FAULT_SETUP = (
-    "import dataclasses, sys\n"
+    "import sys\n"
+    "from hatkit import records\n"
     "def replace(dec, **changes):\n"
-    "    faulty = dataclasses.replace(dec, **changes)\n"
+    "    faulty = records.replace(dec, **changes)\n"
     "    faulty.cycle_graph = dec.cycle_graph\n"
     "    return faulty\n"
     "from hatkit.altcycles import (AltDecomposition, alt_graph,\n"
@@ -328,7 +329,9 @@ _FAULT_SETUP = (
     "dec = alternating_cycles(g, natural)\n"
     "triangle = from_edge_list(3, [(0, 1), (1, 2), (0, 2)])\n"
     "def by_hand(cycles):\n"
-    "    return AltDecomposition(cycles, 1, 2, 1, (), (), {})\n"
+    "    return AltDecomposition(cycles=cycles, radius=1, attachment=2,\n"
+    "        ell=1, attachment_sets=(), cycles_at_vertex=(),\n"
+    "        cycle_of_edge={})\n"
 )
 
 

@@ -1,7 +1,9 @@
 import hashlib
 import json
+import subprocess
+import sys
 from collections import Counter
-from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,11 +15,13 @@ from hatkit.census import (
     census_json_text,
     load_census,
 )
+import hatkit
 from hatkit import altcycles, autgroup, cli, covers, dartgraph, graphs, perms
 from hatkit.cli import main, analyze_graph
 from hatkit.graphs import is_connected, is_regular, relabel
 from hatkit.graph6 import parse_graph6, write_graph6
 from hatkit.perms import identity
+from hatkit.records import replace
 from hatkit.autgroup import automorphism_group, canonical_form
 
 from conftest import path_graph, run_optimized
@@ -174,6 +178,50 @@ def test_cli_verify_too_large_is_input_error(tmp_path, capsys, monkeypatch,
     captured = capsys.readouterr()
     assert "error: 4 vertices exceeds the 3 vertex bound" in captured.err
     assert "[FAIL]" not in captured.out
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_cli_verify_too_large_unsearched_graph_is_input_error(
+        tmp_path, capsys, monkeypatch, jobs):
+    """verify checks the vertex bound when it loads the census, before any
+    entry runs: a one-entry census holding the path P5, non-regular and
+    with no expected keys, so that no suite searches it, exits 2 with the
+    error line analyze gives for it, not PASS."""
+    monkeypatch.setattr(autgroup, "_MAX_VERTICES", 3)
+    autgroup._analysis.cache_clear()
+    census = {"entries": [{"name": "p5",
+                           "graph6": write_graph6(path_graph(5))}]}
+    path = tmp_path / "p5.json"
+    path.write_text(json.dumps(census), encoding="utf-8")
+    error = "error: 5 vertices exceeds the 3 vertex bound\n"
+    assert main(["analyze", "p5", "--census", str(path)]) == 2
+    assert capsys.readouterr().err == error
+    assert main(["verify", "all", "--census", str(path),
+                 "--jobs", jobs]) == 2
+    assert capsys.readouterr() == ("", error)
+
+
+def test_cli_import_leaves_pool_dataclasses_and_traceback_unloaded():
+    """Importing hatkit.cli loads none of dataclasses, inspect,
+    concurrent.futures, multiprocessing and traceback: only --jobs above
+    1 needs the process pool, and only an engine error a traceback.  The
+    modules a bare `python -I` already holds (its site may preload some)
+    are not counted.  No time is measured."""
+    src = str(Path(hatkit.__file__).resolve().parents[1])
+    show = "import sys; print(' '.join(sys.modules))"
+
+    def loaded(code):
+        done = subprocess.run([sys.executable, "-I", "-c", code + show],
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        return set(done.stdout.split())
+
+    bare = loaded("")
+    cli_modules = loaded(f"import sys; sys.path.insert(0, {src!r}); "
+                         "import hatkit.cli; ") - bare
+    assert "hatkit.cli" in cli_modules
+    assert not cli_modules & {"dataclasses", "inspect", "concurrent.futures",
+                              "multiprocessing", "traceback"}
 
 
 def test_cli_verify_empty_census_is_input_error(tmp_path, capsys):
@@ -550,7 +598,8 @@ def test_cli_verify_jobs_capped_at_entry_count(mini_census, tmp_path,
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialExecutor)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
+                        SerialExecutor)
     single = tmp_path / "single.json"
     single.write_text(json.dumps({"entries": MINI["entries"][:1]}),
                       encoding="utf-8")

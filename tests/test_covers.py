@@ -407,8 +407,8 @@ def test_cover_pipeline_dodecahedron():
 
 # Dart(Petersen), its alternating cycles and the lifted group.
 _DART_PETERSEN = (
-    "import dataclasses, sys\n"
-    "from hatkit import covers\n"
+    "import sys\n"
+    "from hatkit import covers, records\n"
     "from hatkit.altcycles import alternating_cycles\n"
     "from hatkit.autgroup import automorphism_group\n"
     "from hatkit.census import generalized_petersen\n"
@@ -461,7 +461,7 @@ def test_cover_pipeline_rejects_arc_intransitive_base_under_optimize():
 
 @pytest.mark.parametrize("fault, check, witness", [
     ("real = covers.split_certificate\n"
-     "covers.split_certificate = lambda *args: dataclasses.replace(\n"
+     "covers.split_certificate = lambda *args: records.replace(\n"
      "    real(*args), is_sectional=True)\n",
      "sectional_iff_bipartite", "sectional=True, bipartite=False"),
     ("real = covers.induced_action\n"

@@ -155,7 +155,8 @@ def test_lift_orientation_check_runs_under_optimize():
     orientation, a lifted generator moves an arc off it, and the check
     fails under python -O with the generator and the arc."""
     code = (
-        "import dataclasses, sys\n"
+        "import sys\n"
+        "from hatkit import records\n"
         "from hatkit.altcycles import Orientation\n"
         "from hatkit.autgroup import automorphism_group\n"
         "from hatkit.census import generalized_petersen\n"
@@ -167,7 +168,7 @@ def test_lift_orientation_check_runs_under_optimize():
         "flip = {(step[i], step[(i + 1) % 5]) for i in range(5)}\n"
         "mixed = Orientation(g, [(h, t) if (t, h) in flip else (t, h)\n"
         "                        for t, h in natural.arcs])\n"
-        "labeling = dataclasses.replace(labeling, orientation=mixed)\n"
+        "labeling = records.replace(labeling, orientation=mixed)\n"
         "try:\n"
         "    lift_automorphisms(petersen, automorphism_group(petersen),\n"
         "                       labeling)\n"
@@ -200,7 +201,8 @@ def test_dart_reversal_checks_run_under_optimize(check):
     edited to break one fact fails under python -O, naming that check
     and giving a witness."""
     code = (
-        "import dataclasses, sys\n"
+        "import sys\n"
+        "from hatkit import records\n"
         "from hatkit.altcycles import Orientation\n"
         "from hatkit.census import generalized_petersen\n"
         "from hatkit.dartgraph import dart_graph, dart_reversal\n"
@@ -211,7 +213,7 @@ def test_dart_reversal_checks_run_under_optimize(check):
         "flip = {(step[k], step[(k + 1) % 5]) for k in range(5)}\n"
         "mixed = Orientation(g, [(h, t) if (t, h) in flip else (t, h)\n"
         "                        for t, h in natural.arcs])\n"
-        f"labeling = dataclasses.replace(labeling, {_REVERSAL_FAULTS[check]})\n"
+        f"labeling = records.replace(labeling, {_REVERSAL_FAULTS[check]})\n"
         "try:\n"
         "    dart_reversal(labeling)\n"
         "except StructureViolation as exc:\n"
@@ -232,13 +234,14 @@ def test_verify_dart_forward_parameter_checks_run_under_optimize(
     alternating_cycles made to report another value, verify_dart_forward
     fails under python -O, naming the check with (radius, attachment)."""
     code = (
-        "import dataclasses, sys\n"
+        "import sys\n"
+        "from hatkit import records\n"
         "from hatkit import dartgraph\n"
         "from hatkit.autgroup import automorphism_group, transitivity_report\n"
         "from hatkit.census import generalized_petersen\n"
         "from hatkit.errors import StructureViolation\n"
         "real = dartgraph.alternating_cycles\n"
-        "dartgraph.alternating_cycles = lambda g, d: dataclasses.replace(\n"
+        "dartgraph.alternating_cycles = lambda g, d: records.replace(\n"
         f"    real(g, d), {field}={value})\n"
         "petersen = generalized_petersen(5, 2)\n"
         "group = automorphism_group(petersen)\n"
@@ -317,7 +320,8 @@ def test_verify_dart_forward_rejects_uninduced_natural_under_optimize():
     Dart(Petersen) with the darts of the outer 5-cycle reversed, and its
     reverse, the check fails under python -O and names itself."""
     code = (
-        "import dataclasses, sys\n"
+        "import sys\n"
+        "from hatkit import records\n"
         "from hatkit import dartgraph\n"
         "from hatkit.altcycles import Orientation\n"
         "from hatkit.autgroup import automorphism_group, transitivity_report\n"
@@ -330,7 +334,7 @@ def test_verify_dart_forward_rejects_uninduced_natural_under_optimize():
         "mixed = Orientation(g, [(h, t) if (t, h) in flip else (t, h)\n"
         "                        for t, h in natural.arcs])\n"
         "real = dartgraph.transitivity_report\n"
-        "dartgraph.transitivity_report = lambda group, x: dataclasses.replace(\n"
+        "dartgraph.transitivity_report = lambda group, x: records.replace(\n"
         "    real(group, x), arc_orbits=(mixed.arcs, mixed.reverse().arcs))\n"
         "group = automorphism_group(petersen)\n"
         "report = transitivity_report(group, petersen)\n"
