@@ -39,12 +39,11 @@ from .autgroup import (
 )
 from .altcycles import (
     AltDecomposition,
-    DivisibilityRecord,
     Orientation,
     alt_graph,
     alternating_cycles,
     antipodal_involution,
-    divisibility_report,
+    divisibility_checks,
     induced_alt_action,
     induced_orientation,
 )

@@ -18,7 +18,6 @@ from operator import getitem
 from .errors import (
     AntipodeMismatch,
     DegenerateWreath,
-    DivisibilityRuleViolation,
     NotConnected,
     NotHalfArcTransitive,
     NotInvariant,
@@ -26,6 +25,7 @@ from .errors import (
     OddAttachment,
     OrientationInvalid,
     StructureViolation,
+    check,
 )
 from .graphs import (Graph, check_edge_map, from_edge_list, is_connected,
                      is_regular)
@@ -366,49 +366,43 @@ def antipodal_involution(g: Graph, dec: AltDecomposition, group: PermGroup):
     return tau
 
 
-class DivisibilityRecord(Record):
-    """Divisibility facts relating the radius and the attachment number.
+def divisibility_checks(dec: AltDecomposition, passed, reversal=None):
+    """The paper's divisibility results for the (r, a) of dec, each a
+    named check appended to passed through errors.check.
 
-    The odd-radius rule: for a graph whose full automorphism group is
-    half-arc-transitive and whose radius is odd, the attachment number
-    divides the radius.  odd_radius_rule_applicable records whether the
-    analyzed action is the full group with odd radius; there a violation
-    raises DivisibilityRuleViolation (it would mean an engine bug).
+    a_divides_2r is Marušič's a | 2r.  The paper's theorem,
+    arc_transitive_if_a_twice_odd_not_dividing_r: if a ≡ 2 (mod 4) and
+    a ∤ r, the graph X is arc-transitive.  The caller passes reversal =
+    ((u, v), (x, y)), an arc of the orientation and its image under an
+    automorphism of X that reverses it, or nothing when the analysed
+    group is Aut(X), which is then half-arc-transitive; with the
+    hypothesis true and no reversal the check fails with (r, a) as its
+    witness, also under python -O.
+
+    Returns the open-question note, or None.  The paper asks whether
+    every example with a ∤ r is arc-transitive, so a note appears exactly
+    when Aut(X) is half-arc-transitive (no reversal) and a ∤ r; by the
+    theorem, 4 | a then.
+
+    Given a | 2r, two readings agree.  ell = 2r/a is odd exactly when
+    a ∤ r: if a | r, ell = 2(r/a) is even, and if ell = 2m, r = am.  And
+    "r odd and a ∤ r" is "a ≡ 2 (mod 4) and a ∤ r": an odd a that divides
+    2r divides r, so a = 2b with b | r, and b is odd when r is;
+    conversely, if b is odd and r even, the coprime 2 and b both divide
+    r, so a = 2b does.
     """
-
-    radius: int
-    attachment: int
-    a_divides_2r: bool
-    a_divides_r: bool
-    r_odd: bool
-    a_mod_4: int
-    odd_radius_rule_applicable: bool
-    odd_radius_rule_satisfied: bool
-
-
-def divisibility_report(dec: AltDecomposition,
-                        full_group: bool) -> DivisibilityRecord:
-    """Populate a DivisibilityRecord for one analyzed instance; full_group
-    says that the analyzed action is the full automorphism group of a
-    genuinely half-arc-transitive graph."""
     r, a = dec.radius, dec.attachment
-    applicable = full_group and r % 2 == 1
-    satisfied = (r % a == 0) if applicable else True
-    record = DivisibilityRecord(
-        radius=r,
-        attachment=a,
-        a_divides_2r=(2 * r) % a == 0,
-        a_divides_r=r % a == 0,
-        r_odd=r % 2 == 1,
-        a_mod_4=a % 4,
-        odd_radius_rule_applicable=applicable,
-        odd_radius_rule_satisfied=satisfied,
-    )
-    if not satisfied:
-        raise DivisibilityRuleViolation(
-            f"odd radius {r} with attachment {a} not dividing it on a "
-            "genuinely half-arc-transitive instance")
-    return record
+    witness = f"(r, a) = ({r}, {a})"
+    check(passed, "a_divides_2r", 2 * r % a == 0, witness)
+    if reversal is not None:
+        witness += (f", an automorphism maps arc {reversal[0]} to "
+                    f"{reversal[1]}")
+    check(passed, "arc_transitive_if_a_twice_odd_not_dividing_r",
+          reversal is not None or a % 4 != 2 or r % a == 0, witness)
+    if reversal is None and r % a:
+        return (f"open-question candidate: (r, a) = ({r}, {a}), a does not "
+                "divide r and Aut(X) is half-arc-transitive")
+    return None
 
 
 def cycle_images(group: PermGroup, dec: AltDecomposition):

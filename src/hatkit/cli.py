@@ -31,7 +31,7 @@ from .autgroup import (_check_vertex_bound, automorphism_group,
                        transitivity_report)
 from .altcycles import (
     alternating_cycles,
-    divisibility_report,
+    divisibility_checks,
     half_arc_orientation,
     induced_alt_action,
 )
@@ -74,9 +74,22 @@ class _EntryAnalysis:
     def report(self):
         return transitivity_report(self.group, self.g)
 
+    @cached_property
+    def connected(self):
+        return is_connected(self.g)
+
     @property
     def dart_applicable(self):
-        return self.valence == 3 and self.report.two_arc_transitive
+        return (self.valence == 3 and self.connected
+                and self.report.two_arc_transitive)
+
+    @property
+    def half_arc_transitive(self):
+        """Whether g is connected and tetravalent with Aut(g)
+        half-arc-transitive: the graphs whose alternating cycles analyze
+        and the divisibility suite read."""
+        return (self.valence == 4 and self.connected
+                and self.report.half_arc_transitive)
 
     @cached_property
     def forward(self):
@@ -90,21 +103,6 @@ class _EntryAnalysis:
         return alternating_cycles(self.g, d)
 
 
-def _open_question_notes(dec):
-    """The induced action on the alternating cycles is arc-transitive
-    exactly when ell is odd; record when the radius-divides-attachment
-    reading would predict otherwise."""
-    parity_reading = dec.ell % 2 == 1
-    divides_reading = dec.attachment % dec.radius != 0
-    notes = []
-    if parity_reading != divides_reading:
-        notes.append(
-            f"readings disagree for (r, a) = ({dec.radius}, {dec.attachment}): "
-            f"ell-parity predicts arc-transitive={parity_reading}, "
-            f"radius-divides-attachment predicts {divides_reading}")
-    return notes
-
-
 def analyze_graph(name, g):
     """Structure, symmetry and (when applicable) alternating-cycle report
     for one graph."""
@@ -114,7 +112,7 @@ def analyze_graph(name, g):
         "graph6": write_graph6(g),
         "order": g.n,
         "size": g.m,
-        "connected": is_connected(g),
+        "connected": analysis.connected,
         "regular_valence": analysis.valence,
         "bipartite": is_bipartite(g) is not None,
         "aut_order": str(analysis.group.order),
@@ -125,19 +123,17 @@ def analyze_graph(name, g):
     if analysis.valence == 3:
         record["cubic_two_arc_transitive"] = report.two_arc_transitive
     record["alternating"] = None
-    if (record["connected"] and analysis.valence == 4
-            and report.half_arc_transitive):
+    if analysis.half_arc_transitive:
         dec = analysis.half_arc_cycles
-        divis = divisibility_report(dec, full_group=True)
+        note = divisibility_checks(dec, [])
         alt = {
             "radius": dec.radius,
             "attachment": dec.attachment,
             "ell": dec.ell,
             "cycle_count": len(dec.cycles),
             "tightly_attached": dec.tightly_attached,
-            "divisibility": divis.to_json_dict(),
             "alt_action_arc_transitive": None,
-            "open_question_notes": _open_question_notes(dec),
+            "open_question_notes": [note] if note else [],
         }
         if len(dec.cycles) >= 3:
             _, arc_t = induced_alt_action(analysis.group, dec)
@@ -150,10 +146,11 @@ def _check(checks, name, ok, detail=""):
     checks.append({"check": name, "passed": bool(ok), "detail": detail})
 
 
-def _engine_checks(checks, record):
-    """The checks an engine record passed, in the order it made them."""
+def _engine_checks(checks, passed):
+    """The (name, witness) pairs of the checks an engine stage passed, in
+    the order it made them."""
     checks.extend({"check": name, "passed": True, "detail": detail}
-                  for name, detail in record.checks)
+                  for name, detail in passed)
 
 
 def _expected_checks(analysis, expected, checks):
@@ -185,17 +182,12 @@ def _dart_suite(analysis, checks, strict):
                "skipped: not a 2-arc-transitive cubic graph")
         return
     forward = analysis.forward
-    _engine_checks(checks, forward)
+    _engine_checks(checks, forward.checks)
     # verify_dart_forward certified the natural orientation as induced
     _, psi_report = psi_isomorphism(forward.labeling.graph,
                                     forward.labeling.orientation,
                                     forward.decomposition)
-    _engine_checks(checks, psi_report)
-    if strict:
-        # reversing the orientation keeps the alternating cycles, so the
-        # natural orientation's decomposition is the induced one's
-        notes = _open_question_notes(forward.decomposition)
-        _check(checks, "dart:open_questions", not notes, "; ".join(notes))
+    _engine_checks(checks, psi_report.checks)
 
 
 def _cover_suite(analysis, checks, strict):
@@ -225,41 +217,34 @@ def _cover_suite(analysis, checks, strict):
     rep = cover_pipeline(dart, dec, lifted)
     _check(checks, "cover:split", rep.split,
            f"|G~| = {rep.lifted_order} = 2 x {rep.group_order}")
-    _engine_checks(checks, rep)
+    _engine_checks(checks, rep.checks)
 
 
 def _divisibility_suite(analysis, checks, strict):
     if analysis.dart_applicable:
         forward = analysis.forward
         dec = forward.decomposition
-        rec = divisibility_report(dec, full_group=False)
-        _check(checks, "div:a_divides_2r", rec.a_divides_2r,
-               f"(r, a) = ({rec.radius}, {rec.attachment})")
         # verify_dart_forward certified the lift's arc orbits as the natural
         # orientation and its reverse, and dart_reversal that tau is an
-        # automorphism; so <lift, tau> joins them into one arc orbit exactly
-        # when tau maps some natural arc to a reversed arc
+        # automorphism; so tau proves Dart(g) arc-transitive exactly when
+        # it maps some natural arc to a reversed arc
         natural = forward.labeling.orientation
         tau = dart_reversal(forward.labeling)
-        _check(checks, "div:full_group_not_hat",
-               any(natural.is_head(tau[t], tau[h]) for t, h in natural.arcs),
-               "dart reversal extends the lift to an arc-transitive group")
-    elif analysis.valence == 4 and analysis.report.half_arc_transitive:
-        dec = analysis.half_arc_cycles
-        rec = divisibility_report(dec, full_group=True)
-        _check(checks, "div:a_divides_2r", rec.a_divides_2r,
-               f"(r, a) = ({rec.radius}, {rec.attachment})")
-        _check(checks, "div:odd_radius_rule",
-               not rec.odd_radius_rule_applicable or rec.a_divides_r,
-               f"applicable={rec.odd_radius_rule_applicable}, "
-               f"a|r={rec.a_divides_r}")
+        reversal = next((((t, h), (tau[t], tau[h])) for t, h in natural.arcs
+                         if natural.is_head(tau[t], tau[h])), None)
+    elif analysis.half_arc_transitive:
+        dec, reversal = analysis.half_arc_cycles, None
     else:
         _check(checks, "div:applicable", True,
                "skipped: no analyzed half-arc-transitive structure")
         return
-    if strict:
-        notes = _open_question_notes(dec)
-        _check(checks, "div:open_questions", not notes, "; ".join(notes))
+    passed = []
+    note = divisibility_checks(dec, passed, reversal)
+    _engine_checks(checks, passed)
+    if reversal is None:
+        # the analysed group is Aut(g), so the note names a candidate
+        _check(checks, "div:open_questions", not (strict and note),
+               note or "")
 
 
 _SUITE_RUNNERS = {"dart-theorem": _dart_suite,
@@ -465,7 +450,8 @@ def _build_parser():
     p_verify.add_argument("--jobs", type=_job_count, default=1,
                           help="process entries in parallel")
     p_verify.add_argument("--strict", action="store_true",
-                          help="treat open-question discrepancies as failures")
+                          help="fail open-question candidates: a half-arc-"
+                               "transitive Aut(X) with a not dividing r")
     p_verify.set_defaults(func=_cmd_verify)
     return parser
 

@@ -272,7 +272,8 @@ def cover_pipeline(total: Graph, dec: AltDecomposition,
     - the cover is sectional exactly when total is bipartite
       (StructureViolation naming sectional_iff_bipartite otherwise),
     - the kernel of the action on the fibres is exactly <tau>
-      (fibre_action_kernel_tau, with both orders),
+      (fibre_action_kernel_tau, with the orders of the fibre action, the
+      group and the lifted group),
     - the projected group acts faithfully and arc-transitively on the
       base (StructureViolation naming projected_arc_transitive otherwise),
     - the base has girth 3, as alternating 6-cycles project to triangles
@@ -324,9 +325,8 @@ def cover_pipeline(total: Graph, dec: AltDecomposition,
     projected, faithful = induced_action(group, fibres,
                                          order_bound=group.order)
     check(checks, "fibre_action_kernel_tau", faithful,
-          f"the action on the fibres has order {projected.order} "
-          f"(faithful={projected.order == cert.lifted_order}), the lifted "
-          f"group {cert.lifted_order}")
+          f"the action on the fibres has order {projected.order}, the "
+          f"group {group.order}, the lifted group {cert.lifted_order}")
     _, base_arc_orbits, _ = _arc_action(projected, cover.base)
     check(checks, "projected_arc_transitive", len(base_arc_orbits) <= 1,
           f"the projected group has {len(base_arc_orbits)} arc orbits on "

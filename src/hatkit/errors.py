@@ -124,12 +124,6 @@ class AntipodeMismatch(HatError):
     """The two antipodes of some vertex disagree across its two cycles."""
 
 
-class DivisibilityRuleViolation(HatError):
-    """A genuinely half-arc-transitive graph with odd radius whose
-    attachment number does not divide the radius.  Unreachable for correct
-    input; raised so an engine bug cannot slip through silently."""
-
-
 # constructions
 
 class NotCubic(HatError):

@@ -86,3 +86,27 @@ def coxeter():
 @pytest.fixture(scope="session")
 def holt():
     return holt_graph()
+
+
+@pytest.fixture()
+def serial_pool(monkeypatch):
+    """Replace the process pool with an executor that maps serially in
+    this process; returns the list of max_workers each pool asked for."""
+    asked = []
+
+    class SerialExecutor:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
+                        SerialExecutor)
+    return asked

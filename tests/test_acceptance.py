@@ -31,11 +31,12 @@ from hatkit.altcycles import (
     alt_graph,
     alternating_cycles,
     antipodal_involution,
-    divisibility_report,
+    divisibility_checks,
     induced_orientation,
 )
 from hatkit.dartgraph import (
     dart_graph,
+    dart_reversal,
     lift_automorphisms,
     psi_isomorphism,
     verify_dart_forward,
@@ -197,30 +198,39 @@ def test_criterion_5_boundary_cases(pipeline):
 
 
 def test_criterion_6_divisibility(pipeline):
-    """Every analyzed instance satisfies a | 2r; every full-group
-    half-arc-transitive instance with odd radius satisfies a | r, with the
-    order-27 entry exercising that branch."""
+    """Every analyzed instance passes a | 2r and the theorem: a dart graph
+    with the dart reversal's image of a natural arc as proof that X is
+    arc-transitive, and the full-group half-arc-transitive instance with
+    none, where odd radius and, as the theorem's corollary, an attachment
+    number not divisible by 4 both give a | r; the order-27 entry
+    exercises that branch.  No instance is an open-question candidate."""
+    names = ["a_divides_2r", "arc_transitive_if_a_twice_odd_not_dividing_r"]
     analyzed = 0
     odd_radius_full_group = 0
     for name, item in sorted(pipeline.items.items()):
         if item.dart is not None:
-            rec = divisibility_report(item.dart.dec, full_group=False)
-            assert rec.a_divides_2r, name
+            natural = item.dart.natural
+            tau = dart_reversal(item.dart.labeling)
+            t, h = next((t, h) for t, h in natural.arcs
+                        if natural.is_head(tau[t], tau[h]))
+            passed = []
+            assert divisibility_checks(item.dart.dec, passed,
+                                       ((t, h), (tau[t], tau[h]))) is None
+            assert [check for check, _ in passed] == names, name
             analyzed += 1
         if getattr(item, "hat_dec", None) is not None:
-            rec = divisibility_report(item.hat_dec, full_group=True)
-            assert rec.a_divides_2r, name
-            if rec.odd_radius_rule_applicable:
+            dec = item.hat_dec
+            passed = []
+            assert divisibility_checks(dec, passed) is None, name
+            assert [check for check, _ in passed] == names, name
+            if dec.radius % 2:
                 odd_radius_full_group += 1
-                assert rec.a_divides_r, name
-            if rec.a_mod_4 != 0:
-                # corollary: attachment not divisible by 4 divides the radius
-                assert rec.a_divides_r, name
+                assert dec.radius % dec.attachment == 0, name
+            if dec.attachment % 4:
+                assert dec.radius % dec.attachment == 0, name
             analyzed += 1
-    holt_rec = divisibility_report(pipeline.items["holt"].hat_dec,
-                                   full_group=True)
-    assert holt_rec.r_odd and holt_rec.odd_radius_rule_applicable
-    assert holt_rec.a_divides_r
+    holt = pipeline.items["holt"].hat_dec
+    assert holt.radius % 2 and holt.radius % holt.attachment == 0
     assert analyzed == len(REQUIRED_CUBIC) + 1
     assert odd_radius_full_group >= 1
     _passline(f"criterion-6 divisibility ({analyzed} instances, "

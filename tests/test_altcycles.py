@@ -2,7 +2,6 @@ import pytest
 
 from hatkit.errors import (
     DegenerateWreath,
-    DivisibilityRuleViolation,
     HatError,
     NotConnected,
     NotHalfArcTransitive,
@@ -15,11 +14,12 @@ from hatkit.graphs import from_edge_list, is_connected, is_regular, line_graph
 from hatkit.perms import compose, identity, schreier_sims
 from hatkit.autgroup import automorphism_group, is_isomorphic
 from hatkit.altcycles import (
+    AltDecomposition,
     Orientation,
     alt_graph,
     alternating_cycles,
     antipodal_involution,
-    divisibility_report,
+    divisibility_checks,
     induced_alt_action,
     induced_orientation,
 )
@@ -258,6 +258,9 @@ def test_antipodal_odd_attachment(holt):
         antipodal_involution(holt, dec, group)
 
 
+THEOREM = "arc_transitive_if_a_twice_odd_not_dividing_r"
+
+
 def test_holt_alternating_parameters(holt):
     group = automorphism_group(holt)
     d, _ = induced_orientation(group, holt)
@@ -265,22 +268,76 @@ def test_holt_alternating_parameters(holt):
     assert (dec.radius, dec.attachment, dec.ell) == (9, 9, 2)
     assert dec.tightly_attached     # a = r (Marušič 1998)
     assert len(dec.cycles) == 3
-    record = divisibility_report(dec, full_group=True)
-    assert record.r_odd and record.a_divides_r and record.a_divides_2r
-    assert record.odd_radius_rule_applicable and record.odd_radius_rule_satisfied
+    # Aut(Holt) is half-arc-transitive and a = 9 divides r = 9: both
+    # checks pass with no reversal and no open-question note
+    passed = []
+    assert divisibility_checks(dec, passed) is None
+    assert passed == [("a_divides_2r", "(r, a) = (9, 9)"),
+                      (THEOREM, "(r, a) = (9, 9)")]
 
 
 def test_divisibility_dart_case(k4):
-    g, natural, _, lifted = dart_with_lift(k4)
+    """Dart(K4) has (r, a) = (3, 2), so the theorem's hypothesis holds:
+    the dart reversal's image of a natural arc proves it, and claiming
+    that the lift is Aut(X), by passing no reversal, fails the theorem
+    with (r, a) as witness."""
+    g, natural, labeling, lifted = dart_with_lift(k4)
     dec = alternating_cycles(g, natural)
-    record = divisibility_report(dec, full_group=False)
-    assert record.a_divides_2r and not record.a_divides_r
-    assert record.r_odd and record.a_mod_4 == 2
-    assert not record.odd_radius_rule_applicable
-    # lying about the hypotheses trips the hard guard: r=3 odd, a=2 does
-    # not divide it
-    with pytest.raises(DivisibilityRuleViolation):
-        divisibility_report(dec, full_group=True)
+    assert 2 * dec.radius % dec.attachment == 0
+    assert dec.radius % dec.attachment and dec.attachment % 4 == 2
+    tau = dart_reversal(labeling)
+    t, h = next((t, h) for t, h in natural.arcs
+                if natural.is_head(tau[t], tau[h]))
+    passed = []
+    reversal = ((t, h), (tau[t], tau[h]))
+    assert divisibility_checks(dec, passed, reversal) is None
+    assert passed == [
+        ("a_divides_2r", "(r, a) = (3, 2)"),
+        (THEOREM, f"(r, a) = (3, 2), an automorphism maps arc {(t, h)} to "
+                  f"{(tau[t], tau[h])}")]
+    with pytest.raises(StructureViolation) as info:
+        divisibility_checks(dec, [])
+    assert (info.value.check, info.value.witness) == (THEOREM,
+                                                      "(r, a) = (3, 2)")
+
+
+def by_keyword(r, a):
+    """A decomposition with radius r and attachment a and no cycles; the
+    divisibility checks read only r and a."""
+    return AltDecomposition(cycles=(), radius=r, attachment=a,
+                            ell=2 * r // a, attachment_sets=(),
+                            cycles_at_vertex=(), cycle_of_edge={})
+
+
+def test_divisibility_checks_sweep():
+    """Every (r, a) with a | 2r and r <= 40.  With a reversal both checks
+    pass and no note appears.  Without one, the analysed group being
+    Aut(X), the theorem fails, naming (r, a), exactly when a = 2 (mod 4)
+    and a does not divide r; otherwise the note appears exactly when a
+    does not divide r, and then 4 divides a.  The two equivalences the
+    docstring proves hold on every pair."""
+    for r in range(1, 41):
+        for a in (a for a in range(1, 2 * r + 1) if 2 * r % a == 0):
+            dec, witness = by_keyword(r, a), f"(r, a) = ({r}, {a})"
+            assert (dec.ell % 2 == 1) == (r % a != 0)
+            assert ((r % 2 == 1 and r % a != 0)
+                    == (a % 4 == 2 and r % a != 0))
+            passed = []
+            assert divisibility_checks(dec, passed, ((0, 1), (1, 0))) is None
+            assert [name for name, _ in passed] == ["a_divides_2r", THEOREM]
+            passed = []
+            if a % 4 == 2 and r % a:
+                with pytest.raises(StructureViolation) as info:
+                    divisibility_checks(dec, passed)
+                assert (info.value.check, info.value.witness) == (THEOREM,
+                                                                  witness)
+                assert passed == [("a_divides_2r", witness)]
+                continue
+            note = divisibility_checks(dec, passed)
+            assert passed == [("a_divides_2r", witness), (THEOREM, witness)]
+            assert (note is not None) == (r % a != 0), (r, a)
+            if note is not None:
+                assert witness in note and a % 4 == 0
 
 
 def test_induced_alt_action_dart_k4(k4):
@@ -316,7 +373,8 @@ _FAULT_SETUP = (
     "    faulty.cycle_graph = dec.cycle_graph\n"
     "    return faulty\n"
     "from hatkit.altcycles import (AltDecomposition, alt_graph,\n"
-    "    alternating_cycles, antipodal_involution, induced_alt_action)\n"
+    "    alternating_cycles, antipodal_involution, divisibility_checks,\n"
+    "    induced_alt_action)\n"
     "from hatkit.autgroup import automorphism_group\n"
     "from hatkit.census import complete_graph\n"
     "from hatkit.dartgraph import dart_graph, lift_automorphisms\n"
@@ -362,6 +420,8 @@ _FAULT_SETUP = (
     ("induced_alt_action(lifted, replace(dec, ell=4))",
      "alt_action_arc_transitive_iff_ell_odd",
      "ell = 4 is even but the action on the cycles is arc-transitive"),
+    ("divisibility_checks(dec, [])",
+     "arc_transitive_if_a_twice_odd_not_dividing_r", "(r, a) = (3, 2)"),
 ])
 def test_altcycles_checks_run_under_optimize(fault, check, witness):
     """Each alternating-cycle invariant is a raise, not an assert: a fault
@@ -426,8 +486,11 @@ def test_wreath_group_is_half_arc_transitive_radius_two():
     assert forward in (d, d_rev)
     dec = alternating_cycles(g, forward)
     assert (dec.radius, dec.attachment, dec.ell) == (2, 2, 2)
-    record = divisibility_report(dec, full_group=False)
-    assert record.a_divides_2r and record.a_divides_r and not record.r_odd
+    # a = 2 divides r = 2, so the theorem holds with no reversal given
+    passed = []
+    assert divisibility_checks(dec, passed) is None
+    assert passed == [("a_divides_2r", "(r, a) = (2, 2)"),
+                      (THEOREM, "(r, a) = (2, 2)")]
 
 
 def test_wreath_group_induced_alt_action_not_arc_transitive():

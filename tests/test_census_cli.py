@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import subprocess
@@ -104,8 +105,7 @@ def test_analyze_graph_holt(holt):
     alt = record["alternating"]
     assert alt["radius"] == 9 and alt["attachment"] == 9
     assert alt["tightly_attached"] is True
-    assert alt["divisibility"]["odd_radius_rule_applicable"]
-    assert alt["divisibility"]["odd_radius_rule_satisfied"]
+    assert "divisibility" not in alt
     assert alt["alt_action_arc_transitive"] is False
     assert alt["open_question_notes"] == []
 
@@ -264,7 +264,7 @@ def test_cli_verify_plain_graph6_census(tmp_path, capsys):
     path.write_text("C~\n", encoding="ascii")
     assert main(["verify", "divisibility", "--census", str(path)]) == 0
     out = capsys.readouterr().out
-    assert "[PASS] line1: div:a_divides_2r" in out
+    assert "[PASS] line1: a_divides_2r" in out
 
 
 def test_cli_dart_petersen(capsys):
@@ -385,7 +385,7 @@ def test_cli_dart_rejects_input_before_search(tmp_path, capsys, monkeypatch,
 # elapsed_seconds fields removed: a change to any check, detail or verdict
 # of any entry changes it.
 BUILTIN_STRICT_REPORT_SHA256 = (
-    "7da0d79f28654c9f476fdba0ed8979b9adbcccd20a827b7871a35bad6e17ea95")
+    "a14bd1372d2686eb0ae83eae28757445a78c8a215a427833ecc557e7230b7e2d")
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -578,28 +578,12 @@ def test_cli_verify_parallel_jobs(mini_census, capsys):
 
 
 def test_cli_verify_jobs_capped_at_entry_count(mini_census, tmp_path,
-                                              capsys, monkeypatch):
+                                              capsys, serial_pool):
     """A fork-started pool launches all of its workers at once, so verify
     asks for at most one worker per entry, and for no pool when one
     worker would do.  A fake executor records max_workers and maps
     serially; the reports equal the --jobs 1 reports."""
-    asked = []
-
-    class SerialExecutor:
-        def __init__(self, max_workers):
-            asked.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
-                        SerialExecutor)
+    asked = serial_pool
     single = tmp_path / "single.json"
     single.write_text(json.dumps({"entries": MINI["entries"][:1]}),
                       encoding="utf-8")
@@ -616,39 +600,103 @@ def test_cli_verify_jobs_capped_at_entry_count(mini_census, tmp_path,
     assert reports[str(single), "8"] == reports[str(single), "1"]
 
 
-def test_cli_verify_strict_mode(mini_census, capsys):
-    assert main(["verify", "divisibility", "--census", mini_census,
+def test_cli_verify_strict_mode(tmp_path, capsys):
+    """Under --strict, div:open_questions is made only on entries whose
+    analysed group is Aut(X): Holt's, with a = r and so no note, passes
+    it, and K4's dart entry, whose dart reversal makes Aut(X)
+    arc-transitive, has no such check."""
+    census = {"entries": [e.to_json_dict() for e in builtin_entries()
+                          if e.name in ("k4", "holt")]}
+    path = tmp_path / "census.json"
+    path.write_text(json.dumps(census), encoding="utf-8")
+    assert main(["verify", "divisibility", "--census", str(path),
                  "--strict"]) == 0
     out = capsys.readouterr().out
-    assert "div:open_questions" in out
+    assert "[PASS] holt: div:open_questions\n" in out
+    assert "k4: div:open_questions" not in out
+    assert "[PASS] k4: arc_transitive_if_a_twice_odd_not_dividing_r" in out
+
+
+THEOREM = "arc_transitive_if_a_twice_odd_not_dividing_r"
 
 
 def test_divisibility_full_group_check_reads_certified_orbits(monkeypatch):
-    """div:full_group_not_hat reads the verdict from tau on the natural
-    arcs and agrees with sweeping every arc under <lift, tau>: it passes
-    with the dart reversal, and an identity tau, which keeps the natural
-    orientation apart from its reverse, still fails it."""
+    """The theorem check on a dart entry is proved by tau's image of a
+    natural arc it reverses, and agrees with sweeping every arc
+    under <lift, tau>: it passes with the dart reversal, and an identity
+    tau, which keeps the natural orientation apart from its reverse,
+    fails it with (r, a) as witness."""
     petersen = next(e for e in builtin_entries() if e.name == "petersen")
-    analysis = cli._EntryAnalysis(petersen.graph())
-    forward = analysis.forward
+    forward = cli._EntryAnalysis(petersen.graph()).forward
+    natural = forward.labeling.orientation
     for tau_of, passed in ((cli.dart_reversal, True),
                            (lambda labeling: identity(labeling.graph.n),
                             False)):
         monkeypatch.setattr(cli, "dart_reversal", tau_of)
-        checks = []
-        cli._divisibility_suite(analysis, checks, False)
-        check = next(c for c in checks
-                     if c["check"] == "div:full_group_not_hat")
-        assert check == {
-            "check": "div:full_group_not_hat", "passed": passed,
-            "detail": "dart reversal extends the lift to an arc-transitive "
-                      "group"}
-        gens = list(forward.lifted_group.generators) + [
-            tau_of(forward.labeling)]
-        swept = autgroup.arc_orbits(gens, forward.labeling.graph)
-        assert (len(swept) <= 1) == passed
+        tau = tau_of(forward.labeling)
         result = cli._verify_entry((petersen, ("divisibility",), False))
         assert result["passed"] == passed and result["error"] is None
+        check = next(c for c in result["checks"] if c["check"] == THEOREM)
+        assert check["passed"] == passed
+        if passed:
+            prefix = "(r, a) = (3, 2), an automorphism maps arc "
+            assert check["detail"].startswith(prefix)
+            arc, image = check["detail"][len(prefix):].split(" to ")
+            t, h = ast.literal_eval(arc)
+            assert (t, h) in natural.arcs
+            assert ast.literal_eval(image) == (tau[t], tau[h])
+            assert natural.is_head(tau[t], tau[h])
+        else:
+            assert check["detail"] == "(r, a) = (3, 2)"
+            assert not any(natural.is_head(tau[t], tau[h])
+                           for t, h in natural.arcs)
+        gens = list(forward.lifted_group.generators) + [tau]
+        swept = autgroup.arc_orbits(gens, forward.labeling.graph)
+        assert (len(swept) <= 1) == passed
+
+
+@pytest.mark.parametrize("r, a, strict_passes", [
+    (3, 1, True), (4, 2, True), (6, 3, True), (6, 4, False)])
+def test_strict_fails_exactly_the_open_question_candidates(
+        monkeypatch, r, a, strict_passes):
+    """With Holt's alternating cycles replaced by a decomposition of the
+    given (r, a), built by keyword, the divisibility suite passes
+    --strict when a divides r, loosely attached (3, 1) and even a among
+    them, and fails it on (6, 4), a not dividing r with 4 | a, naming
+    the candidate; without --strict the candidate passes with its note
+    as detail."""
+    dec = altcycles.AltDecomposition(
+        cycles=(), radius=r, attachment=a, ell=2 * r // a,
+        attachment_sets=(), cycles_at_vertex=(), cycle_of_edge={})
+    monkeypatch.setattr(cli._EntryAnalysis, "half_arc_cycles", dec)
+    holt = next(e for e in builtin_entries() if e.name == "holt")
+    for strict in (True, False):
+        result = cli._verify_entry((holt, ("divisibility",), strict))
+        assert result["error"] is None
+        assert result["passed"] == (strict_passes or not strict)
+        names = [c["check"] for c in result["checks"]][-3:]
+        assert names == ["a_divides_2r", THEOREM, "div:open_questions"]
+        detail = result["checks"][-1]["detail"]
+        assert (f"(r, a) = ({r}, {a})" in detail) == (not strict_passes)
+
+
+@pytest.mark.parametrize("copies", ["k4", "holt"])
+def test_verify_skips_disconnected_inputs(tmp_path, capsys, copies):
+    """Two disjoint copies of K4, or of the Holt graph (whose Aut is
+    half-arc-transitive), verify with exit 0: every suite prints its
+    applicability skip line, and analyze reports no alternating
+    structure, as for any disconnected graph."""
+    g = next(e for e in builtin_entries() if e.name == copies).graph()
+    twice = graphs.from_edge_list(
+        2 * g.n, list(g.edges) + [(u + g.n, v + g.n) for u, v in g.edges])
+    path = tmp_path / "twice.g6"
+    path.write_text(write_graph6(twice) + "\n", encoding="ascii")
+    assert main(["verify", "all", "--census", str(path)]) == 0
+    out = capsys.readouterr().out
+    for check in ("dart:applicable", "cover:applicable", "div:applicable"):
+        assert f"[PASS] line1: {check}  (skipped: " in out
+    record = analyze_graph("twice", twice)
+    assert record["connected"] is False and record["alternating"] is None
 
 
 def test_engine_error_names_suite_and_last_check(monkeypatch, tmp_path,
@@ -801,8 +849,7 @@ _DART_CHECKS = [
     "dart_half_arc_transitive", "natural_orientation_induced",
     "dart_radius_3", "dart_attachment_2", "alt_reconstructs_base",
     "psi_unique_head", "psi_bijective", "psi_preserves_adjacency",
-    "psi_orientation_compatible", "dart:open_questions",
-    "cover:dart_covers_line_graph"]
+    "psi_orientation_compatible", "cover:dart_covers_line_graph"]
 _COVER_CHECKS = [
     "cover:split", "sectional_iff_bipartite", "fibre_action_kernel_tau",
     "projected_arc_transitive", "base_girth_3", "base_is_line_graph"]
@@ -810,8 +857,7 @@ _CUBIC_EXPECTED = [
     "expected:aut_order", "expected:bipartite", "expected:girth",
     "expected:two_arc_transitive", "expected:valence", "expected:vertices",
     "expected:orbit_sizes_divide_order"]
-_DIV_DART = ["div:a_divides_2r", "div:full_group_not_hat",
-             "div:open_questions"]
+_DIV_DART = ["a_divides_2r", "arc_transitive_if_a_twice_odd_not_dividing_r"]
 
 
 def test_builtin_report_check_names_pinned(tmp_path, capsys):
@@ -833,8 +879,9 @@ def test_builtin_report_check_names_pinned(tmp_path, capsys):
             "expected:aut_order", "expected:bipartite",
             "expected:half_arc_transitive", "expected:valence",
             "expected:vertices", "expected:orbit_sizes_divide_order",
-            "dart:applicable", "cover:applicable", "div:a_divides_2r",
-            "div:odd_radius_rule", "div:open_questions"],
+            "dart:applicable", "cover:applicable", "a_divides_2r",
+            "arc_transitive_if_a_twice_odd_not_dividing_r",
+            "div:open_questions"],
     }
 
 

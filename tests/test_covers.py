@@ -468,7 +468,7 @@ def test_cover_pipeline_rejects_arc_intransitive_base_under_optimize():
      "covers.induced_action = lambda group, blocks, order_bound: (\n"
      "    real(group, blocks, order_bound=order_bound)[0], False)\n",
      "fibre_action_kernel_tau",
-     "order 120 (faithful=False), the lifted group 240"),
+     "order 120, the group 120, the lifted group 240"),
     ("covers.girth = lambda x: 4\n",
      "base_girth_3", "girth 4"),
 ])

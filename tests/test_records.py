@@ -5,9 +5,8 @@ import pickle
 
 import pytest
 
-from hatkit.altcycles import (AltDecomposition, DivisibilityRecord,
-                              alternating_cycles, antipodal_involution,
-                              divisibility_report, half_arc_orientation)
+from hatkit.altcycles import (AltDecomposition, alternating_cycles,
+                              antipodal_involution, half_arc_orientation)
 from hatkit.autgroup import (TransitivityReport, automorphism_group,
                              transitivity_report)
 from hatkit.census import CensusEntry, builtin_entries, complete_graph
@@ -25,10 +24,6 @@ JSON_KEYS = {
     TransitivityReport: (
         ("vertex_transitive", "edge_transitive", "arc_transitive",
          "two_arc_transitive", "half_arc_transitive", "arc_orbit_count"), ()),
-    DivisibilityRecord: (
-        ("radius", "attachment", "a_divides_2r", "a_divides_r", "r_odd",
-         "a_mod_4", "odd_radius_rule_applicable",
-         "odd_radius_rule_satisfied"), ()),
     DartForwardReport: (
         ("base_order", "dart_order", "group_order", "lifted_order", "radius",
          "attachment", "ell"), ("group_order", "lifted_order")),
@@ -39,8 +34,7 @@ JSON_KEYS = {
          "projected_order"),
         ("group_order", "lifted_order", "projected_order")),
 }
-RECORD_CLASSES = {AltDecomposition, DivisibilityRecord, TransitivityReport,
-                  CensusEntry, CoveringMap, SplitCertificate, CoverReport,
+RECORD_CLASSES = {AltDecomposition, TransitivityReport, CensusEntry, CoveringMap, SplitCertificate, CoverReport,
                   DartLabeling, DartForwardReport, PsiReport}
 HIDDEN = {
     TransitivityReport: {"arc_orbits"},
@@ -70,10 +64,6 @@ def builtin_records():
             if labeling.graph.n > 12:
                 found.setdefault(CoverReport, []).append(cover_pipeline(
                     labeling.graph, dec, forward.lifted_group))
-        elif analysis.valence == 4:
-            found.setdefault(DivisibilityRecord, []).append(
-                divisibility_report(analysis.half_arc_cycles,
-                                    full_group=True))
     return found
 
 
