@@ -23,7 +23,6 @@ from .perms import (
     compose,
     from_cycles,
     identity,
-    induced_action,
     inverse,
     schreier_sims,
 )

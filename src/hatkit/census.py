@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from itertools import combinations
 
-from .errors import MalformedCensus, MalformedGraph6
+from .errors import MalformedCensus, MalformedGraph6, WrongParameters
 from .graphs import Graph, from_edge_list
 from .graph6 import load_graph6_file, parse_graph6, write_graph6
 from .records import Record
@@ -94,6 +94,50 @@ class CensusEntry(Record):
 
     def graph(self) -> Graph:
         return self.parsed
+
+
+def pgl2_graph(p) -> Graph:
+    """The cubic graph of PGL(2, p) for a prime p = 3 (mod 4): the
+    3-subsets of the projective line PG(1, p), {a, b, c} adjacent to
+    {a, b, c'} for c' the harmonic conjugate of c with respect to a and
+    b.  With [x, y] the 2x2 determinant, c' = [a, c] b + [b, c] a solves
+    [a, c][b, c'] + [a, c'][b, c] = 0.  PGL(2, p) is sharply 3-transitive
+    on the line and keeps harmonic conjugates, so it acts regularly on
+    the 2-arcs of this graph of order p(p^2 - 1)/6: a 2-arc through
+    {a, b, c} is an ordering of a, b and c.  p = 7 gives the Klein cubic
+    graph; p = 5, 13, 17 and 29 give disconnected graphs.  Point x < p
+    is (x, 1), point p is (1, 0)."""
+    if p < 3 or p % 4 != 3 or any(p % d == 0 for d in range(3, p, 2)):
+        raise WrongParameters(f"p = {p} is not a prime = 3 (mod 4)")
+    points = [(x, 1) for x in range(p)] + [(1, 0)]
+
+    def det(u, v):
+        return (u[0] * v[1] - u[1] * v[0]) % p
+
+    triples = list(combinations(range(p + 1), 3))
+    vertex = {t: i for i, t in enumerate(triples)}
+    edges = set()
+    for t in triples:
+        for c in t:
+            a, b = (points[x] for x in t if x != c)
+            ac, bc = det(a, points[c]), det(b, points[c])
+            x, y = ac * b[0] + bc * a[0], ac * b[1] + bc * a[1]
+            conj = x * pow(y, -1, p) % p if y % p else p
+            u, v = vertex[t], vertex[tuple(sorted({*t} - {c} | {conj}))]
+            edges.add((min(u, v), max(u, v)))
+    return from_edge_list(len(triples), sorted(edges))
+
+
+def pgl2_entry(p) -> CensusEntry:
+    """Census entry pgl2_<p> of pgl2_graph(p).  Its expected block is
+    derived from p, not from the graph: p(p^2 - 1)/6 vertices, valence 3,
+    2-arc-transitive, and Aut = PGL(2, p) of order p(p^2 - 1)."""
+    g = pgl2_graph(p)
+    order = p * (p * p - 1)
+    return CensusEntry(
+        name=f"pgl2_{p}", graph6=write_graph6(g), parsed=g,
+        expected={"vertices": order // 6, "valence": 3, "aut_order": order,
+                  "two_arc_transitive": True})
 
 
 def build_builtin_entries():

@@ -321,12 +321,15 @@ def _cmd_analyze(args):
 def _cmd_dart(args):
     records = []
     for name, g in _input_graphs(args.input, args.census):
-        # NotCubic and NotConnected abort with code 2 before any search
-        dart, _, _ = dart_graph(g)
+        analysis = _EntryAnalysis(g)
+        # a graph that is not cubic and connected reaches dart_graph before
+        # any search, which aborts with code 2 (NotCubic, NotConnected)
+        dart = (analysis.forward.labeling.graph if analysis.dart_applicable
+                else dart_graph(g)[0])
         record = {"name": name, "dart_graph6": write_graph6(dart),
                   "dart_order": dart.n}
         try:
-            record["report"] = _EntryAnalysis(g).forward.to_json_dict()
+            record["report"] = analysis.forward.to_json_dict()
         except Not2ArcTransitive as exc:
             record["report"] = None
             record["note"] = str(exc)

@@ -42,7 +42,7 @@ from .graphs import (
     odd_closed_walk,
 )
 from .records import Record
-from .autgroup import _arc_action
+from .autgroup import arc_orbits
 from .altcycles import (
     AltDecomposition,
     antipodal_involution,
@@ -52,7 +52,6 @@ from .perms import (
     PermGroup,
     centralizes,
     compose,
-    induced_action,
     is_identity,
 )
 
@@ -190,10 +189,11 @@ def split_certificate(total: Graph, group: PermGroup, tau,
     and the group is a complement of <tau>.  No chain of <group, tau> is
     built: lifted_order is 2 |group| and is_split is set by that proof.
 
-    A non-bipartite total graph is no bipartite double (the odd closed
-    walk is the witness).  A bipartite one is sectional exactly when tau
-    swaps its colours; then fibre(v) + |base| colour(v) must be an
-    isomorphism onto the double (StructureViolation naming
+    The total graph is two-coloured once (graphs.is_bipartite); only a
+    non-bipartite one is walked for its odd closed walk, the witness
+    that it is no bipartite double.  A bipartite one is sectional
+    exactly when tau swaps its colours; then fibre(v) + |base| colour(v)
+    must be an isomorphism onto the double (StructureViolation naming
     sectional_onto_double otherwise, with the witness of
     graphs.check_isomorphism).  If tau keeps the colours, the base is
     bipartite and its double disconnected.  The odd closed walk is
@@ -213,8 +213,10 @@ def split_certificate(total: Graph, group: PermGroup, tau,
     moved = next(((v, w) for v, w in cover.fibres() if tau[v] != w), None)
     if moved is not None:
         raise NotInvariant(f"tau moves the fibre {moved}")
-    witness = odd_closed_walk(total)
-    if witness is not None:
+    parts = is_bipartite(total)
+    witness = None
+    if parts is None:
+        witness = odd_closed_walk(total)
         if len(witness) % 2 or witness[0] != witness[-1]:
             raise StructureViolation(
                 f"odd_walk_closed_odd: walk {witness} is not closed or has "
@@ -226,7 +228,7 @@ def split_certificate(total: Graph, group: PermGroup, tau,
                 f"odd_walk_edges: step {step} of walk {witness} is no edge")
         sectional = False
     else:
-        odd = set(is_bipartite(total)[1])
+        odd = set(parts[1])
         sectional = (tau[0] in odd) != (0 in odd)
         phi = [b + cover.base.n * (v in odd)
                for v, b in enumerate(cover.fibre_map)]
@@ -274,8 +276,8 @@ def cover_pipeline(total: Graph, dec: AltDecomposition,
     - the kernel of the action on the fibres is exactly <tau>
       (fibre_action_kernel_tau, with the orders of the fibre action, the
       group and the lifted group),
-    - the projected group acts faithfully and arc-transitively on the
-      base (StructureViolation naming projected_arc_transitive otherwise),
+    - the projected group acts arc-transitively on the base
+      (StructureViolation naming projected_arc_transitive otherwise),
     - the base has girth 3, as alternating 6-cycles project to triangles
       (base_girth_3, with the girth),
     - the base is the line graph of the graph of alternating cycles: the
@@ -288,16 +290,21 @@ def cover_pipeline(total: Graph, dec: AltDecomposition,
     Bipartite inputs run through the same pipeline and certify sectional;
     non-bipartite inputs certify non-sectional.
 
-    The fibre action is the group's own, built under the bound |group|:
-    tau swaps each fibre, so <group, tau> induces the same group on the
-    fibres, and as <group, tau> = group x <tau> (split_certificate) its
-    kernel there is <tau> exactly when the group acts faithfully, that is
-    when the bound is reached.  induced_action starts the chain on the
-    fibres of the group's base points.  An element that fixes those
-    fibres may still tau-swap a base point, so the closure may add strong
-    generators (test_seeded_chains_match_unseeded_chains pins the entries
-    where it does).  The base only seeds the build: reaching the bound
-    certifies the projected order whatever the seed.
+    No chain of the fibre action is built.  The group permutes the
+    fibres, as tau centralizes it, and acts on them faithfully, by the
+    checks already made.  Each generator maps each alternating cycle onto
+    one (cycle_images), and the cycles hold every edge, so the group acts
+    by automorphisms.  Let k in the group fix every fibre {v, tau v}, and
+    let S be the set of vertices k fixes.  S is a union of fibres, as
+    k tau = tau k.  If v in S had a neighbour w outside S, then k w =
+    tau w, so v would be adjacent to both w and tau w, which
+    quotient_covering_projection rules out.  The total graph is connected
+    (split_certificate), so S is empty or every vertex.  If S is empty,
+    k = tau, which lies outside the group (TauInG).  So S is every vertex
+    and k = 1.  As <group, tau> = group x <tau> and tau fixes every
+    fibre, the kernel of <group, tau> there is <tau>, and the projected
+    group has order |group|.  Its arc orbits on the base are swept from
+    the generators' fibre images.
     """
     cycle_images(group, dec)
     if dec.radius != 3 or dec.attachment != 2:
@@ -318,16 +325,14 @@ def cover_pipeline(total: Graph, dec: AltDecomposition,
     check(checks, "sectional_iff_bipartite", agree, verdicts if agree else
           f"{verdicts}, odd closed walk {cert.non_bipartite_witness}")
 
-    # tau fixes every fibre, so the group and <group, tau> induce the same
-    # group on them, and the kernel of <group, tau> = group x <tau> there
-    # is <tau> exactly when the group acts faithfully
+    # faithful on the fibres by the proof above
+    checks.append(("fibre_action_kernel_tau",
+                   f"the action on the fibres has order {group.order}, the "
+                   f"group {group.order}, the lifted group {cert.lifted_order}"))
     fibres = cover.fibres()
-    projected, faithful = induced_action(group, fibres,
-                                         order_bound=group.order)
-    check(checks, "fibre_action_kernel_tau", faithful,
-          f"the action on the fibres has order {projected.order}, the "
-          f"group {group.order}, the lifted group {cert.lifted_order}")
-    _, base_arc_orbits, _ = _arc_action(projected, cover.base)
+    projected = [tuple(cover.fibre_map[s[v]] for v, _ in fibres)
+                 for s in group.generators]
+    base_arc_orbits = arc_orbits(projected, cover.base)
     check(checks, "projected_arc_transitive", len(base_arc_orbits) <= 1,
           f"the projected group has {len(base_arc_orbits)} arc orbits on "
           "the base")
@@ -353,6 +358,6 @@ def cover_pipeline(total: Graph, dec: AltDecomposition,
         base_girth=base_girth,
         group_order=group.order,
         lifted_order=cert.lifted_order,
-        projected_order=projected.order,
+        projected_order=group.order,
         checks=tuple(checks),
     )

@@ -139,7 +139,8 @@ class Not2ArcTransitive(HatError):
 
 
 class WrongParameters(HatError):
-    """Radius/attachment pair is not the (3, 2) the construction needs."""
+    """Parameters a construction does not take: a radius/attachment pair
+    other than (3, 2), or a PGL(2, p) prime p that is not 3 (mod 4)."""
 
 
 class TooSmall(HatError):

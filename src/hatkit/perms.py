@@ -12,7 +12,6 @@ from operator import getitem, itemgetter
 
 from .errors import (
     DegreeMismatch,
-    NotInvariant,
     OrderBoundExceeded,
     VertexOutOfRange,
 )
@@ -61,23 +60,6 @@ def from_cycles(n, cycles) -> Perm:
             seen.add(a)
             images[a] = b
     return tuple(images)
-
-
-def cycle_string(p) -> str:
-    """Disjoint-cycle display, '()' for the identity."""
-    seen = set()
-    parts = []
-    for i in range(len(p)):
-        if i in seen or p[i] == i:
-            continue
-        cyc = [i]
-        j = p[i]
-        while j != i:
-            seen.add(j)
-            cyc.append(j)
-            j = p[j]
-        parts.append("(" + " ".join(map(str, cyc)) + ")")
-    return "".join(parts) or "()"
 
 
 class _Transversal(dict):
@@ -350,46 +332,3 @@ def centralizes(p, group: PermGroup) -> bool:
         raise DegreeMismatch(
             f"permutation degree {len(p)} != group degree {group.degree}")
     return all(compose(p, s) == compose(s, p) for s in group.generators)
-
-
-def induced_action(group: PermGroup, blocks, order_bound=None):
-    """Action of the group on a list of disjoint point sets.
-
-    Every generator must permute the blocks (NotInvariant otherwise).
-    Returns (induced PermGroup on block indices, faithful flag); the
-    action is faithful exactly when the induced order equals the order of
-    the group.
-
-    order_bound is passed to schreier_sims for the induced group and must
-    be proven by the caller, typically |group| / |K| for a subgroup K known
-    to fix every block: the induced group is group / kernel, so reaching
-    that bound certifies both the induced order and that K is the whole
-    kernel.
-
-    The induced chain's initial base is the blocks that hold the group's
-    base points, in base order without repeats, where the group's own
-    chain already separates its elements.  The base changes what the
-    build costs, not the induced group, its order or the faithful flag.
-    """
-    blocks = [frozenset(b) for b in blocks]
-    covered = set()
-    for b in blocks:
-        if covered & b:
-            raise ValueError("blocks are not disjoint")
-        covered |= b
-    index = {b: i for i, b in enumerate(blocks)}
-    block_of = {x: i for i, b in enumerate(blocks) for x in b}
-    induced = []
-    for s in group.generators:
-        images = []
-        for b in blocks:
-            image = frozenset(s[x] for x in b)
-            if image not in index:
-                raise NotInvariant(
-                    f"generator {cycle_string(s)} does not permute the blocks")
-            images.append(index[image])
-        induced.append(tuple(images))
-    quotient = schreier_sims(
-        induced, degree=len(blocks), order_bound=order_bound,
-        base=dict.fromkeys(block_of[x] for x in group.base if x in block_of))
-    return quotient, quotient.order == group.order

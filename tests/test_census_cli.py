@@ -15,11 +15,14 @@ from hatkit.census import (
     build_builtin_entries,
     census_json_text,
     load_census,
+    pgl2_entry,
+    pgl2_graph,
 )
+from hatkit.errors import WrongParameters
 import hatkit
 from hatkit import altcycles, autgroup, cli, covers, dartgraph, graphs, perms
 from hatkit.cli import main, analyze_graph
-from hatkit.graphs import is_connected, is_regular, relabel
+from hatkit.graphs import girth, is_connected, is_regular, relabel
 from hatkit.graph6 import parse_graph6, write_graph6
 from hatkit.perms import identity
 from hatkit.records import replace
@@ -267,10 +270,55 @@ def test_cli_verify_plain_graph6_census(tmp_path, capsys):
     assert "[PASS] line1: a_divides_2r" in out
 
 
-def test_cli_dart_petersen(capsys):
+def test_cli_dart_petersen(capsys, monkeypatch):
+    """The printed dart graph is the one the forward chain was verified
+    on: `dart petersen` builds it once."""
+    calls = []
+    real = dartgraph.dart_graph
+    for layer in (cli, dartgraph):
+        monkeypatch.setattr(layer, "dart_graph",
+                            lambda g: calls.append(g) or real(g))
     assert main(["dart", "petersen"]) == 0
     printed = capsys.readouterr().out.strip().splitlines()
     assert parse_graph6(printed[0]).n == 30
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("p", [7, 11])
+def test_pgl2_entries_verify_strict(p, tmp_path, capsys):
+    """pgl2_graph(7) and pgl2_graph(11) are connected and cubic, with
+    p(p^2 - 1)/6 vertices and Aut = PGL(2, p) of order p(p^2 - 1), and
+    their entries pass `verify all --strict`."""
+    entry = pgl2_entry(p)
+    g = entry.graph()
+    assert is_connected(g) and is_regular(g, 3)
+    assert g.n == p * (p * p - 1) // 6 == entry.expected["vertices"]
+    assert automorphism_group(g).order == p * (p * p - 1) == \
+        entry.expected["aut_order"]
+    if p == 7:
+        assert girth(g) == 7        # the Klein cubic graph
+    path = tmp_path / "pgl2.json"
+    path.write_text(json.dumps({"entries": [entry.to_json_dict()]}),
+                    encoding="utf-8")
+    out = tmp_path / "report.json"
+    assert main(["verify", "all", "--strict", "--census", str(path),
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    report = json.loads(out.read_text())
+    assert report["passed"] and report["entries"][0]["name"] == f"pgl2_{p}"
+    assert all(c["passed"] for c in report["entries"][0]["checks"])
+
+
+@pytest.mark.parametrize("p", [-1, 1, 2, 5, 9, 13, 15, 17, 21])
+def test_pgl2_graph_rejects_other_p(p):
+    """Only primes p = 3 (mod 4) are taken: p = 5, 13 and 17 would give
+    disconnected graphs, and 9, 15 and 21 are no primes."""
+    with pytest.raises(WrongParameters, match=f"p = {p} is not a prime"):
+        pgl2_graph(p)
+
+
+def test_builtin_census_has_no_pgl2_entry():
+    assert not any(e.name.startswith("pgl2") for e in builtin_entries())
 
 
 def test_cli_dart_rejects_non_cubic(tmp_path, capsys):
@@ -433,7 +481,7 @@ def test_verify_entry_builds_each_artefact_once(monkeypatch):
     assert result["passed"]
     assert calls["dart_graph"] <= 2
     assert calls["lift_automorphisms"] == 1
-    assert calls["schreier_sims"] <= 4
+    assert calls["schreier_sims"] <= 2
     assert calls["transitivity_report"] <= 2
     assert calls["is_isomorphic"] == 0
     assert autgroup._analysis.cache_info().misses == 1
@@ -528,9 +576,9 @@ def test_verify_records_typed_quotient_error(monkeypatch):
 def test_verify_entry_bounds_only_proven_builds(monkeypatch):
     """Every chain is built under a proven order bound: Aut(g) under the
     product of the first path's target cell sizes, on that path as its
-    base, then the lift and the fibre action; no chain is built for
-    <lift, tau>, whose order split_certificate proves, or for the
-    covering group <tau>."""
+    base, then the lift; no chain is built for <lift, tau>, whose order
+    split_certificate proves, for the fibre action, which cover_pipeline
+    proves faithful, or for the covering group <tau>."""
     builds = []
     fn = perms.schreier_sims
 
@@ -549,9 +597,9 @@ def test_verify_entry_bounds_only_proven_builds(monkeypatch):
     petersen = next(e for e in builtin_entries() if e.name == "petersen")
     result = cli._verify_entry((petersen, cli.SUITES, True))
     assert result["passed"]
-    # Aut(Petersen) on 10 points (the cell bound equals |G|), the lift
-    # (|G|) and the action on the 15 fibres (|G|)
-    assert Counter(builds) == Counter([(10, 120), (30, 120), (15, 120)])
+    # Aut(Petersen) on 10 points (the cell bound equals |G|) and the lift
+    # (|G|)
+    assert builds == [(10, 120), (30, 120)]
     # Aut(Petersen)'s chain starts from the search's first path
     assert bases[10, 120]
 

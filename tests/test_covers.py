@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from hatkit import covers
+from hatkit import autgroup, covers, graphs
 from hatkit.errors import (
     DegenerateWreath,
     FixedPoint,
@@ -33,7 +33,7 @@ from hatkit.altcycles import (
     antipodal_involution,
     induced_orientation,
 )
-from hatkit.census import builtin_entries
+from hatkit.census import builtin_entries, pgl2_graph
 from hatkit.dartgraph import (dart_graph, dart_reversal, lift_automorphisms,
                               wreath_graph)
 from hatkit.covers import (
@@ -87,21 +87,12 @@ def chain_probes(gens, others, rng):
     return probes
 
 
-# The entries whose fibre action closure adds strong generators to the
-# lift's fibre images: an element fixing the fibres of the lift's base
-# darts may still swap a base dart with its tau-image there.
-FIBRE_CLOSURE_EXTENDS = {"coxeter", "dodecahedron_double", "coxeter_double"}
-
-
 @pytest.mark.parametrize("name", TWO_ARC_CUBIC)
 def test_seeded_chains_match_unseeded_chains(name, monkeypatch):
     """The lift's chain, seeded from Aut(g)'s strong generators and base,
-    and the fibre action's, seeded from the lift's generators on the
-    fibres of the lift's base darts, have the order and the membership
-    verdicts of chains built from the plain generators with no base and
-    no bound.  The lift's build adds no base point or strong generator
-    to its seed; the fibre action's keeps its base and adds strong
-    generators exactly on FIBRE_CLOSURE_EXTENDS.  The unbounded closure
+    has the order and the membership verdicts of a chain built from the
+    plain generators with no base and no bound, and its build adds no
+    base point or strong generator to its seed.  The unbounded closure
     of the lift and tau is the reference for split_certificate's proof:
     it has order 2 |G|, holds tau, which the lift does not, and is the
     lift together with its coset by tau."""
@@ -127,19 +118,13 @@ def test_seeded_chains_match_unseeded_chains(name, monkeypatch):
     assert not lifted.contains(reversal)
     if g.n <= 12:
         return      # the cover stage starts above 12 darts
-    built = {}
-
-    def record(stage):
-        real = getattr(covers, stage)
-        monkeypatch.setattr(covers, stage, lambda *args, **kwargs:
-                            built.setdefault(stage, real(*args, **kwargs)))
-
-    record("split_certificate")
-    record("induced_action")
+    built = []
+    real = covers.split_certificate
+    monkeypatch.setattr(covers, "split_certificate", lambda *args: (
+        built.append(real(*args)) or built[-1]))
     dec = alternating_cycles(g, natural)
     cover_pipeline(g, dec, lifted)
-    cert, (projected, faithful) = (built["split_certificate"],
-                                   built["induced_action"])
+    (cert,) = built
     tau = antipodal_involution(g, dec, lifted)
     split_unseeded = schreier_sims(lift_gens + [tau], degree=g.n)
     assert cert.lifted_order == split_unseeded.order == 2 * group.order
@@ -149,18 +134,57 @@ def test_seeded_chains_match_unseeded_chains(name, monkeypatch):
         assert split_unseeded.contains(p) == (
             lifted.contains(p) or lifted.contains(compose(p, tau)))
 
-    cover = quotient_by_tau(g, tau)
-    assert projected.base == tuple(dict.fromkeys(
-        cover.fibre_map[d] for d in lifted.base))
-    assert (projected.strong_generators != projected.generators) == (
-        name in FIBRE_CLOSURE_EXTENDS)
-    fibre_gens = [tuple(cover.fibre_map[s[v]] for v, _ in cover.fibres())
-                  for s in split_unseeded.generators]
-    fibre_unseeded = schreier_sims(fibre_gens, degree=cover.base.n)
-    assert projected.order == fibre_unseeded.order == group.order
-    assert faithful
-    for p in chain_probes(list(fibre_unseeded.generators), [], rng):
-        assert projected.contains(p) == fibre_unseeded.contains(p)
+
+# Every cover entry: the builtin and stress cubic 2-arc-transitive graphs
+# whose dart graphs have more than 12 darts, and PGL(2, 7) and PGL(2, 11)
+# (168 and 660 darts).
+COVER_ENTRIES = {name: make for name, make in TWO_ARC_CUBIC.items()
+                 if name != "k4"}
+COVER_ENTRIES.update((f"pgl2_{p}", lambda p=p: pgl2_graph(p)) for p in (7, 11))
+
+
+@pytest.mark.parametrize("name", COVER_ENTRIES)
+def test_fibre_action_proof_matches_closure(name):
+    """cover_pipeline builds no chain of the fibre action: it proves the
+    group faithful on the fibres and sweeps the arc orbits of the
+    generators' fibre images on the base.  The reference induces each
+    generator on the fibres as sets and closes them with no base and no
+    bound: the closure has order |G|, the projected order, and its
+    chain's arc orbits on the base are as many as the sweep's."""
+    g, dec, lifted = dart_with_cycles(COVER_ENTRIES[name]())
+    report = cover_pipeline(g, dec, lifted)
+    details = dict(report.checks)
+    cover = quotient_by_tau(g, antipodal_involution(g, dec, lifted))
+    fibres = [frozenset(f) for f in cover.fibres()]
+    index = {f: i for i, f in enumerate(fibres)}
+    induced = [tuple(index[frozenset(s[v] for v in f)] for f in fibres)
+               for s in lifted.generators]
+    reference = schreier_sims(induced, degree=cover.base.n)
+    assert reference.order == lifted.order == report.projected_order
+    assert details["fibre_action_kernel_tau"] == (
+        f"the action on the fibres has order {reference.order}, the group "
+        f"{lifted.order}, the lifted group {2 * lifted.order}")
+    _, chain_orbits, _ = autgroup._arc_action(reference, cover.base)
+    assert len(chain_orbits) == len(autgroup.arc_orbits(induced, cover.base))
+    assert details["projected_arc_transitive"] == (
+        f"the projected group has {len(chain_orbits)} arc orbits on the base")
+
+
+def test_cover_pipeline_stops_at_tau_in_group(petersen, monkeypatch):
+    """The faithfulness proof rests on TauInG: given <lift, tau>, which
+    holds tau, cover_pipeline on Dart(Petersen) raises TauInG before it
+    records a check or sweeps the fibre images' arc orbits."""
+    g, dec, lifted = dart_with_cycles(petersen)
+    tau = antipodal_involution(g, dec, lifted)
+    group = schreier_sims(list(lifted.generators) + [tau], degree=g.n)
+    called = []
+    for name in ("check", "arc_orbits"):
+        real = getattr(covers, name)
+        monkeypatch.setattr(covers, name, lambda *args, _name=name, _real=real:
+                            called.append(_name) or _real(*args))
+    with pytest.raises(TauInG):
+        cover_pipeline(g, dec, group)
+    assert called == []
 
 
 def test_is_covering_examples(petersen):
@@ -279,10 +303,17 @@ def test_split_certificate_dart_petersen(petersen):
     assert all(g.has_edge(a, b) for a, b in zip(walk, walk[1:]))
 
 
-def test_split_certificate_dart_k33_sectional(k33):
+def test_split_certificate_dart_k33_sectional(k33, monkeypatch):
+    """Dart(K3,3) is bipartite, so it is two-coloured once: no odd closed
+    walk is looked for."""
     g, lifted, tau = antipodal_of(k33)
     cover = quotient_by_tau(g, tau)
+    runs = []
+    real = graphs._two_color
+    monkeypatch.setattr(graphs, "_two_color",
+                        lambda x: runs.append(x) or real(x))
     cert = split_certificate(g, lifted, tau, cover)
+    assert runs == [g]
     assert cert.is_split and cert.is_sectional
     assert cert.non_bipartite_witness is None
     assert is_isomorphic(g, bipartite_double(cover.base)) is not None
@@ -440,15 +471,15 @@ def test_cover_pipeline_rejects_wrong_line_graph_under_optimize():
 
 def test_cover_pipeline_rejects_arc_intransitive_base_under_optimize():
     """Arc-transitivity of the projected action is checked by a raise
-    that names it, not an assert: with the arc classification made to
-    split the base's arcs into two orbits, the check fails under
-    python -O."""
+    that names it, not an assert: with the sweep of the projected
+    generators made to split the base's arcs into two orbits, the check
+    fails under python -O."""
     code = _DART_PETERSEN + (
-        "real = covers._arc_action\n"
-        "def split(group, x):\n"
-        "    vertex_t, (orbit,), two_arc_t = real(group, x)\n"
-        "    return vertex_t, (orbit[:1], orbit[1:]), two_arc_t\n"
-        "covers._arc_action = split\n"
+        "real = covers.arc_orbits\n"
+        "def split(generators, x):\n"
+        "    (orbit,) = real(generators, x)\n"
+        "    return orbit[:1], orbit[1:]\n"
+        "covers.arc_orbits = split\n"
         "try:\n"
         "    covers.cover_pipeline(g, dec, lifted)\n"
         "except StructureViolation as exc:\n"
@@ -464,18 +495,12 @@ def test_cover_pipeline_rejects_arc_intransitive_base_under_optimize():
      "covers.split_certificate = lambda *args: records.replace(\n"
      "    real(*args), is_sectional=True)\n",
      "sectional_iff_bipartite", "sectional=True, bipartite=False"),
-    ("real = covers.induced_action\n"
-     "covers.induced_action = lambda group, blocks, order_bound: (\n"
-     "    real(group, blocks, order_bound=order_bound)[0], False)\n",
-     "fibre_action_kernel_tau",
-     "order 120, the group 120, the lifted group 240"),
     ("covers.girth = lambda x: 4\n",
      "base_girth_3", "girth 4"),
 ])
 def test_cover_pipeline_checks_run_under_optimize(fault, check, witness):
-    """Sectional exactly when bipartite, the fibre action's kernel <tau>
-    and the base girth 3 are checked by raises, not asserts: with the
-    certificate made sectional, G's fibre action made unfaithful, or the
+    """Sectional exactly when bipartite and the base girth 3 are checked
+    by raises, not asserts: with the certificate made sectional or the
     base girth read as 4, cover_pipeline on Dart(Petersen) fails under
     python -O, naming the check and giving the witness."""
     code = _DART_PETERSEN + fault + (

@@ -11,17 +11,14 @@ from hatkit.altcycles import alternating_cycles
 from hatkit.census import builtin_entries
 from hatkit.errors import (
     DegreeMismatch,
-    NotInvariant,
     OrderBoundExceeded,
     VertexOutOfRange,
 )
 from hatkit.perms import (
     centralizes,
     compose,
-    cycle_string,
     from_cycles,
     identity,
-    induced_action,
     inverse,
     is_identity,
     schreier_sims,
@@ -56,7 +53,8 @@ def test_compose_convention():
 def test_inverse_three_cycle():
     p = from_cycles(3, [(0, 1, 2)])
     assert inverse(p) == from_cycles(3, [(0, 2, 1)])
-    assert cycle_string(inverse(p)) == "(0 2 1)"
+    # the same cycle written from another point, and as images
+    assert inverse(p) == from_cycles(3, [(1, 0, 2)]) == (2, 0, 1)
 
 
 def test_compose_degree_mismatch():
@@ -346,41 +344,6 @@ def test_centralizes():
     lhs = compose(s, from_cycles(3, [(0, 1, 2)]))
     rhs = compose(from_cycles(3, [(0, 1, 2)]), s)
     assert lhs != rhs  # definitional cross-check
-
-
-def test_induced_action_singletons():
-    group = schreier_sims([from_cycles(4, [(0, 1, 2, 3)])])
-    induced, faithful = induced_action(group, [{i} for i in range(4)])
-    assert faithful and induced.order == group.order
-
-
-def test_induced_action_kernel():
-    group = schreier_sims([from_cycles(4, [(0, 1), (2, 3)])])
-    induced, faithful = induced_action(group, [{0, 1}, {2, 3}])
-    assert induced.order == 1 and not faithful
-
-
-def test_induced_action_order_bound():
-    # S3 x C2 on three blocks; the central (0 1)(2 3)(4 5) fixes every
-    # block, so half the order bounds the induced group
-    group = schreier_sims([from_cycles(6, [(0, 2, 4), (1, 3, 5)]),
-                           from_cycles(6, [(0, 2), (1, 3)]),
-                           from_cycles(6, [(0, 1), (2, 3), (4, 5)])])
-    blocks = [{0, 1}, {2, 3}, {4, 5}]
-    full, faithful = induced_action(group, blocks)
-    bounded, bounded_faithful = induced_action(
-        group, blocks, order_bound=group.order // 2)
-    assert group.order == 12
-    assert bounded.order == full.order == 6
-    assert not faithful and not bounded_faithful
-
-
-def test_induced_action_not_invariant():
-    group = schreier_sims([from_cycles(4, [(0, 1, 2, 3)])])
-    with pytest.raises(NotInvariant):
-        induced_action(group, [{0, 1}, {2, 3}])
-    with pytest.raises(ValueError):
-        induced_action(group, [{0, 1}, {1, 2}])
 
 
 def test_every_generator_sifts():
