@@ -224,7 +224,7 @@ def _divisibility_suite(analysis, checks, strict):
     if analysis.dart_applicable:
         forward = analysis.forward
         dec = forward.decomposition
-        # verify_dart_forward certified the lift's arc orbits as the natural
+        # verify_dart_forward proved the lift's arc orbits to be the natural
         # orientation and its reverse, and dart_reversal that tau is an
         # automorphism; so tau proves Dart(g) arc-transitive exactly when
         # it maps some natural arc to a reversed arc

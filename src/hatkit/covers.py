@@ -12,6 +12,8 @@ is bipartite.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .errors import (
     DegenerateWreath,
     FixedPoint,
@@ -34,12 +36,11 @@ from .graphs import (
     check_isomorphism,
     from_edge_list,
     girth,
-    is_bipartite,
     is_connected,
     isomorphism_fault,
     line_graph,
     maps_edges,
-    odd_closed_walk,
+    parts_or_odd_walk,
 )
 from .records import Record
 from .autgroup import arc_orbits
@@ -63,7 +64,9 @@ class CoveringMap(Record):
     base: Graph
     fibre_map: tuple
 
+    @cached_property
     def fibres(self):
+        """The fibre of each base vertex, as a sorted tuple; built once."""
         out = [[] for _ in range(self.base.n)]
         for v, b in enumerate(self.fibre_map):
             out[b].append(v)
@@ -150,7 +153,7 @@ def quotient_by_tau(total: Graph, tau) -> CoveringMap:
         raise StructureViolation(
             f"quotient_covering_projection: the neighbours of vertex {witness}"
             " do not map one to one onto those of its fibre")
-    odd = next((f for f in cover.fibres() if len(f) != 2), None)
+    odd = next((f for f in cover.fibres if len(f) != 2), None)
     if odd is not None:
         raise StructureViolation(
             f"quotient_fibres_of_size_2: fibre {odd} has {len(odd)} vertices")
@@ -189,15 +192,15 @@ def split_certificate(total: Graph, group: PermGroup, tau,
     and the group is a complement of <tau>.  No chain of <group, tau> is
     built: lifted_order is 2 |group| and is_split is set by that proof.
 
-    The total graph is two-coloured once (graphs.is_bipartite); only a
-    non-bipartite one is walked for its odd closed walk, the witness
-    that it is no bipartite double.  A bipartite one is sectional
-    exactly when tau swaps its colours; then fibre(v) + |base| colour(v)
-    must be an isomorphism onto the double (StructureViolation naming
-    sectional_onto_double otherwise, with the witness of
-    graphs.check_isomorphism).  If tau keeps the colours, the base is
-    bipartite and its double disconnected.  The odd closed walk is
-    checked too, also under python -O: StructureViolation naming
+    The total graph is two-coloured once (graphs.parts_or_odd_walk),
+    which gives its parts or, for a non-bipartite one, an odd closed
+    walk, the witness that it is no bipartite double.  A bipartite one
+    is sectional exactly when tau swaps its colours; then fibre(v) +
+    |base| colour(v) must be an isomorphism onto the double
+    (StructureViolation naming sectional_onto_double otherwise, with the
+    witness of graphs.check_isomorphism).  If tau keeps the colours, the
+    base is bipartite and its double disconnected.  The odd closed walk
+    is checked too, also under python -O: StructureViolation naming
     odd_walk_closed_odd (with the walk) unless it is closed with an odd
     number of steps, or odd_walk_edges (with the step) unless each step
     is an edge.
@@ -210,13 +213,11 @@ def split_certificate(total: Graph, group: PermGroup, tau,
         raise NotInvolution("tau is not an involution")
     if group.contains(tau):
         raise TauInG("tau lies in the supplied group; no splitting complement")
-    moved = next(((v, w) for v, w in cover.fibres() if tau[v] != w), None)
+    moved = next(((v, w) for v, w in cover.fibres if tau[v] != w), None)
     if moved is not None:
         raise NotInvariant(f"tau moves the fibre {moved}")
-    parts = is_bipartite(total)
-    witness = None
+    parts, witness = parts_or_odd_walk(total)
     if parts is None:
-        witness = odd_closed_walk(total)
         if len(witness) % 2 or witness[0] != witness[-1]:
             raise StructureViolation(
                 f"odd_walk_closed_odd: walk {witness} is not closed or has "
@@ -329,7 +330,7 @@ def cover_pipeline(total: Graph, dec: AltDecomposition,
     checks.append(("fibre_action_kernel_tau",
                    f"the action on the fibres has order {group.order}, the "
                    f"group {group.order}, the lifted group {cert.lifted_order}"))
-    fibres = cover.fibres()
+    fibres = cover.fibres
     projected = [tuple(cover.fibre_map[s[v]] for v, _ in fibres)
                  for s in group.generators]
     base_arc_orbits = arc_orbits(projected, cover.base)

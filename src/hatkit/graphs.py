@@ -205,15 +205,30 @@ def _two_color(g):
     return color, parent, None
 
 
+def parts_or_odd_walk(g):
+    """(is_bipartite(g), odd_closed_walk(g)) from one two-colouring: the
+    parts and None for a bipartite graph, else None and the walk."""
+    color, parent, clash = _two_color(g)
+    if clash is None:
+        return (tuple(v for v in range(g.n) if color[v] == 0),
+                tuple(v for v in range(g.n) if color[v] == 1)), None
+    up, vp = [clash[0]], [clash[1]]
+    for path in (up, vp):
+        while parent[path[-1]] != path[-1]:
+            path.append(parent[path[-1]])
+    # the clash joins two vertices of one BFS level, so the paths have
+    # one length and part below their shared stem, which is dropped
+    # (parity is preserved)
+    while up[-2] == vp[-2]:
+        up.pop()
+        vp.pop()
+    return None, up[::-1] + vp
+
+
 def is_bipartite(g):
     """A bipartition (part0, part1) with part0 containing vertex 0 of each
     component, or None when the graph has an odd cycle."""
-    color, _, clash = _two_color(g)
-    if clash is not None:
-        return None
-    part0 = tuple(v for v in range(g.n) if color[v] == 0)
-    part1 = tuple(v for v in range(g.n) if color[v] == 1)
-    return part0, part1
+    return parts_or_odd_walk(g)[0]
 
 
 def odd_closed_walk(g):
@@ -222,18 +237,7 @@ def odd_closed_walk(g):
     The walk is returned as a vertex list whose first and last entries
     coincide; consecutive entries are adjacent.
     """
-    _, parent, clash = _two_color(g)
-    if clash is None:
-        return None
-    up, vp = [clash[0]], [clash[1]]
-    for path in (up, vp):
-        while parent[path[-1]] != path[-1]:
-            path.append(parent[path[-1]])
-    walk = up[::-1] + vp
-    # trim shared tree prefix; parity is preserved
-    while len(walk) >= 4 and walk[0] == walk[-1] and walk[1] == walk[-2]:
-        walk = walk[1:-1]
-    return walk
+    return parts_or_odd_walk(g)[1]
 
 
 def girth(g, roots=None):

@@ -142,9 +142,6 @@ class PermGroup:
         residue, _ = self.sift(p)
         return is_identity(residue)
 
-    def __contains__(self, p):
-        return self.contains(p)
-
     def first_level(self):
         """The top of the chain of a nontrivial group, read only:
         (b, size, representative, stabiliser generators).  b is base[0]

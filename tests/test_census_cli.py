@@ -1,4 +1,5 @@
 import ast
+import functools
 import hashlib
 import json
 import subprocess
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hatkit.census import (
+    CensusEntry,
     builtin_entries,
     build_builtin_entries,
     census_json_text,
@@ -28,7 +30,7 @@ from hatkit.perms import identity
 from hatkit.records import replace
 from hatkit.autgroup import automorphism_group, canonical_form
 
-from conftest import path_graph, run_optimized
+from conftest import STRESS_GRAPHS, STRESS_NAMES, path_graph, run_optimized
 
 REQUIRED_CUBIC = (
     "k4", "k33", "cube", "petersen", "heawood", "mobius_kantor", "pappus",
@@ -451,10 +453,10 @@ def test_cli_verify_builtin_report_pinned(tmp_path, capsys, jobs):
 def test_verify_entry_builds_each_artefact_once(monkeypatch):
     """One analysis per entry: the dart chain, its alternating cycles and
     their graph are built once for all three suites (psi builds the second
-    dart graph, of the reconstruction), the induced orientations are read
-    from the lift's transitivity report instead of induced_orientation,
-    and the dart and cover identifications are certified by the maps
-    their constructions define, without an isomorphism search: the one
+    dart graph, of the reconstruction), the induced orientations are
+    proven from Aut(g)'s transitivity report, with no report of the lift
+    and no induced_orientation, and the dart and cover identifications
+    are certified by the maps their constructions define, without an isomorphism search: the one
     automorphism search is Petersen's own."""
     calls = Counter()
     layers = (altcycles, autgroup, cli, covers, dartgraph, perms)
@@ -482,7 +484,7 @@ def test_verify_entry_builds_each_artefact_once(monkeypatch):
     assert calls["dart_graph"] <= 2
     assert calls["lift_automorphisms"] == 1
     assert calls["schreier_sims"] <= 2
-    assert calls["transitivity_report"] <= 2
+    assert calls["transitivity_report"] == 1
     assert calls["is_isomorphic"] == 0
     assert autgroup._analysis.cache_info().misses == 1
     assert calls["induced_orientation"] == 0
@@ -515,6 +517,76 @@ def test_holt_transitivity_report_computed_once(monkeypatch, capsys):
     result = cli._verify_entry((entry, cli.SUITES, True))
     assert result["passed"]
     assert calls[True] == 1
+
+
+@pytest.mark.parametrize("census", ["builtin", "stress"])
+def test_verify_all_reads_no_lifted_chain_level(census, tmp_path, capsys,
+                                                 monkeypatch):
+    """verify_dart_forward proves the lift's half-arc-transitivity from
+    Aut(g)'s: over `verify all` each entry computes one transitivity
+    report, of (g, Aut(g)), and PermGroup.first_level runs only on Aut(g)'s
+    chain, never on a group whose degree is the dart graph's order."""
+    if census == "stress":
+        path = tmp_path / "stress.json"
+        path.write_text(json.dumps({"entries": [
+            CensusEntry(name, write_graph6(build())).to_json_dict()
+            for name, build in zip(STRESS_NAMES, STRESS_GRAPHS)]}),
+            encoding="utf-8")
+        census = str(path)
+    entry_graph = {e.name: e.graph() for e in load_census(census)}
+    current = [None]
+    reports, levels = Counter(), {name: [] for name in entry_graph}
+    real_entry = cli._verify_entry
+    real_report = autgroup.transitivity_report
+    real_level = perms.PermGroup.first_level
+
+    def verify_entry(payload):
+        current[0] = payload[0].name
+        return real_entry(payload)
+
+    def report(group, g):
+        reports[current[0], g == entry_graph[current[0]]] += 1
+        return real_report(group, g)
+
+    def first_level(group):
+        levels[current[0]].append(group.degree)
+        return real_level(group)
+
+    monkeypatch.setattr(cli, "_verify_entry", verify_entry)
+    for layer in (altcycles, autgroup, cli, dartgraph):
+        if getattr(layer, "transitivity_report", None) is real_report:
+            monkeypatch.setattr(layer, "transitivity_report", report)
+    monkeypatch.setattr(perms.PermGroup, "first_level", first_level)
+    assert main(["verify", "all", "--census", census]) == 0
+    capsys.readouterr()
+    assert reports == Counter((name, True) for name in entry_graph)
+    # a dart graph has 2m = 3n > n vertices
+    assert levels == {name: [g.n] for name, g in entry_graph.items()}
+
+
+def test_verify_cover_theorem_colours_and_fibres_once(monkeypatch, capsys):
+    """Over `verify cover-theorem` on the builtin census, each of the 10
+    covers builds its fibre list once, and split_certificate two-colours
+    each total graph once, the non-bipartite ones too: 22 two-colourings
+    in all."""
+    runs = []
+    real_color = graphs._two_color
+    monkeypatch.setattr(graphs, "_two_color",
+                        lambda g: runs.append(g) or real_color(g))
+    built = []      # holds each cover, so that no id is reused
+    real_fibres = covers.CoveringMap.fibres.func
+
+    def fibres(cover):
+        built.append(cover)
+        return real_fibres(cover)
+
+    counted = functools.cached_property(fibres)
+    counted.__set_name__(covers.CoveringMap, "fibres")
+    monkeypatch.setattr(covers.CoveringMap, "fibres", counted)
+    assert main(["verify", "cover-theorem"]) == 0
+    capsys.readouterr()
+    assert len(runs) == 22
+    assert len(built) == len({id(cover) for cover in built}) == 10
 
 
 def test_cli_verify_isolates_engine_errors_per_entry(monkeypatch, tmp_path,

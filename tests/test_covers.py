@@ -155,7 +155,7 @@ def test_fibre_action_proof_matches_closure(name):
     report = cover_pipeline(g, dec, lifted)
     details = dict(report.checks)
     cover = quotient_by_tau(g, antipodal_involution(g, dec, lifted))
-    fibres = [frozenset(f) for f in cover.fibres()]
+    fibres = [frozenset(f) for f in cover.fibres]
     index = {f: i for i, f in enumerate(fibres)}
     induced = [tuple(index[frozenset(s[v] for v in f)] for f in fibres)
                for s in lifted.generators]
@@ -273,7 +273,8 @@ _CUBE_QUOTIENT = (
      "covers.from_edge_list = lambda n, edges: real(n, sorted(edges)[1:])\n",
      "quotient_covering_projection", "vertex 0 "),
     ("real = covers.CoveringMap.fibres\n"
-     "covers.CoveringMap.fibres = lambda self: [f[:1] for f in real(self)]\n",
+     "covers.CoveringMap.fibres = property(\n"
+     "    lambda self: [f[:1] for f in real.func(self)])\n",
      "quotient_fibres_of_size_2", "fibre (0,) "),
 ])
 def test_quotient_checks_under_optimize(fault, check, witness):
@@ -303,9 +304,10 @@ def test_split_certificate_dart_petersen(petersen):
     assert all(g.has_edge(a, b) for a, b in zip(walk, walk[1:]))
 
 
-def test_split_certificate_dart_k33_sectional(k33, monkeypatch):
-    """Dart(K3,3) is bipartite, so it is two-coloured once: no odd closed
-    walk is looked for."""
+def test_split_certificate_dart_k33_sectional(k33, petersen, monkeypatch):
+    """A total graph is two-coloured once: Dart(K3,3) is bipartite, and no
+    odd closed walk is looked for; Dart(Petersen) is not, and the same
+    colouring gives its odd closed walk."""
     g, lifted, tau = antipodal_of(k33)
     cover = quotient_by_tau(g, tau)
     runs = []
@@ -317,6 +319,13 @@ def test_split_certificate_dart_k33_sectional(k33, monkeypatch):
     assert cert.is_split and cert.is_sectional
     assert cert.non_bipartite_witness is None
     assert is_isomorphic(g, bipartite_double(cover.base)) is not None
+    g, lifted, tau = antipodal_of(petersen)
+    cover = quotient_by_tau(g, tau)
+    runs.clear()
+    cert = split_certificate(g, lifted, tau, cover)
+    assert runs == [g]
+    assert cert.is_split and not cert.is_sectional
+    assert cert.non_bipartite_witness is not None
 
 
 def test_split_certificate_tau_in_group():
@@ -520,8 +529,9 @@ def test_cover_pipeline_checks_run_under_optimize(fault, check, witness):
 def test_split_certificate_rejects_bad_odd_walk_under_optimize(walk, check):
     """The odd closed walk witnessing a non-bipartite total graph is
     checked by raises that name the check, not by asserts: with
-    odd_closed_walk made to return an open walk, or a closed one whose
-    steps are no edges, the cover pipeline fails under python -O."""
+    parts_or_odd_walk made to return no parts and an open walk, or a
+    closed one whose steps are no edges, the cover pipeline fails under
+    python -O."""
     code = (
         "import sys\n"
         "from hatkit import covers\n"
@@ -535,7 +545,7 @@ def test_split_certificate_rejects_bad_odd_walk_under_optimize(walk, check):
         "lifted = lift_automorphisms(\n"
         "    petersen, automorphism_group(petersen), labeling)\n"
         "dec = alternating_cycles(g, natural)\n"
-        f"covers.odd_closed_walk = lambda total: {walk!r}\n"
+        f"covers.parts_or_odd_walk = lambda total: (None, {walk!r})\n"
         "try:\n"
         "    covers.cover_pipeline(g, dec, lifted)\n"
         "except StructureViolation as exc:\n"

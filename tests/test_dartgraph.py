@@ -23,7 +23,7 @@ from hatkit.graphs import (
 from hatkit.perms import compose, from_cycles, schreier_sims
 from hatkit.autgroup import automorphism_group, is_isomorphic, transitivity_report
 from hatkit.altcycles import alt_graph, alternating_cycles, induced_orientation
-from hatkit.census import builtin_entries
+from hatkit.census import builtin_entries, pgl2_graph
 from hatkit import dartgraph
 from hatkit.dartgraph import (
     dart_graph,
@@ -35,7 +35,7 @@ from hatkit.dartgraph import (
 )
 from hatkit.covers import is_covering
 
-from conftest import cycle_graph, run_optimized
+from conftest import STRESS_GRAPHS, STRESS_NAMES, cycle_graph, run_optimized
 
 
 def test_dart_counts_k4(k4):
@@ -271,7 +271,7 @@ def test_verify_dart_forward_names_lift_not_half_arc_transitive(
         monkeypatch, petersen):
     """dart_half_arc_transitive is a named check: with the trivial group on
     the darts in place of the lift, verify_dart_forward fails it with the
-    lift's transitivity flags as witness."""
+    orders of the lift and the group as witness."""
     monkeypatch.setattr(dartgraph, "lift_automorphisms",
                         lambda base, group, labeling:
                         schreier_sims([], degree=len(labeling.darts)))
@@ -280,8 +280,37 @@ def test_verify_dart_forward_names_lift_not_half_arc_transitive(
         verify_dart_forward(petersen, group,
                             transitivity_report(group, petersen))
     assert info.value.check == "dart_half_arc_transitive"
-    assert info.value.witness.startswith(
-        "the lifted action has flags {'vertex_transitive': False")
+    assert info.value.witness == "the lift has order 1, the group 120"
+
+
+# Every dart entry: the builtin and stress cubic 2-arc-transitive graphs,
+# and PGL(2, 7) and PGL(2, 11) (168 and 660 darts).
+DART_ENTRIES = {e.name: e.graph for e in builtin_entries()
+                if e.expected["valence"] == 3
+                and e.expected["two_arc_transitive"]}
+DART_ENTRIES.update(zip(STRESS_NAMES[1:], STRESS_GRAPHS[1:]))
+DART_ENTRIES.update((f"pgl2_{p}", lambda p=p: pgl2_graph(p)) for p in (7, 11))
+
+
+@pytest.mark.parametrize("name", DART_ENTRIES)
+def test_dart_classification_matches_lift_report(name):
+    """verify_dart_forward makes no transitivity report of the lift: it
+    proves the lift half-arc-transitive with the natural orientation
+    induced from Aut(g)'s 2-arc-transitivity, the lift's order and the
+    lift keeping the natural orientation.  The reference classifies the
+    lift from its own chain: it is half-arc-transitive, and its two arc
+    orbits are the natural arcs and their reverses."""
+    g = DART_ENTRIES[name]()
+    group = automorphism_group(g)
+    forward = verify_dart_forward(g, group, transitivity_report(group, g))
+    assert forward.checks[:2] == (("dart_half_arc_transitive", ""),
+                                  ("natural_orientation_induced", ""))
+    reference = transitivity_report(forward.lifted_group,
+                                    forward.labeling.graph)
+    assert reference.half_arc_transitive
+    natural = frozenset(forward.labeling.orientation.arcs)
+    assert {frozenset(orbit) for orbit in reference.arc_orbits} == {
+        natural, frozenset((h, t) for t, h in natural)}
 
 
 def test_verify_dart_forward_heawood(heawood):
@@ -312,40 +341,6 @@ def test_verify_dart_forward_rejects_wrong_reconstruction_under_optimize():
         "    print(sys.flags.optimize, type(exc).__name__)\n"
     )
     assert run_optimized(code) == ["1", "StructureViolation"]
-
-
-def test_verify_dart_forward_rejects_uninduced_natural_under_optimize():
-    """natural_orientation_induced is checked by a raise, not an assert:
-    with the lift's arc orbits made to be the natural orientation of
-    Dart(Petersen) with the darts of the outer 5-cycle reversed, and its
-    reverse, the check fails under python -O and names itself."""
-    code = (
-        "import sys\n"
-        "from hatkit import records\n"
-        "from hatkit import dartgraph\n"
-        "from hatkit.altcycles import Orientation\n"
-        "from hatkit.autgroup import automorphism_group, transitivity_report\n"
-        "from hatkit.census import generalized_petersen\n"
-        "from hatkit.errors import StructureViolation\n"
-        "petersen = generalized_petersen(5, 2)\n"
-        "g, natural, labeling = dartgraph.dart_graph(petersen)\n"
-        "step = [labeling.index[(i, (i + 1) % 5)] for i in range(5)]\n"
-        "flip = {(step[i], step[(i + 1) % 5]) for i in range(5)}\n"
-        "mixed = Orientation(g, [(h, t) if (t, h) in flip else (t, h)\n"
-        "                        for t, h in natural.arcs])\n"
-        "real = dartgraph.transitivity_report\n"
-        "dartgraph.transitivity_report = lambda group, x: records.replace(\n"
-        "    real(group, x), arc_orbits=(mixed.arcs, mixed.reverse().arcs))\n"
-        "group = automorphism_group(petersen)\n"
-        "report = transitivity_report(group, petersen)\n"
-        "try:\n"
-        "    dartgraph.verify_dart_forward(petersen, group, report)\n"
-        "except StructureViolation as exc:\n"
-        "    print(sys.flags.optimize, type(exc).__name__,\n"
-        "          str(exc).split(':')[0])\n"
-    )
-    assert run_optimized(code) == ["1", "StructureViolation",
-                                   "natural_orientation_induced"]
 
 
 def test_psi_rejects_uninduced_orientation_under_optimize():

@@ -3,7 +3,7 @@ from collections import deque
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hatkit.errors import (DuplicateEdge, EmptyEdgeSet, LoopEdge,
@@ -18,6 +18,7 @@ from hatkit.graphs import (
     is_regular,
     line_graph,
     odd_closed_walk,
+    parts_or_odd_walk,
     relabel,
 )
 from hatkit.autgroup import automorphism_group, is_isomorphic
@@ -268,14 +269,20 @@ def test_bipartite_double_properties(g):
 
 @settings(max_examples=60)
 @given(graphs())
+@example(from_edge_list(4, [(0, 1), (1, 2), (1, 3), (2, 3)]))  # a stem
 def test_odd_closed_walk_witness(g):
+    """The walk is an odd cycle: the two BFS tree paths from the clash
+    edge's ends, cut at their last common vertex, and that edge.  One
+    two-colouring gives the parts or the walk."""
     walk = odd_closed_walk(g)
+    assert parts_or_odd_walk(g) == (is_bipartite(g), walk)
     if is_bipartite(g) is not None:
         assert walk is None
     else:
         assert walk[0] == walk[-1]
         assert (len(walk) - 1) % 2 == 1
         assert all(g.has_edge(a, b) for a, b in zip(walk, walk[1:]))
+        assert len(set(walk)) == len(walk) - 1
 
 
 def test_check_isomorphism_petersen(petersen):
