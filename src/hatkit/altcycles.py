@@ -325,7 +325,9 @@ def antipodal_involution(g: Graph, dec: AltDecomposition, group: PermGroup):
     automorphism of g (StructureViolation naming antipodal_automorphism,
     with the edge and its image, otherwise), and centralizes the supplied
     group (antipodal_centralizes, with a generator and a vertex at which
-    the two do not commute, otherwise).
+    the two do not commute, otherwise).  Of the group, only its degree
+    and generators are read; cover_pipeline also reads its order and
+    contains, and passes a PermGroup or a dartgraph.LiftedGroup.
     """
     if dec.attachment % 2:
         raise OddAttachment(

@@ -184,13 +184,16 @@ def split_certificate(total: Graph, group: PermGroup, tau,
 
     Requires a connected total graph (NotConnected) and an involution tau
     that centralizes the group (NotCentralizing, NotInvolution), lies
-    outside it (TauInG, decided by group.contains) and swaps each fibre
-    (NotInvariant).  These checks are the proof of the splitting: tau is
-    not the identity, as the identity lies in the group; tau commutes
-    with the group and tau^2 = 1, so <group, tau> = group u group tau;
-    group and <tau> meet in the identity, so |<group, tau>| = 2 |group|
-    and the group is a complement of <tau>.  No chain of <group, tau> is
-    built: lifted_order is 2 |group| and is_split is set by that proof.
+    outside it (TauInG, decided by group.contains: a PermGroup sifts tau
+    through its chain, and a dartgraph.LiftedGroup rejects the dart
+    reversal at once, as it sends the darts out of one vertex to darts
+    with different tails) and swaps each fibre (NotInvariant).  These
+    checks are the proof of the splitting: tau is not the identity, as
+    the identity lies in the group; tau commutes with the group and
+    tau^2 = 1, so <group, tau> = group u group tau; group and <tau> meet
+    in the identity, so |<group, tau>| = 2 |group| and the group is a
+    complement of <tau>.  No chain of <group, tau> is built: lifted_order
+    is 2 |group| and is_split is set by that proof.
 
     The total graph is two-coloured once (graphs.parts_or_odd_walk),
     which gives its parts or, for a non-bipartite one, an odd closed
@@ -280,14 +283,17 @@ def cover_pipeline(total: Graph, dec: AltDecomposition,
     - the projected group acts arc-transitively on the base
       (StructureViolation naming projected_arc_transitive otherwise),
     - the base has girth 3, as alternating 6-cycles project to triangles
-      (base_girth_3, with the girth),
+      (base_girth_3, with the girth; graphs.girth stops at the first
+      triangle it meets, so the full girth is computed only without one),
     - the base is the line graph of the graph of alternating cycles: the
       fibre {v, tau v} maps to the edge of the two cycles that meet at v
       (base_is_line_graph, with the witness of graphs.isomorphism_fault).
 
     dec must be the alternating cycles of an orientation of total that
     the group induces, as verify_dart_forward certifies them; the group
-    must permute them (NotInvariant otherwise).
+    must permute them (NotInvariant otherwise).  Of the group, only its
+    degree, generators, order and contains are read, so a PermGroup and
+    a dartgraph.LiftedGroup, which keeps no chain, both serve.
     Bipartite inputs run through the same pipeline and certify sectional;
     non-bipartite inputs certify non-sectional.
 

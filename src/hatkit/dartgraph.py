@@ -29,7 +29,7 @@ from .graphs import (Graph, check_edge_map, edge_map_fault, from_edge_list,
                      is_connected, is_regular, isomorphism_fault, maps_edges)
 from .autgroup import TransitivityReport
 from .altcycles import AltDecomposition, Orientation, alternating_cycles
-from .perms import PermGroup, schreier_sims
+from .perms import PermGroup, check_perm
 from .records import Record
 
 
@@ -95,40 +95,75 @@ def dart_reversal(labeling: DartLabeling):
     return tau
 
 
-def lift_automorphisms(base: Graph, group: PermGroup,
-                       labeling: DartLabeling) -> PermGroup:
-    """View base-graph automorphisms as dart-graph automorphisms via
-    g.(u,v) = (g(u), g(v)).  The lift is faithful (same order) and
-    preserves the natural orientation; both facts are verified, and a
-    failure raises StructureViolation naming lift_faithful (with both
-    orders) or lift_preserves_natural_orientation (with the generator
-    index and the arc), also under python -O.
+class LiftedGroup:
+    """A group G of automorphisms of a cubic base graph acting on its
+    darts by g.(u, v) = (g(u), g(v)), built by lift_automorphisms.  It
+    holds no stabiliser chain of its own: degree is the number of darts,
+    generators (also strong_generators) are the lifts of G's strong
+    generators, order is |G|, and contains decides membership with G's
+    chain, of degree n rather than 3n."""
 
-    The chain is seeded from the group's own: its generators are the lifts
-    of the group's strong generators, and its initial base has one dart
-    (b, first neighbour of b) per base point b of the group.  Once every
-    strong generator is checked to be an automorphism, the lift is a
-    homomorphic image of the group, so |group| bounds its order; the
-    chain is built under that bound, and reaching it is the faithfulness
-    certificate.  The bound, not the seed, decides when the build stops:
-    a seed that is not strong on the dart base only makes the closure add
-    strong generators or base points before the bound is met."""
+    def __init__(self, group: PermGroup, labeling: DartLabeling, generators):
+        self.degree = len(labeling.darts)
+        self.generators = tuple(generators)
+        self.strong_generators = self.generators
+        self.order = group.order
+        self._group = group
+        self._labeling = labeling
+
+    def contains(self, p):
+        """True when the dart permutation p lies in the lift, that is when
+        (1) p maps the darts out of each vertex u onto the darts out of
+        one vertex sigma(u), (2) p is the lift of sigma, and (3) sigma
+        lies in G.  The dart reversal fails (1) at the second dart of
+        vertex 0.  Each vertex has three darts and p is a bijection, so
+        sigma in (1) is a permutation."""
+        if len(p) != self.degree:
+            raise DegreeMismatch(
+                f"permutation degree {len(p)} != group degree {self.degree}")
+        check_perm(p)
+        darts, index = self._labeling.darts, self._labeling.index
+        sigma = [None] * self._group.degree
+        for (u, _), image in zip(darts, p):
+            tail = darts[image][0]
+            if sigma[u] is None:
+                sigma[u] = tail
+            elif sigma[u] != tail:
+                return False
+        if any(p[i] != index.get((sigma[u], sigma[v]))
+               for i, (u, v) in enumerate(darts)):
+            return False
+        return self._group.contains(tuple(sigma))
+
+
+def lift_automorphisms(base: Graph, group: PermGroup,
+                       labeling: DartLabeling) -> LiftedGroup:
+    """View base-graph automorphisms as dart-graph automorphisms via
+    g.(u,v) = (g(u), g(v)), as a LiftedGroup of order |group|.
+
+    The lift is faithful: if the lift of g fixes every dart (u, v), then
+    g fixes every tail u, and every vertex of a cubic graph is a tail.
+    So the lift is a copy of the group, with its order, and no chain of
+    it is built.  The premise is checked (lift_faithful, with a base
+    vertex that is the tail of no dart of the labeling), and so is that
+    every lifted generator keeps the natural orientation
+    (lift_preserves_natural_orientation, with the generator index and
+    the arc); a failure raises StructureViolation naming the check, also
+    under python -O."""
     if group.degree != base.n:
         raise DegreeMismatch(
             f"group degree {group.degree} != base order {base.n}")
     for gen in group.strong_generators:
         if not maps_edges(gen, base, base):
             raise NotAutomorphisms("generator does not preserve adjacency")
-    lifted_gens = [
+    tails = {u for u, _ in labeling.darts}
+    bare = next((u for u in range(base.n) if u not in tails), None)
+    if bare is not None:
+        raise StructureViolation(f"lift_faithful: base vertex {bare} is the "
+                                 "tail of no dart")
+    lifted = LiftedGroup(group, labeling, (
         tuple(labeling.index[(gen[u], gen[v])] for (u, v) in labeling.darts)
-        for gen in group.strong_generators
-    ]
-    dart_base = [labeling.index[(b, base.adj[b][0])] for b in group.base]
-    lifted = schreier_sims(lifted_gens, degree=len(labeling.darts),
-                           order_bound=group.order, base=dart_base)
-    if lifted.order != group.order:
-        raise StructureViolation(f"lift_faithful: lifted order {lifted.order}"
-                                 f" != group order {group.order}")
+        for gen in group.strong_generators))
     natural = set(labeling.orientation.arcs)
     for i, gen in enumerate(lifted.generators):
         arc = next(((t, h) for t, h in labeling.orientation.arcs
@@ -157,7 +192,7 @@ class DartForwardReport(Record):
     ell: int
     checks: tuple
     labeling: DartLabeling
-    lifted_group: PermGroup
+    lifted_group: LiftedGroup
     decomposition: AltDecomposition
 
     _hidden = frozenset({"checks", "labeling", "lifted_group",

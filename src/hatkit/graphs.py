@@ -249,7 +249,8 @@ def girth(g, roots=None):
     one of exactly its length.  Seen in BFS order, the edges at x close
     walks of length at least 2 dist(r, x) + 1, apart from edges back to
     the previous level, which were read from their other end; so a BFS
-    stops once that reaches the best length so far.
+    stops once that reaches the best length so far, and the search stops
+    at the first triangle, as a simple graph has no shorter cycle.
 
     roots may instead hold one vertex of each orbit of a group of
     automorphisms of g.  The answer is the same: a shortest cycle C
@@ -276,6 +277,8 @@ def girth(g, roots=None):
                     length = dx + dist[y] + 1
                     if best is None or length < best:
                         best = length
+        if best == 3:
+            break
     return best
 
 

@@ -15,6 +15,7 @@ from hatkit.census import (
     lcf_graph,
 )
 from hatkit.graphs import bipartite_double, from_edge_list
+from hatkit.perms import schreier_sims
 
 
 # The seven cubic symmetric graphs of the benchmark's stress census
@@ -40,6 +41,13 @@ def cycle_graph(n):
 
 def path_graph(n):
     return from_edge_list(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def lift_chain(lifted):
+    """A stabiliser chain of a dartgraph.LiftedGroup, built from its
+    generators by full closure: the reference that tests read the lift's
+    levels, orbits and sifts from, as the lift itself keeps no chain."""
+    return schreier_sims(lifted.generators, degree=lifted.degree)
 
 
 def run_optimized(code):

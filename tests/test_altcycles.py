@@ -25,7 +25,7 @@ from hatkit.altcycles import (
 )
 from hatkit.dartgraph import dart_graph, dart_reversal, lift_automorphisms, wreath_graph
 
-from conftest import cycle_graph, run_optimized
+from conftest import cycle_graph, lift_chain, run_optimized
 
 
 def circulant_k5():
@@ -112,7 +112,7 @@ def test_induced_orientation_errors(petersen, k4):
 
 def test_dart_k4_alternating_structure(k4):
     g, natural, labeling, lifted = dart_with_lift(k4)
-    d, d_rev = induced_orientation(lifted, g)
+    d, d_rev = induced_orientation(lift_chain(lifted), g)
     assert natural in (d, d_rev)
     dec = alternating_cycles(g, natural)
     assert len(dec.cycles) == 4

@@ -29,7 +29,7 @@ from hatkit.altcycles import alternating_cycles, cycle_images, induced_orientati
 from hatkit.dartgraph import dart_graph, dart_reversal, lift_automorphisms
 
 from conftest import (STRESS_AUT_ORDERS, STRESS_GRAPHS, cycle_graph,
-                      path_graph, run_optimized)
+                      lift_chain, path_graph, run_optimized)
 
 FRUCHT = ([-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2], 1)   # cubic, |Aut| = 1
 
@@ -1024,7 +1024,7 @@ def test_transitivity_lifted_dart_k4(k4):
     group = automorphism_group(k4)
     dart, _, labeling = dart_graph(k4)
     lifted = lift_automorphisms(k4, group, labeling)
-    report = transitivity_report(lifted, dart)
+    report = transitivity_report(lift_chain(lifted), dart)
     assert report.vertex_transitive and report.edge_transitive
     assert not report.arc_transitive
     assert report.half_arc_transitive
@@ -1114,8 +1114,8 @@ def _reference_case(case):
         base = next(e for e in builtin_entries()
                     if e.name == case.split("-")[1]).graph()
         dart, _, labeling = dart_graph(base)
-        return lift_automorphisms(base, automorphism_group(base),
-                                  labeling), dart
+        return lift_chain(lift_automorphisms(base, automorphism_group(base),
+                                             labeling)), dart
     name, kind = case.split("-", 1)
     g = next(e for e in builtin_entries() if e.name == name).graph()
     aut = automorphism_group(g)
@@ -1208,10 +1208,11 @@ def test_transitivity_matches_sweep_under_aut():
 
 def test_transitivity_matches_sweep_on_lifts_and_cycle_actions():
     """The lifted action on the dart graph of every cubic builtin and
-    stress graph, also rebuilt on a random first base point, and the
-    action on the alternating cycles of each dart graph and of Holt.
-    The lift is half-arc-transitive exactly when the base is
-    2-arc-transitive, which F026 is not."""
+    stress graph (a chain of the lifted generators, built here), also
+    rebuilt on a random first base point, and the action on the
+    alternating cycles of each dart graph and of Holt.  The lift is
+    half-arc-transitive exactly when the base is 2-arc-transitive, which
+    F026 is not."""
     rng = random.Random(19)
     actions = []
     for name, g in builtin_and_stress_graphs():
@@ -1221,7 +1222,7 @@ def test_transitivity_matches_sweep_on_lifts_and_cycle_actions():
             actions.append((aut, alternating_cycles(g, d)))
             continue
         dart, natural, labeling = dart_graph(g)
-        lifted = lift_automorphisms(g, aut, labeling)
+        lifted = lift_chain(lift_automorphisms(g, aut, labeling))
         report = assert_matches_sweep(lifted, dart)
         assert report.half_arc_transitive == transitivity_report(
             aut, g).two_arc_transitive

@@ -564,6 +564,48 @@ def test_verify_all_reads_no_lifted_chain_level(census, tmp_path, capsys,
     assert levels == {name: [g.n] for name, g in entry_graph.items()}
 
 
+@pytest.mark.parametrize("census", ["builtin", "stress"])
+def test_verify_dart_entry_builds_one_chain(census, tmp_path, capsys,
+                                            monkeypatch):
+    """Over `verify all --strict`, each cubic entry builds exactly one
+    stabiliser chain, Aut(g)'s, of degree n: the lift, <lift, tau> and the
+    fibre action are proven, not built."""
+    if census == "stress":
+        path = tmp_path / "stress.json"
+        path.write_text(json.dumps({"entries": [
+            CensusEntry(name, write_graph6(build())).to_json_dict()
+            for name, build in zip(STRESS_NAMES, STRESS_GRAPHS)]}),
+            encoding="utf-8")
+        census = str(path)
+    entry_graph = {e.name: e.graph() for e in load_census(census)}
+    current = [None]
+    builds = {name: [] for name in entry_graph}
+    real_entry = cli._verify_entry
+    real_build = perms.schreier_sims
+
+    def verify_entry(payload):
+        current[0] = payload[0].name
+        return real_entry(payload)
+
+    def recorded(generators, degree=None, order_bound=None, base=()):
+        builds[current[0]].append(degree)
+        return real_build(generators, degree=degree,
+                          order_bound=order_bound, base=base)
+
+    monkeypatch.setattr(cli, "_verify_entry", verify_entry)
+    for layer in (altcycles, autgroup, cli, covers, dartgraph, perms):
+        if getattr(layer, "schreier_sims", None) is real_build:
+            monkeypatch.setattr(layer, "schreier_sims", recorded)
+    autgroup._analysis.cache_clear()
+    assert main(["verify", "all", "--strict", "--census", census]) == 0
+    capsys.readouterr()
+    autgroup._analysis.cache_clear()
+    cubic = {name for name, g in entry_graph.items() if g.degrees()[0] == 3}
+    assert len(cubic) >= 7
+    assert {name: builds[name] for name in cubic} == {
+        name: [entry_graph[name].n] for name in cubic}
+
+
 def test_verify_cover_theorem_colours_and_fibres_once(monkeypatch, capsys):
     """Over `verify cover-theorem` on the builtin census, each of the 10
     covers builds its fibre list once, and split_certificate two-colours
@@ -648,9 +690,10 @@ def test_verify_records_typed_quotient_error(monkeypatch):
 def test_verify_entry_bounds_only_proven_builds(monkeypatch):
     """Every chain is built under a proven order bound: Aut(g) under the
     product of the first path's target cell sizes, on that path as its
-    base, then the lift; no chain is built for <lift, tau>, whose order
-    split_certificate proves, for the fibre action, which cover_pipeline
-    proves faithful, or for the covering group <tau>."""
+    base.  No chain is built for the lift, whose order lift_automorphisms
+    proves, for <lift, tau>, whose order split_certificate proves, for
+    the fibre action, which cover_pipeline proves faithful, or for the
+    covering group <tau>."""
     builds = []
     fn = perms.schreier_sims
 
@@ -669,9 +712,8 @@ def test_verify_entry_bounds_only_proven_builds(monkeypatch):
     petersen = next(e for e in builtin_entries() if e.name == "petersen")
     result = cli._verify_entry((petersen, cli.SUITES, True))
     assert result["passed"]
-    # Aut(Petersen) on 10 points (the cell bound equals |G|) and the lift
-    # (|G|)
-    assert builds == [(10, 120), (30, 120)]
+    # Aut(Petersen) on 10 points (the cell bound equals |G|)
+    assert builds == [(10, 120)]
     # Aut(Petersen)'s chain starts from the search's first path
     assert bases[10, 120]
 

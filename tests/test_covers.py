@@ -89,13 +89,14 @@ def chain_probes(gens, others, rng):
 
 @pytest.mark.parametrize("name", TWO_ARC_CUBIC)
 def test_seeded_chains_match_unseeded_chains(name, monkeypatch):
-    """The lift's chain, seeded from Aut(g)'s strong generators and base,
-    has the order and the membership verdicts of a chain built from the
-    plain generators with no base and no bound, and its build adds no
-    base point or strong generator to its seed.  The unbounded closure
-    of the lift and tau is the reference for split_certificate's proof:
-    it has order 2 |G|, holds tau, which the lift does not, and is the
-    lift together with its coset by tau."""
+    """A chain of the lift seeded from Aut(g)'s strong generators and
+    base, built here under the bound |G|, adds no base point or strong
+    generator to its seed.  The lift, which keeps no chain, has the order
+    and the membership verdicts of a chain built from the plain lifted
+    generators with no base and no bound.  The unbounded closure of the
+    lift and tau is the reference for split_certificate's proof: it has
+    order 2 |G|, holds tau, which the lift does not, and is the lift
+    together with its coset by tau."""
     rng = random.Random(name)
     base = TWO_ARC_CUBIC[name]()
     group = automorphism_group(base)
@@ -107,10 +108,12 @@ def test_seeded_chains_match_unseeded_chains(name, monkeypatch):
 
     lift_gens = [lift(s) for s in group.generators]
     unseeded = schreier_sims(lift_gens, degree=g.n)
-    assert lifted.order == unseeded.order == group.order
-    assert lifted.base == tuple(labeling.index[(b, base.adj[b][0])]
-                                for b in group.base)
-    assert lifted.strong_generators == tuple(
+    dart_base = tuple(labeling.index[(b, base.adj[b][0])] for b in group.base)
+    seeded = schreier_sims(lifted.strong_generators, degree=g.n,
+                           order_bound=group.order, base=dart_base)
+    assert lifted.order == seeded.order == unseeded.order == group.order
+    assert seeded.base == dart_base
+    assert lifted.strong_generators == seeded.strong_generators == tuple(
         lift(s) for s in group.strong_generators)
     reversal = dart_reversal(labeling)
     for p in chain_probes(lift_gens, [reversal], rng):
@@ -185,6 +188,79 @@ def test_cover_pipeline_stops_at_tau_in_group(petersen, monkeypatch):
     with pytest.raises(TauInG):
         cover_pipeline(g, dec, group)
     assert called == []
+
+
+def test_lift_answering_tau_reaches_tau_in_g_under_optimize():
+    """TauInG is a raise, not an assert: with LiftedGroup.contains patched
+    to answer True for the antipodal involution tau, cover_pipeline on
+    Dart(Petersen) raises TauInG under python -O."""
+    code = (
+        "import sys\n"
+        "from hatkit import dartgraph\n"
+        "from hatkit.altcycles import alternating_cycles, antipodal_involution\n"
+        "from hatkit.autgroup import automorphism_group\n"
+        "from hatkit.census import generalized_petersen\n"
+        "from hatkit.covers import cover_pipeline\n"
+        "from hatkit.errors import TauInG\n"
+        "petersen = generalized_petersen(5, 2)\n"
+        "g, natural, labeling = dartgraph.dart_graph(petersen)\n"
+        "lifted = dartgraph.lift_automorphisms(\n"
+        "    petersen, automorphism_group(petersen), labeling)\n"
+        "dec = alternating_cycles(g, natural)\n"
+        "tau = antipodal_involution(g, dec, lifted)\n"
+        "real = dartgraph.LiftedGroup.contains\n"
+        "dartgraph.LiftedGroup.contains = (\n"
+        "    lambda self, p: p == tau or real(self, p))\n"
+        "try:\n"
+        "    cover_pipeline(g, dec, lifted)\n"
+        "except TauInG as exc:\n"
+        "    print(sys.flags.optimize, type(exc).__name__, lifted.contains(tau))\n"
+    )
+    assert run_optimized(code) == ["1", "TauInG", "True"]
+
+
+def test_base_without_triangle_fails_girth_3_under_optimize():
+    """base_girth_3 is a raise, not an assert, and its witness is the
+    base's girth, computed in full when the base has no triangle.  The
+    quotient of Dart(dodecahedron) is patched to return, in place of its
+    base, a triangle-free orbital graph of the projected group: 4-valent
+    on the same 30 fibres, arc-transitive under the same generators, of
+    girth 5.  Every check before base_girth_3 passes, and it fails under
+    python -O with girth 5."""
+    code = (
+        "import sys\n"
+        "from hatkit import covers, records\n"
+        "from hatkit.altcycles import alternating_cycles\n"
+        "from hatkit.autgroup import arc_orbits, automorphism_group\n"
+        "from hatkit.census import builtin_entries, complete_graph\n"
+        "from hatkit.dartgraph import dart_graph, lift_automorphisms\n"
+        "from hatkit.errors import StructureViolation\n"
+        "from hatkit.graphs import from_edge_list, girth\n"
+        "base = next(e for e in builtin_entries()\n"
+        "            if e.name == 'dodecahedron').graph()\n"
+        "g, natural, labeling = dart_graph(base)\n"
+        "lifted = lift_automorphisms(base, automorphism_group(base), labeling)\n"
+        "real = covers.quotient_by_tau\n"
+        "def quotient(total, tau):\n"
+        "    cover = real(total, tau)\n"
+        "    n = cover.base.n\n"
+        "    projected = [tuple(cover.fibre_map[s[v]] for v, _ in cover.fibres)\n"
+        "                 for s in lifted.generators]\n"
+        "    orbital = next(\n"
+        "        h for h in (from_edge_list(n, [(a, b) for a, b in o if a < b])\n"
+        "                    for o in arc_orbits(projected, complete_graph(n))\n"
+        "                    if len(o) == 4 * n and {(b, a) for a, b in o} == set(o))\n"
+        "        if girth(h) == 5)\n"
+        "    return records.replace(cover, base=orbital)\n"
+        "covers.quotient_by_tau = quotient\n"
+        "try:\n"
+        "    covers.cover_pipeline(g, alternating_cycles(g, natural), lifted)\n"
+        "except StructureViolation as exc:\n"
+        "    print(sys.flags.optimize, type(exc).__name__, str(exc))\n"
+    )
+    assert run_optimized(code) == [
+        "1", "StructureViolation", "base_girth_3:", "the", "base", "has",
+        "girth", "5"]
 
 
 def test_is_covering_examples(petersen):

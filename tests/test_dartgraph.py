@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -35,7 +36,8 @@ from hatkit.dartgraph import (
 )
 from hatkit.covers import is_covering
 
-from conftest import STRESS_GRAPHS, STRESS_NAMES, cycle_graph, run_optimized
+from conftest import (STRESS_GRAPHS, STRESS_NAMES, cycle_graph, lift_chain,
+                      run_optimized)
 
 
 def test_dart_counts_k4(k4):
@@ -122,31 +124,34 @@ def test_lifted_membership_and_orbits(k4):
     lifted = lift_automorphisms(k4, group, labeling)
     tau = dart_reversal(labeling)
     assert not lifted.contains(tau)
-    assert lifted.orbit_partition() == (tuple(range(12)),)
+    assert lift_chain(lifted).orbit_partition() == (tuple(range(12)),)
 
 
 def test_lift_faithful_check_runs_under_optimize():
-    """lift_faithful is a raise, not an assert: Aut(Petersen) with its
-    order doubled bounds the lift by 240, the lift reaches 120, and the
-    check fails under python -O with both orders."""
+    """lift_faithful is a raise, not an assert: it checks the premise of
+    the proof that the lift is faithful, that every base vertex is the
+    tail of a dart.  With the darts out of Petersen vertex 7 dropped from
+    the labeling, the check fails under python -O, naming vertex 7."""
     code = (
         "import sys\n"
+        "from hatkit import records\n"
         "from hatkit.autgroup import automorphism_group\n"
         "from hatkit.census import generalized_petersen\n"
         "from hatkit.dartgraph import dart_graph, lift_automorphisms\n"
         "from hatkit.errors import StructureViolation\n"
-        "from hatkit.perms import schreier_sims\n"
         "petersen = generalized_petersen(5, 2)\n"
-        "group = schreier_sims(automorphism_group(petersen).generators)\n"
-        "group.order *= 2\n"
+        "labeling = dart_graph(petersen)[2]\n"
+        "labeling = records.replace(labeling, darts=tuple(\n"
+        "    d for d in labeling.darts if d[0] != 7))\n"
         "try:\n"
-        "    lift_automorphisms(petersen, group, dart_graph(petersen)[2])\n"
+        "    lift_automorphisms(petersen, automorphism_group(petersen),\n"
+        "                       labeling)\n"
         "except StructureViolation as exc:\n"
         "    print(sys.flags.optimize, type(exc).__name__, str(exc))\n"
     )
     assert run_optimized(code) == [
-        "1", "StructureViolation", "lift_faithful:", "lifted", "order", "120",
-        "!=", "group", "order", "240"]
+        "1", "StructureViolation", "lift_faithful:", "base", "vertex", "7",
+        "is", "the", "tail", "of", "no", "dart"]
 
 
 def test_lift_orientation_check_runs_under_optimize():
@@ -298,19 +303,78 @@ def test_dart_classification_matches_lift_report(name):
     proves the lift half-arc-transitive with the natural orientation
     induced from Aut(g)'s 2-arc-transitivity, the lift's order and the
     lift keeping the natural orientation.  The reference classifies the
-    lift from its own chain: it is half-arc-transitive, and its two arc
-    orbits are the natural arcs and their reverses."""
+    lift from a chain of the lifted generators, built here: it is
+    half-arc-transitive, and its two arc orbits are the natural arcs and
+    their reverses."""
     g = DART_ENTRIES[name]()
     group = automorphism_group(g)
     forward = verify_dart_forward(g, group, transitivity_report(group, g))
     assert forward.checks[:2] == (("dart_half_arc_transitive", ""),
                                   ("natural_orientation_induced", ""))
-    reference = transitivity_report(forward.lifted_group,
+    reference = transitivity_report(lift_chain(forward.lifted_group),
                                     forward.labeling.graph)
     assert reference.half_arc_transitive
     natural = frozenset(forward.labeling.orientation.arcs)
     assert {frozenset(orbit) for orbit in reference.arc_orbits} == {
         natural, frozenset((h, t) for t, h in natural)}
+
+
+@pytest.mark.parametrize("name", DART_ENTRIES)
+def test_lift_membership_matches_chain(name):
+    """LiftedGroup.contains keeps no chain of the lift, yet agrees with a
+    chain of the lifted generators built here, for the lift of Aut(g) and
+    of the subgroup H that Aut(g)'s first generator generates; both have
+    the order of the group they lift.  The probes: the dart reversal,
+    which fails condition 1; the lifted generators and words in them;
+    seeded random dart permutations that keep tails (condition 1) but
+    are no lift (condition 2); lifts of words in Aut(g) broken by
+    swapping the images of two darts out of one vertex (condition 2);
+    and those lifts unbroken, which for H include lifts of elements
+    outside H (condition 3)."""
+    rng = random.Random(name)
+    g = DART_ENTRIES[name]()
+    aut = automorphism_group(g)
+    dart, _, labeling = dart_graph(g)
+    out_of = [[] for _ in range(g.n)]
+    for i, (u, _) in enumerate(labeling.darts):
+        out_of[u].append(i)
+
+    def words(gens):
+        for _ in range(10):
+            word = gens[0]
+            for _ in range(rng.randint(1, 6)):
+                word = compose(word, rng.choice(gens))
+            yield word
+
+    def keeps_tails():
+        sigma = rng.sample(range(g.n), g.n)
+        p = [None] * dart.n
+        for u in range(g.n):
+            for i, j in zip(out_of[u], rng.sample(out_of[sigma[u]], 3)):
+                p[i] = j
+        return tuple(p)
+
+    def broken(p):
+        i, j = rng.sample(out_of[rng.randrange(g.n)], 2)
+        q = list(p)
+        q[i], q[j] = q[j], q[i]
+        return tuple(q)
+
+    aut_lifts = list(words(lift_automorphisms(g, aut, labeling).generators))
+    subgroup = schreier_sims(aut.generators[:1], degree=g.n)
+    for group in (aut, subgroup):
+        lifted = lift_automorphisms(g, group, labeling)
+        chain = lift_chain(lifted)
+        assert lifted.order == chain.order == group.order
+        reversal = dart_reversal(labeling)
+        assert not lifted.contains(reversal) and not chain.contains(reversal)
+        for p in list(lifted.generators) + list(words(lifted.generators)):
+            assert lifted.contains(p) and chain.contains(p)
+        for p in [broken(p) for p in aut_lifts]:
+            assert not lifted.contains(p) and not chain.contains(p)
+        for p in aut_lifts + [keeps_tails() for _ in range(10)]:
+            assert lifted.contains(p) == chain.contains(p)
+    assert not all(lifted.contains(p) for p in aut_lifts)
 
 
 def test_verify_dart_forward_heawood(heawood):

@@ -22,7 +22,7 @@ from hatkit.graphs import (
     relabel,
 )
 from hatkit.autgroup import automorphism_group, is_isomorphic
-from hatkit.census import builtin_entries, generalized_petersen
+from hatkit.census import builtin_entries, generalized_petersen, lcf_graph
 
 from conftest import STRESS_GRAPHS, cycle_graph, path_graph
 
@@ -195,6 +195,31 @@ def test_girth_from_orbit_roots():
         several += 1 < len(roots) < g.n
         assert girth(g, roots=roots) == girth(g), g.edges
     assert several > 50
+
+
+def test_girth_stops_at_first_triangle():
+    """girth stops at the first triangle it meets, as a simple graph has
+    no shorter cycle: from root 0 on graphs where vertex 0 lies on a
+    triangle (a line graph of a cubic graph has one at every vertex),
+    and after every root on triangle-free graphs."""
+    taken = []
+
+    def roots(g):
+        for r in range(g.n):
+            taken.append(r)
+            yield r
+
+    for g in (line_graph(generalized_petersen(5, 2))[0],
+              line_graph(lcf_graph([5, -5], 7))[0],
+              from_edge_list(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)])):
+        taken.clear()
+        assert girth(g, roots=roots(g)) == 3 and taken == [0]
+    for g, expected in ((generalized_petersen(5, 2), 5), (cycle_graph(9), 9),
+                        (from_edge_list(6, [(0, 1), (1, 2), (2, 3), (3, 0),
+                                            (3, 4), (4, 5), (5, 3)]), 3)):
+        taken.clear()
+        assert girth(g, roots=roots(g)) == expected
+        assert taken == list(range(g.n if expected > 3 else 4))
 
 
 def test_line_graph_cycle():

@@ -440,9 +440,12 @@ def reference_schreier_sims(generators, degree, order_bound=None, base=()):
 
 
 def record_pipeline_chains(monkeypatch):
-    """(arguments, chain) of every schreier_sims call that Aut(g)'s chain,
-    the lift's and the cover's fibre action make over the builtin and
-    stress graphs, with the analysis cache cleared first."""
+    """(arguments, chain) of every schreier_sims call that Aut(g) and the
+    dart and cover stages make over the builtin and stress graphs (only
+    Aut(g) builds one), with the analysis cache cleared first, and of a
+    chain of each lift, which the pipeline no longer builds: it is built
+    here from the lifted generators on the dart base (b, first neighbour
+    of b) over Aut(g)'s base points, under the bound |Aut(g)|."""
     calls = []
     real = perms.schreier_sims
 
@@ -453,7 +456,7 @@ def record_pipeline_chains(monkeypatch):
         calls.append((args, group))
         return group
 
-    for module in (autgroup, dartgraph, perms):
+    for module in (autgroup, perms):
         monkeypatch.setattr(module, "schreier_sims", record)
     autgroup._analysis.cache_clear()
     graphs = [(e.name, e.graph()) for e in builtin_entries()]
@@ -464,6 +467,8 @@ def record_pipeline_chains(monkeypatch):
             continue        # the dart chain needs a 2-arc-transitive cubic g
         dart, natural, labeling = dartgraph.dart_graph(g)
         lifted = dartgraph.lift_automorphisms(g, group, labeling)
+        record(lifted.generators, dart.n, group.order,
+               [labeling.index[(b, g.adj[b][0])] for b in group.base])
         if dart.n > 12:     # the cover stage starts above 12 darts
             covers.cover_pipeline(
                 dart, alternating_cycles(dart, natural), lifted)
@@ -501,8 +506,8 @@ def random_chain_args():
 def test_cached_chains_match_uncached_reference(monkeypatch):
     """Chains that invert each representative at most once have the
     order, base, strong generators and membership verdicts of the
-    uncached build, on the builtin and stress Aut(g), lift and fibre
-    action chains and on seeded random groups."""
+    uncached build, on the builtin and stress Aut(g) and lift chains and
+    on seeded random groups."""
     calls = record_pipeline_chains(monkeypatch)
     monkeypatch.undo()
     degrees = {args[1] for args, _ in calls}
