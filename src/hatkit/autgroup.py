@@ -96,7 +96,8 @@ itself cell by cell, so the orbit of b_i under the pointwise stabiliser
 of b_0, ..., b_{i-1} lies in C_i; the first leaf is discrete, so the
 stabiliser of the whole path is trivial, and |Aut(g)| is the product of
 those orbit sizes, at most U.  The chain of the search's generators S,
-each checked to be an automorphism, has a basic-orbit product L with
+each checked to be an automorphism (leaf_pair_automorphism, before the
+search records it), has a basic-orbit product L with
 L <= |<S>| <= |Aut(g)| <= U.  L = U therefore proves the chain complete
 and <S> = Aut(g), and schreier_sims stops as soon as its basic orbits
 fill the cells, sifting no Schreier generator.  When the generators are
@@ -105,6 +106,10 @@ the full closure.  Either way the chain's base must be the first path
 and each basic orbit must lie in its level's cell (the named check
 aut_orbit_in_first_cell); a refinement that is not equivariant fails it
 whenever a found automorphism shows it, and so does every L above U.
+An L above U stops the build (OrderBoundExceeded) and the check runs on
+the partial chain, the only chain built: a base longer than the path
+fails it at once, and on the path's base, orbits all inside their cells
+would give L <= U, so one of them leaves its cell.
 """
 
 from __future__ import annotations
@@ -551,17 +556,13 @@ def automorphism_group(g: Graph) -> PermGroup:
         try:
             group = schreier_sims(result.generators, degree=g.n, base=path,
                                   order_bound=prod(map(len, cells)))
-        except OrderBoundExceeded:
-            # L > U, and orbits inside their cells give L <= U: the
-            # closure's orbits hold the partial chain's, so the check names
-            # the level and the vertex that left its cell
-            _check_orbits_in_cells(
-                schreier_sims(result.generators, degree=g.n, base=path),
-                path, cells)
+        except OrderBoundExceeded as exc:
+            # L > U, and orbits inside their cells give L <= U: some basic
+            # orbit of the partial chain left its cell, and the check names
+            # the level and the vertex
+            _check_orbits_in_cells(exc.group, path, cells)
             raise
         _check_orbits_in_cells(group, path, cells)
-        for gen in group.generators:
-            check_edge_map("aut_generator", gen, g, g)
         result.group = group
     return result.group
 
@@ -642,16 +643,14 @@ def _arc_action(group: PermGroup, g: Graph):
     gives it and two_arc_transitive at most one 2-arc orbit for an action
     with at most one arc orbit.
 
-    A transitive group is read off its chain, with no sweep.  Let b =
-    base[0], u_x the representative carrying b to x and G_b the
-    stabiliser of b.  The group is transitive exactly when b's basic
-    orbit is every vertex.  Every element g is h u_x (h first) with h in
-    G_b and x = b^g, so the orbit of the arc (b, w) is {(x, u_x[w']) : x in V, w' in
-    w^{G_b}}: the arc orbits are the G_b-orbits on the neighbours of b
-    (the suborbits), each arc produced once.  Every 2-arc orbit meets the
-    2-arcs through b in one G_b-orbit on ordered pairs of distinct
-    neighbours of b, so an arc-transitive action is 2-arc-transitive
-    exactly when those k(k-1) pairs form one G_b-orbit.
+    A transitive group with one suborbit is read off its chain, with no
+    sweep.  Let b = base[0] and G_b the stabiliser of b.  The group is
+    transitive exactly when b's basic orbit is every vertex.  Then every
+    arc orbit meets the arcs out of b in one G_b-orbit on the neighbours
+    of b (a suborbit), so one suborbit makes every arc one orbit.  Every
+    2-arc orbit meets the 2-arcs through b in one G_b-orbit on ordered
+    pairs of distinct neighbours of b, so an arc-transitive action is
+    2-arc-transitive exactly when those k(k-1) pairs form one G_b-orbit.
 
     G_b is generated by the strong generators S that fix b.  Write
     H_i for the group generated by those fixing base[:i], so H_0 = G,
@@ -665,27 +664,23 @@ def _arc_action(group: PermGroup, g: Graph):
     H_1 <= G_b gives H_1 = G_b.
 
     The trivial group (empty base) has every arc as its own orbit; any
-    other intransitive group is swept by arc_orbits.
+    other group, intransitive or with more than one suborbit, is swept by
+    arc_orbits.
     """
     if not group.base:
         arcs = tuple(((u, v),) for u in range(g.n) for v in g.adj[u])
         return g.n <= 1, arcs, not arcs     # no arcs, no 2-arcs
-    b, size, representative, stabiliser = group.first_level()
-    if size < g.n:
+    b, size, stabiliser = group.first_level()
+    suborbits = orbits(g.adj[b], stabiliser, getitem)
+    if size < g.n or len(suborbits) > 1:
         arc_orbit_list = arc_orbits(group.generators, g)
         two_arcs = ((u, v, w) for v in range(g.n) for u in g.adj[v]
                     for w in g.adj[v] if u != w)  # swept only when arc_t
         two_arc_t = len(arc_orbit_list) <= 1 and len(orbits(
             two_arcs, group.generators,
             lambda s, t: (s[t[0]], s[t[1]], s[t[2]]))) <= 1
-        return False, arc_orbit_list, two_arc_t
+        return size == g.n, arc_orbit_list, two_arc_t
     _check_automorphisms(group.generators, g)
-    suborbits = orbits(g.adj[b], stabiliser, getitem)
-    if len(suborbits) > 1:
-        reps = [representative(x) for x in range(g.n)]
-        return True, tuple(sorted(
-            tuple(sorted((x, u[w]) for x, u in enumerate(reps) for w in sub))
-            for sub in suborbits)), False
     arc_orbit_list = (tuple((x, y) for x in range(g.n)
                             for y in g.adj[x]),) if suborbits else ()
     pairs = [(u, w) for u in g.adj[b] for w in g.adj[b] if u != w]
@@ -698,12 +693,12 @@ def transitivity_report(group: PermGroup, g: Graph) -> TransitivityReport:
     automorphisms of g.  Transitivity means at most one orbit.  An edge
     orbit is an arc orbit together with its reverse, so the action is
     edge-transitive exactly when there is at most one arc orbit, or two
-    that are each other's reverse.  A transitive group's arc orbits are
-    the suborbits of its first base point's stabiliser, read off the
-    stabiliser chain, and it is 2-arc-transitive when that stabiliser is
-    transitive on ordered pairs of distinct neighbours of the base point
-    (proof at _arc_action); the trivial group needs no sweep, and only
-    another intransitive group has its arcs swept.  2-arc-transitivity
+    that are each other's reverse.  A transitive group whose first base
+    point's stabiliser has one orbit on its neighbours is arc-transitive,
+    read off the stabiliser chain, and it is 2-arc-transitive when that
+    stabiliser is transitive on ordered pairs of distinct neighbours of
+    the base point (proof at _arc_action); the trivial group needs no
+    sweep, and every other group has its arcs swept.  2-arc-transitivity
     is read only for an action with at most one arc orbit, so
     two_arc => arc => edge always holds.
     """

@@ -41,7 +41,7 @@ from .dartgraph import (
     psi_isomorphism,
     verify_dart_forward,
 )
-from .covers import cover_pipeline, is_covering
+from .covers import cover_pipeline, covering_fault
 from .census import load_census
 
 
@@ -202,8 +202,8 @@ def _cover_suite(analysis, checks, strict):
     line, line_edges = line_graph(analysis.g)
     index = {e: i for i, e in enumerate(line_edges)}
     fibre_map = tuple(index[min(u, v), max(u, v)] for u, v in labeling.darts)
-    _check(checks, "cover:dart_covers_line_graph",
-           is_covering(dart, line, fibre_map))
+    fault = covering_fault(dart, line, fibre_map)
+    _check(checks, "cover:dart_covers_line_graph", not fault, fault)
 
     if dart.n <= 12:
         try:
@@ -278,9 +278,12 @@ def _verify_entry(payload):
     except HatError as exc:
         error = f"{type(exc).__name__}: {exc}"
     except Exception as exc:
-        # an engine bug fails its own entry, not the whole run or pool
-        import traceback
-        traceback.print_exc(file=sys.stderr)
+        # an engine bug fails its own entry, not the whole run or pool; a
+        # MemoryError prints no traceback, whose import needs memory that
+        # the failed frames still hold
+        if not isinstance(exc, MemoryError):
+            import traceback
+            traceback.print_exc(file=sys.stderr)
         error = f"engine error: {type(exc).__name__}: {exc}"
     result = {
         "name": entry.name,
@@ -296,7 +299,11 @@ def _verify_entry(payload):
     return result
 
 
-def _emit(report, out_path, as_json):
+def _emit(command, entries, out_path, as_json, **fields):
+    """Write the report of a command, its entries ordered by name, as
+    JSON to out_path when given, and to stdout when as_json."""
+    report = {"tool": "hatkit", "version": __version__, "command": command,
+              "entries": sorted(entries, key=lambda r: r["name"]), **fields}
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -308,13 +315,7 @@ def _emit(report, out_path, as_json):
 def _cmd_analyze(args):
     records = [analyze_graph(name, g)
                for name, g in _input_graphs(args.input, args.census)]
-    report = {
-        "tool": "hatkit",
-        "version": __version__,
-        "command": "analyze",
-        "entries": sorted(records, key=lambda r: r["name"]),
-    }
-    _emit(report, args.out, as_json=True)
+    _emit("analyze", records, args.out, as_json=True)
     return 0
 
 
@@ -335,14 +336,7 @@ def _cmd_dart(args):
             record["note"] = str(exc)
         records.append(record)
         print(record["dart_graph6"])
-    report = {
-        "tool": "hatkit",
-        "version": __version__,
-        "command": "dart",
-        "entries": sorted(records, key=lambda r: r["name"]),
-    }
-    if args.out:
-        _emit(report, args.out, as_json=False)
+    _emit("dart", records, args.out, as_json=False)
     return 0
 
 
@@ -378,19 +372,10 @@ def _cmd_verify(args):
                      f"{context['last_check']})" if context else "")
             print(f"[FAIL] {result['name']}: error: {result['error']}{where}")
     passed = all(r["passed"] for r in results)
-    report = {
-        "tool": "hatkit",
-        "version": __version__,
-        "command": "verify",
-        "suite": args.suite,
-        "census": args.census,
-        "strict": args.strict,
-        "entries": results,
-        "passed": passed,
-        "failures": [r["name"] for r in results if not r["passed"]],
-        "elapsed_seconds": round(time.perf_counter() - t0, 3),
-    }
-    _emit(report, args.out, as_json=args.json)
+    _emit("verify", results, args.out, as_json=args.json, suite=args.suite,
+          census=args.census, strict=args.strict, passed=passed,
+          failures=[r["name"] for r in results if not r["passed"]],
+          elapsed_seconds=round(time.perf_counter() - t0, 3))
     print(f"{'PASS' if passed else 'FAIL'}: {len(results)} entries, "
           f"suite={args.suite}")
     return 0 if passed else 1

@@ -16,7 +16,6 @@ from __future__ import annotations
 from .errors import (
     DegreeMismatch,
     Not2ArcTransitive,
-    NotAutomorphisms,
     NotConnected,
     NotCubic,
     OrientationInvalid,
@@ -26,8 +25,8 @@ from .errors import (
     check,
 )
 from .graphs import (Graph, check_edge_map, edge_map_fault, from_edge_list,
-                     is_connected, is_regular, isomorphism_fault, maps_edges)
-from .autgroup import TransitivityReport
+                     is_connected, is_regular, isomorphism_fault)
+from .autgroup import TransitivityReport, _check_automorphisms
 from .altcycles import AltDecomposition, Orientation, alternating_cycles
 from .perms import PermGroup, check_perm
 from .records import Record
@@ -153,9 +152,7 @@ def lift_automorphisms(base: Graph, group: PermGroup,
     if group.degree != base.n:
         raise DegreeMismatch(
             f"group degree {group.degree} != base order {base.n}")
-    for gen in group.strong_generators:
-        if not maps_edges(gen, base, base):
-            raise NotAutomorphisms("generator does not preserve adjacency")
+    _check_automorphisms(group.strong_generators, base)
     tails = {u for u, _ in labeling.darts}
     bare = next((u for u in range(base.n) if u not in tails), None)
     if bare is not None:

@@ -47,12 +47,16 @@ class NotInvariant(HatError):
 
 class OrderBoundExceeded(HatError):
     """A stabiliser chain built under a proven order bound grew past it:
-    the bound, or the proof behind it, is wrong.  Carries both numbers."""
+    the bound, or the proof behind it, is wrong.  Carries both numbers
+    and, as group, the partial chain the build stopped at: each of its
+    basic orbits is the orbit of its base point under a subgroup of that
+    point's stabiliser."""
 
-    def __init__(self, bound, product):
+    def __init__(self, bound, product, group=None):
         super().__init__(bound, product)
         self.bound = bound
         self.product = product
+        self.group = group
 
     def __str__(self):
         return (f"product of basic orbit lengths {self.product} exceeds "

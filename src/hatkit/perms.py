@@ -144,17 +144,15 @@ class PermGroup:
 
     def first_level(self):
         """The top of the chain of a nontrivial group, read only:
-        (b, size, representative, stabiliser generators).  b is base[0]
-        and size the length of its basic orbit, which is the orbit of b
-        under the group; representative(x), for x in that orbit, is the
-        chain's element carrying b to x.  The stabiliser generators are
-        the strong generators that fix b; they generate the stabiliser of
-        b, also when the build stopped at its order bound (proof at
-        autgroup._arc_action)."""
+        (b, size, stabiliser generators).  b is base[0] and size the
+        length of its basic orbit, which is the orbit of b under the
+        group.  The stabiliser generators are the strong generators that
+        fix b; they generate the stabiliser of b, also when the build
+        stopped at its order bound (proof at autgroup._arc_action)."""
         if not self.base:
             raise ValueError("the trivial group has no base point")
-        b, t = self.base[0], self._transversals[0]
-        return (b, len(t), t.__getitem__,
+        b = self.base[0]
+        return (b, len(self._transversals[0]),
                 tuple(s for s in self._strong if s[b] == b))
 
     def orbit_partition(self):
@@ -192,8 +190,9 @@ def schreier_sims(generators, degree=None, order_bound=None,
     it equals the bound, every basic orbit is complete and the last
     stabiliser is trivial, so the partial chain is already a BSGS and the
     build stops with exact order, sift and contains.  A product above the
-    bound raises OrderBoundExceeded.  A bound that is never reached costs
-    nothing: the build runs to full closure.
+    bound raises OrderBoundExceeded, with the partial chain as its group.
+    A bound that is never reached costs nothing: the build runs to full
+    closure.
     """
     gens = [tuple(g) for g in generators]
     if degree is None:
@@ -270,7 +269,8 @@ def schreier_sims(generators, degree=None, order_bound=None,
             if product == order_bound:
                 break
             if product > order_bound:
-                raise OrderBoundExceeded(order_bound, product)
+                raise OrderBoundExceeded(order_bound, product, PermGroup(
+                    degree, gens, base, strong, transversals))
         stuck = None
         t = transversals[i]
         gl = level_gens(i)

@@ -1464,6 +1464,33 @@ def test_orbit_outside_cell_names_check(monkeypatch, petersen, level):
     autgroup._analysis.cache_clear()
 
 
+@pytest.mark.parametrize("level", [0, 3])
+def test_orbit_outside_cell_builds_one_chain(monkeypatch, petersen, level):
+    """When the bounded build stops at OrderBoundExceeded, the check runs
+    on the partial chain the error carries: one chain is built, and the
+    witness is the one a check of the full closure gives."""
+    autgroup._analysis.cache_clear()
+    result = autgroup._analysis(petersen)
+    path, cells = result.first_path, shrunk_cells(result.first_cells, level)
+    monkeypatch.setattr(result, "first_cells", cells)
+    real = autgroup.schreier_sims
+    bounds = []
+
+    def counted(*args, **kwargs):
+        bounds.append(kwargs.get("order_bound"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(autgroup, "schreier_sims", counted)
+    with pytest.raises(StructureViolation) as info:
+        automorphism_group(petersen)
+    assert bounds == [prod(map(len, cells))]
+    closure = real(result.generators, degree=petersen.n, base=path)
+    with pytest.raises(StructureViolation) as reference:
+        autgroup._check_orbits_in_cells(closure, path, cells)
+    assert str(info.value) == str(reference.value)
+    autgroup._analysis.cache_clear()
+
+
 def test_orbit_outside_cell_check_runs_under_optimize():
     """aut_orbit_in_first_cell is a raise, not an assert."""
     code = (

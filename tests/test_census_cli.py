@@ -1,4 +1,5 @@
 import ast
+import builtins
 import functools
 import hashlib
 import json
@@ -901,6 +902,67 @@ def test_engine_error_before_any_check(monkeypatch):
     assert result["error"] == "engine error: KeyError: 'injected'"
     assert result["error_context"] == {"suite": "expected",
                                        "last_check": None}
+
+
+def test_memory_error_fails_only_its_entry(monkeypatch, tmp_path, capsys):
+    """A MemoryError fails its entry as an engine error with no traceback:
+    importing traceback while the failed frames still hold their memory
+    can raise a second MemoryError, which would end the run.  Here the
+    first suite call raises one and so does that import; the entries
+    after it are still verified and the report is written."""
+    real = cli._SUITE_RUNNERS["dart-theorem"]
+    calls = []
+
+    def exhausted(analysis, checks, strict):
+        calls.append(analysis.g)
+        if len(calls) == 1:
+            raise MemoryError
+        return real(analysis, checks, strict)
+
+    real_import = builtins.__import__
+
+    def no_memory_for_traceback(name, *args, **kwargs):
+        if name == "traceback":
+            raise MemoryError
+        return real_import(name, *args, **kwargs)
+
+    out = tmp_path / "report.json"
+    first = load_census("builtin")[0].name
+    with monkeypatch.context() as patch:
+        patch.setitem(cli._SUITE_RUNNERS, "dart-theorem", exhausted)
+        patch.setattr(builtins, "__import__", no_memory_for_traceback)
+        code = main(["verify", "all", "--census", "builtin",
+                     "--out", str(out)])
+    printed = capsys.readouterr()
+    assert code == 1
+    assert "Traceback" not in printed.err
+    assert f"[FAIL] {first}: error: engine error: MemoryError" in printed.out
+    report = json.loads(out.read_text())
+    assert report["failures"] == [first]
+    failed = report["entries"][[e["name"] for e in report["entries"]].index(
+        first)]
+    assert failed["error"].startswith("engine error: MemoryError")
+    assert failed["error_context"]["suite"] == "dart-theorem"
+    assert len(calls) == len(report["entries"]) == len(builtin_entries())
+
+
+def test_dart_covers_line_graph_failure_has_witness(monkeypatch):
+    """cover:dart_covers_line_graph records covering_fault's witness when
+    the dart graph does not cover the line graph it is given."""
+    real = cli.line_graph
+
+    def first_edge_dropped(g):
+        line, edges = real(g)
+        return graphs.from_edge_list(line.n, line.edges[1:]), edges
+
+    monkeypatch.setattr(cli, "line_graph", first_edge_dropped)
+    petersen = next(e for e in builtin_entries() if e.name == "petersen")
+    result = cli._verify_entry((petersen, ("cover-theorem",), False))
+    assert not result["passed"] and result["error"] is None
+    assert [c for c in result["checks"] if not c["passed"]] == [{
+        "check": "cover:dart_covers_line_graph", "passed": False,
+        "detail": "the neighbours of vertex 0 map to [1, 2, 3, 4], not "
+                  "onto the neighbours [2, 3, 4] of its image 0"}]
 
 
 def test_verify_reports_orbit_outside_cell(monkeypatch, tmp_path, capsys):

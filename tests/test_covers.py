@@ -38,6 +38,7 @@ from hatkit.dartgraph import (dart_graph, dart_reversal, lift_automorphisms,
                               wreath_graph)
 from hatkit.covers import (
     cover_pipeline,
+    covering_fault,
     is_covering,
     quotient_by_tau,
     split_certificate,
@@ -273,6 +274,40 @@ def test_is_covering_examples(petersen):
     # wrong-degree targets fail local bijectivity
     assert not is_covering(petersen, cycle_graph(5),
                            tuple(v % 5 for v in range(10)))
+
+
+def test_covering_fault_witnesses(petersen):
+    """covering_fault names one witness per kind of failure: the number
+    of images, an image outside the base, a base vertex that is no image,
+    and a vertex whose neighbours do not map onto its image's."""
+    double = bipartite_double(petersen)
+    fibre_map = tuple(v % petersen.n for v in range(double.n))
+    assert covering_fault(double, petersen, fibre_map) == ""
+    assert covering_fault(double, petersen, fibre_map[:-1]) == (
+        "19 images for 20 vertices")
+    assert covering_fault(double, petersen, fibre_map[:-1] + (10,)) == (
+        "vertex 19 maps to 10, outside 0..9")
+    assert covering_fault(double, petersen, (0,) * 20) == (
+        "base vertex 1 is the image of no vertex")
+    assert covering_fault(petersen, cycle_graph(5),
+                          tuple(v % 5 for v in range(10))) == (
+        "the neighbours of vertex 0 map to [0, 1, 4], not onto the "
+        "neighbours [1, 4] of its image 0")
+
+
+def test_covering_fault_passes_every_cubic_dart_graph():
+    """Each cubic builtin's dart graph covers its line graph by the map
+    sending a dart to its edge, with no fault."""
+    for entry in builtin_entries():
+        g = entry.graph()
+        if set(g.degrees()) != {3}:
+            continue
+        dart, _, labeling = dart_graph(g)
+        line, line_edges = line_graph(g)
+        index = {e: i for i, e in enumerate(line_edges)}
+        fibre_map = tuple(index[min(u, v), max(u, v)]
+                          for u, v in labeling.darts)
+        assert covering_fault(dart, line, fibre_map) == "", entry.name
 
 
 def test_quotient_dart_petersen(petersen):
