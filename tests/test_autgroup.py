@@ -1,16 +1,18 @@
 import hashlib
+import importlib
 import random
 from bisect import bisect_left, insort
 from collections import Counter
 from itertools import combinations, permutations
 from math import prod
 from operator import getitem
+from pathlib import Path
 
 import pytest
 
 from hatkit.errors import (InvalidPartition, NotAutomorphisms,
                            StructureViolation, TooLarge)
-from hatkit.graph6 import write_graph6
+from hatkit.graph6 import parse_graph6, write_graph6
 from hatkit.graphs import (Graph, bipartite_double, check_isomorphism,
                            from_edge_list, is_connected, line_graph, relabel)
 from hatkit.perms import compose, from_cycles, schreier_sims
@@ -24,7 +26,7 @@ from hatkit.autgroup import (
     transitivity_report,
     unit_partition,
 )
-from hatkit.census import builtin_entries, lcf_graph
+from hatkit.census import builtin_entries, lcf_graph, pgl2_graph
 from hatkit.altcycles import alternating_cycles, cycle_images, induced_orientation
 from hatkit.dartgraph import dart_graph, dart_reversal, lift_automorphisms
 
@@ -729,6 +731,32 @@ def test_search_results_pinned():
         "397562f7012fadf08c034e41025f7b5724e67e4a3dbb5ab111540b2c0264729c")
     assert generators.hexdigest() == (
         "f3737ed1588eded33b7dc40d8e244a72444abe33acac0ba7f8644c183aaa15f7")
+
+
+def test_search_results_pinned_beyond_census(tmp_path, monkeypatch):
+    """Generators, first path, first cells, canonical labeling and
+    certificate of every graph of the benchmark's relabeled analyze file
+    for seeds 1 to 3 and of PGL(2, 7) and PGL(2, 11), pinned by one
+    digest: relabeled and random regular graphs, whose searches branch
+    and prune far more than those of the census labelings."""
+    monkeypatch.syspath_prepend(
+        str(Path(__file__).resolve().parents[1] / "bench"))
+    inputs = importlib.import_module("inputs")
+    graphs = []
+    for seed in (1, 2, 3):
+        path = tmp_path / f"relabeled-{seed}.g6"
+        inputs.write_analyze_file(path, random.Random(seed))
+        graphs += map(parse_graph6, path.read_text(encoding="ascii").split())
+    graphs += [pgl2_graph(7), pgl2_graph(11)]
+    assert len(graphs) == 116
+    digest = hashlib.sha256()
+    for g in graphs:
+        search = autgroup._SearchResult(autgroup._Search(g).run())
+        digest.update(repr((search.generators, search.first_path,
+                            search.first_cells, search.labeling,
+                            search.certificate)).encode())
+    assert digest.hexdigest() == (
+        "06fc3a212aea5e20fa4fc007e6b48709a0919637417e9e0736aad6a529ab5aa0")
 
 
 def test_search_generators_strong_on_first_path():
