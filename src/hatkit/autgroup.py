@@ -12,6 +12,19 @@ Discovered automorphisms prune sibling branches whose candidate lies in
 the orbit of an already explored candidate under the subgroup fixing the
 current individualization prefix pointwise.
 
+The search carries each node's refined partition down to its children
+(`_Partition`): the cells, each a sorted tuple named by its end (the
+position of its last vertex), the names in order, each vertex's cell
+name and the flags of the non-singleton cells.  A child copies these at
+C level, individualizes its vertex and refines the copy in place;
+nothing is rebuilt from a tuple of cells.  Names order like cell
+indices, so signatures and trace positions keep their values.
+Individualizing v renames only v, a split renames only its parts
+before the last, which keeps the cell's name, and at a leaf each
+vertex's name is its position, the labeling.  Split parts are ordered
+by a flat key that orders exactly like the (cell, count) signature
+(`_refine_in_place` has the proof).
+
 The root is the coarsest equitable refinement of the unit partition, split
 further by a vertex invariant when it is not discrete (McKay and Piperno
 2014 use invariants the same way): each non-singleton cell is split by the
@@ -114,8 +127,9 @@ would give L <= U, so one of them leaves its cell.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from functools import lru_cache, reduce
+from itertools import accumulate, filterfalse
 from math import prod
 from operator import getitem, or_, sub
 
@@ -142,17 +156,17 @@ from .perms import (
 _MAX_VERTICES = 10_000
 _SPHERE_DEPTH = 3       # distance spheres measured by the root invariant
 
-# ColoredPartition: ordered tuple of disjoint cells covering 0..n-1.
-ColoredPartition = tuple
-
-
-def unit_partition(g: Graph) -> ColoredPartition:
+def unit_partition(g: Graph) -> tuple:
+    """The ordered partition of 0..n-1 into one cell, as a tuple of
+    cells, each a tuple of vertices."""
     return (tuple(range(g.n)),) if g.n else ()
 
 
 def _check_partition(g, partition):
     seen = [False] * g.n
-    for cell in partition:
+    for i, cell in enumerate(partition):
+        if not cell:
+            raise InvalidPartition(f"cell {i} is empty")
         for v in cell:
             if not 0 <= v < g.n:
                 raise InvalidPartition(
@@ -165,19 +179,7 @@ def _check_partition(g, partition):
             f"vertex {seen.index(False)} lies in no cell")
 
 
-def _signature(ids):
-    """The sorted (cell index, neighbour count) pairs of a vertex, from
-    the sorted cell indices of its neighbours."""
-    sig = []
-    for c in ids:
-        if sig and sig[-1][0] == c:
-            sig[-1][1] += 1
-        else:
-            sig.append([c, 1])
-    return sig
-
-
-def refine(g: Graph, partition) -> ColoredPartition:
+def refine(g: Graph, partition) -> tuple:
     """Coarsest equitable refinement of an ordered partition.
 
     Cells split by the multiset of (cell index, neighbour count) pairs of
@@ -196,11 +198,70 @@ def refine(g: Graph, partition) -> ColoredPartition:
     by the signature of one vertex each.
     """
     _check_partition(g, partition)
-    return _refine(g, [tuple(sorted(cell)) for cell in partition])[0]
+    node = _Partition(g.n, [tuple(sorted(cell)) for cell in partition])
+    _refine_in_place(g, node)
+    return node.partition()
 
 
-def _refine(g, cells, first=None, best=None, moved=None):
-    """refine on sorted cells, returning (partition, trace).
+class _Partition:
+    """An ordered partition of 0..n-1 into sorted cells, in the form the
+    search carries from a node to its children.
+
+    Each cell is named by its end, the position of its last vertex in the
+    ordered partition, so names order like cell indices.  cell_at maps
+    each name to its cell, names lists the names in order, cell_id maps
+    each vertex to its cell's name, and free[v] is 1 while v's cell is not
+    a singleton.  A child is a C-level copy of these, with one vertex
+    split off the front of its cell; the rest of the cell keeps its name.
+    """
+
+    __slots__ = ("cell_at", "names", "cell_id", "free")
+
+    def __init__(self, n, cells):
+        self.names = [end - 1 for end in accumulate(map(len, cells))]
+        self.cell_at = dict(zip(self.names, cells))
+        self.cell_id, self.free = [0] * n, bytearray(n)
+        for name, cell in self.cell_at.items():
+            for v in cell:
+                self.cell_id[v], self.free[v] = name, len(cell) > 1
+
+    def partition(self) -> tuple:
+        return tuple(map(self.cell_at.__getitem__, self.names))
+
+    def target(self):
+        """The name of the first smallest cell that is not a singleton,
+        None when the partition is discrete."""
+        sizes = list(map(sub, self.names, [-1] + self.names))
+        small = min(filter((1).__lt__, sizes), default=0)
+        return self.names[sizes.index(small)] if small else None
+
+    def child(self, v):
+        """A copy with v individualized: ..., (v,), cell - {v}, ..."""
+        child = _Partition.__new__(_Partition)
+        child.cell_at, child.names = self.cell_at.copy(), self.names[:]
+        child.cell_id, child.free = self.cell_id[:], self.free[:]
+        end = self.cell_id[v]
+        cell = self.cell_at[end]
+        i = cell.index(v)
+        rest = child.cell_at[end] = cell[:i] + cell[i + 1:]
+        name = child.cell_id[v] = end - len(rest)
+        child.cell_at[name] = (v,)
+        child.names.insert(bisect_left(self.names, end), name)
+        child.free[v], child.free[rest[0]] = 0, len(rest) > 1
+        return child
+
+
+def _flat_key(ids, top):
+    """The list of sorted names ids, each repeat of a name overwritten in
+    place by top, a value above every name (see _refine_in_place)."""
+    for i in range(len(ids) - 1, 0, -1):
+        if ids[i] == ids[i - 1]:
+            ids[i] = top
+    return ids
+
+
+def _refine_in_place(g, node, first=None, best=None, moved=None):
+    """refine on a _Partition, in place, returning the trace.
 
     moved lists whole cells one after another, such that two vertices of
     one cell with equal neighbour counts in each of those cells have equal
@@ -210,10 +271,27 @@ def _refine(g, cells, first=None, best=None, moved=None):
     vertex's count in the rest of v's old cell is its old count there
     minus its count in {v}.
 
-    Cells are named by their start positions, which order like their
-    indices, so signatures compare as with indices; a split renames only
-    the vertices of its parts after the first.  A trace event's position
-    is the cell's rank among the starts.
+    Cells are named by their ends, which order like their indices, so
+    signatures compare as with indices.  A split gives its last part the
+    old cell's name and renames only the vertices of the parts before it.
+    In a child's first round the untouched vertices of a split cell have
+    the greatest key, as they have no neighbour in {v}, which is named
+    below the rest of v's old cell: they come last and keep their name.
+    A cell of two vertices that split, about half the splits of the
+    benchmark's searches, becomes two singletons without the grouping dict
+    or the general split loop.  A trace event's position is the cell's
+    rank among the names.
+
+    Split parts are ordered by a flat key: the sorted names of one
+    vertex's neighbours' cells, each repeat of a name written as top, a
+    value above every name.  It orders like the signature, the list of
+    (cell, count) pairs.  Two keys are equal exactly when the pair lists
+    are, as the key spells out each pair.  At the first index where two
+    keys differ, either both start a new run, at two different names, and
+    the pair lists differ first in those names in the same order, or one
+    key continues a run (top) that the other has ended (with a greater
+    name, or its end), and the pair lists differ first in that run's
+    count, the longer run's list being the greater.
 
     The trace has one event per split, in the order the splits happen:
     the position of the first part in the new partition, then the sizes
@@ -226,7 +304,7 @@ def _refine(g, cells, first=None, best=None, moved=None):
     at an earlier level.  A node with first but no best lies above the
     best leaf; one with neither lies below it.  The refinement stops and
     returns None as soon as the trace has left first and is greater than
-    best.
+    best; node is then left part-refined.
     """
     adj = g.adj
     trace = []
@@ -244,26 +322,15 @@ def _refine(g, cells, first=None, best=None, moved=None):
             order = 1 if event > best[k] else -1
         return order > 0 and not on_first
 
-    # free[v] is 1 while v's cell is not a singleton: a singleton cannot
-    # split, so neighbours in singletons are not counted
-    cell_at, starts, cell_id, free = {}, [], [0] * g.n, bytearray(g.n)
-    start = 0
-    for cell in cells:
-        cell_at[start] = cell = tuple(cell)
-        starts.append(start)
-        for v in cell:
-            cell_id[v] = start
-        if len(cell) > 1:
-            for v in cell:
-                free[v] = 1
-        start += len(cell)
-    part_id = cell_id.__getitem__
+    # a singleton cannot split, so neighbours in singletons are not counted
+    cell_at, names, cell_id, free = node.cell_at, node.names, node.cell_id, node.free
+    part_id, top = cell_id.__getitem__, g.n
 
-    def signature(part):
-        return _signature(sorted(map(part_id, adj[part[0]])))
+    def flat_key(part):
+        return _flat_key(sorted(map(part_id, adj[part[0]])), top)
 
     if moved is None:
-        moved = [v for cell in cell_at.values() for v in cell]
+        moved = [v for name in names for v in cell_at[name]]
     while True:
         # moved lists each part whole, so equal counts into the parts give
         # equal lists of part ids
@@ -281,57 +348,58 @@ def _refine(g, cells, first=None, best=None, moved=None):
         for u in counts:
             touched.setdefault(cell_id[u], []).append(u)
         splits = []
-        for start in sorted(touched):
-            cell = cell_at[start]
-            hit = touched[start]
+        for end in sorted(touched):
+            cell = cell_at[end]
+            if len(cell) == 2 and counts.get(cell[0]) != counts.get(cell[1]):
+                splits.append((end, None))      # two singletons
+                continue
+            hit = touched[end]
             hit.sort()                      # cells are sorted, parts too
             groups = {}
             for v in hit:
                 groups.setdefault(tuple(counts[v]), []).append(v)
             if len(hit) < len(cell):
-                groups[()] = [v for v in cell if v not in counts]
+                groups[()] = list(filterfalse(counts.__contains__, cell))
             if len(groups) > 1:
-                splits.append((start, groups.values()))
+                splits.append((end, groups.values()))
         if not splits:
             break
         moved, renamed = [], []
-        for start, parts in splits:
-            parts = sorted(parts, key=signature)
-            sizes = [len(part) for part in parts]
-            # starts already holds the parts made earlier in this round
-            if dropped((bisect_left(starts, start), *sizes)):
+        for end, parts in splits:
+            # names already holds the parts made earlier in this round
+            index = bisect_left(names, end)
+            if parts is None:
+                # two singletons, ordered by their keys; the second is counted
+                if dropped((index, 1, 1)):
+                    return None
+                a, b = sorted(zip(cell_at[end]), key=flat_key)
+                cell_at[end - 1], cell_at[end] = a, b
+                names.insert(index, end - 1)
+                renamed.append((end - 1, a))
+                moved += b
+                free[a[0]] = free[b[0]] = 0
+                continue
+            parts = sorted(parts, key=flat_key)
+            sizes = list(map(len, parts))
+            if dropped((index, *sizes)):
                 return None
             largest = sizes.index(max(sizes))
+            name = end - len(cell_at[end])
             for i, part in enumerate(parts):
-                cell_at[start] = part = tuple(part)
-                if i:
-                    insort(starts, start)
-                    renamed.append((start, part))
+                name += sizes[i]
+                cell_at[name] = part = tuple(part)
+                if name != end:
+                    names.insert(index + i, name)
+                    renamed.append((name, part))
                 if i != largest:
                     moved.extend(part)
-                if sizes[i] == 1:
-                    free[part[0]] = 0
-                start += sizes[i]
-        for start, part in renamed:
+                free[part[0]] = sizes[i] > 1
+        for name, part in renamed:
             for v in part:
-                cell_id[v] = start
+                cell_id[v] = name
     if dropped(()):
         return None
-    return tuple(cell_at[start] for start in starts), tuple(trace)
-
-
-def _individualize(partition, cell_index, v):
-    cell = partition[cell_index]
-    rest = tuple(w for w in cell if w != v)
-    return partition[:cell_index] + ((v,), rest) + partition[cell_index + 1:]
-
-
-def _target_cell(partition):
-    best = None
-    for i, cell in enumerate(partition):
-        if len(cell) > 1 and (best is None or len(cell) < len(partition[best])):
-            best = i
-    return best
+    return tuple(trace)
 
 
 def _sphere_sizes(g):
@@ -401,26 +469,25 @@ class _Search:
         self.best_pi = None
 
     def run(self):
-        if self.g.n == 0:
-            self.first_path = self.best_pi = ()
-            return self
-        root, _ = _refine(self.g, unit_partition(self.g))
-        if _target_cell(root) is not None:
-            cells = _split_by_spheres(self.g, root)
-            if len(cells) > len(root):
-                root, _ = _refine(self.g, cells)
+        root = _Partition(self.g.n, unit_partition(self.g))
+        _refine_in_place(self.g, root)
+        if root.target() is not None:
+            cells = _split_by_spheres(self.g, root.partition())
+            if len(cells) > len(root.names):
+                root = _Partition(self.g.n, cells)
+                _refine_in_place(self.g, root)
         self._explore(root, (), ())
         return self
 
-    def _explore(self, partition, path, traces):
-        """Search the subtree below path; returns the depth to unwind to,
-        below len(path) when a leaf showed this subtree equivalent to one
-        explored before."""
-        cell_index = _target_cell(partition)
-        if cell_index is None:
-            return self._leaf(partition, path, traces)
+    def _explore(self, node, path, traces):
+        """Search the subtree below path, whose node is refined; returns
+        the depth to unwind to, below len(path) when a leaf showed this
+        subtree equivalent to one explored before."""
+        name = node.target()
+        if name is None:
+            return self._leaf(node, path, traces)
         depth = len(path)
-        cell = partition[cell_index]
+        cell = node.cell_at[name]
         if self.first_path is None:
             # no leaf yet: every node so far lies on the first path
             self.first_cells.append(cell)
@@ -443,11 +510,10 @@ class _Search:
             orbit = orbit_of.get(v, v)
             if orbit in done:
                 continue
-            child = _refine(self.g, _individualize(partition, cell_index, v),
-                            *self._references(traces), (v,))
-            if child is not None:
-                back = self._explore(child[0], path + (v,),
-                                     traces + (child[1],))
+            child = node.child(v)
+            trace = _refine_in_place(self.g, child, *self._references(traces), (v,))
+            if trace is not None:
+                back = self._explore(child, path + (v,), traces + (trace,))
                 if back < depth:
                     return back
             explored.append(v)
@@ -464,13 +530,11 @@ class _Search:
         return tuple(ref[depth] if ref[:depth] == traces else None
                      for ref in (self.first_traces, self.best[0]))
 
-    def _leaf(self, partition, path, traces):
-        """Record a leaf; returns the depth of the deepest common ancestor
-        with the first leaf of equal key, else len(path)."""
-        pi = [0] * self.g.n
-        for pos, cell in enumerate(partition):
-            pi[cell[0]] = pos
-        pi = tuple(pi)
+    def _leaf(self, node, path, traces):
+        """Record a leaf, a discrete node, whose cell names are the
+        vertices' positions; returns the depth of the deepest common
+        ancestor with the first leaf of equal key, else len(path)."""
+        pi = tuple(node.cell_id)
         if self.first_path is None:
             self.first_path = path
             self.first_traces = traces

@@ -275,16 +275,17 @@ def _verify_entry(payload):
     except StructureViolation as exc:
         checks.append({"check": exc.check, "passed": False,
                        "detail": exc.witness})
-    except HatError as exc:
-        error = f"{type(exc).__name__}: {exc}"
     except Exception as exc:
-        # an engine bug fails its own entry, not the whole run or pool; a
-        # MemoryError prints no traceback, whose import needs memory that
-        # the failed frames still hold
-        if not isinstance(exc, MemoryError):
+        # an engine bug, any error but a HatError, fails its own entry, not
+        # the whole run or pool; a MemoryError prints no traceback, whose
+        # import needs memory that the failed frames still hold.  An error
+        # without a message (an allocator's MemoryError) is its type alone.
+        engine = not isinstance(exc, HatError)
+        if engine and not isinstance(exc, MemoryError):
             import traceback
             traceback.print_exc(file=sys.stderr)
-        error = f"engine error: {type(exc).__name__}: {exc}"
+        text = ": ".join(filter(None, (type(exc).__name__, str(exc))))
+        error = f"engine error: {text}" if engine else text
     result = {
         "name": entry.name,
         "checks": checks,

@@ -139,6 +139,8 @@ def test_refine_validates_partition(k4):
     (((0, 1), (1, 2, 3)), "vertex 1 lies in two cells"),
     (((0, 1), (3,)), "vertex 2 lies in no cell"),
     (((0, 1, 2, 3, 4),), "vertex 4 of a cell is outside 0..3"),
+    (((), (0, 1, 2, 3)), "cell 0 is empty"),
+    (((0, 1), (2, 3), ()), "cell 2 is empty"),
 ])
 def test_refine_partition_error_names_vertex(k4, partition, detail):
     with pytest.raises(InvalidPartition, match=detail):
@@ -160,9 +162,22 @@ def test_refine_matches_reference():
             assert refine(g, partition) == reference_refine(g, partition)
 
 
+def pair_signature(ids):
+    """The sorted (cell index, neighbour count) pairs of a vertex, from
+    the sorted cell indices of its neighbours: the signature split parts
+    are ordered by."""
+    sig = []
+    for c in ids:
+        if sig and sig[-1][0] == c:
+            sig[-1][1] += 1
+        else:
+            sig.append([c, 1])
+    return sig
+
+
 def reference_refine_traced(g, cells, first=None, best=None, moved=None,
                             rounds=None):
-    """autgroup._refine as it was before it counted into the new parts:
+    """The refinement kernel as it was before it counted into the new parts:
     every round re-sorts the neighbour cell indices of every vertex in
     every cell next to a vertex whose cell split in the round before.
     rounds, when given, collects the trace length after each round that
@@ -205,7 +220,7 @@ def reference_refine_traced(g, cells, first=None, best=None, moved=None,
                 continue
             moved.extend(cell)
             parts = [groups[ids]
-                     for ids in sorted(groups, key=autgroup._signature)]
+                     for ids in sorted(groups, key=pair_signature)]
             if dropped((len(new_cells), *map(len, parts))):
                 return None
             new_cells.extend(map(tuple, parts))
@@ -230,21 +245,120 @@ def kernel_graphs(rng):
     return graphs
 
 
+def refine_kernel(g, cells, first=None, best=None, moved=None):
+    """autgroup's kernel on cells given as sorted tuples: (partition,
+    trace), or None when the kernel drops the refinement."""
+    node = autgroup._Partition(g.n, cells)
+    trace = autgroup._refine_in_place(g, node, first, best, moved)
+    return None if trace is None else (node.partition(), trace)
+
+
+def target_cell(partition):
+    """The index of the first smallest cell that is not a singleton, None
+    when the partition is discrete."""
+    best = None
+    for i, cell in enumerate(partition):
+        if len(cell) > 1 and (best is None or len(cell) < len(partition[best])):
+            best = i
+    return best
+
+
+def individualize(partition, index, v):
+    """The partition with v split off the front of cell index."""
+    cell = partition[index]
+    rest = tuple(w for w in cell if w != v)
+    return partition[:index] + ((v,), rest) + partition[index + 1:]
+
+
 def search_nodes(g, rng, width=6):
     """(partition, children) along a seeded random path from the root of
     g's search tree, partitions equitable; children are up to width
     (vertex, individualized partition) pairs from the target cell."""
     partition = reference_refine_traced(g, list(unit_partition(g)))[0]
     while True:
-        index = autgroup._target_cell(partition)
+        index = target_cell(partition)
         if index is None:
             return
         cell = partition[index]
-        children = [(v, autgroup._individualize(partition, index, v))
+        children = [(v, individualize(partition, index, v))
                     for v in rng.sample(cell, min(width, len(cell)))]
         yield partition, children
         v, child = rng.choice(children)
         partition = reference_refine_traced(g, child, None, None, (v,))[0]
+
+
+def assert_node_consistent(node, n):
+    """The carried state of a node agrees with its partition: each cell
+    sorted and named by its end, names in order, cell_id and free right
+    for every vertex."""
+    assert sorted(node.cell_at) == node.names
+    end = -1
+    for name, cell in zip(node.names, node.partition()):
+        end += len(cell)
+        assert name == end and list(cell) == sorted(cell)
+        for v in cell:
+            assert node.cell_id[v] == name
+            assert node.free[v] == (len(cell) > 1)
+    assert end == n - 1
+
+
+def test_partition_state_matches_tuple_reference():
+    """Along seeded random paths down each graph's search tree, a node's
+    target is the tuple partition's first smallest non-singleton cell; a
+    child individualizes v as the tuple partition does, renaming only v,
+    and leaves its parent unchanged; refined in place, it holds the
+    reference's partition, its state consistent; a discrete node's
+    cell_id is the leaf's labeling, each vertex's position."""
+    rng = random.Random(55)
+    children = leaves = 0
+    for g in kernel_graphs(rng):
+        for partition, nodes in search_nodes(g, rng):
+            node = autgroup._Partition(g.n, partition)
+            index = target_cell(partition)
+            assert node.cell_at[node.target()] == partition[index]
+            for v, child in nodes:
+                got = node.child(v)
+                assert got.partition() == child
+                assert_node_consistent(got, g.n)
+                assert [u for u in range(g.n)
+                        if got.cell_id[u] != node.cell_id[u]] == [v]
+                autgroup._refine_in_place(g, got, None, None, (v,))
+                assert got.partition() == reference_refine_traced(g, child)[0]
+                assert_node_consistent(got, g.n)
+                if got.target() is None:
+                    leaves += 1
+                    assert [got.cell_id[c[0]] for c in got.partition()] == \
+                        list(range(g.n))
+                children += 1
+            assert node.partition() == partition
+            assert_node_consistent(node, g.n)
+    assert children > 700 and leaves > 100
+
+
+def test_flat_key_orders_like_pair_signature():
+    """Over seeded random sorted multisets of names, of different lengths
+    and with repeats, the flat key orders and compares equal exactly as
+    the (cell, count) pair lists do.  The plain sorted lists do not: they
+    put [1, 1, 5] before [1, 2, 2], whose pairs come first."""
+    rng = random.Random(56)
+    top = 9
+    keys = []
+    for _ in range(300):
+        ids = sorted(rng.choices(range(rng.randint(1, top)),
+                                 k=rng.randint(0, 7)))
+        keys.append((ids, autgroup._flat_key(list(ids), top),
+                     pair_signature(ids)))
+    equal = plain_wrong = 0
+    for (ids1, flat1, pairs1), (ids2, flat2, pairs2) in combinations(keys, 2):
+        assert (flat1 < flat2) == (pairs1 < pairs2)
+        assert (flat1 == flat2) == (pairs1 == pairs2)
+        equal += pairs1 == pairs2
+        plain_wrong += (ids1 < ids2) != (pairs1 < pairs2)
+    assert equal > 500 and plain_wrong > 5000
+    assert [1, 1, 5] < [1, 2, 2]
+    assert pair_signature([1, 2, 2]) < pair_signature([1, 1, 5])
+    assert autgroup._flat_key([1, 2, 2], top) < autgroup._flat_key([1, 1, 5],
+                                                                   top)
 
 
 def test_refine_kernel_matches_reference_on_partitions():
@@ -255,7 +369,7 @@ def test_refine_kernel_matches_reference_on_partitions():
         for _ in range(5):
             cells = [tuple(sorted(cell))
                      for cell in random_ordered_partition(rng, g.n)]
-            assert autgroup._refine(g, cells) == reference_refine_traced(
+            assert refine_kernel(g, cells) == reference_refine_traced(
                 g, cells)
 
 
@@ -268,7 +382,7 @@ def test_refine_kernel_matches_reference_on_children():
     for g in kernel_graphs(rng) * 3:
         for _, nodes in search_nodes(g, rng):
             for v, child in nodes:
-                got = autgroup._refine(g, child, None, None, (v,))
+                got = refine_kernel(g, child, None, None, (v,))
                 assert got == reference_refine_traced(g, child, None, None,
                                                       (v,))
                 assert got == reference_refine_traced(g, child)
@@ -307,7 +421,7 @@ def test_refine_kernel_matches_reference_when_dropping():
                                                rounds)[1]
                 for first in traces + [None]:
                     for best in traces + [None]:
-                        got = autgroup._refine(g, child, first, best, (v,))
+                        got = refine_kernel(g, child, first, best, (v,))
                         assert got == reference_refine_traced(
                             g, child, first, best, (v,))
                         k = drop_index(full, first, best)
@@ -319,7 +433,7 @@ def test_refine_kernel_matches_reference_when_dropping():
 
 
 def counting_refine_reference(g, cells, first=None, best=None, moved=None):
-    """autgroup._refine as it was before it ignored neighbours in
+    """The refinement kernel as it was before it ignored neighbours in
     singleton cells: every neighbour of a moved vertex is counted, and
     the cells of one vertex are skipped only when their splits are
     looked for."""
@@ -379,7 +493,7 @@ def counting_refine_reference(g, cells, first=None, best=None, moved=None):
             break
         moved, renamed = [], []
         for start, parts in splits:
-            parts = sorted(parts, key=lambda part: autgroup._signature(
+            parts = sorted(parts, key=lambda part: pair_signature(
                 sorted([cell_id[w] for w in adj[part[0]]])))
             event = (bisect_left(starts, start), *map(len, parts))
             if dropped(event):
@@ -430,7 +544,7 @@ def test_refine_matches_counting_reference_on_partitions():
                            random_ordered_partition(rng, g.n)],
                           partition_with_singletons(rng, g.n)):
                 singletons += sum(len(cell) == 1 for cell in cells)
-                assert autgroup._refine(g, cells) == \
+                assert refine_kernel(g, cells) == \
                     counting_refine_reference(g, cells)
     assert singletons > 1500
 
@@ -449,7 +563,7 @@ def test_refine_matches_counting_reference_on_children():
             for v, child in nodes:
                 for first in traces[:2] + [None]:
                     for best in traces[-2:] + [None]:
-                        got = autgroup._refine(g, child, first, best, (v,))
+                        got = refine_kernel(g, child, first, best, (v,))
                         assert got == counting_refine_reference(
                             g, child, first, best, (v,))
                         checked += 1
@@ -473,9 +587,24 @@ def test_search_matches_reference_refine(monkeypatch):
         return s.aut_gens, s.best_pi, s.first_path, s.first_traces, s.best
 
     results = [search(g) for g in graphs]
-    monkeypatch.setattr(autgroup, "_refine", reference_refine_traced)
+    calls = []
+
+    def reference_kernel(g, node, first=None, best=None, moved=None):
+        """The search's kernel, on the node's partition by the reference."""
+        calls.append(moved)
+        got = reference_refine_traced(g, list(node.partition()), first, best,
+                                      moved)
+        if got is None:
+            return None
+        refined = autgroup._Partition(g.n, got[0])
+        for slot in autgroup._Partition.__slots__:
+            setattr(node, slot, getattr(refined, slot))
+        return got[1]
+
+    monkeypatch.setattr(autgroup, "_refine_in_place", reference_kernel)
     for g, result in zip(graphs, results):
         assert search(g) == result
+    assert calls
 
 
 def test_leaf_key_orders_like_graph6():
@@ -503,21 +632,20 @@ class BreadthFirstOrbitSearch(autgroup._Search):
     sweep from the explored candidates under the generators that fix the
     path."""
 
-    def _explore(self, partition, path, traces):
-        cell_index = autgroup._target_cell(partition)
-        if cell_index is None:
-            return self._leaf(partition, path, traces)
+    def _explore(self, node, path, traces):
+        name = node.target()
+        if name is None:
+            return self._leaf(node, path, traces)
         depth = len(path)
         explored = []
-        for v in partition[cell_index]:
+        for v in node.cell_at[name]:
             if explored and self._in_explored_orbit(v, explored, path):
                 continue
-            child = autgroup._refine(
-                self.g, autgroup._individualize(partition, cell_index, v),
-                *self._references(traces), (v,))
-            if child is not None:
-                back = self._explore(child[0], path + (v,),
-                                     traces + (child[1],))
+            child = node.child(v)
+            trace = autgroup._refine_in_place(
+                self.g, child, *self._references(traces), (v,))
+            if trace is not None:
+                back = self._explore(child, path + (v,), traces + (trace,))
                 if back < depth:
                     return back
             explored.append(v)
@@ -570,7 +698,8 @@ class UnsplitRootSearch(autgroup._Search):
         if self.g.n == 0:
             self.first_path = self.best_pi = ()
             return self
-        root, _ = autgroup._refine(self.g, unit_partition(self.g))
+        root = autgroup._Partition(self.g.n, unit_partition(self.g))
+        autgroup._refine_in_place(self.g, root)
         self._explore(root, (), ())
         return self
 
@@ -700,20 +829,21 @@ def test_root_split_certificates_invariant():
 def test_root_split_refines_regular_graphs_at_most_three_times(monkeypatch):
     """On random regular graphs of order 110 to 130, where the equitable
     root is one cell, the sphere sizes leave at most two refinements
-    below the root's: the search makes at most 3 _refine calls."""
+    below the root's: the search makes at most 3 refinements."""
     calls = []
-    real = autgroup._refine
+    real = autgroup._refine_in_place
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(autgroup, "_refine", counted)
+    monkeypatch.setattr(autgroup, "_refine_in_place", counted)
     rng = random.Random(49)
     for i in range(20):
         g = random_regular(rng, rng.randrange(110, 131, 2), 3 + i % 2)
         calls.clear()
         autgroup._Search(g).run()
+        assert calls
         assert len(calls) <= 3
 
 
@@ -786,15 +916,16 @@ def test_search_leaves_equivalent_subtrees(monkeypatch):
     rng.shuffle(p)
     g = relabel(foster, tuple(p))
     calls = []
-    real = autgroup._refine
+    real = autgroup._refine_in_place
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(autgroup, "_refine", counted)
+    monkeypatch.setattr(autgroup, "_refine_in_place", counted)
     autgroup._analysis.cache_clear()
     result = autgroup._analysis(g)
+    assert calls
     assert len(calls) < 133
     assert len(result.generators) < 54
     assert automorphism_group(g).order == 4320

@@ -904,6 +904,26 @@ def test_engine_error_before_any_check(monkeypatch):
                                        "last_check": None}
 
 
+@pytest.mark.parametrize("error,text", [
+    (RuntimeError, "engine error: RuntimeError"),
+    (MemoryError, "engine error: MemoryError"),
+    (WrongParameters, "WrongParameters"),
+    (RuntimeError("injected"), "engine error: RuntimeError: injected"),
+    (WrongParameters("injected"), "WrongParameters: injected"),
+])
+def test_entry_error_without_message_has_no_trailing_colon(monkeypatch,
+                                                           error, text):
+    """An error raised without a message, an engine error or a typed one,
+    is recorded as its type name alone; one with a message keeps
+    "type: message"."""
+    def broken(g):
+        raise error
+
+    monkeypatch.setattr(cli, "automorphism_group", broken)
+    k4 = next(e for e in load_census("builtin") if e.name == "k4")
+    assert cli._verify_entry((k4, cli.SUITES, False))["error"] == text
+
+
 def test_memory_error_fails_only_its_entry(monkeypatch, tmp_path, capsys):
     """A MemoryError fails its entry as an engine error with no traceback:
     importing traceback while the failed frames still hold their memory
