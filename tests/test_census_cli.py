@@ -451,6 +451,38 @@ def test_cli_verify_builtin_report_pinned(tmp_path, capsys, jobs):
         BUILTIN_STRICT_REPORT_SHA256
 
 
+# The same for the seven stress graphs (census written by
+# _write_stress_census): Foster's 270 darts are the largest dart entry of
+# the benchmark.
+STRESS_STRICT_REPORT_SHA256 = (
+    "6cd2cd6e11c4bd057461331448061d7d212818c414a1145c3df419de8c8fb5d7")
+
+
+def _write_stress_census(tmp_path):
+    """A census of the seven stress graphs in construction labeling, with
+    no expected block; returns its path."""
+    path = tmp_path / "stress.json"
+    path.write_text(json.dumps({"entries": [
+        CensusEntry(name, write_graph6(build())).to_json_dict()
+        for name, build in zip(STRESS_NAMES, STRESS_GRAPHS)]}),
+        encoding="utf-8")
+    return str(path)
+
+
+def test_cli_verify_stress_report_pinned(tmp_path, capsys, monkeypatch):
+    # the report names the census as given: a relative path keeps it fixed
+    _write_stress_census(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "report.json"
+    assert main(["verify", "all", "--census", "stress.json", "--strict",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    text = json.dumps(_strip_timing(json.loads(out.read_text())),
+                      indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        STRESS_STRICT_REPORT_SHA256
+
+
 def test_verify_entry_builds_each_artefact_once(monkeypatch):
     """One analysis per entry: the dart chain, its alternating cycles and
     their graph are built once for all three suites (psi builds the second
@@ -528,12 +560,7 @@ def test_verify_all_reads_no_lifted_chain_level(census, tmp_path, capsys,
     report, of (g, Aut(g)), and PermGroup.first_level runs only on Aut(g)'s
     chain, never on a group whose degree is the dart graph's order."""
     if census == "stress":
-        path = tmp_path / "stress.json"
-        path.write_text(json.dumps({"entries": [
-            CensusEntry(name, write_graph6(build())).to_json_dict()
-            for name, build in zip(STRESS_NAMES, STRESS_GRAPHS)]}),
-            encoding="utf-8")
-        census = str(path)
+        census = _write_stress_census(tmp_path)
     entry_graph = {e.name: e.graph() for e in load_census(census)}
     current = [None]
     reports, levels = Counter(), {name: [] for name in entry_graph}
@@ -572,12 +599,7 @@ def test_verify_dart_entry_builds_one_chain(census, tmp_path, capsys,
     stabiliser chain, Aut(g)'s, of degree n: the lift, <lift, tau> and the
     fibre action are proven, not built."""
     if census == "stress":
-        path = tmp_path / "stress.json"
-        path.write_text(json.dumps({"entries": [
-            CensusEntry(name, write_graph6(build())).to_json_dict()
-            for name, build in zip(STRESS_NAMES, STRESS_GRAPHS)]}),
-            encoding="utf-8")
-        census = str(path)
+        census = _write_stress_census(tmp_path)
     entry_graph = {e.name: e.graph() for e in load_census(census)}
     current = [None]
     builds = {name: [] for name in entry_graph}
