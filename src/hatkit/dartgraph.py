@@ -24,8 +24,8 @@ from .errors import (
     WrongParameters,
     check,
 )
-from .graphs import (Graph, check_edge_map, edge_map_fault, from_edge_list,
-                     is_connected, is_regular, isomorphism_fault)
+from .graphs import (Graph, check_edge_map, from_edge_list, is_connected,
+                     is_regular, isomorphism_fault)
 from .autgroup import TransitivityReport, _check_automorphisms
 from .altcycles import AltDecomposition, Orientation, alternating_cycles
 from .perms import PermGroup, check_perm
@@ -287,12 +287,17 @@ def psi_isomorphism(g: Graph, d: Orientation, dec: AltDecomposition):
     certifies them.  The dart (C, C') maps to the unique vertex of the
     two-point intersection of C and C' that heads both of its edges on C
     in d.  Returns (mapping, report); the mapping is indexed by dart-graph
-    vertices and verified to be an isomorphism that carries the natural
-    orientation onto d.  A failed check raises StructureViolation naming
-    it (psi_unique_head, psi_bijective, psi_preserves_adjacency or
-    psi_orientation_compatible) with the dart, edge or arc that fails it,
-    also under python -O.  With d.reverse() the mapping is
-    compose(rev, mapping) for the dart reversal rev of the dart graph.
+    vertices, in the order of dart_graph(dec.cycle_graph), and verified
+    to be an isomorphism that carries the natural orientation onto d.
+    No dart graph is built: its edges, each in its natural direction,
+    are the 2-arcs ((C1, C2), (C2, C3)) with C3 != C1 of the
+    reconstruction, and these are checked against g and d.  A failed
+    check raises StructureViolation naming it (psi_unique_head,
+    psi_bijective, psi_preserves_adjacency or psi_orientation_compatible)
+    with the dart, the first edge or the first natural arc of the dart
+    graph that fails it, also under python -O.  With d.reverse() the
+    mapping is compose(rev, mapping) for the dart reversal rev of the
+    dart graph.
     """
     if d.graph != g:
         raise OrientationInvalid("orientation belongs to a different graph")
@@ -300,8 +305,12 @@ def psi_isomorphism(g: Graph, d: Orientation, dec: AltDecomposition):
         raise WrongParameters(
             f"(radius, attachment) = ({dec.radius}, {dec.attachment}), "
             "the dart correspondence needs (3, 2)")
+    # cubic by alt_graph_regular (ell = 2r/a = 3); each cycle has 6 vertices
     lam = dec.cycle_graph
-    dart, natural, labeling = dart_graph(lam)
+    darts = tuple((c, c2) for c in range(lam.n) for c2 in lam.adj[c])
+    index = {dart: i for i, dart in enumerate(darts)}
+    two_arcs = [(i, index[c2, c3]) for i, (c1, c2) in enumerate(darts)
+                for c3 in lam.adj[c2] if c3 != c1]
 
     by_pair = {}
     for v, pair in enumerate(dec.cycles_at_vertex):
@@ -310,16 +319,12 @@ def psi_isomorphism(g: Graph, d: Orientation, dec: AltDecomposition):
     positions = [{v: p for p, v in enumerate(cyc)} for cyc in dec.cycles]
 
     def heads_both_on(c, v):
-        cyc = dec.cycles[c]
-        p = positions[c][v]
-        before = cyc[(p - 1) % len(cyc)]
-        after = cyc[(p + 1) % len(cyc)]
-        return d.is_head(v, before) and d.is_head(v, after)
+        cyc, p = dec.cycles[c], positions[c][v]
+        return d.is_head(v, cyc[p - 1]) and d.is_head(v, cyc[(p + 1) % 6])
 
     psi, fault = [], ""
-    for i, (c1, c2) in enumerate(labeling.darts):
-        pair = (c1, c2) if c1 < c2 else (c2, c1)
-        u, w = by_pair[pair]
+    for i, (c1, c2) in enumerate(darts):
+        u, w = by_pair[min(c1, c2), max(c1, c2)]
         u_heads = heads_both_on(c1, u)
         if u_heads == heads_both_on(c1, w):
             fault = (f"dart {i} = ({c1}, {c2}): {2 * u_heads} of its pair "
@@ -336,10 +341,19 @@ def psi_isomorphism(g: Graph, d: Orientation, dec: AltDecomposition):
                  if taken.setdefault(v, i) != i), None)
     check(checks, "psi_bijective", pair is None,
           "" if pair is None else f"darts {pair} map to the same vertex")
-    fault = edge_map_fault(psi, dart, g)
-    check(checks, "psi_preserves_adjacency", not fault, fault)
-    arc = next((a for a in natural.arcs
-                if not d.is_head(psi[a[1]], psi[a[0]])), None)
+
+    def first(arcs):
+        # the dart graph lists its edges and natural arcs by (min, max)
+        return min(arcs, key=sorted, default=None)
+
+    edge = first((a, b) for a, b in two_arcs if psi[b] not in g.nbrs[psi[a]])
+    fault = ""
+    if edge is not None:
+        u, v = sorted(edge)
+        fault = f"edge ({u}, {v}) maps to the non-edge ({psi[u]}, {psi[v]})"
+    check(checks, "psi_preserves_adjacency", edge is None, fault)
+    arc = first((a, b) for a, b in two_arcs
+                if d.head_of(psi[a], psi[b]) != psi[b])
     check(checks, "psi_orientation_compatible", arc is None,
           "" if arc is None else f"natural arc {arc} maps against d")
     report = PsiReport(

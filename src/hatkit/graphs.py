@@ -88,8 +88,7 @@ def from_edge_list(n, edges):
     Graph rejects a loop (LoopEdge) and a pair listed twice, in either
     order (DuplicateEdge)."""
     adj = [[] for _ in range(n)]
-    for pair in edges:
-        u, v = tuple(pair)
+    for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
             raise VertexOutOfRange(f"edge ({u}, {v}) outside 0..{n - 1}")
         adj[u].append(v)
@@ -286,28 +285,24 @@ def line_graph(g):
     """Line graph plus the labeling of its vertices by edges of g.
 
     Vertex i of the result is edges[i]; two vertices are adjacent exactly
-    when the corresponding edges share an endpoint.
+    when the corresponding edges share an endpoint.  Row i is the edges
+    at the two ends of edges[i], less i itself, which is the only edge
+    at both in a simple graph.
     """
     edges = g.edges
     if not edges:
         raise EmptyEdgeSet("line graph needs at least one edge")
-    index = {e: i for i, e in enumerate(edges)}
-    out = set()
-    for v in range(g.n):
-        incident = [index[(min(v, w), max(v, w))] for w in g.adj[v]]
-        for a in range(len(incident)):
-            for b in range(a + 1, len(incident)):
-                i, j = incident[a], incident[b]
-                out.add((min(i, j), max(i, j)))
-    return from_edge_list(len(edges), sorted(out)), edges
+    at = [[] for _ in range(g.n)]
+    for i, (u, v) in enumerate(edges):
+        at[u].append(i)
+        at[v].append(i)
+    adj = [[j for j in at[u] + at[v] if j != i]
+           for i, (u, v) in enumerate(edges)]
+    return Graph(len(edges), adj), edges
 
 
 def bipartite_double(g):
     """Canonical double cover: vertices (v, s) with s in {0, 1} stored as
     v + s*n, and (u, 0) ~ (v, 1) for every edge uv of g."""
     n = g.n
-    out = []
-    for u, v in g.edges:
-        out.append((u, v + n))
-        out.append((v, u + n))
-    return from_edge_list(2 * n, out)
+    return Graph(2 * n, [[v + n for v in row] for row in g.adj] + list(g.adj))

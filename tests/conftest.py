@@ -14,6 +14,8 @@ from hatkit.census import (
     holt_graph,
     lcf_graph,
 )
+from hatkit.altcycles import Orientation, alternating_cycles
+from hatkit.dartgraph import dart_graph
 from hatkit.graphs import bipartite_double, from_edge_list
 from hatkit.perms import schreier_sims
 
@@ -48,6 +50,61 @@ def lift_chain(lifted):
     generators by full closure: the reference that tests read the lift's
     levels, orbits and sifts from, as the lift itself keeps no chain."""
     return schreier_sims(lifted.generators, degree=lifted.degree)
+
+
+class ForgedOrientation:
+    """A stand-in for an Orientation as psi_isomorphism reads one: d's
+    graph, with is_head and head_of answered by the functions given (d's
+    own by default).  It lets a test break the premise that a check of
+    psi rests on: that d is one orientation, read alike by every method."""
+
+    def __init__(self, d, is_head=None, head_of=None):
+        self.graph = d.graph
+        self.is_head = is_head or d.is_head
+        self.head_of = head_of or d.head_of
+
+
+def psi_faults():
+    """(check, g, d, dec) for each of psi_isomorphism's four checks, in
+    order: g is Dart(Petersen), dec the alternating cycles of its natural
+    orientation, and d an orientation that breaks the premise the check
+    rests on, so that psi fails at that check.
+
+    - psi_unique_head: the natural orientation with the darts of the
+      outer 5-cycle reversed, a 2-in/2-out orientation that no group
+      induces;
+    - psi_bijective: the natural orientation, where the pair (u, w) of
+      the reconstruction's dart 0 = (0, C) has u heading each of its four
+      edges and w none, so the darts (0, C) and (C, 0) both map to u;
+    - psi_preserves_adjacency: the natural orientation with the heads at
+      u and w read reversed, so those two darts swap images;
+    - psi_orientation_compatible: the natural orientation, whose head_of
+      answers as its reverse, so every natural arc maps against it.
+    """
+    g, natural, labeling = dart_graph(generalized_petersen(5, 2))
+    dec = alternating_cycles(g, natural)
+    step = [labeling.index[(i, (i + 1) % 5)] for i in range(5)]
+    flip = {(step[i], step[(i + 1) % 5]) for i in range(5)}
+    mixed = Orientation(g, [(h, t) if (t, h) in flip else (t, h)
+                            for t, h in natural.arcs])
+    pair = (0, dec.cycle_graph.adj[0][0])
+    u, w = (v for v in range(g.n) if dec.cycles_at_vertex[v] == pair)
+
+    def one_head(v, x):
+        return v == u or (v != w and natural.is_head(v, x))
+
+    def swapped_heads(v, x):
+        return natural.is_head(v, x) != (v in (u, w))
+
+    return [
+        ("psi_unique_head", g, mixed, dec),
+        ("psi_bijective", g, ForgedOrientation(natural, is_head=one_head),
+         dec),
+        ("psi_preserves_adjacency", g,
+         ForgedOrientation(natural, is_head=swapped_heads), dec),
+        ("psi_orientation_compatible", g,
+         ForgedOrientation(natural, head_of=natural.reverse().head_of), dec),
+    ]
 
 
 def run_optimized(code):

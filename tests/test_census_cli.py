@@ -31,7 +31,8 @@ from hatkit.perms import identity
 from hatkit.records import replace
 from hatkit.autgroup import automorphism_group, canonical_form
 
-from conftest import STRESS_GRAPHS, STRESS_NAMES, path_graph, run_optimized
+from conftest import (STRESS_GRAPHS, STRESS_NAMES, ForgedOrientation,
+                      path_graph, run_optimized)
 
 REQUIRED_CUBIC = (
     "k4", "k33", "cube", "petersen", "heawood", "mobius_kantor", "pappus",
@@ -484,9 +485,10 @@ def test_cli_verify_stress_report_pinned(tmp_path, capsys, monkeypatch):
 
 
 def test_verify_entry_builds_each_artefact_once(monkeypatch):
-    """One analysis per entry: the dart chain, its alternating cycles and
-    their graph are built once for all three suites (psi builds the second
-    dart graph, of the reconstruction), the induced orientations are
+    """One analysis per entry: the dart graph, its alternating cycles and
+    their graph are built once for all three suites (psi reads the 2-arcs
+    of the reconstruction and builds no dart graph of it, and the cover
+    suite reads the forward stage's), the induced orientations are
     proven from Aut(g)'s transitivity report, with no report of the lift
     and no induced_orientation, and the dart and cover identifications
     are certified by the maps their constructions define, without an isomorphism search: the one
@@ -514,7 +516,7 @@ def test_verify_entry_builds_each_artefact_once(monkeypatch):
     petersen = next(e for e in builtin_entries() if e.name == "petersen")
     result = cli._verify_entry((petersen, cli.SUITES, True))
     assert result["passed"]
-    assert calls["dart_graph"] <= 2
+    assert calls["dart_graph"] == 1
     assert calls["lift_automorphisms"] == 1
     assert calls["schreier_sims"] <= 2
     assert calls["transitivity_report"] == 1
@@ -1039,13 +1041,14 @@ def _faulty_alternating_cycles(g, d):
     return replace(dec, radius=4) if g.n == 30 else dec
 
 
-def _reversed_natural(base, _dart_graph=dartgraph.dart_graph):
-    """dart_graph with the natural orientation it returns reversed (the
-    labeling keeps the true one) on a base of order 10, so psi carries
-    every natural arc of Dart(Petersen)'s reconstruction against the
-    orientation it is given."""
-    g, natural, labeling = _dart_graph(base)
-    return g, natural.reverse() if base.n == 10 else natural, labeling
+def _psi_heads_reversed(g, d, dec, _psi=cli.psi_isomorphism):
+    """psi_isomorphism given, for Dart(Petersen), an orientation whose
+    head_of answers as d.reverse() (conftest.ForgedOrientation): psi's
+    images are d's, and every natural arc of the dart graph of the
+    reconstruction maps against the heads it is checked on."""
+    if g.n == 30:
+        d = ForgedOrientation(d, head_of=d.reverse().head_of)
+    return _psi(g, d, dec)
 
 
 def _girth_plus_one(g):
@@ -1055,9 +1058,9 @@ def _girth_plus_one(g):
 @pytest.mark.parametrize("module, name, fault, entries, check, detail", [
     (dartgraph, "alternating_cycles", _faulty_alternating_cycles,
      {"petersen"}, "dart_radius_3", "(radius, attachment) = (4, 2)"),
-    (dartgraph, "dart_graph", _reversed_natural,
+    (cli, "psi_isomorphism", _psi_heads_reversed,
      {"petersen"}, "psi_orientation_compatible",
-     "natural arc (4, 0) maps against d"),
+     "natural arc (0, 4) maps against d"),
     (covers, "girth", _girth_plus_one, set(REQUIRED_CUBIC) - {"k4"},
      "base_girth_3", "the base has girth 4"),
 ], ids=["dart_radius_3", "psi_orientation_compatible", "base_girth_3"])

@@ -1,10 +1,12 @@
 import random
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
 from hatkit.errors import (
     Not2ArcTransitive,
+    check,
     NotAutomorphisms,
     NotConnected,
     NotCubic,
@@ -15,8 +17,10 @@ from hatkit.errors import (
 )
 from hatkit.graphs import (
     bipartite_double,
+    edge_map_fault,
     from_edge_list,
     girth,
+    is_connected,
     is_bipartite,
     is_regular,
     line_graph,
@@ -37,7 +41,7 @@ from hatkit.dartgraph import (
 from hatkit.covers import is_covering
 
 from conftest import (STRESS_GRAPHS, STRESS_NAMES, cycle_graph, lift_chain,
-                      run_optimized)
+                      psi_faults, run_optimized)
 
 
 def test_dart_counts_k4(k4):
@@ -472,6 +476,132 @@ def test_psi_of_reversed_orientation_follows_dart_reversal(name):
     assert report_rev == report
     _, _, rec_labeling = dart_graph(alt_graph(dec))
     assert psi_rev == compose(dart_reversal(rec_labeling), psi)
+
+
+def reference_psi(g, d, dec):
+    """psi_isomorphism as it was made on a second dart graph: it builds
+    dart_graph(dec.cycle_graph), with its natural orientation, and checks
+    psi's adjacency on that graph's edges and its orientation on that
+    orientation's arcs, with d.is_head.  The reference for psi's tuple,
+    report and witnesses."""
+    lam = dec.cycle_graph
+    dart, natural, labeling = dart_graph(lam)
+    by_pair = {}
+    for v, pair in enumerate(dec.cycles_at_vertex):
+        by_pair.setdefault(pair, []).append(v)
+    positions = [{v: p for p, v in enumerate(cyc)} for cyc in dec.cycles]
+
+    def heads_both_on(c, v):
+        cyc = dec.cycles[c]
+        p = positions[c][v]
+        return (d.is_head(v, cyc[(p - 1) % len(cyc)])
+                and d.is_head(v, cyc[(p + 1) % len(cyc)]))
+
+    psi, fault = [], ""
+    for i, (c1, c2) in enumerate(labeling.darts):
+        u, w = by_pair[min(c1, c2), max(c1, c2)]
+        u_heads = heads_both_on(c1, u)
+        if u_heads == heads_both_on(c1, w):
+            fault = (f"dart {i} = ({c1}, {c2}): {2 * u_heads} of its pair "
+                     f"({u}, {w}) head both edges on cycle {c1}, not 1")
+            break
+        psi.append(u if u_heads else w)
+    checks = []
+    check(checks, "psi_unique_head", not fault, fault)
+    psi = tuple(psi)
+    taken = {}
+    pair = next(((taken[v], i) for i, v in enumerate(psi)
+                 if taken.setdefault(v, i) != i), None)
+    check(checks, "psi_bijective", pair is None,
+          "" if pair is None else f"darts {pair} map to the same vertex")
+    fault = edge_map_fault(psi, dart, g)
+    check(checks, "psi_preserves_adjacency", not fault, fault)
+    arc = next((a for a in natural.arcs
+                if not d.is_head(psi[a[1]], psi[a[0]])), None)
+    check(checks, "psi_orientation_compatible", arc is None,
+          "" if arc is None else f"natural arc {arc} maps against d")
+    return psi, dartgraph.PsiReport(radius=dec.radius,
+                                    attachment=dec.attachment,
+                                    alt_order=lam.n, checks=tuple(checks))
+
+
+def connected_random_cubic(seed, n):
+    rng = random.Random(seed)
+    while True:
+        stubs = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(stubs)
+        edges = {(min(a, b), max(a, b))
+                 for a, b in zip(stubs[::2], stubs[1::2]) if a != b}
+        if len(edges) == 3 * n // 2:
+            g = from_edge_list(n, sorted(edges))
+            if is_connected(g):
+                return g
+
+
+# The dart entries, F026 (cubic and symmetric but not 2-arc-transitive)
+# and seeded random connected cubic graphs: the alternating cycles of any
+# dart graph's natural orientation have (r, a) = (3, 2), the cycle of base
+# vertex x being the six darts at x.
+PSI_BASES = dict(DART_ENTRIES, f026=STRESS_GRAPHS[0])
+PSI_BASES.update((f"random{seed}", lambda seed=seed: connected_random_cubic(
+    seed, 2 * random.Random(seed).randrange(6, 31))) for seed in range(6))
+
+
+@pytest.mark.parametrize("name", PSI_BASES)
+def test_psi_matches_dart_graph_reference(name):
+    """psi_isomorphism builds no dart graph of the reconstruction, yet gives
+    the reference's tuple and report, from both orientations of the
+    natural pair."""
+    g, natural, _ = dart_graph(PSI_BASES[name]())
+    dec = alternating_cycles(g, natural)
+    for d in (natural, natural.reverse()):
+        psi, report = psi_isomorphism(g, d, dec)
+        assert (psi, report) == reference_psi(g, d, dec)
+        assert sorted(psi) == list(range(g.n))
+
+
+def test_psi_builds_no_dart_graph(monkeypatch):
+    calls = []
+    monkeypatch.setattr(dartgraph, "dart_graph",
+                        lambda base: calls.append(base) or dart_graph(base))
+    g, natural, _ = dart_graph(STRESS_GRAPHS[-1]())
+    psi_isomorphism(g, natural, alternating_cycles(g, natural))
+    assert calls == []
+
+
+def test_psi_checks_fail_with_their_witness():
+    """Each of psi's four checks fails, with the witness the reference
+    gives, when d breaks the premise it rests on (conftest.psi_faults);
+    the orientation check, which the reference reads through is_head, is
+    failed by d's head_of at the first natural arc of the dart graph of
+    the reconstruction.  The same witnesses under python -O."""
+    messages = []
+    for i, (name, g, d, dec) in enumerate(psi_faults()):
+        with pytest.raises(StructureViolation) as info:
+            psi_isomorphism(g, d, dec)
+        assert info.value.check == name
+        messages.append(str(info.value))
+        if name != "psi_orientation_compatible":
+            with pytest.raises(StructureViolation) as reference:
+                reference_psi(g, d, dec)
+            assert str(reference.value) == messages[-1]
+    natural = dart_graph(dec.cycle_graph)[1]
+    assert messages[-1] == (f"psi_orientation_compatible: natural arc "
+                            f"{natural.arcs[0]} maps against d")
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+        "from conftest import psi_faults\n"
+        "from hatkit.dartgraph import psi_isomorphism\n"
+        "from hatkit.errors import StructureViolation\n"
+        "print(sys.flags.optimize)\n"
+        "for name, g, d, dec in psi_faults():\n"
+        "    try:\n"
+        "        psi_isomorphism(g, d, dec)\n"
+        "    except StructureViolation as exc:\n"
+        "        print(exc)\n"
+    )
+    assert run_optimized(code) == ["1"] + " ".join(messages).split()
 
 
 def test_psi_wrong_parameters(holt):

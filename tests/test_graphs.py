@@ -22,7 +22,8 @@ from hatkit.graphs import (
     relabel,
 )
 from hatkit.autgroup import automorphism_group, is_isomorphic
-from hatkit.census import builtin_entries, generalized_petersen, lcf_graph
+from hatkit.census import (builtin_entries, generalized_petersen, lcf_graph,
+                           pgl2_graph)
 
 from conftest import STRESS_GRAPHS, cycle_graph, path_graph
 
@@ -258,6 +259,84 @@ def test_line_graph_degree_law(g):
         assert lg.degree(i) == g.degree(u) + g.degree(v) - 2
     assert lg.n == g.m
     assert lg.m == sum(d * (d - 1) // 2 for d in g.degrees())
+
+
+def reference_line_graph(g):
+    """line_graph as it was built through a pair set, a sort and
+    from_edge_list: the reference for its graph and edge labels."""
+    edges = g.edges
+    if not edges:
+        raise EmptyEdgeSet("line graph needs at least one edge")
+    index = {e: i for i, e in enumerate(edges)}
+    out = set()
+    for v in range(g.n):
+        incident = [index[(min(v, w), max(v, w))] for w in g.adj[v]]
+        for a, b in combinations(incident, 2):
+            out.add((min(a, b), max(a, b)))
+    return from_edge_list(len(edges), sorted(out)), edges
+
+
+def reference_bipartite_double(g):
+    """bipartite_double as it was built through from_edge_list."""
+    n = g.n
+    out = []
+    for u, v in g.edges:
+        out.append((u, v + n))
+        out.append((v, u + n))
+    return from_edge_list(2 * n, out)
+
+
+def derived_graph_inputs():
+    """The builtin, stress and PGL(2, 7 | 11) graphs, and seeded random
+    cubic and 4-regular graphs (not necessarily connected)."""
+    graphs = [e.graph() for e in builtin_entries()]
+    graphs += [build() for build in STRESS_GRAPHS]
+    graphs += [pgl2_graph(p) for p in (7, 11)]
+    rng = random.Random(29)
+    for k in (3, 4):
+        for _ in range(4):
+            n = rng.randrange(10, 81, 2)
+            while True:
+                stubs = [v for v in range(n) for _ in range(k)]
+                rng.shuffle(stubs)
+                edges = {(min(a, b), max(a, b))
+                         for a, b in zip(stubs[::2], stubs[1::2]) if a != b}
+                if len(edges) == k * n // 2:
+                    break
+            graphs.append(from_edge_list(n, edges))
+    return graphs
+
+
+def test_line_graph_and_double_match_references():
+    """line_graph and bipartite_double build rows, not edge lists, and
+    give the references' graphs and edge labels."""
+    for g in derived_graph_inputs():
+        assert line_graph(g) == reference_line_graph(g)
+        assert bipartite_double(g) == reference_bipartite_double(g)
+
+
+@settings(max_examples=80)
+@given(graphs())
+def test_derived_graphs_match_references_on_small_graphs(g):
+    """The same on every small graph, with isolated vertices, and the
+    same EmptyEdgeSet on an edgeless one."""
+    assert bipartite_double(g) == reference_bipartite_double(g)
+    if g.m:
+        assert line_graph(g) == reference_line_graph(g)
+        return
+    for build in (line_graph, reference_line_graph):
+        with pytest.raises(EmptyEdgeSet):
+            build(g)
+
+
+def test_from_edge_list_reads_any_pair():
+    """Any 2-iterable is a pair; anything else raises as unpacking does."""
+    assert from_edge_list(3, [[0, 1], iter((2, 1)), range(0, 3, 2)]) == \
+        from_edge_list(3, [(0, 1), (1, 2), (0, 2)])
+    with pytest.raises(ValueError):
+        from_edge_list(3, [(0, 1, 2)])
+    with pytest.raises(TypeError):
+        from_edge_list(3, [5])
 
 
 def test_bipartite_double_c5():
