@@ -40,40 +40,45 @@ def _edge_key(u, v):
 
 class Orientation:
     """One direction per edge; every vertex is the head of exactly two and
-    the tail of the other two of its incident edges."""
+    the tail of the other two of its incident edges.  in_adj[v] holds the
+    tails of the two arcs into v and out_adj[v] the heads of the two arcs
+    out of v."""
 
-    __slots__ = ("graph", "arcs", "_head", "_in_edges", "_out_edges")
+    __slots__ = ("graph", "arcs", "in_adj", "out_adj", "_head")
 
     def __init__(self, graph: Graph, arcs):
-        head = {}
-        for tail, hd in arcs:
-            key = _edge_key(tail, hd)
-            if not graph.has_edge(tail, hd):
-                raise OrientationInvalid(f"({tail}, {hd}) is not an edge")
-            if key in head:
-                raise OrientationInvalid(f"edge {key} directed twice")
-            head[key] = hd
-        if len(head) != graph.m:
+        arcs = tuple(arcs)
+        head = {_edge_key(t, h): h for t, h in arcs}
+        if not (len(head) == len(arcs) == graph.m
+                and all(map(head.__contains__, graph.edges))):
+            seen = set()
+            for tail, hd in arcs:
+                key = _edge_key(tail, hd)
+                if not graph.has_edge(tail, hd):
+                    raise OrientationInvalid(f"({tail}, {hd}) is not an edge")
+                if key in seen:
+                    raise OrientationInvalid(f"edge {key} directed twice")
+                seen.add(key)
             raise OrientationInvalid(
                 f"{len(head)} of {graph.m} edges directed")
-        in_edges = [[] for _ in range(graph.n)]
-        out_edges = [[] for _ in range(graph.n)]
-        for key, hd in head.items():
-            tail = key[0] if key[1] == hd else key[1]
-            in_edges[hd].append(key)
-            out_edges[tail].append(key)
-        for v in range(graph.n):
-            if len(in_edges[v]) != 2 or len(out_edges[v]) != 2:
-                raise OrientationInvalid(
-                    f"vertex {v} has in-degree {len(in_edges[v])} and "
-                    f"out-degree {len(out_edges[v])}, expected 2 and 2")
+        in_adj = [[] for _ in range(graph.n)]
+        out_adj = [[] for _ in range(graph.n)]
+        oriented = [(u, v) if head[u, v] == v else (v, u)
+                    for u, v in graph.edges]
+        for tail, hd in oriented:
+            in_adj[hd].append(tail)
+            out_adj[tail].append(hd)
+        v = next((v for v in range(graph.n)
+                  if len(in_adj[v]) != 2 or len(out_adj[v]) != 2), None)
+        if v is not None:
+            raise OrientationInvalid(
+                f"vertex {v} has in-degree {len(in_adj[v])} and "
+                f"out-degree {len(out_adj[v])}, expected 2 and 2")
         self.graph = graph
         self._head = head
-        self._in_edges = tuple(tuple(sorted(e)) for e in in_edges)
-        self._out_edges = tuple(tuple(sorted(e)) for e in out_edges)
-        self.arcs = tuple(
-            ((k[0], k[1]) if head[k] == k[1] else (k[1], k[0]))
-            for k in sorted(head))
+        self.in_adj = tuple(map(tuple, in_adj))
+        self.out_adj = tuple(map(tuple, out_adj))
+        self.arcs = tuple(oriented)
 
     def head_of(self, u, v):
         return self._head[_edge_key(u, v)]
@@ -81,12 +86,6 @@ class Orientation:
     def is_head(self, v, u):
         """True when v is the head of the edge {u, v}."""
         return self._head[_edge_key(u, v)] == v
-
-    def in_edges(self, v):
-        return self._in_edges[v]
-
-    def out_edges(self, v):
-        return self._out_edges[v]
 
     def reverse(self):
         return Orientation(self.graph, tuple((h, t) for t, h in self.arcs))
@@ -178,24 +177,24 @@ def alternating_cycles(g: Graph, orientation: Orientation) -> AltDecomposition:
     """
     if orientation.graph != g:
         raise OrientationInvalid("orientation belongs to a different graph")
-    assigned = {}
+    # a walk meets the vertices alternately as heads and as tails, and it
+    # leaves a tail along the out-arc it did not arrive by, so the walk of
+    # arc (t, h) is the first to meet t as a tail
+    in_adj, out_adj = orientation.in_adj, orientation.out_adj
+    walked_tail = [False] * g.n
     raw_cycles = []
-    for e0 in g.edges:
-        if e0 in assigned:
+    for t0, h0 in orientation.arcs:
+        if walked_tail[t0]:
             continue
-        h0 = orientation.head_of(*e0)
         seq = []
-        e, w = e0, h0
+        came_from, w, at_head = t0, h0, True
         while True:
-            came_from = e[0] if e[1] == w else e[1]
             seq.append(came_from)
-            assigned.setdefault(e, len(raw_cycles))
-            pair = (orientation.in_edges(w) if orientation.is_head(w, came_from)
-                    else orientation.out_edges(w))
-            e2 = pair[0] if pair[1] == e else pair[1]
-            w2 = e2[0] if e2[1] == w else e2[1]
-            e, w = e2, w2
-            if (e, w) == (e0, h0):
+            pair = in_adj[w] if at_head else out_adj[w]
+            walked_tail[w] |= not at_head
+            came_from, w = w, pair[0] if pair[1] == came_from else pair[1]
+            at_head = not at_head
+            if (came_from, w) == (t0, h0):
                 break
         raw_cycles.append(seq)
 
@@ -259,17 +258,23 @@ def alternating_cycles(g: Graph, orientation: Orientation) -> AltDecomposition:
             f"alt_attachment_at_most_radius: attachment {attachment} "
             f"exceeds radius {radius} with {len(cycles)} cycles")
 
-    positions = [{v: p for p, v in enumerate(cyc)} for cyc in cycles]
-    for (i, j), verts in by_pair.items():
-        for c in (i, j):
-            ps = sorted(positions[c][v] for v in verts)
-            gaps = [ps[k + 1] - ps[k] for k in range(len(ps) - 1)]
-            gaps.append(2 * radius - ps[-1] + ps[0])
-            if any(gap != ell for gap in gaps):
-                raise StructureViolation(
-                    f"alt_intersection_spacing: the intersection of cycles "
-                    f"{i} and {j} is not spaced every {ell} steps on cycle "
-                    f"{c}: gaps {gaps}")
+    # each intersection has `attachment` vertices, so the intersections
+    # with cycle c are spaced every ell steps on c exactly when the cycles
+    # met along c repeat with period ell; the gaps are read on failure
+    met = ([sum(cycles_at_vertex[v]) - c for v in cyc]
+           for c, cyc in enumerate(cycles))
+    if any(seq[ell:] + seq[:ell] != seq for seq in met):
+        positions = [{v: p for p, v in enumerate(cyc)} for cyc in cycles]
+        for (i, j), verts in by_pair.items():
+            for c in (i, j):
+                ps = sorted(positions[c][v] for v in verts)
+                gaps = [ps[k + 1] - ps[k] for k in range(len(ps) - 1)]
+                gaps.append(2 * radius - ps[-1] + ps[0])
+                if any(gap != ell for gap in gaps):
+                    raise StructureViolation(
+                        f"alt_intersection_spacing: the intersection of "
+                        f"cycles {i} and {j} is not spaced every {ell} "
+                        f"steps on cycle {c}: gaps {gaps}")
 
     attachment_sets = tuple(
         tuple(sorted(vs))
@@ -415,19 +420,16 @@ def cycle_images(group: PermGroup, dec: AltDecomposition):
     k = len(dec.cycles)
     if group.degree != len(dec.cycles_at_vertex):
         raise NotInvariant("group degree differs from the vertex count")
+    index = {cyc: c for c, cyc in enumerate(dec.cycles)}
     images = []
     for i, s in enumerate(group.generators):
         img = []
         for c, cyc in enumerate(dec.cycles):
-            target = None
-            for a in range(len(cyc)):
-                key = _edge_key(s[cyc[a]], s[cyc[(a + 1) % len(cyc)]])
-                t = dec.cycle_of_edge.get(key)
-                if t is None or (target is not None and t != target):
-                    raise NotInvariant(
-                        f"generator {i} does not map alternating cycle {c} "
-                        "onto an alternating cycle")
-                target = t
+            target = index.get(_canonical_cycle([s[v] for v in cyc]))
+            if target is None:
+                raise NotInvariant(
+                    f"generator {i} does not map alternating cycle {c} "
+                    "onto an alternating cycle")
             img.append(target)
         if sorted(img) != list(range(k)):
             raise NotInvariant(

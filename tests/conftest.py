@@ -107,6 +107,24 @@ def psi_faults():
     ]
 
 
+def unevenly_spaced():
+    """(g, arcs): Dart(K4) rebuilt with two heads of its first alternating
+    cycle swapped.  Every vertex keeps its two cycles and its role (head or
+    tail) on each, so the walks, their lengths and the intersection sizes
+    are as before, but on that cycle the two vertices it shares with one
+    other cycle are no longer opposite: alternating_cycles fails
+    alt_intersection_spacing.  The swap joins opposite vertices of the
+    cycle, which no dart graph edge joins, so g is simple."""
+    g, natural, _ = dart_graph(complete_graph(4))
+    cycles = [list(c) for c in alternating_cycles(g, natural).cycles]
+    heads = [{x for x, y in zip(c, c[1:] + c[:1]) if natural.is_head(x, y)}
+             for c in cycles]
+    cycles[0][0], cycles[0][2] = cycles[0][2], cycles[0][0]
+    arcs = [(y, x) if x in heads[i] else (x, y)
+            for i, c in enumerate(cycles) for x, y in zip(c, c[1:] + c[:1])]
+    return from_edge_list(g.n, arcs), arcs
+
+
 def run_optimized(code):
     """Run code under python -O with this hatkit importable; return the
     words it printed."""

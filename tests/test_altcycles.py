@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from hatkit.errors import (
@@ -5,6 +7,7 @@ from hatkit.errors import (
     HatError,
     NotConnected,
     NotHalfArcTransitive,
+    NotInvariant,
     NotTetravalent,
     OddAttachment,
     OrientationInvalid,
@@ -17,15 +20,20 @@ from hatkit.altcycles import (
     AltDecomposition,
     Orientation,
     alt_graph,
+    _canonical_cycle,
     alternating_cycles,
     antipodal_involution,
+    cycle_images,
     divisibility_checks,
     induced_alt_action,
     induced_orientation,
 )
 from hatkit.dartgraph import dart_graph, dart_reversal, lift_automorphisms, wreath_graph
 
-from conftest import cycle_graph, lift_chain, run_optimized
+from hatkit.census import builtin_entries, complete_graph, holt_graph
+
+from conftest import (STRESS_GRAPHS, cycle_graph, lift_chain, run_optimized,
+                      unevenly_spaced)
 
 
 def circulant_k5():
@@ -526,3 +534,204 @@ def test_wreath_cycle_restriction_is_klein_four():
     group = wreath_forward_group(r)
     dec = alternating_cycles(g, forward)
     assert _cycle_restriction_order(dec, group, 0) == 4
+
+
+def reference_orientation(graph, arcs):
+    """Orientation as it was built, arc by arc with an edge check each:
+    (arcs, heads by edge, in-edges, out-edges), or OrientationInvalid
+    with the same message.  The reference for the one-pass build."""
+    head = {}
+    for tail, hd in arcs:
+        key = (min(tail, hd), max(tail, hd))
+        if not graph.has_edge(tail, hd):
+            raise OrientationInvalid(f"({tail}, {hd}) is not an edge")
+        if key in head:
+            raise OrientationInvalid(f"edge {key} directed twice")
+        head[key] = hd
+    if len(head) != graph.m:
+        raise OrientationInvalid(f"{len(head)} of {graph.m} edges directed")
+    in_edges = [[] for _ in range(graph.n)]
+    out_edges = [[] for _ in range(graph.n)]
+    for key, hd in head.items():
+        in_edges[hd].append(key)
+        out_edges[key[0] if key[1] == hd else key[1]].append(key)
+    for v in range(graph.n):
+        if len(in_edges[v]) != 2 or len(out_edges[v]) != 2:
+            raise OrientationInvalid(
+                f"vertex {v} has in-degree {len(in_edges[v])} and "
+                f"out-degree {len(out_edges[v])}, expected 2 and 2")
+    oriented = tuple((k[0], k[1]) if head[k] == k[1] else (k[1], k[0])
+                     for k in sorted(head))
+    return (oriented, head, [sorted(e) for e in in_edges],
+            [sorted(e) for e in out_edges])
+
+
+def reference_cycles(g, d):
+    """The alternating cycles as they were walked, edge by edge through
+    each vertex's in- or out-edges, in canonical form."""
+    _, head, in_edges, out_edges = reference_orientation(g, d.arcs)
+    assigned, cycles = set(), []
+    for e0 in g.edges:
+        if e0 in assigned:
+            continue
+        h0 = head[e0]
+        seq, e, w = [], e0, h0
+        while True:
+            came_from = e[0] if e[1] == w else e[1]
+            seq.append(came_from)
+            assigned.add(e)
+            pair = (in_edges[w] if head[min(w, came_from), max(w, came_from)]
+                    == w else out_edges[w])
+            e = pair[0] if pair[1] == e else pair[1]
+            w = e[0] if e[1] == w else e[1]
+            if (e, w) == (e0, h0):
+                break
+        cycles.append(_canonical_cycle(seq))
+    return tuple(cycles)
+
+
+def reference_spacing_fault(cycles, ell):
+    """The alt_intersection_spacing witness as it was found, sorting the
+    positions of each intersection on both its cycles; "" when each
+    intersection is spaced every ell steps."""
+    at_vertex = {}
+    for i, cyc in enumerate(cycles):
+        for v in cyc:
+            at_vertex.setdefault(v, []).append(i)
+    by_pair = {}
+    for v in sorted(at_vertex):
+        by_pair.setdefault(tuple(sorted(at_vertex[v])), []).append(v)
+    positions = [{v: p for p, v in enumerate(cyc)} for cyc in cycles]
+    for (i, j), verts in by_pair.items():
+        for c in (i, j):
+            ps = sorted(positions[c][v] for v in verts)
+            gaps = [ps[k + 1] - ps[k] for k in range(len(ps) - 1)]
+            gaps.append(len(cycles[c]) - ps[-1] + ps[0])
+            if any(gap != ell for gap in gaps):
+                return (f"alt_intersection_spacing: the intersection of "
+                        f"cycles {i} and {j} is not spaced every {ell} "
+                        f"steps on cycle {c}: gaps {gaps}")
+    return ""
+
+
+def reference_cycle_images(group, dec):
+    """cycle_images as it was computed, looking up the cycle of each image
+    edge; None where a cycle does not map onto one cycle."""
+    images = []
+    for s in group.generators:
+        img = []
+        for cyc in dec.cycles:
+            targets = {dec.cycle_of_edge.get(
+                (min(s[x], s[y]), max(s[x], s[y])))
+                for x, y in zip(cyc, cyc[1:] + cyc[:1])}
+            img.append(targets.pop() if len(targets) == 1 else None)
+        images.append(tuple(img))
+    return images
+
+
+def half_arc_orientations():
+    """(name, g, d, group): the natural orientations of the dart graphs of
+    the cubic builtin graphs and of Dyck's and Foster's graphs, with the
+    lift of Aut; both induced orientations of Holt's graph, with Aut; and
+    the two wreath orientations, with the trivial group."""
+    out = []
+    bases = [(e.name, e.graph()) for e in builtin_entries()
+             if is_regular(e.graph(), 3)]
+    bases += [("dyck", STRESS_GRAPHS[1]()), ("foster", STRESS_GRAPHS[-1]())]
+    for name, base in bases:
+        g, natural, _, lifted = dart_with_lift(base)
+        out.append((f"dart_{name}", g, natural, lifted))
+    holt = holt_graph()
+    group = automorphism_group(holt)
+    for i, d in enumerate(induced_orientation(group, holt)):
+        out.append((f"holt{i}", holt, d, group))
+    for name, (g, d) in (("forward", forward_wreath_orientation(5)),
+                         ("spiral", spiral_wreath_orientation(4))):
+        out.append((name, g, d, schreier_sims([], degree=g.n)))
+    return out
+
+
+def test_orientation_matches_reference():
+    """The one-pass Orientation keeps the reference's arcs, heads and
+    in- and out-neighbours, and fails with its message on a missing arc,
+    an edge directed twice, a non-edge and a vertex of out-degree 4."""
+    for _, g, d, _ in half_arc_orientations():
+        for arcs in (d.arcs, d.reverse().arcs):
+            oriented, head, in_edges, out_edges = reference_orientation(
+                g, arcs)
+            built = Orientation(g, reversed(arcs))
+            assert built.arcs == oriented
+            assert all(built.head_of(*e) == head[e] for e in g.edges)
+            for v in range(g.n):
+                assert sorted(built.in_adj[v]) == [
+                    a + b - v for a, b in in_edges[v]]
+                assert sorted(built.out_adj[v]) == [
+                    a + b - v for a, b in out_edges[v]]
+    g, arcs = circulant_k5()
+    faults = [arcs[:-1], arcs[:-1] + [arcs[0]],
+              arcs[:-1] + [arcs[-1][::-1], arcs[-1]], [(0, 0)] + arcs[1:],
+              list(g.edges), arcs + [(0, 2)]]
+    for fault in faults:
+        with pytest.raises(OrientationInvalid) as reference:
+            reference_orientation(g, fault)
+        with pytest.raises(OrientationInvalid) as info:
+            Orientation(g, fault)
+        assert str(info.value) == str(reference.value)
+
+
+def test_alternating_cycles_and_images_match_references():
+    """The walk along in- and out-neighbours gives the reference's cycles,
+    the spacing check by shifting passes where the reference's passes, and
+    each generator's cycle images are the reference's."""
+    for name, g, d, group in half_arc_orientations():
+        dec = alternating_cycles(g, d)
+        assert dec.cycles == reference_cycles(g, d), name
+        assert reference_spacing_fault(dec.cycles, dec.ell) == ""
+        assert cycle_images(group, dec) == reference_cycle_images(group, dec)
+
+
+def test_alt_checks_fail_with_reference_witness():
+    """Unevenly spaced intersections (conftest.unevenly_spaced) fail
+    alt_intersection_spacing, and a transposition of two vertices of
+    Dart(K4) fails cycle_images, each with the witness the reference
+    gives, also under python -O."""
+    g, arcs = unevenly_spaced()
+    d = Orientation(g, arcs)
+    with pytest.raises(StructureViolation) as info:
+        alternating_cycles(g, d)
+    spacing = str(info.value)
+    cycles = reference_cycles(g, d)
+    assert spacing == reference_spacing_fault(cycles, len(cycles[0]) // 2)
+    dart, natural, _ = dart_graph(complete_graph(4))
+    dec = alternating_cycles(dart, natural)
+    swap = schreier_sims([(1, 0) + tuple(range(2, dart.n))])
+    first = reference_cycle_images(swap, dec)[0].index(None)
+    with pytest.raises(NotInvariant) as info:
+        cycle_images(swap, dec)
+    images = str(info.value)
+    assert images == (f"generator 0 does not map alternating cycle {first} "
+                      "onto an alternating cycle")
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+        "from conftest import unevenly_spaced\n"
+        "from hatkit.altcycles import (Orientation, alternating_cycles,\n"
+        "                              cycle_images)\n"
+        "from hatkit.census import complete_graph\n"
+        "from hatkit.dartgraph import dart_graph\n"
+        "from hatkit.errors import NotInvariant, StructureViolation\n"
+        "from hatkit.perms import schreier_sims\n"
+        "print(sys.flags.optimize)\n"
+        "g, arcs = unevenly_spaced()\n"
+        "try:\n"
+        "    alternating_cycles(g, Orientation(g, arcs))\n"
+        "except StructureViolation as exc:\n"
+        "    print(exc)\n"
+        "dart, natural, _ = dart_graph(complete_graph(4))\n"
+        "swap = schreier_sims([(1, 0) + tuple(range(2, dart.n))])\n"
+        "try:\n"
+        "    cycle_images(swap, alternating_cycles(dart, natural))\n"
+        "except NotInvariant as exc:\n"
+        "    print(exc)\n"
+    )
+    assert run_optimized(code) == ["1"] + f"{spacing} {images}".split()
