@@ -25,7 +25,7 @@ from .errors import (
     check,
 )
 from .graphs import (Graph, check_edge_map, from_edge_list, is_connected,
-                     is_regular, isomorphism_fault)
+                     is_regular, isomorphism_fault, non_edge_text)
 from .autgroup import TransitivityReport, _check_automorphisms
 from .altcycles import AltDecomposition, Orientation, alternating_cycles
 from .perms import PermGroup, check_perm
@@ -347,11 +347,8 @@ def psi_isomorphism(g: Graph, d: Orientation, dec: AltDecomposition):
         return min(arcs, key=sorted, default=None)
 
     edge = first((a, b) for a, b in two_arcs if psi[b] not in g.nbrs[psi[a]])
-    fault = ""
-    if edge is not None:
-        u, v = sorted(edge)
-        fault = f"edge ({u}, {v}) maps to the non-edge ({psi[u]}, {psi[v]})"
-    check(checks, "psi_preserves_adjacency", edge is None, fault)
+    check(checks, "psi_preserves_adjacency", edge is None,
+          "" if edge is None else non_edge_text(psi, sorted(edge)))
     arc = first((a, b) for a, b in two_arcs
                 if d.head_of(psi[a], psi[b]) != psi[b])
     check(checks, "psi_orientation_compatible", arc is None,

@@ -109,14 +109,17 @@ def unmapped_edge(p, g, h):
                 None)
 
 
+def non_edge_text(p, edge):
+    """The witness text of an edge (u, v) that p maps to a non-edge."""
+    u, v = edge
+    return f"edge ({u}, {v}) maps to the non-edge ({p[u]}, {p[v]})"
+
+
 def edge_map_fault(p, g, h):
     """The first edge of g that p does not carry to an edge of h, with
     its image, as text; "" when p carries every edge to an edge."""
     edge = unmapped_edge(p, g, h)
-    if edge is None:
-        return ""
-    u, v = edge
-    return f"edge ({u}, {v}) maps to the non-edge ({p[u]}, {p[v]})"
+    return "" if edge is None else non_edge_text(p, edge)
 
 
 def check_edge_map(check, p, g, h):

@@ -40,8 +40,8 @@ from hatkit.dartgraph import (
 )
 from hatkit.covers import is_covering
 
-from conftest import (STRESS_GRAPHS, STRESS_NAMES, cycle_graph, lift_chain,
-                      psi_faults, run_optimized)
+from conftest import (STRESS_GRAPHS, STRESS_NAMES, ForgedOrientation,
+                      cycle_graph, lift_chain, psi_faults, run_optimized)
 
 
 def test_dart_counts_k4(k4):
@@ -482,8 +482,10 @@ def reference_psi(g, d, dec):
     """psi_isomorphism as it was made on a second dart graph: it builds
     dart_graph(dec.cycle_graph), with its natural orientation, and checks
     psi's adjacency on that graph's edges and its orientation on that
-    orientation's arcs, with d.is_head.  The reference for psi's tuple,
-    report and witnesses."""
+    orientation's arcs, in their order.  The reference for psi's tuple,
+    report and witnesses.  As psi_isomorphism does, it chooses the images
+    with d.is_head and checks the arcs with d.head_of, which agree on any
+    Orientation."""
     lam = dec.cycle_graph
     dart, natural, labeling = dart_graph(lam)
     by_pair = {}
@@ -517,7 +519,7 @@ def reference_psi(g, d, dec):
     fault = edge_map_fault(psi, dart, g)
     check(checks, "psi_preserves_adjacency", not fault, fault)
     arc = next((a for a in natural.arcs
-                if not d.is_head(psi[a[1]], psi[a[0]])), None)
+                if d.head_of(psi[a[0]], psi[a[1]]) != psi[a[1]]), None)
     check(checks, "psi_orientation_compatible", arc is None,
           "" if arc is None else f"natural arc {arc} maps against d")
     return psi, dartgraph.PsiReport(radius=dec.radius,
@@ -572,19 +574,17 @@ def test_psi_builds_no_dart_graph(monkeypatch):
 def test_psi_checks_fail_with_their_witness():
     """Each of psi's four checks fails, with the witness the reference
     gives, when d breaks the premise it rests on (conftest.psi_faults);
-    the orientation check, which the reference reads through is_head, is
-    failed by d's head_of at the first natural arc of the dart graph of
-    the reconstruction.  The same witnesses under python -O."""
+    the orientation check fails at the first natural arc of the dart graph
+    of the reconstruction.  The same witnesses under python -O."""
     messages = []
-    for i, (name, g, d, dec) in enumerate(psi_faults()):
+    for name, g, d, dec in psi_faults():
         with pytest.raises(StructureViolation) as info:
             psi_isomorphism(g, d, dec)
         assert info.value.check == name
         messages.append(str(info.value))
-        if name != "psi_orientation_compatible":
-            with pytest.raises(StructureViolation) as reference:
-                reference_psi(g, d, dec)
-            assert str(reference.value) == messages[-1]
+        with pytest.raises(StructureViolation) as reference:
+            reference_psi(g, d, dec)
+        assert str(reference.value) == messages[-1]
     natural = dart_graph(dec.cycle_graph)[1]
     assert messages[-1] == (f"psi_orientation_compatible: natural arc "
                             f"{natural.arcs[0]} maps against d")
@@ -602,6 +602,55 @@ def test_psi_checks_fail_with_their_witness():
         "        print(exc)\n"
     )
     assert run_optimized(code) == ["1"] + " ".join(messages).split()
+
+
+@pytest.mark.parametrize("name", ["petersen", "heawood", "dyck", "foster"])
+def test_psi_witnesses_match_reference_on_seeded_faults(name):
+    """Seeded faults of d of each kind in conftest.psi_faults, on a few
+    edges or pairs at a time: psi fails with the reference's check and
+    witness, so each is the first edge or natural arc in the order of the
+    dart graph of the reconstruction."""
+    g, natural, _ = dart_graph(PSI_BASES[name]())
+    dec = alternating_cycles(g, natural)
+    pairs = sorted({pair for pair in dec.cycles_at_vertex})
+    rng = random.Random(name)
+    failed = set()
+    for trial in range(40):
+        kind = trial % 4
+        if kind == 0:
+            edges = set(rng.sample(g.edges, 2))
+            d = ForgedOrientation(natural, head_of=lambda u, v: (
+                u + v - natural.head_of(u, v)
+                if (min(u, v), max(u, v)) in edges else natural.head_of(u, v)))
+        else:
+            chosen = rng.sample(pairs, 1 + trial % 3)
+            ends = {v for v in range(g.n)
+                    if dec.cycles_at_vertex[v] in chosen}
+            if kind == 1:
+                def is_head(v, x):
+                    return natural.is_head(v, x) != (v in ends)
+            elif kind == 2:
+                first = {min(v for v in range(g.n)
+                             if dec.cycles_at_vertex[v] == p) for p in chosen}
+
+                def is_head(v, x):
+                    return v in first or (v not in ends
+                                          and natural.is_head(v, x))
+            else:
+                flipped = set(rng.sample(g.edges, 1 + trial % 3))
+
+                def is_head(v, x):
+                    return natural.is_head(v, x) != (
+                        (min(v, x), max(v, x)) in flipped)
+            d = ForgedOrientation(natural, is_head=is_head)
+        with pytest.raises(StructureViolation) as reference:
+            reference_psi(g, d, dec)
+        with pytest.raises(StructureViolation) as info:
+            psi_isomorphism(g, d, dec)
+        assert str(info.value) == str(reference.value)
+        failed.add(info.value.check)
+    assert failed == {"psi_unique_head", "psi_bijective",
+                      "psi_preserves_adjacency", "psi_orientation_compatible"}
 
 
 def test_psi_wrong_parameters(holt):
