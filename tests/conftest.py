@@ -45,6 +45,18 @@ def path_graph(n):
     return from_edge_list(n, [(i, i + 1) for i in range(n - 1)])
 
 
+def random_regular(rng, n, k=3):
+    """A simple k-regular graph on n vertices (configuration model with
+    rejection; not necessarily connected)."""
+    while True:
+        stubs = [v for v in range(n) for _ in range(k)]
+        rng.shuffle(stubs)
+        edges = {(min(a, b), max(a, b)) for a, b in zip(stubs[::2], stubs[1::2])
+                 if a != b}
+        if len(edges) == k * n // 2:
+            return from_edge_list(n, sorted(edges))
+
+
 def lift_chain(lifted):
     """A stabiliser chain of a dartgraph.LiftedGroup, built from its
     generators by full closure: the reference that tests read the lift's

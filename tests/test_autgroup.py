@@ -31,7 +31,7 @@ from hatkit.altcycles import alternating_cycles, cycle_images, induced_orientati
 from hatkit.dartgraph import dart_graph, dart_reversal, lift_automorphisms
 
 from conftest import (STRESS_AUT_ORDERS, STRESS_GRAPHS, cycle_graph,
-                      lift_chain, path_graph, run_optimized)
+                      lift_chain, path_graph, random_regular, run_optimized)
 
 FRUCHT = ([-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2], 1)   # cubic, |Aut| = 1
 
@@ -56,18 +56,6 @@ def brute_force_aut_order(g):
 def random_graph(rng, n, p=0.5):
     edges = [pair for pair in combinations(range(n), 2) if rng.random() < p]
     return from_edge_list(n, edges)
-
-
-def random_regular(rng, n, k=3):
-    """A simple k-regular graph on n vertices (configuration model with
-    rejection; not necessarily connected)."""
-    while True:
-        stubs = [v for v in range(n) for _ in range(k)]
-        rng.shuffle(stubs)
-        edges = {(min(a, b), max(a, b)) for a, b in zip(stubs[::2], stubs[1::2])
-                 if a != b}
-        if len(edges) == k * n // 2:
-            return from_edge_list(n, sorted(edges))
 
 
 def random_ordered_partition(rng, n):

@@ -41,7 +41,8 @@ from hatkit.dartgraph import (
 from hatkit.covers import is_covering
 
 from conftest import (STRESS_GRAPHS, STRESS_NAMES, ForgedOrientation,
-                      cycle_graph, lift_chain, psi_faults, run_optimized)
+                      cycle_graph, lift_chain, psi_faults, random_regular,
+                      run_optimized)
 
 
 def test_dart_counts_k4(k4):
@@ -527,17 +528,13 @@ def reference_psi(g, d, dec):
                                     alt_order=lam.n, checks=tuple(checks))
 
 
-def connected_random_cubic(seed, n):
+def connected_random_cubic(seed):
     rng = random.Random(seed)
+    n = 2 * rng.randrange(6, 31)
     while True:
-        stubs = [v for v in range(n) for _ in range(3)]
-        rng.shuffle(stubs)
-        edges = {(min(a, b), max(a, b))
-                 for a, b in zip(stubs[::2], stubs[1::2]) if a != b}
-        if len(edges) == 3 * n // 2:
-            g = from_edge_list(n, sorted(edges))
-            if is_connected(g):
-                return g
+        g = random_regular(rng, n)
+        if is_connected(g):
+            return g
 
 
 # The dart entries, F026 (cubic and symmetric but not 2-arc-transitive)
@@ -546,7 +543,7 @@ def connected_random_cubic(seed, n):
 # vertex x being the six darts at x.
 PSI_BASES = dict(DART_ENTRIES, f026=STRESS_GRAPHS[0])
 PSI_BASES.update((f"random{seed}", lambda seed=seed: connected_random_cubic(
-    seed, 2 * random.Random(seed).randrange(6, 31))) for seed in range(6))
+    seed)) for seed in range(6))
 
 
 @pytest.mark.parametrize("name", PSI_BASES)

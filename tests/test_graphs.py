@@ -25,7 +25,7 @@ from hatkit.autgroup import automorphism_group, is_isomorphic
 from hatkit.census import (builtin_entries, generalized_petersen, lcf_graph,
                            pgl2_graph)
 
-from conftest import STRESS_GRAPHS, cycle_graph, path_graph
+from conftest import STRESS_GRAPHS, cycle_graph, path_graph, random_regular
 
 
 @st.composite
@@ -293,17 +293,8 @@ def derived_graph_inputs():
     graphs += [build() for build in STRESS_GRAPHS]
     graphs += [pgl2_graph(p) for p in (7, 11)]
     rng = random.Random(29)
-    for k in (3, 4):
-        for _ in range(4):
-            n = rng.randrange(10, 81, 2)
-            while True:
-                stubs = [v for v in range(n) for _ in range(k)]
-                rng.shuffle(stubs)
-                edges = {(min(a, b), max(a, b))
-                         for a, b in zip(stubs[::2], stubs[1::2]) if a != b}
-                if len(edges) == k * n // 2:
-                    break
-            graphs.append(from_edge_list(n, edges))
+    graphs += [random_regular(rng, rng.randrange(10, 81, 2), k)
+               for k in (3, 4) for _ in range(4)]
     return graphs
 
 
