@@ -484,6 +484,35 @@ def test_cli_verify_stress_report_pinned(tmp_path, capsys, monkeypatch):
         STRESS_STRICT_REPORT_SHA256
 
 
+# sha256 of the `analyze` report of a graph6 file holding every builtin
+# graph and then one relabeling of each, drawn from random.Random(2017):
+# a change to any field of any record, the alternating-cycle parameters of
+# the tetravalent entries included, changes it.
+ANALYZE_REPORT_SHA256 = (
+    "a5ebc581e569d7d195e53f36f803a902cd94aea5eb99c5f01e0e784f04106475")
+
+
+def test_cli_analyze_report_pinned(tmp_path, capsys, monkeypatch):
+    import random
+    rng = random.Random(2017)
+    graphs = [e.graph() for e in builtin_entries()]
+    lines = [write_graph6(g) for g in graphs]
+    for g in graphs:
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        lines.append(write_graph6(relabel(g, tuple(perm))))
+    (tmp_path / "pin.g6").write_text("\n".join(lines) + "\n",
+                                     encoding="ascii")
+    # records are named after the file as given: a relative path keeps
+    # them fixed
+    monkeypatch.chdir(tmp_path)
+    assert main(["analyze", "pin.g6"]) == 0
+    text = capsys.readouterr().out
+    assert len(json.loads(text)["entries"]) == 2 * len(graphs)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        ANALYZE_REPORT_SHA256
+
+
 def test_verify_entry_builds_each_artefact_once(monkeypatch):
     """One analysis per entry: the dart graph, its alternating cycles and
     their graph are built once for all three suites (psi reads the 2-arcs
