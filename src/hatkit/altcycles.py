@@ -34,40 +34,29 @@ from .perms import PermGroup, centralizes, orbits, schreier_sims
 from .records import Record
 
 
-def _edge_key(u, v):
-    return (u, v) if u < v else (v, u)
-
-
 class Orientation:
     """One direction per edge; every vertex is the head of exactly two and
     the tail of the other two of its incident edges.  in_adj[v] holds the
     tails of the two arcs into v and out_adj[v] the heads of the two arcs
-    out of v."""
+    out of v; arcs lists the edges directed, in graph.edges order."""
 
-    __slots__ = ("graph", "arcs", "in_adj", "out_adj", "_head")
+    __slots__ = ("graph", "arcs", "in_adj", "out_adj")
 
     def __init__(self, graph: Graph, arcs):
-        arcs = tuple(arcs)
-        head = {_edge_key(t, h): h for t, h in arcs}
-        if not (len(head) == len(arcs) == graph.m
-                and all(map(head.__contains__, graph.edges))):
-            seen = set()
-            for tail, hd in arcs:
-                key = _edge_key(tail, hd)
-                if not graph.has_edge(tail, hd):
-                    raise OrientationInvalid(f"({tail}, {hd}) is not an edge")
-                if key in seen:
-                    raise OrientationInvalid(f"edge {key} directed twice")
-                seen.add(key)
-            raise OrientationInvalid(
-                f"{len(head)} of {graph.m} edges directed")
         in_adj = [[] for _ in range(graph.n)]
         out_adj = [[] for _ in range(graph.n)]
-        oriented = [(u, v) if head[u, v] == v else (v, u)
-                    for u, v in graph.edges]
-        for tail, hd in oriented:
+        has_edge = graph.has_edge
+        for tail, hd in arcs:
+            if not has_edge(tail, hd):
+                raise OrientationInvalid(f"({tail}, {hd}) is not an edge")
+            if hd in out_adj[tail] or tail in out_adj[hd]:
+                raise OrientationInvalid(
+                    f"edge {(min(tail, hd), max(tail, hd))} directed twice")
             in_adj[hd].append(tail)
             out_adj[tail].append(hd)
+        directed = sum(map(len, out_adj))
+        if directed != graph.m:
+            raise OrientationInvalid(f"{directed} of {graph.m} edges directed")
         v = next((v for v in range(graph.n)
                   if len(in_adj[v]) != 2 or len(out_adj[v]) != 2), None)
         if v is not None:
@@ -75,17 +64,20 @@ class Orientation:
                 f"vertex {v} has in-degree {len(in_adj[v])} and "
                 f"out-degree {len(out_adj[v])}, expected 2 and 2")
         self.graph = graph
-        self._head = head
         self.in_adj = tuple(map(tuple, in_adj))
         self.out_adj = tuple(map(tuple, out_adj))
-        self.arcs = tuple(oriented)
+        self.arcs = tuple((u, v) if v in out_adj[u] else (v, u)
+                          for u, v in graph.edges)
 
     def head_of(self, u, v):
-        return self._head[_edge_key(u, v)]
+        """The head of the edge {u, v}; KeyError when it is no edge."""
+        if not self.graph.has_edge(u, v):
+            raise KeyError((u, v))
+        return v if v in self.out_adj[u] else u
 
     def is_head(self, v, u):
         """True when v is the head of the edge {u, v}."""
-        return self._head[_edge_key(u, v)] == v
+        return self.head_of(u, v) == v
 
     def reverse(self):
         return Orientation(self.graph, tuple((h, t) for t, h in self.arcs))
@@ -139,16 +131,13 @@ def _canonical_cycle(seq):
 class AltDecomposition(Record):
     """Partition of the edges into alternating cycles plus the derived
     parameters.  cycles_at_vertex[v] is the sorted pair of cycle indices
-    through v; attachment_sets is the block system of pairwise cycle
-    intersections."""
+    through v."""
 
     cycles: tuple
     radius: int
     attachment: int
     ell: int
-    attachment_sets: tuple
     cycles_at_vertex: tuple
-    cycle_of_edge: dict
 
     @property
     def tightly_attached(self):
@@ -230,12 +219,9 @@ def alternating_cycles(g: Graph, orientation: Orientation) -> AltDecomposition:
                 f"{pair}, expected exactly two")
     cycles_at_vertex = tuple(tuple(sorted(pair)) for pair in at_vertex)
 
-    # the cycle partition of the edge set, keyed by normalized edge
-    cycle_of_edge = {}
-    for i, cyc in enumerate(cycles):
-        for a in range(len(cyc)):
-            cycle_of_edge[_edge_key(cyc[a], cyc[(a + 1) % len(cyc)])] = i
-    edge = next((e for e in g.edges if e not in cycle_of_edge), None)
+    on_cycle = {(x, y) if x < y else (y, x)
+                for cyc in cycles for x, y in zip(cyc, cyc[1:] + cyc[:1])}
+    edge = next((e for e in g.edges if e not in on_cycle), None)
     if edge is not None:
         raise StructureViolation(
             f"alt_cycles_partition_edges: edge {edge} lies on no cycle")
@@ -276,18 +262,12 @@ def alternating_cycles(g: Graph, orientation: Orientation) -> AltDecomposition:
                         f"cycles {i} and {j} is not spaced every {ell} "
                         f"steps on cycle {c}: gaps {gaps}")
 
-    attachment_sets = tuple(
-        tuple(sorted(vs))
-        for vs in sorted(by_pair.values(), key=min))
-
     return AltDecomposition(
         cycles=cycles,
         radius=radius,
         attachment=attachment,
         ell=ell,
-        attachment_sets=attachment_sets,
         cycles_at_vertex=cycles_at_vertex,
-        cycle_of_edge=cycle_of_edge,
     )
 
 

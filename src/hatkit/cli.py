@@ -12,6 +12,7 @@ import json
 import sys
 import time
 from functools import cached_property
+from operator import getitem
 
 from . import __version__
 from .errors import (
@@ -42,6 +43,7 @@ from .dartgraph import (
     verify_dart_forward,
 )
 from .covers import cover_pipeline, covering_fault
+from .perms import orbits
 from .census import load_census
 
 
@@ -63,7 +65,7 @@ class _EntryAnalysis:
     @cached_property
     def orbits(self):
         """Aut(g)'s vertex orbits, each sorted, by least vertex."""
-        return self.group.orbit_partition()
+        return orbits(range(self.g.n), self.group.generators, getitem)
 
     @cached_property
     def girth(self):

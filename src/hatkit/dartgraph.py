@@ -43,6 +43,17 @@ class DartLabeling(Record):
     index: dict
 
 
+def _darts(base: Graph):
+    """(darts, index, two_arcs) of a cubic graph: its arcs in
+    lexicographic order, each arc's position in darts, and its 2-arcs
+    ((u, v), (v, w)) with w != u as pairs of positions, by first dart."""
+    darts = tuple((u, v) for u in range(base.n) for v in base.adj[u])
+    index = {d: i for i, d in enumerate(darts)}
+    two_arcs = [(i, index[v, w]) for i, (u, v) in enumerate(darts)
+                for w in base.adj[v] if w != u]
+    return darts, index, two_arcs
+
+
 def dart_graph(base: Graph):
     """(dart graph, natural orientation, labeling) of a connected cubic
     graph.  Darts are sorted lexicographically; vertex i is darts[i]."""
@@ -50,13 +61,7 @@ def dart_graph(base: Graph):
         raise NotCubic("dart graphs are built from cubic graphs only")
     if not is_connected(base):
         raise NotConnected("base graph is not connected")
-    darts = tuple((u, v) for u in range(base.n) for v in base.adj[u])
-    index = {d: i for i, d in enumerate(darts)}
-    arcs = []
-    for i, (u, v) in enumerate(darts):
-        for w in base.adj[v]:
-            if w != u:
-                arcs.append((i, index[(v, w)]))
+    darts, index, arcs = _darts(base)
     g = from_edge_list(len(darts), arcs)
     orientation = Orientation(g, arcs)
     labeling = DartLabeling(
@@ -85,9 +90,9 @@ def dart_reversal(labeling: DartLabeling):
         if witness is not None:
             raise StructureViolation(f"{name}: dart {witness} {text}")
     check_edge_map("reversal_automorphism", tau, g, g)
-    reversed_arcs = {(h, t) for t, h in labeling.orientation.arcs}
+    out_adj = labeling.orientation.out_adj
     arc = next(((t, h) for t, h in labeling.orientation.arcs
-                if (tau[t], tau[h]) not in reversed_arcs), None)
+                if tau[t] not in out_adj[tau[h]]), None)
     if arc is not None:
         raise StructureViolation(f"reversal_reverses_orientation: natural "
                                  f"arc {arc} does not map to a reversed arc")
@@ -98,14 +103,13 @@ class LiftedGroup:
     """A group G of automorphisms of a cubic base graph acting on its
     darts by g.(u, v) = (g(u), g(v)), built by lift_automorphisms.  It
     holds no stabiliser chain of its own: degree is the number of darts,
-    generators (also strong_generators) are the lifts of G's strong
-    generators, order is |G|, and contains decides membership with G's
-    chain, of degree n rather than 3n."""
+    generators are the lifts of G's strong generators, order is |G|, and
+    contains decides membership with G's chain, of degree n rather than
+    3n."""
 
     def __init__(self, group: PermGroup, labeling: DartLabeling, generators):
         self.degree = len(labeling.darts)
         self.generators = tuple(generators)
-        self.strong_generators = self.generators
         self.order = group.order
         self._group = group
         self._labeling = labeling
@@ -161,10 +165,10 @@ def lift_automorphisms(base: Graph, group: PermGroup,
     lifted = LiftedGroup(group, labeling, (
         tuple(labeling.index[(gen[u], gen[v])] for (u, v) in labeling.darts)
         for gen in group.strong_generators))
-    natural = set(labeling.orientation.arcs)
+    out_adj = labeling.orientation.out_adj
     for i, gen in enumerate(lifted.generators):
         arc = next(((t, h) for t, h in labeling.orientation.arcs
-                    if (gen[t], gen[h]) not in natural), None)
+                    if gen[h] not in out_adj[gen[t]]), None)
         if arc is not None:
             raise StructureViolation(
                 f"lift_preserves_natural_orientation: lifted generator {i} "
@@ -307,10 +311,7 @@ def psi_isomorphism(g: Graph, d: Orientation, dec: AltDecomposition):
             "the dart correspondence needs (3, 2)")
     # cubic by alt_graph_regular (ell = 2r/a = 3); each cycle has 6 vertices
     lam = dec.cycle_graph
-    darts = tuple((c, c2) for c in range(lam.n) for c2 in lam.adj[c])
-    index = {dart: i for i, dart in enumerate(darts)}
-    two_arcs = [(i, index[c2, c3]) for i, (c1, c2) in enumerate(darts)
-                for c3 in lam.adj[c2] if c3 != c1]
+    darts, _, two_arcs = _darts(lam)
 
     by_pair = {}
     for v, pair in enumerate(dec.cycles_at_vertex):

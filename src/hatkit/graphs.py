@@ -66,7 +66,8 @@ class Graph:
         return len(self.adj[v])
 
     def has_edge(self, u, v):
-        return v in self.nbrs[u]
+        """True when {u, v} is an edge; False for a vertex outside 0..n-1."""
+        return 0 <= u < self.n and v in self.nbrs[u]
 
     def degrees(self):
         return tuple(len(row) for row in self.adj)

@@ -8,7 +8,7 @@ means "apply p, then q".
 from __future__ import annotations
 
 from math import prod
-from operator import getitem, itemgetter
+from operator import itemgetter
 
 from .errors import (
     DegreeMismatch,
@@ -154,13 +154,6 @@ class PermGroup:
         b = self.base[0]
         return (b, len(self._transversals[0]),
                 tuple(s for s in self._strong if s[b] == b))
-
-    def orbit_partition(self):
-        """Orbits of 0..degree-1, each sorted, ordered by minimum point;
-        a single orbit when the first basic orbit is every point."""
-        if self.base and len(self._transversals[0]) == self.degree:
-            return (tuple(range(self.degree)),)
-        return tuple(orbits(range(self.degree), self.generators, getitem))
 
 
 def schreier_sims(generators, degree=None, order_bound=None,

@@ -104,6 +104,23 @@ def test_orientation_reverse_and_eq():
     assert d.reverse() != d
     assert d.head_of(0, 1) == 1
     assert d.reverse().head_of(0, 1) == 0
+    for u, v in ((0, 5), (0, -1), (5, 0), (-1, 0)):
+        with pytest.raises(KeyError):
+            d.head_of(u, v)
+        with pytest.raises(KeyError):
+            d.is_head(v, u)
+
+
+@pytest.mark.parametrize("arc", [(5, 0), (-1, 0), (2, 7)])
+def test_orientation_rejects_vertex_outside_graph(arc):
+    """An arc with an end outside 0..n-1 is no edge: OrientationInvalid
+    naming it, not an IndexError from the adjacency rows and not a count
+    of directed edges after -1 wrapped round to vertex n - 1."""
+    triangle = from_edge_list(3, [(0, 1), (1, 2), (0, 2)])
+    assert not triangle.has_edge(*arc) and not triangle.has_edge(*arc[::-1])
+    with pytest.raises(OrientationInvalid) as info:
+        Orientation(triangle, [(0, 1), (1, 2), arc])
+    assert str(info.value) == f"{arc} is not an edge"
 
 
 def test_induced_orientation_errors(petersen, k4):
@@ -128,8 +145,8 @@ def test_dart_k4_alternating_structure(k4):
     assert not dec.tightly_attached
     assert all(len(c) == 6 for c in dec.cycles)
     # every vertex on exactly two cycles, attachment sets are antipodal pairs
-    assert len(dec.attachment_sets) == 6
-    assert all(len(b) == 2 for b in dec.attachment_sets)
+    assert len(attachment_sets(dec)) == 6
+    assert all(len(b) == 2 for b in attachment_sets(dec))
 
 
 def test_dart_k33_cycles_are_vertex_stars(k33):
@@ -167,7 +184,7 @@ def test_spiral_wreath_tightly_attached():
     assert dec.radius == 4 and dec.attachment == 8
     assert dec.attachment == 2 * dec.radius and dec.ell == 1
     assert not dec.tightly_attached
-    assert dec.attachment_sets == (tuple(range(8)),)
+    assert attachment_sets(dec) == (tuple(range(8)),)
     with pytest.raises(DegenerateWreath) as info:
         alt_graph(dec)
     assert info.value.pair is None and info.value.orbits is None
@@ -237,7 +254,7 @@ def test_reversal_symmetry(base_name, k4, petersen):
     dec1 = alternating_cycles(g, natural)
     dec2 = alternating_cycles(g, natural.reverse())
     assert dec1.cycles == dec2.cycles
-    assert dec1.attachment_sets == dec2.attachment_sets
+    assert attachment_sets(dec1) == attachment_sets(dec2)
 
 
 def test_antipodal_dart_k4_is_reversal(k4):
@@ -313,8 +330,7 @@ def by_keyword(r, a):
     """A decomposition with radius r and attachment a and no cycles; the
     divisibility checks read only r and a."""
     return AltDecomposition(cycles=(), radius=r, attachment=a,
-                            ell=2 * r // a, attachment_sets=(),
-                            cycles_at_vertex=(), cycle_of_edge={})
+                            ell=2 * r // a, cycles_at_vertex=())
 
 
 def test_divisibility_checks_sweep():
@@ -396,8 +412,7 @@ _FAULT_SETUP = (
     "triangle = from_edge_list(3, [(0, 1), (1, 2), (0, 2)])\n"
     "def by_hand(cycles):\n"
     "    return AltDecomposition(cycles=cycles, radius=1, attachment=2,\n"
-    "        ell=1, attachment_sets=(), cycles_at_vertex=(),\n"
-    "        cycle_of_edge={})\n"
+    "        ell=1, cycles_at_vertex=())\n"
 )
 
 
@@ -614,14 +629,32 @@ def reference_spacing_fault(cycles, ell):
     return ""
 
 
+def attachment_sets(dec):
+    """The vertices grouped by the pair of cycles through them
+    (dec.cycles_at_vertex), each group sorted, by least vertex: the
+    attachment-set block system."""
+    by_pair = {}
+    for v, pair in enumerate(dec.cycles_at_vertex):
+        by_pair.setdefault(pair, []).append(v)
+    return tuple(sorted(map(tuple, by_pair.values())))
+
+
+def cycle_of_edge(dec):
+    """The index of the cycle of dec through each edge, keyed by (min,
+    max).  Read off the cycles, not off cycles_at_vertex: when ell = 1
+    both ends of every edge lie on the same two cycles."""
+    return {(min(x, y), max(x, y)): c for c, cyc in enumerate(dec.cycles)
+            for x, y in zip(cyc, cyc[1:] + cyc[:1])}
+
+
 def reference_cycle_images(group, dec):
     """cycle_images as it was computed, looking up the cycle of each image
     edge; None where a cycle does not map onto one cycle."""
-    images = []
+    images, edge_cycle = [], cycle_of_edge(dec)
     for s in group.generators:
         img = []
         for cyc in dec.cycles:
-            targets = {dec.cycle_of_edge.get(
+            targets = {edge_cycle.get(
                 (min(s[x], s[y]), max(s[x], s[y])))
                 for x, y in zip(cyc, cyc[1:] + cyc[:1])}
             img.append(targets.pop() if len(targets) == 1 else None)

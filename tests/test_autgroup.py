@@ -698,7 +698,8 @@ def group_and_orbits(search):
     search.run()
     group = schreier_sims(search.aut_gens, degree=search.g.n,
                           base=search.first_path)
-    return group.order, group.orbit_partition()
+    return group.order, perms.orbits(range(search.g.n), group.generators,
+                                     getitem)
 
 
 def test_root_split_matches_unsplit_reference():

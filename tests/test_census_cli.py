@@ -883,7 +883,7 @@ def test_strict_fails_exactly_the_open_question_candidates(
     as detail."""
     dec = altcycles.AltDecomposition(
         cycles=(), radius=r, attachment=a, ell=2 * r // a,
-        attachment_sets=(), cycles_at_vertex=(), cycle_of_edge={})
+        cycles_at_vertex=())
     monkeypatch.setattr(cli._EntryAnalysis, "half_arc_cycles", dec)
     holt = next(e for e in builtin_entries() if e.name == "holt")
     for strict in (True, False):

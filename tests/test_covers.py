@@ -110,11 +110,11 @@ def test_seeded_chains_match_unseeded_chains(name, monkeypatch):
     lift_gens = [lift(s) for s in group.generators]
     unseeded = schreier_sims(lift_gens, degree=g.n)
     dart_base = tuple(labeling.index[(b, base.adj[b][0])] for b in group.base)
-    seeded = schreier_sims(lifted.strong_generators, degree=g.n,
+    seeded = schreier_sims(lifted.generators, degree=g.n,
                            order_bound=group.order, base=dart_base)
     assert lifted.order == seeded.order == unseeded.order == group.order
     assert seeded.base == dart_base
-    assert lifted.strong_generators == seeded.strong_generators == tuple(
+    assert lifted.generators == seeded.strong_generators == tuple(
         lift(s) for s in group.strong_generators)
     reversal = dart_reversal(labeling)
     for p in chain_probes(lift_gens, [reversal], rng):

@@ -1,6 +1,7 @@
 import random
 from collections import deque
 from itertools import combinations
+from operator import getitem
 
 import pytest
 from hypothesis import example, given, settings
@@ -22,6 +23,7 @@ from hatkit.graphs import (
     relabel,
 )
 from hatkit.autgroup import automorphism_group, is_isomorphic
+from hatkit.perms import orbits
 from hatkit.census import (builtin_entries, generalized_petersen, lcf_graph,
                            pgl2_graph)
 
@@ -191,8 +193,8 @@ def test_girth_from_orbit_roots():
                                         if rng.random() < density]))
     several = 0
     for g in cases:
-        roots = [orbit[0] for orbit
-                 in automorphism_group(g).orbit_partition()]
+        roots = [orbit[0] for orbit in orbits(
+            range(g.n), automorphism_group(g).generators, getitem)]
         several += 1 < len(roots) < g.n
         assert girth(g, roots=roots) == girth(g), g.edges
     assert several > 50

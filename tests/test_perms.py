@@ -290,39 +290,8 @@ def test_membership_random_products():
 
 def test_orbit():
     trivial = schreier_sims([], degree=4)
-    assert trivial.orbit_partition() == ((0,), (1,), (2,), (3,))
-
-
-def test_orbit_reads_first_basic_orbit_like_bfs():
-    """orbit_partition, read off the first basic orbit where it
-    applies, equals a breadth-first sweep under the generators: Aut(g)
-    of the builtin and stress graphs (transitive), groups generated by
-    random subsets of its strong generators on a random first base point
-    (often intransitive, with points inside and outside the first basic
-    orbit), a group whose first basic orbit misses one point, and
-    trivial groups."""
-    rng = random.Random(19)
-    groups = [schreier_sims([], degree=n) for n in (0, 1, 5)]
-    # S4 on 1..4, fixing 0
-    groups.append(schreier_sims([from_cycles(5, [(1, 2, 3, 4)]),
-                                 from_cycles(5, [(1, 2)])]))
-    for g in ([e.graph() for e in builtin_entries()]
-              + [build() for build in STRESS_GRAPHS]):
-        aut = autgroup.automorphism_group(g)
-        groups.append(aut)
-        for _ in range(3):
-            gens = rng.sample(aut.strong_generators,
-                              rng.randint(1, min(2, len(aut.strong_generators))))
-            groups.append(schreier_sims(gens, degree=g.n,
-                                        base=[rng.randrange(g.n)]))
-    transitive = intransitive = 0
-    for group in groups:
-        expected = tuple(perms.orbits(range(group.degree), group.generators,
-                                      getitem))
-        assert group.orbit_partition() == expected
-        transitive += len(expected) == 1 and group.degree > 1
-        intransitive += len(expected) > 1 and group.order > 1
-    assert transitive and intransitive
+    assert perms.orbits(range(4), trivial.generators, getitem) == [
+        (0,), (1,), (2,), (3,)]
 
 
 def test_orbit_sizes_divide_order():
@@ -332,7 +301,8 @@ def test_orbit_sizes_divide_order():
         images = list(range(n))
         rng.shuffle(images)
         group = schreier_sims([tuple(images)])
-        for orbit in group.orbit_partition():
+        for orbit in perms.orbits(range(group.degree), group.generators,
+                                  getitem):
             assert group.order % len(orbit) == 0
 
 
