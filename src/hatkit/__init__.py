@@ -13,7 +13,6 @@ from .graphs import (
     is_connected,
     is_regular,
     line_graph,
-    odd_closed_walk,
     relabel,
 )
 from .graph6 import load_graph6_file, parse_graph6, write_graph6
@@ -49,7 +48,6 @@ from .altcycles import (
 from .dartgraph import (
     DartLabeling,
     dart_graph,
-    dart_reversal,
     lift_automorphisms,
     psi_isomorphism,
     verify_dart_forward,
@@ -59,7 +57,6 @@ from .covers import (
     CoveringMap,
     SplitCertificate,
     cover_pipeline,
-    is_covering,
     quotient_by_tau,
     split_certificate,
 )

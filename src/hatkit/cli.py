@@ -32,16 +32,12 @@ from .autgroup import (_check_vertex_bound, automorphism_group,
                        transitivity_report)
 from .altcycles import (
     alternating_cycles,
+    antipodal_involution,
     divisibility_checks,
     half_arc_orientation,
     induced_alt_action,
 )
-from .dartgraph import (
-    dart_graph,
-    dart_reversal,
-    psi_isomorphism,
-    verify_dart_forward,
-)
+from .dartgraph import dart_graph, psi_isomorphism, verify_dart_forward
 from .covers import cover_pipeline, covering_fault
 from .perms import orbits
 from .census import load_census
@@ -227,11 +223,13 @@ def _divisibility_suite(analysis, checks, strict):
         forward = analysis.forward
         dec = forward.decomposition
         # verify_dart_forward proved the lift's arc orbits to be the natural
-        # orientation and its reverse, and dart_reversal that tau is an
-        # automorphism; so tau proves Dart(g) arc-transitive exactly when
-        # it maps some natural arc to a reversed arc
+        # orientation and its reverse, and antipodal_involution that tau
+        # (the dart reversal) is an automorphism; so tau proves Dart(g)
+        # arc-transitive exactly when it maps some natural arc to a
+        # reversed arc
         natural = forward.labeling.orientation
-        tau = dart_reversal(forward.labeling)
+        tau = antipodal_involution(forward.labeling.graph, dec,
+                                   forward.lifted_group)
         reversal = next((((t, h), (tau[t], tau[h])) for t, h in natural.arcs
                          if natural.is_head(tau[t], tau[h])), None)
     elif analysis.half_arc_transitive:

@@ -100,12 +100,6 @@ def covering_fault(total: Graph, base: Graph, fibre_map) -> str:
     return ""
 
 
-def is_covering(total: Graph, base: Graph, fibre_map) -> bool:
-    """True when fibre_map is a surjective graph morphism that is locally
-    bijective at every vertex (a covering projection)."""
-    return not covering_fault(total, base, fibre_map)
-
-
 def quotient_by_tau(total: Graph, tau) -> CoveringMap:
     """Quotient by a fixed-point-free involutory automorphism.
 

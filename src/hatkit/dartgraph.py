@@ -9,6 +9,12 @@ lifted action is half-arc-transitive on the dart graph with radius 3 and
 attachment number 2, the graph of alternating cycles reconstructs the
 base, and an explicit orientation-compatible isomorphism goes back from
 the dart graph of the reconstruction.
+
+The alternating cycle of base vertex x with neighbours a, b, c is
+(a,x), (x,b), (c,x), (x,a), (b,x), (x,c), so antipodes on it are
+reversed darts: the dart reversal (u,v) -> (v,u) is the antipodal
+involution of the natural orientation, and altcycles.antipodal_involution
+is its one implementation.
 """
 
 from __future__ import annotations
@@ -24,8 +30,8 @@ from .errors import (
     WrongParameters,
     check,
 )
-from .graphs import (Graph, check_edge_map, from_edge_list, is_connected,
-                     is_regular, isomorphism_fault, non_edge_text)
+from .graphs import (Graph, from_edge_list, is_connected, is_regular,
+                     isomorphism_fault, non_edge_text)
 from .autgroup import TransitivityReport, _check_automorphisms
 from .altcycles import AltDecomposition, Orientation, alternating_cycles
 from .perms import PermGroup, check_perm
@@ -67,36 +73,6 @@ def dart_graph(base: Graph):
     labeling = DartLabeling(
         base=base, graph=g, orientation=orientation, darts=darts, index=index)
     return g, orientation, labeling
-
-
-def dart_reversal(labeling: DartLabeling):
-    """The permutation exchanging each dart (u,v) with (v,u): a fixed-point
-    free involutory automorphism mapping the natural orientation to its
-    reverse.  Each of the four facts is checked; a failure raises
-    StructureViolation naming it (reversal_fixed_point_free or
-    reversal_involution with the dart, reversal_automorphism with the
-    edge, reversal_reverses_orientation with the natural arc), also under
-    python -O."""
-    tau = tuple(labeling.index[(v, u)] for (u, v) in labeling.darts)
-    g = labeling.graph
-    checks = (
-        ("reversal_fixed_point_free", "is fixed",
-         (i for i in range(g.n) if tau[i] == i)),
-        ("reversal_involution", "is not fixed by its square",
-         (i for i in range(g.n) if tau[tau[i]] != i)),
-    )
-    for name, text, failures in checks:
-        witness = next(failures, None)
-        if witness is not None:
-            raise StructureViolation(f"{name}: dart {witness} {text}")
-    check_edge_map("reversal_automorphism", tau, g, g)
-    out_adj = labeling.orientation.out_adj
-    arc = next(((t, h) for t, h in labeling.orientation.arcs
-                if tau[t] not in out_adj[tau[h]]), None)
-    if arc is not None:
-        raise StructureViolation(f"reversal_reverses_orientation: natural "
-                                 f"arc {arc} does not map to a reversed arc")
-    return tau
 
 
 class LiftedGroup:

@@ -209,8 +209,10 @@ def _two_color(g):
 
 
 def parts_or_odd_walk(g):
-    """(is_bipartite(g), odd_closed_walk(g)) from one two-colouring: the
-    parts and None for a bipartite graph, else None and the walk."""
+    """(is_bipartite(g), walk) from one two-colouring: the parts and None
+    for a bipartite graph, else None and a closed walk of odd length
+    witnessing non-bipartiteness, as a vertex list whose first and last
+    entries coincide; consecutive entries are adjacent."""
     color, parent, clash = _two_color(g)
     if clash is None:
         return (tuple(v for v in range(g.n) if color[v] == 0),
@@ -232,15 +234,6 @@ def is_bipartite(g):
     """A bipartition (part0, part1) with part0 containing vertex 0 of each
     component, or None when the graph has an odd cycle."""
     return parts_or_odd_walk(g)[0]
-
-
-def odd_closed_walk(g):
-    """A closed walk of odd length witnessing non-bipartiteness, or None.
-
-    The walk is returned as a vertex list whose first and last entries
-    coincide; consecutive entries are adjacent.
-    """
-    return parts_or_odd_walk(g)[1]
 
 
 def girth(g, roots=None):

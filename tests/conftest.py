@@ -7,6 +7,7 @@ import pytest
 
 import hatkit
 from hatkit.census import (
+    builtin_entries,
     complete_bipartite,
     complete_graph,
     coxeter_graph,
@@ -36,6 +37,12 @@ STRESS_GRAPHS = (
 )
 STRESS_AUT_ORDERS = (78, 192, 1440, 288, 480, 672, 4320)
 
+# Every builtin and stress cubic 2-arc-transitive graph, by name.
+TWO_ARC_CUBIC = {e.name: e.graph for e in builtin_entries()
+                 if e.expected["valence"] == 3
+                 and e.expected["two_arc_transitive"]}
+TWO_ARC_CUBIC.update(zip(STRESS_NAMES[1:], STRESS_GRAPHS[1:]))
+
 
 def cycle_graph(n):
     return from_edge_list(n, [(i, (i + 1) % n) for i in range(n)])
@@ -55,6 +62,14 @@ def random_regular(rng, n, k=3):
                  if a != b}
         if len(edges) == k * n // 2:
             return from_edge_list(n, sorted(edges))
+
+
+def reversed_darts(labeling):
+    """The dart reversal (u, v) -> (v, u) on a dart graph's vertices: the
+    reference that altcycles.antipodal_involution of the natural
+    orientation's alternating cycles must equal."""
+    index = labeling.index
+    return tuple(index[v, u] for u, v in labeling.darts)
 
 
 def lift_chain(lifted):

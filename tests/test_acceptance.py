@@ -36,7 +36,6 @@ from hatkit.altcycles import (
 )
 from hatkit.dartgraph import (
     dart_graph,
-    dart_reversal,
     lift_automorphisms,
     psi_isomorphism,
     verify_dart_forward,
@@ -199,18 +198,20 @@ def test_criterion_5_boundary_cases(pipeline):
 
 def test_criterion_6_divisibility(pipeline):
     """Every analyzed instance passes a | 2r and the theorem: a dart graph
-    with the dart reversal's image of a natural arc as proof that X is
-    arc-transitive, and the full-group half-arc-transitive instance with
-    none, where odd radius and, as the theorem's corollary, an attachment
-    number not divisible by 4 both give a | r; the order-27 entry
-    exercises that branch.  No instance is an open-question candidate."""
+    with the antipodal involution's image of a natural arc (tau is the
+    dart reversal) as proof that X is arc-transitive, and the full-group
+    half-arc-transitive instance with none, where odd radius and, as the
+    theorem's corollary, an attachment number not divisible by 4 both
+    give a | r; the order-27 entry exercises that branch.  No instance is
+    an open-question candidate."""
     names = ["a_divides_2r", "arc_transitive_if_a_twice_odd_not_dividing_r"]
     analyzed = 0
     odd_radius_full_group = 0
     for name, item in sorted(pipeline.items.items()):
         if item.dart is not None:
             natural = item.dart.natural
-            tau = dart_reversal(item.dart.labeling)
+            tau = antipodal_involution(item.dart.graph, item.dart.dec,
+                                       item.dart.lifted)
             t, h = next((t, h) for t, h in natural.arcs
                         if natural.is_head(tau[t], tau[h]))
             passed = []

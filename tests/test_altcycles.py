@@ -3,6 +3,7 @@ from pathlib import Path
 import pytest
 
 from hatkit.errors import (
+    AntipodeMismatch,
     DegenerateWreath,
     HatError,
     NotConnected,
@@ -28,12 +29,14 @@ from hatkit.altcycles import (
     induced_alt_action,
     induced_orientation,
 )
-from hatkit.dartgraph import dart_graph, dart_reversal, lift_automorphisms, wreath_graph
+from hatkit.dartgraph import dart_graph, lift_automorphisms, wreath_graph
+from hatkit.covers import quotient_by_tau
 
-from hatkit.census import builtin_entries, complete_graph, holt_graph
+from hatkit.census import (builtin_entries, complete_graph, holt_graph,
+                           pgl2_graph)
 
-from conftest import (STRESS_GRAPHS, cycle_graph, lift_chain, run_optimized,
-                      unevenly_spaced)
+from conftest import (STRESS_GRAPHS, TWO_ARC_CUBIC, cycle_graph, lift_chain,
+                      reversed_darts, run_optimized, unevenly_spaced)
 
 
 def circulant_k5():
@@ -247,21 +250,41 @@ def test_orientation_mismatched_graph(k4):
         alternating_cycles(other, natural)
 
 
-@pytest.mark.parametrize("base_name", ["k4", "petersen"])
-def test_reversal_symmetry(base_name, k4, petersen):
-    base = {"k4": k4, "petersen": petersen}[base_name]
-    g, natural, _, _ = dart_with_lift(base)
+@pytest.mark.parametrize("base_name", [*TWO_ARC_CUBIC, "pgl2_7", "pgl2_11"])
+def test_reversal_symmetry(base_name):
+    """On the dart graph of every two-arc-transitive cubic builtin, stress
+    and PGL(2, 7 | 11) graph, both induced orientations have the same
+    alternating cycles, and their antipodal involution is the dart
+    reversal.  Above 12 darts its quotient is the line graph of the base,
+    as a labeled graph, with the dart (u, v) in the fibre of the edge
+    {u, v}: the covering that cover:dart_covers_line_graph checks through
+    the labeling."""
+    if base_name.startswith("pgl2_"):
+        base = pgl2_graph(int(base_name[len("pgl2_"):]))
+    else:
+        base = TWO_ARC_CUBIC[base_name]()
+    g, natural, labeling, lifted = dart_with_lift(base)
     dec1 = alternating_cycles(g, natural)
     dec2 = alternating_cycles(g, natural.reverse())
     assert dec1.cycles == dec2.cycles
     assert attachment_sets(dec1) == attachment_sets(dec2)
+    tau = antipodal_involution(g, dec1, lifted)
+    assert tau == reversed_darts(labeling)
+    if g.n <= 12:
+        return      # K4: no quotient by tau below 13 darts
+    cover = quotient_by_tau(g, tau)
+    line, line_edges = line_graph(base)
+    index = {e: i for i, e in enumerate(line_edges)}
+    assert cover.base == line
+    assert cover.fibre_map == tuple(index[min(u, v), max(u, v)]
+                                    for u, v in labeling.darts)
 
 
 def test_antipodal_dart_k4_is_reversal(k4):
     g, natural, labeling, lifted = dart_with_lift(k4)
     dec = alternating_cycles(g, natural)
     tau = antipodal_involution(g, dec, lifted)
-    assert tau == dart_reversal(labeling)
+    assert tau == reversed_darts(labeling)
 
 
 def test_antipodal_verified_heawood(heawood):
@@ -272,6 +295,18 @@ def test_antipodal_verified_heawood(heawood):
     assert all(tau[tau[v]] == v and tau[v] != v for v in range(g.n))
     assert all(tau[b] in g.nbrs[tau[a]] for a, b in g.edges)
     assert all(compose(tau, s) == compose(s, tau) for s in lifted.generators)
+
+
+def test_antipode_mismatch_names_vertex_and_both_antipodes():
+    """Vertex 0 sits opposite 2 on the cycle (0, 1, 2, 3) but opposite 1
+    on (0, 3, 1, 2): antipodal_involution raises AntipodeMismatch naming
+    the vertex and both antipodes, before it reads the group."""
+    dec = AltDecomposition(cycles=((0, 1, 2, 3), (0, 3, 1, 2)), radius=2,
+                           attachment=2, ell=2, cycles_at_vertex=((0, 1),) * 4)
+    with pytest.raises(AntipodeMismatch) as info:
+        antipodal_involution(cycle_graph(4), dec, schreier_sims([], degree=4))
+    assert str(info.value) == (
+        "vertex 0: antipode 2 on one cycle but 1 on the other")
 
 
 def test_antipodal_odd_attachment(holt):
@@ -303,14 +338,14 @@ def test_holt_alternating_parameters(holt):
 
 def test_divisibility_dart_case(k4):
     """Dart(K4) has (r, a) = (3, 2), so the theorem's hypothesis holds:
-    the dart reversal's image of a natural arc proves it, and claiming
-    that the lift is Aut(X), by passing no reversal, fails the theorem
-    with (r, a) as witness."""
-    g, natural, labeling, lifted = dart_with_lift(k4)
+    the antipodal involution's image of a natural arc proves it, and
+    claiming that the lift is Aut(X), by passing no reversal, fails the
+    theorem with (r, a) as witness."""
+    g, natural, _, lifted = dart_with_lift(k4)
     dec = alternating_cycles(g, natural)
     assert 2 * dec.radius % dec.attachment == 0
     assert dec.radius % dec.attachment and dec.attachment % 4 == 2
-    tau = dart_reversal(labeling)
+    tau = antipodal_involution(g, dec, lifted)
     t, h = next((t, h) for t, h in natural.arcs
                 if natural.is_head(tau[t], tau[h]))
     passed = []

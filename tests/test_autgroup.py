@@ -28,10 +28,11 @@ from hatkit.autgroup import (
 )
 from hatkit.census import builtin_entries, lcf_graph, pgl2_graph
 from hatkit.altcycles import alternating_cycles, cycle_images, induced_orientation
-from hatkit.dartgraph import dart_graph, dart_reversal, lift_automorphisms
+from hatkit.dartgraph import dart_graph, lift_automorphisms
 
 from conftest import (STRESS_AUT_ORDERS, STRESS_GRAPHS, cycle_graph,
-                      lift_chain, path_graph, random_regular, run_optimized)
+                      lift_chain, path_graph, random_regular, reversed_darts,
+                      run_optimized)
 
 FRUCHT = ([-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2], 1)   # cubic, |Aut| = 1
 
@@ -1455,7 +1456,7 @@ def test_arc_orbits_cases(k4, k33):
 
 def test_arc_orbits_rejects_non_automorphisms(k33):
     dart, _, labeling = dart_graph(k33)
-    tau = dart_reversal(labeling)
+    tau = reversed_darts(labeling)
     assert len(arc_orbits([tau], dart)) == 36
     bad = from_cycles(dart.n, [(0, 1)])
     with pytest.raises(NotAutomorphisms):

@@ -660,6 +660,29 @@ def test_verify_dart_entry_builds_one_chain(census, tmp_path, capsys,
         name: [entry_graph[name].n] for name in cubic}
 
 
+@pytest.mark.parametrize("census", ["builtin", "stress"])
+def test_each_suite_alone_makes_its_slice_of_verify_all(census, tmp_path):
+    """Run alone under --strict, each suite makes the checks, with the
+    same details, that it makes within `verify all --strict` of the same
+    entry: less the expected:* checks, the suites' checks in SUITES order
+    are the entry's `verify all` checks.  The divisibility and cover
+    suites each derive tau, so neither may read what the other built."""
+    if census == "stress":
+        census = _write_stress_census(tmp_path)
+
+    def checks(entry, suites):
+        result = cli._verify_entry((entry, suites, True))
+        assert result["error"] is None and result["passed"], entry.name
+        return [c for c in result["checks"]
+                if not c["check"].startswith("expected:")]
+
+    for entry in load_census(census):
+        alone = [checks(entry, (suite,)) for suite in cli.SUITES]
+        assert all(alone), entry.name
+        assert checks(entry, cli.SUITES) == [c for part in alone
+                                             for c in part], entry.name
+
+
 def test_verify_cover_theorem_colours_and_fibres_once(monkeypatch, capsys):
     """Over `verify cover-theorem` on the builtin census, each of the 10
     covers builds its fibre list once, and split_certificate two-colours
@@ -839,17 +862,17 @@ THEOREM = "arc_transitive_if_a_twice_odd_not_dividing_r"
 def test_divisibility_full_group_check_reads_certified_orbits(monkeypatch):
     """The theorem check on a dart entry is proved by tau's image of a
     natural arc it reverses, and agrees with sweeping every arc
-    under <lift, tau>: it passes with the dart reversal, and an identity
-    tau, which keeps the natural orientation apart from its reverse,
-    fails it with (r, a) as witness."""
+    under <lift, tau>: it passes with the antipodal involution (the dart
+    reversal), and an identity tau, which keeps the natural orientation
+    apart from its reverse, fails it with (r, a) as witness."""
     petersen = next(e for e in builtin_entries() if e.name == "petersen")
     forward = cli._EntryAnalysis(petersen.graph()).forward
     natural = forward.labeling.orientation
-    for tau_of, passed in ((cli.dart_reversal, True),
-                           (lambda labeling: identity(labeling.graph.n),
-                            False)):
-        monkeypatch.setattr(cli, "dart_reversal", tau_of)
-        tau = tau_of(forward.labeling)
+    for tau_of, passed in ((cli.antipodal_involution, True),
+                           (lambda g, dec, group: identity(g.n), False)):
+        monkeypatch.setattr(cli, "antipodal_involution", tau_of)
+        tau = tau_of(forward.labeling.graph, forward.decomposition,
+                     forward.lifted_group)
         result = cli._verify_entry((petersen, ("divisibility",), False))
         assert result["passed"] == passed and result["error"] is None
         check = next(c for c in result["checks"] if c["check"] == THEOREM)

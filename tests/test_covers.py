@@ -34,17 +34,15 @@ from hatkit.altcycles import (
     induced_orientation,
 )
 from hatkit.census import builtin_entries, pgl2_graph
-from hatkit.dartgraph import (dart_graph, dart_reversal, lift_automorphisms,
-                              wreath_graph)
+from hatkit.dartgraph import dart_graph, lift_automorphisms, wreath_graph
 from hatkit.covers import (
     cover_pipeline,
     covering_fault,
-    is_covering,
     quotient_by_tau,
     split_certificate,
 )
 
-from conftest import STRESS_GRAPHS, STRESS_NAMES, cycle_graph, run_optimized
+from conftest import TWO_ARC_CUBIC, cycle_graph, reversed_darts, run_optimized
 
 
 def dart_with_lift(base):
@@ -64,13 +62,6 @@ def dart_with_cycles(base):
 def antipodal_of(base):
     g, dec, lifted = dart_with_cycles(base)
     return g, lifted, antipodal_involution(g, dec, lifted)
-
-
-# Every builtin and stress cubic 2-arc-transitive graph, by name.
-TWO_ARC_CUBIC = {e.name: e.graph for e in builtin_entries()
-                 if e.expected["valence"] == 3
-                 and e.expected["two_arc_transitive"]}
-TWO_ARC_CUBIC.update(zip(STRESS_NAMES[1:], STRESS_GRAPHS[1:]))
 
 
 def chain_probes(gens, others, rng):
@@ -116,7 +107,7 @@ def test_seeded_chains_match_unseeded_chains(name, monkeypatch):
     assert seeded.base == dart_base
     assert lifted.generators == seeded.strong_generators == tuple(
         lift(s) for s in group.strong_generators)
-    reversal = dart_reversal(labeling)
+    reversal = reversed_darts(labeling)
     for p in chain_probes(lift_gens, [reversal], rng):
         assert lifted.contains(p) == unseeded.contains(p)
     assert not lifted.contains(reversal)
@@ -265,15 +256,17 @@ def test_base_without_triangle_fails_girth_3_under_optimize():
 
 
 def test_is_covering_examples(petersen):
+    """A covering projection has an empty covering_fault; a constant map
+    and a map onto a graph of the wrong valence do not."""
     double = bipartite_double(petersen)
     fibre_map = tuple(v % petersen.n for v in range(double.n))
-    assert is_covering(double, petersen, fibre_map)
+    assert not covering_fault(double, petersen, fibre_map)
     # constant maps are not coverings
     single = from_edge_list(1, [])
-    assert not is_covering(petersen, single, (0,) * 10)
+    assert covering_fault(petersen, single, (0,) * 10)
     # wrong-degree targets fail local bijectivity
-    assert not is_covering(petersen, cycle_graph(5),
-                           tuple(v % 5 for v in range(10)))
+    assert covering_fault(petersen, cycle_graph(5),
+                          tuple(v % 5 for v in range(10)))
 
 
 def test_covering_fault_witnesses(petersen):
@@ -315,7 +308,7 @@ def test_quotient_dart_petersen(petersen):
     cover = quotient_by_tau(g, tau)
     assert cover.base.n == 15 and is_regular(cover.base, 4)
     assert girth(cover.base) == 3
-    assert is_covering(g, cover.base, cover.fibre_map)
+    assert not covering_fault(g, cover.base, cover.fibre_map)
     assert is_isomorphic(cover.base, line_graph(petersen)[0]) is not None
 
 

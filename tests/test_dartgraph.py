@@ -28,22 +28,22 @@ from hatkit.graphs import (
 )
 from hatkit.perms import compose, from_cycles, orbits, schreier_sims
 from hatkit.autgroup import automorphism_group, is_isomorphic, transitivity_report
-from hatkit.altcycles import alt_graph, alternating_cycles, induced_orientation
+from hatkit.altcycles import (alt_graph, alternating_cycles,
+                              antipodal_involution, induced_orientation)
 from hatkit.census import builtin_entries, pgl2_graph
 from hatkit import dartgraph
 from hatkit.dartgraph import (
     dart_graph,
-    dart_reversal,
     lift_automorphisms,
     psi_isomorphism,
     verify_dart_forward,
     wreath_graph,
 )
-from hatkit.covers import is_covering
+from hatkit.covers import covering_fault
 
 from conftest import (STRESS_GRAPHS, STRESS_NAMES, ForgedOrientation,
                       cycle_graph, lift_chain, psi_faults, random_regular,
-                      run_optimized)
+                      reversed_darts, run_optimized)
 
 
 def test_dart_counts_k4(k4):
@@ -78,27 +78,35 @@ def test_dart_edges_are_two_arcs(petersen):
         assert v == v2 and u != w
 
 
+def antipodal_dart_involution(base):
+    """(dart graph, labeling, lift, tau): tau is the antipodal involution
+    of the natural orientation's alternating cycles, which is the dart
+    reversal."""
+    g, natural, labeling = dart_graph(base)
+    lifted = lift_automorphisms(base, automorphism_group(base), labeling)
+    tau = antipodal_involution(g, alternating_cycles(g, natural), lifted)
+    assert tau == reversed_darts(labeling)
+    return g, labeling, lifted, tau
+
+
 def test_dart_reversal_k4(k4):
-    _, _, labeling = dart_graph(k4)
-    tau = dart_reversal(labeling)
+    _, labeling, _, tau = antipodal_dart_involution(k4)
     moved = [i for i in range(12) if tau[i] != i]
     assert len(moved) == 12
     assert all(tau[tau[i]] == i for i in range(12))
+    # every natural arc maps to a reversed arc
+    natural = labeling.orientation
+    assert all(natural.is_head(tau[t], tau[h]) for t, h in natural.arcs)
 
 
 def test_dart_reversal_heawood_preserves_adjacency(heawood):
-    g, _, labeling = dart_graph(heawood)
-    tau = dart_reversal(labeling)
+    g, _, _, tau = antipodal_dart_involution(heawood)
     assert g.n == 42 and g.m == 84  # 3n vertices, 6n edges over n = 14
     assert all(tau[b] in g.nbrs[tau[a]] for a, b in g.edges)
 
 
 def test_reversal_commutes_with_lift(k4):
-    from hatkit.perms import compose
-    group = automorphism_group(k4)
-    _, _, labeling = dart_graph(k4)
-    lifted = lift_automorphisms(k4, group, labeling)
-    tau = dart_reversal(labeling)
+    _, _, lifted, tau = antipodal_dart_involution(k4)
     assert all(compose(tau, s) == compose(s, tau) for s in lifted.generators)
 
 
@@ -128,7 +136,7 @@ def test_lifted_membership_and_orbits(k4):
     group = automorphism_group(k4)
     _, _, labeling = dart_graph(k4)
     lifted = lift_automorphisms(k4, group, labeling)
-    tau = dart_reversal(labeling)
+    tau = reversed_darts(labeling)
     assert not lifted.contains(tau)
     assert orbits(range(12), lift_chain(lifted).generators, getitem) == [
         tuple(range(12))]
@@ -192,48 +200,6 @@ def test_lift_orientation_check_runs_under_optimize():
     assert run_optimized(code) == [
         "1", "StructureViolation", "lift_preserves_natural_orientation",
         "True", "True"]
-
-
-# Edits of Dart(Petersen)'s labeling that break one fact of dart_reversal
-# each: the dart index patched on the darts (0,1), (1,0), (0,4), (4,0), or
-# the darts of the outer 5-cycle reversed in the orientation.
-_REVERSAL_FAULTS = {
-    "reversal_fixed_point_free": "index={**i, (1, 0): i[(0, 1)]}",
-    "reversal_involution": "index={**i, (1, 0): i[(4, 0)], (4, 0): i[(1, 0)]}",
-    "reversal_automorphism": (
-        "index={**i, (1, 0): i[(4, 0)], (4, 0): i[(1, 0)],\n"
-        "       (0, 1): i[(0, 4)], (0, 4): i[(0, 1)]}"),
-    "reversal_reverses_orientation": "orientation=mixed",
-}
-
-
-@pytest.mark.parametrize("check", _REVERSAL_FAULTS)
-def test_dart_reversal_checks_run_under_optimize(check):
-    """dart_reversal's four checks are raises, not asserts: a labeling
-    edited to break one fact fails under python -O, naming that check
-    and giving a witness."""
-    code = (
-        "import sys\n"
-        "from hatkit import records\n"
-        "from hatkit.altcycles import Orientation\n"
-        "from hatkit.census import generalized_petersen\n"
-        "from hatkit.dartgraph import dart_graph, dart_reversal\n"
-        "from hatkit.errors import StructureViolation\n"
-        "g, natural, labeling = dart_graph(generalized_petersen(5, 2))\n"
-        "i = labeling.index\n"
-        "step = [i[(k, (k + 1) % 5)] for k in range(5)]\n"
-        "flip = {(step[k], step[(k + 1) % 5]) for k in range(5)}\n"
-        "mixed = Orientation(g, [(h, t) if (t, h) in flip else (t, h)\n"
-        "                        for t, h in natural.arcs])\n"
-        f"labeling = records.replace(labeling, {_REVERSAL_FAULTS[check]})\n"
-        "try:\n"
-        "    dart_reversal(labeling)\n"
-        "except StructureViolation as exc:\n"
-        "    name, detail = str(exc).split(':', 1)\n"
-        "    print(sys.flags.optimize, type(exc).__name__, name,\n"
-        "          any(c.isdigit() for c in detail))\n"
-    )
-    assert run_optimized(code) == ["1", "StructureViolation", check, "True"]
 
 
 @pytest.mark.parametrize("field,value,check", [
@@ -373,7 +339,7 @@ def test_lift_membership_matches_chain(name):
         lifted = lift_automorphisms(g, group, labeling)
         chain = lift_chain(lifted)
         assert lifted.order == chain.order == group.order
-        reversal = dart_reversal(labeling)
+        reversal = reversed_darts(labeling)
         assert not lifted.contains(reversal) and not chain.contains(reversal)
         for p in list(lifted.generators) + list(words(lifted.generators)):
             assert lifted.contains(p) and chain.contains(p)
@@ -478,7 +444,7 @@ def test_psi_of_reversed_orientation_follows_dart_reversal(name):
     psi_rev, report_rev = psi_isomorphism(g, natural.reverse(), dec)
     assert report_rev == report
     _, _, rec_labeling = dart_graph(alt_graph(dec))
-    assert psi_rev == compose(dart_reversal(rec_labeling), psi)
+    assert psi_rev == compose(reversed_darts(rec_labeling), psi)
 
 
 def reference_psi(g, d, dec):
@@ -690,7 +656,7 @@ def test_dart_covers_line_graph(k4, petersen):
         index = {e: i for i, e in enumerate(line_edges)}
         fibre_map = tuple(index[(min(u, v), max(u, v))]
                           for u, v in labeling.darts)
-        assert is_covering(dart, line, fibre_map)
+        assert not covering_fault(dart, line, fibre_map)
 
 
 def test_dart_not_double_cover_shortcut(k4):
