@@ -6,8 +6,11 @@ has the same number of neighbours in every cell); after its first round
 it counts neighbours only in the parts the round before created, less
 the largest part of each split cell (nauty's splitter counting, McKay
 and Piperno 2014), and it ignores neighbours in singleton cells, which
-cannot split.  The target cell is the first smallest non-singleton
-cell and its vertices are individualized in increasing order.
+cannot split.  The target cell is the first largest cell and its
+vertices are individualized in increasing order; a large target makes a
+short first path, as in Traces (McKay and Piperno 2014), and the rule
+reads only the cell sizes, so it is isomorphism invariant and nodes with
+equal traces target one position, all that the arguments below ask.
 Discovered automorphisms prune sibling branches whose candidate lies in
 the orbit of an already explored candidate under the subgroup fixing the
 current individualization prefix pointwise.
@@ -229,11 +232,11 @@ class _Partition:
         return tuple(map(self.cell_at.__getitem__, self.names))
 
     def target(self):
-        """The name of the first smallest cell that is not a singleton,
-        None when the partition is discrete."""
+        """The name of the first largest cell, None when the partition is
+        discrete: a large target makes a short first path."""
         sizes = list(map(sub, self.names, [-1] + self.names))
-        small = min(filter((1).__lt__, sizes), default=0)
-        return self.names[sizes.index(small)] if small else None
+        large = max(sizes, default=1)
+        return self.names[sizes.index(large)] if large > 1 else None
 
     def child(self, v):
         """A copy with v individualized: ..., (v,), cell - {v}, ..."""

@@ -26,7 +26,8 @@ from hatkit.autgroup import (
     transitivity_report,
     unit_partition,
 )
-from hatkit.census import builtin_entries, lcf_graph, pgl2_graph
+from hatkit.census import (builtin_entries, complete_graph, holt_graph,
+                           lcf_graph, pgl2_graph)
 from hatkit.altcycles import alternating_cycles, cycle_images, induced_orientation
 from hatkit.dartgraph import dart_graph, lift_automorphisms
 
@@ -243,6 +244,16 @@ def refine_kernel(g, cells, first=None, best=None, moved=None):
 
 
 def target_cell(partition):
+    """The index of the first largest cell, None when the partition is
+    discrete: the search's target."""
+    best = None
+    for i, cell in enumerate(partition):
+        if len(cell) > (1 if best is None else len(partition[best])):
+            best = i
+    return best
+
+
+def smallest_cell(partition):
     """The index of the first smallest cell that is not a singleton, None
     when the partition is discrete."""
     best = None
@@ -261,11 +272,15 @@ def individualize(partition, index, v):
 
 def search_nodes(g, rng, width=6):
     """(partition, children) along a seeded random path from the root of
-    g's search tree, partitions equitable; children are up to width
-    (vertex, individualized partition) pairs from the target cell."""
+    an IR tree of g that individualizes in the first smallest non-singleton
+    cell, partitions equitable; children are up to width (vertex,
+    individualized partition) pairs from that cell.  The path is longer
+    than one down the search's tree, whose target is the first largest
+    cell, so it reaches more small cells and more dropped children; the
+    kernel meets its reference in any cell."""
     partition = reference_refine_traced(g, list(unit_partition(g)))[0]
     while True:
-        index = target_cell(partition)
+        index = smallest_cell(partition)
         if index is None:
             return
         cell = partition[index]
@@ -292,12 +307,12 @@ def assert_node_consistent(node, n):
 
 
 def test_partition_state_matches_tuple_reference():
-    """Along seeded random paths down each graph's search tree, a node's
-    target is the tuple partition's first smallest non-singleton cell; a
-    child individualizes v as the tuple partition does, renaming only v,
-    and leaves its parent unchanged; refined in place, it holds the
-    reference's partition, its state consistent; a discrete node's
-    cell_id is the leaf's labeling, each vertex's position."""
+    """Along seeded random paths down an IR tree of each graph
+    (search_nodes), a node's target is the tuple partition's first
+    largest cell; a child individualizes v as the tuple partition does,
+    renaming only v, and leaves its parent unchanged; refined in place,
+    it holds the reference's partition, its state consistent; a discrete
+    node's cell_id is the leaf's labeling, each vertex's position."""
     rng = random.Random(55)
     children = leaves = 0
     for g in kernel_graphs(rng):
@@ -365,7 +380,7 @@ def test_refine_kernel_matches_reference_on_partitions():
 def test_refine_kernel_matches_reference_on_children():
     """The kernel gives today's partition and trace on the children
     (v individualized, moved=(v,)) of equitable partitions, at every
-    level of a seeded random path down each graph's search tree."""
+    level of a seeded random path down an IR tree of each graph."""
     rng = random.Random(42)
     children = 0
     for g in kernel_graphs(rng) * 3:
@@ -540,7 +555,7 @@ def test_refine_matches_counting_reference_on_partitions():
 
 def test_refine_matches_counting_reference_on_children():
     """On the children of the nodes along seeded random paths down each
-    graph's search tree, with the traces of sibling children as first and
+    graph's IR tree, with the traces of sibling children as first and
     best, the kernel returns the reference's (partition, trace), or drops
     the child as it does."""
     rng = random.Random(52)
@@ -848,9 +863,9 @@ def test_search_results_pinned():
         generators.update(repr(result.generators).encode())
         assert schreier_sims(result.generators, degree=g.n).order == order
     assert results.hexdigest() == (
-        "397562f7012fadf08c034e41025f7b5724e67e4a3dbb5ab111540b2c0264729c")
+        "27c7a763ecbeed225097cd62306546659b35051fae2ebb2c4fa7b8530b913102")
     assert generators.hexdigest() == (
-        "f3737ed1588eded33b7dc40d8e244a72444abe33acac0ba7f8644c183aaa15f7")
+        "c41d8a12d1c4f3f749e13f4e54a7b8f32e4ff2e7db66b8c530904ccda4a91386")
 
 
 def test_search_results_pinned_beyond_census(tmp_path, monkeypatch):
@@ -876,7 +891,7 @@ def test_search_results_pinned_beyond_census(tmp_path, monkeypatch):
                             search.first_cells, search.labeling,
                             search.certificate)).encode())
     assert digest.hexdigest() == (
-        "06fc3a212aea5e20fa4fc007e6b48709a0919637417e9e0736aad6a529ab5aa0")
+        "2b4c27888370bfbb4472ba3ee94c665cb9393f0177d6a3e75ca08adf92df1f4d")
 
 
 def test_search_generators_strong_on_first_path():
@@ -1386,9 +1401,11 @@ def test_transitivity_matches_sweep_on_lifts_and_cycle_actions():
 
 def test_transitivity_matches_sweep_on_subgroups():
     """Groups generated by random subsets of Aut(g)'s strong generators,
-    some rebuilt on a random first base point: they include intransitive
-    groups, transitive groups that are not arc-transitive and transitive
-    groups that are arc- but not 2-arc-transitive."""
+    some rebuilt on a random first base point, and three fixed groups,
+    one of each kind whatever strong generators the search picks:
+    Aut(Holt), transitive but not arc-transitive; A4 on K4, arc- but not
+    2-arc-transitive; and one generator of K4 with a fixed point,
+    intransitive."""
     rng = random.Random(19)
     kinds = Counter()
     for _, g in builtin_and_stress_graphs():
@@ -1400,6 +1417,20 @@ def test_transitivity_matches_sweep_on_subgroups():
             report = assert_matches_sweep(group, g)
             kinds[(report.vertex_transitive, report.arc_transitive,
                    report.two_arc_transitive)] += 1
+    holt, k4 = holt_graph(), complete_graph(4)
+    fixed = [
+        (automorphism_group(holt), holt, (True, False, False)),
+        (schreier_sims([from_cycles(4, [(0, 1, 2)]),
+                        from_cycles(4, [(0, 1), (2, 3)])]),
+         k4, (True, True, False)),
+        (schreier_sims([from_cycles(4, [(1, 2, 3)])]), k4,
+         (False, False, False)),
+    ]
+    for group, g, kind in fixed:
+        report = assert_matches_sweep(group, g)
+        assert (report.vertex_transitive, report.arc_transitive,
+                report.two_arc_transitive) == kind
+        kinds[kind] += 1
     assert kinds[(False, False, False)]
     assert kinds[(True, False, False)]
     assert kinds[(True, True, False)]
@@ -1561,6 +1592,42 @@ def test_bounded_chain_sifts_nothing(strip_calls):
     assert strip_calls == []
 
 
+def paley_graph(q):
+    """The Paley graph of the prime q = 1 mod 4: x ~ y when x - y is a
+    nonzero square mod q."""
+    squares = {x * x % q for x in range(1, q)}
+    return from_edge_list(q, [(x, y) for x in range(q)
+                              for y in range(x + 1, q) if y - x in squares])
+
+
+BEYOND_CENSUS = {
+    "dart_foster": (lambda: dart_graph(STRESS_GRAPHS[-1]())[0], 8640),
+    "pgl2_11": (lambda: pgl2_graph(11), 1320),
+    "paley29": (lambda: paley_graph(29), 29 * 28 // 2),
+}
+
+
+@pytest.mark.parametrize("name", BEYOND_CENSUS)
+def test_canonical_form_and_exact_bound_beyond_census(strip_calls, name):
+    """Two seeded relabelings of Dart(Foster) (270 vertices), PGL(2, 11)
+    (220) and Paley(29) have equal certificates and |Aut|, is_isomorphic
+    maps one onto the other by a verified isomorphism, and the cell bound
+    is exactly |Aut|, so the chain's build sifts no Schreier generator."""
+    build, order = BEYOND_CENSUS[name]
+    rng = random.Random(name)
+    g = build()
+    pair = [relabel(g, tuple(rng.sample(range(g.n), g.n))) for _ in range(2)]
+    autgroup._analysis.cache_clear()
+    for h in pair:
+        assert automorphism_group(h).order == cell_bound(h) == order
+    assert canonical_form(pair[0])[1] == canonical_form(pair[1])[1]
+    mapping = is_isomorphic(*pair)
+    assert mapping is not None
+    check_isomorphism("isomorphism_mapping", mapping, *pair)
+    assert strip_calls == []
+    autgroup._analysis.cache_clear()
+
+
 # seeded random regular graphs whose cell bound exceeds |Aut(g)|: (seed,
 # order, valence, bound, |Aut(g)|)
 LOOSE_BOUND_GRAPHS = [(0, 8, 5, 96, 60), (1, 8, 4, 32, 16),
@@ -1593,14 +1660,15 @@ def shrunk_cells(cells, level):
     return cells[:level] + (cells[level][:-1],) + cells[level + 1:]
 
 
-@pytest.mark.parametrize("level", [0, 3])
+@pytest.mark.parametrize("level", [0, -1])
 def test_orbit_outside_cell_names_check(monkeypatch, petersen, level):
-    """With one recorded target cell of Petersen's first path shrunk, the
-    basic orbit of its level reaches the dropped vertex, and
-    aut_orbit_in_first_cell fails with the level and that vertex."""
+    """With the first or the last recorded target cell of Petersen's first
+    path shrunk, the basic orbit of its level reaches the dropped vertex,
+    and aut_orbit_in_first_cell fails with the level and that vertex."""
     autgroup._analysis.cache_clear()
     result = autgroup._analysis(petersen)
-    assert result.first_path == (0, 1, 4, 2)
+    assert len(result.first_path) == len(result.first_cells) > 1
+    level %= len(result.first_path)
     dropped = result.first_cells[level][-1]
     monkeypatch.setattr(result, "first_cells",
                         shrunk_cells(result.first_cells, level))
@@ -1613,14 +1681,16 @@ def test_orbit_outside_cell_names_check(monkeypatch, petersen, level):
     autgroup._analysis.cache_clear()
 
 
-@pytest.mark.parametrize("level", [0, 3])
+@pytest.mark.parametrize("level", [0, -1])
 def test_orbit_outside_cell_builds_one_chain(monkeypatch, petersen, level):
-    """When the bounded build stops at OrderBoundExceeded, the check runs
-    on the partial chain the error carries: one chain is built, and the
-    witness is the one a check of the full closure gives."""
+    """When the bounded build stops at OrderBoundExceeded, with the first
+    or the last target cell of Petersen's first path shrunk, the check
+    runs on the partial chain the error carries: one chain is built, and
+    the witness is the one a check of the full closure gives."""
     autgroup._analysis.cache_clear()
     result = autgroup._analysis(petersen)
-    path, cells = result.first_path, shrunk_cells(result.first_cells, level)
+    path = result.first_path
+    cells = shrunk_cells(result.first_cells, level % len(path))
     monkeypatch.setattr(result, "first_cells", cells)
     real = autgroup.schreier_sims
     bounds = []
