@@ -436,6 +436,47 @@ def test_refine_kernel_matches_reference_when_dropping():
     assert drops > 400 and mid_round > 100
 
 
+def circulant(n, jumps):
+    return from_edge_list(n, [(v, (v + s) % n) for v in range(n)
+                              for s in jumps])
+
+
+def test_refine_kernel_remainders_match_reference(monkeypatch):
+    """Above kernel_graphs' 90 vertices the kernel gives the reference's
+    partition and trace on the children of the root and of the next node
+    down a seeded random path of the circulant C(400; 1, 2), and on the
+    root's children of a seeded random cubic graph of order 500, which
+    are discrete.  A split cell's uncounted remainder is cut from the
+    sorted cell between its hits when they are few against the cell, and
+    filtered from the cell otherwise: both run here."""
+    slices = filtered = 0
+    real_bisect, real_filter = autgroup.bisect_left, autgroup.filterfalse
+
+    def counted_bisect(a, x, *lo):
+        # the slice loop is the kernel's only bisect from a lower bound
+        nonlocal slices
+        slices += bool(lo)
+        return real_bisect(a, x, *lo)
+
+    def counted_filter(*args):
+        nonlocal filtered
+        filtered += 1
+        return real_filter(*args)
+
+    monkeypatch.setattr(autgroup, "bisect_left", counted_bisect)
+    monkeypatch.setattr(autgroup, "filterfalse", counted_filter)
+    rng = random.Random(57)
+    cells = []      # the cell count of each node whose children were checked
+    for g in (circulant(400, (1, 2)), random_regular(rng, 500)):
+        for _, (partition, nodes) in zip(range(2), search_nodes(g, rng, 3)):
+            cells.append(len(partition))
+            for v, child in nodes:
+                assert refine_kernel(g, child, None, None, (v,)) == \
+                    reference_refine_traced(g, child, None, None, (v,))
+    assert cells == [1, 201, 1]
+    assert slices and filtered
+
+
 def counting_refine_reference(g, cells, first=None, best=None, moved=None):
     """The refinement kernel as it was before it ignored neighbours in
     singleton cells: every neighbour of a moved vertex is counted, and
@@ -831,25 +872,38 @@ def test_root_split_certificates_invariant():
             check_isomorphism("iso", mapping, g, h)
 
 
-def test_root_split_refines_regular_graphs_at_most_three_times(monkeypatch):
-    """On random regular graphs of order 110 to 130, where the equitable
-    root is one cell, the sphere sizes leave at most two refinements
-    below the root's: the search makes at most 3 refinements."""
-    calls = []
+def test_root_split_refines_regular_graphs_at_most_twice(monkeypatch):
+    """On random regular graphs of order 110 to 130 the unit partition is
+    equitable and is not refined; the sphere sizes leave at most one
+    refinement below the split root's: the search makes at most 2
+    refinements, and none of them receives the unit partition.  On
+    graphs that are not regular, a path and seeded random graphs of mixed
+    degrees, the first refinement still receives it."""
+    received = []
     real = autgroup._refine_in_place
 
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
+    def counted(g, node, *args):
+        received.append(node.partition())
+        return real(g, node, *args)
 
     monkeypatch.setattr(autgroup, "_refine_in_place", counted)
     rng = random.Random(49)
     for i in range(20):
         g = random_regular(rng, rng.randrange(110, 131, 2), 3 + i % 2)
-        calls.clear()
+        received.clear()
         autgroup._Search(g).run()
-        assert calls
-        assert len(calls) <= 3
+        assert received
+        assert len(received) <= 2
+        assert unit_partition(g) not in received
+    irregular = [path_graph(7)]
+    while len(irregular) < 6:
+        g = random_graph(rng, rng.randint(5, 30), rng.random())
+        if len(set(g.degrees())) > 1:
+            irregular.append(g)
+    for g in irregular:
+        received.clear()
+        autgroup._Search(g).run()
+        assert received[0] == unit_partition(g)
 
 
 def test_search_results_pinned():
