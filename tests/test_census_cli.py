@@ -484,6 +484,27 @@ def test_cli_verify_stress_report_pinned(tmp_path, capsys, monkeypatch):
         STRESS_STRICT_REPORT_SHA256
 
 
+# The same for the PGL(2, p) entries with p = 7, 11 and 19 (168, 660 and
+# 3,420 darts), the largest dart and cover stages any tier-1 pin reaches.
+PGL2_STRICT_REPORT_SHA256 = (
+    "4f7a8db18431f01109d6541385cfb54a36a3de109e4a85b6a2f50e3915b4f0e1")
+
+
+def test_cli_verify_pgl2_report_pinned(tmp_path, capsys, monkeypatch):
+    (tmp_path / "pgl2.json").write_text(json.dumps({"entries": [
+        pgl2_entry(p).to_json_dict() for p in (7, 11, 19)]}),
+        encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "report.json"
+    assert main(["verify", "all", "--census", "pgl2.json", "--strict",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    text = json.dumps(_strip_timing(json.loads(out.read_text())),
+                      indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        PGL2_STRICT_REPORT_SHA256
+
+
 # sha256 of the `analyze` report of a graph6 file holding every builtin
 # graph and then one relabeling of each, drawn from random.Random(2017):
 # a change to any field of any record, the alternating-cycle parameters of
