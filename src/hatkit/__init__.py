@@ -55,7 +55,6 @@ from .dartgraph import (
 )
 from .covers import (
     CoveringMap,
-    SplitCertificate,
     cover_pipeline,
     quotient_by_tau,
     split_certificate,

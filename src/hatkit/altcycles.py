@@ -26,8 +26,9 @@ from .errors import (
     OrientationInvalid,
     StructureViolation,
     check,
+    check_fault,
 )
-from .graphs import (Graph, check_edge_map, from_edge_list, is_connected,
+from .graphs import (Graph, edge_map_fault, from_edge_list, is_connected,
                      is_regular)
 from .autgroup import transitivity_report
 from .perms import PermGroup, centralizes, orbits, schreier_sims
@@ -343,7 +344,7 @@ def antipodal_involution(g: Graph, dec: AltDecomposition, group: PermGroup):
     if fixed is not None:
         raise StructureViolation(f"antipodal_fixed_point_free: vertex "
                                  f"{fixed} is its own antipode")
-    check_edge_map("antipodal_automorphism", tau, g, g)
+    check_fault("antipodal_automorphism", edge_map_fault(tau, g, g))
     if not centralizes(tau, group):
         i, x = next((i, x) for i, s in enumerate(group.generators)
                     for x in range(g.n) if tau[s[x]] != s[tau[x]])
@@ -399,7 +400,8 @@ def cycle_images(group: PermGroup, dec: AltDecomposition):
     Costs O(|generators| |E|)."""
     k = len(dec.cycles)
     if group.degree != len(dec.cycles_at_vertex):
-        raise NotInvariant("group degree differs from the vertex count")
+        raise NotInvariant(f"group degree {group.degree} differs from the "
+                           f"vertex count {len(dec.cycles_at_vertex)}")
     index = {cyc: c for c, cyc in enumerate(dec.cycles)}
     images = []
     for i, s in enumerate(group.generators):

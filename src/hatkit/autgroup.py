@@ -144,8 +144,9 @@ from .errors import (
     OrderBoundExceeded,
     StructureViolation,
     TooLarge,
+    check_fault,
 )
-from .graphs import Graph, check_edge_map, is_regular, maps_edges, relabel
+from .graphs import Graph, edge_map_fault, is_regular, relabel
 from .graph6 import _bit_layout, _encode
 from .records import Record
 from .perms import (
@@ -582,7 +583,8 @@ class _Search:
         other, other_path = seen
         aut = compose(pi, inverse(other))
         if not is_identity(aut) and aut not in self._gen_set:
-            check_edge_map("leaf_pair_automorphism", aut, self.g, self.g)
+            check_fault("leaf_pair_automorphism",
+                        edge_map_fault(aut, self.g, self.g))
             self._gen_set.add(aut)
             self.aut_gens.append(aut)
         # aut fixes the common prefix and maps this path's next vertex onto
@@ -689,7 +691,7 @@ def is_isomorphic(g: Graph, h: Graph):
     if search_g.certificate != search_h.certificate:
         return None
     mapping = compose(search_g.labeling, inverse(search_h.labeling))
-    check_edge_map("isomorphism_mapping", mapping, g, h)
+    check_fault("isomorphism_mapping", edge_map_fault(mapping, g, h))
     return mapping
 
 
@@ -713,9 +715,15 @@ class TransitivityReport(Record):
 
 
 def _check_automorphisms(generators, g):
-    for gen in generators:
-        if len(gen) != g.n or not maps_edges(gen, g, g):
-            raise NotAutomorphisms("generator does not preserve adjacency")
+    """NotAutomorphisms unless each generator is an automorphism of g,
+    naming the first that is not: its index and its degree, or the first
+    edge it maps to a non-edge."""
+    for i, gen in enumerate(generators):
+        fault = (f"it has degree {len(gen)}, the graph order {g.n}"
+                 if len(gen) != g.n else edge_map_fault(gen, g, g))
+        if fault:
+            raise NotAutomorphisms(
+                f"generator {i} does not preserve adjacency: {fault}")
 
 
 def _pair_act(s, pair):

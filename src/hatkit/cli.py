@@ -182,10 +182,10 @@ def _dart_suite(analysis, checks, strict):
     forward = analysis.forward
     _engine_checks(checks, forward.checks)
     # verify_dart_forward certified the natural orientation as induced
-    _, psi_report = psi_isomorphism(forward.labeling.graph,
+    _, psi_checks = psi_isomorphism(forward.labeling.graph,
                                     forward.labeling.orientation,
                                     forward.decomposition)
-    _engine_checks(checks, psi_report.checks)
+    _engine_checks(checks, psi_checks)
 
 
 def _cover_suite(analysis, checks, strict):

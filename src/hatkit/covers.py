@@ -29,17 +29,17 @@ from .errors import (
     TauInG,
     WrongParameters,
     check,
+    check_fault,
 )
 from .graphs import (
     Graph,
     bipartite_double,
-    check_isomorphism,
+    edge_map_fault,
     from_edge_list,
     girth,
     is_connected,
     isomorphism_fault,
     line_graph,
-    maps_edges,
     parts_or_odd_walk,
 )
 from .records import Record
@@ -49,12 +49,7 @@ from .altcycles import (
     antipodal_involution,
     cycle_images,
 )
-from .perms import (
-    PermGroup,
-    centralizes,
-    compose,
-    is_identity,
-)
+from .perms import PermGroup, centralizes
 
 
 class CoveringMap(Record):
@@ -100,6 +95,15 @@ def covering_fault(total: Graph, base: Graph, fibre_map) -> str:
     return ""
 
 
+def _check_involution(tau):
+    """NotInvolution, naming a vertex v and tau(tau(v)), unless tau
+    squares to the identity."""
+    moved = next((v for v in range(len(tau)) if tau[tau[v]] != v), None)
+    if moved is not None:
+        raise NotInvolution(f"tau is not an involution: tau(tau({moved})) = "
+                            f"{tau[tau[moved]]}")
+
+
 def quotient_by_tau(total: Graph, tau) -> CoveringMap:
     """Quotient by a fixed-point-free involutory automorphism.
 
@@ -108,9 +112,13 @@ def quotient_by_tau(total: Graph, tau) -> CoveringMap:
     adjacent orbit pair must induce a perfect matching (2K2); a K_{2,2}
     pair raises DegenerateWreath since the graph is then a wreath of a
     cycle over two vertices; any other count (unreachable for an
-    involutory automorphism) raises OrbitPairNotMatching.  The result is
-    a verified 2-fold covering projection whose fibres are the
-    tau-orbits; a failed check raises StructureViolation naming it
+    involutory automorphism) raises OrbitPairNotMatching.  tau must have
+    total's order as degree (NotAutomorphisms, with both numbers), fix
+    no vertex (FixedPoint), square to the identity (NotInvolution, with a
+    vertex v and tau(tau(v))) and carry edges to edges (NotAutomorphisms,
+    with the witness of graphs.edge_map_fault).  The result is a
+    verified 2-fold covering projection whose fibres are the tau-orbits;
+    a failed check raises StructureViolation naming it
     (quotient_covering_projection with the witness of covering_fault,
     quotient_fibres_of_size_2 with the fibre), also under python -O.
     """
@@ -120,10 +128,10 @@ def quotient_by_tau(total: Graph, tau) -> CoveringMap:
     fixed = [v for v in range(n) if tau[v] == v]
     if fixed:
         raise FixedPoint(f"tau fixes {fixed[:4]}")
-    if any(tau[tau[v]] != v for v in range(n)):
-        raise NotInvolution("tau is not an involution")
-    if not maps_edges(tau, total, total):
-        raise NotAutomorphisms("tau is not an automorphism")
+    _check_involution(tau)
+    fault = edge_map_fault(tau, total, total)
+    if fault:
+        raise NotAutomorphisms(f"tau is not an automorphism: {fault}")
 
     orbit_of = [-1] * n
     orbits = []
@@ -152,9 +160,8 @@ def quotient_by_tau(total: Graph, tau) -> CoveringMap:
     base = from_edge_list(len(orbits), between.keys())
     fibre_map = tuple(orbit_of)
     cover = CoveringMap(total=total, base=base, fibre_map=fibre_map)
-    fault = covering_fault(total, base, fibre_map)
-    if fault:
-        raise StructureViolation(f"quotient_covering_projection: {fault}")
+    check_fault("quotient_covering_projection",
+                covering_fault(total, base, fibre_map))
     odd = next((f for f in cover.fibres if len(f) != 2), None)
     if odd is not None:
         raise StructureViolation(
@@ -162,40 +169,28 @@ def quotient_by_tau(total: Graph, tau) -> CoveringMap:
     return cover
 
 
-class SplitCertificate(Record):
-    """Certificate that <group, tau> = group x <tau> splits over the
-    covering transformations <tau>, with its order 2 |group| and the
-    sectionality verdict.
-
-    is_sectional is decided by the canonical-double-cover criterion: the
-    cover is sectional exactly when the total graph is isomorphic to the
-    bipartite double of the base.  non_bipartite_witness holds an odd
-    closed walk when the total graph is not bipartite.
-    """
-
-    lifted_order: int
-    is_split: bool
-    is_sectional: bool
-    non_bipartite_witness: list | None
-
-
 def split_certificate(total: Graph, group: PermGroup, tau,
-                      cover: CoveringMap) -> SplitCertificate:
+                      cover: CoveringMap):
     """Certify that <group, tau> = group x <tau> splits over <tau> and
-    decide sectionality.
+    decide sectionality.  Returns (sectional, odd_walk), odd_walk an odd
+    closed walk of a non-bipartite total graph and None for a bipartite
+    one, as graphs.parts_or_odd_walk gives it.
 
     Requires a connected total graph (NotConnected) and an involution tau
-    that centralizes the group (NotCentralizing, NotInvolution), lies
-    outside it (TauInG, decided by group.contains: a PermGroup sifts tau
-    through its chain, and a dartgraph.LiftedGroup rejects the dart
-    reversal at once, as it sends the darts out of one vertex to darts
-    with different tails) and swaps each fibre (NotInvariant).  These
-    checks are the proof of the splitting: tau is not the identity, as
-    the identity lies in the group; tau commutes with the group and
-    tau^2 = 1, so <group, tau> = group u group tau; group and <tau> meet
-    in the identity, so |<group, tau>| = 2 |group| and the group is a
-    complement of <tau>.  No chain of <group, tau> is built: lifted_order
-    is 2 |group| and is_split is set by that proof.
+    that centralizes the group (NotCentralizing, with a generator index
+    and a vertex where the two do not commute; NotInvolution, with a
+    vertex v and tau(tau(v))), lies outside it (TauInG, decided by
+    group.contains: a PermGroup sifts tau through its chain, and a
+    dartgraph.LiftedGroup rejects the dart reversal at once, as it sends
+    the darts out of one vertex to darts with different tails) and swaps
+    each fibre (NotInvariant).  These checks are the proof of the
+    splitting: tau is not the identity, as the identity lies in the
+    group; tau commutes with the group and tau^2 = 1, so <group, tau> =
+    group u group tau; group and <tau> meet in the identity, so
+    |<group, tau>| = 2 |group| and the group is a complement of <tau>.
+    No chain of <group, tau> is built, and nothing of the splitting is
+    returned: the raises are the certificate, and the order of
+    <group, tau> is 2 |group| by that proof.
 
     The total graph is two-coloured once (graphs.parts_or_odd_walk),
     which gives its parts or, for a non-bipartite one, an odd closed
@@ -203,7 +198,7 @@ def split_certificate(total: Graph, group: PermGroup, tau,
     is sectional exactly when tau swaps its colours; then fibre(v) +
     |base| colour(v) must be an isomorphism onto the double
     (StructureViolation naming sectional_onto_double otherwise, with the
-    witness of graphs.check_isomorphism).  If tau keeps the colours, the
+    witness of graphs.isomorphism_fault).  If tau keeps the colours, the
     base is bipartite and its double disconnected.  The odd closed walk
     is checked too, also under python -O: StructureViolation naming
     odd_walk_closed_odd (with the walk) unless it is closed with an odd
@@ -213,9 +208,12 @@ def split_certificate(total: Graph, group: PermGroup, tau,
     if not is_connected(total):
         raise NotConnected("the total graph is not connected")
     if not centralizes(tau, group):
-        raise NotCentralizing("tau does not centralize the supplied group")
-    if not is_identity(compose(tau, tau)):
-        raise NotInvolution("tau is not an involution")
+        i, x = next((i, x) for i, s in enumerate(group.generators)
+                    for x in range(len(tau)) if tau[s[x]] != s[tau[x]])
+        raise NotCentralizing(
+            f"tau does not centralize the supplied group: generator {i} "
+            f"does not commute with tau at vertex {x}")
+    _check_involution(tau)
     if group.contains(tau):
         raise TauInG("tau lies in the supplied group; no splitting complement")
     moved = next(((v, w) for v, w in cover.fibres if tau[v] != w), None)
@@ -239,14 +237,9 @@ def split_certificate(total: Graph, group: PermGroup, tau,
         phi = [b + cover.base.n * (v in odd)
                for v, b in enumerate(cover.fibre_map)]
         if sectional:
-            check_isomorphism("sectional_onto_double", phi, total,
-                              bipartite_double(cover.base))
-    return SplitCertificate(
-        lifted_order=2 * group.order,
-        is_split=True,
-        is_sectional=sectional,
-        non_bipartite_witness=witness,
-    )
+            check_fault("sectional_onto_double", isomorphism_fault(
+                phi, total, bipartite_double(cover.base)))
+    return sectional, witness
 
 
 class CoverReport(Record):
@@ -297,7 +290,9 @@ def cover_pipeline(total: Graph, dec: AltDecomposition,
     degree, generators, order and contains are read, so a PermGroup and
     a dartgraph.LiftedGroup, which keeps no chain, both serve.
     Bipartite inputs run through the same pipeline and certify sectional;
-    non-bipartite inputs certify non-sectional.
+    non-bipartite inputs certify non-sectional.  The report's split is
+    True and its lifted_order 2 |group| by split_certificate's proof:
+    that call returning at all is the certificate.
 
     No chain of the fibre action is built.  The group permutes the
     fibres, as tau centralizes it, and acts on them faithfully, by the
@@ -325,19 +320,19 @@ def cover_pipeline(total: Graph, dec: AltDecomposition,
             f"order {total.n} <= 12; the quotient degenerates")
     tau = antipodal_involution(total, dec, group)
     cover = quotient_by_tau(total, tau)
-    cert = split_certificate(total, group, tau, cover)
+    sectional, odd_walk = split_certificate(total, group, tau, cover)
 
     checks = []
-    bipartite = cert.non_bipartite_witness is None
-    agree = cert.is_sectional == bipartite
-    verdicts = f"sectional={cert.is_sectional}, bipartite={bipartite}"
+    bipartite = odd_walk is None
+    agree = sectional == bipartite
+    verdicts = f"sectional={sectional}, bipartite={bipartite}"
     check(checks, "sectional_iff_bipartite", agree, verdicts if agree else
-          f"{verdicts}, odd closed walk {cert.non_bipartite_witness}")
+          f"{verdicts}, odd closed walk {odd_walk}")
 
     # faithful on the fibres by the proof above
     checks.append(("fibre_action_kernel_tau",
                    f"the action on the fibres has order {group.order}, the "
-                   f"group {group.order}, the lifted group {cert.lifted_order}"))
+                   f"group {group.order}, the lifted group {2 * group.order}"))
     fibres = cover.fibres
     projected = [tuple(cover.fibre_map[s[v]] for v, _ in fibres)
                  for s in group.generators]
@@ -361,12 +356,12 @@ def cover_pipeline(total: Graph, dec: AltDecomposition,
         bipartite=bipartite,
         radius=dec.radius,
         attachment=dec.attachment,
-        split=cert.is_split,
-        sectional=cert.is_sectional,
+        split=True,
+        sectional=sectional,
         base_order=cover.base.n,
         base_girth=base_girth,
         group_order=group.order,
-        lifted_order=cert.lifted_order,
+        lifted_order=2 * group.order,
         projected_order=group.order,
         checks=tuple(checks),
     )

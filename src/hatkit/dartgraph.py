@@ -245,18 +245,6 @@ def verify_dart_forward(base: Graph, group: PermGroup,
     )
 
 
-class PsiReport(Record):
-    """What psi_isomorphism certified; checks holds the (name, detail)
-    pairs of its checks in the order it made them."""
-
-    radius: int
-    attachment: int
-    alt_order: int
-    checks: tuple
-
-    _hidden = frozenset({"checks"})
-
-
 def psi_isomorphism(g: Graph, d: Orientation, dec: AltDecomposition):
     """The explicit isomorphism from the dart graph of the graph of
     alternating cycles back onto g, for a half-arc-transitive action with
@@ -266,9 +254,11 @@ def psi_isomorphism(g: Graph, d: Orientation, dec: AltDecomposition):
     by that action and dec its alternating cycles, as verify_dart_forward
     certifies them.  The dart (C, C') maps to the unique vertex of the
     two-point intersection of C and C' that heads both of its edges on C
-    in d.  Returns (mapping, report); the mapping is indexed by dart-graph
-    vertices, in the order of dart_graph(dec.cycle_graph), and verified
-    to be an isomorphism that carries the natural orientation onto d.
+    in d.  Returns (mapping, checks); the mapping is indexed by
+    dart-graph vertices, in the order of dart_graph(dec.cycle_graph),
+    and verified to be an isomorphism that carries the natural
+    orientation onto d, and checks is the tuple of the (name, detail)
+    pairs of the checks made, in the order they were made.
     No dart graph is built: its edges, each in its natural direction,
     are the 2-arcs ((C1, C2), (C2, C3)) with C3 != C1 of the
     reconstruction, and these are checked against g and d.  A failed
@@ -330,13 +320,7 @@ def psi_isomorphism(g: Graph, d: Orientation, dec: AltDecomposition):
                 if d.head_of(psi[a], psi[b]) != psi[b])
     check(checks, "psi_orientation_compatible", arc is None,
           "" if arc is None else f"natural arc {arc} maps against d")
-    report = PsiReport(
-        radius=dec.radius,
-        attachment=dec.attachment,
-        alt_order=lam.n,
-        checks=tuple(checks),
-    )
-    return psi, report
+    return psi, tuple(checks)
 
 
 def wreath_graph(r: int) -> Graph:

@@ -120,6 +120,14 @@ def check(passed, name, ok, witness):
     passed.append((name, witness))
 
 
+def check_fault(name, fault):
+    """Raise StructureViolation "name: fault" unless the fault text is
+    empty: the raise of a check whose witness comes from a *_fault
+    function, such as graphs.isomorphism_fault."""
+    if fault:
+        raise StructureViolation(f"{name}: {fault}")
+
+
 class OddAttachment(HatError):
     pass
 

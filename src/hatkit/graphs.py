@@ -8,7 +8,6 @@ from .errors import (
     DuplicateEdge,
     EmptyEdgeSet,
     LoopEdge,
-    StructureViolation,
     VertexOutOfRange,
 )
 
@@ -104,12 +103,6 @@ def relabel(g, perm):
     return from_edge_list(g.n, ((perm[u], perm[v]) for u, v in g.edges))
 
 
-def unmapped_edge(p, g, h):
-    """The first edge uv of g whose image p[u]p[v] is no edge of h, or None."""
-    return next(((u, v) for u, v in g.edges if p[v] not in h.nbrs[p[u]]),
-                None)
-
-
 def non_edge_text(p, edge):
     """The witness text of an edge (u, v) that p maps to a non-edge."""
     u, v = edge
@@ -119,21 +112,9 @@ def non_edge_text(p, edge):
 def edge_map_fault(p, g, h):
     """The first edge of g that p does not carry to an edge of h, with
     its image, as text; "" when p carries every edge to an edge."""
-    edge = unmapped_edge(p, g, h)
+    edge = next(((u, v) for u, v in g.edges if p[v] not in h.nbrs[p[u]]),
+                None)
     return "" if edge is None else non_edge_text(p, edge)
-
-
-def check_edge_map(check, p, g, h):
-    """Raise StructureViolation naming `check` with edge_map_fault(p, g, h)
-    unless that is empty."""
-    fault = edge_map_fault(p, g, h)
-    if fault:
-        raise StructureViolation(f"{check}: {fault}")
-
-
-def maps_edges(p, g, h):
-    """True when every edge uv of g maps to an edge p[u]p[v] of h."""
-    return unmapped_edge(p, g, h) is None
 
 
 def isomorphism_fault(p, g, h):
@@ -152,14 +133,6 @@ def isomorphism_fault(p, g, h):
         if u != v:
             return f"vertices {u} and {v} both map to {w}"
     return edge_map_fault(p, g, h)
-
-
-def check_isomorphism(check, p, g, h):
-    """Raise StructureViolation naming `check` with isomorphism_fault(p, g,
-    h) unless p is an isomorphism."""
-    fault = isomorphism_fault(p, g, h)
-    if fault:
-        raise StructureViolation(f"{check}: {fault}")
 
 
 def is_connected(g):

@@ -13,8 +13,9 @@ import pytest
 from hatkit.errors import (InvalidPartition, NotAutomorphisms,
                            StructureViolation, TooLarge)
 from hatkit.graph6 import parse_graph6, write_graph6
-from hatkit.graphs import (Graph, bipartite_double, check_isomorphism,
-                           from_edge_list, is_connected, line_graph, relabel)
+from hatkit.graphs import (Graph, bipartite_double, from_edge_list,
+                           is_connected, isomorphism_fault, line_graph,
+                           relabel)
 from hatkit.perms import compose, from_cycles, schreier_sims
 from hatkit import autgroup, perms
 from hatkit.autgroup import (
@@ -869,7 +870,7 @@ def test_root_split_certificates_invariant():
             assert canonical_form(h)[1] == certificate
             mapping = is_isomorphic(g, h)
             assert mapping is not None
-            check_isomorphism("iso", mapping, g, h)
+            assert isomorphism_fault(mapping, g, h) == ""
 
 
 def test_root_split_refines_regular_graphs_at_most_twice(monkeypatch):
@@ -1030,7 +1031,7 @@ def test_pruned_search_certificates_invariant():
             assert canonical_form(h)[1] == certificate
             mapping = is_isomorphic(g, h)
             assert mapping is not None
-            check_isomorphism("iso", mapping, g, h)
+            assert isomorphism_fault(mapping, g, h) == ""
 
 
 def test_search_encodes_one_leaf(monkeypatch):
@@ -1677,7 +1678,7 @@ def test_canonical_form_and_exact_bound_beyond_census(strip_calls, name):
     assert canonical_form(pair[0])[1] == canonical_form(pair[1])[1]
     mapping = is_isomorphic(*pair)
     assert mapping is not None
-    check_isomorphism("isomorphism_mapping", mapping, *pair)
+    assert isomorphism_fault(mapping, *pair) == ""
     assert strip_calls == []
     autgroup._analysis.cache_clear()
 

@@ -774,7 +774,7 @@ def test_verify_records_typed_quotient_error(monkeypatch):
         return tuple(tau)
 
     monkeypatch.setattr(covers, "antipodal_involution", exchanged)
-    monkeypatch.setattr(covers, "maps_edges", lambda p, g, h: True)
+    monkeypatch.setattr(covers, "edge_map_fault", lambda p, g, h: "")
     autgroup._analysis.cache_clear()
     petersen = next(e for e in builtin_entries() if e.name == "petersen")
     result = cli._verify_entry((petersen, cli.SUITES, True))

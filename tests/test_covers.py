@@ -120,11 +120,11 @@ def test_seeded_chains_match_unseeded_chains(name, monkeypatch):
     monkeypatch.setattr(covers, "split_certificate", lambda *args: (
         built.append(real(*args)) or built[-1]))
     dec = alternating_cycles(g, natural)
-    cover_pipeline(g, dec, lifted)
-    (cert,) = built
+    report = cover_pipeline(g, dec, lifted)
+    assert len(built) == 1
     tau = antipodal_involution(g, dec, lifted)
     split_unseeded = schreier_sims(lift_gens + [tau], degree=g.n)
-    assert cert.lifted_order == split_unseeded.order == 2 * group.order
+    assert report.lifted_order == split_unseeded.order == 2 * group.order
     assert split_unseeded.contains(tau) and not lifted.contains(tau)
     for p in chain_probes(lift_gens + [tau], [reversal,
                                               compose(reversal, tau)], rng):
@@ -352,7 +352,7 @@ def test_quotient_orbit_pair_not_matching(monkeypatch):
     edges, so with the automorphism check bypassed, (0 2)(1 3) on the path
     0-1-2-3 joins its two orbits by 3 edges: a typed error that is still
     a ValueError, naming both orbits and the count."""
-    monkeypatch.setattr(covers, "maps_edges", lambda p, g, h: True)
+    monkeypatch.setattr(covers, "edge_map_fault", lambda p, g, h: "")
     path4 = from_edge_list(4, [(0, 1), (1, 2), (2, 3)])
     with pytest.raises(OrbitPairNotMatching,
                        match=r"orbits \(0, 2\) and \(1, 3\) joined by 3 edges"
@@ -401,11 +401,10 @@ def test_quotient_checks_under_optimize(fault, check, witness):
 def test_split_certificate_dart_petersen(petersen):
     g, lifted, tau = antipodal_of(petersen)
     cover = quotient_by_tau(g, tau)
-    cert = split_certificate(g, lifted, tau, cover)
-    assert cert.is_split and not cert.is_sectional
+    sectional, walk = split_certificate(g, lifted, tau, cover)
+    assert not sectional
     closure = schreier_sims(list(lifted.generators) + [tau], degree=g.n)
-    assert cert.lifted_order == closure.order == 2 * lifted.order
-    walk = cert.non_bipartite_witness
+    assert closure.order == 2 * lifted.order
     assert walk is not None and (len(walk) - 1) % 2 == 1
     assert all(g.has_edge(a, b) for a, b in zip(walk, walk[1:]))
 
@@ -420,18 +419,18 @@ def test_split_certificate_dart_k33_sectional(k33, petersen, monkeypatch):
     real = graphs._two_color
     monkeypatch.setattr(graphs, "_two_color",
                         lambda x: runs.append(x) or real(x))
-    cert = split_certificate(g, lifted, tau, cover)
+    sectional, walk = split_certificate(g, lifted, tau, cover)
     assert runs == [g]
-    assert cert.is_split and cert.is_sectional
-    assert cert.non_bipartite_witness is None
+    assert sectional
+    assert walk is None
     assert is_isomorphic(g, bipartite_double(cover.base)) is not None
     g, lifted, tau = antipodal_of(petersen)
     cover = quotient_by_tau(g, tau)
     runs.clear()
-    cert = split_certificate(g, lifted, tau, cover)
+    sectional, walk = split_certificate(g, lifted, tau, cover)
     assert runs == [g]
-    assert cert.is_split and not cert.is_sectional
-    assert cert.non_bipartite_witness is not None
+    assert not sectional
+    assert walk is not None
 
 
 def test_split_certificate_tau_in_group():
@@ -484,12 +483,12 @@ def test_split_certificate_sectionality_of_cycle_covers(n, sectional):
     c = cycle_graph(n)
     cover = quotient_by_tau(c, half_turn(n))
     group = reflection_group(n)
-    cert = split_certificate(c, group, half_turn(n), cover)
+    verdict, walk = split_certificate(c, group, half_turn(n), cover)
     oracle = is_isomorphic(c, bipartite_double(cover.base)) is not None
-    assert cert.is_sectional == oracle == sectional
-    assert cert.is_split and cert.non_bipartite_witness is None
+    assert verdict == oracle == sectional
+    assert walk is None
     closure = schreier_sims(list(group.generators) + [half_turn(n)])
-    assert cert.lifted_order == closure.order == 4
+    assert closure.order == 4
 
 
 def test_split_certificate_needs_connected_total():
@@ -520,7 +519,7 @@ def test_bounded_chains_match_unbounded_rebuild(request, name):
     and tau has the order split_certificate proves, 2 |lift|, and holds
     tau, which the lift does not."""
     g, lifted, tau = antipodal_of(request.getfixturevalue(name))
-    cert = split_certificate(g, lifted, tau, quotient_by_tau(g, tau))
+    split_certificate(g, lifted, tau, quotient_by_tau(g, tau))
     rng = random.Random(5)
     gens = list(lifted.generators) + [tau]
     probes = [tau] + gens
@@ -535,7 +534,7 @@ def test_bounded_chains_match_unbounded_rebuild(request, name):
     for p in probes:
         assert lifted.contains(p) == full.contains(p)
     split = schreier_sims(gens, degree=g.n)
-    assert cert.lifted_order == split.order == 2 * lifted.order
+    assert split.order == 2 * lifted.order
     assert not lifted.contains(tau) and split.contains(tau)
 
 
@@ -554,7 +553,7 @@ def test_cover_pipeline_dodecahedron():
 # Dart(Petersen), its alternating cycles and the lifted group.
 _DART_PETERSEN = (
     "import sys\n"
-    "from hatkit import covers, records\n"
+    "from hatkit import covers\n"
     "from hatkit.altcycles import alternating_cycles\n"
     "from hatkit.autgroup import automorphism_group\n"
     "from hatkit.census import generalized_petersen\n"
@@ -607,8 +606,7 @@ def test_cover_pipeline_rejects_arc_intransitive_base_under_optimize():
 
 @pytest.mark.parametrize("fault, check, witness", [
     ("real = covers.split_certificate\n"
-     "covers.split_certificate = lambda *args: records.replace(\n"
-     "    real(*args), is_sectional=True)\n",
+     "covers.split_certificate = lambda *args: (True, real(*args)[1])\n",
      "sectional_iff_bipartite", "sectional=True, bipartite=False"),
     ("covers.girth = lambda x: 4\n",
      "base_girth_3", "girth 4"),

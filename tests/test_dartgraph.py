@@ -423,11 +423,11 @@ def test_verify_dart_forward_needs_two_arc_transitivity(k33):
 def test_psi_round_trip_pappus(pappus):
     g, natural, _ = dart_graph(pappus)
     dec = alternating_cycles(g, natural)
-    psi, report = psi_isomorphism(g, natural, dec)
-    assert [name for name, _ in report.checks] == [
+    psi, checks = psi_isomorphism(g, natural, dec)
+    assert [name for name, _ in checks] == [
         "psi_unique_head", "psi_bijective", "psi_preserves_adjacency",
         "psi_orientation_compatible"]
-    assert report.alt_order == pappus.n
+    assert dec.cycle_graph.n == pappus.n
     assert sorted(psi) == list(range(g.n))
 
 
@@ -436,13 +436,13 @@ def test_psi_round_trip_pappus(pappus):
 def test_psi_of_reversed_orientation_follows_dart_reversal(name):
     """Both induced orientations have the same alternating cycles; psi
     built from the reverse is psi after the dart reversal of the dart
-    graph of the reconstruction, with an equal report."""
+    graph of the reconstruction, with equal checks."""
     base = next(e for e in builtin_entries() if e.name == name).graph()
     g, natural, _ = dart_graph(base)
     dec = alternating_cycles(g, natural)
-    psi, report = psi_isomorphism(g, natural, dec)
-    psi_rev, report_rev = psi_isomorphism(g, natural.reverse(), dec)
-    assert report_rev == report
+    psi, checks = psi_isomorphism(g, natural, dec)
+    psi_rev, checks_rev = psi_isomorphism(g, natural.reverse(), dec)
+    assert checks_rev == checks
     _, _, rec_labeling = dart_graph(alt_graph(dec))
     assert psi_rev == compose(reversed_darts(rec_labeling), psi)
 
@@ -452,7 +452,7 @@ def reference_psi(g, d, dec):
     dart_graph(dec.cycle_graph), with its natural orientation, and checks
     psi's adjacency on that graph's edges and its orientation on that
     orientation's arcs, in their order.  The reference for psi's tuple,
-    report and witnesses.  As psi_isomorphism does, it chooses the images
+    checks and witnesses.  As psi_isomorphism does, it chooses the images
     with d.is_head and checks the arcs with d.head_of, which agree on any
     Orientation."""
     lam = dec.cycle_graph
@@ -491,9 +491,7 @@ def reference_psi(g, d, dec):
                 if d.head_of(psi[a[0]], psi[a[1]]) != psi[a[1]]), None)
     check(checks, "psi_orientation_compatible", arc is None,
           "" if arc is None else f"natural arc {arc} maps against d")
-    return psi, dartgraph.PsiReport(radius=dec.radius,
-                                    attachment=dec.attachment,
-                                    alt_order=lam.n, checks=tuple(checks))
+    return psi, tuple(checks)
 
 
 def connected_random_cubic(seed):
@@ -517,13 +515,13 @@ PSI_BASES.update((f"random{seed}", lambda seed=seed: connected_random_cubic(
 @pytest.mark.parametrize("name", PSI_BASES)
 def test_psi_matches_dart_graph_reference(name):
     """psi_isomorphism builds no dart graph of the reconstruction, yet gives
-    the reference's tuple and report, from both orientations of the
+    the reference's tuple and checks, from both orientations of the
     natural pair."""
     g, natural, _ = dart_graph(PSI_BASES[name]())
     dec = alternating_cycles(g, natural)
     for d in (natural, natural.reverse()):
-        psi, report = psi_isomorphism(g, d, dec)
-        assert (psi, report) == reference_psi(g, d, dec)
+        psi, checks = psi_isomorphism(g, d, dec)
+        assert (psi, checks) == reference_psi(g, d, dec)
         assert sorted(psi) == list(range(g.n))
 
 

@@ -8,15 +8,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hatkit.errors import (DuplicateEdge, EmptyEdgeSet, LoopEdge,
-                           StructureViolation, VertexOutOfRange)
+                           StructureViolation, VertexOutOfRange, check_fault)
 from hatkit.graphs import (
     bipartite_double,
-    check_isomorphism,
     from_edge_list,
     girth,
     is_bipartite,
     is_connected,
     is_regular,
+    isomorphism_fault,
     line_graph,
     parts_or_odd_walk,
     relabel,
@@ -382,23 +382,28 @@ def test_odd_closed_walk_witness(g):
 
 
 def test_check_isomorphism_petersen(petersen):
+    """errors.check_fault with graphs.isomorphism_fault passes an
+    isomorphism and raises StructureViolation for anything else."""
     perm = tuple((3 * v + 1) % 10 for v in range(10))
     image = relabel(petersen, perm)
-    check_isomorphism("iso", perm, petersen, image)
+    check_fault("iso", isomorphism_fault(perm, petersen, image))
     with pytest.raises(StructureViolation):
-        check_isomorphism("iso", tuple(range(10)), petersen, image)
+        check_fault("iso", isomorphism_fault(tuple(range(10)), petersen,
+                                             image))
     # not a bijection, wrong length, or a graph with fewer edges
     with pytest.raises(StructureViolation):
-        check_isomorphism("iso", (0,) * 10, petersen, petersen)
+        check_fault("iso", isomorphism_fault((0,) * 10, petersen, petersen))
     with pytest.raises(StructureViolation):
-        check_isomorphism("iso", tuple(range(9)), petersen, petersen)
+        check_fault("iso", isomorphism_fault(tuple(range(9)), petersen,
+                                             petersen))
     with pytest.raises(StructureViolation):
-        check_isomorphism("iso", tuple(range(10)), petersen, cycle_graph(10))
+        check_fault("iso", isomorphism_fault(tuple(range(10)), petersen,
+                                             cycle_graph(10)))
     # an edge-preserving bijection onto a graph with more edges
     c5 = cycle_graph(5)
     k5 = from_edge_list(5, combinations(range(5), 2))
     with pytest.raises(StructureViolation):
-        check_isomorphism("iso", tuple(range(5)), c5, k5)
+        check_fault("iso", isomorphism_fault(tuple(range(5)), c5, k5))
 
 
 def test_relabel_checks_bijection(k4):
@@ -418,14 +423,15 @@ def test_relabel_checks_bijection(k4):
     ((0, 2, 1, 3, 4), "c5", "edge (0, 1) maps to the non-edge (0, 2)"),
 ])
 def test_check_isomorphism_witnesses(p, h, witness):
-    """check_isomorphism passes an isomorphism and otherwise names the
-    check with the witness: the orders and sizes, a vertex mapped outside
-    the target or onto another's image, or an edge mapped to a non-edge."""
+    """check_fault with isomorphism_fault passes an isomorphism and
+    otherwise names the check with the witness: the orders and sizes, a
+    vertex mapped outside the target or onto another's image, or an edge
+    mapped to a non-edge."""
     g = cycle_graph(5)
     h = {"c5": g, "p5": path_graph(5)}[h]
     if witness is None:
-        check_isomorphism("name", p, g, h)
+        check_fault("name", isomorphism_fault(p, g, h))
         return
     with pytest.raises(StructureViolation) as info:
-        check_isomorphism("name", p, g, h)
+        check_fault("name", isomorphism_fault(p, g, h))
     assert str(info.value) == f"name: {witness}"

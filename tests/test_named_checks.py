@@ -2,8 +2,9 @@
 is stripped by -O.  The bare asserts left in the package are listed here,
 and the list may only shrink.  Every `raise StructureViolation(...)`
 names its check: the message opens with `name: `, written out or as a
-`{name}: ` placeholder.  Every `check(...)` call passes its name as a
-literal snake_case string."""
+`{name}: ` placeholder.  Every `check(...)` and `check_fault(...)` call
+passes its name as a literal snake_case string.  Every typed error of a
+supplied generator or involution names its witness."""
 
 import ast
 import re
@@ -13,7 +14,10 @@ from pathlib import Path
 import pytest
 
 import hatkit
-from hatkit.errors import StructureViolation, check
+from hatkit import errors
+from hatkit.errors import StructureViolation, check, check_fault
+
+from conftest import run_optimized
 
 # (module, function) -> number of bare asserts still allowed there
 REMAINING_ASSERTS = Counter()
@@ -114,17 +118,21 @@ def test_unnamed_raises_found(tmp_path):
 
 
 SNAKE_CASE = re.compile(r"[a-z][a-z0-9_]*")
+# the position of the check name among each check function's arguments
+NAME_ARGUMENT = {"check": 1, "check_fault": 0}
 
 
 def unnamed_checks(path):
-    """(file name, line) of each `check(...)` call of one source file whose
-    name, the second argument, is not a literal snake_case string."""
+    """(file name, line) of each `check(...)` or `check_fault(...)` call of
+    one source file whose name, the second or the first argument, is not
+    a literal snake_case string."""
     found = []
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"),
                                    str(path))):
-        if (isinstance(node, ast.Call)
-                and getattr(node.func, "id", None) == "check"):
-            name = node.args[1] if len(node.args) > 1 else None
+        at = NAME_ARGUMENT.get(getattr(getattr(node, "func", None), "id",
+                                       None))
+        if isinstance(node, ast.Call) and at is not None:
+            name = node.args[at] if len(node.args) > at else None
             if not (isinstance(name, ast.Constant)
                     and isinstance(name.value, str)
                     and SNAKE_CASE.fullmatch(name.value)):
@@ -141,7 +149,8 @@ def test_every_check_call_names_its_check():
 
 def test_unnamed_checks_found(tmp_path):
     """The walk accepts a literal snake_case name and flags a placeholder,
-    a variable, another spelling and a missing name."""
+    a variable, another spelling and a missing name, for check and for
+    check_fault."""
     source = tmp_path / "sample.py"
     source.write_text(
         'check(log, "base_girth_3", girth == 3, f"girth {girth}")\n'
@@ -149,9 +158,11 @@ def test_unnamed_checks_found(tmp_path):
         'check(log, name, ok, "")\n'
         'check(log, "dart:radius_3", ok, "")\n'
         'check(log)\n'
-        'other(log, name, ok, "")\n')
+        'other(log, name, ok, "")\n'
+        'check_fault("quotient_covering_projection", fault)\n'
+        'check_fault(name, fault)\n')
     assert unnamed_checks(source) == [("sample.py", line)
-                                      for line in (2, 3, 4, 5)]
+                                      for line in (2, 3, 4, 5, 8)]
 
 
 def test_check_records_a_pass_and_raises_a_failure():
@@ -167,3 +178,94 @@ def test_check_records_a_pass_and_raises_a_failure():
     assert info.value.check == "psi_unique_head"
     assert info.value.witness == "dart 0 = (1, 2): 0 of it"
     assert passed == [("base_girth_3", "the base has girth 3")]
+
+
+def test_check_fault_raises_only_on_a_fault():
+    """check_fault raises "name: fault" for a non-empty fault text and
+    returns for an empty one."""
+    check_fault("sectional_onto_double", "")
+    with pytest.raises(StructureViolation) as info:
+        check_fault("sectional_onto_double",
+                    "edge (0, 1) maps to the non-edge (0, 2)")
+    assert info.value.check == "sectional_onto_double"
+    assert info.value.witness == "edge (0, 1) maps to the non-edge (0, 2)"
+
+
+# Inputs for the typed errors below: the 6-cycle with its rotations, the
+# path 0-1-2-3, the alternating cycles of Dart(K4) (12 vertices) and
+# K4's dart labeling.
+_WITNESS_SETUP = (
+    "import sys, types\n"
+    "from hatkit.altcycles import alternating_cycles, cycle_images\n"
+    "from hatkit.autgroup import arc_orbits, transitivity_report\n"
+    "from hatkit.census import complete_graph\n"
+    "from hatkit.covers import quotient_by_tau, split_certificate\n"
+    "from hatkit.dartgraph import dart_graph, lift_automorphisms\n"
+    "from hatkit.graphs import from_edge_list\n"
+    "from hatkit.perms import compose, from_cycles, schreier_sims\n"
+    "c6 = from_edge_list(6, [(i, (i + 1) % 6) for i in range(6)])\n"
+    "rot1 = from_cycles(6, [(0, 1, 2, 3, 4, 5)])\n"
+    "rot3 = from_cycles(6, [(0, 3), (1, 4), (2, 5)])\n"
+    "cover = quotient_by_tau(c6, rot3)\n"
+    "path4 = from_edge_list(4, [(0, 1), (1, 2), (2, 3)])\n"
+    "k4_dart, k4_natural, k4_labeling = dart_graph(complete_graph(4))\n"
+    "k4_dec = alternating_cycles(k4_dart, k4_natural)\n"
+)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    ("quotient_by_tau(c6, rot1)", "NotInvolution",
+     "tau is not an involution: tau(tau(0)) = 2"),
+    ("split_certificate(c6, schreier_sims([compose(rot1, rot1)]), rot1,\n"
+     "                  cover)", "NotInvolution",
+     "tau is not an involution: tau(tau(0)) = 2"),
+    ("split_certificate(c6, schreier_sims([rot3, rot1]),\n"
+     "                  from_cycles(6, [(0, 1), (2, 5), (3, 4)]), cover)",
+     "NotCentralizing",
+     "tau does not centralize the supplied group: generator 1 does not "
+     "commute with tau at vertex 0"),
+    ("cycle_images(schreier_sims([], degree=4), k4_dec)", "NotInvariant",
+     "group degree 4 differs from the vertex count 12"),
+    ("arc_orbits([rot1, from_cycles(6, [(0, 1)])], c6)", "NotAutomorphisms",
+     "generator 1 does not preserve adjacency: edge (0, 5) maps to the "
+     "non-edge (1, 5)"),
+    ("transitivity_report(schreier_sims([from_cycles(4, [(0, 1, 2, 3)])]),\n"
+     "                    path4)", "NotAutomorphisms",
+     "generator 0 does not preserve adjacency: edge (2, 3) maps to the "
+     "non-edge (3, 0)"),
+    ("lift_automorphisms(path4, schreier_sims([from_cycles(4, [(0, 2)])]),\n"
+     "                   k4_labeling)", "NotAutomorphisms",
+     "generator 0 does not preserve adjacency: edge (2, 3) maps to the "
+     "non-edge (0, 3)"),
+    ("lift_automorphisms(path4, types.SimpleNamespace(\n"
+     "    degree=4, strong_generators=((1, 0, 2),)), k4_labeling)",
+     "NotAutomorphisms",
+     "generator 0 does not preserve adjacency: it has degree 3, the graph "
+     "order 4"),
+    ("quotient_by_tau(path4, from_cycles(4, [(0, 1), (2, 3)]))",
+     "NotAutomorphisms",
+     "tau is not an automorphism: edge (1, 2) maps to the non-edge (0, 3)"),
+], ids=["quotient_by_tau-involution", "split_certificate-involution",
+        "split_certificate-centralizes", "cycle_images-degree",
+        "arc_orbits-edge", "transitivity_report-edge",
+        "lift_automorphisms-edge", "lift_automorphisms-degree",
+        "quotient_by_tau-edge"])
+def test_typed_errors_name_their_witness(call, error, message):
+    """Each typed error of a supplied generator or tau names its witness:
+    the generator index (or tau) with the first edge it maps to a
+    non-edge or its degree, a vertex v with tau(tau(v)), a generator and
+    a vertex where it does not commute with tau, or both degrees.  The
+    same message under python -O."""
+    namespace = {}
+    exec(_WITNESS_SETUP, namespace)
+    with pytest.raises(getattr(errors, error)) as info:
+        eval(call, namespace)
+    assert str(info.value) == message
+    code = _WITNESS_SETUP + (
+        "try:\n"
+        f"    {call}\n"
+        "except Exception as exc:\n"
+        f"    print(sys.flags.optimize, type(exc).__name__, "
+        f"str(exc) == {message!r})\n"
+    )
+    assert run_optimized(code) == ["1", error, "True"]

@@ -1,8 +1,14 @@
-"""The README quickstart and CLI block, executed."""
+"""The README quickstart and CLI block, executed, and its API
+references resolved."""
 
+import importlib
+import inspect
+import pkgutil
+import re
 import shlex
 from pathlib import Path
 
+import hatkit
 from hatkit import (
     alternating_cycles,
     automorphism_group,
@@ -59,3 +65,66 @@ def test_readme_cli_lines_exit_0(tmp_path, monkeypatch, serial_pool):
         assert argv[0] == "hatkit"
         assert main(argv[1:]) == 0, argv
     assert serial_pool == [4]
+
+
+MODULES = {m.name for m in pkgutil.iter_modules(hatkit.__path__)}
+CLASSES = {name: obj for module in MODULES
+           for name, obj in vars(importlib.import_module(
+               f"hatkit.{module}")).items()
+           if inspect.isclass(obj) and obj.__module__.startswith("hatkit.")}
+# a code span holding a dotted name, perhaps called or indexed
+REFERENCE = re.compile(r"`(\w+(?:\.\w+)+)(?:\([^`]*\)|\[[^`]*\])?`")
+
+
+def api_references(text):
+    """The dotted names of text's code spans that start at a hatkit module
+    (`graphs.girth`, `hatkit.census`) or at a capitalised name, read as a
+    hatkit class (`CoverReport.checks`); names that start at a variable,
+    such as `dec.cycle_graph`, are left out."""
+    names = (m.group(1) for m in REFERENCE.finditer(text))
+    return [name for name in names
+            if name.split(".")[0] in MODULES | {"hatkit"}
+            or name[0].isupper()]
+
+
+def resolves(name):
+    """True when a dotted API name resolves: the module, then each
+    attribute in turn, a record's field counting as one."""
+    head, *rest = name.split(".")
+    if head == "hatkit" and rest and rest[0] in MODULES:
+        head, *rest = rest
+    if head in MODULES:
+        obj = importlib.import_module(f"hatkit.{head}")
+    else:
+        obj = hatkit if head == "hatkit" else CLASSES.get(head)
+    for i, attr in enumerate(rest):
+        if obj is None:
+            return False
+        if attr in getattr(obj, "_fields", ()):
+            return i == len(rest) - 1
+        obj = getattr(obj, attr, None)
+    return obj is not None
+
+
+def test_readme_api_references_resolve():
+    """Every `module.name` of the README that names a hatkit module
+    resolves to an attribute of that module, and every `Record.field` to
+    a field or an attribute of the class."""
+    references = api_references(README.read_text(encoding="utf-8"))
+    assert len(references) >= 25
+    assert [name for name in references if not resolves(name)] == []
+
+
+def test_stale_api_references_found():
+    """Names of deleted helpers and records are flagged; live ones, a
+    call, an index and a variable's attribute are not."""
+    text = ("`graphs.check_edge_map` and `graphs.check_isomorphism` went, "
+            "as did `PsiReport.checks`; `graphs.edge_map_fault`, "
+            "`errors.check_fault(name, fault)`, `CoverReport.lifted_order`, "
+            "`PermGroup.basic_orbits`, `hatkit.census.census_json_text()`, "
+            "`dec.cycles[i]` and `report.checks` stay.")
+    references = api_references(text)
+    assert "dec.cycles" not in references and "report.checks" not in references
+    assert [name for name in references if not resolves(name)] == [
+        "graphs.check_edge_map", "graphs.check_isomorphism",
+        "PsiReport.checks"]

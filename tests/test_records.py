@@ -11,10 +11,9 @@ from hatkit.autgroup import (TransitivityReport, automorphism_group,
                              transitivity_report)
 from hatkit.census import CensusEntry, builtin_entries, complete_graph
 from hatkit.cli import _EntryAnalysis
-from hatkit.covers import (CoverReport, CoveringMap, SplitCertificate,
-                           cover_pipeline, quotient_by_tau, split_certificate)
-from hatkit.dartgraph import (DartForwardReport, DartLabeling, PsiReport,
-                              psi_isomorphism)
+from hatkit.covers import (CoverReport, CoveringMap, cover_pipeline,
+                           quotient_by_tau)
+from hatkit.dartgraph import DartForwardReport, DartLabeling
 from hatkit.records import Record, replace
 
 # The JSON keys of each record class in the report, in order, and those
@@ -27,20 +26,18 @@ JSON_KEYS = {
     DartForwardReport: (
         ("base_order", "dart_order", "group_order", "lifted_order", "radius",
          "attachment", "ell"), ("group_order", "lifted_order")),
-    PsiReport: (("radius", "attachment", "alt_order"), ()),
     CoverReport: (
         ("order", "bipartite", "radius", "attachment", "split", "sectional",
          "base_order", "base_girth", "group_order", "lifted_order",
          "projected_order"),
         ("group_order", "lifted_order", "projected_order")),
 }
-RECORD_CLASSES = {AltDecomposition, TransitivityReport, CensusEntry, CoveringMap, SplitCertificate, CoverReport,
-                  DartLabeling, DartForwardReport, PsiReport}
+RECORD_CLASSES = {AltDecomposition, TransitivityReport, CensusEntry,
+                  CoveringMap, CoverReport, DartLabeling, DartForwardReport}
 HIDDEN = {
     TransitivityReport: {"arc_orbits"},
     DartForwardReport: {"checks", "labeling", "lifted_group",
                         "decomposition"},
-    PsiReport: {"checks"},
     CoverReport: {"checks"},
 }
 
@@ -57,10 +54,7 @@ def builtin_records():
         if analysis.dart_applicable:
             forward = analysis.forward
             labeling, dec = forward.labeling, forward.decomposition
-            _, psi = psi_isomorphism(labeling.graph, labeling.orientation,
-                                     dec)
             found.setdefault(DartForwardReport, []).append(forward)
-            found.setdefault(PsiReport, []).append(psi)
             if labeling.graph.n > 12:
                 found.setdefault(CoverReport, []).append(cover_pipeline(
                     labeling.graph, dec, forward.lifted_group))
@@ -76,9 +70,7 @@ def one_of_each(builtin_records):
     labeling, dec = forward.labeling, forward.decomposition
     tau = antipodal_involution(labeling.graph, dec, forward.lifted_group)
     cover = quotient_by_tau(labeling.graph, tau)
-    records = [cover, labeling, dec,
-               split_certificate(labeling.graph, forward.lifted_group, tau,
-                                 cover)]
+    records = [cover, labeling, dec]
     records += [found[0] for found in builtin_records.values()]
     assert {type(r) for r in records} == RECORD_CLASSES
     return records
