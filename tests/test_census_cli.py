@@ -534,6 +534,39 @@ def test_cli_analyze_report_pinned(tmp_path, capsys, monkeypatch):
         ANALYZE_REPORT_SHA256
 
 
+# sha256 of the `dart --out` reports of every cubic builtin entry, the
+# seven stress graphs (f026 is 1-arc-regular, so its report is null with a
+# note) and the PGL(2, p) entries with p = 7, 11 and 19, joined in that
+# order: a change to any field of any dart report changes it.
+DART_REPORTS_SHA256 = (
+    "33dff1b92422b51c03616b3d92736c7ce29386f009e2c9ca5d0e4872454d74ea")
+
+
+def test_cli_dart_reports_pinned(tmp_path, capsys, monkeypatch):
+    (tmp_path / "pgl2.json").write_text(json.dumps({"entries": [
+        pgl2_entry(p).to_json_dict() for p in (7, 11, 19)]}),
+        encoding="utf-8")
+    stress = _write_stress_census(tmp_path)
+    runs = ([("builtin", name) for name in REQUIRED_CUBIC]
+            + [(stress, name) for name in STRESS_NAMES]
+            + [(str(tmp_path / "pgl2.json"), f"pgl2_{p}") for p in (7, 11, 19)])
+    digest = hashlib.sha256()
+    for census, name in runs:
+        out = tmp_path / f"{name}.json"
+        assert main(["dart", name, "--census", census, "--out", str(out)]) == 0
+        text = out.read_text()
+        report = json.loads(text)["entries"][0]["report"]
+        if report is not None:
+            # group orders outgrow the integers JSON readers keep exact
+            assert isinstance(report["group_order"], str)
+            assert isinstance(report["lifted_order"], str)
+        digest.update(text.encode())
+    capsys.readouterr()
+    assert sum(json.loads((tmp_path / f"{name}.json").read_text())
+               ["entries"][0]["report"] is None for _, name in runs) == 1
+    assert digest.hexdigest() == DART_REPORTS_SHA256
+
+
 def test_verify_entry_builds_each_artefact_once(monkeypatch):
     """One analysis per entry: the dart graph, its alternating cycles and
     their graph are built once for all three suites (psi reads the 2-arcs
