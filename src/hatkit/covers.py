@@ -49,7 +49,7 @@ from .altcycles import (
     antipodal_involution,
     cycle_images,
 )
-from .perms import PermGroup, centralizes
+from .perms import PermGroup, centralizes, check_perm
 
 
 class CoveringMap(Record):
@@ -113,18 +113,20 @@ def quotient_by_tau(total: Graph, tau) -> CoveringMap:
     pair raises DegenerateWreath since the graph is then a wreath of a
     cycle over two vertices; any other count (unreachable for an
     involutory automorphism) raises OrbitPairNotMatching.  tau must have
-    total's order as degree (NotAutomorphisms, with both numbers), fix
-    no vertex (FixedPoint), square to the identity (NotInvolution, with a
-    vertex v and tau(tau(v))) and carry edges to edges (NotAutomorphisms,
-    with the witness of graphs.edge_map_fault).  The result is a
-    verified 2-fold covering projection whose fibres are the tau-orbits;
-    a failed check raises StructureViolation naming it
+    total's order as degree (NotAutomorphisms, with both numbers), be a
+    permutation (NotPermutation, with the first image out of range or
+    repeated), fix no vertex (FixedPoint), square to the identity
+    (NotInvolution, with a vertex v and tau(tau(v))) and carry edges to
+    edges (NotAutomorphisms, with the witness of graphs.edge_map_fault).
+    The result is a verified 2-fold covering projection whose fibres are
+    the tau-orbits; a failed check raises StructureViolation naming it
     (quotient_covering_projection with the witness of covering_fault,
     quotient_fibres_of_size_2 with the fibre), also under python -O.
     """
     n = total.n
     if len(tau) != n:
         raise NotAutomorphisms(f"tau has degree {len(tau)}, graph has {n}")
+    check_perm(tau)
     fixed = [v for v in range(n) if tau[v] == v]
     if fixed:
         raise FixedPoint(f"tau fixes {fixed[:4]}")
@@ -177,13 +179,14 @@ def split_certificate(total: Graph, group: PermGroup, tau,
     one, as graphs.parts_or_odd_walk gives it.
 
     Requires a connected total graph (NotConnected) and an involution tau
-    that centralizes the group (NotCentralizing, with a generator index
-    and a vertex where the two do not commute; NotInvolution, with a
-    vertex v and tau(tau(v))), lies outside it (TauInG, decided by
-    group.contains: a PermGroup sifts tau through its chain, and a
-    dartgraph.LiftedGroup rejects the dart reversal at once, as it sends
-    the darts out of one vertex to darts with different tails) and swaps
-    each fibre (NotInvariant).  These checks are the proof of the
+    (NotPermutation from centralizes, with the first image out of range
+    or repeated) that centralizes the group (NotCentralizing, with a
+    generator index and a vertex where the two do not commute;
+    NotInvolution, with a vertex v and tau(tau(v))), lies outside it
+    (TauInG, decided by group.contains: a PermGroup sifts tau through
+    its chain, and a dartgraph.LiftedGroup rejects the dart reversal at
+    once, as it sends the darts out of one vertex to darts with
+    different tails) and swaps each fibre (NotInvariant).  These checks are the proof of the
     splitting: tau is not the identity, as the identity lies in the
     group; tau commutes with the group and tau^2 = 1, so <group, tau> =
     group u group tau; group and <tau> meet in the identity, so
@@ -242,30 +245,7 @@ def split_certificate(total: Graph, group: PermGroup, tau,
     return sectional, witness
 
 
-class CoverReport(Record):
-    """End-to-end record of one cover-pipeline run; checks holds the
-    (name, detail) pairs of the checks cover_pipeline made, in the order
-    it made them."""
-
-    order: int
-    bipartite: bool
-    radius: int
-    attachment: int
-    split: bool
-    sectional: bool
-    base_order: int
-    base_girth: int
-    group_order: int
-    lifted_order: int
-    projected_order: int
-    checks: tuple
-
-    _hidden = frozenset({"checks"})
-    _as_string = frozenset({"group_order", "lifted_order", "projected_order"})
-
-
-def cover_pipeline(total: Graph, dec: AltDecomposition,
-                   group: PermGroup) -> CoverReport:
+def cover_pipeline(total: Graph, dec: AltDecomposition, group: PermGroup):
     """Run antipodal involution -> quotient -> split certificate for a
     half-arc-transitive action with radius 3 and attachment 2 on a graph
     of order greater than 12, then verify the cover and its base graph:
@@ -290,8 +270,11 @@ def cover_pipeline(total: Graph, dec: AltDecomposition,
     degree, generators, order and contains are read, so a PermGroup and
     a dartgraph.LiftedGroup, which keeps no chain, both serve.
     Bipartite inputs run through the same pipeline and certify sectional;
-    non-bipartite inputs certify non-sectional.  The report's split is
-    True and its lifted_order 2 |group| by split_certificate's proof:
+    non-bipartite inputs certify non-sectional.  Returns (cover,
+    sectional, checks): the CoveringMap of the quotient by tau, whether
+    the cover is sectional, and the tuple of the (name, detail) pairs of
+    the checks made, in the order they were made.  The cover is split,
+    and <group, tau> has order 2 |group|, by split_certificate's proof:
     that call returning at all is the certificate.
 
     No chain of the fibre action is built.  The group permutes the
@@ -350,18 +333,4 @@ def cover_pipeline(total: Graph, dec: AltDecomposition,
     fibre_to_edge = [index.get(dec.cycles_at_vertex[v], -1) for v, _ in fibres]
     fault = isomorphism_fault(fibre_to_edge, cover.base, lam_line)
     check(checks, "base_is_line_graph", not fault, fault)
-
-    return CoverReport(
-        order=total.n,
-        bipartite=bipartite,
-        radius=dec.radius,
-        attachment=dec.attachment,
-        split=True,
-        sectional=sectional,
-        base_order=cover.base.n,
-        base_girth=base_girth,
-        group_order=group.order,
-        lifted_order=2 * group.order,
-        projected_order=group.order,
-        checks=tuple(checks),
-    )
+    return cover, sectional, tuple(checks)

@@ -152,33 +152,8 @@ def lift_automorphisms(base: Graph, group: PermGroup,
     return lifted
 
 
-class DartForwardReport(Record):
-    """Everything verified when pushing a 2-arc-transitive cubic graph
-    through the dart construction, with the artefacts it was verified on:
-    the labeling (dart graph and natural orientation), the lifted group
-    and the alternating-cycle decomposition of the natural orientation.
-    checks holds the (name, detail) pairs of the checks
-    verify_dart_forward made, in the order it made them."""
-
-    base_order: int
-    dart_order: int
-    group_order: int
-    lifted_order: int
-    radius: int
-    attachment: int
-    ell: int
-    checks: tuple
-    labeling: DartLabeling
-    lifted_group: LiftedGroup
-    decomposition: AltDecomposition
-
-    _hidden = frozenset({"checks", "labeling", "lifted_group",
-                         "decomposition"})
-    _as_string = frozenset({"group_order", "lifted_order"})
-
-
 def verify_dart_forward(base: Graph, group: PermGroup,
-                        report: TransitivityReport) -> DartForwardReport:
+                        report: TransitivityReport):
     """Build the dart graph of a 2-arc-transitive cubic graph, lift the
     group, and certify, each check a StructureViolation naming it on
     failure: the lifted action is half-arc-transitive
@@ -194,7 +169,11 @@ def verify_dart_forward(base: Graph, group: PermGroup,
     vertex its darts share.
 
     report is transitivity_report(group, base), which the caller already
-    holds; Not2ArcTransitive unless it is 2-arc-transitive.
+    holds; Not2ArcTransitive unless it is 2-arc-transitive.  Returns
+    (labeling, lifted, dec, checks): the DartLabeling (dart graph and
+    natural orientation), the LiftedGroup, the alternating cycles of the
+    natural orientation, and the tuple of the (name, detail) pairs of the
+    checks made, in the order they were made.
 
     No transitivity report of the lift is made; the facts above prove
     the classification.  The lift is generated by the lifts of the
@@ -230,19 +209,7 @@ def verify_dart_forward(base: Graph, group: PermGroup,
             default=-1) for cyc in dec.cycles]
     fault = isomorphism_fault(cycle_to_vertex, dec.cycle_graph, base)
     check(checks, "alt_reconstructs_base", not fault, fault)
-    return DartForwardReport(
-        base_order=base.n,
-        dart_order=g.n,
-        group_order=group.order,
-        lifted_order=lifted.order,
-        radius=dec.radius,
-        attachment=dec.attachment,
-        ell=dec.ell,
-        checks=tuple(checks),
-        labeling=labeling,
-        lifted_group=lifted,
-        decomposition=dec,
-    )
+    return labeling, lifted, dec, tuple(checks)
 
 
 def psi_isomorphism(g: Graph, d: Orientation, dec: AltDecomposition):

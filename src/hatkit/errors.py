@@ -40,6 +40,12 @@ class DegreeMismatch(HatError):
     pass
 
 
+class NotPermutation(HatError, ValueError):
+    """A tuple that must be a permutation of 0..n-1 has an image out of
+    that range or a repeated one.  Also a ValueError, so callers that
+    catch ValueError from check_perm keep working."""
+
+
 class NotInvariant(HatError):
     """A block list is not permuted by the group, or a block is moved by
     an element that must fix it."""

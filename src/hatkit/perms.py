@@ -12,6 +12,7 @@ from operator import itemgetter
 
 from .errors import (
     DegreeMismatch,
+    NotPermutation,
     OrderBoundExceeded,
     VertexOutOfRange,
 )
@@ -28,8 +29,19 @@ def is_identity(p) -> bool:
 
 
 def check_perm(p):
+    """NotPermutation unless p is a permutation of 0..len(p) - 1, naming
+    the first image that lies outside that range or repeats an earlier
+    one."""
     if sorted(p) != list(range(len(p))):
-        raise ValueError(f"{p!r} is not a permutation of 0..{len(p) - 1}")
+        first = {}
+        for i, x in enumerate(p):
+            if not 0 <= x < len(p):
+                raise NotPermutation(f"not a permutation: image {x} of {i} "
+                                     f"lies outside 0..{len(p) - 1}")
+            if x in first:
+                raise NotPermutation(f"not a permutation: image {x} of {i} "
+                                     f"repeats the image of {first[x]}")
+            first[x] = i
 
 
 def compose(p, q) -> Perm:
@@ -317,8 +329,10 @@ def orbits(items, generators, act):
 
 
 def centralizes(p, group: PermGroup) -> bool:
-    """True when p commutes with every generator of the group."""
+    """True when the permutation p commutes with every generator of the
+    group (NotPermutation when p is none)."""
     if len(p) != group.degree:
         raise DegreeMismatch(
             f"permutation degree {len(p)} != group degree {group.degree}")
+    check_perm(p)
     return all(compose(p, s) == compose(s, p) for s in group.generators)

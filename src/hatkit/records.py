@@ -8,14 +8,11 @@ class Record:
     Two records are equal when they are of the same class with equal
     fields; records are unhashable.
 
-    A subclass names two sets of its fields: _hidden (artefacts attached
-    for later stages), left out of the repr and the JSON form, and
-    _as_string (group orders, which outgrow the integers that JSON
-    readers keep exact), written to JSON as strings."""
+    A subclass names the set _hidden of its fields (artefacts attached
+    for later stages), left out of the repr and the JSON form."""
 
     _fields = ()
     _hidden = frozenset()
-    _as_string = frozenset()
     __hash__ = None
 
     def __init_subclass__(cls):
@@ -40,14 +37,9 @@ class Record:
         return f"{type(self).__qualname__}({shown})"
 
     def to_json_dict(self):
-        """The fields in declaration order, less the _hidden ones, with the
-        _as_string ones as strings."""
-        out = {}
-        for f in self._fields:
-            if f not in self._hidden:
-                value = getattr(self, f)
-                out[f] = str(value) if f in self._as_string else value
-        return out
+        """The fields in declaration order, less the _hidden ones."""
+        return {f: getattr(self, f) for f in self._fields
+                if f not in self._hidden}
 
 
 def replace(record, **changes):

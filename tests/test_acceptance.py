@@ -16,11 +16,13 @@ from hatkit.errors import DegenerateWreath, OddAttachment, OrderTooSmall
 from hatkit.graphs import (
     bipartite_double,
     from_edge_list,
+    girth,
+    is_bipartite,
     is_regular,
     line_graph,
 )
 from hatkit.graph6 import parse_graph6, write_graph6
-from hatkit.perms import compose
+from hatkit.perms import compose, schreier_sims
 from hatkit.autgroup import (
     automorphism_group,
     canonical_form,
@@ -87,11 +89,11 @@ def test_criterion_1_dart_correspondence(pipeline):
         item = pipeline.items[name]
         assert item.report.two_arc_transitive, name
         assert item.dart is not None, name
-        forward = item.dart.forward
-        made = {check for check, _ in forward.checks}
+        _, _, dec, checks = item.dart.forward
+        made = {check for check, _ in checks}
         assert "dart_half_arc_transitive" in made, name
-        assert forward.radius == 3, name
-        assert forward.attachment == 2, name
+        assert dec.radius == 3, name
+        assert dec.attachment == 2, name
         assert "alt_reconstructs_base" in made, name
         assert "natural_orientation_induced" in made, name
         recovered = alt_graph(item.dart.dec)
@@ -161,18 +163,24 @@ def test_criterion_4_cover_theorem(pipeline):
         item = pipeline.items[name]
         g, lifted = item.dart.graph, item.dart.lifted
         assert g.n == order, name
-        report = cover_pipeline(g, item.dart.dec, lifted)
-        assert report.split, name
-        assert report.sectional == sectional, name
-        assert report.bipartite == sectional, name
-        assert report.base_girth == 3, name
-        assert report.base_order == g.n // 2, name
-        assert report.lifted_order == 2 * report.group_order, name
-        assert report.projected_order * 2 == report.lifted_order, name
-        # directly re-check the sectionality criterion and the line graph
+        pipeline_cover, found, _ = cover_pipeline(g, item.dart.dec, lifted)
+        assert found == sectional, name
+        assert (is_bipartite(g) is not None) == sectional, name
+        assert girth(pipeline_cover.base) == 3, name
+        assert pipeline_cover.base.n == g.n // 2, name
+        # directly re-check the splitting, the sectionality criterion and
+        # the line graph
         dec = item.dart.dec
         tau = antipodal_involution(g, dec, lifted)
         assert not lifted.contains(tau), name
+        group_order = item.group.order
+        assert schreier_sims(lifted.generators + (tau,), g.n).order == \
+            2 * group_order, name
+        projected = [tuple(pipeline_cover.fibre_map[s[v]]
+                           for v, _ in pipeline_cover.fibres)
+                     for s in lifted.generators]
+        assert schreier_sims(projected, pipeline_cover.base.n).order == \
+            group_order, name
         cover = quotient_by_tau(g, tau)
         lam = alt_graph(dec)
         assert is_isomorphic(cover.base, line_graph(lam)[0]) is not None, name

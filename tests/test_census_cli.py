@@ -920,13 +920,12 @@ def test_divisibility_full_group_check_reads_certified_orbits(monkeypatch):
     reversal), and an identity tau, which keeps the natural orientation
     apart from its reverse, fails it with (r, a) as witness."""
     petersen = next(e for e in builtin_entries() if e.name == "petersen")
-    forward = cli._EntryAnalysis(petersen.graph()).forward
-    natural = forward.labeling.orientation
+    labeling, lifted, dec, _ = cli._EntryAnalysis(petersen.graph()).forward
+    natural = labeling.orientation
     for tau_of, passed in ((cli.antipodal_involution, True),
                            (lambda g, dec, group: identity(g.n), False)):
         monkeypatch.setattr(cli, "antipodal_involution", tau_of)
-        tau = tau_of(forward.labeling.graph, forward.decomposition,
-                     forward.lifted_group)
+        tau = tau_of(labeling.graph, dec, lifted)
         result = cli._verify_entry((petersen, ("divisibility",), False))
         assert result["passed"] == passed and result["error"] is None
         check = next(c for c in result["checks"] if c["check"] == THEOREM)
@@ -943,8 +942,8 @@ def test_divisibility_full_group_check_reads_certified_orbits(monkeypatch):
             assert check["detail"] == "(r, a) = (3, 2)"
             assert not any(natural.is_head(tau[t], tau[h])
                            for t, h in natural.arcs)
-        gens = list(forward.lifted_group.generators) + [tau]
-        swept = autgroup.arc_orbits(gens, forward.labeling.graph)
+        gens = list(lifted.generators) + [tau]
+        swept = autgroup.arc_orbits(gens, labeling.graph)
         assert (len(swept) <= 1) == passed
 
 

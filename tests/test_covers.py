@@ -120,11 +120,13 @@ def test_seeded_chains_match_unseeded_chains(name, monkeypatch):
     monkeypatch.setattr(covers, "split_certificate", lambda *args: (
         built.append(real(*args)) or built[-1]))
     dec = alternating_cycles(g, natural)
-    report = cover_pipeline(g, dec, lifted)
+    _, _, checks = cover_pipeline(g, dec, lifted)
     assert len(built) == 1
     tau = antipodal_involution(g, dec, lifted)
     split_unseeded = schreier_sims(lift_gens + [tau], degree=g.n)
-    assert report.lifted_order == split_unseeded.order == 2 * group.order
+    assert split_unseeded.order == 2 * group.order
+    assert dict(checks)["fibre_action_kernel_tau"].endswith(
+        f"the lifted group {split_unseeded.order}")
     assert split_unseeded.contains(tau) and not lifted.contains(tau)
     for p in chain_probes(lift_gens + [tau], [reversal,
                                               compose(reversal, tau)], rng):
@@ -149,15 +151,14 @@ def test_fibre_action_proof_matches_closure(name):
     bound: the closure has order |G|, the projected order, and its
     chain's arc orbits on the base are as many as the sweep's."""
     g, dec, lifted = dart_with_cycles(COVER_ENTRIES[name]())
-    report = cover_pipeline(g, dec, lifted)
-    details = dict(report.checks)
-    cover = quotient_by_tau(g, antipodal_involution(g, dec, lifted))
+    cover, _, checks = cover_pipeline(g, dec, lifted)
+    details = dict(checks)
     fibres = [frozenset(f) for f in cover.fibres]
     index = {f: i for i, f in enumerate(fibres)}
     induced = [tuple(index[frozenset(s[v] for v in f)] for f in fibres)
                for s in lifted.generators]
     reference = schreier_sims(induced, degree=cover.base.n)
-    assert reference.order == lifted.order == report.projected_order
+    assert reference.order == lifted.order
     assert details["fibre_action_kernel_tau"] == (
         f"the action on the fibres has order {reference.order}, the group "
         f"{lifted.order}, the lifted group {2 * lifted.order}")
@@ -542,12 +543,15 @@ def test_cover_pipeline_dodecahedron():
     from hatkit.census import generalized_petersen
     dodec = generalized_petersen(10, 2)
     g, dec, lifted = dart_with_cycles(dodec)
-    report = cover_pipeline(g, dec, lifted)
-    assert report.order == 60 and report.base_order == 30
-    assert report.split and not report.sectional and not report.bipartite
-    assert report.base_girth == 3
-    data = report.to_json_dict()
-    assert data["lifted_order"] == str(2 * lifted.order)
+    cover, sectional, checks = cover_pipeline(g, dec, lifted)
+    details = dict(checks)
+    assert g.n == 60 and cover.base.n == 30
+    assert not sectional
+    assert details["sectional_iff_bipartite"] == \
+        "sectional=False, bipartite=False"
+    assert details["base_girth_3"] == "the base has girth 3"
+    assert details["fibre_action_kernel_tau"].endswith(
+        f"the lifted group {2 * lifted.order}")
 
 
 # Dart(Petersen), its alternating cycles and the lifted group.
@@ -666,8 +670,8 @@ def test_cover_pipeline_base_is_line_graph_of_value(name):
     the cubic base itself."""
     base = next(e for e in builtin_entries() if e.name == name).graph()
     g, dec, lifted = dart_with_cycles(base)
-    report = cover_pipeline(g, dec, lifted)
-    assert ("base_is_line_graph", "") in report.checks
+    _, _, checks = cover_pipeline(g, dec, lifted)
+    assert ("base_is_line_graph", "") in checks
     lam = alt_graph(dec)
     assert canonical_form(lam)[1] == canonical_form(base)[1]
 
@@ -698,6 +702,8 @@ def test_cover_pipeline_rejects_group_moving_cycles():
 
 def test_cover_pipeline_bipartite_control(heawood):
     g, dec, lifted = dart_with_cycles(heawood)
-    report = cover_pipeline(g, dec, lifted)
-    assert report.bipartite and report.sectional and report.split
-    assert report.base_order == 21
+    cover, sectional, checks = cover_pipeline(g, dec, lifted)
+    assert sectional
+    assert dict(checks)["sectional_iff_bipartite"] == \
+        "sectional=True, bipartite=True"
+    assert cover.base.n == 21

@@ -237,12 +237,13 @@ def test_verify_dart_forward_parameter_checks_run_under_optimize(
 
 def test_verify_dart_forward_k4(k4):
     group = automorphism_group(k4)
-    report = verify_dart_forward(k4, group, transitivity_report(group, k4))
-    assert report.radius == 3 and report.attachment == 2 and report.ell == 3
-    assert [name for name, _ in report.checks] == [
+    labeling, _, dec, checks = verify_dart_forward(
+        k4, group, transitivity_report(group, k4))
+    assert dec.radius == 3 and dec.attachment == 2 and dec.ell == 3
+    assert [name for name, _ in checks] == [
         "dart_half_arc_transitive", "natural_orientation_induced",
         "dart_radius_3", "dart_attachment_2", "alt_reconstructs_base"]
-    assert report.dart_order == 12
+    assert labeling.graph.n == 12
 
 
 def test_verify_dart_forward_names_lift_not_half_arc_transitive(
@@ -281,13 +282,13 @@ def test_dart_classification_matches_lift_report(name):
     their reverses."""
     g = DART_ENTRIES[name]()
     group = automorphism_group(g)
-    forward = verify_dart_forward(g, group, transitivity_report(group, g))
-    assert forward.checks[:2] == (("dart_half_arc_transitive", ""),
-                                  ("natural_orientation_induced", ""))
-    reference = transitivity_report(lift_chain(forward.lifted_group),
-                                    forward.labeling.graph)
+    labeling, lifted, _, checks = verify_dart_forward(
+        g, group, transitivity_report(group, g))
+    assert checks[:2] == (("dart_half_arc_transitive", ""),
+                          ("natural_orientation_induced", ""))
+    reference = transitivity_report(lift_chain(lifted), labeling.graph)
     assert reference.half_arc_transitive
-    natural = frozenset(forward.labeling.orientation.arcs)
+    natural = frozenset(labeling.orientation.arcs)
     assert {frozenset(orbit) for orbit in reference.arc_orbits} == {
         natural, frozenset((h, t) for t, h in natural)}
 
@@ -352,10 +353,10 @@ def test_lift_membership_matches_chain(name):
 
 def test_verify_dart_forward_heawood(heawood):
     group = automorphism_group(heawood)
-    report = verify_dart_forward(heawood, group,
-                                 transitivity_report(group, heawood))
-    assert report.dart_order == 42
-    assert report.radius == 3 and report.attachment == 2
+    labeling, _, dec, _ = verify_dart_forward(
+        heawood, group, transitivity_report(group, heawood))
+    assert labeling.graph.n == 42
+    assert dec.radius == 3 and dec.attachment == 2
 
 
 def test_verify_dart_forward_rejects_wrong_reconstruction_under_optimize():

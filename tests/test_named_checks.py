@@ -269,3 +269,62 @@ def test_typed_errors_name_their_witness(call, error, message):
         f"str(exc) == {message!r})\n"
     )
     assert run_optimized(code) == ["1", error, "True"]
+
+
+# Dart(Petersen) (30 darts), its lifted group, a chain of that group, the
+# antipodal involution tau and the cover it gives; spoilt(i, x) is tau
+# with image x at i.
+_PERMUTATION_SETUP = (
+    "import sys\n"
+    "from hatkit.altcycles import alternating_cycles, antipodal_involution\n"
+    "from hatkit.autgroup import automorphism_group\n"
+    "from hatkit.census import generalized_petersen\n"
+    "from hatkit.covers import quotient_by_tau, split_certificate\n"
+    "from hatkit.dartgraph import dart_graph, lift_automorphisms\n"
+    "from hatkit.perms import centralizes, schreier_sims\n"
+    "petersen = generalized_petersen(5, 2)\n"
+    "g, natural, labeling = dart_graph(petersen)\n"
+    "lifted = lift_automorphisms(petersen, automorphism_group(petersen),\n"
+    "                            labeling)\n"
+    "tau = antipodal_involution(g, alternating_cycles(g, natural), lifted)\n"
+    "cover = quotient_by_tau(g, tau)\n"
+    "chain = schreier_sims(lifted.generators, degree=g.n)\n"
+    "def spoilt(i, x):\n"
+    "    return tau[:i] + (x,) + tau[i + 1:]\n"
+)
+OUTSIDE = "not a permutation: image 35 of 7 lies outside 0..29"
+_NOT_PERMUTATIONS = [
+    ("quotient_by_tau(g, spoilt(7, 35))", OUTSIDE),
+    ("split_certificate(g, lifted, spoilt(7, 35), cover)", OUTSIDE),
+    ("centralizes(spoilt(7, 35), lifted)", OUTSIDE),
+    ("chain.contains(spoilt(7, 35))", OUTSIDE),
+    ("lifted.contains(spoilt(7, 35))", OUTSIDE),
+    ("quotient_by_tau(g, spoilt(7, -1))",
+     "not a permutation: image -1 of 7 lies outside 0..29"),
+    ("lifted.contains(spoilt(8, 9))",
+     "not a permutation: image 9 of 8 repeats the image of 7"),
+]
+
+
+def test_non_permutation_names_its_image():
+    """A tau or group element that is no permutation raises NotPermutation,
+    also a ValueError, naming the first image that lies out of range or
+    repeats an earlier one: from quotient_by_tau, split_certificate
+    (through centralizes), centralizes, PermGroup.contains and
+    LiftedGroup.contains.  An image of -1 does not wrap around into a
+    NotInvolution.  The same messages under python -O."""
+    namespace = {}
+    exec(_PERMUTATION_SETUP, namespace)
+    for call, message in _NOT_PERMUTATIONS:
+        with pytest.raises(errors.NotPermutation) as info:
+            eval(call, namespace)
+        assert isinstance(info.value, ValueError)
+        assert str(info.value) == message, call
+    code = _PERMUTATION_SETUP + "print(sys.flags.optimize)\n" + "".join(
+        "try:\n"
+        f"    {call}\n"
+        "except Exception as exc:\n"
+        f"    print(type(exc).__name__, str(exc) == {message!r})\n"
+        for call, message in _NOT_PERMUTATIONS)
+    assert run_optimized(code) == ["1"] + ["NotPermutation", "True"] * len(
+        _NOT_PERMUTATIONS)

@@ -32,12 +32,11 @@ def test_readme_quickstart():
     lifted = lift_automorphisms(base, group, labeling)
     dec = alternating_cycles(dart, natural)
     assert (dec.radius, dec.attachment) == (3, 2)
-    report = cover_pipeline(dart, dec, lifted)
-    assert report.split and not report.sectional
-    data = report.to_json_dict()
-    assert set(data) == {"order", "bipartite", "radius", "attachment",
-                         "split", "sectional", "base_order", "base_girth",
-                         "group_order", "lifted_order", "projected_order"}
+    cover, sectional, checks = cover_pipeline(dart, dec, lifted)
+    assert cover.base.n == 15 and not sectional
+    assert [name for name, _ in checks] == [
+        "sectional_iff_bipartite", "fibre_action_kernel_tau",
+        "projected_arc_transitive", "base_girth_3", "base_is_line_graph"]
 
 
 def readme_cli_lines():
@@ -79,7 +78,7 @@ REFERENCE = re.compile(r"`(\w+(?:\.\w+)+)(?:\([^`]*\)|\[[^`]*\])?`")
 def api_references(text):
     """The dotted names of text's code spans that start at a hatkit module
     (`graphs.girth`, `hatkit.census`) or at a capitalised name, read as a
-    hatkit class (`CoverReport.checks`); names that start at a variable,
+    hatkit class (`CoveringMap.fibres`); names that start at a variable,
     such as `dec.cycle_graph`, are left out."""
     names = (m.group(1) for m in REFERENCE.finditer(text))
     return [name for name in names
@@ -119,12 +118,14 @@ def test_stale_api_references_found():
     """Names of deleted helpers and records are flagged; live ones, a
     call, an index and a variable's attribute are not."""
     text = ("`graphs.check_edge_map` and `graphs.check_isomorphism` went, "
-            "as did `PsiReport.checks`; `graphs.edge_map_fault`, "
-            "`errors.check_fault(name, fault)`, `CoverReport.lifted_order`, "
+            "as did `PsiReport.checks`, `DartForwardReport.checks` and "
+            "`CoverReport.lifted_order`; `graphs.edge_map_fault`, "
+            "`errors.check_fault(name, fault)`, `CoveringMap.fibre_map`, "
             "`PermGroup.basic_orbits`, `hatkit.census.census_json_text()`, "
             "`dec.cycles[i]` and `report.checks` stay.")
     references = api_references(text)
     assert "dec.cycles" not in references and "report.checks" not in references
     assert [name for name in references if not resolves(name)] == [
         "graphs.check_edge_map", "graphs.check_isomorphism",
-        "PsiReport.checks"]
+        "PsiReport.checks", "DartForwardReport.checks",
+        "CoverReport.lifted_order"]

@@ -11,53 +11,33 @@ from hatkit.autgroup import (TransitivityReport, automorphism_group,
                              transitivity_report)
 from hatkit.census import CensusEntry, builtin_entries, complete_graph
 from hatkit.cli import _EntryAnalysis
-from hatkit.covers import (CoverReport, CoveringMap, cover_pipeline,
-                           quotient_by_tau)
-from hatkit.dartgraph import DartForwardReport, DartLabeling
+from hatkit.covers import CoveringMap, quotient_by_tau
+from hatkit.dartgraph import DartLabeling
 from hatkit.records import Record, replace
 
-# The JSON keys of each record class in the report, in order, and those
-# whose values are written as strings.
+# The JSON keys of each record class in the report, in order.
 JSON_KEYS = {
-    CensusEntry: (("name", "graph6", "expected"), ()),
+    CensusEntry: ("name", "graph6", "expected"),
     TransitivityReport: (
-        ("vertex_transitive", "edge_transitive", "arc_transitive",
-         "two_arc_transitive", "half_arc_transitive", "arc_orbit_count"), ()),
-    DartForwardReport: (
-        ("base_order", "dart_order", "group_order", "lifted_order", "radius",
-         "attachment", "ell"), ("group_order", "lifted_order")),
-    CoverReport: (
-        ("order", "bipartite", "radius", "attachment", "split", "sectional",
-         "base_order", "base_girth", "group_order", "lifted_order",
-         "projected_order"),
-        ("group_order", "lifted_order", "projected_order")),
+        "vertex_transitive", "edge_transitive", "arc_transitive",
+        "two_arc_transitive", "half_arc_transitive", "arc_orbit_count"),
 }
 RECORD_CLASSES = {AltDecomposition, TransitivityReport, CensusEntry,
-                  CoveringMap, CoverReport, DartLabeling, DartForwardReport}
+                  CoveringMap, DartLabeling}
 HIDDEN = {
     TransitivityReport: {"arc_orbits"},
-    DartForwardReport: {"checks", "labeling", "lifted_group",
-                        "decomposition"},
-    CoverReport: {"checks"},
 }
 
 
 @pytest.fixture(scope="module")
 def builtin_records():
-    """Every record the verify suites and analyze build on the builtin
-    census, by class."""
+    """Every record with a JSON form that the verify suites and analyze
+    build on the builtin census, by class."""
     found = {}
     for entry in builtin_entries():
         found.setdefault(CensusEntry, []).append(entry)
         analysis = _EntryAnalysis(entry.graph())
         found.setdefault(TransitivityReport, []).append(analysis.report)
-        if analysis.dart_applicable:
-            forward = analysis.forward
-            labeling, dec = forward.labeling, forward.decomposition
-            found.setdefault(DartForwardReport, []).append(forward)
-            if labeling.graph.n > 12:
-                found.setdefault(CoverReport, []).append(cover_pipeline(
-                    labeling.graph, dec, forward.lifted_group))
     return found
 
 
@@ -66,9 +46,8 @@ def one_of_each(builtin_records):
     """One record of every record class: the cover stage's records of
     Dart(Petersen) and the first builtin record of each other class."""
     petersen = next(e for e in builtin_entries() if e.name == "petersen")
-    forward = _EntryAnalysis(petersen.graph()).forward
-    labeling, dec = forward.labeling, forward.decomposition
-    tau = antipodal_involution(labeling.graph, dec, forward.lifted_group)
+    labeling, lifted, dec, _ = _EntryAnalysis(petersen.graph()).forward
+    tau = antipodal_involution(labeling.graph, dec, lifted)
     cover = quotient_by_tau(labeling.graph, tau)
     records = [cover, labeling, dec]
     records += [found[0] for found in builtin_records.values()]
@@ -78,18 +57,15 @@ def one_of_each(builtin_records):
 
 def test_builtin_records_json_keys_and_strings(builtin_records):
     """to_json_dict writes each record's keys in declaration order, less
-    the hidden fields, and the group orders as strings of the orders."""
+    the hidden fields, and only a census entry's name and graph6 as
+    strings."""
     assert set(builtin_records) == set(JSON_KEYS)
     for cls, records in builtin_records.items():
-        keys, as_strings = JSON_KEYS[cls]
         for record in records:
             data = record.to_json_dict()
-            assert tuple(data) == keys
+            assert tuple(data) == JSON_KEYS[cls]
             assert {k for k, v in data.items() if isinstance(v, str)} == (
-                set(as_strings) | ({"name", "graph6"} if cls is CensusEntry
-                                   else set()))
-            for key in as_strings:
-                assert data[key] == str(getattr(record, key))
+                {"name", "graph6"} if cls is CensusEntry else set())
 
 
 def test_record_equality_compares_every_field(one_of_each):
