@@ -15,6 +15,7 @@ from hatkit.errors import (
     OrbitNotIndependent,
     OrbitPairNotMatching,
     OrderTooSmall,
+    StructureViolation,
     TauInG,
     WrongParameters,
 )
@@ -661,6 +662,116 @@ def test_split_certificate_rejects_bad_odd_walk_under_optimize(walk, check):
         "          str(exc).split(':')[0])\n"
     )
     assert run_optimized(code) == ["1", "StructureViolation", check]
+
+
+# Forged inputs of the two isomorphism checks.  Each case defines call,
+# which must fail the check, and reference, the check's witness as
+# graphs.isomorphism_fault gives it against the graph built in full: the
+# double of the cover's base for sectional_onto_double, the line graph of
+# the graph of alternating cycles for base_is_line_graph.  patch(module,
+# name, value) is monkeypatch.setattr in process and setattr under -O.
+_C6 = ("c6 = from_edge_list(6, [(i, (i + 1) % 6) for i in range(6)])\n"
+       "rot3 = from_cycles(6, [(0, 3), (1, 4), (2, 5)])\n")
+_ONTO_DOUBLE = (
+    "from hatkit import records\n"
+    "from hatkit.covers import quotient_by_tau, split_certificate\n"
+    "from hatkit.graphs import (bipartite_double, from_edge_list,\n"
+    "                           isomorphism_fault, parts_or_odd_walk)\n"
+    "from hatkit.perms import from_cycles, schreier_sims\n",
+    "odd = set(parts_or_odd_walk(total)[0][1])\n"
+    "phi = [b + cover.base.n * (v in odd)\n"
+    "       for v, b in enumerate(cover.fibre_map)]\n"
+    "reference = isomorphism_fault(phi, total, bipartite_double(cover.base))\n"
+    "call = lambda: split_certificate(\n"
+    "    total, schreier_sims([], degree=total.n), tau, cover)\n")
+_LINE_GRAPH = (
+    "from hatkit import altcycles, records\n"
+    "from hatkit.altcycles import alternating_cycles, antipodal_involution\n"
+    "from hatkit.autgroup import automorphism_group\n"
+    "from hatkit.census import generalized_petersen\n"
+    "from hatkit.covers import cover_pipeline, quotient_by_tau\n"
+    "from hatkit.dartgraph import dart_graph, lift_automorphisms\n"
+    "from hatkit.graphs import from_edge_list, isomorphism_fault, line_graph\n"
+    "petersen = generalized_petersen(5, 2)\n"
+    "g, natural, labeling = dart_graph(petersen)\n"
+    "lifted = lift_automorphisms(\n"
+    "    petersen, automorphism_group(petersen), labeling)\n"
+    "dec = alternating_cycles(g, natural)\n"
+    "cover = quotient_by_tau(g, antipodal_involution(g, dec, lifted))\n"
+    "(v0, _), (v1, _) = cover.fibres[:2]\n"
+    "at = list(dec.cycles_at_vertex)\n",
+    "line, edges = line_graph(forged.cycle_graph)\n"
+    "index = {e: i for i, e in enumerate(edges)}\n"
+    "fibre_to_edge = [index.get(forged.cycles_at_vertex[v], -1)\n"
+    "                 for v, _ in cover.fibres]\n"
+    "reference = isomorphism_fault(fibre_to_edge, cover.base, line)\n"
+    "call = lambda: cover_pipeline(g, forged, lifted)\n")
+
+
+@pytest.mark.parametrize("inputs, forge, check, branch", [
+    # the base of C6 / <rot3> replaced by the path P3: 4 edges in the double
+    (_ONTO_DOUBLE, _C6 + "tau = rot3\ntotal = c6\ncover = records.replace(\n"
+     "    quotient_by_tau(c6, rot3), base=from_edge_list(3, [(0, 1), (1, 2)]))\n",
+     "sectional_onto_double", "6 images between graphs of (order, size)"),
+    # fibres {0, 3}, {1, 5}, {2, 4}: tau keeps the colour of 1 and 5
+    (_ONTO_DOUBLE, _C6 + "tau = from_cycles(6, [(0, 3), (1, 5), (2, 4)])\n"
+     "total = c6\ncover = records.replace(quotient_by_tau(c6, rot3),\n"
+     "                                fibre_map=(0, 1, 2, 0, 2, 1))\n",
+     "sectional_onto_double", "vertices "),
+    # the base C5 of C10 / <rot5> replaced by the pentagram
+    (_ONTO_DOUBLE, "total = from_edge_list(10, [(i, (i + 1) % 10)\n"
+     "                                  for i in range(10)])\n"
+     "tau = from_cycles(10, [(i, i + 5) for i in range(5)])\n"
+     "cover = records.replace(quotient_by_tau(total, tau), base=from_edge_list(\n"
+     "    5, [(0, 2), (2, 4), (4, 1), (1, 3), (3, 0)]))\n",
+     "sectional_onto_double", "edge ("),
+    # the graph of alternating cycles with an edge more: L has order 16
+    (_LINE_GRAPH, "patch(altcycles, 'alt_graph', lambda dec: from_edge_list(\n"
+     "    10, petersen.edges + ((0, 2),)))\n"
+     "forged = records.replace(dec)\n",
+     "base_is_line_graph", "15 images between graphs of (order, size)"),
+    # the prism in place of Petersen: some cycle pairs are no edge of it
+    (_LINE_GRAPH, "patch(altcycles, 'alt_graph',\n"
+     "      lambda dec: generalized_petersen(5, 1))\n"
+     "forged = records.replace(dec)\n",
+     "base_is_line_graph", "vertex "),
+    # the first two fibres both on the first fibre's cycle pair
+    (_LINE_GRAPH, "at[v1] = at[v0]\n"
+     "forged = records.replace(dec, cycles_at_vertex=tuple(at))\n",
+     "base_is_line_graph", "vertices "),
+    # the first two fibres on each other's cycle pair
+    (_LINE_GRAPH, "at[v0], at[v1] = at[v1], at[v0]\n"
+     "forged = records.replace(dec, cycles_at_vertex=tuple(at))\n",
+     "base_is_line_graph", "edge ("),
+], ids=["double-size", "double-bijection", "double-non-edge", "line-size",
+        "line-outside", "line-bijection", "line-non-edge"])
+@pytest.mark.parametrize("optimize", [False, True], ids=["plain", "O"])
+def test_isomorphism_checks_fail_with_the_reference_witness(
+        monkeypatch, inputs, forge, check, branch, optimize):
+    """sectional_onto_double and base_is_line_graph each fail on forged
+    inputs that reach the order and size, the bijectivity and the
+    non-edge branch of the witness, in process and under python -O.  The
+    witness is the one graphs.isomorphism_fault gives against the double
+    of the base, or against the line graph of the graph of alternating
+    cycles, built in full."""
+    setup, tail = inputs
+    code = setup + forge + tail
+    if optimize:
+        code = "import sys\npatch = setattr\n" + code + (
+            "from hatkit.errors import StructureViolation\n"
+            "try:\n"
+            "    call()\n"
+            "except StructureViolation as exc:\n"
+            "    print(sys.flags.optimize, exc.check, exc.witness == reference,\n"
+            f"          reference.startswith({branch!r}))\n")
+        assert run_optimized(code) == ["1", check, "True", "True"]
+        return
+    space = {"patch": monkeypatch.setattr}
+    exec(code, space)
+    assert space["reference"].startswith(branch)
+    with pytest.raises(StructureViolation) as info:
+        space["call"]()
+    assert (info.value.check, info.value.witness) == (check, space["reference"])
 
 
 @pytest.mark.parametrize("name", ["petersen", "heawood", "dodecahedron"])
