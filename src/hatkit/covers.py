@@ -33,17 +33,15 @@ from .errors import (
 )
 from .graphs import (
     Graph,
-    bipartite_double,
+    _isomorphism_fault,
     edge_map_fault,
     from_edge_list,
     girth,
     is_connected,
-    isomorphism_fault,
-    line_graph,
     parts_or_odd_walk,
 )
 from .records import Record
-from .autgroup import arc_orbits
+from .autgroup import _check_automorphisms, arc_orbits
 from .altcycles import (
     AltDecomposition,
     antipodal_involution,
@@ -201,12 +199,15 @@ def split_certificate(total: Graph, group: PermGroup, tau,
     is sectional exactly when tau swaps its colours; then fibre(v) +
     |base| colour(v) must be an isomorphism onto the double
     (StructureViolation naming sectional_onto_double otherwise, with the
-    witness of graphs.isomorphism_fault).  If tau keeps the colours, the
-    base is bipartite and its double disconnected.  The odd closed walk
-    is checked too, also under python -O: StructureViolation naming
-    odd_walk_closed_odd (with the walk) unless it is closed with an odd
-    number of steps, or odd_walk_edges (with the step) unless each step
-    is an edge.
+    witness graphs.isomorphism_fault gives against the double).  The
+    double is read off the base's rows, not built: it has order 2 |base|
+    and size 2 |E(base)|, and b + s |base| is adjacent to b' + s' |base|
+    exactly when s != s' and b ~ b' in the base.  If tau keeps the
+    colours, the base is bipartite and its double disconnected.  The odd
+    closed walk is checked too, also under python -O: StructureViolation
+    naming odd_walk_closed_odd (with the walk) unless it is closed with
+    an odd number of steps, or odd_walk_edges (with the step) unless
+    each step is an edge.
     """
     if not is_connected(total):
         raise NotConnected("the total graph is not connected")
@@ -237,11 +238,12 @@ def split_certificate(total: Graph, group: PermGroup, tau,
     else:
         odd = set(parts[1])
         sectional = (tau[0] in odd) != (0 in odd)
-        phi = [b + cover.base.n * (v in odd)
-               for v, b in enumerate(cover.fibre_map)]
         if sectional:
-            check_fault("sectional_onto_double", isomorphism_fault(
-                phi, total, bipartite_double(cover.base)))
+            n, nbrs = cover.base.n, cover.base.nbrs
+            phi = [b + n * (v in odd) for v, b in enumerate(cover.fibre_map)]
+            check_fault("sectional_onto_double", _isomorphism_fault(
+                phi, total, 2 * n, 2 * cover.base.m,
+                lambda a, b: (a < n) == (b < n) or b % n not in nbrs[a % n]))
     return sectional, witness
 
 
@@ -256,13 +258,22 @@ def cover_pipeline(total: Graph, dec: AltDecomposition, group: PermGroup):
       (fibre_action_kernel_tau, with the orders of the fibre action, the
       group and the lifted group),
     - the projected group acts arc-transitively on the base
-      (StructureViolation naming projected_arc_transitive otherwise),
+      (StructureViolation naming projected_arc_transitive otherwise, with
+      the number of arc orbits): the projected generators must be
+      automorphisms of the base (NotAutomorphisms, as
+      autgroup.arc_orbits names it, otherwise), the orbit of the least
+      arc is swept, and all arc orbits only when that orbit is short, for
+      their count,
     - the base has girth 3, as alternating 6-cycles project to triangles
       (base_girth_3, with the girth; graphs.girth stops at the first
       triangle it meets, so the full girth is computed only without one),
-    - the base is the line graph of the graph of alternating cycles: the
-      fibre {v, tau v} maps to the edge of the two cycles that meet at v
-      (base_is_line_graph, with the witness of graphs.isomorphism_fault).
+    - the base is the line graph of the graph Lambda of alternating
+      cycles: the fibre {v, tau v} maps to the edge of the two cycles
+      that meet at v (base_is_line_graph, with the witness
+      graphs.isomorphism_fault gives against L(Lambda)).  L(Lambda) is
+      read off Lambda's edge list, not built: it has order |E(Lambda)|
+      and size the sum of C(deg c, 2) over the cycles c, and two edges
+      are adjacent exactly when they share an end.
 
     dec must be the alternating cycles of an orientation of total that
     the group induces, as verify_dart_forward certifies them; the group
@@ -291,7 +302,8 @@ def cover_pipeline(total: Graph, dec: AltDecomposition, group: PermGroup):
     and k = 1.  As <group, tau> = group x <tau> and tau fixes every
     fibre, the kernel of <group, tau> there is <tau>, and the projected
     group has order |group|.  Its arc orbits on the base are swept from
-    the generators' fibre images.
+    the generators' fibre images.  Neither the double of the base nor
+    L(Lambda) is built (graphs.bipartite_double, graphs.line_graph).
     """
     cycle_images(group, dec)
     if dec.radius != 3 or dec.attachment != 2:
@@ -316,21 +328,37 @@ def cover_pipeline(total: Graph, dec: AltDecomposition, group: PermGroup):
     checks.append(("fibre_action_kernel_tau",
                    f"the action on the fibres has order {group.order}, the "
                    f"group {group.order}, the lifted group {2 * group.order}"))
-    fibres = cover.fibres
+    fibres, base = cover.fibres, cover.base
     projected = [tuple(cover.fibre_map[s[v]] for v, _ in fibres)
                  for s in group.generators]
-    base_arc_orbits = arc_orbits(projected, cover.base)
-    check(checks, "projected_arc_transitive", len(base_arc_orbits) <= 1,
-          f"the projected group has {len(base_arc_orbits)} arc orbits on "
-          "the base")
+    _check_automorphisms(projected, base)
+    # the orbit of the least arc (0, w), the arc (u, v) as u n + v
+    n = base.n
+    orbit = {base.adj[0][0]}
+    queue = list(orbit)
+    for x in queue:
+        u, v = divmod(x, n)
+        for s in projected:
+            y = s[u] * n + s[v]
+            if y not in orbit:
+                orbit.add(y)
+                queue.append(y)
+    count = (1 if len(orbit) == 2 * base.m
+             else len(arc_orbits(projected, base)))
+    check(checks, "projected_arc_transitive", count <= 1,
+          f"the projected group has {count} arc orbits on the base")
 
-    base_girth = girth(cover.base)
+    base_girth = girth(base)
     check(checks, "base_girth_3", base_girth == 3,
           f"the base has girth {base_girth}")
 
-    lam_line, lam_edges = line_graph(dec.cycle_graph)
-    index = {e: i for i, e in enumerate(lam_edges)}
+    lam = dec.cycle_graph
+    ends = lam.edges
+    index = {e: i for i, e in enumerate(ends)}
     fibre_to_edge = [index.get(dec.cycles_at_vertex[v], -1) for v, _ in fibres]
-    fault = isomorphism_fault(fibre_to_edge, cover.base, lam_line)
+    fault = _isomorphism_fault(
+        fibre_to_edge, base, len(ends),
+        sum(d * (d - 1) // 2 for d in lam.degrees()),
+        lambda i, j: set(ends[i]).isdisjoint(ends[j]))
     check(checks, "base_is_line_graph", not fault, fault)
     return cover, sectional, tuple(checks)

@@ -117,22 +117,31 @@ def edge_map_fault(p, g, h):
     return "" if edge is None else non_edge_text(p, edge)
 
 
+def _isomorphism_fault(p, g, n, m, non_edge):
+    """isomorphism_fault of p against a graph h of order n and size m in
+    which the distinct vertices a and b are not adjacent exactly when
+    non_edge(a, b) holds; h itself need not be built."""
+    if (len(p), g.n, g.m) != (n, n, m):
+        return (f"{len(p)} images between graphs of (order, size) "
+                f"({g.n}, {g.m}) and ({n}, {m})")
+    preimage = {}
+    for v, w in enumerate(p):
+        if not 0 <= w < n:
+            return f"vertex {v} maps to {w}, outside 0..{n - 1}"
+        u = preimage.setdefault(w, v)
+        if u != v:
+            return f"vertices {u} and {v} both map to {w}"
+    edge = next(((u, v) for u, v in g.edges if non_edge(p[u], p[v])), None)
+    return "" if edge is None else non_edge_text(p, edge)
+
+
 def isomorphism_fault(p, g, h):
     """Why p is no vertex bijection g -> h that maps edges onto edges, as
     text: the orders and sizes when they differ, a vertex whose image lies
     outside h or is another's, or an edge that maps to a non-edge; ""
     when p is an isomorphism."""
-    if (len(p), g.n, g.m) != (h.n, h.n, h.m):
-        return (f"{len(p)} images between graphs of (order, size) "
-                f"({g.n}, {g.m}) and ({h.n}, {h.m})")
-    preimage = {}
-    for v, w in enumerate(p):
-        if not 0 <= w < h.n:
-            return f"vertex {v} maps to {w}, outside 0..{h.n - 1}"
-        u = preimage.setdefault(w, v)
-        if u != v:
-            return f"vertices {u} and {v} both map to {w}"
-    return edge_map_fault(p, g, h)
+    return _isomorphism_fault(p, g, h.n, h.m,
+                              lambda a, b: b not in h.nbrs[a])
 
 
 def is_connected(g):

@@ -209,26 +209,31 @@ def test_cli_verify_too_large_unsearched_graph_is_input_error(
 
 
 def test_cli_import_leaves_pool_dataclasses_and_traceback_unloaded():
-    """Importing hatkit.cli loads none of dataclasses, inspect,
-    concurrent.futures, multiprocessing and traceback: only --jobs above
-    1 needs the process pool, and only an engine error a traceback.  The
-    modules a bare `python -I` already holds (its site may preload some)
-    are not counted.  No time is measured."""
+    """Importing hatkit or hatkit.cli loads none of dataclasses, inspect,
+    concurrent.futures, multiprocessing, traceback and
+    importlib.resources: only --jobs above 1 needs the process pool, only
+    an engine error a traceback, and only the builtin census the
+    resources.  The interpreter runs with -I -S, as site may preload some
+    of these (a .pth file can load importlib.resources), and the modules
+    a bare interpreter already holds are not counted.  No time is
+    measured."""
     src = str(Path(hatkit.__file__).resolve().parents[1])
     show = "import sys; print(' '.join(sys.modules))"
 
     def loaded(code):
-        done = subprocess.run([sys.executable, "-I", "-c", code + show],
+        done = subprocess.run([sys.executable, "-I", "-S", "-c", code + show],
                               capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
         return set(done.stdout.split())
 
     bare = loaded("")
-    cli_modules = loaded(f"import sys; sys.path.insert(0, {src!r}); "
-                         "import hatkit.cli; ") - bare
-    assert "hatkit.cli" in cli_modules
-    assert not cli_modules & {"dataclasses", "inspect", "concurrent.futures",
-                              "multiprocessing", "traceback"}
+    for module in ("hatkit", "hatkit.cli"):
+        modules = loaded(f"import sys; sys.path.insert(0, {src!r}); "
+                         f"import {module}; ") - bare
+        assert module in modules
+        assert not modules & {"dataclasses", "inspect", "concurrent.futures",
+                              "multiprocessing", "traceback",
+                              "importlib.resources"}
 
 
 def test_cli_verify_empty_census_is_input_error(tmp_path, capsys):

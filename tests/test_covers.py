@@ -172,12 +172,13 @@ def test_fibre_action_proof_matches_closure(name):
 def test_cover_pipeline_stops_at_tau_in_group(petersen, monkeypatch):
     """The faithfulness proof rests on TauInG: given <lift, tau>, which
     holds tau, cover_pipeline on Dart(Petersen) raises TauInG before it
-    records a check or sweeps the fibre images' arc orbits."""
+    records a check, checks the fibre images as automorphisms of the base
+    or sweeps their arc orbits."""
     g, dec, lifted = dart_with_cycles(petersen)
     tau = antipodal_involution(g, dec, lifted)
     group = schreier_sims(list(lifted.generators) + [tau], degree=g.n)
     called = []
-    for name in ("check", "arc_orbits"):
+    for name in ("check", "_check_automorphisms", "arc_orbits"):
         real = getattr(covers, name)
         monkeypatch.setattr(covers, name, lambda *args, _name=name, _real=real:
                             called.append(_name) or _real(*args))
@@ -590,23 +591,32 @@ def test_cover_pipeline_rejects_wrong_line_graph_under_optimize():
 
 def test_cover_pipeline_rejects_arc_intransitive_base_under_optimize():
     """Arc-transitivity of the projected action is checked by a raise
-    that names it, not an assert: with the sweep of the projected
-    generators made to split the base's arcs into two orbits, the check
-    fails under python -O."""
+    that names it, not an assert: given a group with the lift's degree,
+    order and contains but only its first generator, whose projected
+    action on the base of Dart(Petersen) is arc-intransitive, the check
+    fails under python -O, and its witness counts the arc orbits as
+    autgroup.arc_orbits sweeps them."""
     code = _DART_PETERSEN + (
-        "real = covers.arc_orbits\n"
-        "def split(generators, x):\n"
-        "    (orbit,) = real(generators, x)\n"
-        "    return orbit[:1], orbit[1:]\n"
-        "covers.arc_orbits = split\n"
+        "import types\n"
+        "from hatkit.altcycles import antipodal_involution\n"
+        "from hatkit.autgroup import arc_orbits\n"
+        "first = types.SimpleNamespace(\n"
+        "    degree=lifted.degree, order=lifted.order,\n"
+        "    contains=lifted.contains, generators=lifted.generators[:1])\n"
+        "cover = covers.quotient_by_tau(\n"
+        "    g, antipodal_involution(g, dec, lifted))\n"
+        "projected = [tuple(cover.fibre_map[s[v]] for v, _ in cover.fibres)\n"
+        "             for s in first.generators]\n"
+        "count = len(arc_orbits(projected, cover.base))\n"
         "try:\n"
-        "    covers.cover_pipeline(g, dec, lifted)\n"
+        "    covers.cover_pipeline(g, dec, first)\n"
         "except StructureViolation as exc:\n"
         "    print(sys.flags.optimize, type(exc).__name__,\n"
-        "          str(exc).split(':')[0])\n"
+        "          str(exc).split(':')[0], count > 1, exc.witness ==\n"
+        "          f'the projected group has {count} arc orbits on the base')\n"
     )
     assert run_optimized(code) == ["1", "StructureViolation",
-                                   "projected_arc_transitive"]
+                                   "projected_arc_transitive", "True", "True"]
 
 
 @pytest.mark.parametrize("fault, check, witness", [
