@@ -47,7 +47,7 @@ from .altcycles import (
     antipodal_involution,
     cycle_images,
 )
-from .perms import PermGroup, centralizes, check_perm
+from .perms import PermGroup, centralizes, check_perm, orbits
 
 
 class CoveringMap(Record):
@@ -332,17 +332,9 @@ def cover_pipeline(total: Graph, dec: AltDecomposition, group: PermGroup):
     projected = [tuple(cover.fibre_map[s[v]] for v, _ in fibres)
                  for s in group.generators]
     _check_automorphisms(projected, base)
-    # the orbit of the least arc (0, w), the arc (u, v) as u n + v
-    n = base.n
-    orbit = {base.adj[0][0]}
-    queue = list(orbit)
-    for x in queue:
-        u, v = divmod(x, n)
-        for s in projected:
-            y = s[u] * n + s[v]
-            if y not in orbit:
-                orbit.add(y)
-                queue.append(y)
+    n = base.n   # the arc (u, v) as u n + v, so the least arc (0, w) as w
+    orbit = orbits([base.adj[0][0]], projected,
+                   lambda s, x: s[x // n] * n + s[x % n])[0]
     count = (1 if len(orbit) == 2 * base.m
              else len(arc_orbits(projected, base)))
     check(checks, "projected_arc_transitive", count <= 1,
@@ -359,6 +351,7 @@ def cover_pipeline(total: Graph, dec: AltDecomposition, group: PermGroup):
     fault = _isomorphism_fault(
         fibre_to_edge, base, len(ends),
         sum(d * (d - 1) // 2 for d in lam.degrees()),
-        lambda i, j: set(ends[i]).isdisjoint(ends[j]))
+        lambda i, j: (ends[i][0] not in ends[j]
+                      and ends[i][1] not in ends[j]))
     check(checks, "base_is_line_graph", not fault, fault)
     return cover, sectional, tuple(checks)

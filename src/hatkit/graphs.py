@@ -117,10 +117,10 @@ def edge_map_fault(p, g, h):
     return "" if edge is None else non_edge_text(p, edge)
 
 
-def _isomorphism_fault(p, g, n, m, non_edge):
-    """isomorphism_fault of p against a graph h of order n and size m in
-    which the distinct vertices a and b are not adjacent exactly when
-    non_edge(a, b) holds; h itself need not be built."""
+def _bijection_fault(p, g, n, m):
+    """The order, size and bijectivity texts of isomorphism_fault for p
+    against a graph of order n and size m; "" when p is a bijection
+    between graphs of equal order and size."""
     if (len(p), g.n, g.m) != (n, n, m):
         return (f"{len(p)} images between graphs of (order, size) "
                 f"({g.n}, {g.m}) and ({n}, {m})")
@@ -131,6 +131,16 @@ def _isomorphism_fault(p, g, n, m, non_edge):
         u = preimage.setdefault(w, v)
         if u != v:
             return f"vertices {u} and {v} both map to {w}"
+    return ""
+
+
+def _isomorphism_fault(p, g, n, m, non_edge):
+    """isomorphism_fault of p against a graph h of order n and size m in
+    which the distinct vertices a and b are not adjacent exactly when
+    non_edge(a, b) holds; h itself need not be built."""
+    fault = _bijection_fault(p, g, n, m)
+    if fault:
+        return fault
     edge = next(((u, v) for u, v in g.edges if non_edge(p[u], p[v])), None)
     return "" if edge is None else non_edge_text(p, edge)
 
@@ -140,8 +150,7 @@ def isomorphism_fault(p, g, h):
     text: the orders and sizes when they differ, a vertex whose image lies
     outside h or is another's, or an edge that maps to a non-edge; ""
     when p is an isomorphism."""
-    return _isomorphism_fault(p, g, h.n, h.m,
-                              lambda a, b: b not in h.nbrs[a])
+    return _bijection_fault(p, g, h.n, h.m) or edge_map_fault(p, g, h)
 
 
 def is_connected(g):
