@@ -595,12 +595,13 @@ class _Search:
 
 class _SearchResult:
     """What one IR search leaves behind: the automorphism generators, the
-    path of the first leaf and the target cells along it, the canonical
-    labeling and certificate, and the Aut(g) chain once
-    automorphism_group has built it.  The leaf table is not kept."""
+    path of the first leaf and the target cells along it, and the
+    canonical labeling and certificate.  The leaf table is not kept, and
+    no chain: automorphism_group builds one per call.  _analysis keeps
+    the result of the graph in hand only."""
 
     __slots__ = ("generators", "first_path", "first_cells", "labeling",
-                 "certificate", "group")
+                 "certificate")
 
     def __init__(self, search):
         self.generators = tuple(search.aut_gens)
@@ -609,7 +610,6 @@ class _SearchResult:
         self.labeling = search.best_pi
         g = search.g
         self.certificate = _encode(g.n, g.edges, search.best_pi)
-        self.group = None
 
 
 def _check_vertex_bound(g: Graph):
@@ -618,7 +618,7 @@ def _check_vertex_bound(g: Graph):
         raise TooLarge(f"{g.n} vertices exceeds the {_MAX_VERTICES} vertex bound")
 
 
-@lru_cache(maxsize=512)
+@lru_cache(maxsize=1)
 def _analysis(g: Graph) -> _SearchResult:
     _check_vertex_bound(g)
     return _SearchResult(_Search(g).run())
@@ -643,27 +643,25 @@ def _check_orbits_in_cells(group, path, cells):
 def automorphism_group(g: Graph) -> PermGroup:
     """The full automorphism group, with exact BSGS-certified order.
 
-    The stabiliser chain is built from the search's generators on the
-    first call, on the base of the search's first path and under the
-    order bound of its target cells (see the module docstring), and kept
-    with the search result; isomorphism tests and canonical forms read
-    the search alone.
+    Each call builds the stabiliser chain from the search's generators,
+    on the base of the search's first path and under the order bound of
+    its target cells (see the module docstring).  The chain is the
+    caller's to keep (cli._EntryAnalysis.group holds one entry's);
+    isomorphism tests and canonical forms read the search alone.
     """
     result = _analysis(g)
-    if result.group is None:
-        path, cells = result.first_path, result.first_cells
-        try:
-            group = schreier_sims(result.generators, degree=g.n, base=path,
-                                  order_bound=prod(map(len, cells)))
-        except OrderBoundExceeded as exc:
-            # L > U, and orbits inside their cells give L <= U: some basic
-            # orbit of the partial chain left its cell, and the check names
-            # the level and the vertex
-            _check_orbits_in_cells(exc.group, path, cells)
-            raise
-        _check_orbits_in_cells(group, path, cells)
-        result.group = group
-    return result.group
+    path, cells = result.first_path, result.first_cells
+    try:
+        group = schreier_sims(result.generators, degree=g.n, base=path,
+                              order_bound=prod(map(len, cells)))
+    except OrderBoundExceeded as exc:
+        # L > U, and orbits inside their cells give L <= U: some basic
+        # orbit of the partial chain left its cell, and the check names
+        # the level and the vertex
+        _check_orbits_in_cells(exc.group, path, cells)
+        raise
+    _check_orbits_in_cells(group, path, cells)
+    return group
 
 
 def canonical_form(g: Graph):

@@ -46,8 +46,9 @@ from .census import load_census
 class _EntryAnalysis:
     """The artefacts of one graph, each built on first use and at most
     once; analyze and the suites read them instead of rebuilding them.
-    An analysis lives for one entry: only the automorphism search
-    (autgroup._analysis) is cached across entries."""
+    An analysis lives for one entry, and group is its only Aut(g) chain:
+    autgroup keeps no chain, and its search result (autgroup._analysis)
+    only for the graph in hand."""
 
     def __init__(self, g):
         self.g = g

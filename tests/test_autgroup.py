@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import importlib
 import random
@@ -27,6 +28,7 @@ from hatkit.autgroup import (
     transitivity_report,
     unit_partition,
 )
+from hatkit.cli import _EntryAnalysis
 from hatkit.census import (builtin_entries, complete_graph, holt_graph,
                            lcf_graph, pgl2_graph)
 from hatkit.altcycles import alternating_cycles, cycle_images, induced_orientation
@@ -1552,8 +1554,9 @@ def test_arc_orbits_rejects_non_automorphisms(k33):
 
 
 def test_chain_built_only_for_automorphism_group(monkeypatch, petersen):
-    """Isomorphism tests and canonical forms read the search alone; the
-    Aut(g) chain is built on the first automorphism_group call only."""
+    """Isomorphism tests and canonical forms read the search alone; an
+    entry's analysis builds its Aut(g) chain once, however often it is
+    read."""
     calls = []
 
     def counted(*args, **kwargs):
@@ -1561,17 +1564,109 @@ def test_chain_built_only_for_automorphism_group(monkeypatch, petersen):
         return schreier_sims(*args, **kwargs)
 
     monkeypatch.setattr(autgroup, "schreier_sims", counted)
-    autgroup._analysis.cache_clear()
     p = tuple((3 * v + 1) % petersen.n for v in range(petersen.n))
     relabeled = relabel(petersen, p)
     assert relabeled != petersen
     assert is_isomorphic(petersen, relabeled) is not None
     canonical_form(petersen)
     assert calls == []
-    assert automorphism_group(petersen).order == 120
-    assert automorphism_group(petersen).order == 120
+    analysis = _EntryAnalysis(petersen)
+    assert analysis.group.order == 120
+    assert analysis.group.order == 120
     assert len(calls) == 1
 
+
+ISOMORPHISM_MAPPING_FAULT = (
+    "isomorphism_mapping: edge (0, 4) maps to the non-edge (1, 2)")
+
+
+def test_isomorphism_mapping_names_check(monkeypatch, petersen):
+    """A labeling that does not carry h onto its certificate's graph,
+    under a matching certificate, fails isomorphism_mapping with the
+    first edge of g that the mapping breaks."""
+    relabeled = relabel(petersen, tuple(reversed(range(petersen.n))))
+    real = autgroup._analysis
+
+    def forged(g):
+        """relabeled's search result with the first two images of its
+        labeling swapped: the certificate still matches."""
+        result = copy.copy(real(g))
+        if g == relabeled:
+            a, b, *rest = result.labeling
+            result.labeling = (b, a, *rest)
+        return result
+
+    monkeypatch.setattr(autgroup, "_analysis", forged)
+    with pytest.raises(StructureViolation) as info:
+        is_isomorphic(petersen, relabeled)
+    assert str(info.value) == ISOMORPHISM_MAPPING_FAULT
+
+
+def test_isomorphism_mapping_check_runs_under_optimize():
+    """isomorphism_mapping is a raise, not an assert."""
+    code = (
+        "import copy, sys\n"
+        "from hatkit import autgroup\n"
+        "from hatkit.census import generalized_petersen\n"
+        "from hatkit.errors import StructureViolation\n"
+        "from hatkit.graphs import relabel\n"
+        "g = generalized_petersen(5, 2)\n"
+        "h = relabel(g, tuple(reversed(range(g.n))))\n"
+        "real = autgroup._analysis\n"
+        "def forged(x):\n"
+        "    result = copy.copy(real(x))\n"
+        "    if x == h:\n"
+        "        a, b, *rest = result.labeling\n"
+        "        result.labeling = (b, a, *rest)\n"
+        "    return result\n"
+        "autgroup._analysis = forged\n"
+        "try:\n"
+        "    autgroup.is_isomorphic(g, h)\n"
+        "except StructureViolation as exc:\n"
+        "    print(sys.flags.optimize, exc)\n"
+    )
+    assert run_optimized(code) == ["1"] + ISOMORPHISM_MAPPING_FAULT.split()
+
+
+ODD_VALENCE_FAULT = ("odd_valence_arc_transitive: 3-valent, 1 vertex orbit, "
+                     "edge-transitive, yet 2 arc orbits")
+
+
+def test_odd_valence_arc_transitive_names_check(monkeypatch, k4):
+    """Two arc orbits that are each other's reverse make a vertex- and
+    edge-transitive action on a cubic graph that is not arc-transitive:
+    odd_valence_arc_transitive fails with the valence and the count."""
+    def forged(group, g):
+        """Transitive on vertices, with two arc orbits: the arcs (u, v)
+        with u < v, and their reverses."""
+        up = tuple((u, v) for u in range(g.n) for v in g.adj[u] if u < v)
+        return True, (up, tuple((v, u) for u, v in up)), False
+
+    monkeypatch.setattr(autgroup, "_arc_action", forged)
+    with pytest.raises(StructureViolation) as info:
+        transitivity_report(automorphism_group(k4), k4)
+    assert str(info.value) == ODD_VALENCE_FAULT
+
+
+def test_odd_valence_arc_transitive_check_runs_under_optimize():
+    """odd_valence_arc_transitive is a raise, not an assert."""
+    code = (
+        "import sys\n"
+        "from hatkit import autgroup\n"
+        "from hatkit.census import complete_graph\n"
+        "from hatkit.errors import StructureViolation\n"
+        "def forged(group, g):\n"
+        "    up = tuple((u, v) for u in range(g.n) for v in g.adj[u] "
+        "if u < v)\n"
+        "    return True, (up, tuple((v, u) for u, v in up)), False\n"
+        "autgroup._arc_action = forged\n"
+        "g = complete_graph(4)\n"
+        "try:\n"
+        "    autgroup.transitivity_report(autgroup.automorphism_group(g), g)\n"
+        "except StructureViolation as exc:\n"
+        "    print(sys.flags.optimize, exc)\n"
+    )
+    assert run_optimized(code) == ["1"] + ODD_VALENCE_FAULT.split()
 
 
 def cell_bound(g):

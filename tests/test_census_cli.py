@@ -1,10 +1,13 @@
 import ast
 import builtins
+import copy
 import functools
+import gc
 import hashlib
 import json
 import subprocess
 import sys
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -619,15 +622,22 @@ def test_holt_transitivity_report_computed_once(monkeypatch, capsys):
     """The half-arc-transitive orientation of the Holt graph is built from
     the transitivity report its analysis holds: `analyze holt` and the
     Holt entry of `verify all --strict` each compute the report of
-    (Holt, Aut(Holt)) once."""
+    (Holt, the group of its entry's analysis) once."""
     entry = next(e for e in builtin_entries() if e.name == "holt")
     holt = entry.graph()
-    aut = automorphism_group(holt)
+    analyses = []
+
+    class Recorded(cli._EntryAnalysis):
+        def __init__(self, g):
+            super().__init__(g)
+            analyses.append(self)
+
+    monkeypatch.setattr(cli, "_EntryAnalysis", Recorded)
     real = autgroup.transitivity_report
     calls = Counter()
 
     def counted(group, g):
-        calls[g == holt and group is aut] += 1
+        calls[g == holt and group is analyses[-1].group] += 1
         return real(group, g)
 
     for layer in (altcycles, autgroup, cli, dartgraph):
@@ -635,11 +645,31 @@ def test_holt_transitivity_report_computed_once(monkeypatch, capsys):
             monkeypatch.setattr(layer, "transitivity_report", counted)
     assert main(["analyze", "holt"]) == 0
     assert json.loads(capsys.readouterr().out)
-    assert calls[True] == 1
+    assert len(analyses) == 1 and calls[True] == 1
     calls.clear()
     result = cli._verify_entry((entry, cli.SUITES, True))
     assert result["passed"]
-    assert calls[True] == 1
+    assert len(analyses) == 2 and calls[True] == 1
+
+
+def test_verify_keeps_no_chain_of_a_finished_entry(monkeypatch, tmp_path):
+    """Each entry's Aut(g) chain lives with its entry: after `verify all
+    --strict` over the builtin census no chain is reachable, and the
+    search cache holds at most the last graph's result."""
+    chains = []
+
+    def recorded(g):
+        group = automorphism_group(g)
+        chains.append(weakref.ref(group))
+        return group
+
+    monkeypatch.setattr(cli, "automorphism_group", recorded)
+    assert main(["verify", "all", "--strict",
+                 "--out", str(tmp_path / "report.json")]) == 0
+    gc.collect()
+    assert len(chains) == len(builtin_entries())
+    assert [ref for ref in chains if ref() is not None] == []
+    assert autgroup._analysis.cache_info().currsize <= 1
 
 
 @pytest.mark.parametrize("census", ["builtin", "stress"])
@@ -1123,11 +1153,20 @@ def test_verify_reports_orbit_outside_cell(monkeypatch, tmp_path, capsys):
     """A basic orbit of Aut(g) that leaves its recorded target cell fails
     that entry with the named check and its witness, exit code 1, and
     every other entry is still verified."""
-    autgroup._analysis.cache_clear()
-    petersen = next(e for e in builtin_entries() if e.name == "petersen")
-    result = autgroup._analysis(petersen.graph())
-    cells = result.first_cells
-    monkeypatch.setattr(result, "first_cells", (cells[0][:-1],) + cells[1:])
+    petersen = next(e for e in builtin_entries()
+                    if e.name == "petersen").graph()
+    real = autgroup._analysis
+
+    def trimmed(g):
+        result = real(g)
+        if g != petersen:
+            return result
+        result = copy.copy(result)
+        cells = result.first_cells
+        result.first_cells = (cells[0][:-1],) + cells[1:]
+        return result
+
+    monkeypatch.setattr(autgroup, "_analysis", trimmed)
     out = tmp_path / "report.json"
     assert main(["verify", "all", "--census", "builtin",
                  "--out", str(out)]) == 1
@@ -1142,7 +1181,6 @@ def test_verify_reports_orbit_outside_cell(monkeypatch, tmp_path, capsys):
     assert "error_context" not in by_name["petersen"]
     assert all(e["passed"] for name, e in by_name.items()
                if name != "petersen")
-    autgroup._analysis.cache_clear()
 
 
 def _faulty_alternating_cycles(g, d):
