@@ -44,26 +44,42 @@ class Orientation:
     __slots__ = ("graph", "arcs", "in_adj", "out_adj")
 
     def __init__(self, graph: Graph, arcs):
-        in_adj = [[] for _ in range(graph.n)]
-        out_adj = [[] for _ in range(graph.n)]
-        has_edge = graph.has_edge
+        arcs = tuple(arcs)
+        has_edge, directed = graph.has_edge, set()
         for tail, hd in arcs:
             if not has_edge(tail, hd):
                 raise OrientationInvalid(f"({tail}, {hd}) is not an edge")
-            if hd in out_adj[tail] or tail in out_adj[hd]:
-                raise OrientationInvalid(
-                    f"edge {(min(tail, hd), max(tail, hd))} directed twice")
-            in_adj[hd].append(tail)
-            out_adj[tail].append(hd)
-        directed = sum(map(len, out_adj))
-        if directed != graph.m:
-            raise OrientationInvalid(f"{directed} of {graph.m} edges directed")
+            edge = (tail, hd) if tail < hd else (hd, tail)
+            if edge in directed:
+                raise OrientationInvalid(f"edge {edge} directed twice")
+            directed.add(edge)
+        if len(directed) != graph.m:
+            raise OrientationInvalid(
+                f"{len(directed)} of {graph.m} edges directed")
+        self._fill(graph, arcs)
+        in_adj, out_adj = self.in_adj, self.out_adj
         v = next((v for v in range(graph.n)
                   if len(in_adj[v]) != 2 or len(out_adj[v]) != 2), None)
         if v is not None:
             raise OrientationInvalid(
                 f"vertex {v} has in-degree {len(in_adj[v])} and "
                 f"out-degree {len(out_adj[v])}, expected 2 and 2")
+
+    @classmethod
+    def _unchecked(cls, graph: Graph, arcs):
+        """The orientation of graph by arcs, without __init__'s checks: for
+        arcs that direct each edge of graph once and give each vertex two
+        in and two out by construction, as dart_graph's 2-arcs do."""
+        d = cls.__new__(cls)
+        d._fill(graph, arcs)
+        return d
+
+    def _fill(self, graph, arcs):
+        in_adj = [[] for _ in range(graph.n)]
+        out_adj = [[] for _ in range(graph.n)]
+        for tail, hd in arcs:
+            in_adj[hd].append(tail)
+            out_adj[tail].append(hd)
         self.graph = graph
         self.in_adj = tuple(map(tuple, in_adj))
         self.out_adj = tuple(map(tuple, out_adj))

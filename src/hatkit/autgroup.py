@@ -528,20 +528,27 @@ class _Search:
         # An automorphism fixing the path pointwise maps the node's partition,
         # hence the target cell, onto itself.  So the cell's orbits under the
         # generators found so far that fix the path, each named by its least
-        # vertex, lie in orbits of the path's stabiliser.  They are computed
-        # again only when a generator was added; before the first, every
-        # vertex is its own orbit.
-        explored, done, orbit_of, known = [], set(), {}, 0
+        # vertex, lie in orbits of the path's stabiliser.  A union-find over
+        # the cell merges along each new such generator; before the first,
+        # every vertex is its own orbit.
+        explored, done, root, known = [], set(), {}, 0
+
+        def find(x):
+            while x in root:    # with path halving
+                root[x] = x = root.get(root[x], root[x])
+            return x
+
         for v in cell:
             if explored and len(self.aut_gens) > known:
+                for a in self.aut_gens[known:]:
+                    if all(a[q] == q for q in path):
+                        for w in cell:
+                            x, y = find(w), find(a[w])
+                            if x != y:
+                                root[max(x, y)] = min(x, y)
                 known = len(self.aut_gens)
-                gens = [a for a in self.aut_gens
-                        if all(a[q] == q for q in path)]
-                orbit_of = {w: orbit[0]
-                            for orbit in orbits(cell, gens, getitem)
-                            for w in orbit}
-                done = {orbit_of[w] for w in explored}
-            orbit = orbit_of.get(v, v)
+                done = {find(w) for w in explored}
+            orbit = find(v)
             if orbit in done:
                 continue
             child = node.child(v)
@@ -596,20 +603,27 @@ class _Search:
 class _SearchResult:
     """What one IR search leaves behind: the automorphism generators, the
     path of the first leaf and the target cells along it, and the
-    canonical labeling and certificate.  The leaf table is not kept, and
-    no chain: automorphism_group builds one per call.  _analysis keeps
-    the result of the graph in hand only."""
+    canonical labeling and certificate, the certificate encoded on its
+    first read (canonical_form and is_isomorphic read it).  The leaf
+    table is not kept, and no chain: automorphism_group builds one per
+    call.  _analysis keeps the result of the graph in hand only."""
 
     __slots__ = ("generators", "first_path", "first_cells", "labeling",
-                 "certificate")
+                 "_g", "_certificate")
 
     def __init__(self, search):
         self.generators = tuple(search.aut_gens)
         self.first_path = search.first_path
         self.first_cells = tuple(search.first_cells)
         self.labeling = search.best_pi
-        g = search.g
-        self.certificate = _encode(g.n, g.edges, search.best_pi)
+        self._g = search.g
+        self._certificate = None
+
+    @property
+    def certificate(self):
+        if self._certificate is None:
+            self._certificate = _encode(self._g.n, self._g.edges, self.labeling)
+        return self._certificate
 
 
 def _check_vertex_bound(g: Graph):

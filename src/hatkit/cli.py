@@ -97,6 +97,13 @@ class _EntryAnalysis:
         return verify_dart_forward(self.g, self.group, self.report)
 
     @cached_property
+    def tau(self):
+        """The antipodal involution of the dart graph's alternating cycles,
+        certified on the lift; the cover and divisibility suites read it."""
+        labeling, lifted, dec, _ = self.forward
+        return antipodal_involution(labeling.graph, dec, lifted)
+
+    @cached_property
     def half_arc_cycles(self):
         """Alternating cycles of a half-arc-transitive tetravalent graph."""
         d, _ = half_arc_orientation(self.g, self.report)
@@ -204,14 +211,14 @@ def _cover_suite(analysis, checks, strict):
 
     if dart.n <= 12:
         try:
-            cover_pipeline(dart, dec, lifted)
+            cover_pipeline(dart, dec, lifted, analysis.tau)
             _check(checks, "cover:order_guard", False,
                    f"order {dart.n} <= 12 must be rejected")
         except OrderTooSmall:
             _check(checks, "cover:order_guard", True,
                    f"order {dart.n} <= 12 rejected")
         return
-    _, _, cover_checks = cover_pipeline(dart, dec, lifted)
+    _, _, cover_checks = cover_pipeline(dart, dec, lifted, analysis.tau)
     # split, with |G~| = 2 |G|, by split_certificate's proof
     _check(checks, "cover:split", True,
            f"|G~| = {2 * lifted.order} = 2 x {lifted.order}")
@@ -220,14 +227,13 @@ def _cover_suite(analysis, checks, strict):
 
 def _divisibility_suite(analysis, checks, strict):
     if analysis.dart_applicable:
-        labeling, lifted, dec, _ = analysis.forward
+        labeling, _, dec, _ = analysis.forward
         # verify_dart_forward proved the lift's arc orbits to be the natural
         # orientation and its reverse, and antipodal_involution that tau
         # (the dart reversal) is an automorphism; so tau proves Dart(g)
         # arc-transitive exactly when it maps some natural arc to a
         # reversed arc
-        natural = labeling.orientation
-        tau = antipodal_involution(labeling.graph, dec, lifted)
+        natural, tau = labeling.orientation, analysis.tau
         reversal = next((((t, h), (tau[t], tau[h])) for t, h in natural.arcs
                          if natural.is_head(tau[t], tau[h])), None)
     elif analysis.half_arc_transitive:

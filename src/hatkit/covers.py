@@ -42,11 +42,7 @@ from .graphs import (
 )
 from .records import Record
 from .autgroup import _check_automorphisms, arc_orbits
-from .altcycles import (
-    AltDecomposition,
-    antipodal_involution,
-    cycle_images,
-)
+from .altcycles import AltDecomposition, cycle_images
 from .perms import PermGroup, centralizes, check_perm, orbits
 
 
@@ -132,7 +128,14 @@ def quotient_by_tau(total: Graph, tau) -> CoveringMap:
     fault = edge_map_fault(tau, total, total)
     if fault:
         raise NotAutomorphisms(f"tau is not an automorphism: {fault}")
+    return _quotient(total, tau)
 
+
+def _quotient(total: Graph, tau) -> CoveringMap:
+    """quotient_by_tau past its checks of tau, for a tau that
+    antipodal_involution certified a fixed-point-free involutory
+    automorphism of total: cover_pipeline's path."""
+    n = total.n
     orbit_of = [-1] * n
     orbits = []
     for v in range(n):
@@ -209,8 +212,6 @@ def split_certificate(total: Graph, group: PermGroup, tau,
     an odd number of steps, or odd_walk_edges (with the step) unless
     each step is an edge.
     """
-    if not is_connected(total):
-        raise NotConnected("the total graph is not connected")
     if not centralizes(tau, group):
         i, x = next((i, x) for i, s in enumerate(group.generators)
                     for x in range(len(tau)) if tau[s[x]] != s[tau[x]])
@@ -218,6 +219,15 @@ def split_certificate(total: Graph, group: PermGroup, tau,
             f"tau does not centralize the supplied group: generator {i} "
             f"does not commute with tau at vertex {x}")
     _check_involution(tau)
+    return _split(total, group, tau, cover)
+
+
+def _split(total: Graph, group, tau, cover: CoveringMap):
+    """split_certificate past its checks of tau, for a tau that
+    antipodal_involution certified an involution centralizing the group:
+    cover_pipeline's path."""
+    if not is_connected(total):
+        raise NotConnected("the total graph is not connected")
     if group.contains(tau):
         raise TauInG("tau lies in the supplied group; no splitting complement")
     moved = next(((v, w) for v, w in cover.fibres if tau[v] != w), None)
@@ -247,10 +257,12 @@ def split_certificate(total: Graph, group: PermGroup, tau,
     return sectional, witness
 
 
-def cover_pipeline(total: Graph, dec: AltDecomposition, group: PermGroup):
-    """Run antipodal involution -> quotient -> split certificate for a
-    half-arc-transitive action with radius 3 and attachment 2 on a graph
-    of order greater than 12, then verify the cover and its base graph:
+def cover_pipeline(total: Graph, dec: AltDecomposition, group: PermGroup,
+                   tau):
+    """Run quotient -> split certificate by the antipodal involution tau
+    for a half-arc-transitive action with radius 3 and attachment 2 on a
+    graph of order greater than 12, then verify the cover and its base
+    graph:
 
     - the cover is sectional exactly when total is bipartite
       (StructureViolation naming sectional_iff_bipartite otherwise),
@@ -277,16 +289,23 @@ def cover_pipeline(total: Graph, dec: AltDecomposition, group: PermGroup):
 
     dec must be the alternating cycles of an orientation of total that
     the group induces, as verify_dart_forward certifies them; the group
-    must permute them (NotInvariant otherwise).  Of the group, only its
-    degree, generators, order and contains are read, so a PermGroup and
-    a dartgraph.LiftedGroup, which keeps no chain, both serve.
+    must permute them (NotInvariant otherwise, from cycle_images; a lift
+    whose dart_cycles is dec permutes them by verify_dart_forward's
+    proof).  tau must be antipodal_involution(total, dec, group), which
+    certifies it a fixed-point-free involutory automorphism of total
+    that centralizes the group; these facts are not tested again here,
+    as quotient_by_tau and split_certificate test them for any other
+    caller.  Of the group, only its degree, generators, order and
+    contains are read, so a PermGroup and a dartgraph.LiftedGroup, which
+    keeps no chain, both serve.
     Bipartite inputs run through the same pipeline and certify sectional;
     non-bipartite inputs certify non-sectional.  Returns (cover,
     sectional, checks): the CoveringMap of the quotient by tau, whether
     the cover is sectional, and the tuple of the (name, detail) pairs of
     the checks made, in the order they were made.  The cover is split,
     and <group, tau> has order 2 |group|, by split_certificate's proof:
-    that call returning at all is the certificate.
+    its core (_split) returning at all, on a tau that antipodal_involution
+    certified, is the certificate.
 
     No chain of the fibre action is built.  The group permutes the
     fibres, as tau centralizes it, and acts on them faithfully, by the
@@ -305,7 +324,8 @@ def cover_pipeline(total: Graph, dec: AltDecomposition, group: PermGroup):
     the generators' fibre images.  Neither the double of the base nor
     L(Lambda) is built (graphs.bipartite_double, graphs.line_graph).
     """
-    cycle_images(group, dec)
+    if getattr(group, "dart_cycles", None) is not dec:
+        cycle_images(group, dec)
     if dec.radius != 3 or dec.attachment != 2:
         raise WrongParameters(
             f"(radius, attachment) = ({dec.radius}, {dec.attachment}), "
@@ -313,9 +333,8 @@ def cover_pipeline(total: Graph, dec: AltDecomposition, group: PermGroup):
     if total.n <= 12:
         raise OrderTooSmall(
             f"order {total.n} <= 12; the quotient degenerates")
-    tau = antipodal_involution(total, dec, group)
-    cover = quotient_by_tau(total, tau)
-    sectional, odd_walk = split_certificate(total, group, tau, cover)
+    cover = _quotient(total, tau)
+    sectional, odd_walk = _split(total, group, tau, cover)
 
     checks = []
     bipartite = odd_walk is None

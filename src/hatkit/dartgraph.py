@@ -62,14 +62,21 @@ def _darts(base: Graph):
 
 def dart_graph(base: Graph):
     """(dart graph, natural orientation, labeling) of a connected cubic
-    graph.  Darts are sorted lexicographically; vertex i is darts[i]."""
+    graph.  Darts are sorted lexicographically; vertex i is darts[i].
+
+    The natural orientation is not validated again: its arcs are the
+    edges the dart graph is built from, so each edge is directed once
+    (Graph rejects a 2-arc listed twice, DuplicateEdge), and each dart
+    (u, v) tails the two 2-arcs to (v, w), w != u, and heads the two from
+    (t, u), t != v.  A 2-arc missing from _darts fails
+    lift_preserves_natural_orientation in verify_dart_forward."""
     if not is_regular(base, 3):
         raise NotCubic("dart graphs are built from cubic graphs only")
     if not is_connected(base):
         raise NotConnected("base graph is not connected")
     darts, index, arcs = _darts(base)
     g = from_edge_list(len(darts), arcs)
-    orientation = Orientation(g, arcs)
+    orientation = Orientation._unchecked(g, arcs)
     labeling = DartLabeling(
         base=base, graph=g, orientation=orientation, darts=darts, index=index)
     return g, orientation, labeling
@@ -81,12 +88,18 @@ class LiftedGroup:
     holds no stabiliser chain of its own: degree is the number of darts,
     generators are the lifts of G's strong generators, order is |G|, and
     contains decides membership with G's chain, of degree n rather than
-    3n."""
+    3n.  dart_cycles is None until verify_dart_forward proves each
+    alternating cycle of its decomposition to be the six darts at one
+    base vertex (alt_reconstructs_base); it is then that decomposition.
+    The lift of g maps the darts at x onto those at g(x), so it maps the
+    cycle of x onto the cycle of g(x): the lift permutes those cycles, and
+    cover_pipeline does not check it again."""
 
     def __init__(self, group: PermGroup, labeling: DartLabeling, generators):
         self.degree = len(labeling.darts)
         self.generators = tuple(generators)
         self.order = group.order
+        self.dart_cycles = None
         self._group = group
         self._labeling = labeling
 
@@ -166,7 +179,9 @@ def verify_dart_forward(base: Graph, group: PermGroup,
     (alt_reconstructs_base, with the witness of
     graphs.isomorphism_fault).  The alternating cycle of base vertex x
     is the six darts at x, so the isomorphism maps each cycle to the
-    vertex its darts share.
+    vertex its darts share; once it passes, lifted.dart_cycles is dec
+    (each cycle has six darts, all at its vertex x, so it is the six
+    darts at x).
 
     report is transitivity_report(group, base), which the caller already
     holds; Not2ArcTransitive unless it is 2-arc-transitive.  Returns
@@ -209,6 +224,7 @@ def verify_dart_forward(base: Graph, group: PermGroup,
             default=-1) for cyc in dec.cycles]
     fault = isomorphism_fault(cycle_to_vertex, dec.cycle_graph, base)
     check(checks, "alt_reconstructs_base", not fault, fault)
+    lifted.dart_cycles = dec
     return labeling, lifted, dec, tuple(checks)
 
 
@@ -232,7 +248,8 @@ def psi_isomorphism(g: Graph, d: Orientation, dec: AltDecomposition):
     check raises StructureViolation naming it (psi_unique_head,
     psi_bijective, psi_preserves_adjacency or psi_orientation_compatible)
     with the dart, the first edge or the first natural arc of the dart
-    graph that fails it, also under python -O.  With d.reverse() the
+    graph that fails it, also under python -O.  Heads are read off
+    d.in_adj (the images) and d.out_adj (the arcs).  With d.reverse() the
     mapping is compose(rev, mapping) for the dart reversal rev of the
     dart graph.
     """
@@ -251,10 +268,11 @@ def psi_isomorphism(g: Graph, d: Orientation, dec: AltDecomposition):
         by_pair.setdefault(pair, []).append(v)
 
     positions = [{v: p for p, v in enumerate(cyc)} for cyc in dec.cycles]
+    in_adj, out_adj = d.in_adj, d.out_adj
 
     def heads_both_on(c, v):
         cyc, p = dec.cycles[c], positions[c][v]
-        return d.is_head(v, cyc[p - 1]) and d.is_head(v, cyc[(p + 1) % 6])
+        return cyc[p - 1] in in_adj[v] and cyc[(p + 1) % 6] in in_adj[v]
 
     psi, fault = [], ""
     for i, (c1, c2) in enumerate(darts):
@@ -284,7 +302,7 @@ def psi_isomorphism(g: Graph, d: Orientation, dec: AltDecomposition):
     check(checks, "psi_preserves_adjacency", edge is None,
           "" if edge is None else non_edge_text(psi, sorted(edge)))
     arc = first((a, b) for a, b in two_arcs
-                if d.head_of(psi[a], psi[b]) != psi[b])
+                if psi[b] not in out_adj[psi[a]])
     check(checks, "psi_orientation_compatible", arc is None,
           "" if arc is None else f"natural arc {arc} maps against d")
     return psi, tuple(checks)

@@ -82,13 +82,21 @@ def lift_chain(lifted):
 class ForgedOrientation:
     """A stand-in for an Orientation as psi_isomorphism reads one: d's
     graph, with is_head and head_of answered by the functions given (d's
-    own by default).  It lets a test break the premise that a check of
-    psi rests on: that d is one orientation, read alike by every method."""
+    own by default), in_adj[v] the neighbours x with is_head(v, x) and
+    out_adj[u] the neighbours v with head_of(u, v) == v.  It lets a test
+    break the premise that a check of psi rests on: that d is one
+    orientation, read alike wherever psi reads it (in_adj to choose the
+    images, out_adj to check the arcs)."""
 
     def __init__(self, d, is_head=None, head_of=None):
-        self.graph = d.graph
+        g = self.graph = d.graph
         self.is_head = is_head or d.is_head
         self.head_of = head_of or d.head_of
+        self.in_adj = tuple(tuple(x for x in g.adj[v] if self.is_head(v, x))
+                            for v in range(g.n))
+        self.out_adj = tuple(
+            tuple(v for v in g.adj[u] if self.head_of(u, v) == v)
+            for u in range(g.n))
 
 
 def psi_faults():
@@ -132,6 +140,90 @@ def psi_faults():
         ("psi_orientation_compatible", g,
          ForgedOrientation(natural, head_of=natural.reverse().head_of), dec),
     ]
+
+
+def alternating_system(cycles):
+    """(g, arcs) whose alternating cycles are the given ones: on each
+    cycle the vertices at even positions are tails and those at odd
+    positions heads, so arcs directs each cycle edge away from its even
+    end.  Each vertex must be a tail on one cycle and a head on another."""
+    arcs = [(x, y) if i % 2 == 0 else (y, x) for c in cycles
+            for i, (x, y) in enumerate(zip(c, c[1:] + c[:1]))]
+    return from_edge_list(1 + max(map(max, cycles)), arcs), arcs
+
+
+class RawOrientation:
+    """An orientation as alternating_cycles reads it (graph, in_adj,
+    out_adj, arcs), with none of Orientation's checks: the arcs given and
+    the in- and out-adjacency of all of them, on the graph given."""
+
+    def __init__(self, graph, arcs, walked=None):
+        self.graph, self.arcs = graph, tuple(arcs)
+        self.in_adj = tuple(tuple(t for t, h in self.arcs if h == v)
+                            for v in range(graph.n))
+        self.out_adj = tuple(tuple(h for t, h in self.arcs if t == v)
+                             for v in range(graph.n))
+        if walked is not None:
+            self.arcs = tuple(walked)
+
+
+# Four alternating 6-cycles on 12 vertices, each vertex a tail on one and
+# a head on another, where cycles meet in 1, 2 or 3 vertices.
+MIXED_ATTACHMENT = ((2, 0, 3, 7, 9, 1), (7, 2, 4, 8, 0, 10),
+                    (8, 5, 11, 4, 1, 6), (5, 9, 6, 11, 10, 3))
+# The two alternating 8-cycles of the wreath C_4[2K1] in its spiral
+# orientation: they meet in all eight vertices (a = 2r).
+SPIRAL_WREATH = ((2, 4, 6, 1, 3, 5, 7, 0), (0, 3, 4, 7, 1, 2, 5, 6))
+
+
+def alt_faults():
+    """(check, g, d) for the alt_* checks of alternating_cycles that a
+    2-in/2-out orientation reaches only past Orientation's checks, or
+    through a decomposition of unusual shape:
+
+    - alt_cycle_length_even: the triangle with each edge directed both
+      ways, so its one walk closes after 3 steps;
+    - alt_two_cycles_per_vertex: Dart(K4)'s natural orientation, whose
+      walks start only from arcs off its first alternating cycle, so that
+      cycle is never walked;
+    - alt_cycles_partition_edges: Dart(K4) with one edge more, oriented
+      by the natural arcs alone;
+    - alt_attachment_constant: MIXED_ATTACHMENT, a valid orientation;
+    - alt_attachment_at_most_radius: two disjoint spiral wreaths C_4[2K1],
+      a valid orientation with four cycles and a = 8 > r = 4.
+
+    alt_attachment_divides_2r is unreachable: once the walks are simple
+    (alt_walk_simple) and each vertex lies on two distinct cycles
+    (alt_two_cycles_per_vertex), the 2r vertices of a cycle c split into
+    its intersections with the other cycles, each of the one size a
+    (alt_attachment_constant), so a divides 2r."""
+    triangle = from_edge_list(3, [(0, 1), (1, 2), (0, 2)])
+    both_ways = [(0, 1), (1, 2), (2, 0), (1, 0), (2, 1), (0, 2)]
+    dart, natural, _ = dart_graph(complete_graph(4))
+    first = set(alternating_cycles(dart, natural).cycles[0])
+    off_first = [(t, h) for t, h in natural.arcs
+                 if not {t, h} <= first]
+    u, v = next((u, v) for u in range(dart.n) for v in range(u + 1, dart.n)
+                if not dart.has_edge(u, v))
+    bigger = from_edge_list(dart.n, dart.edges + ((u, v),))
+    twice = SPIRAL_WREATH + tuple(tuple(v + 8 for v in c)
+                                  for c in SPIRAL_WREATH)
+    return [
+        ("alt_cycle_length_even", triangle,
+         RawOrientation(triangle, both_ways, walked=both_ways[:3])),
+        ("alt_two_cycles_per_vertex", dart,
+         RawOrientation(dart, natural.arcs, walked=off_first)),
+        ("alt_cycles_partition_edges", bigger,
+         RawOrientation(bigger, natural.arcs)),
+        ("alt_attachment_constant",
+         *_validated(*alternating_system(MIXED_ATTACHMENT))),
+        ("alt_attachment_at_most_radius",
+         *_validated(*alternating_system(twice))),
+    ]
+
+
+def _validated(g, arcs):
+    return g, Orientation(g, arcs)
 
 
 def unevenly_spaced():

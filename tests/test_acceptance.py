@@ -163,15 +163,15 @@ def test_criterion_4_cover_theorem(pipeline):
         item = pipeline.items[name]
         g, lifted = item.dart.graph, item.dart.lifted
         assert g.n == order, name
-        pipeline_cover, found, _ = cover_pipeline(g, item.dart.dec, lifted)
+        dec = item.dart.dec
+        tau = antipodal_involution(g, dec, lifted)
+        pipeline_cover, found, _ = cover_pipeline(g, dec, lifted, tau)
         assert found == sectional, name
         assert (is_bipartite(g) is not None) == sectional, name
         assert girth(pipeline_cover.base) == 3, name
         assert pipeline_cover.base.n == g.n // 2, name
         # directly re-check the splitting, the sectionality criterion and
         # the line graph
-        dec = item.dart.dec
-        tau = antipodal_involution(g, dec, lifted)
         assert not lifted.contains(tau), name
         group_order = item.group.order
         assert schreier_sims(lifted.generators + (tau,), g.n).order == \
@@ -196,7 +196,10 @@ def test_criterion_5_boundary_cases(pipeline):
     assert k4_item.dart.graph.n == 12
     with pytest.raises(OrderTooSmall):
         cover_pipeline(k4_item.dart.graph, k4_item.dart.dec,
-                       k4_item.dart.lifted)
+                       k4_item.dart.lifted,
+                       antipodal_involution(k4_item.dart.graph,
+                                            k4_item.dart.dec,
+                                            k4_item.dart.lifted))
     w3 = wreath_graph(3)
     fibre_swap = tuple(i ^ 1 for i in range(6))
     with pytest.raises(DegenerateWreath):

@@ -35,8 +35,9 @@ from hatkit.covers import quotient_by_tau
 from hatkit.census import (builtin_entries, complete_graph, holt_graph,
                            pgl2_graph)
 
-from conftest import (STRESS_GRAPHS, TWO_ARC_CUBIC, cycle_graph, lift_chain,
-                      reversed_darts, run_optimized, unevenly_spaced)
+from conftest import (STRESS_GRAPHS, TWO_ARC_CUBIC, alt_faults, cycle_graph,
+                      lift_chain, reversed_darts, run_optimized,
+                      unevenly_spaced)
 
 
 def circulant_k5():
@@ -241,6 +242,51 @@ def test_alternating_cycle_violations_name_the_check(fault, message):
     with pytest.raises(StructureViolation) as info:
         alternating_cycles(g, Orientation(g, arcs))
     assert str(info.value) == message
+
+
+ALT_FAULT_WITNESSES = {
+    "alt_cycle_length_even": "the cycles have odd length 3",
+    "alt_two_cycles_per_vertex": "vertex 0 lies on cycles [0], expected "
+                                 "exactly two",
+    "alt_cycles_partition_edges": "edge (0, 1) lies on no cycle",
+    "alt_attachment_constant": "intersection sizes [1, 2, 3]",
+    "alt_attachment_at_most_radius": "attachment 8 exceeds radius 4 with 4 "
+                                     "cycles",
+}
+
+
+def test_alt_checks_name_their_witness_under_optimize():
+    """Each alt_* check of alternating_cycles that no other test reaches
+    fails on its conftest.alt_faults case with its name and witness, in
+    process and under python -O.  alt_attachment_divides_2r is
+    unreachable (alt_faults says why); the three that a valid Orientation
+    cannot reach are reached past its checks.  These checks stand behind
+    the passes by proof of dart_graph (its orientation is not validated)
+    and cover_pipeline (a lift's dart_cycles)."""
+    made = []
+    for check, g, d in alt_faults():
+        with pytest.raises(StructureViolation) as info:
+            alternating_cycles(g, d)
+        assert (info.value.check, info.value.witness) == (
+            check, ALT_FAULT_WITNESSES[check])
+        made.append(check)
+    assert made == list(ALT_FAULT_WITNESSES)
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+        "from conftest import alt_faults\n"
+        "from hatkit.altcycles import alternating_cycles\n"
+        "from hatkit.errors import StructureViolation\n"
+        "print(sys.flags.optimize)\n"
+        "for check, g, d in alt_faults():\n"
+        "    try:\n"
+        "        alternating_cycles(g, d)\n"
+        "    except StructureViolation as exc:\n"
+        "        print(exc.check == check, repr(exc.witness))\n"
+    )
+    assert run_optimized(code) == ["1"] + " ".join(
+        f"True {witness!r}" for witness in ALT_FAULT_WITNESSES.values()
+    ).split()
 
 
 def test_orientation_mismatched_graph(k4):

@@ -754,8 +754,9 @@ def test_each_suite_alone_makes_its_slice_of_verify_all(census, tmp_path):
     """Run alone under --strict, each suite makes the checks, with the
     same details, that it makes within `verify all --strict` of the same
     entry: less the expected:* checks, the suites' checks in SUITES order
-    are the entry's `verify all` checks.  The divisibility and cover
-    suites each derive tau, so neither may read what the other built."""
+    are the entry's `verify all` checks.  The cover and divisibility
+    suites read one tau, derived on first use by _EntryAnalysis, so
+    neither may depend on which of them ran first."""
     if census == "stress":
         census = _write_stress_census(tmp_path)
 
@@ -803,10 +804,10 @@ def test_cli_verify_isolates_engine_errors_per_entry(monkeypatch, tmp_path,
     and every other entry is still verified and reported."""
     real = cli.cover_pipeline
 
-    def broken_for_petersen(total, dec, group):
+    def broken_for_petersen(total, dec, group, tau):
         if total.n == 30:  # Dart(Petersen); no other builtin has 30 darts
             raise RuntimeError("injected for petersen")
-        return real(total, dec, group)
+        return real(total, dec, group, tau)
 
     monkeypatch.setattr(cli, "cover_pipeline", broken_for_petersen)
     out = tmp_path / "report.json"
@@ -829,11 +830,12 @@ def test_cli_verify_isolates_engine_errors_per_entry(monkeypatch, tmp_path,
 def test_verify_records_typed_quotient_error(monkeypatch):
     """quotient_by_tau's orbit-pair count is a typed error, so verify
     records its message as the entry's error, not as an engine error, and
-    where it happened: in the cover suite, after its first check.  With
-    the automorphism check bypassed, the antipodal involution of
-    Dart(Petersen) with the partners of 0 and 1 exchanged joins two orbits
-    by a single edge."""
-    real = covers.antipodal_involution
+    where it happened: in the cover suite, after its first check.  The
+    antipodal involution of Dart(Petersen), certified and then given with
+    the partners of 0 and 1 exchanged, joins two orbits by a single edge:
+    cover_pipeline does not test again that tau is an automorphism, which
+    antipodal_involution certified."""
+    real = cli.antipodal_involution
 
     def exchanged(total, dec, group):
         tau = list(real(total, dec, group))
@@ -841,8 +843,7 @@ def test_verify_records_typed_quotient_error(monkeypatch):
         tau[0], tau[1], tau[t0], tau[t1] = 1, 0, t1, t0
         return tuple(tau)
 
-    monkeypatch.setattr(covers, "antipodal_involution", exchanged)
-    monkeypatch.setattr(covers, "edge_map_fault", lambda p, g, h: "")
+    monkeypatch.setattr(cli, "antipodal_involution", exchanged)
     autgroup._analysis.cache_clear()
     petersen = next(e for e in builtin_entries() if e.name == "petersen")
     result = cli._verify_entry((petersen, cli.SUITES, True))
@@ -1033,10 +1034,10 @@ def test_engine_error_names_suite_and_last_check(monkeypatch, tmp_path,
     entries without an error carry no such record."""
     real = cli.cover_pipeline
 
-    def broken_for_petersen(total, dec, group):
+    def broken_for_petersen(total, dec, group, tau):
         if total.n == 30:  # Dart(Petersen)
             raise RuntimeError("injected for petersen")
-        return real(total, dec, group)
+        return real(total, dec, group, tau)
 
     monkeypatch.setattr(cli, "cover_pipeline", broken_for_petersen)
     out = tmp_path / "report.json"

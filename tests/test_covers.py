@@ -117,13 +117,13 @@ def test_seeded_chains_match_unseeded_chains(name, monkeypatch):
     if g.n <= 12:
         return      # the cover stage starts above 12 darts
     built = []
-    real = covers.split_certificate
-    monkeypatch.setattr(covers, "split_certificate", lambda *args: (
+    real = covers._split
+    monkeypatch.setattr(covers, "_split", lambda *args: (
         built.append(real(*args)) or built[-1]))
     dec = alternating_cycles(g, natural)
-    _, _, checks = cover_pipeline(g, dec, lifted)
-    assert len(built) == 1
     tau = antipodal_involution(g, dec, lifted)
+    _, _, checks = cover_pipeline(g, dec, lifted, tau)
+    assert len(built) == 1
     split_unseeded = schreier_sims(lift_gens + [tau], degree=g.n)
     assert split_unseeded.order == 2 * group.order
     assert dict(checks)["fibre_action_kernel_tau"].endswith(
@@ -152,7 +152,8 @@ def test_fibre_action_proof_matches_closure(name):
     bound: the closure has order |G|, the projected order, and its
     chain's arc orbits on the base are as many as the sweep's."""
     g, dec, lifted = dart_with_cycles(COVER_ENTRIES[name]())
-    cover, _, checks = cover_pipeline(g, dec, lifted)
+    cover, _, checks = cover_pipeline(
+        g, dec, lifted, antipodal_involution(g, dec, lifted))
     details = dict(checks)
     fibres = [frozenset(f) for f in cover.fibres]
     index = {f: i for i, f in enumerate(fibres)}
@@ -183,7 +184,7 @@ def test_cover_pipeline_stops_at_tau_in_group(petersen, monkeypatch):
         monkeypatch.setattr(covers, name, lambda *args, _name=name, _real=real:
                             called.append(_name) or _real(*args))
     with pytest.raises(TauInG):
-        cover_pipeline(g, dec, group)
+        cover_pipeline(g, dec, group, tau)
     assert called == []
 
 
@@ -209,7 +210,7 @@ def test_lift_answering_tau_reaches_tau_in_g_under_optimize():
         "dartgraph.LiftedGroup.contains = (\n"
         "    lambda self, p: p == tau or real(self, p))\n"
         "try:\n"
-        "    cover_pipeline(g, dec, lifted)\n"
+        "    cover_pipeline(g, dec, lifted, tau)\n"
         "except TauInG as exc:\n"
         "    print(sys.flags.optimize, type(exc).__name__, lifted.contains(tau))\n"
     )
@@ -227,7 +228,7 @@ def test_base_without_triangle_fails_girth_3_under_optimize():
     code = (
         "import sys\n"
         "from hatkit import covers, records\n"
-        "from hatkit.altcycles import alternating_cycles\n"
+        "from hatkit.altcycles import alternating_cycles, antipodal_involution\n"
         "from hatkit.autgroup import arc_orbits, automorphism_group\n"
         "from hatkit.census import builtin_entries, complete_graph\n"
         "from hatkit.dartgraph import dart_graph, lift_automorphisms\n"
@@ -237,7 +238,7 @@ def test_base_without_triangle_fails_girth_3_under_optimize():
         "            if e.name == 'dodecahedron').graph()\n"
         "g, natural, labeling = dart_graph(base)\n"
         "lifted = lift_automorphisms(base, automorphism_group(base), labeling)\n"
-        "real = covers.quotient_by_tau\n"
+        "real = covers._quotient\n"
         "def quotient(total, tau):\n"
         "    cover = real(total, tau)\n"
         "    n = cover.base.n\n"
@@ -249,9 +250,11 @@ def test_base_without_triangle_fails_girth_3_under_optimize():
         "                    if len(o) == 4 * n and {(b, a) for a, b in o} == set(o))\n"
         "        if girth(h) == 5)\n"
         "    return records.replace(cover, base=orbital)\n"
-        "covers.quotient_by_tau = quotient\n"
+        "covers._quotient = quotient\n"
+        "dec = alternating_cycles(g, natural)\n"
         "try:\n"
-        "    covers.cover_pipeline(g, alternating_cycles(g, natural), lifted)\n"
+        "    covers.cover_pipeline(g, dec, lifted,\n"
+        "                          antipodal_involution(g, dec, lifted))\n"
         "except StructureViolation as exc:\n"
         "    print(sys.flags.optimize, type(exc).__name__, str(exc))\n"
     )
@@ -545,7 +548,8 @@ def test_cover_pipeline_dodecahedron():
     from hatkit.census import generalized_petersen
     dodec = generalized_petersen(10, 2)
     g, dec, lifted = dart_with_cycles(dodec)
-    cover, sectional, checks = cover_pipeline(g, dec, lifted)
+    cover, sectional, checks = cover_pipeline(
+        g, dec, lifted, antipodal_involution(g, dec, lifted))
     details = dict(checks)
     assert g.n == 60 and cover.base.n == 30
     assert not sectional
@@ -556,11 +560,11 @@ def test_cover_pipeline_dodecahedron():
         f"the lifted group {2 * lifted.order}")
 
 
-# Dart(Petersen), its alternating cycles and the lifted group.
+# Dart(Petersen), its alternating cycles, the lifted group and tau.
 _DART_PETERSEN = (
     "import sys\n"
     "from hatkit import covers\n"
-    "from hatkit.altcycles import alternating_cycles\n"
+    "from hatkit.altcycles import alternating_cycles, antipodal_involution\n"
     "from hatkit.autgroup import automorphism_group\n"
     "from hatkit.census import generalized_petersen\n"
     "from hatkit.dartgraph import dart_graph, lift_automorphisms\n"
@@ -570,7 +574,81 @@ _DART_PETERSEN = (
     "lifted = lift_automorphisms(\n"
     "    petersen, automorphism_group(petersen), labeling)\n"
     "dec = alternating_cycles(g, natural)\n"
+    "tau = antipodal_involution(g, dec, lifted)\n"
 )
+
+
+# Forgeries of Dart(Petersen)'s tau, t0 = tau[0] and t1 = tau[1]: one
+# image short; with tau(1) = t0 repeated; with 0 and t0 fixed; with
+# 0 -> t0 -> 1 -> t1 -> 0, no involution; and with the partners of 0 and 1
+# exchanged, an involution but no automorphism.  `calls` pairs each public
+# call with the (error type, text prefix) it must raise; the trivial group
+# lets the order-4 forgery past centralizing, to NotInvolution.  Each
+# call's (error type, text) is in `outcomes`.
+_BAD_TAUS = _DART_PETERSEN + (
+    "from hatkit.errors import HatError\n"
+    "from hatkit.covers import quotient_by_tau, split_certificate\n"
+    "from hatkit.perms import schreier_sims\n"
+    "cover = quotient_by_tau(g, tau)\n"
+    "trivial = schreier_sims([], g.n)\n"
+    "t0, t1 = tau[0], tau[1]\n"
+    "def forged(images):\n"
+    "    out = list(tau)\n"
+    "    for v, image in images.items():\n"
+    "        out[v] = image\n"
+    "    return tuple(out)\n"
+    "short, repeated = tau[:-1], forged({1: t0})\n"
+    "fixed = forged({0: 0, t0: t0})\n"
+    "four_cycle = forged({0: t0, t0: 1, 1: t1, t1: 0})\n"
+    "exchanged = forged({0: 1, 1: 0, t0: t1, t1: t0})\n"
+    "quotient = lambda bad: lambda: quotient_by_tau(g, bad)\n"
+    "split = lambda group, bad: lambda: split_certificate(g, group, bad, cover)\n"
+    "not_central = 'tau does not centralize the supplied group: generator '\n"
+    "calls = [\n"
+    "    (quotient(short), 'NotAutomorphisms', 'tau has degree 29, graph has 30'),\n"
+    "    (quotient(repeated), 'NotPermutation',\n"
+    "     f'not a permutation: image {t0} of 1 repeats the image of 0'),\n"
+    "    (quotient(fixed), 'FixedPoint', f'tau fixes {sorted([0, t0])}'),\n"
+    "    (quotient(four_cycle), 'NotInvolution',\n"
+    "     'tau is not an involution: tau(tau(0)) = 1'),\n"
+    "    (quotient(exchanged), 'NotAutomorphisms', 'tau is not an automorphism: '),\n"
+    "    (split(lifted, repeated), 'NotPermutation', 'not a permutation: '),\n"
+    "    (split(lifted, four_cycle), 'NotCentralizing', not_central),\n"
+    "    (split(lifted, exchanged), 'NotCentralizing', not_central),\n"
+    "    (split(trivial, four_cycle), 'NotInvolution',\n"
+    "     'tau is not an involution: tau(tau(0)) = 1')]\n"
+    "def outcome(call):\n"
+    "    try:\n"
+    "        call()\n"
+    "    except HatError as exc:\n"
+    "        return type(exc).__name__, str(exc)\n"
+    "outcomes = [outcome(call) for call, _, _ in calls]\n"
+    "verdict = [got is not None and got[0] == kind and got[1].startswith(prefix)\n"
+    "           for got, (_, kind, prefix) in zip(outcomes, calls)]\n"
+)
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["plain", "O"])
+def test_public_tau_checks_stay_for_other_callers(optimize):
+    """The negative control of cover_pipeline's pass by proof: it reaches
+    the quotient and the splitting through covers._quotient and
+    covers._split, past the checks of tau that antipodal_involution made,
+    so quotient_by_tau and split_certificate must keep them.  On
+    Dart(Petersen), quotient_by_tau rejects a tau one image short
+    (NotAutomorphisms), with a repeated image (NotPermutation), with a
+    fixed point (FixedPoint), of order 4 (NotInvolution) and an
+    involution that is no automorphism (NotAutomorphisms);
+    split_certificate rejects the repeated image (NotPermutation), the
+    last two against the lift (NotCentralizing), and the order-4 tau
+    against the trivial group (NotInvolution), in process and under
+    python -O."""
+    if optimize:
+        code = _BAD_TAUS + "print(sys.flags.optimize, *verdict)\n"
+        assert run_optimized(code) == ["1"] + ["True"] * 9
+        return
+    space = {}
+    exec(_BAD_TAUS, space)
+    assert space["verdict"] == [True] * 9, space["outcomes"]
 
 
 def test_cover_pipeline_rejects_wrong_line_graph_under_optimize():
@@ -582,7 +660,7 @@ def test_cover_pipeline_rejects_wrong_line_graph_under_optimize():
         "from hatkit import altcycles\n"
         "altcycles.alt_graph = lambda dec: generalized_petersen(5, 1)\n"
         "try:\n"
-        "    covers.cover_pipeline(g, dec, lifted)\n"
+        "    covers.cover_pipeline(g, dec, lifted, tau)\n"
         "except StructureViolation as exc:\n"
         "    print(sys.flags.optimize, type(exc).__name__)\n"
     )
@@ -598,18 +676,16 @@ def test_cover_pipeline_rejects_arc_intransitive_base_under_optimize():
     autgroup.arc_orbits sweeps them."""
     code = _DART_PETERSEN + (
         "import types\n"
-        "from hatkit.altcycles import antipodal_involution\n"
         "from hatkit.autgroup import arc_orbits\n"
         "first = types.SimpleNamespace(\n"
         "    degree=lifted.degree, order=lifted.order,\n"
         "    contains=lifted.contains, generators=lifted.generators[:1])\n"
-        "cover = covers.quotient_by_tau(\n"
-        "    g, antipodal_involution(g, dec, lifted))\n"
+        "cover = covers.quotient_by_tau(g, tau)\n"
         "projected = [tuple(cover.fibre_map[s[v]] for v, _ in cover.fibres)\n"
         "             for s in first.generators]\n"
         "count = len(arc_orbits(projected, cover.base))\n"
         "try:\n"
-        "    covers.cover_pipeline(g, dec, first)\n"
+        "    covers.cover_pipeline(g, dec, first, tau)\n"
         "except StructureViolation as exc:\n"
         "    print(sys.flags.optimize, type(exc).__name__,\n"
         "          str(exc).split(':')[0], count > 1, exc.witness ==\n"
@@ -620,8 +696,8 @@ def test_cover_pipeline_rejects_arc_intransitive_base_under_optimize():
 
 
 @pytest.mark.parametrize("fault, check, witness", [
-    ("real = covers.split_certificate\n"
-     "covers.split_certificate = lambda *args: (True, real(*args)[1])\n",
+    ("real = covers._split\n"
+     "covers._split = lambda *args: (True, real(*args)[1])\n",
      "sectional_iff_bipartite", "sectional=True, bipartite=False"),
     ("covers.girth = lambda x: 4\n",
      "base_girth_3", "girth 4"),
@@ -633,7 +709,7 @@ def test_cover_pipeline_checks_run_under_optimize(fault, check, witness):
     python -O, naming the check and giving the witness."""
     code = _DART_PETERSEN + fault + (
         "try:\n"
-        "    covers.cover_pipeline(g, dec, lifted)\n"
+        "    covers.cover_pipeline(g, dec, lifted, tau)\n"
         "except StructureViolation as exc:\n"
         "    name, detail = str(exc).split(': ', 1)\n"
         f"    print(sys.flags.optimize, name, {witness!r} in detail)\n"
@@ -651,22 +727,10 @@ def test_split_certificate_rejects_bad_odd_walk_under_optimize(walk, check):
     parts_or_odd_walk made to return no parts and an open walk, or a
     closed one whose steps are no edges, the cover pipeline fails under
     python -O."""
-    code = (
-        "import sys\n"
-        "from hatkit import covers\n"
-        "from hatkit.altcycles import alternating_cycles\n"
-        "from hatkit.autgroup import automorphism_group\n"
-        "from hatkit.census import generalized_petersen\n"
-        "from hatkit.dartgraph import dart_graph, lift_automorphisms\n"
-        "from hatkit.errors import StructureViolation\n"
-        "petersen = generalized_petersen(5, 2)\n"
-        "g, natural, labeling = dart_graph(petersen)\n"
-        "lifted = lift_automorphisms(\n"
-        "    petersen, automorphism_group(petersen), labeling)\n"
-        "dec = alternating_cycles(g, natural)\n"
+    code = _DART_PETERSEN + (
         f"covers.parts_or_odd_walk = lambda total: (None, {walk!r})\n"
         "try:\n"
-        "    covers.cover_pipeline(g, dec, lifted)\n"
+        "    covers.cover_pipeline(g, dec, lifted, tau)\n"
         "except StructureViolation as exc:\n"
         "    print(sys.flags.optimize, type(exc).__name__,\n"
         "          str(exc).split(':')[0])\n"
@@ -707,7 +771,8 @@ _LINE_GRAPH = (
     "lifted = lift_automorphisms(\n"
     "    petersen, automorphism_group(petersen), labeling)\n"
     "dec = alternating_cycles(g, natural)\n"
-    "cover = quotient_by_tau(g, antipodal_involution(g, dec, lifted))\n"
+    "tau = antipodal_involution(g, dec, lifted)\n"
+    "cover = quotient_by_tau(g, tau)\n"
     "(v0, _), (v1, _) = cover.fibres[:2]\n"
     "at = list(dec.cycles_at_vertex)\n",
     "line, edges = line_graph(forged.cycle_graph)\n"
@@ -715,7 +780,7 @@ _LINE_GRAPH = (
     "fibre_to_edge = [index.get(forged.cycles_at_vertex[v], -1)\n"
     "                 for v, _ in cover.fibres]\n"
     "reference = isomorphism_fault(fibre_to_edge, cover.base, line)\n"
-    "call = lambda: cover_pipeline(g, forged, lifted)\n")
+    "call = lambda: cover_pipeline(g, forged, lifted, tau)\n")
 
 
 @pytest.mark.parametrize("inputs, forge, check, branch", [
@@ -791,7 +856,8 @@ def test_cover_pipeline_base_is_line_graph_of_value(name):
     the cubic base itself."""
     base = next(e for e in builtin_entries() if e.name == name).graph()
     g, dec, lifted = dart_with_cycles(base)
-    _, _, checks = cover_pipeline(g, dec, lifted)
+    _, _, checks = cover_pipeline(
+        g, dec, lifted, antipodal_involution(g, dec, lifted))
     assert ("base_is_line_graph", "") in checks
     lam = alt_graph(dec)
     assert canonical_form(lam)[1] == canonical_form(base)[1]
@@ -800,14 +866,17 @@ def test_cover_pipeline_base_is_line_graph_of_value(name):
 def test_cover_pipeline_order_guard(k4):
     g, dec, lifted = dart_with_cycles(k4)
     with pytest.raises(OrderTooSmall):
-        cover_pipeline(g, dec, lifted)
+        cover_pipeline(g, dec, lifted, antipodal_involution(g, dec, lifted))
 
 
 def test_cover_pipeline_wrong_parameters(holt):
+    """Holt's attachment is odd, so it has no antipodal involution: the
+    parameters are checked before tau, here the identity, is read."""
     group = automorphism_group(holt)
     d, _ = induced_orientation(group, holt)
     with pytest.raises(WrongParameters):
-        cover_pipeline(holt, alternating_cycles(holt, d), group)
+        cover_pipeline(holt, alternating_cycles(holt, d), group,
+                       identity(holt.n))
 
 
 def test_cover_pipeline_rejects_group_moving_cycles():
@@ -818,12 +887,13 @@ def test_cover_pipeline_rejects_group_moving_cycles():
     full = automorphism_group(g)
     assert full.order == 768 and lifted.order == 48
     with pytest.raises(NotInvariant):
-        cover_pipeline(g, dec, full)
+        cover_pipeline(g, dec, full, antipodal_involution(g, dec, lifted))
 
 
 def test_cover_pipeline_bipartite_control(heawood):
     g, dec, lifted = dart_with_cycles(heawood)
-    cover, sectional, checks = cover_pipeline(g, dec, lifted)
+    cover, sectional, checks = cover_pipeline(
+        g, dec, lifted, antipodal_involution(g, dec, lifted))
     assert sectional
     assert dict(checks)["sectional_iff_bipartite"] == \
         "sectional=True, bipartite=True"

@@ -617,6 +617,93 @@ def test_psi_witnesses_match_reference_on_seeded_faults(name):
                       "psi_preserves_adjacency", "psi_orientation_compatible"}
 
 
+# The dart stage of the Petersen graph with a forged input each time:
+# _darts with its first 2-arc (0, 4) dropped or listed twice, and the
+# alternating cycles with the first darts of two disjoint cycles swapped.
+# Each outcome is (error type, its text), recorded in `outcomes`;
+# patch(module, name, value) is monkeypatch.setattr in process and setattr
+# under -O.
+_FORGED_DART_STAGE = (
+    "from hatkit import dartgraph, records\n"
+    "from hatkit.altcycles import antipodal_involution\n"
+    "from hatkit.autgroup import automorphism_group, transitivity_report\n"
+    "from hatkit.census import generalized_petersen\n"
+    "from hatkit.covers import cover_pipeline\n"
+    "from hatkit.errors import HatError\n"
+    "petersen = generalized_petersen(5, 2)\n"
+    "group = automorphism_group(petersen)\n"
+    "report = transitivity_report(group, petersen)\n"
+    "real_darts, real_cycles = dartgraph._darts, dartgraph.alternating_cycles\n"
+    "def dropped(base):\n"
+    "    darts, index, arcs = real_darts(base)\n"
+    "    return darts, index, arcs[1:]\n"
+    "def repeated(base):\n"
+    "    darts, index, arcs = real_darts(base)\n"
+    "    return darts, index, arcs + arcs[:1]\n"
+    "def swapped(g, d):\n"
+    "    dec = real_cycles(g, d)\n"
+    "    cycles = [list(c) for c in dec.cycles]\n"
+    "    c = next(i for i, cyc in enumerate(cycles) if not set(cyc) & set(cycles[0]))\n"
+    "    cycles[0][0], cycles[c][0] = cycles[c][0], cycles[0][0]\n"
+    "    return records.replace(dec, cycles=tuple(map(tuple, cycles)))\n"
+    "def outcome(call):\n"
+    "    try:\n"
+    "        call()\n"
+    "    except HatError as exc:\n"
+    "        return type(exc).__name__, str(exc)\n"
+    "forward = lambda: dartgraph.verify_dart_forward(petersen, group, report)\n"
+    "outcomes = []\n"
+    "for module, name, forged in [(dartgraph, '_darts', dropped),\n"
+    "                             (dartgraph, '_darts', repeated),\n"
+    "                             (dartgraph, 'alternating_cycles', swapped)]:\n"
+    "    real = getattr(module, name)\n"
+    "    patch(module, name, forged)\n"
+    "    outcomes.append(outcome(forward))\n"
+    "    patch(module, name, real)\n"
+    "labeling, lifted, dec, _ = forward()\n"
+    "g = labeling.graph\n"
+    "tau = antipodal_involution(g, dec, lifted)\n"
+    "outcomes.append(outcome(lambda: cover_pipeline(\n"
+    "    g, swapped(g, labeling.orientation), lifted, tau)))\n"
+    "outcomes.append(('dart_cycles', str(lifted.dart_cycles is dec)))\n"
+)
+FORGED_DART_STAGE_OUTCOMES = [
+    ("StructureViolation", "lift_preserves_natural_orientation: lifted "
+     "generator 1 maps natural arc (1, 13) to (0, 4)"),
+    ("DuplicateEdge", "repeated neighbour 4 of 0"),
+    ("StructureViolation",
+     "alt_reconstructs_base: vertex 0 maps to -1, outside 0..9"),
+    ("NotInvariant", "generator 0 does not map alternating cycle 0 onto an "
+     "alternating cycle"),
+    ("dart_cycles", "True"),
+]
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["plain", "O"])
+def test_forged_dart_stage_fails_a_named_check(monkeypatch, optimize):
+    """The negative controls of the dart stage's passes by proof, in
+    process and under python -O.  dart_graph does not validate its
+    orientation again: a 2-arc dropped from _darts fails
+    lift_preserves_natural_orientation, with the arc that a lifted
+    generator maps onto the dropped (0, 4), and a 2-arc listed twice
+    fails Graph's validation.  cover_pipeline does not check a lift's
+    cycle action on the decomposition verify_dart_forward proved
+    (lifted.dart_cycles): two darts swapped between cycles fail
+    alt_reconstructs_base, whose witness is the cycle that has no common
+    base vertex, and the same forged cycles given to cover_pipeline with
+    the certified lift are canonicalised and fail NotInvariant."""
+    if optimize:
+        code = "patch = setattr\n" + _FORGED_DART_STAGE + (
+            "import sys\n"
+            "print(sys.flags.optimize, repr(outcomes))\n")
+        printed = " ".join(run_optimized(code))
+        assert printed == f"1 {FORGED_DART_STAGE_OUTCOMES!r}"
+        return
+    space = {"patch": monkeypatch.setattr}
+    exec(_FORGED_DART_STAGE, space)
+    assert space["outcomes"] == FORGED_DART_STAGE_OUTCOMES
+
+
 def test_psi_wrong_parameters(holt):
     d, _ = induced_orientation(automorphism_group(holt), holt)
     with pytest.raises(WrongParameters):

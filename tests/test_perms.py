@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hatkit import autgroup, covers, dartgraph, perms
-from hatkit.altcycles import alternating_cycles
+from hatkit.altcycles import alternating_cycles, antipodal_involution
 from hatkit.census import builtin_entries
 from hatkit.errors import (
     DegreeMismatch,
@@ -440,8 +440,9 @@ def record_pipeline_chains(monkeypatch):
         record(lifted.generators, dart.n, group.order,
                [labeling.index[(b, g.adj[b][0])] for b in group.base])
         if dart.n > 12:     # the cover stage starts above 12 darts
+            dec = alternating_cycles(dart, natural)
             covers.cover_pipeline(
-                dart, alternating_cycles(dart, natural), lifted)
+                dart, dec, lifted, antipodal_involution(dart, dec, lifted))
     autgroup._analysis.cache_clear()
     return calls
 

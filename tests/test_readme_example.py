@@ -11,6 +11,7 @@ from pathlib import Path
 import hatkit
 from hatkit import (
     alternating_cycles,
+    antipodal_involution,
     automorphism_group,
     cover_pipeline,
     dart_graph,
@@ -32,7 +33,8 @@ def test_readme_quickstart():
     lifted = lift_automorphisms(base, group, labeling)
     dec = alternating_cycles(dart, natural)
     assert (dec.radius, dec.attachment) == (3, 2)
-    cover, sectional, checks = cover_pipeline(dart, dec, lifted)
+    tau = antipodal_involution(dart, dec, lifted)   # the dart reversal
+    cover, sectional, checks = cover_pipeline(dart, dec, lifted, tau)
     assert cover.base.n == 15 and not sectional
     assert [name for name, _ in checks] == [
         "sectional_iff_bipartite", "fibre_action_kernel_tau",
