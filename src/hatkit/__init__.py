@@ -31,7 +31,6 @@ from .autgroup import (
     automorphism_group,
     canonical_form,
     is_isomorphic,
-    refine,
     transitivity_report,
     unit_partition,
 )
@@ -43,7 +42,6 @@ from .altcycles import (
     antipodal_involution,
     divisibility_checks,
     induced_alt_action,
-    induced_orientation,
 )
 from .dartgraph import (
     DartLabeling,

@@ -86,16 +86,6 @@ class Orientation:
         self.arcs = tuple((u, v) if v in out_adj[u] else (v, u)
                           for u, v in graph.edges)
 
-    def head_of(self, u, v):
-        """The head of the edge {u, v}; KeyError when it is no edge."""
-        if not self.graph.has_edge(u, v):
-            raise KeyError((u, v))
-        return v if v in self.out_adj[u] else u
-
-    def is_head(self, v, u):
-        """True when v is the head of the edge {u, v}."""
-        return self.head_of(u, v) == v
-
     def reverse(self):
         return Orientation(self.graph, tuple((h, t) for t, h in self.arcs))
 
@@ -111,18 +101,12 @@ class Orientation:
         return f"Orientation(n={self.graph.n}, m={self.graph.m})"
 
 
-def induced_orientation(group: PermGroup, g: Graph):
-    """The two paired orientations induced by a half-arc-transitive action.
-
-    Returns (d, d.reverse()); d is the arc orbit containing the smallest
-    arc.  Both orientations are invariant under the group.
+def half_arc_orientation(g: Graph, report) -> Orientation:
+    """The orientation induced by a half-arc-transitive action on g, whose
+    transitivity_report on g the caller holds: the arc orbit containing
+    the smallest arc.  It and its reverse, the paired orbit, are invariant
+    under the action.
     """
-    return half_arc_orientation(g, transitivity_report(group, g))
-
-
-def half_arc_orientation(g: Graph, report):
-    """induced_orientation of the action whose transitivity_report on g
-    the caller already holds."""
     if not is_regular(g, 4):
         raise NotTetravalent("graph is not 4-valent")
     if not is_connected(g):
@@ -131,8 +115,7 @@ def half_arc_orientation(g: Graph, report):
         raise NotHalfArcTransitive(
             "the action is not vertex- and edge- but not arc-transitive "
             f"(flags: {report.to_json_dict()})")
-    d = Orientation(g, report.arc_orbits[0])
-    return d, d.reverse()
+    return Orientation(g, report.arc_orbits[0])
 
 
 def _canonical_cycle(seq):

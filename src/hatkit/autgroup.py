@@ -139,7 +139,6 @@ from math import prod
 from operator import getitem, or_, sub
 
 from .errors import (
-    InvalidPartition,
     NotAutomorphisms,
     OrderBoundExceeded,
     StructureViolation,
@@ -166,47 +165,6 @@ def unit_partition(g: Graph) -> tuple:
     """The ordered partition of 0..n-1 into one cell, as a tuple of
     cells, each a tuple of vertices."""
     return (tuple(range(g.n)),) if g.n else ()
-
-
-def _check_partition(g, partition):
-    seen = [False] * g.n
-    for i, cell in enumerate(partition):
-        if not cell:
-            raise InvalidPartition(f"cell {i} is empty")
-        for v in cell:
-            if not 0 <= v < g.n:
-                raise InvalidPartition(
-                    f"vertex {v} of a cell is outside 0..{g.n - 1}")
-            if seen[v]:
-                raise InvalidPartition(f"vertex {v} lies in two cells")
-            seen[v] = True
-    if not all(seen):
-        raise InvalidPartition(
-            f"vertex {seen.index(False)} lies in no cell")
-
-
-def refine(g: Graph, partition) -> tuple:
-    """Coarsest equitable refinement of an ordered partition.
-
-    Cells split by the multiset of (cell index, neighbour count) pairs of
-    their vertices; split parts are ordered by ascending signature, so the
-    result depends only on the isomorphism type of (g, partition).
-
-    Each round splits the cells by their vertices' neighbour counts in
-    some cells of the partition the round starts from.  The first round
-    counts in every cell, which signs every cell in full.  Every cell of a
-    later round's partition is uniform against the partition before it,
-    so the round splits it exactly by the counts in the parts the round
-    before created; the largest part of each split cell is left out,
-    since a count in it is the old count minus those in the other parts.
-    Only the neighbours of counted parts are looked at, and of those only
-    the ones in cells that are not singletons.  Split parts are ordered
-    by the signature of one vertex each.
-    """
-    _check_partition(g, partition)
-    node = _Partition(g.n, [tuple(sorted(cell)) for cell in partition])
-    _refine_in_place(g, node)
-    return node.partition()
 
 
 class _Partition:
@@ -270,7 +228,23 @@ def _flat_key(ids, top):
 
 
 def _refine_in_place(g, node, first=None, best=None, moved=None):
-    """refine on a _Partition, in place, returning the trace.
+    """Coarsest equitable refinement of the ordered partition node, in
+    place, returning the trace.
+
+    Cells split by the multiset of (cell index, neighbour count) pairs of
+    their vertices; split parts are ordered by ascending signature, so the
+    result depends only on the isomorphism type of (g, node).
+
+    Each round splits the cells by their vertices' neighbour counts in
+    some cells of the partition the round starts from.  The first round
+    counts in every cell, which signs every cell in full.  Every cell of a
+    later round's partition is uniform against the partition before it,
+    so the round splits it exactly by the counts in the parts the round
+    before created; the largest part of each split cell is left out,
+    since a count in it is the old count minus those in the other parts.
+    Only the neighbours of counted parts are looked at, and of those only
+    the ones in cells that are not singletons.  Split parts are ordered
+    by the signature of one vertex each.
 
     moved lists whole cells one after another, such that two vertices of
     one cell with equal neighbour counts in each of those cells have equal

@@ -15,7 +15,7 @@ from itertools import combinations
 
 from .errors import MalformedCensus, MalformedGraph6, WrongParameters
 from .graphs import Graph, from_edge_list
-from .graph6 import load_graph6_file, parse_graph6, write_graph6
+from .graph6 import _GRAPH6, load_graph6_file, parse_graph6, write_graph6
 from .records import Record
 
 
@@ -237,7 +237,12 @@ def load_census(source) -> list:
         return builtin_entries()
     with open(source, "rb") as fh:
         data = fh.read()
-    if data.lstrip()[:1] in (b"{", b"["):
+    # "[" and "{" are graph6's size bytes for n = 28 and 60: the file is
+    # JSON only when a line, past a graph6 header, holds a byte outside
+    # graph6's 63..126, as the quotes, colons and commas of JSON are
+    if data.lstrip()[:1] in (b"{", b"[") and b"".join(
+            line.strip().removeprefix(b">>graph6<<")
+            for line in data.splitlines()).translate(None, _GRAPH6):
         return _json_entries(source, data)
     return [CensusEntry(name=f"line{lineno}", graph6=write_graph6(g), parsed=g)
             for lineno, g in load_graph6_file(source)]

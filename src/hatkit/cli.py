@@ -106,8 +106,8 @@ class _EntryAnalysis:
     @cached_property
     def half_arc_cycles(self):
         """Alternating cycles of a half-arc-transitive tetravalent graph."""
-        d, _ = half_arc_orientation(self.g, self.report)
-        return alternating_cycles(self.g, d)
+        return alternating_cycles(
+            self.g, half_arc_orientation(self.g, self.report))
 
 
 def analyze_graph(name, g):
@@ -231,11 +231,11 @@ def _divisibility_suite(analysis, checks, strict):
         # verify_dart_forward proved the lift's arc orbits to be the natural
         # orientation and its reverse, and antipodal_involution that tau
         # (the dart reversal) is an automorphism; so tau proves Dart(g)
-        # arc-transitive exactly when it maps some natural arc to a
-        # reversed arc
+        # arc-transitive exactly when it maps some natural arc (t, h) to a
+        # reversed arc: {tau[t], tau[h]} is an edge, directed tau[h] -> tau[t]
         natural, tau = labeling.orientation, analysis.tau
         reversal = next((((t, h), (tau[t], tau[h])) for t, h in natural.arcs
-                         if natural.is_head(tau[t], tau[h])), None)
+                         if tau[t] in natural.out_adj[tau[h]]), None)
     elif analysis.half_arc_transitive:
         dec, reversal = analysis.half_arc_cycles, None
     else:

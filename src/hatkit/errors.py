@@ -79,12 +79,6 @@ class NotAutomorphisms(HatError):
     """A supplied group contains a generator that is not a graph automorphism."""
 
 
-class InvalidPartition(HatError, ValueError):
-    """The cells handed to refine do not partition the vertex set.  Also
-    a ValueError, so callers that catch ValueError from refine keep
-    working."""
-
-
 # alternating-cycle analysis
 
 class NotTetravalent(HatError):

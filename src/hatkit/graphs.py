@@ -8,8 +8,10 @@ from .errors import (
     DuplicateEdge,
     EmptyEdgeSet,
     LoopEdge,
+    NotPermutation,
     VertexOutOfRange,
 )
+from .perms import check_perm
 
 
 class Graph:
@@ -97,9 +99,13 @@ def from_edge_list(n, edges):
 
 
 def relabel(g, perm):
-    """Image of g under a vertex bijection (perm[v] is the new name of v)."""
-    if len(perm) != g.n or sorted(perm) != list(range(g.n)):
-        raise ValueError("relabeling is not a bijection on the vertex set")
+    """Image of g under a vertex bijection (perm[v] is the new name of v).
+    NotPermutation, a ValueError, names both lengths or the first image
+    that lies outside 0..n-1 or repeats."""
+    if len(perm) != g.n:
+        raise NotPermutation(
+            f"relabeling has {len(perm)} images for {g.n} vertices")
+    check_perm(perm)
     return from_edge_list(g.n, ((perm[u], perm[v]) for u, v in g.edges))
 
 

@@ -62,11 +62,16 @@ def inverse(p) -> Perm:
 
 
 def from_cycles(n, cycles) -> Perm:
-    """Permutation of 0..n-1 given as disjoint cycles, e.g. [(0, 1, 2)]."""
+    """Permutation of 0..n-1 given as disjoint cycles, e.g. [(0, 1, 2)].
+    NotPermutation, a ValueError, names a point outside 0..n-1 and its
+    cycle."""
     images = list(range(n))
     seen = set()
     for cycle in cycles:
         for a, b in zip(cycle, cycle[1:] + type(cycle)((cycle[0],))):
+            if not 0 <= a < n:
+                raise NotPermutation(f"point {a} of cycle {cycle} lies "
+                                     f"outside 0..{n - 1}")
             if a in seen:
                 raise ValueError("cycles are not disjoint")
             seen.add(a)
@@ -142,16 +147,12 @@ class PermGroup:
         order, each sorted."""
         return tuple(tuple(sorted(t)) for t in self._transversals)
 
-    def sift(self, p):
-        """Strip p through the chain; returns (residue, level reached)."""
-        return _strip(tuple(p), self.base, self._transversals, 0)
-
     def contains(self, p):
         if len(p) != self.degree:
             raise DegreeMismatch(
                 f"permutation degree {len(p)} != group degree {self.degree}")
         check_perm(p)
-        residue, _ = self.sift(p)
+        residue, _ = _strip(tuple(p), self.base, self._transversals, 0)
         return is_identity(residue)
 
     def first_level(self):
@@ -178,7 +179,7 @@ def schreier_sims(generators, degree=None, order_bound=None,
     extending the base when it fixes all current base points.  A level's
     transversal is rebuilt only when a strong generator joined the level
     since its last build, and a representative is inverted at most once
-    per build of its level, on first use by the closure or a sift.  An
+    per build of its level, on first use by the closure or contains.  An
     initial base on which the generators are already strong leaves the
     closure nothing to add, but without an order bound every Schreier
     generator is still sifted; Aut(g) is therefore built on the IR
@@ -194,7 +195,7 @@ def schreier_sims(generators, degree=None, order_bound=None,
     The closure loop computes that product at each level it visits: once
     it equals the bound, every basic orbit is complete and the last
     stabiliser is trivial, so the partial chain is already a BSGS and the
-    build stops with exact order, sift and contains.  A product above the
+    build stops with exact order and contains.  A product above the
     bound raises OrderBoundExceeded, with the partial chain as its group.
     A bound that is never reached costs nothing: the build runs to full
     closure.

@@ -81,22 +81,18 @@ def lift_chain(lifted):
 
 class ForgedOrientation:
     """A stand-in for an Orientation as psi_isomorphism reads one: d's
-    graph, with is_head and head_of answered by the functions given (d's
-    own by default), in_adj[v] the neighbours x with is_head(v, x) and
-    out_adj[u] the neighbours v with head_of(u, v) == v.  It lets a test
-    break the premise that a check of psi rests on: that d is one
-    orientation, read alike wherever psi reads it (in_adj to choose the
-    images, out_adj to check the arcs)."""
+    graph, with in_adj[v] the neighbours x for which is_head(v, x) holds
+    (x in d.in_adj[v] by default) and out_adj the one given (d's by
+    default).  It lets a test break the premise that a check of psi rests
+    on: that d is one orientation, read alike wherever psi reads it
+    (in_adj to choose the images, out_adj to check the arcs)."""
 
-    def __init__(self, d, is_head=None, head_of=None):
+    def __init__(self, d, is_head=None, out_adj=None):
         g = self.graph = d.graph
-        self.is_head = is_head or d.is_head
-        self.head_of = head_of or d.head_of
-        self.in_adj = tuple(tuple(x for x in g.adj[v] if self.is_head(v, x))
+        is_head = is_head or (lambda v, x: x in d.in_adj[v])
+        self.in_adj = tuple(tuple(x for x in g.adj[v] if is_head(v, x))
                             for v in range(g.n))
-        self.out_adj = tuple(
-            tuple(v for v in g.adj[u] if self.head_of(u, v) == v)
-            for u in range(g.n))
+        self.out_adj = out_adj or d.out_adj
 
 
 def psi_faults():
@@ -113,8 +109,8 @@ def psi_faults():
       edges and w none, so the darts (0, C) and (C, 0) both map to u;
     - psi_preserves_adjacency: the natural orientation with the heads at
       u and w read reversed, so those two darts swap images;
-    - psi_orientation_compatible: the natural orientation, whose head_of
-      answers as its reverse, so every natural arc maps against it.
+    - psi_orientation_compatible: the natural orientation, whose out_adj
+      is its reverse's, so every natural arc maps against it.
     """
     g, natural, labeling = dart_graph(generalized_petersen(5, 2))
     dec = alternating_cycles(g, natural)
@@ -126,10 +122,10 @@ def psi_faults():
     u, w = (v for v in range(g.n) if dec.cycles_at_vertex[v] == pair)
 
     def one_head(v, x):
-        return v == u or (v != w and natural.is_head(v, x))
+        return v == u or (v != w and x in natural.in_adj[v])
 
     def swapped_heads(v, x):
-        return natural.is_head(v, x) != (v in (u, w))
+        return (x in natural.in_adj[v]) != (v in (u, w))
 
     return [
         ("psi_unique_head", g, mixed, dec),
@@ -138,7 +134,7 @@ def psi_faults():
         ("psi_preserves_adjacency", g,
          ForgedOrientation(natural, is_head=swapped_heads), dec),
         ("psi_orientation_compatible", g,
-         ForgedOrientation(natural, head_of=natural.reverse().head_of), dec),
+         ForgedOrientation(natural, out_adj=natural.reverse().out_adj), dec),
     ]
 
 
@@ -236,7 +232,7 @@ def unevenly_spaced():
     cycle, which no dart graph edge joins, so g is simple."""
     g, natural, _ = dart_graph(complete_graph(4))
     cycles = [list(c) for c in alternating_cycles(g, natural).cycles]
-    heads = [{x for x, y in zip(c, c[1:] + c[:1]) if natural.is_head(x, y)}
+    heads = [{x for x, y in zip(c, c[1:] + c[:1]) if y in natural.in_adj[x]}
              for c in cycles]
     cycles[0][0], cycles[0][2] = cycles[0][2], cycles[0][0]
     arcs = [(y, x) if x in heads[i] else (x, y)

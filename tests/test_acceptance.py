@@ -34,7 +34,7 @@ from hatkit.altcycles import (
     alternating_cycles,
     antipodal_involution,
     divisibility_checks,
-    induced_orientation,
+    half_arc_orientation,
 )
 from hatkit.dartgraph import (
     dart_graph,
@@ -75,7 +75,7 @@ def pipeline():
                 graph=dart, natural=natural, labeling=labeling,
                 lifted=lifted, forward=forward, dec=dec)
         if is_regular(g, 4) and report.half_arc_transitive:
-            d, _ = induced_orientation(group, g)
+            d = half_arc_orientation(g, report)
             item.hat_dec = alternating_cycles(g, d)
         items[entry.name] = item
     return SimpleNamespace(items=items, elapsed=time.perf_counter() - t0)
@@ -224,7 +224,7 @@ def test_criterion_6_divisibility(pipeline):
             tau = antipodal_involution(item.dart.graph, item.dart.dec,
                                        item.dart.lifted)
             t, h = next((t, h) for t, h in natural.arcs
-                        if natural.is_head(tau[t], tau[h]))
+                        if tau[t] in natural.out_adj[tau[h]])
             passed = []
             assert divisibility_checks(item.dart.dec, passed,
                                        ((t, h), (tau[t], tau[h]))) is None

@@ -35,7 +35,7 @@ from hatkit.records import replace
 from hatkit.autgroup import automorphism_group, canonical_form
 
 from conftest import (STRESS_GRAPHS, STRESS_NAMES, ForgedOrientation,
-                      path_graph, run_optimized)
+                      cycle_graph, path_graph, run_optimized)
 
 REQUIRED_CUBIC = (
     "k4", "k33", "cube", "petersen", "heawood", "mobius_kantor", "pappus",
@@ -106,6 +106,25 @@ def test_load_census_graph6_lines(tmp_path):
     entries = load_census(str(path))
     assert [e.name for e in entries] == ["line1", "line2"]
     assert entries[0].graph().n == 4
+
+
+@pytest.mark.parametrize("n", [28, 60])
+def test_graph6_census_led_by_bracket_size_byte(tmp_path, capsys, n):
+    """graph6 writes the sizes 28 and 60 as "[" and "{", the bytes that
+    open a JSON document: a line file led by such a graph (Coxeter's, a
+    60-cycle), with a header on a later line, is still read as graph6
+    and verifies."""
+    first = (next(e.graph() for e in builtin_entries() if e.name == "coxeter")
+             if n == 28 else cycle_graph(60))
+    path = tmp_path / "led.g6"
+    path.write_text(f"{write_graph6(first)}\n\n>>graph6<<C~\n",
+                    encoding="ascii")
+    assert path.read_text()[0] == {28: "[", 60: "{"}[n]
+    entries = load_census(str(path))
+    assert [e.name for e in entries] == ["line1", "line3"]
+    assert entries[0].graph() == first and entries[1].graph().n == 4
+    assert main(["verify", "all", "--strict", "--census", str(path)]) == 0
+    assert "PASS: 2 entries, suite=all" in capsys.readouterr().out
 
 
 def test_analyze_graph_holt(holt):
@@ -581,7 +600,7 @@ def test_verify_entry_builds_each_artefact_once(monkeypatch):
     of the reconstruction and builds no dart graph of it, and the cover
     suite reads the forward stage's), the induced orientations are
     proven from Aut(g)'s transitivity report, with no report of the lift
-    and no induced_orientation, and the dart and cover identifications
+    and no half_arc_orientation, and the dart and cover identifications
     are certified by the maps their constructions define, without an isomorphism search: the one
     automorphism search is Petersen's own."""
     calls = Counter()
@@ -591,7 +610,7 @@ def test_verify_entry_builds_each_artefact_once(monkeypatch):
                          (perms, "schreier_sims"),
                          (autgroup, "transitivity_report"),
                          (autgroup, "is_isomorphic"),
-                         (altcycles, "induced_orientation"),
+                         (altcycles, "half_arc_orientation"),
                          (altcycles, "alternating_cycles"),
                          (altcycles, "alt_graph")):
         fn = getattr(module, name)
@@ -613,7 +632,7 @@ def test_verify_entry_builds_each_artefact_once(monkeypatch):
     assert calls["transitivity_report"] == 1
     assert calls["is_isomorphic"] == 0
     assert autgroup._analysis.cache_info().misses == 1
-    assert calls["induced_orientation"] == 0
+    assert calls["half_arc_orientation"] == 0
     assert calls["alternating_cycles"] == 1
     assert calls["alt_graph"] == 1
 
@@ -973,10 +992,10 @@ def test_divisibility_full_group_check_reads_certified_orbits(monkeypatch):
             t, h = ast.literal_eval(arc)
             assert (t, h) in natural.arcs
             assert ast.literal_eval(image) == (tau[t], tau[h])
-            assert natural.is_head(tau[t], tau[h])
+            assert tau[t] in natural.out_adj[tau[h]]
         else:
             assert check["detail"] == "(r, a) = (3, 2)"
-            assert not any(natural.is_head(tau[t], tau[h])
+            assert not any(tau[t] in natural.out_adj[tau[h]]
                            for t, h in natural.arcs)
         gens = list(lifted.generators) + [tau]
         swept = autgroup.arc_orbits(gens, labeling.graph)
@@ -1192,11 +1211,11 @@ def _faulty_alternating_cycles(g, d):
 
 def _psi_heads_reversed(g, d, dec, _psi=cli.psi_isomorphism):
     """psi_isomorphism given, for Dart(Petersen), an orientation whose
-    head_of answers as d.reverse() (conftest.ForgedOrientation): psi's
+    out_adj is d.reverse()'s (conftest.ForgedOrientation): psi's
     images are d's, and every natural arc of the dart graph of the
     reconstruction maps against the heads it is checked on."""
     if g.n == 30:
-        d = ForgedOrientation(d, head_of=d.reverse().head_of)
+        d = ForgedOrientation(d, out_adj=d.reverse().out_adj)
     return _psi(g, d, dec)
 
 

@@ -27,12 +27,13 @@ from hatkit.graphs import (
     line_graph,
 )
 from hatkit.perms import compose, from_cycles, identity, schreier_sims
-from hatkit.autgroup import automorphism_group, canonical_form, is_isomorphic
+from hatkit.autgroup import (automorphism_group, canonical_form,
+                             is_isomorphic, transitivity_report)
 from hatkit.altcycles import (
     alt_graph,
     alternating_cycles,
     antipodal_involution,
-    induced_orientation,
+    half_arc_orientation,
 )
 from hatkit.census import builtin_entries, pgl2_graph
 from hatkit.dartgraph import dart_graph, lift_automorphisms, wreath_graph
@@ -873,7 +874,7 @@ def test_cover_pipeline_wrong_parameters(holt):
     """Holt's attachment is odd, so it has no antipodal involution: the
     parameters are checked before tau, here the identity, is read."""
     group = automorphism_group(holt)
-    d, _ = induced_orientation(group, holt)
+    d = half_arc_orientation(holt, transitivity_report(group, holt))
     with pytest.raises(WrongParameters):
         cover_pipeline(holt, alternating_cycles(holt, d), group,
                        identity(holt.n))

@@ -29,7 +29,7 @@ from hatkit.graphs import (
 from hatkit.perms import compose, from_cycles, orbits, schreier_sims
 from hatkit.autgroup import automorphism_group, is_isomorphic, transitivity_report
 from hatkit.altcycles import (alt_graph, alternating_cycles,
-                              antipodal_involution, induced_orientation)
+                              antipodal_involution, half_arc_orientation)
 from hatkit.census import builtin_entries, pgl2_graph
 from hatkit import dartgraph
 from hatkit.dartgraph import (
@@ -96,7 +96,7 @@ def test_dart_reversal_k4(k4):
     assert all(tau[tau[i]] == i for i in range(12))
     # every natural arc maps to a reversed arc
     natural = labeling.orientation
-    assert all(natural.is_head(tau[t], tau[h]) for t, h in natural.arcs)
+    assert all(tau[t] in natural.out_adj[tau[h]] for t, h in natural.arcs)
 
 
 def test_dart_reversal_heawood_preserves_adjacency(heawood):
@@ -454,7 +454,7 @@ def reference_psi(g, d, dec):
     psi's adjacency on that graph's edges and its orientation on that
     orientation's arcs, in their order.  The reference for psi's tuple,
     checks and witnesses.  As psi_isomorphism does, it chooses the images
-    with d.is_head and checks the arcs with d.head_of, which agree on any
+    with d.in_adj and checks the arcs with d.out_adj, which agree on any
     Orientation."""
     lam = dec.cycle_graph
     dart, natural, labeling = dart_graph(lam)
@@ -466,8 +466,8 @@ def reference_psi(g, d, dec):
     def heads_both_on(c, v):
         cyc = dec.cycles[c]
         p = positions[c][v]
-        return (d.is_head(v, cyc[(p - 1) % len(cyc)])
-                and d.is_head(v, cyc[(p + 1) % len(cyc)]))
+        return (cyc[(p - 1) % len(cyc)] in d.in_adj[v]
+                and cyc[(p + 1) % len(cyc)] in d.in_adj[v])
 
     psi, fault = [], ""
     for i, (c1, c2) in enumerate(labeling.darts):
@@ -489,7 +489,7 @@ def reference_psi(g, d, dec):
     fault = edge_map_fault(psi, dart, g)
     check(checks, "psi_preserves_adjacency", not fault, fault)
     arc = next((a for a in natural.arcs
-                if d.head_of(psi[a[0]], psi[a[1]]) != psi[a[1]]), None)
+                if psi[a[1]] not in d.out_adj[psi[a[0]]]), None)
     check(checks, "psi_orientation_compatible", arc is None,
           "" if arc is None else f"natural arc {arc} maps against d")
     return psi, tuple(checks)
@@ -583,28 +583,29 @@ def test_psi_witnesses_match_reference_on_seeded_faults(name):
         kind = trial % 4
         if kind == 0:
             edges = set(rng.sample(g.edges, 2))
-            d = ForgedOrientation(natural, head_of=lambda u, v: (
-                u + v - natural.head_of(u, v)
-                if (min(u, v), max(u, v)) in edges else natural.head_of(u, v)))
+            d = ForgedOrientation(natural, out_adj=tuple(
+                tuple(v for v in g.adj[u] if (v in natural.out_adj[u]) != (
+                    (min(u, v), max(u, v)) in edges))
+                for u in range(g.n)))
         else:
             chosen = rng.sample(pairs, 1 + trial % 3)
             ends = {v for v in range(g.n)
                     if dec.cycles_at_vertex[v] in chosen}
             if kind == 1:
                 def is_head(v, x):
-                    return natural.is_head(v, x) != (v in ends)
+                    return (x in natural.in_adj[v]) != (v in ends)
             elif kind == 2:
                 first = {min(v for v in range(g.n)
                              if dec.cycles_at_vertex[v] == p) for p in chosen}
 
                 def is_head(v, x):
                     return v in first or (v not in ends
-                                          and natural.is_head(v, x))
+                                          and x in natural.in_adj[v])
             else:
                 flipped = set(rng.sample(g.edges, 1 + trial % 3))
 
                 def is_head(v, x):
-                    return natural.is_head(v, x) != (
+                    return (x in natural.in_adj[v]) != (
                         (min(v, x), max(v, x)) in flipped)
             d = ForgedOrientation(natural, is_head=is_head)
         with pytest.raises(StructureViolation) as reference:
@@ -705,7 +706,8 @@ def test_forged_dart_stage_fails_a_named_check(monkeypatch, optimize):
 
 
 def test_psi_wrong_parameters(holt):
-    d, _ = induced_orientation(automorphism_group(holt), holt)
+    d = half_arc_orientation(
+        holt, transitivity_report(automorphism_group(holt), holt))
     with pytest.raises(WrongParameters):
         psi_isomorphism(holt, d, alternating_cycles(holt, d))
 

@@ -8,7 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hatkit.errors import (DuplicateEdge, EmptyEdgeSet, LoopEdge,
-                           StructureViolation, VertexOutOfRange, check_fault)
+                           NotPermutation, StructureViolation,
+                           VertexOutOfRange, check_fault)
 from hatkit.graphs import (
     bipartite_double,
     from_edge_list,
@@ -407,8 +408,18 @@ def test_check_isomorphism_petersen(petersen):
 
 
 def test_relabel_checks_bijection(k4):
-    with pytest.raises(ValueError):
-        relabel(k4, (0, 0, 1, 2))
+    """A relabeling that is no bijection is NotPermutation, a ValueError,
+    naming the repeated or out-of-range image, or both lengths."""
+    for perm, witness in [
+            ((0, 0, 1, 2), "image 0 of 1 repeats the image of 0"),
+            ((0, 1, 2, 4), "image 4 of 3 lies outside 0..3"),
+            ((0, 1, -1, 2), "image -1 of 2 lies outside 0..3"),
+            ((0, 1, 2), "relabeling has 3 images for 4 vertices"),
+            ((0, 1, 2, 3, 4), "relabeling has 5 images for 4 vertices")]:
+        with pytest.raises(ValueError) as info:
+            relabel(k4, perm)
+        assert isinstance(info.value, NotPermutation)
+        assert str(info.value).endswith(witness)
     assert relabel(k4, (3, 2, 1, 0)) == k4
 
 

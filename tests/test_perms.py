@@ -11,6 +11,7 @@ from hatkit.altcycles import alternating_cycles, antipodal_involution
 from hatkit.census import builtin_entries
 from hatkit.errors import (
     DegreeMismatch,
+    NotPermutation,
     OrderBoundExceeded,
     VertexOutOfRange,
 )
@@ -48,6 +49,17 @@ def test_compose_convention():
     # left to right: 0 -> 1 under p, then 1 -> 2 under q
     assert compose(p, q)[0] == 2
     assert compose(p, identity(3)) == p
+
+
+@pytest.mark.parametrize("cycle", [(0, -1), (0, 5), (3,)])
+def test_from_cycles_names_point_outside_range(cycle):
+    """A point outside 0..n-1 is NotPermutation, a ValueError, naming the
+    point and its cycle, not a tuple with -1 in it or an IndexError."""
+    with pytest.raises(ValueError) as info:
+        from_cycles(3, [(1, 2), cycle])
+    assert isinstance(info.value, NotPermutation)
+    assert str(info.value) == (
+        f"point {cycle[-1]} of cycle {cycle} lies outside 0..2")
 
 
 def test_inverse_three_cycle():

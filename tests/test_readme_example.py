@@ -124,10 +124,37 @@ def test_stale_api_references_found():
             "`CoverReport.lifted_order`; `graphs.edge_map_fault`, "
             "`errors.check_fault(name, fault)`, `CoveringMap.fibre_map`, "
             "`PermGroup.basic_orbits`, `hatkit.census.census_json_text()`, "
-            "`dec.cycles[i]` and `report.checks` stay.")
+            "`dec.cycles[i]` and `report.checks` stay.  "
+            "`autgroup.refine`, `errors.InvalidPartition`, "
+            "`altcycles.induced_orientation`, `Orientation.head_of`, "
+            "`Orientation.is_head` and `PermGroup.sift` went too; "
+            "`altcycles.half_arc_orientation`, `Orientation.out_adj` and "
+            "`PermGroup.contains` stay.")
     references = api_references(text)
     assert "dec.cycles" not in references and "report.checks" not in references
     assert [name for name in references if not resolves(name)] == [
         "graphs.check_edge_map", "graphs.check_isomorphism",
         "PsiReport.checks", "DartForwardReport.checks",
-        "CoverReport.lifted_order"]
+        "CoverReport.lifted_order", "autgroup.refine",
+        "errors.InvalidPartition", "altcycles.induced_orientation",
+        "Orientation.head_of", "Orientation.is_head", "PermGroup.sift"]
+
+
+def test_public_api_pinned():
+    """hatkit's public names: a name added to or removed from the package
+    changes this list in the same diff."""
+    assert sorted(hatkit.__all__) == [
+        "AltDecomposition", "CensusEntry", "CoveringMap", "DartLabeling",
+        "Graph", "HatError", "Orientation", "PermGroup", "TransitivityReport",
+        "alt_graph", "altcycles", "alternating_cycles", "antipodal_involution",
+        "arc_orbits", "autgroup", "automorphism_group", "bipartite_double",
+        "builtin_entries", "canonical_form", "census", "centralizes",
+        "compose", "cover_pipeline", "covers", "dart_graph", "dartgraph",
+        "divisibility_checks", "errors", "from_cycles", "from_edge_list",
+        "girth", "graph6", "graphs", "identity", "induced_alt_action",
+        "inverse", "is_bipartite", "is_connected", "is_isomorphic",
+        "is_regular", "lift_automorphisms", "line_graph", "load_census",
+        "load_graph6_file", "parse_graph6", "perms", "psi_isomorphism",
+        "quotient_by_tau", "records", "relabel", "schreier_sims",
+        "split_certificate", "transitivity_report", "unit_partition",
+        "verify_dart_forward", "wreath_graph", "write_graph6"]

@@ -142,7 +142,7 @@ def test_replace_keeps_nothing_cached():
     assert replace(report, arc_orbit_count=0).arc_orbit_count == 0
     holt = next(e for e in builtin_entries() if e.name == "holt").graph()
     holt_report = transitivity_report(automorphism_group(holt), holt)
-    d, _ = half_arc_orientation(holt, holt_report)
+    d = half_arc_orientation(holt, holt_report)
     dec = alternating_cycles(holt, d)
     cycle_graph = dec.cycle_graph
     assert "cycle_graph" in vars(dec)
