@@ -11,9 +11,9 @@ from .graphs import (
     girth,
     is_bipartite,
     is_connected,
-    is_regular,
     line_graph,
     relabel,
+    valence,
 )
 from .graph6 import load_graph6_file, parse_graph6, write_graph6
 from .perms import (

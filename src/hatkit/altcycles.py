@@ -25,11 +25,12 @@ from .errors import (
     OddAttachment,
     OrientationInvalid,
     StructureViolation,
+    WrongParameters,
     check,
     check_fault,
 )
 from .graphs import (Graph, edge_map_fault, from_edge_list, is_connected,
-                     is_regular)
+                     valence)
 from .autgroup import transitivity_report
 from .perms import PermGroup, centralizes, orbits, schreier_sims
 from .records import Record
@@ -107,7 +108,7 @@ def half_arc_orientation(g: Graph, report) -> Orientation:
     the smallest arc.  It and its reverse, the paired orbit, are invariant
     under the action.
     """
-    if not is_regular(g, 4):
+    if valence(g) != 4:
         raise NotTetravalent("graph is not 4-valent")
     if not is_connected(g):
         raise NotConnected("graph is not connected")
@@ -150,6 +151,15 @@ class AltDecomposition(Record):
         """alt_graph of this decomposition, built on the first read and
         kept, so the stages that share a decomposition share it."""
         return alt_graph(self)
+
+
+def _require_3_2(dec: AltDecomposition, construction):
+    """WrongParameters unless dec has radius 3 and attachment 2, the one
+    pair the dart correspondence and the cover construction take."""
+    if (dec.radius, dec.attachment) != (3, 2):
+        raise WrongParameters(
+            f"(radius, attachment) = ({dec.radius}, {dec.attachment}), "
+            f"{construction} needs (3, 2)")
 
 
 def alternating_cycles(g: Graph, orientation: Orientation) -> AltDecomposition:

@@ -145,7 +145,7 @@ from .errors import (
     TooLarge,
     check_fault,
 )
-from .graphs import Graph, edge_map_fault, is_regular, relabel
+from .graphs import Graph, edge_map_fault, relabel, valence
 from .graph6 import _bit_layout, _encode
 from .records import Record
 from .perms import (
@@ -477,7 +477,7 @@ class _Search:
         root = _Partition(self.g.n, unit_partition(self.g))
         # every vertex of a regular graph has its k neighbours in the one
         # cell: the unit partition is already equitable
-        if len(set(self.g.degrees())) > 1:
+        if valence(self.g) is None:
             _refine_in_place(self.g, root)
         if root.target() is not None:
             cells = _split_by_spheres(self.g, root.partition())
@@ -802,15 +802,12 @@ def transitivity_report(group: PermGroup, g: Graph) -> TransitivityReport:
         len(arc_orbit_list) == 2
         and {(b, a) for a, b in arc_orbit_list[0]} == set(arc_orbit_list[1]))
 
-    if g.m and vertex_t and edge_t:
-        k = g.degree(0)
-        if k % 2 == 1 and is_regular(g, k):
-            # vertex- and edge-transitive on odd valence forces arc-transitive
-            if not arc_t:
-                raise StructureViolation(
-                    f"odd_valence_arc_transitive: {k}-valent, 1 vertex "
-                    f"orbit, edge-transitive, yet {len(arc_orbit_list)} "
-                    "arc orbits")
+    k = valence(g)
+    if k is not None and k % 2 and vertex_t and edge_t and not arc_t:
+        # vertex- and edge-transitive on odd valence forces arc-transitive
+        raise StructureViolation(
+            f"odd_valence_arc_transitive: {k}-valent, 1 vertex orbit, "
+            f"edge-transitive, yet {len(arc_orbit_list)} arc orbits")
 
     return TransitivityReport(
         vertex_transitive=vertex_t,

@@ -26,7 +26,7 @@ from .errors import (
     StructureViolation,
     TooLarge,
 )
-from .graphs import girth, is_bipartite, is_connected, line_graph
+from .graphs import girth, is_bipartite, is_connected, line_graph, valence
 from .graph6 import load_graph6_file, write_graph6
 from .autgroup import (_check_vertex_bound, automorphism_group,
                        transitivity_report)
@@ -52,8 +52,7 @@ class _EntryAnalysis:
 
     def __init__(self, g):
         self.g = g
-        degs = set(g.degrees())
-        self.valence = degs.pop() if len(degs) == 1 else None
+        self.valence = valence(g)
 
     @cached_property
     def group(self):
@@ -304,23 +303,22 @@ def _verify_entry(payload):
     return result
 
 
-def _emit(command, entries, out_path, as_json, **fields):
+def _emit(command, entries, out_path, **fields):
     """Write the report of a command, its entries ordered by name, as
-    JSON to out_path when given, and to stdout when as_json."""
+    JSON to out_path when given; returns the JSON text."""
     report = {"tool": "hatkit", "version": __version__, "command": command,
               "entries": sorted(entries, key=lambda r: r["name"]), **fields}
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    if as_json:
-        sys.stdout.write(text)
+    return text
 
 
 def _cmd_analyze(args):
     records = [analyze_graph(name, g)
                for name, g in _input_graphs(args.input, args.census)]
-    _emit("analyze", records, args.out, as_json=True)
+    sys.stdout.write(_emit("analyze", records, args.out))
     return 0
 
 
@@ -347,7 +345,7 @@ def _cmd_dart(args):
             record["note"] = str(exc)
         records.append(record)
         print(record["dart_graph6"])
-    _emit("dart", records, args.out, as_json=False)
+    _emit("dart", records, args.out)
     return 0
 
 
@@ -383,8 +381,8 @@ def _cmd_verify(args):
                      f"{context['last_check']})" if context else "")
             print(f"[FAIL] {result['name']}: error: {result['error']}{where}")
     passed = all(r["passed"] for r in results)
-    _emit("verify", results, args.out, as_json=args.json, suite=args.suite,
-          census=args.census, strict=args.strict, passed=passed,
+    _emit("verify", results, args.out, suite=args.suite, census=args.census,
+          strict=args.strict, passed=passed,
           failures=[r["name"] for r in results if not r["passed"]],
           elapsed_seconds=round(time.perf_counter() - t0, 3))
     print(f"{'PASS' if passed else 'FAIL'}: {len(results)} entries, "
@@ -423,29 +421,23 @@ def _build_parser():
                     "covers of tetravalent graphs")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--census", default="builtin",
+                        help="'builtin', census JSON, or graph6 file")
+    common.add_argument("--out", default=None, help="write JSON here")
+    graph_input = argparse.ArgumentParser(add_help=False, parents=[common])
+    graph_input.add_argument("input", help="census entry name or graph6 file")
 
-    p_analyze = sub.add_parser(
-        "analyze", help="symmetry and alternating-cycle report")
-    p_analyze.add_argument("input", help="census entry name or graph6 file")
-    p_analyze.add_argument("--census", default="builtin")
-    p_analyze.add_argument("--out", default=None, help="write JSON here")
-    p_analyze.set_defaults(func=_cmd_analyze)
+    sub.add_parser("analyze", parents=[graph_input],
+                   help="symmetry and alternating-cycle report"
+                   ).set_defaults(func=_cmd_analyze)
+    sub.add_parser("dart", parents=[graph_input],
+                   help="emit the dart graph of a cubic graph, with report"
+                   ).set_defaults(func=_cmd_dart)
 
-    p_dart = sub.add_parser(
-        "dart", help="emit the dart graph of a cubic graph, with report")
-    p_dart.add_argument("input", help="census entry name or graph6 file")
-    p_dart.add_argument("--census", default="builtin")
-    p_dart.add_argument("--out", default=None, help="write JSON here")
-    p_dart.set_defaults(func=_cmd_dart)
-
-    p_verify = sub.add_parser(
-        "verify", help="run a verification suite over a census")
+    p_verify = sub.add_parser("verify", parents=[common],
+                              help="run a verification suite over a census")
     p_verify.add_argument("suite", choices=SUITES + ("all",))
-    p_verify.add_argument("--census", default="builtin",
-                          help="'builtin', census JSON, or graph6 file")
-    p_verify.add_argument("--out", default=None, help="write JSON here")
-    p_verify.add_argument("--json", action="store_true",
-                          help="print the JSON report to stdout")
     p_verify.add_argument("--jobs", type=_job_count, default=1,
                           help="process entries in parallel")
     p_verify.add_argument("--strict", action="store_true",

@@ -27,7 +27,6 @@ from .errors import (
     OrderTooSmall,
     StructureViolation,
     TauInG,
-    WrongParameters,
     check,
     check_fault,
 )
@@ -42,7 +41,7 @@ from .graphs import (
 )
 from .records import Record
 from .autgroup import _check_automorphisms, arc_orbits
-from .altcycles import AltDecomposition, cycle_images
+from .altcycles import AltDecomposition, _require_3_2, cycle_images
 from .perms import PermGroup, centralizes, check_perm, orbits
 
 
@@ -326,10 +325,7 @@ def cover_pipeline(total: Graph, dec: AltDecomposition, group: PermGroup,
     """
     if getattr(group, "dart_cycles", None) is not dec:
         cycle_images(group, dec)
-    if dec.radius != 3 or dec.attachment != 2:
-        raise WrongParameters(
-            f"(radius, attachment) = ({dec.radius}, {dec.attachment}), "
-            "the cover construction needs (3, 2)")
+    _require_3_2(dec, "the cover construction")
     if total.n <= 12:
         raise OrderTooSmall(
             f"order {total.n} <= 12; the quotient degenerates")

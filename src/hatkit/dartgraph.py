@@ -27,14 +27,14 @@ from .errors import (
     OrientationInvalid,
     StructureViolation,
     TooSmall,
-    WrongParameters,
     check,
 )
-from .graphs import (Graph, from_edge_list, is_connected, is_regular,
-                     isomorphism_fault, non_edge_text)
+from .graphs import (Graph, from_edge_list, is_connected, isomorphism_fault,
+                     non_edge_text, valence)
 from .autgroup import TransitivityReport, _check_automorphisms
-from .altcycles import AltDecomposition, Orientation, alternating_cycles
-from .perms import PermGroup, check_perm
+from .altcycles import (AltDecomposition, Orientation, _require_3_2,
+                        alternating_cycles)
+from .perms import PermGroup, _check_element
 from .records import Record
 
 
@@ -70,7 +70,7 @@ def dart_graph(base: Graph):
     (u, v) tails the two 2-arcs to (v, w), w != u, and heads the two from
     (t, u), t != v.  A 2-arc missing from _darts fails
     lift_preserves_natural_orientation in verify_dart_forward."""
-    if not is_regular(base, 3):
+    if valence(base) != 3:
         raise NotCubic("dart graphs are built from cubic graphs only")
     if not is_connected(base):
         raise NotConnected("base graph is not connected")
@@ -110,10 +110,7 @@ class LiftedGroup:
         lies in G.  The dart reversal fails (1) at the second dart of
         vertex 0.  Each vertex has three darts and p is a bijection, so
         sigma in (1) is a permutation."""
-        if len(p) != self.degree:
-            raise DegreeMismatch(
-                f"permutation degree {len(p)} != group degree {self.degree}")
-        check_perm(p)
+        _check_element(p, self.degree)
         darts, index = self._labeling.darts, self._labeling.index
         sigma = [None] * self._group.degree
         for (u, _), image in zip(darts, p):
@@ -255,10 +252,7 @@ def psi_isomorphism(g: Graph, d: Orientation, dec: AltDecomposition):
     """
     if d.graph != g:
         raise OrientationInvalid("orientation belongs to a different graph")
-    if dec.radius != 3 or dec.attachment != 2:
-        raise WrongParameters(
-            f"(radius, attachment) = ({dec.radius}, {dec.attachment}), "
-            "the dart correspondence needs (3, 2)")
+    _require_3_2(dec, "the dart correspondence")
     # cubic by alt_graph_regular (ell = 2r/a = 3); each cycle has 6 vertices
     lam = dec.cycle_graph
     darts, _, two_arcs = _darts(lam)

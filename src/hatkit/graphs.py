@@ -176,8 +176,11 @@ def is_connected(g):
     return count == g.n
 
 
-def is_regular(g, k):
-    return all(len(row) == k for row in g.adj)
+def valence(g):
+    """The common degree of g's vertices, or None when the degrees differ
+    or g has no vertices."""
+    degrees = set(g.degrees())
+    return degrees.pop() if len(degrees) == 1 else None
 
 
 def _two_color(g):

@@ -44,6 +44,15 @@ def check_perm(p):
             first[x] = i
 
 
+def _check_element(p, degree):
+    """DegreeMismatch unless p has the given degree, then check_perm: the
+    check of a permutation argument against a group's degree."""
+    if len(p) != degree:
+        raise DegreeMismatch(
+            f"permutation degree {len(p)} != group degree {degree}")
+    check_perm(p)
+
+
 def compose(p, q) -> Perm:
     """Apply p, then q: the image of i is q[p[i]]."""
     if len(p) != len(q):
@@ -62,19 +71,21 @@ def inverse(p) -> Perm:
 
 
 def from_cycles(n, cycles) -> Perm:
-    """Permutation of 0..n-1 given as disjoint cycles, e.g. [(0, 1, 2)].
-    NotPermutation, a ValueError, names a point outside 0..n-1 and its
-    cycle."""
+    """Permutation of 0..n-1 given as disjoint cycles, e.g. [(0, 1, 2)];
+    an empty cycle moves nothing.  NotPermutation, a ValueError, names a
+    point outside 0..n-1 and its cycle, or a point that two cycles share
+    and both cycles (one cycle twice when it repeats the point)."""
     images = list(range(n))
-    seen = set()
+    seen = {}
     for cycle in cycles:
-        for a, b in zip(cycle, cycle[1:] + type(cycle)((cycle[0],))):
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
             if not 0 <= a < n:
                 raise NotPermutation(f"point {a} of cycle {cycle} lies "
                                      f"outside 0..{n - 1}")
             if a in seen:
-                raise ValueError("cycles are not disjoint")
-            seen.add(a)
+                raise NotPermutation(f"point {a} lies in both cycle "
+                                     f"{seen[a]} and cycle {cycle}")
+            seen[a] = cycle
             images[a] = b
     return tuple(images)
 
@@ -148,10 +159,7 @@ class PermGroup:
         return tuple(tuple(sorted(t)) for t in self._transversals)
 
     def contains(self, p):
-        if len(p) != self.degree:
-            raise DegreeMismatch(
-                f"permutation degree {len(p)} != group degree {self.degree}")
-        check_perm(p)
+        _check_element(p, self.degree)
         residue, _ = _strip(tuple(p), self.base, self._transversals, 0)
         return is_identity(residue)
 
@@ -206,9 +214,7 @@ def schreier_sims(generators, degree=None, order_bound=None,
             raise ValueError("degree is required for an empty generating set")
         degree = len(gens[0])
     for g in gens:
-        if len(g) != degree:
-            raise DegreeMismatch(f"generator degree {len(g)} != {degree}")
-        check_perm(g)
+        _check_element(g, degree)
     base = list(base)
     for b in base:
         if not 0 <= b < degree:
@@ -332,8 +338,5 @@ def orbits(items, generators, act):
 def centralizes(p, group: PermGroup) -> bool:
     """True when the permutation p commutes with every generator of the
     group (NotPermutation when p is none)."""
-    if len(p) != group.degree:
-        raise DegreeMismatch(
-            f"permutation degree {len(p)} != group degree {group.degree}")
-    check_perm(p)
+    _check_element(p, group.degree)
     return all(compose(p, s) == compose(s, p) for s in group.generators)

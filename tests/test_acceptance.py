@@ -18,8 +18,8 @@ from hatkit.graphs import (
     from_edge_list,
     girth,
     is_bipartite,
-    is_regular,
     line_graph,
+    valence,
 )
 from hatkit.graph6 import parse_graph6, write_graph6
 from hatkit.perms import compose, schreier_sims
@@ -66,7 +66,7 @@ def pipeline():
         report = transitivity_report(group, g)
         item = SimpleNamespace(entry=entry, graph=g, group=group,
                                report=report, dart=None)
-        if is_regular(g, 3) and report.two_arc_transitive:
+        if valence(g) == 3 and report.two_arc_transitive:
             dart, natural, labeling = dart_graph(g)
             lifted = lift_automorphisms(g, group, labeling)
             forward = verify_dart_forward(g, group, report)
@@ -74,7 +74,7 @@ def pipeline():
             item.dart = SimpleNamespace(
                 graph=dart, natural=natural, labeling=labeling,
                 lifted=lifted, forward=forward, dec=dec)
-        if is_regular(g, 4) and report.half_arc_transitive:
+        if valence(g) == 4 and report.half_arc_transitive:
             d = half_arc_orientation(g, report)
             item.hat_dec = alternating_cycles(g, d)
         items[entry.name] = item

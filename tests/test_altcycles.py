@@ -14,7 +14,7 @@ from hatkit.errors import (
     OrientationInvalid,
     StructureViolation,
 )
-from hatkit.graphs import from_edge_list, is_connected, is_regular, line_graph
+from hatkit.graphs import from_edge_list, is_connected, line_graph, valence
 from hatkit.perms import compose, identity, schreier_sims
 from hatkit.autgroup import (automorphism_group, is_isomorphic,
                              transitivity_report)
@@ -131,6 +131,11 @@ def test_induced_orientation_errors(petersen, k4):
     with pytest.raises(NotHalfArcTransitive):
         half_arc_orientation(lg, transitivity_report(automorphism_group(lg),
                                                      lg))
+    # the order-0 graph has no valence, so it is not vacuously tetravalent
+    empty = from_edge_list(0, [])
+    with pytest.raises(NotTetravalent):
+        half_arc_orientation(empty, transitivity_report(
+            automorphism_group(empty), empty))
     two_k5 = from_edge_list(10, [(u, v) for u, v in circulant_k5()[0].edges]
                             + [(u + 5, v + 5) for u, v in circulant_k5()[0].edges])
     with pytest.raises(NotConnected):
@@ -172,7 +177,7 @@ def test_forward_wreath_radius_two():
     assert dec.radius == 2 and dec.attachment == 2 and dec.ell == 2
     assert dec.tightly_attached     # a = r
     altg = alt_graph(dec)
-    assert is_regular(altg, 2) and is_connected(altg)
+    assert valence(altg) == 2 and is_connected(altg)
     assert is_isomorphic(altg, cycle_graph(5)) is not None
 
 
@@ -747,7 +752,7 @@ def half_arc_orientations():
     the two wreath orientations, with the trivial group."""
     out = []
     bases = [(e.name, e.graph()) for e in builtin_entries()
-             if is_regular(e.graph(), 3)]
+             if valence(e.graph()) == 3]
     bases += [("dyck", STRESS_GRAPHS[1]()), ("foster", STRESS_GRAPHS[-1]())]
     for name, base in bases:
         g, natural, _, lifted = dart_with_lift(base)

@@ -28,7 +28,7 @@ from hatkit.errors import WrongParameters
 import hatkit
 from hatkit import altcycles, autgroup, cli, covers, dartgraph, graphs, perms
 from hatkit.cli import main, analyze_graph
-from hatkit.graphs import girth, is_connected, is_regular, relabel
+from hatkit.graphs import girth, is_connected, relabel, valence
 from hatkit.graph6 import parse_graph6, write_graph6
 from hatkit.perms import identity
 from hatkit.records import replace
@@ -86,7 +86,7 @@ def test_all_entries_parse_and_connect():
         g = entry.graph()
         names.add(entry.name)
         assert is_connected(g)
-        assert is_regular(g, entry.expected["valence"])
+        assert valence(g) == entry.expected["valence"]
         assert g.n == entry.expected["vertices"]
     assert {"k4", "k33", "cube", "petersen", "heawood", "mobius_kantor",
             "pappus", "desargues", "dodecahedron", "nauru", "coxeter",
@@ -280,7 +280,7 @@ def test_cli_dart_k4(capsys, tmp_path):
     assert main(["dart", "k4", "--out", str(out)]) == 0
     printed = capsys.readouterr().out.strip().splitlines()
     g = parse_graph6(printed[0])
-    assert g.n == 12 and is_regular(g, 4)
+    assert g.n == 12 and valence(g) == 4
     report = json.loads(out.read_text())
     assert report["entries"][0]["report"]["radius"] == 3
 
@@ -322,7 +322,7 @@ def test_pgl2_entries_verify_strict(p, tmp_path, capsys):
     their entries pass `verify all --strict`."""
     entry = pgl2_entry(p)
     g = entry.graph()
-    assert is_connected(g) and is_regular(g, 3)
+    assert is_connected(g) and valence(g) == 3
     assert g.n == p * (p * p - 1) // 6 == entry.expected["vertices"]
     assert automorphism_group(g).order == p * (p * p - 1) == \
         entry.expected["aut_order"]
@@ -350,6 +350,61 @@ def test_pgl2_graph_rejects_other_p(p):
 
 def test_builtin_census_has_no_pgl2_entry():
     assert not any(e.name.startswith("pgl2") for e in builtin_entries())
+
+
+def test_cli_order_zero_has_no_valence(tmp_path, capsys):
+    """The order-0 graph is cubic nowhere: dart rejects it as input, with
+    one error line and no traceback, while analyze and verify all report
+    it as before, a connected graph of no valence that no suite runs on."""
+    path = tmp_path / "empty.g6"
+    path.write_text("?\n", encoding="ascii")
+    assert main(["dart", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: dart graphs are built from cubic graphs only\n")
+    assert main(["analyze", str(path)]) == 0
+    record, = json.loads(capsys.readouterr().out)["entries"]
+    assert record == {
+        "alternating": None, "aut_order": "1", "bipartite": True,
+        "connected": True, "girth": None, "graph6": "?",
+        "name": f"{path}:1", "order": 0, "regular_valence": None, "size": 0,
+        "transitivity": {"arc_orbit_count": 0, "arc_transitive": True,
+                         "edge_transitive": True, "half_arc_transitive": False,
+                         "two_arc_transitive": True,
+                         "vertex_transitive": True}}
+    out = tmp_path / "verify.json"
+    assert main(["verify", "all", "--strict", "--census", str(path),
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    entry, = json.loads(out.read_text())["entries"]
+    assert (entry["name"], entry["error"], entry["passed"]) == (
+        "line1", None, True)
+    assert [(c["check"], c["detail"]) for c in entry["checks"]] == [
+        ("dart:applicable", "skipped: not a 2-arc-transitive cubic graph"),
+        ("cover:applicable", "skipped: not a 2-arc-transitive cubic graph"),
+        ("div:applicable",
+         "skipped: no analyzed half-arc-transitive structure")]
+
+
+@pytest.mark.parametrize("argv", [["analyze", "k4"], ["dart", "k4"],
+                                  ["verify", "all"]])
+def test_cli_common_options(argv):
+    """--census and --out are declared once for every subcommand, and
+    input once for analyze and dart, with the same defaults."""
+    parser = cli._build_parser()
+    args = parser.parse_args(argv)
+    assert (args.census, args.out) == ("builtin", None)
+    args = parser.parse_args(argv + ["--census", "c.json", "--out", "r.json"])
+    assert (args.census, args.out) == ("c.json", "r.json")
+    assert getattr(args, "input", "k4") == "k4"
+
+
+def test_cli_verify_json_is_usage_error(capsys):
+    """verify --json, which printed its report between the check lines and
+    the summary, is gone: --out writes the report."""
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "all", "--json"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --json" in capsys.readouterr().err
 
 
 def test_cli_dart_rejects_non_cubic(tmp_path, capsys):
@@ -904,17 +959,15 @@ def test_verify_entry_bounds_only_proven_builds(monkeypatch):
     assert bases[10, 120]
 
 
-def test_cli_verify_deterministic_report(mini_census, capsys):
+def test_cli_verify_deterministic_report(mini_census, tmp_path):
     outputs = []
-    for _ in range(2):
+    for run in range(2):
+        out = tmp_path / f"report{run}.json"
         code = main(["verify", "dart-theorem", "--census", mini_census,
-                     "--json"])
+                     "--out", str(out)])
         assert code == 0
-        text = capsys.readouterr().out
-        json_start = text.index("{")
-        json_end = text.rindex("}") + 1
         outputs.append(json.dumps(
-            _strip_timing(json.loads(text[json_start:json_end])),
+            _strip_timing(json.loads(out.read_text(encoding="utf-8"))),
             sort_keys=True))
     assert outputs[0] == outputs[1]
 
@@ -926,7 +979,7 @@ def test_cli_verify_parallel_jobs(mini_census, capsys):
 
 
 def test_cli_verify_jobs_capped_at_entry_count(mini_census, tmp_path,
-                                              capsys, serial_pool):
+                                              serial_pool):
     """A fork-started pool launches all of its workers at once, so verify
     asks for at most one worker per entry, and for no pool when one
     worker would do.  A fake executor records max_workers and maps
@@ -936,13 +989,13 @@ def test_cli_verify_jobs_capped_at_entry_count(mini_census, tmp_path,
     single.write_text(json.dumps({"entries": MINI["entries"][:1]}),
                       encoding="utf-8")
     reports = {}
+    out = tmp_path / "report.json"
     for census, jobs in ((mini_census, "1"), (mini_census, "1000"),
                          (str(single), "1"), (str(single), "8")):
         assert main(["verify", "divisibility", "--census", census,
-                     "--jobs", jobs, "--json"]) == 0
-        out = capsys.readouterr().out
+                     "--jobs", jobs, "--out", str(out)]) == 0
         reports[census, jobs] = _strip_timing(json.loads(
-            out[out.index("{"):out.rindex("}") + 1]))
+            out.read_text(encoding="utf-8")))
     assert asked == [2]
     assert reports[mini_census, "1000"] == reports[mini_census, "1"]
     assert reports[str(single), "8"] == reports[str(single), "1"]

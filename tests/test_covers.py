@@ -23,8 +23,8 @@ from hatkit.graphs import (
     bipartite_double,
     from_edge_list,
     girth,
-    is_regular,
     line_graph,
+    valence,
 )
 from hatkit.perms import compose, from_cycles, identity, schreier_sims
 from hatkit.autgroup import (automorphism_group, canonical_form,
@@ -315,7 +315,7 @@ def test_covering_fault_passes_every_cubic_dart_graph():
 def test_quotient_dart_petersen(petersen):
     g, lifted, tau = antipodal_of(petersen)
     cover = quotient_by_tau(g, tau)
-    assert cover.base.n == 15 and is_regular(cover.base, 4)
+    assert cover.base.n == 15 and valence(cover.base) == 4
     assert girth(cover.base) == 3
     assert not covering_fault(g, cover.base, cover.fibre_map)
     assert is_isomorphic(cover.base, line_graph(petersen)[0]) is not None
@@ -875,9 +875,11 @@ def test_cover_pipeline_wrong_parameters(holt):
     parameters are checked before tau, here the identity, is read."""
     group = automorphism_group(holt)
     d = half_arc_orientation(holt, transitivity_report(group, holt))
-    with pytest.raises(WrongParameters):
+    with pytest.raises(WrongParameters) as info:
         cover_pipeline(holt, alternating_cycles(holt, d), group,
                        identity(holt.n))
+    assert str(info.value) == ("(radius, attachment) = (9, 9), "
+                               "the cover construction needs (3, 2)")
 
 
 def test_cover_pipeline_rejects_group_moving_cycles():

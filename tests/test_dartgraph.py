@@ -6,11 +6,13 @@ from pathlib import Path
 import pytest
 
 from hatkit.errors import (
+    DegreeMismatch,
     Not2ArcTransitive,
     check,
     NotAutomorphisms,
     NotConnected,
     NotCubic,
+    NotPermutation,
     OrientationInvalid,
     StructureViolation,
     TooSmall,
@@ -23,10 +25,10 @@ from hatkit.graphs import (
     girth,
     is_connected,
     is_bipartite,
-    is_regular,
     line_graph,
+    valence,
 )
-from hatkit.perms import compose, from_cycles, orbits, schreier_sims
+from hatkit.perms import compose, from_cycles, identity, orbits, schreier_sims
 from hatkit.autgroup import automorphism_group, is_isomorphic, transitivity_report
 from hatkit.altcycles import (alt_graph, alternating_cycles,
                               antipodal_involution, half_arc_orientation)
@@ -49,7 +51,7 @@ from conftest import (STRESS_GRAPHS, STRESS_NAMES, ForgedOrientation,
 def test_dart_counts_k4(k4):
     g, orientation, labeling = dart_graph(k4)
     assert g.n == 12 and g.m == 24
-    assert is_regular(g, 4) and girth(g) == 3
+    assert valence(g) == 4 and girth(g) == 3
     assert len(labeling.darts) == 12
 
 
@@ -138,6 +140,12 @@ def test_lifted_membership_and_orbits(k4):
     lifted = lift_automorphisms(k4, group, labeling)
     tau = reversed_darts(labeling)
     assert not lifted.contains(tau)
+    # a dart permutation is checked as every group's argument is
+    with pytest.raises(DegreeMismatch) as info:
+        lifted.contains(identity(13))
+    assert str(info.value) == "permutation degree 13 != group degree 12"
+    with pytest.raises(NotPermutation):
+        lifted.contains((1,) + identity(12)[1:])
     assert orbits(range(12), lift_chain(lifted).generators, getitem) == [
         tuple(range(12))]
 
@@ -433,7 +441,7 @@ def test_psi_round_trip_pappus(pappus):
 
 
 @pytest.mark.parametrize("name", [e.name for e in builtin_entries()
-                                  if is_regular(e.graph(), 3)])
+                                  if valence(e.graph()) == 3])
 def test_psi_of_reversed_orientation_follows_dart_reversal(name):
     """Both induced orientations have the same alternating cycles; psi
     built from the reverse is psi after the dart reversal of the dart
@@ -708,8 +716,10 @@ def test_forged_dart_stage_fails_a_named_check(monkeypatch, optimize):
 def test_psi_wrong_parameters(holt):
     d = half_arc_orientation(
         holt, transitivity_report(automorphism_group(holt), holt))
-    with pytest.raises(WrongParameters):
+    with pytest.raises(WrongParameters) as info:
         psi_isomorphism(holt, d, alternating_cycles(holt, d))
+    assert str(info.value) == ("(radius, attachment) = (9, 9), "
+                               "the dart correspondence needs (3, 2)")
 
 
 def test_psi_rejects_orientation_of_another_graph(k4, petersen):
@@ -721,7 +731,7 @@ def test_psi_rejects_orientation_of_another_graph(k4, petersen):
 
 def test_wreath_octahedron():
     w3 = wreath_graph(3)
-    assert w3.n == 6 and w3.m == 12 and is_regular(w3, 4)
+    assert w3.n == 6 and w3.m == 12 and valence(w3) == 4
     octahedron = from_edge_list(
         6, [(a, b) for a, b in combinations(range(6), 2)
             if {a, b} not in ({0, 1}, {2, 3}, {4, 5})])

@@ -16,11 +16,11 @@ from hatkit.graphs import (
     girth,
     is_bipartite,
     is_connected,
-    is_regular,
     isomorphism_fault,
     line_graph,
     parts_or_odd_walk,
     relabel,
+    valence,
 )
 from hatkit.autgroup import automorphism_group, is_isomorphic
 from hatkit.perms import orbits
@@ -65,7 +65,7 @@ def test_from_edge_list_path():
 
 
 def test_from_edge_list_k4(k4):
-    assert is_regular(k4, 3)
+    assert valence(k4) == 3
     assert k4.m == 6
 
 
@@ -98,9 +98,22 @@ def test_graph_equality_and_hash(k4):
 
 def test_predicates_k4(k4):
     assert is_connected(k4)
-    assert is_regular(k4, 3)
+    assert valence(k4) == 3
     assert is_bipartite(k4) is None
     assert girth(k4) == 3
+
+
+@pytest.mark.parametrize("g, k", [
+    (from_edge_list(0, []), None),          # no vertices, no valence
+    (from_edge_list(1, []), 0),
+    (from_edge_list(2, [(0, 1)]), 1),
+    (path_graph(3), None),                  # degrees 1, 2, 1
+    (cycle_graph(5), 2),
+])
+def test_valence(g, k):
+    """The common degree, or None when the degrees differ or there are no
+    vertices: the order-0 graph is cubic nowhere."""
+    assert valence(g) == k
 
 
 def test_predicates_k33(k33):
@@ -227,13 +240,13 @@ def test_girth_stops_at_first_triangle():
 
 def test_line_graph_cycle():
     lg, labels = line_graph(cycle_graph(5))
-    assert lg.n == 5 and is_regular(lg, 2) and is_connected(lg)
+    assert lg.n == 5 and valence(lg) == 2 and is_connected(lg)
     assert len(labels) == 5
 
 
 def test_line_graph_k4_is_octahedron(k4):
     lg, _ = line_graph(k4)
-    assert lg.n == 6 and is_regular(lg, 4) and girth(lg) == 3
+    assert lg.n == 6 and valence(lg) == 4 and girth(lg) == 3
     octahedron = from_edge_list(
         6, [(a, b) for a, b in combinations(range(6), 2)
             if {a, b} not in ({0, 1}, {2, 3}, {4, 5})])
@@ -242,7 +255,7 @@ def test_line_graph_k4_is_octahedron(k4):
 
 def test_line_graph_petersen(petersen):
     lg, labels = line_graph(petersen)
-    assert lg.n == 15 and is_regular(lg, 4)
+    assert lg.n == 15 and valence(lg) == 4
     assert labels == petersen.edges
 
 
@@ -334,7 +347,7 @@ def test_from_edge_list_reads_any_pair():
 
 def test_bipartite_double_c5():
     double = bipartite_double(cycle_graph(5))
-    assert double.n == 10 and is_regular(double, 2) and is_connected(double)
+    assert double.n == 10 and valence(double) == 2 and is_connected(double)
 
 
 def test_bipartite_double_k33_disconnects(k33):
@@ -349,7 +362,7 @@ def test_bipartite_double_k33_disconnects(k33):
 
 def test_bipartite_double_k4_is_cube(k4):
     double = bipartite_double(k4)
-    assert double.n == 8 and is_regular(double, 3) and is_connected(double)
+    assert double.n == 8 and valence(double) == 3 and is_connected(double)
     assert is_bipartite(double) is not None
     assert is_isomorphic(double, generalized_petersen(4, 1)) is not None
 

@@ -62,6 +62,26 @@ def test_from_cycles_names_point_outside_range(cycle):
         f"point {cycle[-1]} of cycle {cycle} lies outside 0..2")
 
 
+@pytest.mark.parametrize("cycles, text", [
+    ([(0, 1), (1, 2)], "point 1 lies in both cycle (0, 1) and cycle (1, 2)"),
+    ([(2, 0), (1,), (0, 1)],
+     "point 0 lies in both cycle (2, 0) and cycle (0, 1)"),
+    ([(0, 1, 0)], "point 0 lies in both cycle (0, 1, 0) and cycle (0, 1, 0)"),
+])
+def test_from_cycles_names_shared_point(cycles, text):
+    """Cycles that are not disjoint are NotPermutation, a ValueError,
+    naming a shared point and both of its cycles."""
+    with pytest.raises(ValueError) as info:
+        from_cycles(3, cycles)
+    assert isinstance(info.value, NotPermutation)
+    assert str(info.value) == text
+
+
+def test_from_cycles_empty_and_list_cycles():
+    """An empty cycle moves nothing, and a cycle may be a list."""
+    assert from_cycles(3, [(), [0, 1]]) == from_cycles(3, [(0, 1)]) == (1, 0, 2)
+
+
 def test_inverse_three_cycle():
     p = from_cycles(3, [(0, 1, 2)])
     assert inverse(p) == from_cycles(3, [(0, 2, 1)])
@@ -281,6 +301,25 @@ def test_membership():
     assert not g3.contains(from_cycles(3, [(0, 1)]))
     with pytest.raises(DegreeMismatch):
         g3.contains(identity(4))
+
+
+@pytest.mark.parametrize("check", [
+    lambda group, p: group.contains(p),
+    lambda group, p: centralizes(p, group),
+    lambda group, p: schreier_sims(group.generators + (p,)),
+], ids=["contains", "centralizes", "schreier_sims"])
+def test_permutation_argument_checked_once(check):
+    """A permutation argument of a group's degree is checked one way
+    everywhere: its degree first (DegreeMismatch), then check_perm
+    (NotPermutation naming the image)."""
+    group = schreier_sims([from_cycles(3, [(0, 1, 2)])])
+    with pytest.raises(DegreeMismatch) as info:
+        check(group, identity(4))
+    assert str(info.value) == "permutation degree 4 != group degree 3"
+    with pytest.raises(NotPermutation) as info:
+        check(group, (0, 0, 1))
+    assert str(info.value) == ("not a permutation: image 0 of 1 repeats "
+                               "the image of 0")
 
 
 def test_membership_random_products():

@@ -129,7 +129,8 @@ def test_stale_api_references_found():
             "`altcycles.induced_orientation`, `Orientation.head_of`, "
             "`Orientation.is_head` and `PermGroup.sift` went too; "
             "`altcycles.half_arc_orientation`, `Orientation.out_adj` and "
-            "`PermGroup.contains` stay.")
+            "`PermGroup.contains` stay.  `graphs.is_regular` went for "
+            "`graphs.valence`.")
     references = api_references(text)
     assert "dec.cycles" not in references and "report.checks" not in references
     assert [name for name in references if not resolves(name)] == [
@@ -137,7 +138,8 @@ def test_stale_api_references_found():
         "PsiReport.checks", "DartForwardReport.checks",
         "CoverReport.lifted_order", "autgroup.refine",
         "errors.InvalidPartition", "altcycles.induced_orientation",
-        "Orientation.head_of", "Orientation.is_head", "PermGroup.sift"]
+        "Orientation.head_of", "Orientation.is_head", "PermGroup.sift",
+        "graphs.is_regular"]
 
 
 def test_public_api_pinned():
@@ -153,8 +155,8 @@ def test_public_api_pinned():
         "divisibility_checks", "errors", "from_cycles", "from_edge_list",
         "girth", "graph6", "graphs", "identity", "induced_alt_action",
         "inverse", "is_bipartite", "is_connected", "is_isomorphic",
-        "is_regular", "lift_automorphisms", "line_graph", "load_census",
+        "lift_automorphisms", "line_graph", "load_census",
         "load_graph6_file", "parse_graph6", "perms", "psi_isomorphism",
         "quotient_by_tau", "records", "relabel", "schreier_sims",
         "split_certificate", "transitivity_report", "unit_partition",
-        "verify_dart_forward", "wreath_graph", "write_graph6"]
+        "valence", "verify_dart_forward", "wreath_graph", "write_graph6"]
