@@ -18,6 +18,7 @@ from operator import getitem
 from .errors import (
     AntipodeMismatch,
     DegenerateWreath,
+    DegreeMismatch,
     NotConnected,
     NotHalfArcTransitive,
     NotInvariant,
@@ -162,9 +163,9 @@ def _require_3_2(dec: AltDecomposition, construction):
             f"{construction} needs (3, 2)")
 
 
-def alternating_cycles(g: Graph, orientation: Orientation) -> AltDecomposition:
-    """Decompose the edge set into alternating cycles and verify every
-    structural invariant before returning.
+def alternating_cycles(orientation: Orientation) -> AltDecomposition:
+    """Decompose the edge set of orientation.graph into alternating cycles
+    and verify every structural invariant before returning.
 
     From an edge arriving at v, the walk continues along the unique other
     edge at v on which v plays the same role (head or tail).  Violations
@@ -174,8 +175,7 @@ def alternating_cycles(g: Graph, orientation: Orientation) -> AltDecomposition:
     with its witness: the orientation was not induced by a
     half-arc-transitive action.
     """
-    if orientation.graph != g:
-        raise OrientationInvalid("orientation belongs to a different graph")
+    g = orientation.graph
     # a walk meets the vertices alternately as heads and as tails, and it
     # leaves a tail along the out-arc it did not arrive by, so the walk of
     # arc (t, h) is the first to meet t as a tail
@@ -322,8 +322,14 @@ def antipodal_involution(g: Graph, dec: AltDecomposition, group: PermGroup):
     group (antipodal_centralizes, with a generator and a vertex at which
     the two do not commute, otherwise).  Of the group, only its degree
     and generators are read; cover_pipeline also reads its order and
-    contains, and passes a PermGroup or a dartgraph.LiftedGroup.
+    contains, and passes a PermGroup or a dartgraph.LiftedGroup.  dec
+    must decompose g: DegreeMismatch, with both numbers, unless it covers
+    g.n vertices.
     """
+    if len(dec.cycles_at_vertex) != g.n:
+        raise DegreeMismatch(f"the decomposition covers "
+                             f"{len(dec.cycles_at_vertex)} vertices, the "
+                             f"graph has {g.n}")
     if dec.attachment % 2:
         raise OddAttachment(
             f"attachment number {dec.attachment} is odd; antipodes do not "

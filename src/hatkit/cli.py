@@ -105,8 +105,7 @@ class _EntryAnalysis:
     @cached_property
     def half_arc_cycles(self):
         """Alternating cycles of a half-arc-transitive tetravalent graph."""
-        return alternating_cycles(
-            self.g, half_arc_orientation(self.g, self.report))
+        return alternating_cycles(half_arc_orientation(self.g, self.report))
 
 
 def analyze_graph(name, g):
@@ -190,7 +189,7 @@ def _dart_suite(analysis, checks, strict):
     labeling, _, dec, forward_checks = analysis.forward
     _engine_checks(checks, forward_checks)
     # verify_dart_forward certified the natural orientation as induced
-    _, psi_checks = psi_isomorphism(labeling.graph, labeling.orientation, dec)
+    _, psi_checks = psi_isomorphism(labeling.orientation, dec)
     _engine_checks(checks, psi_checks)
 
 

@@ -16,6 +16,7 @@ from functools import cached_property
 
 from .errors import (
     DegenerateWreath,
+    DegreeMismatch,
     FixedPoint,
     NotAutomorphisms,
     NotCentralizing,
@@ -171,12 +172,12 @@ def _quotient(total: Graph, tau) -> CoveringMap:
     return cover
 
 
-def split_certificate(total: Graph, group: PermGroup, tau,
-                      cover: CoveringMap):
+def split_certificate(group: PermGroup, tau, cover: CoveringMap):
     """Certify that <group, tau> = group x <tau> splits over <tau> and
-    decide sectionality.  Returns (sectional, odd_walk), odd_walk an odd
-    closed walk of a non-bipartite total graph and None for a bipartite
-    one, as graphs.parts_or_odd_walk gives it.
+    decide sectionality of the cover, whose total graph is cover.total.
+    Returns (sectional, odd_walk), odd_walk an odd closed walk of a
+    non-bipartite total graph and None for a bipartite one, as
+    graphs.parts_or_odd_walk gives it.
 
     Requires a connected total graph (NotConnected) and an involution tau
     (NotPermutation from centralizes, with the first image out of range
@@ -218,13 +219,14 @@ def split_certificate(total: Graph, group: PermGroup, tau,
             f"tau does not centralize the supplied group: generator {i} "
             f"does not commute with tau at vertex {x}")
     _check_involution(tau)
-    return _split(total, group, tau, cover)
+    return _split(group, tau, cover)
 
 
-def _split(total: Graph, group, tau, cover: CoveringMap):
+def _split(group, tau, cover: CoveringMap):
     """split_certificate past its checks of tau, for a tau that
     antipodal_involution certified an involution centralizing the group:
     cover_pipeline's path."""
+    total = cover.total
     if not is_connected(total):
         raise NotConnected("the total graph is not connected")
     if group.contains(tau):
@@ -294,9 +296,10 @@ def cover_pipeline(total: Graph, dec: AltDecomposition, group: PermGroup,
     certifies it a fixed-point-free involutory automorphism of total
     that centralizes the group; these facts are not tested again here,
     as quotient_by_tau and split_certificate test them for any other
-    caller.  Of the group, only its degree, generators, order and
-    contains are read, so a PermGroup and a dartgraph.LiftedGroup, which
-    keeps no chain, both serve.
+    caller, but dec and tau must have total's order (DegreeMismatch, with
+    the three numbers, otherwise).  Of the group, only its degree,
+    generators, order and contains are read, so a PermGroup and a
+    dartgraph.LiftedGroup, which keeps no chain, both serve.
     Bipartite inputs run through the same pipeline and certify sectional;
     non-bipartite inputs certify non-sectional.  Returns (cover,
     sectional, checks): the CoveringMap of the quotient by tau, whether
@@ -323,6 +326,10 @@ def cover_pipeline(total: Graph, dec: AltDecomposition, group: PermGroup,
     the generators' fibre images.  Neither the double of the base nor
     L(Lambda) is built (graphs.bipartite_double, graphs.line_graph).
     """
+    if not len(dec.cycles_at_vertex) == len(tau) == total.n:
+        raise DegreeMismatch(
+            f"the decomposition covers {len(dec.cycles_at_vertex)} vertices "
+            f"and tau has degree {len(tau)}, the graph has {total.n}")
     if getattr(group, "dart_cycles", None) is not dec:
         cycle_images(group, dec)
     _require_3_2(dec, "the cover construction")
@@ -330,7 +337,7 @@ def cover_pipeline(total: Graph, dec: AltDecomposition, group: PermGroup,
         raise OrderTooSmall(
             f"order {total.n} <= 12; the quotient degenerates")
     cover = _quotient(total, tau)
-    sectional, odd_walk = _split(total, group, tau, cover)
+    sectional, odd_walk = _split(group, tau, cover)
 
     checks = []
     bipartite = odd_walk is None

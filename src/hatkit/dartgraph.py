@@ -24,7 +24,6 @@ from .errors import (
     Not2ArcTransitive,
     NotConnected,
     NotCubic,
-    OrientationInvalid,
     StructureViolation,
     TooSmall,
     check,
@@ -46,18 +45,17 @@ class DartLabeling(Record):
     graph: Graph
     orientation: Orientation
     darts: tuple
-    index: dict
 
 
 def _darts(base: Graph):
-    """(darts, index, two_arcs) of a cubic graph: its arcs in
-    lexicographic order, each arc's position in darts, and its 2-arcs
-    ((u, v), (v, w)) with w != u as pairs of positions, by first dart."""
+    """(darts, two_arcs) of a cubic graph: its arcs in lexicographic
+    order, so that dart (u, v) is darts[3 u + adj[u].index(v)], and its
+    2-arcs ((u, v), (v, w)) with w != u as pairs of positions, by first
+    dart."""
     darts = tuple((u, v) for u in range(base.n) for v in base.adj[u])
-    index = {d: i for i, d in enumerate(darts)}
-    two_arcs = [(i, index[v, w]) for i, (u, v) in enumerate(darts)
-                for w in base.adj[v] if w != u]
-    return darts, index, two_arcs
+    two_arcs = [(i, 3 * v + k) for i, (u, v) in enumerate(darts)
+                for k, w in enumerate(base.adj[v]) if w != u]
+    return darts, two_arcs
 
 
 def dart_graph(base: Graph):
@@ -74,11 +72,11 @@ def dart_graph(base: Graph):
         raise NotCubic("dart graphs are built from cubic graphs only")
     if not is_connected(base):
         raise NotConnected("base graph is not connected")
-    darts, index, arcs = _darts(base)
+    darts, arcs = _darts(base)
     g = from_edge_list(len(darts), arcs)
     orientation = Orientation._unchecked(g, arcs)
     labeling = DartLabeling(
-        base=base, graph=g, orientation=orientation, darts=darts, index=index)
+        base=base, graph=g, orientation=orientation, darts=darts)
     return g, orientation, labeling
 
 
@@ -111,7 +109,7 @@ class LiftedGroup:
         vertex 0.  Each vertex has three darts and p is a bijection, so
         sigma in (1) is a permutation."""
         _check_element(p, self.degree)
-        darts, index = self._labeling.darts, self._labeling.index
+        darts = self._labeling.darts
         sigma = [None] * self._group.degree
         for (u, _), image in zip(darts, p):
             tail = darts[image][0]
@@ -119,16 +117,18 @@ class LiftedGroup:
                 sigma[u] = tail
             elif sigma[u] != tail:
                 return False
-        if any(p[i] != index.get((sigma[u], sigma[v]))
-               for i, (u, v) in enumerate(darts)):
+        if any(darts[image] != (sigma[u], sigma[v])
+               for (u, v), image in zip(darts, p)):
             return False
         return self._group.contains(tuple(sigma))
 
 
-def lift_automorphisms(base: Graph, group: PermGroup,
+def lift_automorphisms(group: PermGroup,
                        labeling: DartLabeling) -> LiftedGroup:
-    """View base-graph automorphisms as dart-graph automorphisms via
-    g.(u,v) = (g(u), g(v)), as a LiftedGroup of order |group|.
+    """View automorphisms of labeling.base as dart-graph automorphisms via
+    g.(u,v) = (g(u), g(v)), as a LiftedGroup of order |group|.  The
+    labeling lists the darts as dart_graph does, so the image of dart
+    (u, v) is darts[3 g(u) + adj[g(u)].index(g(v))].
 
     The lift is faithful: if the lift of g fixes every dart (u, v), then
     g fixes every tail u, and every vertex of a cubic graph is a tail.
@@ -139,18 +139,19 @@ def lift_automorphisms(base: Graph, group: PermGroup,
     (lift_preserves_natural_orientation, with the generator index and
     the arc); a failure raises StructureViolation naming the check, also
     under python -O."""
+    base, darts = labeling.base, labeling.darts
     if group.degree != base.n:
         raise DegreeMismatch(
             f"group degree {group.degree} != base order {base.n}")
     _check_automorphisms(group.strong_generators, base)
-    tails = {u for u, _ in labeling.darts}
+    tails = {u for u, _ in darts}
     bare = next((u for u in range(base.n) if u not in tails), None)
     if bare is not None:
         raise StructureViolation(f"lift_faithful: base vertex {bare} is the "
                                  "tail of no dart")
     lifted = LiftedGroup(group, labeling, (
-        tuple(labeling.index[(gen[u], gen[v])] for (u, v) in labeling.darts)
-        for gen in group.strong_generators))
+        tuple(3 * s[u] + base.adj[s[u]].index(s[v]) for u, v in darts)
+        for s in group.strong_generators))
     out_adj = labeling.orientation.out_adj
     for i, gen in enumerate(lifted.generators):
         arc = next(((t, h) for t, h in labeling.orientation.arcs
@@ -204,15 +205,15 @@ def verify_dart_forward(base: Graph, group: PermGroup,
     if not report.two_arc_transitive:
         raise Not2ArcTransitive(
             "the supplied action on the base graph is not 2-arc-transitive")
-    g, natural, labeling = dart_graph(base)
-    lifted = lift_automorphisms(base, group, labeling)
+    _, natural, labeling = dart_graph(base)
+    lifted = lift_automorphisms(group, labeling)
     checks = []
     faithful = lifted.order == group.order
     check(checks, "dart_half_arc_transitive", faithful, "" if faithful else
           f"the lift has order {lifted.order}, the group {group.order}")
     # the natural orientation is induced by the proof above
     checks.append(("natural_orientation_induced", ""))
-    dec = alternating_cycles(g, natural)
+    dec = alternating_cycles(natural)
     values = f"(radius, attachment) = ({dec.radius}, {dec.attachment})"
     check(checks, "dart_radius_3", dec.radius == 3, values)
     check(checks, "dart_attachment_2", dec.attachment == 2, values)
@@ -225,20 +226,20 @@ def verify_dart_forward(base: Graph, group: PermGroup,
     return labeling, lifted, dec, tuple(checks)
 
 
-def psi_isomorphism(g: Graph, d: Orientation, dec: AltDecomposition):
+def psi_isomorphism(d: Orientation, dec: AltDecomposition):
     """The explicit isomorphism from the dart graph of the graph of
-    alternating cycles back onto g, for a half-arc-transitive action with
-    radius 3 and attachment 2.
+    alternating cycles back onto g = d.graph, for a half-arc-transitive
+    action with radius 3 and attachment 2.
 
-    d must be an orientation of g (OrientationInvalid otherwise) induced
-    by that action and dec its alternating cycles, as verify_dart_forward
-    certifies them.  The dart (C, C') maps to the unique vertex of the
-    two-point intersection of C and C' that heads both of its edges on C
-    in d.  Returns (mapping, checks); the mapping is indexed by
-    dart-graph vertices, in the order of dart_graph(dec.cycle_graph),
-    and verified to be an isomorphism that carries the natural
-    orientation onto d, and checks is the tuple of the (name, detail)
-    pairs of the checks made, in the order they were made.
+    d must be an orientation induced by that action and dec its
+    alternating cycles, as verify_dart_forward certifies them.  The dart
+    (C, C') maps to the unique vertex of the two-point intersection of C
+    and C' that heads both of its edges on C in d.  Returns (mapping,
+    checks); the mapping is indexed by dart-graph vertices, in the order
+    of dart_graph(dec.cycle_graph), and verified to be an isomorphism
+    that carries the natural orientation onto d, and checks is the tuple
+    of the (name, detail) pairs of the checks made, in the order they
+    were made.
     No dart graph is built: its edges, each in its natural direction,
     are the 2-arcs ((C1, C2), (C2, C3)) with C3 != C1 of the
     reconstruction, and these are checked against g and d.  A failed
@@ -250,12 +251,11 @@ def psi_isomorphism(g: Graph, d: Orientation, dec: AltDecomposition):
     mapping is compose(rev, mapping) for the dart reversal rev of the
     dart graph.
     """
-    if d.graph != g:
-        raise OrientationInvalid("orientation belongs to a different graph")
     _require_3_2(dec, "the dart correspondence")
+    g = d.graph
     # cubic by alt_graph_regular (ell = 2r/a = 3); each cycle has 6 vertices
     lam = dec.cycle_graph
-    darts, _, two_arcs = _darts(lam)
+    darts, two_arcs = _darts(lam)
 
     by_pair = {}
     for v, pair in enumerate(dec.cycles_at_vertex):

@@ -46,6 +46,12 @@ class NotPermutation(HatError, ValueError):
     catch ValueError from check_perm keep working."""
 
 
+class InvalidArgument(HatError, ValueError):
+    """An argument that schreier_sims cannot take: a base that repeats a
+    point, or an empty generating set without its degree.  Also a
+    ValueError, so callers that catch ValueError keep working."""
+
+
 class NotInvariant(HatError):
     """A block list is not permuted by the group, or a block is moved by
     an element that must fix it."""

@@ -12,6 +12,7 @@ from operator import itemgetter
 
 from .errors import (
     DegreeMismatch,
+    InvalidArgument,
     NotPermutation,
     OrderBoundExceeded,
     VertexOutOfRange,
@@ -30,8 +31,13 @@ def is_identity(p) -> bool:
 
 def check_perm(p):
     """NotPermutation unless p is a permutation of 0..len(p) - 1, naming
-    the first image that lies outside that range or repeats an earlier
-    one."""
+    the first image that is not an int, or else the first that lies
+    outside that range or repeats an earlier one.  An image such as 1.0
+    compares equal to an int but indexes nothing."""
+    bad = next((i for i, x in enumerate(p) if not isinstance(x, int)), None)
+    if bad is not None:
+        raise NotPermutation(f"not a permutation: image {p[bad]!r} of {bad} "
+                             "is not an int")
     if sorted(p) != list(range(len(p))):
         first = {}
         for i, x in enumerate(p):
@@ -181,7 +187,9 @@ def schreier_sims(generators, degree=None, order_bound=None,
                   base=()) -> PermGroup:
     """Deterministic Schreier-Sims: build a PermGroup with verified BSGS.
 
-    base, when given, lists initial base points, in order.  The closure
+    base, when given, lists initial base points, in order.
+    InvalidArgument, a ValueError, rejects a base that repeats a point
+    and an empty generating set given without degree.  The closure
     loop checks every Schreier generator of every level; a nontrivial sift
     residue becomes a new strong generator at the level it got stuck,
     extending the base when it fixes all current base points.  A level's
@@ -211,7 +219,8 @@ def schreier_sims(generators, degree=None, order_bound=None,
     gens = [tuple(g) for g in generators]
     if degree is None:
         if not gens:
-            raise ValueError("degree is required for an empty generating set")
+            raise InvalidArgument(
+                "degree is required for an empty generating set")
         degree = len(gens[0])
     for g in gens:
         _check_element(g, degree)
@@ -220,7 +229,7 @@ def schreier_sims(generators, degree=None, order_bound=None,
         if not 0 <= b < degree:
             raise VertexOutOfRange(f"base point {b} outside 0..{degree - 1}")
     if len(set(base)) != len(base):
-        raise ValueError(f"base {base} repeats a point")
+        raise InvalidArgument(f"base {base} repeats a point")
 
     seen = set()
     gens = [g for g in gens

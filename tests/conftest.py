@@ -64,11 +64,17 @@ def random_regular(rng, n, k=3):
             return from_edge_list(n, sorted(edges))
 
 
+def dart_index(labeling):
+    """Each dart's position in labeling.darts, looked up in a dict: the
+    test-side reference for the library's 3 u + adj[u].index(v)."""
+    return {d: i for i, d in enumerate(labeling.darts)}
+
+
 def reversed_darts(labeling):
     """The dart reversal (u, v) -> (v, u) on a dart graph's vertices: the
     reference that altcycles.antipodal_involution of the natural
     orientation's alternating cycles must equal."""
-    index = labeling.index
+    index = dart_index(labeling)
     return tuple(index[v, u] for u, v in labeling.darts)
 
 
@@ -113,8 +119,9 @@ def psi_faults():
       is its reverse's, so every natural arc maps against it.
     """
     g, natural, labeling = dart_graph(generalized_petersen(5, 2))
-    dec = alternating_cycles(g, natural)
-    step = [labeling.index[(i, (i + 1) % 5)] for i in range(5)]
+    dec = alternating_cycles(natural)
+    index = dart_index(labeling)
+    step = [index[(i, (i + 1) % 5)] for i in range(5)]
     flip = {(step[i], step[(i + 1) % 5]) for i in range(5)}
     mixed = Orientation(g, [(h, t) if (t, h) in flip else (t, h)
                             for t, h in natural.arcs])
@@ -196,7 +203,7 @@ def alt_faults():
     triangle = from_edge_list(3, [(0, 1), (1, 2), (0, 2)])
     both_ways = [(0, 1), (1, 2), (2, 0), (1, 0), (2, 1), (0, 2)]
     dart, natural, _ = dart_graph(complete_graph(4))
-    first = set(alternating_cycles(dart, natural).cycles[0])
+    first = set(alternating_cycles(natural).cycles[0])
     off_first = [(t, h) for t, h in natural.arcs
                  if not {t, h} <= first]
     u, v = next((u, v) for u in range(dart.n) for v in range(u + 1, dart.n)
@@ -231,7 +238,7 @@ def unevenly_spaced():
     alt_intersection_spacing.  The swap joins opposite vertices of the
     cycle, which no dart graph edge joins, so g is simple."""
     g, natural, _ = dart_graph(complete_graph(4))
-    cycles = [list(c) for c in alternating_cycles(g, natural).cycles]
+    cycles = [list(c) for c in alternating_cycles(natural).cycles]
     heads = [{x for x, y in zip(c, c[1:] + c[:1]) if y in natural.in_adj[x]}
              for c in cycles]
     cycles[0][0], cycles[0][2] = cycles[0][2], cycles[0][0]

@@ -68,15 +68,15 @@ def pipeline():
                                report=report, dart=None)
         if valence(g) == 3 and report.two_arc_transitive:
             dart, natural, labeling = dart_graph(g)
-            lifted = lift_automorphisms(g, group, labeling)
+            lifted = lift_automorphisms(group, labeling)
             forward = verify_dart_forward(g, group, report)
-            dec = alternating_cycles(dart, natural)
+            dec = alternating_cycles(natural)
             item.dart = SimpleNamespace(
                 graph=dart, natural=natural, labeling=labeling,
                 lifted=lifted, forward=forward, dec=dec)
         if valence(g) == 4 and report.half_arc_transitive:
             d = half_arc_orientation(g, report)
-            item.hat_dec = alternating_cycles(g, d)
+            item.hat_dec = alternating_cycles(d)
         items[entry.name] = item
     return SimpleNamespace(items=items, elapsed=time.perf_counter() - t0)
 
@@ -109,8 +109,7 @@ def test_criterion_2_inverse_isomorphism(pipeline):
     each dart graph is a verified orientation-compatible isomorphism."""
     for name in REQUIRED_CUBIC:
         item = pipeline.items[name]
-        psi, checks = psi_isomorphism(item.dart.graph, item.dart.natural,
-                                      item.dart.dec)
+        psi, checks = psi_isomorphism(item.dart.natural, item.dart.dec)
         made = {check for check, _ in checks}
         assert {"psi_bijective", "psi_preserves_adjacency"} <= made, name
         assert "psi_orientation_compatible" in made, name

@@ -37,7 +37,7 @@ from hatkit.census import (builtin_entries, complete_graph, holt_graph,
                            pgl2_graph)
 
 from conftest import (STRESS_GRAPHS, TWO_ARC_CUBIC, alt_faults, cycle_graph,
-                      lift_chain, reversed_darts, run_optimized,
+                      dart_index, lift_chain, reversed_darts, run_optimized,
                       unevenly_spaced)
 
 
@@ -86,7 +86,7 @@ def spiral_wreath_orientation(r):
 def dart_with_lift(base):
     group = automorphism_group(base)
     g, natural, labeling = dart_graph(base)
-    lifted = lift_automorphisms(base, group, labeling)
+    lifted = lift_automorphisms(group, labeling)
     return g, natural, labeling, lifted
 
 
@@ -147,7 +147,7 @@ def test_dart_k4_alternating_structure(k4):
     g, natural, labeling, lifted = dart_with_lift(k4)
     d = half_arc_orientation(g, transitivity_report(lift_chain(lifted), g))
     assert natural in (d, d.reverse())
-    dec = alternating_cycles(g, natural)
+    dec = alternating_cycles(natural)
     assert len(dec.cycles) == 4
     assert dec.radius == 3 and dec.attachment == 2 and dec.ell == 3
     assert not dec.tightly_attached
@@ -159,12 +159,13 @@ def test_dart_k4_alternating_structure(k4):
 
 def test_dart_k33_cycles_are_vertex_stars(k33):
     g, natural, labeling, _ = dart_with_lift(k33)
-    dec = alternating_cycles(g, natural)
+    dec = alternating_cycles(natural)
     assert len(dec.cycles) == k33.n
     # the cycle through any edge at a dart (u,v) consists of the six darts
     # into and out of v in the base graph
+    index = dart_index(labeling)
     star_sets = {
-        frozenset(labeling.index[d] for d in
+        frozenset(index[d] for d in
                   [(u, v) for u in k33.adj[v]] + [(v, u) for u in k33.adj[v]])
         for v in range(k33.n)}
     assert {frozenset(c) for c in dec.cycles} == star_sets
@@ -172,7 +173,7 @@ def test_dart_k33_cycles_are_vertex_stars(k33):
 
 def test_forward_wreath_radius_two():
     g, orient = forward_wreath_orientation(5)
-    dec = alternating_cycles(g, orient)
+    dec = alternating_cycles(orient)
     assert len(dec.cycles) == 5
     assert dec.radius == 2 and dec.attachment == 2 and dec.ell == 2
     assert dec.tightly_attached     # a = r
@@ -187,7 +188,7 @@ def test_spiral_wreath_tightly_attached():
     graph of alternating cycles is degenerate.  This is not tight
     attachment, which is a = r."""
     g, orient = spiral_wreath_orientation(4)
-    dec = alternating_cycles(g, orient)
+    dec = alternating_cycles(orient)
     assert len(dec.cycles) == 2
     assert dec.radius == 4 and dec.attachment == 8
     assert dec.attachment == 2 * dec.radius and dec.ell == 1
@@ -200,7 +201,7 @@ def test_spiral_wreath_tightly_attached():
 
 def test_spiral_wreath_antipodal_is_fibre_swap():
     g, orient = spiral_wreath_orientation(4)
-    dec = alternating_cycles(g, orient)
+    dec = alternating_cycles(orient)
     tau = antipodal_involution(g, dec, schreier_sims([], degree=8))
     assert tau == tuple(i ^ 1 for i in range(8))
 
@@ -208,7 +209,7 @@ def test_spiral_wreath_antipodal_is_fibre_swap():
 def test_circulant_walks_violate_structure():
     g, arcs = circulant_k5()
     with pytest.raises(StructureViolation):
-        alternating_cycles(g, Orientation(g, arcs))
+        alternating_cycles(Orientation(g, arcs))
 
 
 def test_unequal_cycle_lengths_violate_structure():
@@ -222,7 +223,7 @@ def test_unequal_cycle_lengths_violate_structure():
     g = from_edge_list(ga.n + gb.n, edges)
     arcs = list(da.arcs) + [(t + shift, h + shift) for t, h in db.arcs]
     with pytest.raises(StructureViolation):
-        alternating_cycles(g, Orientation(g, arcs))
+        alternating_cycles(Orientation(g, arcs))
 
 
 @pytest.mark.parametrize("fault,message", [
@@ -244,7 +245,7 @@ def test_alternating_cycle_violations_name_the_check(fault, message):
             (u + ga.n, v + ga.n) for u, v in gb.edges])
         arcs = list(da.arcs) + [(t + ga.n, h + ga.n) for t, h in db.arcs]
     with pytest.raises(StructureViolation) as info:
-        alternating_cycles(g, Orientation(g, arcs))
+        alternating_cycles(Orientation(g, arcs))
     assert str(info.value) == message
 
 
@@ -270,7 +271,7 @@ def test_alt_checks_name_their_witness_under_optimize():
     made = []
     for check, g, d in alt_faults():
         with pytest.raises(StructureViolation) as info:
-            alternating_cycles(g, d)
+            alternating_cycles(d)
         assert (info.value.check, info.value.witness) == (
             check, ALT_FAULT_WITNESSES[check])
         made.append(check)
@@ -284,20 +285,13 @@ def test_alt_checks_name_their_witness_under_optimize():
         "print(sys.flags.optimize)\n"
         "for check, g, d in alt_faults():\n"
         "    try:\n"
-        "        alternating_cycles(g, d)\n"
+        "        alternating_cycles(d)\n"
         "    except StructureViolation as exc:\n"
         "        print(exc.check == check, repr(exc.witness))\n"
     )
     assert run_optimized(code) == ["1"] + " ".join(
         f"True {witness!r}" for witness in ALT_FAULT_WITNESSES.values()
     ).split()
-
-
-def test_orientation_mismatched_graph(k4):
-    g, natural, _, _ = dart_with_lift(k4)
-    other = wreath_graph(6)
-    with pytest.raises(OrientationInvalid):
-        alternating_cycles(other, natural)
 
 
 @pytest.mark.parametrize("base_name", [*TWO_ARC_CUBIC, "pgl2_7", "pgl2_11"])
@@ -314,8 +308,8 @@ def test_reversal_symmetry(base_name):
     else:
         base = TWO_ARC_CUBIC[base_name]()
     g, natural, labeling, lifted = dart_with_lift(base)
-    dec1 = alternating_cycles(g, natural)
-    dec2 = alternating_cycles(g, natural.reverse())
+    dec1 = alternating_cycles(natural)
+    dec2 = alternating_cycles(natural.reverse())
     assert dec1.cycles == dec2.cycles
     assert attachment_sets(dec1) == attachment_sets(dec2)
     tau = antipodal_involution(g, dec1, lifted)
@@ -332,7 +326,7 @@ def test_reversal_symmetry(base_name):
 
 def test_antipodal_dart_k4_is_reversal(k4):
     g, natural, labeling, lifted = dart_with_lift(k4)
-    dec = alternating_cycles(g, natural)
+    dec = alternating_cycles(natural)
     tau = antipodal_involution(g, dec, lifted)
     assert tau == reversed_darts(labeling)
 
@@ -340,7 +334,7 @@ def test_antipodal_dart_k4_is_reversal(k4):
 def test_antipodal_verified_heawood(heawood):
     from hatkit.perms import compose
     g, natural, labeling, lifted = dart_with_lift(heawood)
-    dec = alternating_cycles(g, natural)
+    dec = alternating_cycles(natural)
     tau = antipodal_involution(g, dec, lifted)
     assert all(tau[tau[v]] == v and tau[v] != v for v in range(g.n))
     assert all(tau[b] in g.nbrs[tau[a]] for a, b in g.edges)
@@ -362,7 +356,7 @@ def test_antipode_mismatch_names_vertex_and_both_antipodes():
 def test_antipodal_odd_attachment(holt):
     group = automorphism_group(holt)
     d = half_arc_orientation(holt, transitivity_report(group, holt))
-    dec = alternating_cycles(holt, d)
+    dec = alternating_cycles(d)
     assert dec.attachment % 2 == 1
     with pytest.raises(OddAttachment):
         antipodal_involution(holt, dec, group)
@@ -374,7 +368,7 @@ THEOREM = "arc_transitive_if_a_twice_odd_not_dividing_r"
 def test_holt_alternating_parameters(holt):
     group = automorphism_group(holt)
     d = half_arc_orientation(holt, transitivity_report(group, holt))
-    dec = alternating_cycles(holt, d)
+    dec = alternating_cycles(d)
     assert (dec.radius, dec.attachment, dec.ell) == (9, 9, 2)
     assert dec.tightly_attached     # a = r (Marušič 1998)
     assert len(dec.cycles) == 3
@@ -392,7 +386,7 @@ def test_divisibility_dart_case(k4):
     claiming that the lift is Aut(X), by passing no reversal, fails the
     theorem with (r, a) as witness."""
     g, natural, _, lifted = dart_with_lift(k4)
-    dec = alternating_cycles(g, natural)
+    dec = alternating_cycles(natural)
     assert 2 * dec.radius % dec.attachment == 0
     assert dec.radius % dec.attachment and dec.attachment % 4 == 2
     tau = antipodal_involution(g, dec, lifted)
@@ -451,7 +445,7 @@ def test_divisibility_checks_sweep():
 
 def test_induced_alt_action_dart_k4(k4):
     g, natural, _, lifted = dart_with_lift(k4)
-    dec = alternating_cycles(g, natural)
+    dec = alternating_cycles(natural)
     altg = alt_graph(dec)
     assert is_isomorphic(altg, k4) is not None
     action, arc_transitive = induced_alt_action(lifted, dec)
@@ -462,7 +456,7 @@ def test_induced_alt_action_dart_k4(k4):
 def test_induced_alt_action_holt(holt):
     group = automorphism_group(holt)
     d = half_arc_orientation(holt, transitivity_report(group, holt))
-    dec = alternating_cycles(holt, d)
+    dec = alternating_cycles(d)
     altg = alt_graph(dec)
     assert altg.n == 3
     action, arc_transitive = induced_alt_action(group, dec)
@@ -492,12 +486,16 @@ _FAULT_SETUP = (
     "from hatkit.perms import schreier_sims\n"
     "k4 = complete_graph(4)\n"
     "g, natural, labeling = dart_graph(k4)\n"
-    "lifted = lift_automorphisms(k4, automorphism_group(k4), labeling)\n"
-    "dec = alternating_cycles(g, natural)\n"
+    "lifted = lift_automorphisms(automorphism_group(k4), labeling)\n"
+    "dec = alternating_cycles(natural)\n"
     "triangle = from_edge_list(3, [(0, 1), (1, 2), (0, 2)])\n"
     "def by_hand(cycles):\n"
+    "    at = [[] for _ in range(1 + max(map(max, cycles)))]\n"
+    "    for i, c in enumerate(cycles):\n"
+    "        for v in c:\n"
+    "            at[v].append(i)\n"
     "    return AltDecomposition(cycles=cycles, radius=1, attachment=2,\n"
-    "        ell=1, cycles_at_vertex=())\n"
+    "        ell=1, cycles_at_vertex=tuple(map(tuple, at)))\n"
 )
 
 
@@ -545,6 +543,50 @@ def test_altcycles_checks_run_under_optimize(fault, check, witness):
     assert run_optimized(code) == ["1", check, "True"]
 
 
+# antipodal_involution given the alternating cycles of one dart graph
+# and another: Dart(K4) has 12 darts and Dart(Petersen) 30.  Each
+# DegreeMismatch text is recorded in `outcomes`.
+_ORDER_MISMATCH = (
+    "from hatkit.altcycles import alternating_cycles, antipodal_involution\n"
+    "from hatkit.census import complete_graph, generalized_petersen\n"
+    "from hatkit.dartgraph import dart_graph\n"
+    "from hatkit.errors import DegreeMismatch\n"
+    "from hatkit.perms import schreier_sims\n"
+    "k4, petersen = (dart_graph(base)[:2] for base in\n"
+    "                (complete_graph(4), generalized_petersen(5, 2)))\n"
+    "outcomes = []\n"
+    "for (g, _), (_, natural) in [(k4, petersen), (petersen, k4)]:\n"
+    "    try:\n"
+    "        antipodal_involution(g, alternating_cycles(natural),\n"
+    "                             schreier_sims([], degree=g.n))\n"
+    "    except DegreeMismatch as exc:\n"
+    "        outcomes.append(str(exc))\n"
+)
+ORDER_MISMATCH_OUTCOMES = [
+    "the decomposition covers 30 vertices, the graph has 12",
+    "the decomposition covers 12 vertices, the graph has 30",
+]
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["plain", "O"])
+def test_antipodal_involution_rejects_decomposition_of_other_order(
+        optimize):
+    """antipodal_involution reads g and dec, so it checks that dec covers
+    g.n vertices: with the cycles of Dart(Petersen) on Dart(K4), and the
+    other way round, it raises DegreeMismatch with both numbers, in
+    process and under python -O.  Unchecked, the first ended in an
+    IndexError and the second failed antipodal_total."""
+    if optimize:
+        code = "import sys\n" + _ORDER_MISMATCH + (
+            "print(sys.flags.optimize, repr(outcomes))\n")
+        printed = " ".join(run_optimized(code))
+        assert printed == f"1 {ORDER_MISMATCH_OUTCOMES!r}"
+        return
+    space = {}
+    exec(_ORDER_MISMATCH, space)
+    assert space["outcomes"] == ORDER_MISMATCH_OUTCOMES
+
+
 def _cycle_restriction_order(dec, group, index):
     """Order of the restriction to one alternating cycle of its setwise
     stabilizer, by enumerating the group (small groups only)."""
@@ -565,7 +607,7 @@ def _cycle_restriction_order(dec, group, index):
 
 def test_cycle_restriction_is_dihedral(k4):
     g, natural, _, lifted = dart_with_lift(k4)
-    dec = alternating_cycles(g, natural)
+    dec = alternating_cycles(natural)
     # setwise stabilizer of a hexagon restricts to the dihedral group of
     # order 2r = 6, generated by two-step rotations and reflections
     assert _cycle_restriction_order(dec, lifted, 0) == 6
@@ -590,7 +632,7 @@ def test_wreath_group_is_half_arc_transitive_radius_two():
     assert report.half_arc_transitive
     d = half_arc_orientation(g, report)
     assert forward in (d, d.reverse())
-    dec = alternating_cycles(g, forward)
+    dec = alternating_cycles(forward)
     assert (dec.radius, dec.attachment, dec.ell) == (2, 2, 2)
     # a = 2 divides r = 2, so the theorem holds with no reversal given
     passed = []
@@ -603,7 +645,7 @@ def test_wreath_group_induced_alt_action_not_arc_transitive():
     r = 5
     g, forward = forward_wreath_orientation(r)
     group = wreath_forward_group(r)
-    dec = alternating_cycles(g, forward)
+    dec = alternating_cycles(forward)
     altg = alt_graph(dec)
     assert is_isomorphic(altg, cycle_graph(r)) is not None
     action, arc_transitive = induced_alt_action(group, dec)
@@ -617,7 +659,7 @@ def test_wreath_group_antipodal_and_degenerate_quotient():
     r = 5
     g, forward = forward_wreath_orientation(r)
     group = wreath_forward_group(r)
-    dec = alternating_cycles(g, forward)
+    dec = alternating_cycles(forward)
     tau = antipodal_involution(g, dec, group)
     assert tau == tuple(v ^ 1 for v in range(2 * r))  # global fibre swap
     with pytest.raises(DegenerateWreath):
@@ -630,7 +672,7 @@ def test_wreath_cycle_restriction_is_klein_four():
     r = 5
     g, forward = forward_wreath_orientation(r)
     group = wreath_forward_group(r)
-    dec = alternating_cycles(g, forward)
+    dec = alternating_cycles(forward)
     assert _cycle_restriction_order(dec, group, 0) == 4
 
 
@@ -802,7 +844,7 @@ def test_alternating_cycles_and_images_match_references():
     the spacing check by shifting passes where the reference's passes, and
     each generator's cycle images are the reference's."""
     for name, g, d, group in half_arc_orientations():
-        dec = alternating_cycles(g, d)
+        dec = alternating_cycles(d)
         assert dec.cycles == reference_cycles(g, d), name
         assert reference_spacing_fault(dec.cycles, dec.ell) == ""
         assert cycle_images(group, dec) == reference_cycle_images(group, dec)
@@ -816,12 +858,12 @@ def test_alt_checks_fail_with_reference_witness():
     g, arcs = unevenly_spaced()
     d = Orientation(g, arcs)
     with pytest.raises(StructureViolation) as info:
-        alternating_cycles(g, d)
+        alternating_cycles(d)
     spacing = str(info.value)
     cycles = reference_cycles(g, d)
     assert spacing == reference_spacing_fault(cycles, len(cycles[0]) // 2)
     dart, natural, _ = dart_graph(complete_graph(4))
-    dec = alternating_cycles(dart, natural)
+    dec = alternating_cycles(natural)
     swap = schreier_sims([(1, 0) + tuple(range(2, dart.n))])
     first = reference_cycle_images(swap, dec)[0].index(None)
     with pytest.raises(NotInvariant) as info:
@@ -842,13 +884,13 @@ def test_alt_checks_fail_with_reference_witness():
         "print(sys.flags.optimize)\n"
         "g, arcs = unevenly_spaced()\n"
         "try:\n"
-        "    alternating_cycles(g, Orientation(g, arcs))\n"
+        "    alternating_cycles(Orientation(g, arcs))\n"
         "except StructureViolation as exc:\n"
         "    print(exc)\n"
         "dart, natural, _ = dart_graph(complete_graph(4))\n"
         "swap = schreier_sims([(1, 0) + tuple(range(2, dart.n))])\n"
         "try:\n"
-        "    cycle_images(swap, alternating_cycles(dart, natural))\n"
+        "    cycle_images(swap, alternating_cycles(natural))\n"
         "except NotInvariant as exc:\n"
         "    print(exc)\n"
     )

@@ -1235,7 +1235,7 @@ def test_transitivity_trivial_group(k4):
 def test_transitivity_lifted_dart_k4(k4):
     group = automorphism_group(k4)
     dart, _, labeling = dart_graph(k4)
-    lifted = lift_automorphisms(k4, group, labeling)
+    lifted = lift_automorphisms(group, labeling)
     report = transitivity_report(lift_chain(lifted), dart)
     assert report.vertex_transitive and report.edge_transitive
     assert not report.arc_transitive
@@ -1326,7 +1326,7 @@ def _reference_case(case):
         base = next(e for e in builtin_entries()
                     if e.name == case.split("-")[1]).graph()
         dart, _, labeling = dart_graph(base)
-        return lift_chain(lift_automorphisms(base, automorphism_group(base),
+        return lift_chain(lift_automorphisms(automorphism_group(base),
                                              labeling)), dart
     name, kind = case.split("-", 1)
     g = next(e for e in builtin_entries() if e.name == name).graph()
@@ -1431,16 +1431,16 @@ def test_transitivity_matches_sweep_on_lifts_and_cycle_actions():
         aut = automorphism_group(g)
         if name == "holt":
             d = half_arc_orientation(g, transitivity_report(aut, g))
-            actions.append((aut, alternating_cycles(g, d)))
+            actions.append((aut, alternating_cycles(d)))
             continue
         dart, natural, labeling = dart_graph(g)
-        lifted = lift_chain(lift_automorphisms(g, aut, labeling))
+        lifted = lift_chain(lift_automorphisms(aut, labeling))
         report = assert_matches_sweep(lifted, dart)
         assert report.half_arc_transitive == transitivity_report(
             aut, g).two_arc_transitive
         for group in rebased(lifted, rng):
             assert_matches_sweep(group, dart)
-        actions.append((lifted, alternating_cycles(dart, natural)))
+        actions.append((lifted, alternating_cycles(natural)))
     for group, dec in actions:
         action = schreier_sims(cycle_images(group, dec),
                                degree=len(dec.cycles))
@@ -1526,7 +1526,7 @@ def test_arc_orbits_cases(k4, k33):
     assert len(arc_orbits(trivial.generators, k4)) == 12
     group = automorphism_group(k33)
     dart, _, labeling = dart_graph(k33)
-    lifted = lift_automorphisms(k33, group, labeling)
+    lifted = lift_automorphisms(group, labeling)
     orbits = arc_orbits(lifted.generators, dart)
     assert len(orbits) == 2
     assert sorted(map(len, orbits)) == [36, 36]

@@ -1256,20 +1256,20 @@ def test_verify_reports_orbit_outside_cell(monkeypatch, tmp_path, capsys):
                if name != "petersen")
 
 
-def _faulty_alternating_cycles(g, d):
+def _faulty_alternating_cycles(d):
     """Dart(Petersen)'s alternating cycles reported with radius 4."""
-    dec = altcycles.alternating_cycles(g, d)
-    return replace(dec, radius=4) if g.n == 30 else dec
+    dec = altcycles.alternating_cycles(d)
+    return replace(dec, radius=4) if d.graph.n == 30 else dec
 
 
-def _psi_heads_reversed(g, d, dec, _psi=cli.psi_isomorphism):
+def _psi_heads_reversed(d, dec, _psi=cli.psi_isomorphism):
     """psi_isomorphism given, for Dart(Petersen), an orientation whose
     out_adj is d.reverse()'s (conftest.ForgedOrientation): psi's
     images are d's, and every natural arc of the dart graph of the
     reconstruction maps against the heads it is checked on."""
-    if g.n == 30:
+    if d.graph.n == 30:
         d = ForgedOrientation(d, out_adj=d.reverse().out_adj)
-    return _psi(g, d, dec)
+    return _psi(d, dec)
 
 
 def _girth_plus_one(g):

@@ -44,13 +44,14 @@ from hatkit.covers import (
     split_certificate,
 )
 
-from conftest import TWO_ARC_CUBIC, cycle_graph, reversed_darts, run_optimized
+from conftest import (TWO_ARC_CUBIC, cycle_graph, dart_index, reversed_darts,
+                      run_optimized)
 
 
 def dart_with_lift(base):
     group = automorphism_group(base)
     g, natural, labeling = dart_graph(base)
-    lifted = lift_automorphisms(base, group, labeling)
+    lifted = lift_automorphisms(group, labeling)
     return g, natural, labeling, lifted
 
 
@@ -58,7 +59,7 @@ def dart_with_cycles(base):
     """Dart graph, alternating cycles of its natural orientation (an
     induced one) and the lifted group."""
     g, natural, _, lifted = dart_with_lift(base)
-    return g, alternating_cycles(g, natural), lifted
+    return g, alternating_cycles(natural), lifted
 
 
 def antipodal_of(base):
@@ -95,14 +96,16 @@ def test_seeded_chains_match_unseeded_chains(name, monkeypatch):
     base = TWO_ARC_CUBIC[name]()
     group = automorphism_group(base)
     g, natural, labeling = dart_graph(base)
-    lifted = lift_automorphisms(base, group, labeling)
+    lifted = lift_automorphisms(group, labeling)
+
+    index = dart_index(labeling)
 
     def lift(s):
-        return tuple(labeling.index[(s[u], s[v])] for u, v in labeling.darts)
+        return tuple(index[(s[u], s[v])] for u, v in labeling.darts)
 
     lift_gens = [lift(s) for s in group.generators]
     unseeded = schreier_sims(lift_gens, degree=g.n)
-    dart_base = tuple(labeling.index[(b, base.adj[b][0])] for b in group.base)
+    dart_base = tuple(index[(b, base.adj[b][0])] for b in group.base)
     seeded = schreier_sims(lifted.generators, degree=g.n,
                            order_bound=group.order, base=dart_base)
     assert lifted.order == seeded.order == unseeded.order == group.order
@@ -121,7 +124,7 @@ def test_seeded_chains_match_unseeded_chains(name, monkeypatch):
     real = covers._split
     monkeypatch.setattr(covers, "_split", lambda *args: (
         built.append(real(*args)) or built[-1]))
-    dec = alternating_cycles(g, natural)
+    dec = alternating_cycles(natural)
     tau = antipodal_involution(g, dec, lifted)
     _, _, checks = cover_pipeline(g, dec, lifted, tau)
     assert len(built) == 1
@@ -204,8 +207,8 @@ def test_lift_answering_tau_reaches_tau_in_g_under_optimize():
         "petersen = generalized_petersen(5, 2)\n"
         "g, natural, labeling = dartgraph.dart_graph(petersen)\n"
         "lifted = dartgraph.lift_automorphisms(\n"
-        "    petersen, automorphism_group(petersen), labeling)\n"
-        "dec = alternating_cycles(g, natural)\n"
+        "    automorphism_group(petersen), labeling)\n"
+        "dec = alternating_cycles(natural)\n"
         "tau = antipodal_involution(g, dec, lifted)\n"
         "real = dartgraph.LiftedGroup.contains\n"
         "dartgraph.LiftedGroup.contains = (\n"
@@ -238,7 +241,7 @@ def test_base_without_triangle_fails_girth_3_under_optimize():
         "base = next(e for e in builtin_entries()\n"
         "            if e.name == 'dodecahedron').graph()\n"
         "g, natural, labeling = dart_graph(base)\n"
-        "lifted = lift_automorphisms(base, automorphism_group(base), labeling)\n"
+        "lifted = lift_automorphisms(automorphism_group(base), labeling)\n"
         "real = covers._quotient\n"
         "def quotient(total, tau):\n"
         "    cover = real(total, tau)\n"
@@ -252,7 +255,7 @@ def test_base_without_triangle_fails_girth_3_under_optimize():
         "        if girth(h) == 5)\n"
         "    return records.replace(cover, base=orbital)\n"
         "covers._quotient = quotient\n"
-        "dec = alternating_cycles(g, natural)\n"
+        "dec = alternating_cycles(natural)\n"
         "try:\n"
         "    covers.cover_pipeline(g, dec, lifted,\n"
         "                          antipodal_involution(g, dec, lifted))\n"
@@ -408,7 +411,7 @@ def test_quotient_checks_under_optimize(fault, check, witness):
 def test_split_certificate_dart_petersen(petersen):
     g, lifted, tau = antipodal_of(petersen)
     cover = quotient_by_tau(g, tau)
-    sectional, walk = split_certificate(g, lifted, tau, cover)
+    sectional, walk = split_certificate(lifted, tau, cover)
     assert not sectional
     closure = schreier_sims(list(lifted.generators) + [tau], degree=g.n)
     assert closure.order == 2 * lifted.order
@@ -426,7 +429,7 @@ def test_split_certificate_dart_k33_sectional(k33, petersen, monkeypatch):
     real = graphs._two_color
     monkeypatch.setattr(graphs, "_two_color",
                         lambda x: runs.append(x) or real(x))
-    sectional, walk = split_certificate(g, lifted, tau, cover)
+    sectional, walk = split_certificate(lifted, tau, cover)
     assert runs == [g]
     assert sectional
     assert walk is None
@@ -434,7 +437,7 @@ def test_split_certificate_dart_k33_sectional(k33, petersen, monkeypatch):
     g, lifted, tau = antipodal_of(petersen)
     cover = quotient_by_tau(g, tau)
     runs.clear()
-    sectional, walk = split_certificate(g, lifted, tau, cover)
+    sectional, walk = split_certificate(lifted, tau, cover)
     assert runs == [g]
     assert not sectional
     assert walk is not None
@@ -447,7 +450,7 @@ def test_split_certificate_tau_in_group():
     group = schreier_sims([rot1])
     cover = quotient_by_tau(c6, rot3)
     with pytest.raises(TauInG):
-        split_certificate(c6, group, rot3, cover)
+        split_certificate(group, rot3, cover)
 
 
 def test_split_certificate_not_centralizing():
@@ -458,7 +461,7 @@ def test_split_certificate_not_centralizing():
     group = schreier_sims([rot1])
     cover = quotient_by_tau(c6, rot3)
     with pytest.raises(NotCentralizing):
-        split_certificate(c6, group, edge_reflection, cover)
+        split_certificate(group, edge_reflection, cover)
 
 
 def test_split_certificate_not_involution():
@@ -470,7 +473,7 @@ def test_split_certificate_not_involution():
     cover = quotient_by_tau(c6, rot3)
     # rot1 centralizes <rot2> and lies outside it, but has order 6
     with pytest.raises(NotInvolution):
-        split_certificate(c6, group, rot1, cover)
+        split_certificate(group, rot1, cover)
 
 
 def half_turn(n):
@@ -490,7 +493,7 @@ def test_split_certificate_sectionality_of_cycle_covers(n, sectional):
     c = cycle_graph(n)
     cover = quotient_by_tau(c, half_turn(n))
     group = reflection_group(n)
-    verdict, walk = split_certificate(c, group, half_turn(n), cover)
+    verdict, walk = split_certificate(group, half_turn(n), cover)
     oracle = is_isomorphic(c, bipartite_double(cover.base)) is not None
     assert verdict == oracle == sectional
     assert walk is None
@@ -506,7 +509,7 @@ def test_split_certificate_needs_connected_total():
     reflect = tuple(-i % 4 + i // 4 * 4 for i in range(8))
     cover = quotient_by_tau(two_c4, swap)
     with pytest.raises(NotConnected):
-        split_certificate(two_c4, schreier_sims([reflect]), swap, cover)
+        split_certificate(schreier_sims([reflect]), swap, cover)
 
 
 def test_split_certificate_tau_must_swap_each_fibre():
@@ -516,7 +519,7 @@ def test_split_certificate_tau_must_swap_each_fibre():
     cover = quotient_by_tau(c8, half_turn(8))
     other = tuple((4 - i) % 8 for i in range(8))
     with pytest.raises(NotInvariant):
-        split_certificate(c8, reflection_group(8), other, cover)
+        split_certificate(reflection_group(8), other, cover)
 
 
 @pytest.mark.parametrize("name", ["petersen", "coxeter"])
@@ -526,7 +529,7 @@ def test_bounded_chains_match_unbounded_rebuild(request, name):
     and tau has the order split_certificate proves, 2 |lift|, and holds
     tau, which the lift does not."""
     g, lifted, tau = antipodal_of(request.getfixturevalue(name))
-    split_certificate(g, lifted, tau, quotient_by_tau(g, tau))
+    split_certificate(lifted, tau, quotient_by_tau(g, tau))
     rng = random.Random(5)
     gens = list(lifted.generators) + [tau]
     probes = [tau] + gens
@@ -572,9 +575,8 @@ _DART_PETERSEN = (
     "from hatkit.errors import StructureViolation\n"
     "petersen = generalized_petersen(5, 2)\n"
     "g, natural, labeling = dart_graph(petersen)\n"
-    "lifted = lift_automorphisms(\n"
-    "    petersen, automorphism_group(petersen), labeling)\n"
-    "dec = alternating_cycles(g, natural)\n"
+    "lifted = lift_automorphisms(automorphism_group(petersen), labeling)\n"
+    "dec = alternating_cycles(natural)\n"
     "tau = antipodal_involution(g, dec, lifted)\n"
 )
 
@@ -603,7 +605,7 @@ _BAD_TAUS = _DART_PETERSEN + (
     "four_cycle = forged({0: t0, t0: 1, 1: t1, t1: 0})\n"
     "exchanged = forged({0: 1, 1: 0, t0: t1, t1: t0})\n"
     "quotient = lambda bad: lambda: quotient_by_tau(g, bad)\n"
-    "split = lambda group, bad: lambda: split_certificate(g, group, bad, cover)\n"
+    "split = lambda group, bad: lambda: split_certificate(group, bad, cover)\n"
     "not_central = 'tau does not centralize the supplied group: generator '\n"
     "calls = [\n"
     "    (quotient(short), 'NotAutomorphisms', 'tau has degree 29, graph has 30'),\n"
@@ -758,7 +760,7 @@ _ONTO_DOUBLE = (
     "       for v, b in enumerate(cover.fibre_map)]\n"
     "reference = isomorphism_fault(phi, total, bipartite_double(cover.base))\n"
     "call = lambda: split_certificate(\n"
-    "    total, schreier_sims([], degree=total.n), tau, cover)\n")
+    "    schreier_sims([], degree=total.n), tau, cover)\n")
 _LINE_GRAPH = (
     "from hatkit import altcycles, records\n"
     "from hatkit.altcycles import alternating_cycles, antipodal_involution\n"
@@ -769,9 +771,8 @@ _LINE_GRAPH = (
     "from hatkit.graphs import from_edge_list, isomorphism_fault, line_graph\n"
     "petersen = generalized_petersen(5, 2)\n"
     "g, natural, labeling = dart_graph(petersen)\n"
-    "lifted = lift_automorphisms(\n"
-    "    petersen, automorphism_group(petersen), labeling)\n"
-    "dec = alternating_cycles(g, natural)\n"
+    "lifted = lift_automorphisms(automorphism_group(petersen), labeling)\n"
+    "dec = alternating_cycles(natural)\n"
     "tau = antipodal_involution(g, dec, lifted)\n"
     "cover = quotient_by_tau(g, tau)\n"
     "(v0, _), (v1, _) = cover.fibres[:2]\n"
@@ -870,13 +871,66 @@ def test_cover_pipeline_order_guard(k4):
         cover_pipeline(g, dec, lifted, antipodal_involution(g, dec, lifted))
 
 
+# cover_pipeline given the total graph of one dart stage and the cycles
+# and tau of another: Dart(Petersen) has 30 darts and Dart(Heawood) 42.
+# Each DegreeMismatch text is recorded in `outcomes`.
+_PIPELINE_ORDER_MISMATCH = (
+    "from hatkit.altcycles import alternating_cycles, antipodal_involution\n"
+    "from hatkit.autgroup import automorphism_group\n"
+    "from hatkit.census import generalized_petersen, lcf_graph\n"
+    "from hatkit.covers import cover_pipeline\n"
+    "from hatkit.dartgraph import dart_graph, lift_automorphisms\n"
+    "from hatkit.errors import DegreeMismatch\n"
+    "def stage(base):\n"
+    "    g, natural, labeling = dart_graph(base)\n"
+    "    lifted = lift_automorphisms(automorphism_group(base), labeling)\n"
+    "    dec = alternating_cycles(natural)\n"
+    "    return g, dec, lifted, antipodal_involution(g, dec, lifted)\n"
+    "g, dec, lifted, tau = stage(generalized_petersen(5, 2))\n"
+    "heawood, _, _, heawood_tau = stage(lcf_graph([5, -5], 7))\n"
+    "outcomes = []\n"
+    "for args in [(heawood, dec, lifted, tau),\n"
+    "             (g, dec, lifted, heawood_tau)]:\n"
+    "    try:\n"
+    "        cover_pipeline(*args)\n"
+    "    except DegreeMismatch as exc:\n"
+    "        outcomes.append(str(exc))\n"
+)
+PIPELINE_ORDER_MISMATCH_OUTCOMES = [
+    "the decomposition covers 30 vertices and tau has degree 30, the graph "
+    "has 42",
+    "the decomposition covers 30 vertices and tau has degree 42, the graph "
+    "has 30",
+]
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["plain", "O"])
+def test_cover_pipeline_rejects_inputs_of_other_order(optimize):
+    """cover_pipeline reads total, dec and tau, so it checks that dec
+    covers total.n vertices and that tau has that degree: with
+    Dart(Heawood) as the total graph of Dart(Petersen)'s cycles and tau,
+    and with Dart(Heawood)'s tau on Dart(Petersen), it raises
+    DegreeMismatch with the three numbers, in process and under
+    python -O.  Unchecked, both ended in an IndexError inside the
+    quotient."""
+    if optimize:
+        code = "import sys\n" + _PIPELINE_ORDER_MISMATCH + (
+            "print(sys.flags.optimize, repr(outcomes))\n")
+        printed = " ".join(run_optimized(code))
+        assert printed == f"1 {PIPELINE_ORDER_MISMATCH_OUTCOMES!r}"
+        return
+    space = {}
+    exec(_PIPELINE_ORDER_MISMATCH, space)
+    assert space["outcomes"] == PIPELINE_ORDER_MISMATCH_OUTCOMES
+
+
 def test_cover_pipeline_wrong_parameters(holt):
     """Holt's attachment is odd, so it has no antipodal involution: the
     parameters are checked before tau, here the identity, is read."""
     group = automorphism_group(holt)
     d = half_arc_orientation(holt, transitivity_report(group, holt))
     with pytest.raises(WrongParameters) as info:
-        cover_pipeline(holt, alternating_cycles(holt, d), group,
+        cover_pipeline(holt, alternating_cycles(d), group,
                        identity(holt.n))
     assert str(info.value) == ("(radius, attachment) = (9, 9), "
                                "the cover construction needs (3, 2)")

@@ -192,13 +192,15 @@ def test_check_fault_raises_only_on_a_fault():
 
 
 # Inputs for the typed errors below: the 6-cycle with its rotations, the
-# path 0-1-2-3, the alternating cycles of Dart(K4) (12 vertices) and
-# K4's dart labeling.
+# path 0-1-2-3, the alternating cycles of Dart(K4) (12 vertices), and
+# the dart labelings of K4 and of the cube (every permutation of K4's
+# four vertices is an automorphism, so only the cube's labeling meets
+# one that is not).
 _WITNESS_SETUP = (
     "import sys, types\n"
     "from hatkit.altcycles import alternating_cycles, cycle_images\n"
     "from hatkit.autgroup import arc_orbits, transitivity_report\n"
-    "from hatkit.census import complete_graph\n"
+    "from hatkit.census import complete_graph, generalized_petersen\n"
     "from hatkit.covers import quotient_by_tau, split_certificate\n"
     "from hatkit.dartgraph import dart_graph, lift_automorphisms\n"
     "from hatkit.graphs import from_edge_list\n"
@@ -209,17 +211,18 @@ _WITNESS_SETUP = (
     "cover = quotient_by_tau(c6, rot3)\n"
     "path4 = from_edge_list(4, [(0, 1), (1, 2), (2, 3)])\n"
     "k4_dart, k4_natural, k4_labeling = dart_graph(complete_graph(4))\n"
-    "k4_dec = alternating_cycles(k4_dart, k4_natural)\n"
+    "k4_dec = alternating_cycles(k4_natural)\n"
+    "cube_labeling = dart_graph(generalized_petersen(4, 1))[2]\n"
 )
 
 
 @pytest.mark.parametrize("call, error, message", [
     ("quotient_by_tau(c6, rot1)", "NotInvolution",
      "tau is not an involution: tau(tau(0)) = 2"),
-    ("split_certificate(c6, schreier_sims([compose(rot1, rot1)]), rot1,\n"
+    ("split_certificate(schreier_sims([compose(rot1, rot1)]), rot1,\n"
      "                  cover)", "NotInvolution",
      "tau is not an involution: tau(tau(0)) = 2"),
-    ("split_certificate(c6, schreier_sims([rot3, rot1]),\n"
+    ("split_certificate(schreier_sims([rot3, rot1]),\n"
      "                  from_cycles(6, [(0, 1), (2, 5), (3, 4)]), cover)",
      "NotCentralizing",
      "tau does not centralize the supplied group: generator 1 does not "
@@ -233,11 +236,11 @@ _WITNESS_SETUP = (
      "                    path4)", "NotAutomorphisms",
      "generator 0 does not preserve adjacency: edge (2, 3) maps to the "
      "non-edge (3, 0)"),
-    ("lift_automorphisms(path4, schreier_sims([from_cycles(4, [(0, 2)])]),\n"
-     "                   k4_labeling)", "NotAutomorphisms",
-     "generator 0 does not preserve adjacency: edge (2, 3) maps to the "
-     "non-edge (0, 3)"),
-    ("lift_automorphisms(path4, types.SimpleNamespace(\n"
+    ("lift_automorphisms(schreier_sims([from_cycles(8, [(0, 2)])]),\n"
+     "                   cube_labeling)", "NotAutomorphisms",
+     "generator 0 does not preserve adjacency: edge (0, 4) maps to the "
+     "non-edge (2, 4)"),
+    ("lift_automorphisms(types.SimpleNamespace(\n"
      "    degree=4, strong_generators=((1, 0, 2),)), k4_labeling)",
      "NotAutomorphisms",
      "generator 0 does not preserve adjacency: it has degree 3, the graph "
@@ -284,9 +287,9 @@ _PERMUTATION_SETUP = (
     "from hatkit.perms import centralizes, schreier_sims\n"
     "petersen = generalized_petersen(5, 2)\n"
     "g, natural, labeling = dart_graph(petersen)\n"
-    "lifted = lift_automorphisms(petersen, automorphism_group(petersen),\n"
+    "lifted = lift_automorphisms(automorphism_group(petersen),\n"
     "                            labeling)\n"
-    "tau = antipodal_involution(g, alternating_cycles(g, natural), lifted)\n"
+    "tau = antipodal_involution(g, alternating_cycles(natural), lifted)\n"
     "cover = quotient_by_tau(g, tau)\n"
     "chain = schreier_sims(lifted.generators, degree=g.n)\n"
     "def spoilt(i, x):\n"
@@ -295,7 +298,7 @@ _PERMUTATION_SETUP = (
 OUTSIDE = "not a permutation: image 35 of 7 lies outside 0..29"
 _NOT_PERMUTATIONS = [
     ("quotient_by_tau(g, spoilt(7, 35))", OUTSIDE),
-    ("split_certificate(g, lifted, spoilt(7, 35), cover)", OUTSIDE),
+    ("split_certificate(lifted, spoilt(7, 35), cover)", OUTSIDE),
     ("centralizes(spoilt(7, 35), lifted)", OUTSIDE),
     ("chain.contains(spoilt(7, 35))", OUTSIDE),
     ("lifted.contains(spoilt(7, 35))", OUTSIDE),

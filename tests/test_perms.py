@@ -11,12 +11,15 @@ from hatkit.altcycles import alternating_cycles, antipodal_involution
 from hatkit.census import builtin_entries
 from hatkit.errors import (
     DegreeMismatch,
+    HatError,
+    InvalidArgument,
     NotPermutation,
     OrderBoundExceeded,
     VertexOutOfRange,
 )
 from hatkit.perms import (
     centralizes,
+    check_perm,
     compose,
     from_cycles,
     identity,
@@ -25,7 +28,7 @@ from hatkit.perms import (
     schreier_sims,
 )
 
-from conftest import STRESS_GRAPHS, STRESS_NAMES, run_optimized
+from conftest import STRESS_GRAPHS, STRESS_NAMES, dart_index, run_optimized
 
 
 def closure(gens):
@@ -322,6 +325,36 @@ def test_permutation_argument_checked_once(check):
                                "the image of 0")
 
 
+def test_images_that_are_not_ints_are_not_permutations():
+    """An image that compares equal to an int but is none (1.0) indexes
+    nothing: check_perm raises NotPermutation naming the first such
+    image, where schreier_sims and contains ended in a bare TypeError."""
+    for call, image, at in [
+            (lambda: schreier_sims([(1.0, 0)]), 1.0, 0),
+            (lambda: schreier_sims([(1, 0, 2)]).contains((1.0, 0, 2)), 1.0, 0),
+            (lambda: check_perm((0, 2, "1")), "'1'", 2)]:
+        with pytest.raises(NotPermutation) as info:
+            call()
+        assert str(info.value) == (f"not a permutation: image {image} of "
+                                   f"{at} is not an int")
+
+
+def test_schreier_sims_argument_errors_are_hat_errors():
+    """A base that repeats a point, and an empty generating set without a
+    degree, raise InvalidArgument: a HatError, and still a ValueError."""
+    gens = [from_cycles(4, [(0, 1, 2, 3)])]
+    for call, message in [
+            (lambda: schreier_sims([]),
+             "degree is required for an empty generating set"),
+            (lambda: schreier_sims(gens, base=(1, 1)),
+             "base [1, 1] repeats a point")]:
+        with pytest.raises(InvalidArgument) as info:
+            call()
+        assert isinstance(info.value, HatError)
+        assert isinstance(info.value, ValueError)
+        assert str(info.value) == message
+
+
 def test_membership_random_products():
     rng = random.Random(99)
     gens = [from_cycles(6, [(0, 1, 2, 3, 4, 5)]), from_cycles(6, [(0, 1)])]
@@ -487,11 +520,11 @@ def record_pipeline_chains(monkeypatch):
         if g.degrees()[0] != 3 or name == "f026":
             continue        # the dart chain needs a 2-arc-transitive cubic g
         dart, natural, labeling = dartgraph.dart_graph(g)
-        lifted = dartgraph.lift_automorphisms(g, group, labeling)
+        lifted = dartgraph.lift_automorphisms(group, labeling)
         record(lifted.generators, dart.n, group.order,
-               [labeling.index[(b, g.adj[b][0])] for b in group.base])
+               [dart_index(labeling)[b, g.adj[b][0]] for b in group.base])
         if dart.n > 12:     # the cover stage starts above 12 darts
-            dec = alternating_cycles(dart, natural)
+            dec = alternating_cycles(natural)
             covers.cover_pipeline(
                 dart, dec, lifted, antipodal_involution(dart, dec, lifted))
     autgroup._analysis.cache_clear()

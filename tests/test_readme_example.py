@@ -30,8 +30,8 @@ def test_readme_quickstart():
     assert group.order == 120
     dart, natural, labeling = dart_graph(base)
     assert dart.n == 30
-    lifted = lift_automorphisms(base, group, labeling)
-    dec = alternating_cycles(dart, natural)
+    lifted = lift_automorphisms(group, labeling)
+    dec = alternating_cycles(natural)
     assert (dec.radius, dec.attachment) == (3, 2)
     tau = antipodal_involution(dart, dec, lifted)   # the dart reversal
     cover, sectional, checks = cover_pipeline(dart, dec, lifted, tau)

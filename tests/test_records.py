@@ -143,7 +143,7 @@ def test_replace_keeps_nothing_cached():
     holt = next(e for e in builtin_entries() if e.name == "holt").graph()
     holt_report = transitivity_report(automorphism_group(holt), holt)
     d = half_arc_orientation(holt, holt_report)
-    dec = alternating_cycles(holt, d)
+    dec = alternating_cycles(d)
     cycle_graph = dec.cycle_graph
     assert "cycle_graph" in vars(dec)
     copy = replace(dec)
